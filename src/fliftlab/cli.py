@@ -12,6 +12,7 @@ table --check mismatches and identity failures), 2 resource limit
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -27,7 +28,8 @@ from .criteria import classify as _classify_gens
 from .fp_poly import (DEFAULT_MAX_DEGREE, DegreeGuardError, FpPolyError,
                       NotPrimeError, ParseError, PolyRing, is_prime)
 from .groebner import order_by_name
-from .report import CSV_HEADER, report_csv_row, report_text, report_to_dict
+from .report import (CSV_HEADER, _yn, report_csv_row, report_text,
+                     report_to_dict)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -87,7 +89,7 @@ def _build_parser() -> _Parser:
                         choices=("text", "json", "csv", "md"))
         sp.add_argument("--order", default="grevlex", choices=("grevlex", "lex"))
         sp.add_argument("--max-degree", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=None)
+        sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("classify", help="classify ad-hoc equations")
     sp.add_argument("--p", type=int, required=True)
@@ -142,7 +144,7 @@ def _config_from_args(args) -> RunConfig:
     cfg.max_degree = _effective_max_degree(args.max_degree)
     if cfg.max_degree < 1:
         raise UsageError("--max-degree must be positive")
-    cfg.jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    cfg.jobs = args.jobs
     if cfg.jobs < 1:
         raise UsageError("--jobs must be at least 1")
 
@@ -219,12 +221,6 @@ def _cmd_classify(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _yn(v) -> str:
-    if v is None:
-        return "-"
-    return "Y" if v else "N"
-
-
 # --------------------------------------------------------------------- table
 
 def _cmd_table(cfg: RunConfig, out) -> int:
@@ -288,24 +284,14 @@ def _cmd_table(cfg: RunConfig, out) -> int:
 
 def _sweep_tuples(cfg: RunConfig):
     """All admissible tuples in deterministic order: (p, exponents)."""
-    tuples = []
-    for p in cfg.p_values:
-        if cfg.sweep_family == "cusp_hyp":
-            rng = range(2, cfg.sweep_max + 1)
-            for a in rng:
-                for b in rng:
-                    for c in rng:
-                        if cusp_hyp_admissible(a, b, c):
-                            tuples.append((p, (a, b, c)))
-        else:
-            rng = range(2, cfg.sweep_max + 1)
-            for a in rng:
-                for b in rng:
-                    for c in rng:
-                        for d in rng:
-                            if cusp_ci_admissible(a, b, c, d):
-                                tuples.append((p, (a, b, c, d)))
-    return tuples
+    if cfg.sweep_family == "cusp_hyp":
+        admissible, arity = cusp_hyp_admissible, 3
+    else:
+        admissible, arity = cusp_ci_admissible, 4
+    exponents = range(2, cfg.sweep_max + 1)
+    return [(p, t) for p in cfg.p_values
+            for t in itertools.product(exponents, repeat=arity)
+            if admissible(*t)]
 
 
 def _sweep_worker(task):
@@ -358,14 +344,6 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
     classes = sorted({(p, symmetry(t)) for p, t in tuples})
     tasks = [(family, p, cls, cfg.max_degree, cfg.order) for p, cls in classes]
     results: dict[tuple, tuple] = {}
-
-    def emit_rows():
-        rows = []
-        for p, t in tuples:
-            key = (p, symmetry(t))
-            (_, _, _, status, pure, lift, concl, ms) = results[key]
-            rows.append((p, t, status, pure, lift, concl, ms))
-        return rows
 
     interrupted = False
     try:

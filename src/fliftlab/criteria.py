@@ -20,7 +20,7 @@ from typing import Sequence
 from .fp_poly import Poly, format_poly
 from .groebner import (GREVLEX, GroebnerBasis, ModuleVector, MonomialOrder,
                        buchberger, is_zero_dimensional, module_buchberger,
-                       module_membership, module_normal_form, normal_form,
+                       module_normal_form, normal_form,
                        normal_form_with_cofactors, reduce_by_generators,
                        supported_only_at_origin)
 from .frobsplit import SplittingData, apply_sigma, build_splitting, delta1
@@ -339,20 +339,10 @@ def classify_complete_intersection(gens: Sequence[Poly], *,
         for f in gens:
             module_gens.append(ModuleVector(
                 [f if t2 == i else zero for t2 in range(m)]))
-    if certificates:
-        member, cofactors = module_membership(target, module_gens, order,
-                                              certificate=True)
-        if member:
-            rem_vec = tuple([zero] * m)
-        else:
-            mgb = module_buchberger(module_gens, order)
-            rem_vec = tuple(module_normal_form(target, mgb).coordinates)
-    else:
-        mgb = module_buchberger(module_gens, order)
-        nf = module_normal_form(target, mgb)
-        member = nf.is_zero()
-        rem_vec = tuple(nf.coordinates)
-        cofactors = None
+    mgb = module_buchberger(module_gens, order, track=certificates)
+    nf = module_normal_form(target, mgb)
+    member = nf.is_zero()
+    cofactors = mgb.cofactors(target) if certificates and member else None
     timings["groebner"] = _ms_since(t)
     timings["total"] = _ms_since(t_start)
 
@@ -362,7 +352,7 @@ def classify_complete_intersection(gens: Sequence[Poly], *,
     cert = Certificate(
         fedder_survivor=split.survivor,
         sigma_trace_constant=split.trace_constant,
-        g=tuple(g_list), remainder=tuple(rem_vec),
+        g=tuple(g_list), remainder=nf.coordinates,
         cofactors=tuple(cofactors) if cofactors else None)
     return LiftabilityReport(
         p=ring.p, variables=ring.variables,

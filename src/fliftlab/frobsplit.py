@@ -252,7 +252,9 @@ def build_splitting(gens: Sequence[Poly]) -> SplittingData:
             h = h * ring.monomial(shift)
     s = trace_u(h)
     fpure = survivor is not None
-    assert (s.constant_term() != 0) == fpure
+    if (s.constant_term() != 0) != fpure:
+        raise RuntimeError("the Fedder survivor and the trace constant of "
+                           "the splitting disagree")
     return SplittingData(h, s, fpure, survivor)
 
 

@@ -1,6 +1,13 @@
 """Buchberger-based Groebner engine for ideals in F_p[x] and submodules
 of free modules.
 
+One engine serves both.  A submodule of R^s with s > 1 runs on the ideal
+code with each term x^a e_i encoded as one tuple: s one-hot position
+slots followed by a.  Divisibility, shifts and lcms then need no special
+case, and a lead divides only terms at its own position.  An ideal is
+the rank-1 case and carries no slots.  Modules use the term-over-position
+order (e_1 > e_2 > ...) under either monomial order.
+
 Provides reduced bases, normal forms, membership tests with optional
 cofactor certificates, zero-dimensionality and origin-support checks.
 The default order is degrevlex; lex is available for debugging.
@@ -46,6 +53,23 @@ def order_by_name(name: str) -> MonomialOrder:
         return _ORDERS[name]
     except KeyError:
         raise ValueError(f"unknown monomial order {name!r}") from None
+
+
+class _LexThenPosition:
+    """Lex on the monomial part, then the position, for terms with `slots`
+    position slots in front; plain lex would compare the position first.
+    Degrevlex on such terms is term-over-position as it stands: the slots
+    add 1 to every degree and come last in its reverse scan."""
+
+    name = "lex"
+
+    def __init__(self, slots: int):
+        self.key = lambda t: t[slots:] + t[:slots]
+        self.nkey = lambda t: tuple(-e for e in t[slots:] + t[:slots])
+
+
+def _term_order(order: MonomialOrder, slots: int):
+    return _LexThenPosition(slots) if slots and order.name == "lex" else order
 
 
 def _lead(terms: dict, order: MonomialOrder) -> tuple[tuple[int, ...], int]:
@@ -123,10 +147,23 @@ def _reduce_full(fterms: dict, reducers: list, p: int, order: MonomialOrder,
     return rem
 
 
-def _prep_reducer(g: Poly, order: MonomialOrder, p: int) -> tuple:
-    lm, lc = _lead(g.terms, order)
-    tail = tuple((m, c) for m, c in g.terms.items() if m != lm)
+def _prep_reducer(terms: dict, order: MonomialOrder, p: int) -> tuple:
+    lm, lc = _lead(terms, order)
+    tail = tuple((m, c) for m, c in terms.items() if m != lm)
     return (lm, pow(lc, p - 2, p), tail)
+
+
+def _monic(terms: dict, order: MonomialOrder, p: int) -> tuple[tuple, int, dict]:
+    """(leading monomial, inverse of the leading coefficient, monic terms)."""
+    lm, lc = _lead(terms, order)
+    inv = pow(lc, p - 2, p)
+    return lm, inv, {m: c * inv % p for m, c in terms.items()}
+
+
+def _poly(ring: PolyRing, terms: dict, slots: int) -> Poly:
+    """The polynomial of a shift or quotient dict, whose slots are all 0."""
+    return Poly._make(ring, {m[slots:]: c for m, c in terms.items()}
+                      if slots else terms)
 
 
 class GroebnerBasis:
@@ -136,8 +173,10 @@ class GroebnerBasis:
     `original_generators` (cofactor tracking).
     """
 
-    def __init__(self, generators: Sequence[Poly], order: MonomialOrder,
-                 original_generators: Sequence[Poly],
+    _slots = 0
+
+    def __init__(self, generators: Sequence, order: MonomialOrder,
+                 original_generators: Sequence,
                  reprs: Sequence[Sequence[Poly]] | None = None):
         self.generators = tuple(generators)
         self.order = order
@@ -145,8 +184,10 @@ class GroebnerBasis:
         self.reprs = tuple(tuple(r) for r in reprs) if reprs is not None else None
         self.ring = self.generators[0].ring if self.generators else (
             self.original_generators[0].ring)
+        self._order = _term_order(order, self._slots)
         p = self.ring.p
-        self._reducers = [_prep_reducer(g, order, p) for g in self.generators]
+        self._reducers = [_prep_reducer(self._encode(g), self._order, p)
+                          for g in self.generators]
         self.leading_monomials = tuple(r[0] for r in self._reducers)
 
     def __iter__(self):
@@ -159,23 +200,57 @@ class GroebnerBasis:
         zero = (0,) * self.ring.nvars
         return any(lm == zero for lm in self.leading_monomials)
 
+    # An element of the span as the engine's term dict, and back.
+    def _encode(self, f: Poly) -> dict:
+        return f.terms
+
+    def _decode(self, terms: dict, ring: PolyRing) -> Poly:
+        return Poly._make(ring, terms)
+
+    def cofactors(self, f) -> list[Poly] | None:
+        """Cofactors c_t with f = sum(c_t * original_generators[t]), or None
+        when f is not in the span.  The expansion is re-checked before
+        returning.  The basis must have been built with track=True.
+        """
+        if self.reprs is None:
+            raise ValueError("cofactors need a basis built with track=True")
+        quotients: list[dict] = [{} for _ in self.generators]
+        if not _normal_form(f, self, quotients).is_zero():
+            return None
+        ring = f.ring
+        cofactors = _express(quotients, self.reprs, ring, self._slots)
+        columns = [_coordinates(g) for g in self.original_generators]
+        for pos, want in enumerate(_coordinates(f)):
+            acc = ring.zero()
+            for c, g in zip(cofactors, columns):
+                acc = acc + c * g[pos]
+            if acc != want:
+                raise RuntimeError("cofactor certificate failed re-expansion")
+        return cofactors
+
+
+def _coordinates(f) -> tuple[Poly, ...]:
+    return f.coordinates if isinstance(f, ModuleVector) else (f,)
+
+
+def _normal_form(f, basis: GroebnerBasis, quotients: list[dict] | None = None):
+    if not basis.ring.same_ambient(f.ring):
+        raise AmbientMismatchError("polynomial and basis ambients differ")
+    rem = _reduce_full(basis._encode(f), basis._reducers, f.ring.p,
+                       basis._order, quotients)
+    return basis._decode(rem, f.ring)
+
 
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
     """Remainder of f on division by the basis; unique for a reduced basis."""
-    if not basis.ring.same_ambient(f.ring):
-        raise AmbientMismatchError("polynomial and basis ambients differ")
-    rem = _reduce_full(f.terms, basis._reducers, f.ring.p, basis.order)
-    return Poly._make(f.ring, rem)
+    return _normal_form(f, basis)
 
 
 def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis) -> tuple[Poly, list[Poly]]:
     """Normal form plus quotients q_i with f = sum(q_i g_i) + remainder."""
-    if not basis.ring.same_ambient(f.ring):
-        raise AmbientMismatchError("polynomial and basis ambients differ")
     quotients: list[dict] = [{} for _ in basis.generators]
-    rem = _reduce_full(f.terms, basis._reducers, f.ring.p, basis.order, quotients)
-    ring = f.ring
-    return Poly._make(ring, rem), [Poly._make(ring, q) for q in quotients]
+    rem = _normal_form(f, basis, quotients)
+    return rem, [Poly._make(f.ring, q) for q in quotients]
 
 
 def reduce_by_generators(f: Poly, gens: Sequence[Poly],
@@ -186,65 +261,75 @@ def reduce_by_generators(f: Poly, gens: Sequence[Poly],
     zero remainder always proves membership in the generated ideal.
     """
     p = f.ring.p
-    reducers = [_prep_reducer(g, order, p) for g in gens if not g.is_zero()]
+    reducers = [_prep_reducer(g.terms, order, p) for g in gens if not g.is_zero()]
     rem = _reduce_full(f.terms, reducers, p, order)
     return Poly._make(f.ring, rem)
 
 
-def _spair_terms(fi: Poly, fj: Poly, lmi, lmj, order, p):
+def _spair_terms(fi: dict, fj: dict, lmi, lmj, p):
     lcm = _mono_lcm(lmi, lmj)
     si = _mono_div(lcm, lmi)
     sj = _mono_div(lcm, lmj)
     # both inputs are monic, so the S-polynomial is x^si*fi - x^sj*fj
     out: dict = {}
-    for m, c in fi.terms.items():
+    for m, c in fi.items():
         mm = _mono_mul(m, si)
         out[mm] = (out.get(mm, 0) + c) % p
-    for m, c in fj.terms.items():
+    for m, c in fj.items():
         mm = _mono_mul(m, sj)
         out[mm] = (out.get(mm, 0) - c) % p
     return {m: c for m, c in out.items() if c}, si, sj
 
 
-def _poly_shift(f: Poly, shift: tuple[int, ...], sign: int, p: int) -> dict:
-    if sign == 1:
-        return {_mono_mul(m, shift): c for m, c in f.terms.items()}
-    return {_mono_mul(m, shift): (p - c) % p for m, c in f.terms.items()}
+def _express(quotients: list[dict], reprs: Sequence[Sequence[Poly]],
+             ring: PolyRing, slots: int) -> list[Poly]:
+    """sum(q_k * reprs[k]) coordinate by coordinate: the expression in the
+    original generators of sum(q_k * g_k) when reprs[k] expresses g_k."""
+    out = [ring.zero()] * len(reprs[0])
+    for q, rep in zip(quotients, reprs):
+        if not q:
+            continue
+        qp = _poly(ring, q, slots)
+        for t, r in enumerate(rep):
+            if not r.is_zero():
+                out[t] = out[t] + qp * r
+    return out
 
 
-def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
-               track: bool = False, known_gb_prefix: int = 0) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by `gens`.
-
-    Pair selection follows the normal strategy (smallest lcm in the order,
-    ties by input index); the coprimality and chain criteria prune pairs.
-    Deterministic for a fixed input sequence.
-
-    `known_gb_prefix` marks the first k generators as a Groebner basis of
-    the subideal they generate, so their mutual S-pairs are skipped.
-    With `track=True` every basis element carries its expression in the
-    original generators.
-    """
-    gens = list(gens)
+def _common_ring(gens: Sequence) -> PolyRing:
     if not gens:
         raise ValueError("generator list must be nonempty")
     ring = gens[0].ring
     for g in gens[1:]:
         if not g.ring.same_ambient(ring):
             raise AmbientMismatchError("generators live in different ambients")
+    return ring
+
+
+def _groebner(gens: list[dict], ring: PolyRing, order, slots: int,
+              track: bool, known_gb_prefix: int = 0
+              ) -> tuple[list[dict], list[list[Poly]] | None]:
+    """Buchberger's algorithm on term dicts with `slots` position slots.
+
+    Returns the reduced basis, largest lead first, and with `track` each
+    element's expression in the generators.  Pairs form only between
+    leads at the same position.  The coprime criterion never fires on
+    slotted terms, whose lead product has a slot of 2: it is valid at
+    rank 1 only.  The chain criterion holds at every rank (Gebauer and
+    Moeller 1988).
+    """
     p = ring.p
     ngens = len(gens)
 
-    basis: list[Poly] = []
+    basis: list[dict] = []
     lms: list[tuple[int, ...]] = []
     reprs: list[list[Poly]] = []
     seed_count = 0
     for i, g in enumerate(gens):
-        if g.is_zero():
+        if not g:
             continue
-        lm, lc = _lead(g.terms, order)
-        inv = pow(lc, p - 2, p)
-        basis.append(g.scale(inv))
+        lm, inv, monic = _monic(g, order, p)
+        basis.append(monic)
         lms.append(lm)
         if track:
             reprs.append([ring.from_int(inv) if j == i else ring.zero()
@@ -256,14 +341,17 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
 
     key = order.key
     pairs: list[tuple[tuple, int, int]] = []
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        if i < seed_count and j < seed_count:
-            continue
-        pairs.append((key(_mono_lcm(lms[i], lms[j])), i, j))
-    heapq.heapify(pairs)
-    done: set[tuple[int, int]] = set()
-    if seed_count:
-        done.update(itertools.combinations(range(seed_count), 2))
+
+    def add_pairs(idx: int) -> None:
+        lm = lms[idx]
+        for k in range(idx):
+            if idx < seed_count or (slots and lms[k][:slots] != lm[:slots]):
+                continue
+            heapq.heappush(pairs, (key(_mono_lcm(lms[k], lm)), k, idx))
+
+    for idx in range(len(basis)):
+        add_pairs(idx)
+    done = set(itertools.combinations(range(seed_count), 2))
 
     while pairs:
         lk, i, j = heapq.heappop(pairs)
@@ -282,48 +370,40 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
                 break
         if chain:
             continue
-        if sum(lcm) > ring.max_degree:
+        degree = sum(lcm[slots:])
+        if degree > ring.max_degree:
             raise DegreeGuardError(
-                f"S-pair ({i}, {j}) with lcm degree {sum(lcm)} exceeds "
+                f"S-pair ({i}, {j}) with lcm degree {degree} exceeds "
                 f"guard {ring.max_degree}")
-        sterms, si, sj = _spair_terms(basis[i], basis[j], lms[i], lms[j], order, p)
+        sterms, si, sj = _spair_terms(basis[i], basis[j], lms[i], lms[j], p)
         reducers = [_prep_reducer(b, order, p) for b in basis]
         quotients = [{} for _ in basis] if track else None
         rem = _reduce_full(sterms, reducers, p, order, quotients)
         if not rem:
             continue
-        lm, lc = _lead(rem, order)
-        inv = pow(lc, p - 2, p)
-        new = Poly._make(ring, {m: c * inv % p for m, c in rem.items()})
+        lm, inv, new = _monic(rem, order, p)
         if track:
             # s-poly = shift_i*basis[i] - shift_j*basis[j]; remainder =
             # s-poly - sum(q_k basis[k]); everything scaled by inv.
-            combo = [ring.zero()] * ngens
-            shift_i = Poly._make(ring, {si: 1})
-            shift_j = Poly._make(ring, {sj: 1})
-            for t in range(ngens):
-                acc = shift_i * reprs[i][t] - shift_j * reprs[j][t]
-                for k, q in enumerate(quotients):
-                    if q:
-                        acc = acc - Poly._make(ring, q) * reprs[k][t]
-                combo[t] = acc.scale(inv)
-            reprs.append(combo)
-        idx = len(basis)
+            shift_i = _poly(ring, {si: 1}, slots)
+            shift_j = _poly(ring, {sj: 1}, slots)
+            reduced = _express(quotients, reprs, ring, slots)
+            reprs.append([(shift_i * a - shift_j * b - r).scale(inv)
+                          for a, b, r in zip(reprs[i], reprs[j], reduced)])
         basis.append(new)
         lms.append(lm)
-        for k in range(idx):
-            heapq.heappush(pairs, (key(_mono_lcm(lms[k], lm)), k, idx))
+        add_pairs(len(basis) - 1)
 
-    return _interreduce(basis, reprs if track else None, gens, order, ring)
+    return _interreduce(basis, reprs if track else None, order, ring, slots)
 
 
-def _interreduce(basis: list[Poly], reprs: list[list[Poly]] | None,
-                 original: Sequence[Poly], order: MonomialOrder,
-                 ring: PolyRing) -> GroebnerBasis:
+def _interreduce(basis: list[dict], reprs: list[list[Poly]] | None, order,
+                 ring: PolyRing, slots: int
+                 ) -> tuple[list[dict], list[list[Poly]] | None]:
     p = ring.p
     # drop redundant leading monomials (minimalization)
     keep: list[int] = []
-    lms = [_lead(b.terms, order)[0] for b in basis]
+    lms = [_lead(b, order)[0] for b in basis]
     for i, lm in enumerate(lms):
         redundant = False
         for j, other in enumerate(lms):
@@ -344,52 +424,74 @@ def _interreduce(basis: list[Poly], reprs: list[list[Poly]] | None,
     while changed:
         changed = False
         for i in range(len(basis)):
-            others = [basis[j] for j in range(len(basis)) if j != i]
+            others = [j for j in range(len(basis)) if j != i]
             if not others:
                 continue
-            reducers = [_prep_reducer(b, order, p) for b in others]
+            reducers = [_prep_reducer(basis[j], order, p) for j in others]
             quotients = [{} for _ in others] if reprs is not None else None
-            rem = _reduce_full(basis[i].terms, reducers, p, order, quotients)
-            new = Poly._make(ring, rem)
-            if new != basis[i]:
+            rem = _reduce_full(basis[i], reducers, p, order, quotients)
+            if rem != basis[i]:
                 changed = True
-                lm, lc = _lead(rem, order)
-                inv = pow(lc, p - 2, p)
-                basis[i] = new.scale(inv)
+                _, inv, basis[i] = _monic(rem, order, p)
                 if reprs is not None:
-                    idxs = [j for j in range(len(basis)) if j != i]
-                    newrep = []
-                    for t in range(len(reprs[i])):
-                        acc = reprs[i][t]
-                        for pos, k in enumerate(idxs):
-                            q = quotients[pos]
-                            if q:
-                                acc = acc - Poly._make(ring, q) * reprs[k][t]
-                        newrep.append(acc.scale(inv))
-                    reprs[i] = newrep
+                    reduced = _express(quotients, [reprs[j] for j in others],
+                                       ring, slots)
+                    reprs[i] = [(a - r).scale(inv)
+                                for a, r in zip(reprs[i], reduced)]
 
     key = order.key
     index = sorted(range(len(basis)),
-                   key=lambda i: key(_lead(basis[i].terms, order)[0]),
+                   key=lambda i: key(_lead(basis[i], order)[0]),
                    reverse=True)
     basis = [basis[i] for i in index]
     if reprs is not None:
         reprs = [reprs[i] for i in index]
-    return GroebnerBasis(basis, order, original, reprs)
+    return basis, reprs
+
+
+def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
+               track: bool = False, known_gb_prefix: int = 0) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by `gens`.
+
+    Pair selection follows the normal strategy (smallest lcm in the order,
+    ties by input index); the coprimality and chain criteria prune pairs.
+    Deterministic for a fixed input sequence.
+
+    `known_gb_prefix` marks the first k generators as a Groebner basis of
+    the subideal they generate, so their mutual S-pairs are skipped.
+    With `track=True` every basis element carries its expression in the
+    original generators.
+    """
+    gens = list(gens)
+    ring = _common_ring(gens)
+    basis, reprs = _groebner([g.terms for g in gens], ring, order, 0, track,
+                             known_gb_prefix)
+    return GroebnerBasis([Poly._make(ring, b) for b in basis], order, gens,
+                         reprs)
 
 
 def verify_buchberger(basis: GroebnerBasis) -> bool:
-    """Re-check the Buchberger criterion: every S-polynomial reduces to 0."""
-    gens = basis.generators
-    order = basis.order
+    """Re-check the Buchberger criterion: every S-polynomial (for a module,
+    every S-vector of two leads at the same position) reduces to 0."""
+    order = basis._order
     p = basis.ring.p
-    for i, j in itertools.combinations(range(len(gens)), 2):
-        lmi = basis.leading_monomials[i]
-        lmj = basis.leading_monomials[j]
-        sterms, _, _ = _spair_terms(gens[i], gens[j], lmi, lmj, order, p)
+    slots = basis._slots
+    lms = basis.leading_monomials
+    terms = [basis._encode(g) for g in basis.generators]
+    for i, j in itertools.combinations(range(len(terms)), 2):
+        if lms[i][:slots] != lms[j][:slots]:
+            continue
+        sterms, _, _ = _spair_terms(terms[i], terms[j], lms[i], lms[j], p)
         if _reduce_full(sterms, basis._reducers, p, order):
             return False
     return True
+
+
+def _membership(f, basis: GroebnerBasis, certificate: bool):
+    if not certificate:
+        return _normal_form(f, basis).is_zero()
+    cofactors = basis.cofactors(f)
+    return cofactors is not None, cofactors
 
 
 def ideal_membership(f: Poly, gens: Sequence[Poly],
@@ -399,26 +501,8 @@ def ideal_membership(f: Poly, gens: Sequence[Poly],
     (bool, cofactors) where f = sum(cofactor_i * gens_i); the expansion is
     re-checked before returning.
     """
-    gb = buchberger(gens, order, track=certificate)
-    if not certificate:
-        return normal_form(f, gb).is_zero()
-    rem, quotients = normal_form_with_cofactors(f, gb)
-    if not rem.is_zero():
-        return False, None
-    ring = f.ring
-    cofactors = [ring.zero()] * len(gens)
-    for q, rep in zip(quotients, gb.reprs):
-        if q.is_zero():
-            continue
-        for t in range(len(gens)):
-            if not rep[t].is_zero():
-                cofactors[t] = cofactors[t] + q * rep[t]
-    check = ring.zero()
-    for c, g in zip(cofactors, gens):
-        check = check + c * g
-    if check != f:
-        raise RuntimeError("cofactor certificate failed re-expansion")
-    return True, cofactors
+    return _membership(f, buchberger(gens, order, track=certificate),
+                       certificate)
 
 
 def is_zero_dimensional(basis: GroebnerBasis) -> bool:
@@ -476,7 +560,13 @@ def supported_only_at_origin(basis: GroebnerBasis) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Submodules of free modules R^s, term-over-position order.
+# Submodules of free modules R^s: thin wrappers that encode vectors for the
+# engine above and decode its results.
+
+
+def _slot_count(size: int) -> int:
+    """Position slots for vectors of `size` coordinates; rank 1 needs none."""
+    return size if size > 1 else 0
 
 
 class ModuleVector:
@@ -510,289 +600,78 @@ class ModuleVector:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coordinates)
 
-    def _flat(self) -> dict:
+    def _terms(self) -> dict:
+        """The engine's term dict: x^a e_i becomes (slots of i) + a."""
+        slots = _slot_count(len(self.coordinates))
         out = {}
         for pos, poly in enumerate(self.coordinates):
+            slot = tuple(int(k == pos) for k in range(slots))
             for m, c in poly.terms.items():
-                out[(m, pos)] = c
+                out[slot + m] = c
         return out
 
     @classmethod
-    def _from_flat(cls, flat: dict, ring: PolyRing, size: int) -> "ModuleVector":
+    def _from_terms(cls, terms: dict, ring: PolyRing, size: int) -> "ModuleVector":
+        slots = _slot_count(size)
         coords = [dict() for _ in range(size)]
-        for (m, pos), c in flat.items():
-            coords[pos][m] = c
+        for t, c in terms.items():
+            coords[t.index(1) if slots else 0][t[slots:]] = c
         return cls([Poly._make(ring, d) for d in coords])
 
     def __repr__(self):
         return "ModuleVector(" + ", ".join(str(c) for c in self.coordinates) + ")"
 
 
-def _mod_nkey(order: MonomialOrder):
-    mono_nkey = order.nkey
+class ModuleGroebnerBasis(GroebnerBasis):
+    """Reduced basis of a submodule of R^s under term-over-position order.
 
-    def nk(term):
-        return (mono_nkey(term[0]), term[1])
+    `generators` and `original_generators` are ModuleVectors; the leading
+    monomials are the engine's slotted terms.
+    """
 
-    return nk
+    @property
+    def size(self) -> int:
+        return len(self.original_generators[0])
 
+    @property
+    def _slots(self) -> int:
+        return _slot_count(self.size)
 
-def _mod_lead(flat: dict, order: MonomialOrder):
-    nk = _mod_nkey(order)
-    lt = min(flat, key=nk)
-    return lt, flat[lt]
+    def _encode(self, v: ModuleVector) -> dict:
+        if len(v) != self.size:
+            raise ValueError("coordinate-count mismatch")
+        return v._terms()
 
-
-def _mod_reduce(fflat: dict, reducers: list, p: int, order: MonomialOrder,
-                quotients: list[dict] | None = None) -> dict:
-    nk = _mod_nkey(order)
-    work = dict(fflat)
-    heap = [(nk(t), t) for t in work]
-    heapq.heapify(heap)
-    rem: dict = {}
-    while heap:
-        _, t = heapq.heappop(heap)
-        c = work.get(t)
-        if not c:
-            continue
-        m, pos = t
-        hit = -1
-        for idx, ((lm, lpos), _, _) in enumerate(reducers):
-            if lpos == pos and _divides(lm, m):
-                hit = idx
-                break
-        if hit < 0:
-            rem[t] = c
-            del work[t]
-            continue
-        del work[t]
-        (lm, _), lc_inv, tail = reducers[hit]
-        factor = c * lc_inv % p
-        shift = _mono_div(m, lm)
-        if quotients is not None:
-            q = quotients[hit]
-            q[shift] = (q.get(shift, 0) + factor) % p
-        for (tm, tpos), tc in tail:
-            tt = (_mono_mul(tm, shift), tpos)
-            prev = work.get(tt)
-            if prev is None:
-                cc = -factor * tc % p
-                if cc:
-                    work[tt] = cc
-                    heapq.heappush(heap, (nk(tt), tt))
-            else:
-                cc = (prev - factor * tc) % p
-                if cc:
-                    work[tt] = cc
-                else:
-                    del work[tt]
-    return rem
-
-
-def _mod_prep(flat: dict, order: MonomialOrder, p: int):
-    lt, lc = _mod_lead(flat, order)
-    tail = tuple((t, c) for t, c in flat.items() if t != lt)
-    return (lt, pow(lc, p - 2, p), tail)
-
-
-class ModuleGroebnerBasis:
-    """Reduced basis of a submodule of R^s under term-over-position order."""
-
-    def __init__(self, generators: Sequence[ModuleVector], order: MonomialOrder,
-                 original_generators: Sequence[ModuleVector],
-                 reprs: Sequence[Sequence[Poly]] | None = None):
-        self.generators = tuple(generators)
-        self.order = order
-        self.original_generators = tuple(original_generators)
-        self.reprs = tuple(tuple(r) for r in reprs) if reprs is not None else None
-        self.ring = self.generators[0].ring if self.generators else \
-            self.original_generators[0].ring
-        self.size = len(self.original_generators[0])
-        p = self.ring.p
-        self._flats = [g._flat() for g in self.generators]
-        self._reducers = [_mod_prep(fl, order, p) for fl in self._flats]
-        self.leading_terms = tuple(r[0] for r in self._reducers)
-
-    def __len__(self):
-        return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.generators)
+    def _decode(self, terms: dict, ring: PolyRing) -> ModuleVector:
+        return ModuleVector._from_terms(terms, ring, self.size)
 
 
 def module_buchberger(gens: Sequence[ModuleVector],
                       order: MonomialOrder = GREVLEX, *,
                       track: bool = False) -> ModuleGroebnerBasis:
-    """Buchberger over R^s; S-pairs form only between vectors sharing the
-    leading position (no pair criteria: the coprimality shortcut is not
-    valid for modules).
-    """
+    """Reduced basis of the submodule of R^s generated by `gens`, computed
+    by the ideal engine on slotted terms (see `buchberger`)."""
     gens = list(gens)
-    if not gens:
-        raise ValueError("generator list must be nonempty")
+    ring = _common_ring(gens)
     size = len(gens[0])
-    ring = gens[0].ring
-    for g in gens[1:]:
-        if len(g) != size:
-            raise ValueError("coordinate-count mismatch between generators")
-        if not g.ring.same_ambient(ring):
-            raise AmbientMismatchError("generators live in different ambients")
-    p = ring.p
-    ngens = len(gens)
-
-    flats: list[dict] = []
-    lts: list = []
-    reprs: list[list[Poly]] = []
-    for i, g in enumerate(gens):
-        fl = g._flat()
-        if not fl:
-            continue
-        lt, lc = _mod_lead(fl, order)
-        inv = pow(lc, p - 2, p)
-        flats.append({t: c * inv % p for t, c in fl.items()})
-        lts.append(lt)
-        if track:
-            reprs.append([ring.from_int(inv) if j == i else ring.zero()
-                          for j in range(ngens)])
-    if not flats:
-        raise ValueError("all generators are zero")
-
-    key = order.key
-    pairs: list[tuple[tuple, int, int]] = []
-
-    def pair_key(i, j):
-        return (key(_mono_lcm(lts[i][0], lts[j][0])), i, j)
-
-    for i, j in itertools.combinations(range(len(flats)), 2):
-        if lts[i][1] == lts[j][1]:
-            pairs.append(pair_key(i, j))
-    heapq.heapify(pairs)
-
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        (lmi, pos), (lmj, _) = lts[i], lts[j]
-        lcm = _mono_lcm(lmi, lmj)
-        si = _mono_div(lcm, lmi)
-        sj = _mono_div(lcm, lmj)
-        sflat: dict = {}
-        for (m, q), c in flats[i].items():
-            t = (_mono_mul(m, si), q)
-            sflat[t] = (sflat.get(t, 0) + c) % p
-        for (m, q), c in flats[j].items():
-            t = (_mono_mul(m, sj), q)
-            sflat[t] = (sflat.get(t, 0) - c) % p
-        sflat = {t: c for t, c in sflat.items() if c}
-        reducers = [_mod_prep(fl, order, p) for fl in flats]
-        quotients = [{} for _ in flats] if track else None
-        rem = _mod_reduce(sflat, reducers, p, order, quotients)
-        if not rem:
-            continue
-        lt, lc = _mod_lead(rem, order)
-        inv = pow(lc, p - 2, p)
-        new = {t: c * inv % p for t, c in rem.items()}
-        if track:
-            shift_i = Poly._make(ring, {si: 1})
-            shift_j = Poly._make(ring, {sj: 1})
-            combo = []
-            for t in range(ngens):
-                acc = shift_i * reprs[i][t] - shift_j * reprs[j][t]
-                for k, q in enumerate(quotients):
-                    if q:
-                        acc = acc - Poly._make(ring, q) * reprs[k][t]
-                combo.append(acc.scale(inv))
-            reprs.append(combo)
-        idx = len(flats)
-        flats.append(new)
-        lts.append(lt)
-        for k in range(idx):
-            if lts[k][1] == lt[1]:
-                heapq.heappush(pairs, pair_key(k, idx))
-
-    # minimalize and tail-reduce
-    keep: list[int] = []
-    for i, (lm, pos) in enumerate(lts):
-        redundant = False
-        for j, (olm, opos) in enumerate(lts):
-            if i == j or opos != pos:
-                continue
-            if _divides(olm, lm) and ((olm, opos) != (lm, pos) or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
-    flats = [flats[i] for i in keep]
-    lts = [lts[i] for i in keep]
-    if track:
-        reprs = [reprs[i] for i in keep]
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(flats)):
-            others = [flats[j] for j in range(len(flats)) if j != i]
-            if not others:
-                continue
-            reducers = [_mod_prep(fl, order, p) for fl in others]
-            quotients = [{} for _ in others] if track else None
-            rem = _mod_reduce(flats[i], reducers, p, order, quotients)
-            if rem != flats[i]:
-                changed = True
-                lt, lc = _mod_lead(rem, order)
-                inv = pow(lc, p - 2, p)
-                flats[i] = {t: c * inv % p for t, c in rem.items()}
-                lts[i] = lt
-                if track:
-                    idxs = [j for j in range(len(flats)) if j != i]
-                    newrep = []
-                    for t in range(len(reprs[i])):
-                        acc = reprs[i][t]
-                        for posk, k in enumerate(idxs):
-                            q = quotients[posk]
-                            if q:
-                                acc = acc - Poly._make(ring, q) * reprs[k][t]
-                        newrep.append(acc.scale(inv))
-                    reprs[i] = newrep
-
-    nk = _mod_nkey(order)
-    index = sorted(range(len(flats)), key=lambda i: nk(lts[i]))
-    vectors = [ModuleVector._from_flat(flats[i], ring, size) for i in index]
-    out_reprs = [reprs[i] for i in index] if track else None
-    return ModuleGroebnerBasis(vectors, order, gens, out_reprs)
+    if any(len(g) != size for g in gens):
+        raise ValueError("coordinate-count mismatch between generators")
+    slots = _slot_count(size)
+    basis, reprs = _groebner([g._terms() for g in gens], ring,
+                             _term_order(order, slots), slots, track)
+    return ModuleGroebnerBasis(
+        [ModuleVector._from_terms(b, ring, size) for b in basis], order, gens,
+        reprs)
 
 
 def module_normal_form(v: ModuleVector, basis: ModuleGroebnerBasis) -> ModuleVector:
-    if len(v) != basis.size:
-        raise ValueError("coordinate-count mismatch")
-    rem = _mod_reduce(v._flat(), basis._reducers, basis.ring.p, basis.order)
-    return ModuleVector._from_flat(rem, basis.ring, basis.size)
+    return _normal_form(v, basis)
 
 
 def module_membership(v: ModuleVector, gens: Sequence[ModuleVector],
                       order: MonomialOrder = GREVLEX, *,
                       certificate: bool = False):
-    """Decide whether v lies in the submodule of R^s generated by gens."""
-    if any(len(g) != len(v) for g in gens):
-        raise ValueError("coordinate-count mismatch")
-    gb = module_buchberger(gens, order, track=certificate)
-    if not certificate:
-        return module_normal_form(v, gb).is_zero()
-    quotients: list[dict] = [{} for _ in gb.generators]
-    rem = _mod_reduce(v._flat(), gb._reducers, gb.ring.p, gb.order, quotients)
-    if rem:
-        return False, None
-    ring = v.ring
-    cofactors = [ring.zero()] * len(gens)
-    for q, rep in zip(quotients, gb.reprs):
-        if not q:
-            continue
-        qp = Poly._make(ring, q)
-        for t in range(len(gens)):
-            if not rep[t].is_zero():
-                cofactors[t] = cofactors[t] + qp * rep[t]
-    for pos in range(len(v)):
-        acc = ring.zero()
-        for c, g in zip(cofactors, gens):
-            acc = acc + c * g[pos]
-        if acc != v[pos]:
-            raise RuntimeError("module cofactor certificate failed re-expansion")
-    return True, cofactors
+    """Decide whether v lies in the submodule of R^s generated by gens;
+    with `certificate=True` as `ideal_membership`."""
+    return _membership(v, module_buchberger(gens, order, track=certificate),
+                       certificate)

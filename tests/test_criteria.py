@@ -230,6 +230,20 @@ def test_ci_negative_with_nonunit_section_is_inconclusive():
     assert not ci.conclusive
 
 
+def test_ci_negative_verdict_same_with_certificates():
+    # a certified negative CI verdict takes its remainder from the tracked
+    # basis; it must match the uncertified run
+    f = _r(5).parse("z^2+x^3+y^5+x*y^4")
+    plain = classify_complete_intersection([f])
+    cert = classify_complete_intersection([f], certificates=True)
+    assert (cert.f_pure, cert.f_liftable) == (plain.f_pure, plain.f_liftable) \
+        == (True, False)
+    assert cert.certificate.remainder == plain.certificate.remainder
+    assert not any(r.is_zero() for r in cert.certificate.remainder)
+    assert not cert.conclusive and not plain.conclusive
+    assert cert.certificate.cofactors is None
+
+
 def test_singular_elsewhere_positive_verdict_is_conclusive():
     # extra singular points away from the origin: membership still certifies
     rep = classify_hypersurface(_r(7).parse("x^11+y^12+z^12+x*y*z"))

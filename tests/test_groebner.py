@@ -252,7 +252,7 @@ def _reference_buchberger(gens, order=GREVLEX):
             mm = _mono_mul(m, _mono_div(lcm, lmj))
             sterms[mm] = (sterms.get(mm, 0) - c) % p
         sterms = {m: c for m, c in sterms.items() if c}
-        reducers = [_prep_reducer(b, order, p) for b in basis]
+        reducers = [_prep_reducer(b.terms, order, p) for b in basis]
         rem = _reduce_full(sterms, reducers, p, order)
         if rem:
             lm, lc = _lead(rem, order)
@@ -276,7 +276,7 @@ def _reference_buchberger(gens, order=GREVLEX):
             others = [basis[j] for j in range(len(basis)) if j != i]
             if not others:
                 continue
-            reducers = [_prep_reducer(b, order, p) for b in others]
+            reducers = [_prep_reducer(b.terms, order, p) for b in others]
             rem = _reduce_full(basis[i].terms, reducers, p, order)
             new = Poly._make(ring, rem)
             if new != basis[i]:

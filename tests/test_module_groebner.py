@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from fliftlab.fp_poly import PolyRing
-from fliftlab.groebner import (ModuleVector, module_buchberger,
-                               module_membership, module_normal_form)
+from fliftlab.fp_poly import DegreeGuardError, PolyRing
+from fliftlab.groebner import (GREVLEX, LEX, ModuleGroebnerBasis,
+                               ModuleVector, buchberger,
+                               module_buchberger, module_membership,
+                               module_normal_form, verify_buchberger)
 
 from support import random_poly, random_nonzero_poly
 
@@ -121,3 +123,69 @@ def test_membership_random_combinations():
                     v_coords[pos] = v_coords[pos] + c * g[pos]
             v = ModuleVector(v_coords)
             assert module_membership(v, gens)
+
+
+def test_lex_is_term_over_position_golden():
+    # lex compares the monomial before the position: x*y e_1 > x e_2 > y e_1
+    ring = _ring(3, ("x", "y"))
+    gens = [ModuleVector([ring.zero(), ring.parse("x")]),
+            ModuleVector([ring.parse("y"), ring.parse("y^2")])]
+    # the inputs alone are not a basis: their S-vector at e_2 leaves x*y e_1
+    assert not verify_buchberger(ModuleGroebnerBasis(gens, LEX, gens))
+    gb = module_buchberger(gens, LEX)
+    assert gb.generators == (
+        ModuleVector([ring.parse("x*y"), ring.zero()]),
+        ModuleVector([ring.zero(), ring.parse("x")]),
+        ModuleVector([ring.parse("y"), ring.parse("y^2")]))
+
+
+def test_rank_one_module_basis_is_the_ideal_basis():
+    rng = random.Random(1212)
+    for order in (GREVLEX, LEX):
+        for p in (2, 3, 5):
+            ring = _ring(p, ("x", "y", "z"))
+            for _ in range(6):
+                gens = [random_nonzero_poly(rng, ring, 3, 4)
+                        for _ in range(rng.randint(1, 3))]
+                mgb = module_buchberger([ModuleVector([g]) for g in gens], order)
+                assert tuple(v[0] for v in mgb.generators) == \
+                    buchberger(gens, order).generators
+
+
+def _top_key(order, v):
+    """Independent term-over-position key of a vector's leading term."""
+    return max((order.key(m), -pos) for pos, c in enumerate(v)
+               for m in c.terms)
+
+
+def test_module_bases_satisfy_buchberger_criterion_random():
+    rng = random.Random(3434)
+    for order in (GREVLEX, LEX):
+        for p in (2, 3, 5):
+            ring = _ring(p, ("x", "y"))
+            for _ in range(6):
+                size = rng.randint(2, 3)
+                gens = [ModuleVector([random_poly(rng, ring, 2, 3)
+                                      for _ in range(size)])
+                        for _ in range(rng.randint(2, 4))]
+                if all(g.is_zero() for g in gens):
+                    continue
+                gb = module_buchberger(gens, order)
+                assert verify_buchberger(gb)
+                keys = [_top_key(order, v) for v in gb.generators]
+                assert keys == sorted(keys, reverse=True)
+                for g in gens:
+                    assert module_normal_form(g, gb).is_zero()
+
+
+def test_module_spairs_obey_degree_guard_on_monomial_degree():
+    # the only S-pair has lcm x*y e_1: degree 2, the position not counted
+    for bound in (2, 1):
+        ring = PolyRing(("x", "y"), 3, max_degree=bound)
+        gens = [ModuleVector([ring.parse("x"), ring.zero()]),
+                ModuleVector([ring.parse("y"), ring.one()])]
+        if bound == 2:
+            assert len(module_buchberger(gens)) == 3
+        else:
+            with pytest.raises(DegreeGuardError):
+                module_buchberger(gens)
