@@ -75,11 +75,14 @@ class LiftabilityReport:
 
 
 def isolated_singularity_check(gens: Sequence[Poly],
-                               order: MonomialOrder = GREVLEX
+                               order: MonomialOrder = GREVLEX, *,
+                               track: bool = False
                                ) -> tuple[str, GroebnerBasis]:
     """Classify the vanishing locus of the generators plus all their
     partials: smooth / isolated_at_origin_only / singular_elsewhere /
-    not_isolated.  Returns the basis of that locus ideal as well.
+    not_isolated.  Returns the basis of that locus ideal as well, built
+    with `track` (its generators are the inputs, then the partials of
+    each input in variable order).
     """
     if not gens:
         raise ValueError("generator list must be nonempty")
@@ -92,7 +95,7 @@ def isolated_singularity_check(gens: Sequence[Poly],
     for g in gens:
         for v in range(ring.nvars):
             jac.append(g.derivative(v))
-    gb = buchberger(jac, order)
+    gb = buchberger(jac, order, track=track)
     if gb.contains_one():
         return SMOOTH, gb
     if not is_zero_dimensional(gb):
@@ -161,7 +164,9 @@ def _ideal_residual_membership(residual: Poly, f: Poly, iso_gb: GroebnerBasis,
     because f^p is a multiple of f, and p-th powers of a basis form a
     basis of the bracket ideal.  A zero remainder already proves
     membership; otherwise Buchberger completes the generating set,
-    skipping the pairs internal to the known-basis prefix.
+    skipping the pairs internal to the known-basis prefix.  Cofactors
+    need `iso_gb` built with track=True: its `reprs` carry each screen
+    basis element back to f and its partials.
     """
     ring = f.ring
     seed = _membership_basis([f], iso_gb, order)
@@ -190,9 +195,6 @@ def _ideal_residual_membership(residual: Poly, f: Poly, iso_gb: GroebnerBasis,
             for t in range(len(seed)):
                 if not rep[t].is_zero():
                     seed_cof[t] = seed_cof[t] + q * rep[t]
-        tracked_iso = buchberger(iso_gb.original_generators, order, track=True)
-        if tracked_iso.generators != iso_gb.generators:
-            raise RuntimeError("tracked basis disagrees with untracked basis")
         nparts = ring.nvars
         out = [ring.zero()] * (1 + nparts)
         fp_minus1 = f ** (ring.p - 1)
@@ -202,7 +204,7 @@ def _ideal_residual_membership(residual: Poly, f: Poly, iso_gb: GroebnerBasis,
             if idx == len(seed) - 1:  # the trailing f itself
                 out[0] = out[0] + c
                 continue
-            rep = tracked_iso.reprs[idx]
+            rep = iso_gb.reprs[idx]
             out[0] = out[0] + c * rep[0].frobenius() * fp_minus1
             for t in range(nparts):
                 out[1 + t] = out[1 + t] + c * rep[1 + t].frobenius()
@@ -226,7 +228,8 @@ def classify_hypersurface(f: Poly, *, order: MonomialOrder = GREVLEX,
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 
-    status, iso_gb = isolated_singularity_check([f], order)
+    status, iso_gb = isolated_singularity_check([f], order,
+                                                track=certificates)
     timings["isolated"] = _ms_since(t_start)
     if status == SMOOTH:
         timings.update(fedder=0.0, delta1=0.0, groebner=0.0,

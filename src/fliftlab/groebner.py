@@ -312,71 +312,78 @@ def _groebner(gens: list[dict], ring: PolyRing, order, slots: int,
     """Buchberger's algorithm on term dicts with `slots` position slots.
 
     Returns the reduced basis, largest lead first, and with `track` each
-    element's expression in the generators.  Pairs form only between
-    leads at the same position.  The coprime criterion never fires on
-    slotted terms, whose lead product has a slot of 2: it is valid at
-    rank 1 only.  The chain criterion holds at every rank (Gebauer and
-    Moeller 1988).
+    element's expression in the generators.  Pairs are pruned once, when
+    an element joins, by the Gebauer-Moeller update (Gebauer and Moeller
+    1988, as UPDATE in Becker and Weispfenning 1993): a new pair is kept
+    only if no other new pair's lcm divides its lcm (criteria M and F),
+    an old pair is dropped when the new lead divides its lcm strictly on
+    both sides (criterion B_k), and an element whose lead the new lead
+    divides takes no further pairs.  Pairs form only between leads at the
+    same position.  The coprime criterion acts at rank 1 only: slotted
+    terms at one position are never coprime, as their lead product has a
+    slot of 2.  Every basis element carries one prepared reducer, built
+    when it joins.
     """
     p = ring.p
     ngens = len(gens)
+    key = order.key
 
     basis: list[dict] = []
     lms: list[tuple[int, ...]] = []
+    reducers: list[tuple] = []  # (lead, 1, tail) of each monic element
     reprs: list[list[Poly]] = []
-    seed_count = 0
+    active: list[int] = []  # elements whose lead no later lead divides
+    pairs: list[tuple] = []  # heap of (key(lcm), i, j, lcm)
+
+    def update(h: int, lm: tuple, seed: bool) -> None:
+        nonlocal pairs, active
+        if not seed:
+            cands = [(_mono_lcm(lms[g], lm), g) for g in active
+                     if lms[g][:slots] == lm[:slots]]
+            # criteria M and F; a coprime pair is kept through this step,
+            # since it may still prune others, and dropped only after it
+            kept: list[tuple] = []
+            for n, (lcm, g) in enumerate(cands):
+                if lcm == _mono_mul(lms[g], lm) or not (
+                        any(_divides(o, lcm) for o, _ in cands[n + 1:]) or
+                        any(_divides(o, lcm) for o, _ in kept)):
+                    kept.append((lcm, g))
+            # criterion B_k on the old pairs
+            pairs = [e for e in pairs if not _divides(lm, e[3]) or
+                     _mono_lcm(lms[e[1]], lm) == e[3] or
+                     _mono_lcm(lms[e[2]], lm) == e[3]]
+            pairs.extend((key(lcm), g, h, lcm) for lcm, g in kept
+                         if lcm != _mono_mul(lms[g], lm))
+            heapq.heapify(pairs)
+        active = [g for g in active if not _divides(lm, lms[g])]
+        active.append(h)
+
+    def add(lm: tuple, monic: dict, seed: bool = False) -> None:
+        basis.append(monic)
+        lms.append(lm)
+        reducers.append((lm, 1, tuple(
+            (m, c) for m, c in monic.items() if m != lm)))
+        update(len(basis) - 1, lm, seed)
+
     for i, g in enumerate(gens):
         if not g:
             continue
         lm, inv, monic = _monic(g, order, p)
-        basis.append(monic)
-        lms.append(lm)
         if track:
             reprs.append([ring.from_int(inv) if j == i else ring.zero()
                           for j in range(ngens)])
-        if i < known_gb_prefix:
-            seed_count += 1
+        add(lm, monic, seed=i < known_gb_prefix)
     if not basis:
         raise ValueError("all generators are zero")
 
-    key = order.key
-    pairs: list[tuple[tuple, int, int]] = []
-
-    def add_pairs(idx: int) -> None:
-        lm = lms[idx]
-        for k in range(idx):
-            if idx < seed_count or (slots and lms[k][:slots] != lm[:slots]):
-                continue
-            heapq.heappush(pairs, (key(_mono_lcm(lms[k], lm)), k, idx))
-
-    for idx in range(len(basis)):
-        add_pairs(idx)
-    done = set(itertools.combinations(range(seed_count), 2))
-
     while pairs:
-        lk, i, j = heapq.heappop(pairs)
-        done.add((i, j))
-        lcm = _mono_lcm(lms[i], lms[j])
-        if lcm == _mono_mul(lms[i], lms[j]):
-            continue  # coprime leading monomials
-        chain = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if _divides(lms[k], lcm) and \
-                    (min(i, k), max(i, k)) in done and \
-                    (min(j, k), max(j, k)) in done:
-                chain = True
-                break
-        if chain:
-            continue
+        _, i, j, lcm = heapq.heappop(pairs)
         degree = sum(lcm[slots:])
         if degree > ring.max_degree:
             raise DegreeGuardError(
                 f"S-pair ({i}, {j}) with lcm degree {degree} exceeds "
                 f"guard {ring.max_degree}")
         sterms, si, sj = _spair_terms(basis[i], basis[j], lms[i], lms[j], p)
-        reducers = [_prep_reducer(b, order, p) for b in basis]
         quotients = [{} for _ in basis] if track else None
         rem = _reduce_full(sterms, reducers, p, order, quotients)
         if not rem:
@@ -390,63 +397,45 @@ def _groebner(gens: list[dict], ring: PolyRing, order, slots: int,
             reduced = _express(quotients, reprs, ring, slots)
             reprs.append([(shift_i * a - shift_j * b - r).scale(inv)
                           for a, b, r in zip(reprs[i], reprs[j], reduced)])
-        basis.append(new)
-        lms.append(lm)
-        add_pairs(len(basis) - 1)
+        add(lm, new)
 
-    return _interreduce(basis, reprs if track else None, order, ring, slots)
+    return _interreduce(reducers, reprs if track else None, order, ring,
+                        slots)
 
 
-def _interreduce(basis: list[dict], reprs: list[list[Poly]] | None, order,
-                 ring: PolyRing, slots: int
+def _interreduce(reducers: list[tuple], reprs: list[list[Poly]] | None,
+                 order, ring: PolyRing, slots: int
                  ) -> tuple[list[dict], list[list[Poly]] | None]:
+    """The reduced basis, largest lead first, from the prepared reducers
+    (lead, 1, tail) of a monic Groebner basis, with the expressions
+    `reprs` carried along."""
     p = ring.p
-    # drop redundant leading monomials (minimalization)
-    keep: list[int] = []
-    lms = [_lead(b, order)[0] for b in basis]
-    for i, lm in enumerate(lms):
-        redundant = False
-        for j, other in enumerate(lms):
-            if i == j:
-                continue
-            if _divides(other, lm) and (other != lm or j < i):
-                redundant = True
-                break
-        if redundant:
-            continue
-        keep.append(i)
-    basis = [basis[i] for i in keep]
+    # drop redundant leading monomials (minimalization), sort by lead
+    key = order.key
+    lms = [r[0] for r in reducers]
+    keep = sorted((i for i, lm in enumerate(lms)
+                   if not any(_divides(other, lm) and (other != lm or j < i)
+                              for j, other in enumerate(lms) if j != i)),
+                  key=lambda i: key(lms[i]), reverse=True)
+    reducers = [reducers[i] for i in keep]
     if reprs is not None:
         reprs = [reprs[i] for i in keep]
 
-    # tail-reduce every element against the others until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = [j for j in range(len(basis)) if j != i]
-            if not others:
-                continue
-            reducers = [_prep_reducer(basis[j], order, p) for j in others]
-            quotients = [{} for _ in others] if reprs is not None else None
-            rem = _reduce_full(basis[i], reducers, p, order, quotients)
-            if rem != basis[i]:
-                changed = True
-                _, inv, basis[i] = _monic(rem, order, p)
-                if reprs is not None:
-                    reduced = _express(quotients, [reprs[j] for j in others],
-                                       ring, slots)
-                    reprs[i] = [(a - r).scale(inv)
-                                for a, r in zip(reprs[i], reduced)]
-
-    key = order.key
-    index = sorted(range(len(basis)),
-                   key=lambda i: key(_lead(basis[i], order)[0]),
-                   reverse=True)
-    basis = [basis[i] for i in index]
-    if reprs is not None:
-        reprs = [reprs[i] for i in index]
-    return basis, reprs
+    # Tail-reduce from the smallest lead up.  A tail term is smaller than
+    # its own lead, so only smaller, already reduced elements divide it
+    # and one pass suffices; the lead and its coefficient 1 stay.
+    for i in range(len(reducers) - 1, -1, -1):
+        lm, _, tail = reducers[i]
+        tail = dict(tail)
+        quotients = [{} for _ in reducers] if reprs is not None else None
+        rem = _reduce_full(tail, reducers, p, order, quotients)
+        if rem == tail:
+            continue
+        reducers[i] = (lm, 1, tuple(rem.items()))
+        if reprs is not None:
+            reduced = _express(quotients, reprs, ring, slots)
+            reprs[i] = [a - r for a, r in zip(reprs[i], reduced)]
+    return [{lm: 1, **dict(tail)} for lm, _, tail in reducers], reprs
 
 
 def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
@@ -454,8 +443,10 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     Pair selection follows the normal strategy (smallest lcm in the order,
-    ties by input index); the coprimality and chain criteria prune pairs.
-    Deterministic for a fixed input sequence.
+    ties by input index).  The Gebauer-Moeller update prunes pairs once,
+    as each element joins, and the coprime (product) criterion drops
+    pairs of ideal leads; see `_groebner`.  The degree guard checks every
+    pair that survives.  Deterministic for a fixed input sequence.
 
     `known_gb_prefix` marks the first k generators as a Groebner basis of
     the subideal they generate, so their mutual S-pairs are skipped.

@@ -290,12 +290,75 @@ def _reference_buchberger(gens, order=GREVLEX):
 
 def test_pruned_engine_matches_reference_buchberger():
     rng = random.Random(424242)
-    for p in (2, 3, 5):
-        ring = PolyRing(["x", "y", "z"], p)
-        for _ in range(12):
-            gens = [random_nonzero_poly(rng, ring, 3, 4)
-                    for _ in range(rng.randint(2, 3))]
-            assert buchberger(gens).generators == _reference_buchberger(gens)
+    for order in (GREVLEX, LEX):
+        for p in (2, 3, 5):
+            ring = PolyRing(["x", "y", "z"], p)
+            for _ in range(12):
+                gens = [random_nonzero_poly(rng, ring, 3, 4)
+                        for _ in range(rng.randint(2, 3))]
+                assert buchberger(gens, order).generators == \
+                    _reference_buchberger(gens, order)
+
+
+def _assert_pruned_basis(gens, want, known_gb_prefix=0):
+    """The engine's basis under both orders is the reference basis, and
+    under degrevlex it is `want`."""
+    for order in (GREVLEX, LEX):
+        gb = buchberger(gens, order, known_gb_prefix=known_gb_prefix)
+        assert gb.generators == _reference_buchberger(gens, order)
+        assert verify_buchberger(gb)
+        if order is GREVLEX:
+            assert [format_poly(g) for g in gb.generators] == want
+
+
+def test_equal_leads_keep_one_pair_per_lcm():
+    # x*y + 1 and x*y + z^2 share their lead, which the lead of x + z
+    # divides: all three pairs have the lcm x*y.  The update keeps one new
+    # pair for it (criterion F) and the old pair (x + z, x*y + 1), whose
+    # lcm equals that of (x + z, x*y + z^2) (criterion B_k's exemption).
+    ring = PolyRing(["x", "y", "z"], 3)
+    gens = [ring.parse("x+z"), ring.parse("x*y+1"), ring.parse("x*y+z^2")]
+    _assert_pruned_basis(gens, ["z^2 + 2", "x + z", "y + 2*z"])
+
+
+def test_new_lead_dividing_an_older_lead_retires_it():
+    # x*y^2 divides x*y^2*z: x*y^2*z + 2 takes no further pairs, but its
+    # pairs with x*z + 1 and with x*y^2 + 2*y*z still count
+    ring = PolyRing(["x", "y", "z"], 3)
+    gens = [ring.parse("x*z+1"), ring.parse("x*y^2*z+2"),
+            ring.parse("x*y^2+2*y*z")]
+    _assert_pruned_basis(gens, ["x^2 + 2*y", "x*y + 2*z", "y^2 + 1", "x*z + 1",
+                                "y*z + x", "z^2 + y"])
+
+
+def test_seed_lead_divided_by_a_later_element():
+    # the seed is a basis with no pairs of its own; x^2 divides the seed
+    # lead x^3, so the seed element retires but keeps its pair with x^2 + z
+    ring = PolyRing(["x", "y", "z"], 5)
+    for order in (GREVLEX, LEX):
+        seed = buchberger([ring.parse("x^3+y*z"), ring.parse("y^2+z")], order)
+        assert [format_poly(g) for g in seed.generators] == \
+            ["x^3 + y*z", "y^2 + z"]
+    gens = [ring.parse("x^3+y*z"), ring.parse("y^2+z"), ring.parse("x^2+z")]
+    _assert_pruned_basis(gens, ["x^2 + z", "y^2 + z", "x*z + 4*y*z"],
+                         known_gb_prefix=2)
+
+
+def test_tracked_basis_elements_expand_from_their_reprs():
+    # every element of a tracked basis is sum(reprs[k][t] * gens[t])
+    rng = random.Random(6060)
+    for order in (GREVLEX, LEX):
+        for p in (2, 3, 5):
+            ring = PolyRing(["x", "y", "z"], p)
+            for _ in range(6):
+                gens = [random_nonzero_poly(rng, ring, 3, 3)
+                        for _ in range(rng.randint(2, 3))]
+                gb = buchberger(gens, order, track=True)
+                for g, rep in zip(gb.generators, gb.reprs):
+                    acc = ring.zero()
+                    for c, h in zip(rep, gens):
+                        acc = acc + c * h
+                    assert acc == g
 
 
 def test_known_gb_prefix_gives_same_reduced_basis():

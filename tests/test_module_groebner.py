@@ -178,6 +178,39 @@ def test_module_bases_satisfy_buchberger_criterion_random():
                     assert module_normal_form(g, gb).is_zero()
 
 
+def test_coprime_leads_at_one_position_still_pair():
+    # the leads x e_1 and y e_1 have coprime monomials, but their S-vector
+    # (0, y) is new: the product criterion holds at rank 1 only
+    ring = _ring(3, ("x", "y"))
+    gens = [ModuleVector([ring.parse("x"), ring.one()]),
+            ModuleVector([ring.parse("y"), ring.zero()])]
+    for order in (GREVLEX, LEX):
+        gb = module_buchberger(gens, order)
+        assert verify_buchberger(gb)
+        assert gb.generators == (gens[0], gens[1],
+                                 ModuleVector([ring.zero(), ring.parse("y")]))
+
+
+def test_tracked_module_basis_elements_expand_from_their_reprs():
+    rng = random.Random(7070)
+    for order in (GREVLEX, LEX):
+        for p in (2, 3, 5):
+            ring = _ring(p, ("x", "y"))
+            for _ in range(5):
+                gens = [ModuleVector([random_poly(rng, ring, 2, 3)
+                                      for _ in range(2)])
+                        for _ in range(rng.randint(2, 3))]
+                if all(g.is_zero() for g in gens):
+                    continue
+                gb = module_buchberger(gens, order, track=True)
+                for v, rep in zip(gb.generators, gb.reprs):
+                    for pos in range(2):
+                        acc = ring.zero()
+                        for c, g in zip(rep, gens):
+                            acc = acc + c * g[pos]
+                        assert acc == v[pos]
+
+
 def test_module_spairs_obey_degree_guard_on_monomial_degree():
     # the only S-pair has lcm x*y e_1: degree 2, the position not counted
     for bound in (2, 1):
