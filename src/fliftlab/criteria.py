@@ -30,11 +30,6 @@ ISOLATED = "isolated_at_origin_only"
 NOT_ISOLATED = "not_isolated"
 SINGULAR_ELSEWHERE = "singular_elsewhere"
 
-#: (p, f_pure, f_liftable) triples for every classification produced in
-#: this process; lets test runs re-check "liftable implies pure" globally.
-VERDICT_LOG: list[tuple[int, bool, bool]] = []
-
-
 class TooManyGeneratorsError(ValueError):
     pass
 
@@ -70,8 +65,6 @@ class LiftabilityReport:
     def __post_init__(self):
         if self.f_liftable and not self.f_pure:
             raise ValueError("inconsistent report: F-liftable but not F-pure")
-        if self.f_pure is not None and self.f_liftable is not None:
-            VERDICT_LOG.append((self.p, self.f_pure, self.f_liftable))
 
 
 def isolated_singularity_check(gens: Sequence[Poly],

@@ -8,6 +8,7 @@ makes equality syntactic.  All values are immutable after construction.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Iterator, Mapping
 
@@ -294,17 +295,33 @@ class Poly:
         if len(a) > len(b):
             a, b = b, a
         p = ring.p
-        out: dict[tuple[int, ...], int] = {}
+        if len(a) == 1:
+            # a monomial times b: distinct products, no term cancels
+            (ma, ca), = a.items()
+            return Poly._make(ring, {tuple(x + y for x, y in zip(ma, mb)):
+                                     ca * cb % p for mb, cb in b.items()})
+        # Pack each exponent tuple into one int, variable k in bits
+        # [k*w, (k+1)*w), with w wide enough for the product's degree: a
+        # product of terms is then one addition, and every output term is
+        # unpacked once.
+        w = (self.total_degree() + other.total_degree()).bit_length()
+        shifts = range(0, w * ring.nvars, w)
+        units = [1 << s for s in shifts]
+        pb = [(sum(map(operator.mul, mb, units)), cb) for mb, cb in b.items()]
+        out: dict[int, int] = {}
         get = out.get
         for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
+            ka = sum(map(operator.mul, ma, units))
+            for kb, cb in pb:
+                m = ka + kb
                 c = (get(m, 0) + ca * cb) % p
                 if c:
                     out[m] = c
                 else:
                     out.pop(m, None)
-        return Poly._make(ring, out)
+        mask = (1 << w) - 1
+        return Poly._make(ring, {tuple((m >> s) & mask for s in shifts): c
+                                 for m, c in out.items()})
 
     __rmul__ = __mul__
 

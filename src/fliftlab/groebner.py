@@ -2,11 +2,13 @@
 of free modules.
 
 One engine serves both.  A submodule of R^s with s > 1 runs on the ideal
-code with each term x^a e_i encoded as one tuple: s one-hot position
-slots followed by a.  Divisibility, shifts and lcms then need no special
-case, and a lead divides only terms at its own position.  An ideal is
-the rank-1 case and carries no slots.  Modules use the term-over-position
-order (e_1 > e_2 > ...) under either monomial order.
+code with each term x^a e_i written as s one-hot position slots followed
+by a.  Inside the engine every term is one int in the packed layout of
+`_Layout`, so a product is an addition and a divisibility test is a
+subtract-and-mask; a lead divides only terms at its own position.  An
+ideal is the rank-1 case and carries no slots.  Modules use the
+term-over-position order (e_1 > e_2 > ...) under either monomial order.
+Public names take and return exponent tuples.
 
 Provides reduced bases, normal forms, membership tests with optional
 cofactor certificates, zero-dimensionality and origin-support checks.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
@@ -35,12 +38,6 @@ class MonomialOrder:
             return grevlex_key(mono)
         return lex_key(mono)
 
-    def nkey(self, mono: tuple[int, ...]) -> tuple:
-        """Inverted key: min-heap on nkey pops the largest monomial first."""
-        if self.name == "grevlex":
-            return (-sum(mono), mono[::-1])
-        return tuple(-e for e in mono)
-
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
@@ -55,89 +52,157 @@ def order_by_name(name: str) -> MonomialOrder:
         raise ValueError(f"unknown monomial order {name!r}") from None
 
 
-class _LexThenPosition:
-    """Lex on the monomial part, then the position, for terms with `slots`
-    position slots in front; plain lex would compare the position first.
-    Degrevlex on such terms is term-over-position as it stands: the slots
-    add 1 to every degree and come last in its reverse scan."""
+class _Layout:
+    """Packed terms: a term with `slots` position slots and `nvars`
+    exponents as one int of fixed-width fields (Bachmann and Schoenemann
+    1998).
 
-    name = "lex"
+    From the lowest field up: the slots, position 0 highest; the
+    exponents; under degrevlex the prefix sums a_0 + ... + a_(k-1) for
+    k = 1..nvars, so the top field is the degree.  Under lex the
+    exponents come a_0 highest.  Each field is `width` bits, and its top
+    bit is a guard bit that no valid term sets.  The width comes from the
+    degree guard: under lex a field holds any exponent up to the guard;
+    under degrevlex it holds twice the guard, so that the lcm of two
+    terms within the guard fits as well.  Then
 
-    def __init__(self, slots: int):
-        self.key = lambda t: t[slots:] + t[:slots]
-        self.nkey = lambda t: tuple(-e for e in t[slots:] + t[:slots])
+    - plain `<` on the ints is the term order, monomial before position:
+      (degree, prefix sums) is degrevlex and determines the exponents;
+    - every field is linear in the exponents, so a product is `+` and the
+      shift by a divisor is `-`;
+    - a divides b iff ((b | guard) - a) & guard == guard: no field
+      borrows past its guard bit, which stays set where b's field is at
+      least a's;
+    - the lcm takes each field from the side whose guard bit wins that
+      compare; under degrevlex one multiply rebuilds the prefix sums.
 
-
-def _term_order(order: MonomialOrder, slots: int):
-    return _LexThenPosition(slots) if slots and order.name == "lex" else order
-
-
-def _lead(terms: dict, order: MonomialOrder) -> tuple[tuple[int, ...], int]:
-    lm = max(terms, key=order.key)
-    return lm, terms[lm]
-
-
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _reduce_full(fterms: dict, reducers: list, p: int, order: MonomialOrder,
-                 quotients: list[dict] | None = None) -> dict:
-    """Full normal form of a term dict against prepared reducers.
-
-    Each reducer is (lm, lc_inv, tail_items).  When `quotients` is given
-    (one dict per reducer) the division is tracked so that
-    input = sum(quotient_i * reducer_i) + remainder.
+    Packing raises DegreeGuardError for a monomial beyond the guard
+    (degrevlex) or beyond a field (lex); a lex reduction term that grows
+    past its field sets a guard bit and raises there, so no field ever
+    wraps.
     """
-    nkey = order.nkey
+
+    def __init__(self, nvars: int, slots: int, order: MonomialOrder,
+                 max_degree: int):
+        self.grevlex = order.name == "grevlex"
+        w = (2 * max_degree if self.grevlex else max_degree).bit_length() + 1
+        self.slots = slots
+        self.max_degree = max_degree
+        self.width = w
+        self.cap = (1 << (w - 1)) - 1  # the largest value of a field
+        nfields = slots + nvars * (2 if self.grevlex else 1)
+        one = [1 << (f * w) for f in range(nfields)]
+        self.guard = sum(one) << (w - 1)
+        exp_field = [slots + k if self.grevlex else slots + nvars - 1 - k
+                     for k in range(nvars)]
+        self.units = ([one[slots - 1 - i] for i in range(slots)] +
+                      [one[f] for f in exp_field])
+        self._slot_shifts = [(slots - 1 - i) * w for i in range(slots)]
+        self._exp_shifts = [f * w for f in exp_field]
+        self.slot_mask = sum(one[:slots]) * self.cap
+        self._low_mask = sum(one[:slots + nvars]) * self.cap
+        self._exp_mask = self._low_mask - self.slot_mask
+        self._prefix_mask = sum(one[slots + nvars:]) * self.cap
+        # the exponent fields times this spread land on the prefix sums
+        self._spread = sum(1 << (j * w) for j in range(nvars, 2 * nvars))
+        self._top_shift = (nfields - 1) * w
+
+    def enc(self, t: tuple[int, ...]) -> int:
+        """Pack a slotted exponent tuple."""
+        mono = t[self.slots:]
+        if self.grevlex and sum(mono) > self.max_degree:
+            raise DegreeGuardError(f"monomial degree {sum(mono)} exceeds "
+                                   f"guard {self.max_degree}")
+        if not self.grevlex and max(mono) > self.cap:
+            raise DegreeGuardError(
+                f"exponent {max(mono)} exceeds the packed field of degree "
+                f"guard {self.max_degree}")
+        return self._prefixed(sum(map(mul, t, self.units)))
+
+    def _prefixed(self, m: int) -> int:
+        """m with its prefix-sum fields rebuilt from its exponent fields."""
+        if not self.grevlex:
+            return m
+        return (m & self._low_mask) + (
+            (m & self._exp_mask) * self._spread & self._prefix_mask)
+
+    def mono(self, t: int) -> tuple[int, ...]:
+        """The exponents of a packed term, without its slots."""
+        cap = self.cap
+        return tuple((t >> s) & cap for s in self._exp_shifts)
+
+    def dec(self, t: int) -> tuple[int, ...]:
+        """The slotted exponent tuple of a packed term."""
+        return tuple((t >> s) & 1 for s in self._slot_shifts) + self.mono(t)
+
+    def enc_terms(self, terms: dict) -> dict:
+        return {self.enc(m): c for m, c in terms.items()}
+
+    def dec_terms(self, terms: dict) -> dict:
+        return {self.dec(m): c for m, c in terms.items()}
+
+    def degree(self, t: int) -> int:
+        """Degree of the monomial of a packed term; slots do not count."""
+        if self.grevlex:
+            return t >> self._top_shift
+        return sum(self.mono(t))
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        ge = ((a | self.guard) - b) & self.guard
+        return self._prefixed(b ^ ((a ^ b) & (ge - (ge >> (self.width - 1)))))
+
+
+def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
+                 quotients: list[dict] | None = None) -> dict:
+    """Full normal form of a packed term dict against prepared reducers.
+
+    Each reducer is (lead, inverse of the lead coefficient, tail items),
+    all terms packed.  The largest remaining term is taken from a heap of
+    negated terms and divided by the first reducer in list order whose
+    lead divides it.  When `quotients` is given (one dict per reducer)
+    the division is tracked so that
+    input = sum(quotient_i * reducer_i) + remainder.  A new term that
+    overflows the packed fields, as lex reductions can climb in degree,
+    raises DegreeGuardError.
+    """
+    guard = layout.guard
     work = dict(fterms)
-    heap = [(nkey(m), m) for m in work]
+    heap = [-m for m in work]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     rem: dict = {}
     while heap:
-        _, m = heapq.heappop(heap)
-        c = work.get(m)
+        m = -pop(heap)
+        c = work.pop(m, 0)
         if not c:
             continue
-        hit = -1
-        for idx, (lm, _, _) in enumerate(reducers):
-            if _divides(lm, m):
-                hit = idx
+        mg = m | guard
+        for hit, (lm, lc_inv, tail) in enumerate(reducers):
+            if (mg - lm) & guard == guard:
                 break
-        if hit < 0:
+        else:
             rem[m] = c
-            del work[m]
             continue
-        del work[m]
-        lm, lc_inv, tail = reducers[hit]
         factor = c * lc_inv % p
-        shift = _mono_div(m, lm)
+        shift = m - lm
         if quotients is not None:
             q = quotients[hit]
             q[shift] = (q.get(shift, 0) + factor) % p
         for tm, tc in tail:
-            mm = _mono_mul(tm, shift)
+            mm = tm + shift
             prev = work.get(mm)
             if prev is None:
+                if mm & guard:
+                    raise DegreeGuardError(
+                        "a reduction term exceeds the packed fields of "
+                        f"degree guard {layout.max_degree}")
                 cc = -factor * tc % p
                 if cc:
                     work[mm] = cc
-                    heapq.heappush(heap, (nkey(mm), mm))
+                    push(heap, -mm)
             else:
                 cc = (prev - factor * tc) % p
                 if cc:
@@ -147,48 +212,52 @@ def _reduce_full(fterms: dict, reducers: list, p: int, order: MonomialOrder,
     return rem
 
 
-def _prep_reducer(terms: dict, order: MonomialOrder, p: int) -> tuple:
-    lm, lc = _lead(terms, order)
+def _prep_reducer(terms: dict, p: int) -> tuple:
+    lm = max(terms)
     tail = tuple((m, c) for m, c in terms.items() if m != lm)
-    return (lm, pow(lc, p - 2, p), tail)
+    return (lm, pow(terms[lm], p - 2, p), tail)
 
 
-def _monic(terms: dict, order: MonomialOrder, p: int) -> tuple[tuple, int, dict]:
-    """(leading monomial, inverse of the leading coefficient, monic terms)."""
-    lm, lc = _lead(terms, order)
-    inv = pow(lc, p - 2, p)
+def _monic(terms: dict, p: int) -> tuple[int, int, dict]:
+    """(lead, inverse of the leading coefficient, monic terms)."""
+    lm = max(terms)
+    inv = pow(terms[lm], p - 2, p)
     return lm, inv, {m: c * inv % p for m, c in terms.items()}
 
 
-def _poly(ring: PolyRing, terms: dict, slots: int) -> Poly:
-    """The polynomial of a shift or quotient dict, whose slots are all 0."""
-    return Poly._make(ring, {m[slots:]: c for m, c in terms.items()}
-                      if slots else terms)
+def _poly(layout: _Layout, ring: PolyRing, terms: dict) -> Poly:
+    """The polynomial of a packed shift or quotient dict (slots all 0)."""
+    return Poly._make(ring, {layout.mono(m): c for m, c in terms.items()})
 
 
 class GroebnerBasis:
     """A reduced, monic Groebner basis with a fixed monomial order.
 
     `reprs`, when present, expresses each generator as a combination of
-    `original_generators` (cofactor tracking).
+    `original_generators` (cofactor tracking).  `reducers`, when given,
+    are the engine's prepared reducers of `generators`.
     """
 
     _slots = 0
 
     def __init__(self, generators: Sequence, order: MonomialOrder,
                  original_generators: Sequence,
-                 reprs: Sequence[Sequence[Poly]] | None = None):
+                 reprs: Sequence[Sequence[Poly]] | None = None,
+                 reducers: list[tuple] | None = None):
         self.generators = tuple(generators)
         self.order = order
         self.original_generators = tuple(original_generators)
         self.reprs = tuple(tuple(r) for r in reprs) if reprs is not None else None
         self.ring = self.generators[0].ring if self.generators else (
             self.original_generators[0].ring)
-        self._order = _term_order(order, self._slots)
-        p = self.ring.p
-        self._reducers = [_prep_reducer(self._encode(g), self._order, p)
-                          for g in self.generators]
-        self.leading_monomials = tuple(r[0] for r in self._reducers)
+        self._layout = _Layout(self.ring.nvars, self._slots, order,
+                               self.ring.max_degree)
+        if reducers is None:
+            reducers = [_prep_reducer(self._encode(g), self.ring.p)
+                        for g in self.generators]
+        self._reducers = reducers
+        self.leading_monomials = tuple(self._layout.dec(r[0])
+                                       for r in reducers)
 
     def __iter__(self):
         return iter(self.generators)
@@ -200,12 +269,12 @@ class GroebnerBasis:
         zero = (0,) * self.ring.nvars
         return any(lm == zero for lm in self.leading_monomials)
 
-    # An element of the span as the engine's term dict, and back.
+    # An element of the span as the engine's packed term dict, and back.
     def _encode(self, f: Poly) -> dict:
-        return f.terms
+        return self._layout.enc_terms(f.terms)
 
     def _decode(self, terms: dict, ring: PolyRing) -> Poly:
-        return Poly._make(ring, terms)
+        return Poly._make(ring, self._layout.dec_terms(terms))
 
     def cofactors(self, f) -> list[Poly] | None:
         """Cofactors c_t with f = sum(c_t * original_generators[t]), or None
@@ -218,7 +287,7 @@ class GroebnerBasis:
         if not _normal_form(f, self, quotients).is_zero():
             return None
         ring = f.ring
-        cofactors = _express(quotients, self.reprs, ring, self._slots)
+        cofactors = _express(quotients, self.reprs, ring, self._layout)
         columns = [_coordinates(g) for g in self.original_generators]
         for pos, want in enumerate(_coordinates(f)):
             acc = ring.zero()
@@ -237,7 +306,7 @@ def _normal_form(f, basis: GroebnerBasis, quotients: list[dict] | None = None):
     if not basis.ring.same_ambient(f.ring):
         raise AmbientMismatchError("polynomial and basis ambients differ")
     rem = _reduce_full(basis._encode(f), basis._reducers, f.ring.p,
-                       basis._order, quotients)
+                       basis._layout, quotients)
     return basis._decode(rem, f.ring)
 
 
@@ -250,7 +319,7 @@ def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis) -> tuple[Poly, lis
     """Normal form plus quotients q_i with f = sum(q_i g_i) + remainder."""
     quotients: list[dict] = [{} for _ in basis.generators]
     rem = _normal_form(f, basis, quotients)
-    return rem, [Poly._make(f.ring, q) for q in quotients]
+    return rem, [_poly(basis._layout, f.ring, q) for q in quotients]
 
 
 def reduce_by_generators(f: Poly, gens: Sequence[Poly],
@@ -260,36 +329,40 @@ def reduce_by_generators(f: Poly, gens: Sequence[Poly],
     The remainder is not unique unless the list is a Groebner basis, but a
     zero remainder always proves membership in the generated ideal.
     """
-    p = f.ring.p
-    reducers = [_prep_reducer(g.terms, order, p) for g in gens if not g.is_zero()]
-    rem = _reduce_full(f.terms, reducers, p, order)
-    return Poly._make(f.ring, rem)
+    ring = f.ring
+    layout = _Layout(ring.nvars, 0, order, ring.max_degree)
+    reducers = [_prep_reducer(layout.enc_terms(g.terms), ring.p)
+                for g in gens if not g.is_zero()]
+    rem = _reduce_full(layout.enc_terms(f.terms), reducers, ring.p, layout)
+    return Poly._make(ring, layout.dec_terms(rem))
 
 
-def _spair_terms(fi: dict, fj: dict, lmi, lmj, p):
-    lcm = _mono_lcm(lmi, lmj)
-    si = _mono_div(lcm, lmi)
-    sj = _mono_div(lcm, lmj)
-    # both inputs are monic, so the S-polynomial is x^si*fi - x^sj*fj
+def _spair_terms(fi: dict, fj: dict, si: int, sj: int, p: int,
+                 layout: _Layout) -> dict:
+    """x^si*fi - x^sj*fj for monic fi, fj, whose leads then cancel."""
     out: dict = {}
     for m, c in fi.items():
-        mm = _mono_mul(m, si)
+        mm = m + si
         out[mm] = (out.get(mm, 0) + c) % p
     for m, c in fj.items():
-        mm = _mono_mul(m, sj)
+        mm = m + sj
         out[mm] = (out.get(mm, 0) - c) % p
-    return {m: c for m, c in out.items() if c}, si, sj
+    if any(m & layout.guard for m in out):
+        raise DegreeGuardError(
+            "an S-polynomial term exceeds the packed fields of degree "
+            f"guard {layout.max_degree}")
+    return {m: c for m, c in out.items() if c}
 
 
 def _express(quotients: list[dict], reprs: Sequence[Sequence[Poly]],
-             ring: PolyRing, slots: int) -> list[Poly]:
+             ring: PolyRing, layout: _Layout) -> list[Poly]:
     """sum(q_k * reprs[k]) coordinate by coordinate: the expression in the
     original generators of sum(q_k * g_k) when reprs[k] expresses g_k."""
     out = [ring.zero()] * len(reprs[0])
     for q, rep in zip(quotients, reprs):
         if not q:
             continue
-        qp = _poly(ring, q, slots)
+        qp = _poly(layout, ring, q)
         for t, r in enumerate(rep):
             if not r.is_zero():
                 out[t] = out[t] + qp * r
@@ -306,59 +379,65 @@ def _common_ring(gens: Sequence) -> PolyRing:
     return ring
 
 
-def _groebner(gens: list[dict], ring: PolyRing, order, slots: int,
+def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
               track: bool, known_gb_prefix: int = 0
-              ) -> tuple[list[dict], list[list[Poly]] | None]:
-    """Buchberger's algorithm on term dicts with `slots` position slots.
+              ) -> tuple[list[tuple], list[list[Poly]] | None]:
+    """Buchberger's algorithm on packed term dicts (see `_Layout`).
 
-    Returns the reduced basis, largest lead first, and with `track` each
-    element's expression in the generators.  Pairs are pruned once, when
-    an element joins, by the Gebauer-Moeller update (Gebauer and Moeller
-    1988, as UPDATE in Becker and Weispfenning 1993): a new pair is kept
-    only if no other new pair's lcm divides its lcm (criteria M and F),
-    an old pair is dropped when the new lead divides its lcm strictly on
-    both sides (criterion B_k), and an element whose lead the new lead
-    divides takes no further pairs.  Pairs form only between leads at the
-    same position.  The coprime criterion acts at rank 1 only: slotted
-    terms at one position are never coprime, as their lead product has a
-    slot of 2.  Every basis element carries one prepared reducer, built
-    when it joins.
+    Returns the prepared reducers (lead, 1, tail) of the reduced basis,
+    largest lead first, and with `track` each element's expression in
+    the generators.  Pairs are pruned once, when an element joins, by the
+    Gebauer-Moeller update (Gebauer and Moeller 1988, as UPDATE in Becker
+    and Weispfenning 1993): a new pair is kept only if no other new
+    pair's lcm divides its lcm (criteria M and F), an old pair is dropped
+    when the new lead divides its lcm strictly on both sides (criterion
+    B_k), and an element whose lead the new lead divides takes no further
+    pairs.  Pairs form only between leads at the same position.  The
+    coprime criterion acts at rank 1 only: slotted terms at one position
+    are never coprime, as their lead product has a slot of 2.  Every
+    basis element carries one prepared reducer, built when it joins.  The
+    pair heap pops the smallest lcm first, ties by index; leads, lcms and
+    shifts stay packed throughout, and only `track` decodes shifts and
+    quotients into polynomials.
     """
     p = ring.p
     ngens = len(gens)
-    key = order.key
+    slot_mask = layout.slot_mask
+    divides = layout.divides
+    lcm_of = layout.lcm
 
     basis: list[dict] = []
-    lms: list[tuple[int, ...]] = []
+    lms: list[int] = []
     reducers: list[tuple] = []  # (lead, 1, tail) of each monic element
     reprs: list[list[Poly]] = []
     active: list[int] = []  # elements whose lead no later lead divides
-    pairs: list[tuple] = []  # heap of (key(lcm), i, j, lcm)
+    pairs: list[tuple] = []  # heap of (lcm, i, j)
 
-    def update(h: int, lm: tuple, seed: bool) -> None:
+    def update(h: int, lm: int, seed: bool) -> None:
         nonlocal pairs, active
         if not seed:
-            cands = [(_mono_lcm(lms[g], lm), g) for g in active
-                     if lms[g][:slots] == lm[:slots]]
+            pos = lm & slot_mask
+            cands = [(lcm_of(lms[g], lm), g) for g in active
+                     if lms[g] & slot_mask == pos]
             # criteria M and F; a coprime pair is kept through this step,
             # since it may still prune others, and dropped only after it
             kept: list[tuple] = []
             for n, (lcm, g) in enumerate(cands):
-                if lcm == _mono_mul(lms[g], lm) or not (
-                        any(_divides(o, lcm) for o, _ in cands[n + 1:]) or
-                        any(_divides(o, lcm) for o, _ in kept)):
+                if lcm == lms[g] + lm or not (
+                        any(divides(o, lcm) for o, _ in cands[n + 1:]) or
+                        any(divides(o, lcm) for o, _ in kept)):
                     kept.append((lcm, g))
             # criterion B_k on the old pairs
-            pairs = [e for e in pairs if not _divides(lm, e[3]) or
-                     _mono_lcm(lms[e[1]], lm) == e[3] or
-                     _mono_lcm(lms[e[2]], lm) == e[3]]
-            pairs.extend((key(lcm), g, h, lcm) for lcm, g in kept
-                         if lcm != _mono_mul(lms[g], lm))
+            pairs = [e for e in pairs if not divides(lm, e[0]) or
+                     lcm_of(lms[e[1]], lm) == e[0] or
+                     lcm_of(lms[e[2]], lm) == e[0]]
+            pairs.extend((lcm, g, h) for lcm, g in kept
+                         if lcm != lms[g] + lm)
             heapq.heapify(pairs)
-        active = [g for g in active if not _divides(lm, lms[g])]
+        active = [g for g in active if not divides(lm, lms[g])]
         active.append(h)
 
-    def add(lm: tuple, monic: dict, seed: bool = False) -> None:
+    def add(lm: int, monic: dict, seed: bool = False) -> None:
         basis.append(monic)
         lms.append(lm)
         reducers.append((lm, 1, tuple(
@@ -368,7 +447,7 @@ def _groebner(gens: list[dict], ring: PolyRing, order, slots: int,
     for i, g in enumerate(gens):
         if not g:
             continue
-        lm, inv, monic = _monic(g, order, p)
+        lm, inv, monic = _monic(g, p)
         if track:
             reprs.append([ring.from_int(inv) if j == i else ring.zero()
                           for j in range(ngens)])
@@ -377,46 +456,46 @@ def _groebner(gens: list[dict], ring: PolyRing, order, slots: int,
         raise ValueError("all generators are zero")
 
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
-        degree = sum(lcm[slots:])
+        lcm, i, j = heapq.heappop(pairs)
+        degree = layout.degree(lcm)
         if degree > ring.max_degree:
             raise DegreeGuardError(
                 f"S-pair ({i}, {j}) with lcm degree {degree} exceeds "
                 f"guard {ring.max_degree}")
-        sterms, si, sj = _spair_terms(basis[i], basis[j], lms[i], lms[j], p)
+        si, sj = lcm - lms[i], lcm - lms[j]
+        sterms = _spair_terms(basis[i], basis[j], si, sj, p, layout)
         quotients = [{} for _ in basis] if track else None
-        rem = _reduce_full(sterms, reducers, p, order, quotients)
+        rem = _reduce_full(sterms, reducers, p, layout, quotients)
         if not rem:
             continue
-        lm, inv, new = _monic(rem, order, p)
+        lm, inv, new = _monic(rem, p)
         if track:
             # s-poly = shift_i*basis[i] - shift_j*basis[j]; remainder =
             # s-poly - sum(q_k basis[k]); everything scaled by inv.
-            shift_i = _poly(ring, {si: 1}, slots)
-            shift_j = _poly(ring, {sj: 1}, slots)
-            reduced = _express(quotients, reprs, ring, slots)
+            shift_i = _poly(layout, ring, {si: 1})
+            shift_j = _poly(layout, ring, {sj: 1})
+            reduced = _express(quotients, reprs, ring, layout)
             reprs.append([(shift_i * a - shift_j * b - r).scale(inv)
                           for a, b, r in zip(reprs[i], reprs[j], reduced)])
         add(lm, new)
 
-    return _interreduce(reducers, reprs if track else None, order, ring,
-                        slots)
+    return _interreduce(reducers, reprs if track else None, ring, layout)
 
 
 def _interreduce(reducers: list[tuple], reprs: list[list[Poly]] | None,
-                 order, ring: PolyRing, slots: int
-                 ) -> tuple[list[dict], list[list[Poly]] | None]:
-    """The reduced basis, largest lead first, from the prepared reducers
-    (lead, 1, tail) of a monic Groebner basis, with the expressions
-    `reprs` carried along."""
+                 ring: PolyRing, layout: _Layout
+                 ) -> tuple[list[tuple], list[list[Poly]] | None]:
+    """The reducers of the reduced basis, largest lead first, from the
+    prepared reducers (lead, 1, tail) of a monic Groebner basis, with the
+    expressions `reprs` carried along."""
     p = ring.p
     # drop redundant leading monomials (minimalization), sort by lead
-    key = order.key
     lms = [r[0] for r in reducers]
     keep = sorted((i for i, lm in enumerate(lms)
-                   if not any(_divides(other, lm) and (other != lm or j < i)
+                   if not any(layout.divides(other, lm) and
+                              (other != lm or j < i)
                               for j, other in enumerate(lms) if j != i)),
-                  key=lambda i: key(lms[i]), reverse=True)
+                  key=lms.__getitem__, reverse=True)
     reducers = [reducers[i] for i in keep]
     if reprs is not None:
         reprs = [reprs[i] for i in keep]
@@ -428,14 +507,26 @@ def _interreduce(reducers: list[tuple], reprs: list[list[Poly]] | None,
         lm, _, tail = reducers[i]
         tail = dict(tail)
         quotients = [{} for _ in reducers] if reprs is not None else None
-        rem = _reduce_full(tail, reducers, p, order, quotients)
+        rem = _reduce_full(tail, reducers, p, layout, quotients)
         if rem == tail:
             continue
         reducers[i] = (lm, 1, tuple(rem.items()))
         if reprs is not None:
-            reduced = _express(quotients, reprs, ring, slots)
+            reduced = _express(quotients, reprs, ring, layout)
             reprs[i] = [a - r for a, r in zip(reprs[i], reduced)]
-    return [{lm: 1, **dict(tail)} for lm, _, tail in reducers], reprs
+    return reducers, reprs
+
+
+def _basis(cls, gens: list, order: MonomialOrder, track: bool,
+           known_gb_prefix: int = 0) -> GroebnerBasis:
+    """Run the engine on `gens` and return the reduced basis as a `cls`:
+    encode at entry, decode the basis at exit."""
+    shell = cls([], order, gens)
+    reducers, reprs = _groebner([shell._encode(g) for g in gens], shell.ring,
+                                shell._layout, track, known_gb_prefix)
+    generators = [shell._decode({lm: 1, **dict(tail)}, shell.ring)
+                  for lm, _, tail in reducers]
+    return cls(generators, order, gens, reprs, reducers)
 
 
 def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
@@ -454,26 +545,24 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
     original generators.
     """
     gens = list(gens)
-    ring = _common_ring(gens)
-    basis, reprs = _groebner([g.terms for g in gens], ring, order, 0, track,
-                             known_gb_prefix)
-    return GroebnerBasis([Poly._make(ring, b) for b in basis], order, gens,
-                         reprs)
+    _common_ring(gens)
+    return _basis(GroebnerBasis, gens, order, track, known_gb_prefix)
 
 
 def verify_buchberger(basis: GroebnerBasis) -> bool:
     """Re-check the Buchberger criterion: every S-polynomial (for a module,
     every S-vector of two leads at the same position) reduces to 0."""
-    order = basis._order
+    layout = basis._layout
     p = basis.ring.p
-    slots = basis._slots
-    lms = basis.leading_monomials
+    lms = [r[0] for r in basis._reducers]
     terms = [basis._encode(g) for g in basis.generators]
     for i, j in itertools.combinations(range(len(terms)), 2):
-        if lms[i][:slots] != lms[j][:slots]:
+        if lms[i] & layout.slot_mask != lms[j] & layout.slot_mask:
             continue
-        sterms, _, _ = _spair_terms(terms[i], terms[j], lms[i], lms[j], p)
-        if _reduce_full(sterms, basis._reducers, p, order):
+        lcm = layout.lcm(lms[i], lms[j])
+        sterms = _spair_terms(terms[i], terms[j], lcm - lms[i], lcm - lms[j],
+                              p, layout)
+        if _reduce_full(sterms, basis._reducers, p, layout):
             return False
     return True
 
@@ -508,24 +597,29 @@ def is_zero_dimensional(basis: GroebnerBasis) -> bool:
     return True
 
 
+def _standard_count(lms: list[tuple[int, ...]], nvars: int) -> int:
+    """Monomials in nvars variables that no monomial of `lms` divides, for
+    a zero-dimensional monomial ideal.  Which leads can divide x_0^a * m
+    changes only at their own first exponents, so each segment of a
+    between two of them contributes its length times the count for the
+    remaining variables."""
+    if any(not any(lm) for lm in lms):
+        return 0
+    if nvars == 0:
+        return 1
+    cuts = sorted({0, *(lm[0] for lm in lms)})
+    return sum((hi - lo) * _standard_count(
+        [lm[1:] for lm in lms if lm[0] <= lo], nvars - 1)
+        for lo, hi in zip(cuts, cuts[1:]))
+
+
 def quotient_dimension(basis: GroebnerBasis) -> int:
     """Number of standard monomials (k-dimension of the quotient ring)."""
     if basis.contains_one():
         return 0
     if not is_zero_dimensional(basis):
         raise ValueError("quotient is infinite-dimensional")
-    n = basis.ring.nvars
-    bounds = []
-    for v in range(n):
-        b = min(lm[v] for lm in basis.leading_monomials
-                if lm[v] and all(e == 0 for k, e in enumerate(lm) if k != v))
-        bounds.append(b)
-    lms = basis.leading_monomials
-    count = 0
-    for mono in itertools.product(*(range(b) for b in bounds)):
-        if not any(_divides(lm, mono) for lm in lms):
-            count += 1
-    return count
+    return _standard_count(list(basis.leading_monomials), basis.ring.nvars)
 
 
 def supported_only_at_origin(basis: GroebnerBasis) -> bool:
@@ -592,7 +686,7 @@ class ModuleVector:
         return all(c.is_zero() for c in self.coordinates)
 
     def _terms(self) -> dict:
-        """The engine's term dict: x^a e_i becomes (slots of i) + a."""
+        """Slotted terms: x^a e_i becomes (slots of i) + a."""
         slots = _slot_count(len(self.coordinates))
         out = {}
         for pos, poly in enumerate(self.coordinates):
@@ -617,7 +711,7 @@ class ModuleGroebnerBasis(GroebnerBasis):
     """Reduced basis of a submodule of R^s under term-over-position order.
 
     `generators` and `original_generators` are ModuleVectors; the leading
-    monomials are the engine's slotted terms.
+    monomials are slotted exponent tuples.
     """
 
     @property
@@ -631,10 +725,11 @@ class ModuleGroebnerBasis(GroebnerBasis):
     def _encode(self, v: ModuleVector) -> dict:
         if len(v) != self.size:
             raise ValueError("coordinate-count mismatch")
-        return v._terms()
+        return self._layout.enc_terms(v._terms())
 
     def _decode(self, terms: dict, ring: PolyRing) -> ModuleVector:
-        return ModuleVector._from_terms(terms, ring, self.size)
+        return ModuleVector._from_terms(self._layout.dec_terms(terms), ring,
+                                        self.size)
 
 
 def module_buchberger(gens: Sequence[ModuleVector],
@@ -643,16 +738,11 @@ def module_buchberger(gens: Sequence[ModuleVector],
     """Reduced basis of the submodule of R^s generated by `gens`, computed
     by the ideal engine on slotted terms (see `buchberger`)."""
     gens = list(gens)
-    ring = _common_ring(gens)
+    _common_ring(gens)
     size = len(gens[0])
     if any(len(g) != size for g in gens):
         raise ValueError("coordinate-count mismatch between generators")
-    slots = _slot_count(size)
-    basis, reprs = _groebner([g._terms() for g in gens], ring,
-                             _term_order(order, slots), slots, track)
-    return ModuleGroebnerBasis(
-        [ModuleVector._from_terms(b, ring, size) for b in basis], order, gens,
-        reprs)
+    return _basis(ModuleGroebnerBasis, gens, order, track)
 
 
 def module_normal_form(v: ModuleVector, basis: ModuleGroebnerBasis) -> ModuleVector:

@@ -1,6 +1,7 @@
-"""Shared test helpers: random polynomial generation and the dense
+"""Shared test helpers: random polynomial generation, the dense
 Macaulay-matrix membership oracle used to cross-check the Groebner
-engine.
+engine, and plain tuple oracles for the polynomial product, the
+standard-monomial count and the packed term layout.
 """
 
 from __future__ import annotations
@@ -33,6 +34,75 @@ def random_nonzero_poly(rng, ring, max_terms=5, max_degree=6) -> Poly:
         f = random_poly(rng, ring, max_terms, max_degree, allow_zero=False)
         if not f.is_zero():
             return f
+
+
+def naive_product(a: Poly, b: Poly) -> Poly:
+    """Schoolbook product on exponent tuples."""
+    p = a.ring.p
+    out: dict = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = (out.get(m, 0) + ca * cb) % p
+    return a.ring.from_terms(out)
+
+
+def box_standard_count(lms, nvars: int) -> int:
+    """Standard monomials of a zero-dimensional monomial ideal, counted by
+    walking the box below the pure powers."""
+    bounds = [min(lm[v] for lm in lms
+                  if lm[v] and all(e == 0 for k, e in enumerate(lm) if k != v))
+              for v in range(nvars)]
+    return sum(1 for mono in itertools.product(*(range(b) for b in bounds))
+               if not any(all(x <= y for x, y in zip(lm, mono)) for lm in lms))
+
+
+def check_packed_layout(rng: random.Random, order, slots: int,
+                        nvars: int = 3, rounds: int = 150) -> None:
+    """The packed layout of the Groebner engine against tuple definitions,
+    on random slotted terms x^a e_i of degree up to the guard: order,
+    products, divisibility, lcm and the round trip."""
+    from fliftlab.groebner import _Layout
+
+    for guard in (1, 5, 8, 10_000):
+        layout = _Layout(nvars, slots, order, guard)
+
+        def term():
+            degree = rng.choice((rng.randint(0, guard), guard))
+            cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+            mono = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
+            pos = rng.randrange(slots) if slots else 0
+            slot = tuple(int(k == pos) for k in range(slots))
+            return pos, tuple(mono), slot + tuple(mono)
+
+        def key(pos, mono):
+            return (order.key(mono), -pos)
+
+        for _ in range(rounds):
+            (pa, ma, a), (pb, mb, b) = term(), term()
+            ea, eb = layout.enc(a), layout.enc(b)
+            assert layout.dec(ea) == a and layout.mono(ea) == ma
+            assert (ea < eb) == (key(pa, ma) < key(pb, mb))
+            assert (ea == eb) == (a == b)
+            assert layout.divides(ea, eb) == all(map(int.__le__, a, b))
+            if pa != pb:
+                continue
+            lcm = layout.lcm(ea, eb)
+            want = tuple(map(max, ma, mb))
+            assert layout.mono(lcm) == want
+            assert layout.degree(lcm) == sum(want)
+            assert layout.divides(ea, lcm) and layout.divides(eb, lcm)
+            (pc, mc, c) = term()
+            assert layout.divides(layout.enc(c), lcm) == (
+                pc == pa and all(map(int.__le__, mc, want)))
+            if sum(want) <= guard:
+                assert lcm == layout.enc(a[:slots] + want)
+            if sum(ma) + sum(mb) <= guard or not layout.grevlex and \
+                    max(map(sum, zip(ma, mb))) <= guard:
+                shift = tuple(map(sum, zip(ma, mb)))
+                assert ea + layout.enc((0,) * slots + mb) == \
+                    layout.enc(a[:slots] + shift)
+                assert layout.divides(ea, ea + eb - (eb & layout.slot_mask))
 
 
 def _monomials_up_to(n: int, degree: int) -> list[tuple[int, ...]]:

@@ -9,11 +9,14 @@ import itertools
 import random
 import time
 
+import pytest
+
 from fliftlab.catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
                               cusp_hyp_admissible, cusp_hyp_symmetry_class,
                               enumerate_table_rows, make_cusp_ci,
                               make_cusp_hypersurface)
-from fliftlab.criteria import (VERDICT_LOG, classify_complete_intersection,
+from fliftlab.criteria import (LiftabilityReport,
+                               classify_complete_intersection,
                                classify_hypersurface, residual_polynomial)
 from fliftlab.fp_poly import PolyRing
 from fliftlab.frobsplit import delta1, delta1_integer_oracle, frobenius_decompose
@@ -161,9 +164,10 @@ def test_criterion_5_ci_cusp_sweep():
 def test_criterion_6_property_suites():
     """Oracle-backed property checks: delta1 vs the integer-lift oracle,
     Frobenius decomposition round-trip, Groebner membership vs the
-    Macaulay-matrix oracle, the liftable=>pure implication over every
-    verdict produced in this run, and permutation/rescaling invariance on
-    the catalog equations."""
+    Macaulay-matrix oracle, the liftable=>pure implication (a report
+    that breaks it cannot be constructed, so every verdict is checked
+    when it is made), and permutation/rescaling invariance on the
+    catalog equations."""
     started = time.perf_counter()
 
     rng = random.Random(60001)
@@ -181,9 +185,10 @@ def test_criterion_6_property_suites():
 
     run_macaulay_agreement(random.Random(60002), rounds=100)
 
-    assert VERDICT_LOG, "no classifications were recorded this run"
-    for p, pure, liftable in VERDICT_LOG:
-        assert not (liftable and not pure), (p, pure, liftable)
+    with pytest.raises(ValueError):
+        LiftabilityReport(p=5, variables=("x", "y", "z"), generators=("x",),
+                          status="classified", f_pure=False, f_liftable=True,
+                          conclusive=True, certificate=None, timings_ms={})
 
     perm_checked = 0
     rescale_checked = 0
@@ -206,6 +211,5 @@ def test_criterion_6_property_suites():
     elapsed = _announce(
         "6 (property suites)", started,
         f"200 delta1 oracles, 300 round-trips, 100 Macaulay ideals, "
-        f"{len(VERDICT_LOG)} verdicts, {perm_checked} permutations, "
-        f"{rescale_checked} rescalings")
+        f"{perm_checked} permutations, {rescale_checked} rescalings")
     assert elapsed < 120.0

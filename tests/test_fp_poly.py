@@ -9,7 +9,7 @@ from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               UnknownVariableError, format_poly, is_prime,
                               parse_poly, partial_derivative)
 
-from support import random_poly
+from support import naive_product, random_poly
 
 
 def test_parse_term_list():
@@ -159,20 +159,25 @@ RING_LAW_PRIMES = (2, 3, 5, 7)
 
 def test_ring_laws_random():
     rng = random.Random(20240811)
-    for p in RING_LAW_PRIMES:
-        ring = PolyRing(["x", "y", "z"], p)
-        zero = ring.zero()
-        for _ in range(40):
-            a = random_poly(rng, ring, 4, 6)
-            b = random_poly(rng, ring, 4, 6)
-            c = random_poly(rng, ring, 4, 6)
-            assert (a + b) + c == a + (b + c)
-            assert a + b == b + a
-            assert (a * b) * c == a * (b * c)
-            assert a * b == b * a
-            assert a * (b + c) == a * b + a * c
-            assert a + (-a) == zero
-            assert a - b == a + (-b)
+    for p in RING_LAW_PRIMES + (2**31 - 1,):
+        for names in (["x", "y", "z"], ["u", "v", "w", "x", "y", "z"]):
+            ring = PolyRing(names, p)
+            zero = ring.zero()
+            for _ in range(40):
+                a = random_poly(rng, ring, 4, 6)
+                b = random_poly(rng, ring, 4, 6)
+                c = random_poly(rng, ring, 4, 6)
+                assert (a + b) + c == a + (b + c)
+                assert a + b == b + a
+                assert (a * b) * c == a * (b * c)
+                assert a * b == b * a
+                assert a * (b + c) == a * b + a * c
+                assert a + (-a) == zero
+                assert a - b == a + (-b)
+                assert a * b == naive_product(a, b)
+                single = random_poly(rng, ring, 1, 6)
+                assert single * a == naive_product(single, a)
+                assert a * single == naive_product(a, single)
 
 
 def test_frobenius_law_random():

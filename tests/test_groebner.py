@@ -5,14 +5,16 @@ import random
 
 import pytest
 
-from fliftlab.fp_poly import AmbientMismatchError, PolyRing, format_poly
-from fliftlab.groebner import (GREVLEX, LEX, buchberger, ideal_membership,
-                               is_zero_dimensional, normal_form,
-                               order_by_name,
+from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
+                              PolyRing, format_poly)
+from fliftlab.groebner import (GREVLEX, LEX, _standard_count, buchberger,
+                               ideal_membership, is_zero_dimensional,
+                               normal_form, order_by_name,
                                quotient_dimension, reduce_by_generators,
                                supported_only_at_origin, verify_buchberger)
 
-from support import macaulay_membership, random_poly, random_nonzero_poly
+from support import (box_standard_count, check_packed_layout,
+                     macaulay_membership, random_poly, random_nonzero_poly)
 
 
 def test_order_lookup():
@@ -40,6 +42,47 @@ def test_monomial_order_laws():
                 assert key(ac) < key(bc)
             if a != one:
                 assert key(one) < key(a)
+
+
+def test_packed_layout_matches_tuple_terms():
+    rng = random.Random(8080)
+    for order in (GREVLEX, LEX):
+        check_packed_layout(rng, order, 0)
+
+
+def test_lex_reduction_past_the_packed_fields_raises():
+    # x -> y^3 under lex: x^3 climbs to x*y^6, past the 2-bit fields of
+    # guard 3, and must raise instead of wrapping
+    ring = PolyRing(["x", "y"], 5, max_degree=3)
+    gb = buchberger([ring.parse("x - y^3")], LEX)
+    assert normal_form(ring.parse("x"), gb) == ring.parse("y^3")
+    with pytest.raises(DegreeGuardError):
+        normal_form(ring.parse("x^3"), gb)
+
+
+def test_polynomial_beyond_the_basis_guard_raises():
+    small = PolyRing(["x", "y"], 5, max_degree=4)
+    large = PolyRing(["x", "y"], 5, max_degree=100)
+    for order in (GREVLEX, LEX):
+        gb = buchberger([small.parse("x^2 + y")], order)
+        assert normal_form(large.parse("x^2*y + y^2"), gb).is_zero()
+        with pytest.raises(DegreeGuardError):
+            normal_form(large.parse("y^40"), gb)
+        with pytest.raises(DegreeGuardError):
+            reduce_by_generators(small.parse("x"), [large.parse("y^40")],
+                                 order)
+
+
+def test_standard_count_matches_box_walk():
+    rng = random.Random(9090)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        lms = [tuple(rng.randint(1, 5) if k == v else 0 for k in range(n))
+               for v in range(n)]
+        lms += [tuple(rng.randint(0, 4) for _ in range(n))
+                for _ in range(rng.randint(0, 5))]
+        rng.shuffle(lms)
+        assert _standard_count(lms, n) == box_standard_count(lms, n)
 
 
 def test_normal_form_examples():
@@ -224,68 +267,58 @@ def test_reduce_by_generators_zero_proves_membership():
 
 
 def _reference_buchberger(gens, order=GREVLEX):
-    """Textbook Buchberger with no pair criteria, as an independent route
-    for validating the pruned engine; returns the reduced basis tuple."""
-    from fliftlab.groebner import (_lead, _mono_lcm, _mono_div, _mono_mul,
-                                   _prep_reducer, _reduce_full)
-    from fliftlab.fp_poly import Poly
-
+    """Textbook Buchberger with no pair criteria, on exponent tuples and
+    with its own division, as an independent route for validating the
+    pruned engine; returns the reduced basis tuple."""
     ring = gens[0].ring
     p = ring.p
-    basis = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        lm, lc = _lead(g.terms, order)
-        basis.append(g.scale(pow(lc, p - 2, p)))
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+
+    def lead(f):
+        return max(f.terms, key=order.key)
+
+    def monic(f):
+        return f.scale(pow(f.terms[lead(f)], p - 2, p))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def shift(lcm, lm):
+        return ring.monomial(tuple(x - y for x, y in zip(lcm, lm)))
+
+    def remainder(f, divisors):
+        rem = ring.zero()
+        while not f.is_zero():
+            lm = lead(f)
+            top = ring.monomial(lm, f.terms[lm])
+            g = next((g for g in divisors if divides(lead(g), lm)), None)
+            if g is None:
+                rem, f = rem + top, f - top
+            else:
+                f = f - shift(lm, lead(g)).scale(f.terms[lm]) * monic(g)
+        return rem
+
+    basis = [monic(g) for g in gens if not g.is_zero()]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
     while pairs:
         i, j = pairs.pop(0)
-        lmi, _ = _lead(basis[i].terms, order)
-        lmj, _ = _lead(basis[j].terms, order)
-        lcm = _mono_lcm(lmi, lmj)
-        sterms = {}
-        for m, c in basis[i].terms.items():
-            mm = _mono_mul(m, _mono_div(lcm, lmi))
-            sterms[mm] = (sterms.get(mm, 0) + c) % p
-        for m, c in basis[j].terms.items():
-            mm = _mono_mul(m, _mono_div(lcm, lmj))
-            sterms[mm] = (sterms.get(mm, 0) - c) % p
-        sterms = {m: c for m, c in sterms.items() if c}
-        reducers = [_prep_reducer(b.terms, order, p) for b in basis]
-        rem = _reduce_full(sterms, reducers, p, order)
-        if rem:
-            lm, lc = _lead(rem, order)
-            inv = pow(lc, p - 2, p)
-            new = Poly._make(ring, {m: c * inv % p for m, c in rem.items()})
-            idx = len(basis)
-            basis.append(new)
-            pairs.extend((k, idx) for k in range(idx))
-    # minimalize + tail-reduce to the unique reduced basis
-    lead = [(_lead(b.terms, order)[0]) for b in basis]
-    keep = []
-    for i, lm in enumerate(lead):
-        if not any(j != i and all(a >= b for a, b in zip(lm, lead[j])) and
-                   (lead[j] != lm or j < i) for j in range(len(basis))):
-            keep.append(i)
-    basis = [basis[i] for i in keep]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = [basis[j] for j in range(len(basis)) if j != i]
-            if not others:
-                continue
-            reducers = [_prep_reducer(b.terms, order, p) for b in others]
-            rem = _reduce_full(basis[i].terms, reducers, p, order)
-            new = Poly._make(ring, rem)
-            if new != basis[i]:
-                changed = True
-                lm, lc = _lead(rem, order)
-                basis[i] = new.scale(pow(lc, p - 2, p))
-    key = order.key
-    basis.sort(key=lambda b: key(_lead(b.terms, order)[0]), reverse=True)
-    return tuple(basis)
+        lcm = tuple(map(max, lead(basis[i]), lead(basis[j])))
+        s = (shift(lcm, lead(basis[i])) * basis[i] -
+             shift(lcm, lead(basis[j])) * basis[j])
+        rem = remainder(s, basis)
+        if not rem.is_zero():
+            basis.append(monic(rem))
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    # minimalize, then reduce each tail by the other elements
+    basis = [g for i, g in enumerate(basis)
+             if not any(j != i and divides(lead(h), lead(g)) and
+                        (lead(h) != lead(g) or j < i)
+                        for j, h in enumerate(basis))]
+    reduced = []
+    for g in basis:
+        top = ring.monomial(lead(g))
+        reduced.append(top + remainder(g - top, [h for h in basis if h is not g]))
+    reduced.sort(key=lambda g: order.key(lead(g)), reverse=True)
+    return tuple(reduced)
 
 
 def test_pruned_engine_matches_reference_buchberger():

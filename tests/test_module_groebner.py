@@ -10,7 +10,7 @@ from fliftlab.groebner import (GREVLEX, LEX, ModuleGroebnerBasis,
                                module_buchberger, module_membership,
                                module_normal_form, verify_buchberger)
 
-from support import random_poly, random_nonzero_poly
+from support import check_packed_layout, random_poly, random_nonzero_poly
 
 
 def _ring(p=2, names=("x", "y", "z", "w")):
@@ -150,6 +150,13 @@ def test_rank_one_module_basis_is_the_ideal_basis():
                 mgb = module_buchberger([ModuleVector([g]) for g in gens], order)
                 assert tuple(v[0] for v in mgb.generators) == \
                     buchberger(gens, order).generators
+
+
+def test_packed_slotted_layout_matches_tuple_terms():
+    rng = random.Random(4545)
+    for order in (GREVLEX, LEX):
+        for slots in (2, 3):
+            check_packed_layout(rng, order, slots)
 
 
 def _top_key(order, v):
