@@ -157,7 +157,8 @@ def _ideal_residual_membership(residual: Poly, f: Poly, iso_gb: GroebnerBasis,
     because f^p is a multiple of f, and p-th powers of a basis form a
     basis of the bracket ideal.  A zero remainder already proves
     membership; otherwise Buchberger completes the generating set,
-    skipping the pairs internal to the known-basis prefix.  Cofactors
+    skipping the pairs internal to the known-basis prefix, and reduces
+    the quick remainder.  Cofactors
     need `iso_gb` built with track=True: its `reprs` carry each screen
     basis element back to f and its partials.
     """
@@ -168,7 +169,9 @@ def _ideal_residual_membership(residual: Poly, f: Poly, iso_gb: GroebnerBasis,
         if quick.is_zero():
             return True, ring.zero(), None
         full = buchberger(seed, order, known_gb_prefix=len(iso_gb.generators))
-        rem = normal_form(residual, full)
+        # the quick remainder differs from the residual by an ideal
+        # element, so it has the same (unique) normal form
+        rem = normal_form(quick, full)
         return rem.is_zero(), rem, None
 
     full = buchberger(seed, order, track=True,

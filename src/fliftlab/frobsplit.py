@@ -14,6 +14,7 @@ Wilson's theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
@@ -259,7 +260,40 @@ def build_splitting(gens: Sequence[Poly]) -> SplittingData:
 
 
 def apply_sigma(split: SplittingData, r: Poly) -> Poly:
-    """sigma(F_* r) = u(F_*(h * r))."""
-    if not split.h.ring.same_ambient(r.ring):
+    """sigma(F_* r) = u(F_*(h * r)), forming only the products u keeps.
+
+    A term x^(a+b) of h * r (a from h, b from r) survives u iff every
+    digit of a + b is p-1, that is a = (p-1) - b mod p in each variable;
+    the digits then sum to p-1 without a carry, so u sends it to
+    x^(a//p + b//p).  The terms of h are grouped by their residue mod p,
+    and each term of r meets only the complementary group: about 1/p^n
+    of the products of h * r.  The degree guard is that of h * r.
+    """
+    h = split.h
+    ring = h.ring
+    if not ring.same_ambient(r.ring):
         raise AmbientMismatchError("splitting and argument ambients differ")
-    return trace_u(split.h * r)
+    degree = h.total_degree() + r.total_degree()
+    if degree > ring.max_degree:
+        raise DegreeGuardError(
+            f"product degree {degree} exceeds guard {ring.max_degree}")
+    p = ring.p
+    top = p - 1
+    groups: dict[tuple[int, ...], list] = {}
+    for a, c in h.terms.items():
+        groups.setdefault(tuple(e % p for e in a), []).append(
+            (tuple(e // p for e in a), c))
+    out: dict[tuple[int, ...], int] = {}
+    for b, cb in r.terms.items():
+        group = groups.get(tuple(top - e % p for e in b))
+        if group is None:
+            continue
+        qb = tuple(e // p for e in b)
+        for qa, ca in group:
+            q = tuple(map(add, qa, qb))
+            c = (out.get(q, 0) + ca * cb) % p
+            if c:
+                out[q] = c
+            else:
+                del out[q]
+    return Poly._make(ring, out)

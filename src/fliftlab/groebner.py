@@ -147,8 +147,14 @@ class _Layout:
             return t >> self._top_shift
         return sum(self.mono(t))
 
-    def divides(self, a: int, b: int) -> bool:
-        return ((b | self.guard) - a) & self.guard == self.guard
+    def divided(self, m: int, divisors: list, start: int = 0) -> bool:
+        """Whether some divisors[k], k >= start, divides m."""
+        guard = self.guard
+        mg = m | guard
+        for k in range(start, len(divisors)):
+            if (mg - divisors[k]) & guard == guard:
+                return True
+        return False
 
     def lcm(self, a: int, b: int) -> int:
         ge = ((a | self.guard) - b) & self.guard
@@ -156,19 +162,30 @@ class _Layout:
 
 
 def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
-                 quotients: list[dict] | None = None) -> dict:
+                 quotients: list[dict] | None = None,
+                 memo: dict | None = None) -> dict:
     """Full normal form of a packed term dict against prepared reducers.
 
     Each reducer is (lead, inverse of the lead coefficient, tail items),
     all terms packed.  The largest remaining term is taken from a heap of
     negated terms and divided by the first reducer in list order whose
-    lead divides it.  When `quotients` is given (one dict per reducer)
-    the division is tracked so that
+    lead divides it.  Every term enters the heap once: one that cancels
+    stays in the working dict at 0 until it is popped.  When `quotients`
+    is given (one dict per reducer) the division is tracked so that
     input = sum(quotient_i * reducer_i) + remainder.  A new term that
     overflows the packed fields, as lex reductions can climb in degree,
     raises DegreeGuardError.
+
+    `memo` maps a term to where its divisor search resumes: the index of
+    its first dividing reducer, or the list length after a miss.  It
+    holds across calls while the list only grows by appending and an
+    entry is replaced only by one with the same lead, so a caller keeps
+    one memo per reducer list.
     """
     guard = layout.guard
+    if memo is None:
+        memo = {}
+    nred = len(reducers)
     work = dict(fterms)
     heap = [-m for m in work]
     heapq.heapify(heap)
@@ -176,16 +193,18 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
     rem: dict = {}
     while heap:
         m = -pop(heap)
-        c = work.pop(m, 0)
+        c = work.pop(m)
         if not c:
             continue
         mg = m | guard
-        for hit, (lm, lc_inv, tail) in enumerate(reducers):
-            if (mg - lm) & guard == guard:
-                break
-        else:
+        hit = memo.get(m, 0)
+        while hit < nred and (mg - reducers[hit][0]) & guard != guard:
+            hit += 1
+        memo[m] = hit
+        if hit == nred:
             rem[m] = c
             continue
+        lm, lc_inv, tail = reducers[hit]
         factor = c * lc_inv % p
         shift = m - lm
         if quotients is not None:
@@ -199,16 +218,10 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
                     raise DegreeGuardError(
                         "a reduction term exceeds the packed fields of "
                         f"degree guard {layout.max_degree}")
-                cc = -factor * tc % p
-                if cc:
-                    work[mm] = cc
-                    push(heap, -mm)
+                work[mm] = -factor * tc % p
+                push(heap, -mm)
             else:
-                cc = (prev - factor * tc) % p
-                if cc:
-                    work[mm] = cc
-                else:
-                    del work[mm]
+                work[mm] = (prev - factor * tc) % p
     return rem
 
 
@@ -235,7 +248,8 @@ class GroebnerBasis:
 
     `reprs`, when present, expresses each generator as a combination of
     `original_generators` (cofactor tracking).  `reducers`, when given,
-    are the engine's prepared reducers of `generators`.
+    are the engine's prepared reducers of `generators`; every reduction
+    against them shares one divisor memo (see `_reduce_full`).
     """
 
     _slots = 0
@@ -256,6 +270,7 @@ class GroebnerBasis:
             reducers = [_prep_reducer(self._encode(g), self.ring.p)
                         for g in self.generators]
         self._reducers = reducers
+        self._memo: dict = {}
         self.leading_monomials = tuple(self._layout.dec(r[0])
                                        for r in reducers)
 
@@ -306,7 +321,7 @@ def _normal_form(f, basis: GroebnerBasis, quotients: list[dict] | None = None):
     if not basis.ring.same_ambient(f.ring):
         raise AmbientMismatchError("polynomial and basis ambients differ")
     rem = _reduce_full(basis._encode(f), basis._reducers, f.ring.p,
-                       basis._layout, quotients)
+                       basis._layout, quotients, basis._memo)
     return basis._decode(rem, f.ring)
 
 
@@ -395,16 +410,18 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     pairs.  Pairs form only between leads at the same position.  The
     coprime criterion acts at rank 1 only: slotted terms at one position
     are never coprime, as their lead product has a slot of 2.  Every
-    basis element carries one prepared reducer, built when it joins.  The
-    pair heap pops the smallest lcm first, ties by index; leads, lcms and
-    shifts stay packed throughout, and only `track` decodes shifts and
-    quotients into polynomials.
+    basis element carries one prepared reducer, built when it joins, and
+    all S-pair reductions share one divisor memo.  The pair heap pops the
+    smallest lcm first, ties by index; leads, lcms and shifts stay packed
+    throughout, and only `track` decodes shifts and quotients into
+    polynomials.
     """
     p = ring.p
     ngens = len(gens)
     slot_mask = layout.slot_mask
-    divides = layout.divides
+    guard = layout.guard
     lcm_of = layout.lcm
+    divided = layout.divided
 
     basis: list[dict] = []
     lms: list[int] = []
@@ -412,6 +429,7 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     reprs: list[list[Poly]] = []
     active: list[int] = []  # elements whose lead no later lead divides
     pairs: list[tuple] = []  # heap of (lcm, i, j)
+    memo: dict = {}  # the divisor memo of `reducers`
 
     def update(h: int, lm: int, seed: bool) -> None:
         nonlocal pairs, active
@@ -419,22 +437,33 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
             pos = lm & slot_mask
             cands = [(lcm_of(lms[g], lm), g) for g in active
                      if lms[g] & slot_mask == pos]
+            lcms = [lcm for lcm, _ in cands]
             # criteria M and F; a coprime pair is kept through this step,
             # since it may still prune others, and dropped only after it
-            kept: list[tuple] = []
+            kept: list[int] = []
+            new: list[tuple] = []
             for n, (lcm, g) in enumerate(cands):
-                if lcm == lms[g] + lm or not (
-                        any(divides(o, lcm) for o, _ in cands[n + 1:]) or
-                        any(divides(o, lcm) for o, _ in kept)):
-                    kept.append((lcm, g))
-            # criterion B_k on the old pairs
-            pairs = [e for e in pairs if not divides(lm, e[0]) or
+                coprime = lcm == lms[g] + lm
+                if coprime or not (divided(lcm, lcms, n + 1) or
+                                   divided(lcm, kept)):
+                    kept.append(lcm)
+                    if not coprime:
+                        new.append((lcm, g, h))
+            # criterion B_k on the old pairs; the heap is rebuilt only
+            # when it loses a pair
+            npairs = len(pairs)
+            pairs = [e for e in pairs
+                     if ((e[0] | guard) - lm) & guard != guard or
                      lcm_of(lms[e[1]], lm) == e[0] or
                      lcm_of(lms[e[2]], lm) == e[0]]
-            pairs.extend((lcm, g, h) for lcm, g in kept
-                         if lcm != lms[g] + lm)
-            heapq.heapify(pairs)
-        active = [g for g in active if not divides(lm, lms[g])]
+            if len(pairs) == npairs:
+                for e in new:
+                    heapq.heappush(pairs, e)
+            else:
+                pairs.extend(new)
+                heapq.heapify(pairs)
+        active = [g for g in active
+                  if ((lms[g] | guard) - lm) & guard != guard]
         active.append(h)
 
     def add(lm: int, monic: dict, seed: bool = False) -> None:
@@ -465,7 +494,7 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
         si, sj = lcm - lms[i], lcm - lms[j]
         sterms = _spair_terms(basis[i], basis[j], si, sj, p, layout)
         quotients = [{} for _ in basis] if track else None
-        rem = _reduce_full(sterms, reducers, p, layout, quotients)
+        rem = _reduce_full(sterms, reducers, p, layout, quotients, memo)
         if not rem:
             continue
         lm, inv, new = _monic(rem, p)
@@ -479,23 +508,32 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
                           for a, b, r in zip(reprs[i], reprs[j], reduced)])
         add(lm, new)
 
-    return _interreduce(reducers, reprs if track else None, ring, layout)
+    return _interreduce(reducers, reprs if track else None, ring, layout,
+                        active)
 
 
 def _interreduce(reducers: list[tuple], reprs: list[list[Poly]] | None,
-                 ring: PolyRing, layout: _Layout
+                 ring: PolyRing, layout: _Layout, active: list[int]
                  ) -> tuple[list[tuple], list[list[Poly]] | None]:
     """The reducers of the reduced basis, largest lead first, from the
     prepared reducers (lead, 1, tail) of a monic Groebner basis, with the
-    expressions `reprs` carried along."""
+    expressions `reprs` carried along.
+
+    `active` lists the elements whose lead no later lead divides; their
+    leads are distinct and generate the lead ideal.  Minimalization walks
+    them from the smallest lead up and keeps each one that no kept lead
+    divides: a divisor is never larger, so the minimal generators are
+    met first.  The tail reductions share one divisor memo.
+    """
     p = ring.p
-    # drop redundant leading monomials (minimalization), sort by lead
-    lms = [r[0] for r in reducers]
-    keep = sorted((i for i, lm in enumerate(lms)
-                   if not any(layout.divides(other, lm) and
-                              (other != lm or j < i)
-                              for j, other in enumerate(lms) if j != i)),
-                  key=lms.__getitem__, reverse=True)
+    kept: list[int] = []
+    keep: list[int] = []
+    for i in sorted(active, key=lambda i: reducers[i][0]):
+        lm = reducers[i][0]
+        if not layout.divided(lm, kept):
+            kept.append(lm)
+            keep.append(i)
+    keep.reverse()
     reducers = [reducers[i] for i in keep]
     if reprs is not None:
         reprs = [reprs[i] for i in keep]
@@ -503,11 +541,12 @@ def _interreduce(reducers: list[tuple], reprs: list[list[Poly]] | None,
     # Tail-reduce from the smallest lead up.  A tail term is smaller than
     # its own lead, so only smaller, already reduced elements divide it
     # and one pass suffices; the lead and its coefficient 1 stay.
+    memo: dict = {}
     for i in range(len(reducers) - 1, -1, -1):
         lm, _, tail = reducers[i]
         tail = dict(tail)
         quotients = [{} for _ in reducers] if reprs is not None else None
-        rem = _reduce_full(tail, reducers, p, layout, quotients)
+        rem = _reduce_full(tail, reducers, p, layout, quotients, memo)
         if rem == tail:
             continue
         reducers[i] = (lm, 1, tuple(rem.items()))
@@ -562,7 +601,8 @@ def verify_buchberger(basis: GroebnerBasis) -> bool:
         lcm = layout.lcm(lms[i], lms[j])
         sterms = _spair_terms(terms[i], terms[j], lcm - lms[i], lcm - lms[j],
                               p, layout)
-        if _reduce_full(sterms, basis._reducers, p, layout):
+        if _reduce_full(sterms, basis._reducers, p, layout,
+                        memo=basis._memo):
             return False
     return True
 

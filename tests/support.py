@@ -84,16 +84,16 @@ def check_packed_layout(rng: random.Random, order, slots: int,
             assert layout.dec(ea) == a and layout.mono(ea) == ma
             assert (ea < eb) == (key(pa, ma) < key(pb, mb))
             assert (ea == eb) == (a == b)
-            assert layout.divides(ea, eb) == all(map(int.__le__, a, b))
+            assert layout.divided(eb, [ea]) == all(map(int.__le__, a, b))
             if pa != pb:
                 continue
             lcm = layout.lcm(ea, eb)
             want = tuple(map(max, ma, mb))
             assert layout.mono(lcm) == want
             assert layout.degree(lcm) == sum(want)
-            assert layout.divides(ea, lcm) and layout.divides(eb, lcm)
+            assert layout.divided(lcm, [ea]) and layout.divided(lcm, [eb])
             (pc, mc, c) = term()
-            assert layout.divides(layout.enc(c), lcm) == (
+            assert layout.divided(lcm, [layout.enc(c)]) == (
                 pc == pa and all(map(int.__le__, mc, want)))
             if sum(want) <= guard:
                 assert lcm == layout.enc(a[:slots] + want)
@@ -102,7 +102,7 @@ def check_packed_layout(rng: random.Random, order, slots: int,
                 shift = tuple(map(sum, zip(ma, mb)))
                 assert ea + layout.enc((0,) * slots + mb) == \
                     layout.enc(a[:slots] + shift)
-                assert layout.divides(ea, ea + eb - (eb & layout.slot_mask))
+                assert layout.divided(ea + eb - (eb & layout.slot_mask), [ea])
 
 
 def _monomials_up_to(n: int, degree: int) -> list[tuple[int, ...]]:

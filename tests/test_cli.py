@@ -306,15 +306,18 @@ def test_console_script_installed():
 
 def test_output_stable_across_hash_seeds():
     # different PYTHONHASHSEED values must not change any output byte
-    import shutil
     import subprocess
-    exe = shutil.which("fliftlab")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+    import sys
+
+    import fliftlab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fliftlab.__file__)))
+    path = os.environ.get("PYTHONPATH")
     outs = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        proc = subprocess.run([exe, "table", "--n-max", "3"],
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run([sys.executable, "-m", "fliftlab.cli", "table",
+                               "--n-max", "3"],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         outs.append(proc.stdout)

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from fliftlab.fp_poly import PolyRing
+from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
+                              PolyRing)
 from fliftlab.frobsplit import (apply_sigma, bracket_power, build_splitting,
                                 delta1, delta1_integer_oracle,
                                 fedder_fpure_test, frobenius_decompose,
@@ -235,3 +236,33 @@ def test_apply_sigma_zero():
     ring = PolyRing(["x", "y", "z"], 2)
     split = build_splitting([ring.parse("z^2+x^2*y+x*y^2+x*y*z")])
     assert apply_sigma(split, ring.zero()).is_zero()
+
+
+def test_apply_sigma_matches_trace_of_the_full_product():
+    # oracle: the trace of the whole product h * r
+    rng = random.Random(2357)
+    for p in (2, 3, 5, 7):
+        ring = PolyRing(["x", "y", "z"], p)
+        for _ in range(3):
+            split = build_splitting([random_nonzero_poly(rng, ring, 3, 3)])
+            # a term in every residue class mod p, then a few more
+            terms = {}
+            for alpha in itertools.product(range(p), repeat=3):
+                mono = tuple(a + p * rng.randrange(3) for a in alpha)
+                terms[mono] = rng.randrange(1, p)
+            r = ring.from_terms(terms) + random_poly(rng, ring, 6, 12)
+            assert apply_sigma(split, r) == trace_u(split.h * r)
+
+
+def test_apply_sigma_keeps_the_product_guard_and_ambient_check():
+    ring = PolyRing(["x", "y"], 3, max_degree=20)
+    split = build_splitting([ring.parse("x^2+y^3")])
+    at = ring.monomial((20 - split.h.total_degree(), 0))
+    assert apply_sigma(split, at) == trace_u(split.h * at)
+    over = at * ring.variable(1)
+    with pytest.raises(DegreeGuardError):
+        trace_u(split.h * over)
+    with pytest.raises(DegreeGuardError):
+        apply_sigma(split, over)
+    with pytest.raises(AmbientMismatchError):
+        apply_sigma(split, PolyRing(["x", "z"], 3).parse("x"))

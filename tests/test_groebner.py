@@ -7,11 +7,13 @@ import pytest
 
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               PolyRing, format_poly)
-from fliftlab.groebner import (GREVLEX, LEX, _standard_count, buchberger,
+from fliftlab.groebner import (GREVLEX, LEX, _Layout, _prep_reducer,
+                               _reduce_full, _standard_count, buchberger,
                                ideal_membership, is_zero_dimensional,
-                               normal_form, order_by_name,
-                               quotient_dimension, reduce_by_generators,
-                               supported_only_at_origin, verify_buchberger)
+                               normal_form, normal_form_with_cofactors,
+                               order_by_name, quotient_dimension,
+                               reduce_by_generators, supported_only_at_origin,
+                               verify_buchberger)
 
 from support import (box_standard_count, check_packed_layout,
                      macaulay_membership, random_poly, random_nonzero_poly)
@@ -83,6 +85,85 @@ def test_standard_count_matches_box_walk():
                 for _ in range(rng.randint(0, 5))]
         rng.shuffle(lms)
         assert _standard_count(lms, n) == box_standard_count(lms, n)
+
+
+def test_divisor_memo_resumes_after_an_appended_reducer():
+    # x*y misses y^2 + 1; once x + 1 joins the list, the memo that
+    # recorded the miss must still find it
+    ring = PolyRing(["x", "y"], 5)
+    layout = _Layout(2, 0, GREVLEX, ring.max_degree)
+
+    def prep(text):
+        return _prep_reducer(layout.enc_terms(ring.parse(text).terms), 5)
+
+    reducers = [prep("y^2 + 1")]
+    memo: dict = {}
+    f = layout.enc_terms(ring.parse("x*y").terms)
+    assert _reduce_full(f, reducers, 5, layout, memo=memo) == f
+    reducers.append(prep("x + 1"))
+    rem = _reduce_full(f, reducers, 5, layout, memo=memo)
+    assert layout.dec_terms(rem) == ring.parse("4*y").terms
+    # random lists grown one reducer at a time: a shared memo gives the
+    # remainders and quotients of a fresh one
+    rng = random.Random(7117)
+    for order in (GREVLEX, LEX):
+        for p in (2, 5):
+            ring = PolyRing(["x", "y", "z"], p)
+            layout = _Layout(3, 0, order, ring.max_degree)
+            reducers, memo = [], {}
+            for _ in range(6):
+                g = random_nonzero_poly(rng, ring, 3, 3)
+                reducers.append(_prep_reducer(layout.enc_terms(g.terms), p))
+                for _ in range(4):
+                    f = layout.enc_terms(random_poly(rng, ring, 5, 6).terms)
+                    shared = [{} for _ in reducers]
+                    fresh = [{} for _ in reducers]
+                    assert _reduce_full(f, reducers, p, layout, shared,
+                                        memo) == \
+                        _reduce_full(f, reducers, p, layout, fresh)
+                    assert shared == fresh
+
+
+def _textbook_division(f, divisors, order):
+    """Quotients and remainder of f by monic divisors, always dividing by
+    the first divisor in list order whose lead divides the lead of f."""
+    ring = f.ring
+    leads = [max(g.terms, key=order.key) for g in divisors]
+    quotients = [ring.zero()] * len(divisors)
+    rem = ring.zero()
+    while not f.is_zero():
+        lm = max(f.terms, key=order.key)
+        top = ring.monomial(lm, f.terms[lm])
+        k = next((k for k, d in enumerate(leads)
+                  if all(a <= b for a, b in zip(d, lm))), None)
+        if k is None:
+            rem, f = rem + top, f - top
+            continue
+        q = ring.monomial(tuple(b - a for a, b in zip(leads[k], lm)),
+                          f.terms[lm])
+        quotients[k] = quotients[k] + q
+        f = f - q * divisors[k]
+    return rem, quotients
+
+
+def test_normal_form_quotients_follow_first_divisor_division():
+    # the divisor memo must not change which element divides a term, so
+    # the quotients (and with them every cofactor) stay those of textbook
+    # division; each basis is reused, so later calls run on a warm memo
+    rng = random.Random(3141)
+    for order in (GREVLEX, LEX):
+        for p in (2, 3, 5):
+            ring = PolyRing(["x", "y", "z"], p)
+            for _ in range(5):
+                gens = [random_nonzero_poly(rng, ring, 3, 3)
+                        for _ in range(rng.randint(2, 3))]
+                gb = buchberger(gens, order)
+                for _ in range(5):
+                    f = random_poly(rng, ring, 5, 6)
+                    want = _textbook_division(f, gb.generators, order)
+                    for _ in range(2):
+                        rem, quotients = normal_form_with_cofactors(f, gb)
+                        assert (rem, quotients) == want
 
 
 def test_normal_form_examples():
@@ -375,6 +456,30 @@ def test_seed_lead_divided_by_a_later_element():
     gens = [ring.parse("x^3+y*z"), ring.parse("y^2+z"), ring.parse("x^2+z")]
     _assert_pruned_basis(gens, ["x^2 + z", "y^2 + z", "x*z + 4*y*z"],
                          known_gb_prefix=2)
+
+
+def test_minimalization_of_inputs_with_equal_or_divided_leads():
+    # x*y + 1 has the lead of x*y + z, which the lead of x + 1 divides;
+    # x*y + z^2 and x*y + 1 share a lead; y^2*z + x has a lead that the
+    # earlier y^2 + z divides; x*y + y = y*(x + 1) keeps its lead to the
+    # end, as its pair with x + 1 reduces to 0.  The reduced basis is the
+    # reference one, and a tracked basis re-expands from its reprs.
+    ring = PolyRing(["x", "y", "z"], 5)
+    for gens in (["x*y+z", "x+1", "x*y+1"],
+                 ["x*y+z^2", "x*y+1", "y^2+x"],
+                 ["y^2+z", "x*z+1", "y^2*z+x", "y^2+2*z"],
+                 ["x+1", "z^2+y", "x*y+y"]):
+        gens = [ring.parse(g) for g in gens]
+        for order in (GREVLEX, LEX):
+            gb = buchberger(gens, order)
+            assert gb.generators == _reference_buchberger(gens, order)
+            tracked = buchberger(gens, order, track=True)
+            assert tracked.generators == gb.generators
+            for g, rep in zip(tracked.generators, tracked.reprs):
+                acc = ring.zero()
+                for c, h in zip(rep, gens):
+                    acc = acc + c * h
+                assert acc == g
 
 
 def test_tracked_basis_elements_expand_from_their_reprs():
