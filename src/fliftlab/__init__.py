@@ -13,16 +13,13 @@ from .groebner import (GREVLEX, LEX, GroebnerBasis, ModuleGroebnerBasis,
                        module_buchberger, module_membership, normal_form,
                        quotient_dimension, supported_only_at_origin)
 from .frobsplit import (FrobeniusDecomposition, SplittingData, apply_sigma,
-                        bracket_power, build_splitting, delta1,
-                        delta1_integer_oracle, fedder_fpure_test,
+                        build_splitting, delta1, delta1_integer_oracle,
                         frobenius_decompose, trace_u)
 from .criteria import (Certificate, LiftabilityReport, classify,
-                       classify_complete_intersection, classify_hypersurface,
                        isolated_singularity_check, residual_polynomial)
 from .catalog import (ExpectedRecord, FamilySpec, TableInstance,
                       enumerate_table_rows, expected_classification,
-                      export_manifest, make_cusp_ci, make_cusp_hypersurface,
-                      make_rdp)
+                      make_cusp_ci, make_cusp_hypersurface, make_rdp)
 from .report import report_from_dict, report_to_dict, report_to_json
 
 __version__ = "0.1.0"
@@ -33,11 +30,9 @@ __all__ = [
     "GREVLEX", "GroebnerBasis", "LEX", "LiftabilityReport",
     "ModuleGroebnerBasis", "ModuleVector", "MonomialOrder", "NotPrimeError",
     "ParseError", "Poly", "PolyRing", "SplittingData", "TableInstance",
-    "UnknownVariableError", "apply_sigma", "bracket_power", "buchberger",
-    "build_splitting", "classify", "classify_complete_intersection",
-    "classify_hypersurface", "delta1", "delta1_integer_oracle",
-    "enumerate_table_rows", "expected_classification", "export_manifest",
-    "fedder_fpure_test", "format_poly", "frobenius_decompose",
+    "UnknownVariableError", "apply_sigma", "buchberger", "build_splitting",
+    "classify", "delta1", "delta1_integer_oracle", "enumerate_table_rows",
+    "expected_classification", "format_poly", "frobenius_decompose",
     "ideal_membership", "isolated_singularity_check", "is_zero_dimensional",
     "make_cusp_ci", "make_cusp_hypersurface", "make_rdp",
     "module_buchberger", "module_membership", "normal_form", "parse_poly",

@@ -355,26 +355,3 @@ def _param_instances(row: FamilySpec, p: int, n_max: int):
         return
     for n in range(2, n_max + 1):
         yield (("n", n),)
-
-
-def export_manifest(n_max: int = 8) -> list[dict]:
-    """Machine-readable catalog: report-shaped stubs plus expected values."""
-    out = []
-    for inst in enumerate_table_rows(n_max):
-        out.append({
-            "version": "fliftlab/1",
-            "p": inst.p,
-            "variables": list(RDP_VARIABLES),
-            "generators": [inst.equation_text],
-            "family": inst.row.row_label,
-            "params": inst.param_dict(),
-            "equation_template": inst.row.equation_template,
-            "expected": {
-                "f_pure": inst.expected.f_pure,
-                "f_liftable": inst.expected.f_liftable,
-                "f_regular_lit": inst.expected.f_regular_ref,
-                "ret_lit": inst.expected.ret_ref,
-                "let_lit": inst.expected.let_ref,
-            },
-        })
-    return out

@@ -28,8 +28,8 @@ from .criteria import classify as _classify_gens
 from .fp_poly import (DEFAULT_MAX_DEGREE, DegreeGuardError, FpPolyError,
                       NotPrimeError, ParseError, PolyRing, is_prime)
 from .groebner import order_by_name
-from .report import (CSV_HEADER, _yn, report_csv_row, report_text,
-                     report_to_dict)
+from .report import (csv_table, markdown_table, report_text, report_to_dict,
+                     sweep_text, text_table)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -206,19 +206,22 @@ def _cmd_classify(cfg: RunConfig, out) -> int:
     if cfg.fmt == "json":
         out.write(json.dumps([report_to_dict(report)], indent=2) + "\n")
     elif cfg.fmt == "csv":
-        out.write(CSV_HEADER + "\n")
-        out.write(report_csv_row(report, "adhoc", ";".join(cfg.polys)) + "\n")
+        out.write(csv_table([_csv_row(report, "adhoc", ";".join(cfg.polys))]))
     elif cfg.fmt == "md":
-        out.write("| p | generators | F-pure | F-liftable | conclusive |\n")
-        out.write("|---|---|---|---|---|\n")
-        out.write(f"| {report.p} | {'; '.join(report.generators)} | "
-                  f"{_yn(report.f_pure)} | {_yn(report.f_liftable)} | "
-                  f"{_yn(report.conclusive)} |\n")
+        out.write(markdown_table(
+            ("p", "generators", "F-pure", "F-liftable", "conclusive"),
+            [(report.p, "; ".join(report.generators), report.f_pure,
+              report.f_liftable, report.conclusive)]))
     else:
         out.write(report_text(report) + "\n")
     if report.status == "not_isolated":
         return EXIT_INAPPLICABLE
     return EXIT_OK
+
+
+def _csv_row(report, family: str, params: str) -> tuple:
+    return (report.p, family, params, report.f_pure, report.f_liftable,
+            report.conclusive, report.timings_ms.get("total", 0.0))
 
 
 # --------------------------------------------------------------------- table
@@ -248,31 +251,21 @@ def _cmd_table(cfg: RunConfig, out) -> int:
             payload.append(d)
         out.write(json.dumps(payload, indent=2) + "\n")
     elif cfg.fmt == "csv":
-        out.write(CSV_HEADER + "\n")
-        for inst, report, ok in rows:
-            params = ";".join(f"{k}={v}" for k, v in inst.params)
-            out.write(report_csv_row(report, inst.row.row_label, params) + "\n")
+        out.write(csv_table(
+            [_csv_row(report, inst.row.row_label,
+                      ";".join(f"{k}={v}" for k, v in inst.params))
+             for inst, report, ok in rows]))
     else:
         header = ("p", "type", "params", "equation", "F-pure", "F-liftable",
                   "F-regular (lit.)", "RET (lit.)", "LET (lit.)")
-        body = []
-        for inst, report, ok in rows:
-            params = ",".join(f"{k}={v}" for k, v in inst.params) or "-"
-            body.append((str(inst.p), inst.row.row_label, params,
-                         inst.equation_text, _yn(report.f_pure),
-                         _yn(report.f_liftable), _yn(inst.expected.f_regular_ref),
-                         _yn(inst.expected.ret_ref), _yn(inst.expected.let_ref)))
-        if cfg.fmt == "md":
-            out.write("| " + " | ".join(header) + " |\n")
-            out.write("|" + "|".join("---" for _ in header) + "|\n")
-            for row in body:
-                out.write("| " + " | ".join(row) + " |\n")
-        else:
-            widths = [max(len(h), *(len(r[i]) for r in body))
-                      for i, h in enumerate(header)]
-            out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-            for row in body:
-                out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+        body = [(inst.p, inst.row.row_label,
+                 ",".join(f"{k}={v}" for k, v in inst.params) or "-",
+                 inst.equation_text, report.f_pure, report.f_liftable,
+                 inst.expected.f_regular_ref, inst.expected.ret_ref,
+                 inst.expected.let_ref)
+                for inst, report, ok in rows]
+        render = markdown_table if cfg.fmt == "md" else text_table
+        out.write(render(header, body))
     if cfg.check:
         out.write(f"check: {mismatches} mismatches\n")
         if mismatches:
@@ -383,26 +376,21 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
         }
         out.write(json.dumps(payload, indent=2) + "\n")
     elif cfg.fmt == "csv":
-        out.write(CSV_HEADER + "\n")
-        for (p, t, status, pure, lift, concl, ms) in emitted:
-            params = ";".join(f"{n}={v}" for n, v in zip("abcd", t))
-            out.write(f"{p},{family},{params},{_yn(pure)},{_yn(lift)},"
-                      f"{_yn(concl)},{ms:.1f}\n")
+        out.write(csv_table(
+            [(p, family, ";".join(f"{n}={v}" for n, v in zip("abcd", t)),
+              pure, lift, concl, ms)
+             for (p, t, status, pure, lift, concl, ms) in emitted]))
     else:
         arity = 3 if family == "cusp_hyp" else 4
         if cfg.fmt == "md":
-            out.write("| p | " + " | ".join("abcd"[:arity])
-                      + " | F-pure | F-liftable | conclusive |\n")
-            out.write("|" + "|".join("---" for _ in range(arity + 4)) + "|\n")
-            for (p, t, status, pure, lift, concl, ms) in emitted:
-                out.write("| " + " | ".join(
-                    [str(p)] + [str(v) for v in t] +
-                    [_yn(pure), _yn(lift), _yn(concl)]) + " |\n")
+            out.write(markdown_table(
+                ("p", *"abcd"[:arity], "F-pure", "F-liftable", "conclusive"),
+                [(p, *t, pure, lift, concl)
+                 for (p, t, status, pure, lift, concl, ms) in emitted]))
         else:
-            for (p, t, status, pure, lift, concl, ms) in emitted:
-                out.write(f"p={p} {tuple(t)}: F-pure={_yn(pure)} "
-                          f"F-liftable={_yn(lift)} conclusive={_yn(concl)} "
-                          f"({ms:.1f} ms)\n")
+            out.write(sweep_text(
+                [(p, t, pure, lift, concl, ms)
+                 for (p, t, status, pure, lift, concl, ms) in emitted]))
         out.write(f"summary: {len(emitted)} tuples, "
                   f"{len(emitted) - len(non_liftable)} liftable, "
                   f"{len(non_liftable)} not liftable\n")

@@ -1,14 +1,16 @@
-"""Classification pipeline: smoothness/isolatedness screening, F-purity,
-and F-liftability for hypersurfaces and complete intersections, with
+"""Classification pipeline: smoothness/isolatedness screening, F-purity
+and F-liftability of R/(f_1, ..., f_m) for m >= 1, with
 machine-checkable certificates.
 
-The liftability test for a hypersurface f decides whether
-s^p * delta1(f) + (-sigma(F_* delta1(f)))^p lies in (f, I_f^[p]), where
-sigma is the near-splitting built from the survivor-normalized multiplier
-and s = sigma(F_* 1).  For a complete intersection the per-generator
-residuals are stacked into a vector and tested against the submodule
-spanned by the gradient-power columns and the (f_1,...,f_m)-multiples,
-which encodes the shared-cofactor condition.
+`classify` runs one procedure for every m: the screen, Fedder's test,
+the per-generator residuals r_i = s^p * delta1(f_i) + g_i^p with
+g_i = -sigma(F_* delta1(f_i)), and the containment.  sigma is the
+near-splitting built from the survivor-normalized multiplier and
+s = sigma(F_* 1).  The input is F-liftable iff the vector (r_1..r_m)
+lies in the submodule of R^m spanned by the gradient-power columns
+((df_i/dx_k)^p)_i and the multiples f_j e_i, which encodes the
+shared-cofactor condition.  For m = 1 that is r in (f) + I_f^[p], and it
+is decided on the ideal route seeded with the screen's basis.
 """
 
 from __future__ import annotations
@@ -98,31 +100,6 @@ def isolated_singularity_check(gens: Sequence[Poly],
     return SINGULAR_ELSEWHERE, gb
 
 
-def _fedder_only_report(ring, gens, order, timings) -> LiftabilityReport:
-    cert = Certificate(fedder_survivor=None, sigma_trace_constant=0)
-    return LiftabilityReport(
-        p=ring.p, variables=ring.variables,
-        generators=tuple(format_poly(g) for g in gens),
-        status="classified", f_pure=False, f_liftable=False, conclusive=True,
-        certificate=cert, timings_ms=timings, order=order.name)
-
-
-def _smooth_report(ring, gens, order, timings) -> LiftabilityReport:
-    return LiftabilityReport(
-        p=ring.p, variables=ring.variables,
-        generators=tuple(format_poly(g) for g in gens),
-        status=SMOOTH, f_pure=True, f_liftable=True, conclusive=True,
-        certificate=None, timings_ms=timings, order=order.name)
-
-
-def _not_isolated_report(ring, gens, order, timings) -> LiftabilityReport:
-    return LiftabilityReport(
-        p=ring.p, variables=ring.variables,
-        generators=tuple(format_poly(g) for g in gens),
-        status=NOT_ISOLATED, f_pure=None, f_liftable=None, conclusive=False,
-        certificate=None, timings_ms=timings, order=order.name)
-
-
 def residual_polynomial(f: Poly, split: SplittingData | None = None) -> Poly:
     """s^p * delta1(f) + (-sigma(F_* delta1(f)))^p, unreduced.
 
@@ -134,18 +111,16 @@ def residual_polynomial(f: Poly, split: SplittingData | None = None) -> Poly:
     if not split.fpure_at_origin:
         raise ValueError("residual is defined only for F-pure input "
                          "(Fedder test failed)")
+    return _lift_and_residual(f, split, split.s.frobenius())[1]
+
+
+def _lift_and_residual(f: Poly, split: SplittingData,
+                       s_p: Poly) -> tuple[Poly, Poly]:
+    """(g, r) for one generator: g = -sigma(F_* delta1(f)) and
+    r = s^p * delta1(f) + g^p, given s_p = s^p."""
     d1 = delta1(f)
     g = -apply_sigma(split, d1)
-    return split.s.frobenius() * d1 + g.frobenius()
-
-
-def _membership_basis(f_list: Sequence[Poly], iso_gb: GroebnerBasis,
-                      order: MonomialOrder) -> list[Poly]:
-    """Generators of (f_1..f_m) + I^[p] seeded with a known Groebner
-    subset: the p-th powers of the isolated-locus basis form a basis of
-    the bracket of that ideal, so only pairs meeting the f_i are new.
-    """
-    return [g.frobenius() for g in iso_gb.generators] + list(f_list)
+    return g, s_p * d1 + g.frobenius()
 
 
 def _ideal_residual_membership(residual: Poly, f: Poly, iso_gb: GroebnerBasis,
@@ -163,7 +138,7 @@ def _ideal_residual_membership(residual: Poly, f: Poly, iso_gb: GroebnerBasis,
     basis element back to f and its partials.
     """
     ring = f.ring
-    seed = _membership_basis([f], iso_gb, order)
+    seed = [g.frobenius() for g in iso_gb.generators] + [f]
     if not want_cofactors:
         quick = reduce_by_generators(residual, seed, order)
         if quick.is_zero():
@@ -213,165 +188,101 @@ def _ideal_residual_membership(residual: Poly, f: Poly, iso_gb: GroebnerBasis,
     return member, rem, cofactors
 
 
-def classify_hypersurface(f: Poly, *, order: MonomialOrder = GREVLEX,
-                          certificates: bool = False) -> LiftabilityReport:
-    """Full pipeline for one equation: isolatedness screen, Fedder test,
-    then the liftability containment with certificates.
+def _module_residual_membership(residuals: Sequence[Poly],
+                                gens: Sequence[Poly], order: MonomialOrder,
+                                want_cofactors: bool):
+    """Decide (r_1..r_m) in the submodule of R^m generated by the
+    gradient-power columns w_k = ((df_i/dx_k)^p)_i and the vectors f_j e_i;
+    returns (member, remainder coordinates, cofactors).  Valid for any m.
     """
-    if f.is_zero() or f.total_degree() < 1:
-        raise ValueError("input must be nonzero and nonconstant")
-    ring = f.ring
-    timings: dict[str, float] = {}
-    t_start = time.perf_counter()
-
-    status, iso_gb = isolated_singularity_check([f], order,
-                                                track=certificates)
-    timings["isolated"] = _ms_since(t_start)
-    if status == SMOOTH:
-        timings.update(fedder=0.0, delta1=0.0, groebner=0.0,
-                       total=_ms_since(t_start))
-        return _smooth_report(ring, [f], order, timings)
-    if status == NOT_ISOLATED:
-        timings.update(fedder=0.0, delta1=0.0, groebner=0.0,
-                       total=_ms_since(t_start))
-        return _not_isolated_report(ring, [f], order, timings)
-    # SINGULAR_ELSEWHERE: the singular locus is finite but not confined to
-    # the origin.  A positive containment still certifies liftability of
-    # the localized ring at the origin (and the whole smooth complement of
-    # the extra points), so classification proceeds; only a negative
-    # verdict loses its converse direction and is flagged inconclusive.
-    origin_only = status == ISOLATED
-
-    t = time.perf_counter()
-    split = build_splitting([f])
-    timings["fedder"] = _ms_since(t)
-    if not split.fpure_at_origin:
-        timings.update(delta1=0.0, groebner=0.0, total=_ms_since(t_start))
-        return _fedder_only_report(ring, [f], order, timings)
-
-    t = time.perf_counter()
-    d1 = delta1(f)
-    g = -apply_sigma(split, d1)
-    residual = split.s.frobenius() * d1 + g.frobenius()
-    timings["delta1"] = _ms_since(t)
-
-    t = time.perf_counter()
-    member, rem, cofactors = _ideal_residual_membership(
-        residual, f, iso_gb, order, certificates)
-    timings["groebner"] = _ms_since(t)
-    timings["total"] = _ms_since(t_start)
-
-    cert = Certificate(
-        fedder_survivor=split.survivor,
-        sigma_trace_constant=split.trace_constant,
-        g=(g,), remainder=(rem,), cofactors=cofactors)
-    return LiftabilityReport(
-        p=ring.p, variables=ring.variables,
-        generators=(format_poly(f),),
-        status="classified", f_pure=True, f_liftable=member,
-        conclusive=member or origin_only,
-        certificate=cert, timings_ms=timings, order=order.name)
-
-
-def classify_complete_intersection(gens: Sequence[Poly], *,
-                                   order: MonomialOrder = GREVLEX,
-                                   certificates: bool = False
-                                   ) -> LiftabilityReport:
-    """Liftability of R/(f_1,...,f_m) via the shared-cofactor criterion:
-    the stacked residual vector must lie in the submodule generated by the
-    gradient-power columns w_k = ((df_i/dx_k)^p)_i and the vectors f_j e_i.
-
-    A negative verdict with a section that is a unit but not identically 1
-    is reported with conclusive=False.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("generator list must be nonempty")
     ring = gens[0].ring
     m = len(gens)
+    # generator order is part of the certificate contract: gradient-power
+    # columns w_1..w_n (zero columns included), then f_j e_i by (i, j)
+    module_gens = [ModuleVector([f.derivative(k).frobenius() for f in gens])
+                   for k in range(ring.nvars)]
+    zero = ring.zero()
+    module_gens += [ModuleVector([f if t == i else zero for t in range(m)])
+                    for i in range(m) for f in gens]
+    target = ModuleVector(residuals)
+    mgb = module_buchberger(module_gens, order, track=want_cofactors)
+    nf = module_normal_form(target, mgb)
+    member = nf.is_zero()
+    cofactors = (tuple(mgb.cofactors(target)) if want_cofactors and member
+                 else None)
+    return member, nf.coordinates, cofactors
+
+
+def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
+             certificates: bool = False) -> LiftabilityReport:
+    """Liftability of R/(f_1,...,f_m): isolatedness screen, Fedder test,
+    then the residual containment, with certificates on request.
+    """
+    gens = list(gens)
     for g in gens:
         if g.is_zero() or g.total_degree() < 1:
             raise ValueError("generators must be nonzero and nonconstant")
+    m = len(gens)
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 
-    status, _iso_gb = isolated_singularity_check(gens, order)
+    def report(status, f_pure, f_liftable, conclusive, certificate=None):
+        # stages that did not run are reported at 0 ms
+        for stage in ("fedder", "delta1", "groebner"):
+            timings.setdefault(stage, 0.0)
+        timings["total"] = _ms_since(t_start)
+        ring = gens[0].ring
+        return LiftabilityReport(
+            p=ring.p, variables=ring.variables,
+            generators=tuple(format_poly(g) for g in gens), status=status,
+            f_pure=f_pure, f_liftable=f_liftable, conclusive=conclusive,
+            certificate=certificate, timings_ms=timings, order=order.name)
+
+    # only the m = 1 membership route reads the screen basis' expressions
+    status, iso_gb = isolated_singularity_check(
+        gens, order, track=certificates and m == 1)
     timings["isolated"] = _ms_since(t_start)
     if status == SMOOTH:
-        timings.update(fedder=0.0, delta1=0.0, groebner=0.0,
-                       total=_ms_since(t_start))
-        return _smooth_report(ring, gens, order, timings)
+        return report(SMOOTH, True, True, True)
     if status == NOT_ISOLATED:
-        timings.update(fedder=0.0, delta1=0.0, groebner=0.0,
-                       total=_ms_since(t_start))
-        return _not_isolated_report(ring, gens, order, timings)
-    origin_only = status == ISOLATED
+        return report(NOT_ISOLATED, None, None, False)
 
     t = time.perf_counter()
     split = build_splitting(gens)
     timings["fedder"] = _ms_since(t)
     if not split.fpure_at_origin:
-        timings.update(delta1=0.0, groebner=0.0, total=_ms_since(t_start))
-        return _fedder_only_report(ring, gens, order, timings)
+        return report("classified", False, False, True,
+                      Certificate(fedder_survivor=None, sigma_trace_constant=0))
 
     t = time.perf_counter()
     s_p = split.s.frobenius()
-    g_list = []
-    residuals = []
-    for f in gens:
-        d1 = delta1(f)
-        g = -apply_sigma(split, d1)
-        g_list.append(g)
-        residuals.append(s_p * d1 + g.frobenius())
-    target = ModuleVector(residuals)
+    lifts, residuals = zip(*(_lift_and_residual(f, split, s_p)
+                             for f in gens))
     timings["delta1"] = _ms_since(t)
 
     t = time.perf_counter()
-    # generator order is part of the certificate contract: gradient-power
-    # columns w_1..w_n (zero columns included), then f_j e_i by (i, j)
-    module_gens: list[ModuleVector] = []
-    for k in range(ring.nvars):
-        module_gens.append(ModuleVector(
-            [f.derivative(k).frobenius() for f in gens]))
-    zero = ring.zero()
-    for i in range(m):
-        for f in gens:
-            module_gens.append(ModuleVector(
-                [f if t2 == i else zero for t2 in range(m)]))
-    mgb = module_buchberger(module_gens, order, track=certificates)
-    nf = module_normal_form(target, mgb)
-    member = nf.is_zero()
-    cofactors = mgb.cofactors(target) if certificates and member else None
+    if m == 1:
+        member, rem, cofactors = _ideal_residual_membership(
+            residuals[0], gens[0], iso_gb, order, certificates)
+        remainder = (rem,)
+    else:
+        member, remainder, cofactors = _module_residual_membership(
+            residuals, gens, order, certificates)
     timings["groebner"] = _ms_since(t)
-    timings["total"] = _ms_since(t_start)
 
-    conclusive = True
-    if not member and (split.s != ring.one() or not origin_only):
-        conclusive = False
-    cert = Certificate(
+    # A positive containment certifies liftability at the origin, even
+    # when the screen found singular points elsewhere (status
+    # SINGULAR_ELSEWHERE; the localized ring is what is classified).  A
+    # negative one is conclusive only if the origin is the sole singular
+    # point, and, for m >= 2, only if the section is a splitting (s = 1):
+    # the converse of the shared-cofactor test needs that, while the
+    # hypersurface test holds for any unit s.
+    conclusive = member or (status == ISOLATED and
+                            (m == 1 or split.s == split.s.ring.one()))
+    return report("classified", True, member, conclusive, Certificate(
         fedder_survivor=split.survivor,
         sigma_trace_constant=split.trace_constant,
-        g=tuple(g_list), remainder=nf.coordinates,
-        cofactors=tuple(cofactors) if cofactors else None)
-    return LiftabilityReport(
-        p=ring.p, variables=ring.variables,
-        generators=tuple(format_poly(g) for g in gens),
-        status="classified", f_pure=True, f_liftable=member,
-        conclusive=conclusive, certificate=cert, timings_ms=timings,
-        order=order.name)
-
-
-def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
-             certificates: bool = False) -> LiftabilityReport:
-    """Dispatch: one generator goes down the hypersurface pipeline, more
-    down the complete-intersection pipeline.
-    """
-    gens = list(gens)
-    if len(gens) == 1:
-        return classify_hypersurface(gens[0], order=order,
-                                     certificates=certificates)
-    return classify_complete_intersection(gens, order=order,
-                                          certificates=certificates)
+        g=lifts, remainder=remainder, cofactors=cofactors))
 
 
 def _ms_since(t0: float) -> float:

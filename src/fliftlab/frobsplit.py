@@ -178,11 +178,6 @@ def delta1_integer_oracle(f: Poly) -> Poly:
     return Poly._make(ring, out)
 
 
-def bracket_power(gens: Sequence[Poly]) -> list[Poly]:
-    """p-th powers of the generators; generates the bracket power ideal."""
-    return [g.frobenius() for g in gens]
-
-
 def _product(gens: Sequence[Poly]) -> Poly:
     acc = gens[0]
     for g in gens[1:]:
@@ -210,15 +205,6 @@ def find_fedder_survivor(h: Poly) -> tuple[int, ...] | None:
             if best_key is None or k > best_key:
                 best, best_key = mono, k
     return best
-
-
-def fedder_fpure_test(gens: Sequence[Poly]) -> bool:
-    """F-purity at the origin: (prod gens)^(p-1) has a monomial with all
-    exponents <= p-1, i.e. it avoids (x_1^p, ..., x_n^p).
-    """
-    ring = _check_gens(gens)
-    h = _product(gens) ** (ring.p - 1)
-    return find_fedder_survivor(h) is not None
 
 
 @dataclass(frozen=True)

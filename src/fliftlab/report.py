@@ -1,5 +1,6 @@
 """Serialization of classification reports: JSON (schema "fliftlab/1"),
-CSV rows, markdown and plain text.
+and the one renderer per format that the commands share: CSV and
+markdown tables, aligned text tables and plain text.
 
 JSON schema (stable, versioned):
   { version, p, variables: [...], generators: [...], status, f_pure,
@@ -113,11 +114,42 @@ def _yn(v: bool | None) -> str:
     return "Y" if v else "N"
 
 
-def report_csv_row(report: LiftabilityReport, family: str = "adhoc",
-                   params: str = "") -> str:
-    ms = report.timings_ms.get("total", 0.0)
-    return (f"{report.p},{family},{params},{_yn(report.f_pure)},"
-            f"{_yn(report.f_liftable)},{_yn(report.conclusive)},{ms:.1f}")
+def _cell(v) -> str:
+    """Y/N/- for a verdict field, str() for anything else."""
+    return _yn(v) if v is None or isinstance(v, bool) else str(v)
+
+
+def csv_table(rows) -> str:
+    """CSV_HEADER, then one line per (p, family, params, f_pure,
+    f_liftable, conclusive, ms) row."""
+    lines = [CSV_HEADER]
+    lines += [",".join(_cell(c) for c in cells) + f",{ms:.1f}"
+              for *cells, ms in rows]
+    return "\n".join(lines) + "\n"
+
+
+def markdown_table(header, rows) -> str:
+    lines = ["| " + " | ".join(header) + " |",
+             "|" + "|".join("---" for _ in header) + "|"]
+    lines += ["| " + " | ".join(_cell(c) for c in row) + " |" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def text_table(header, rows) -> str:
+    """Columns padded to their widest cell, trailing blanks stripped."""
+    body = [[_cell(c) for c in row] for row in rows]
+    widths = [max(len(h), *(len(r[i]) for r in body))
+              for i, h in enumerate(header)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                   + "\n" for row in [header, *body])
+
+
+def sweep_text(rows) -> str:
+    """One line per (p, exponents, f_pure, f_liftable, conclusive, ms) row."""
+    return "".join(f"p={p} {tuple(t)}: F-pure={_yn(pure)} "
+                   f"F-liftable={_yn(lift)} conclusive={_yn(concl)} "
+                   f"({ms:.1f} ms)\n"
+                   for p, t, pure, lift, concl, ms in rows)
 
 
 def report_text(report: LiftabilityReport) -> str:

@@ -15,9 +15,8 @@ from fliftlab.catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
                               cusp_hyp_admissible, cusp_hyp_symmetry_class,
                               enumerate_table_rows, make_cusp_ci,
                               make_cusp_hypersurface)
-from fliftlab.criteria import (LiftabilityReport,
-                               classify_complete_intersection,
-                               classify_hypersurface, residual_polynomial)
+from fliftlab.criteria import (LiftabilityReport, classify,
+                               residual_polynomial)
 from fliftlab.fp_poly import PolyRing
 from fliftlab.frobsplit import delta1, delta1_integer_oracle, frobenius_decompose
 
@@ -40,7 +39,7 @@ def test_criterion_1_table_reproduction():
     total = 0
     for inst in enumerate_table_rows(8):
         total += 1
-        rep = classify_hypersurface(inst.poly)
+        rep = classify([inst.poly])
         got = (rep.f_pure, rep.f_liftable)
         want = (inst.expected.f_pure, inst.expected.f_liftable)
         if got != want:
@@ -56,7 +55,7 @@ def test_criterion_2_e8_1_at_p5_exception():
     """The headline exception: E_8^1 at p = 5 is F-pure but not F-liftable."""
     started = time.perf_counter()
     ring = PolyRing(["x", "y", "z"], 5)
-    rep = classify_hypersurface(ring.parse("z^2+x^3+y^5+x*y^4"))
+    rep = classify([ring.parse("z^2+x^3+y^5+x*y^4")])
     assert rep.status == "classified"
     assert rep.f_pure is True
     assert rep.f_liftable is False
@@ -124,7 +123,7 @@ def test_criterion_4_cusp_sweeps():
     for p, max_exp in ((2, 10), (3, 12), (5, 12), (7, 12)):
         verdicts = {}
         for cls in _sweep_classes(p, max_exp):
-            rep = classify_hypersurface(make_cusp_hypersurface(p, *cls))
+            rep = classify([make_cusp_hypersurface(p, *cls)])
             verdicts[cls] = rep.f_liftable
             if rep.f_liftable is not True:
                 failures.append((p, cls, rep.status, rep.f_liftable))
@@ -148,7 +147,7 @@ def test_criterion_5_ci_cusp_sweep():
     all_tuples = [t for t in itertools.product(range(2, 7), repeat=4)
                   if cusp_ci_admissible(*t)]
     for cls in sorted({cusp_ci_symmetry_class(t) for t in all_tuples}):
-        rep = classify_complete_intersection(make_cusp_ci(2, *cls))
+        rep = classify(make_cusp_ci(2, *cls))
         verdicts[cls] = rep.f_liftable
         if rep.f_liftable is not True:
             failures.append((cls, rep.status, rep.f_liftable))
@@ -193,17 +192,16 @@ def test_criterion_6_property_suites():
     perm_checked = 0
     rescale_checked = 0
     for inst in enumerate_table_rows(3):
-        base = classify_hypersurface(inst.poly)
+        base = classify([inst.poly])
         verdict = (base.f_pure, base.f_liftable)
         for perm in itertools.permutations(range(3)):
-            rep = classify_hypersurface(inst.poly.permute_variables(perm))
+            rep = classify([inst.poly.permute_variables(perm)])
             assert (rep.f_pure, rep.f_liftable) == verdict, \
                 (inst.row.row_label, inst.p, perm)
             perm_checked += 1
         if inst.p > 2:
             for v in range(3):
-                rep = classify_hypersurface(
-                    inst.poly.substitute_scaled(v, 2))
+                rep = classify([inst.poly.substitute_scaled(v, 2)])
                 assert (rep.f_pure, rep.f_liftable) == verdict, \
                     (inst.row.row_label, inst.p, "scale", v)
                 rescale_checked += 1

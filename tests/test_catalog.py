@@ -6,8 +6,8 @@ from fliftlab.catalog import (CUSP_EXPECTED, InadmissibleParameterError,
                               TABLE_ROWS, UnknownFamilyError,
                               cusp_ci_symmetry_class,
                               cusp_hyp_symmetry_class, enumerate_table_rows,
-                              expected_classification, export_manifest,
-                              make_cusp_ci, make_cusp_hypersurface, make_rdp)
+                              expected_classification, make_cusp_ci,
+                              make_cusp_hypersurface, make_rdp)
 from fliftlab.fp_poly import format_poly, parse_poly
 
 
@@ -178,23 +178,11 @@ def test_symmetry_classes():
 
 
 def test_symmetry_transfers_verdicts():
-    from fliftlab.criteria import classify_hypersurface
-    base = classify_hypersurface(make_cusp_hypersurface(3, 3, 4, 7))
+    from fliftlab.criteria import classify
+    base = classify([make_cusp_hypersurface(3, 3, 4, 7)])
     for perm in ((4, 3, 7), (7, 4, 3), (3, 7, 4)):
-        other = classify_hypersurface(make_cusp_hypersurface(3, *perm))
+        other = classify([make_cusp_hypersurface(3, *perm)])
         assert (other.f_pure, other.f_liftable) == (base.f_pure, base.f_liftable)
-
-
-def test_manifest_export():
-    import json
-    manifest = export_manifest(2)
-    json.dumps(manifest)  # must be directly serializable
-    assert all(e["version"] == "fliftlab/1" for e in manifest)
-    entry = next(e for e in manifest if e["family"] == "E_8^1" and e["p"] == 5)
-    assert entry["expected"]["f_pure"] is True
-    assert entry["expected"]["f_liftable"] is False
-    assert entry["expected"]["ret_lit"] is True
-    assert entry["generators"] == ["x*y^4 + y^5 + x^3 + z^2"]
 
 
 def test_cusp_expected_record():

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -220,13 +221,38 @@ def test_table_json_and_csv_formats(capsys):
     assert any(l.startswith("5,E_8^1,,Y,N,Y,") for l in out.splitlines())
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+# timings vary run to run: "12.3 ms" in text, the trailing csv column
+_TIMING = re.compile(r"\d+\.\d(?= ms)|(?<=,)\d+\.\d$", re.M)
+
+_E81 = ("classify", "--p", "5", "--vars", "x,y,z",
+        "--poly", "z^2+x^3+y^5+x*y^4")
+_SWEEP_CI = ("sweep", "cusp_ci", "--p", "2", "--max", "3")
+
+GOLDEN_RUNS = {
+    "table_n8.md": ("table", "--n-max", "8", "--format", "md"),
+    "sweep_cusp_ci_p2_max3.txt": _SWEEP_CI,
+    "sweep_cusp_ci_p2_max3.md": _SWEEP_CI + ("--format", "md"),
+    "sweep_cusp_ci_p2_max3.csv": _SWEEP_CI + ("--format", "csv"),
+    "classify_e81_p5.txt": _E81,
+    "classify_e81_p5.md": _E81 + ("--format", "md"),
+    "classify_e81_p5.csv": _E81 + ("--format", "csv"),
+}
+
+
 def test_table_text_output_is_byte_identical(capsys):
-    outs = []
-    for _ in range(2):
-        code, out, _ = run_cli(capsys, "table", "--n-max", "2")
-        assert code == EXIT_OK
-        outs.append(out)
-    assert outs[0] == outs[1]
+    code, out, _ = run_cli(capsys, "table", "--n-max", "8")
+    assert code == EXIT_OK
+    assert out == (GOLDEN / "table_n8.txt").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_output_matches_golden(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *GOLDEN_RUNS[name])
+    assert code == EXIT_OK
+    assert _TIMING.sub("*", out) == (GOLDEN / name).read_text()
 
 
 def test_sweep_parallel_jobs_matches_serial(capsys, tmp_path, monkeypatch):

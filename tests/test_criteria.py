@@ -2,14 +2,16 @@
 
 import pytest
 
+from fliftlab import criteria
 from fliftlab.catalog import enumerate_table_rows
-from fliftlab.criteria import (LiftabilityReport,
-                               TooManyGeneratorsError, classify,
-                               classify_complete_intersection,
-                               classify_hypersurface,
+from fliftlab.criteria import (LiftabilityReport, TooManyGeneratorsError,
+                               _ideal_residual_membership,
+                               _module_residual_membership, classify,
                                isolated_singularity_check,
                                residual_polynomial)
 from fliftlab.fp_poly import PolyRing
+from fliftlab.frobsplit import build_splitting
+from fliftlab.groebner import GREVLEX
 
 
 def _r(p, names=("x", "y", "z")):
@@ -38,43 +40,43 @@ def test_singular_elsewhere_detected():
 
 
 def test_classify_headline_cases():
-    rep = classify_hypersurface(_r(5).parse("z^2+x^3+y^5+x*y^4"))
+    rep = classify([_r(5).parse("z^2+x^3+y^5+x*y^4")])
     assert (rep.f_pure, rep.f_liftable) == (True, False)
     assert rep.conclusive
 
-    rep = classify_hypersurface(_r(2).parse("z^2+x^2*y+x*y^2+x*y*z"))
+    rep = classify([_r(2).parse("z^2+x^2*y+x*y^2+x*y*z")])
     assert (rep.f_pure, rep.f_liftable) == (True, True)
 
-    rep = classify_hypersurface(_r(2).parse("x^3+y^4+z^5+x*y*z"))
+    rep = classify([_r(2).parse("x^3+y^4+z^5+x*y*z")])
     assert rep.f_liftable
 
-    rep = classify_hypersurface(_r(3).parse("z^2+x^3+y^4+x^2*y^2"))
+    rep = classify([_r(3).parse("z^2+x^3+y^4+x^2*y^2")])
     assert (rep.f_pure, rep.f_liftable) == (True, True)
 
 
 def test_classify_rejects_bad_input():
     ring = _r(2)
     with pytest.raises(ValueError):
-        classify_hypersurface(ring.zero())
+        classify([ring.zero()])
     with pytest.raises(ValueError):
-        classify_hypersurface(ring.one())
+        classify([ring.one()])
 
 
 def test_not_isolated_report():
-    rep = classify_hypersurface(_r(3).parse("x^2"))
+    rep = classify([_r(3).parse("x^2")])
     assert rep.status == "not_isolated"
     assert rep.f_pure is None and rep.f_liftable is None
     assert not rep.conclusive
 
 
 def test_smooth_report():
-    rep = classify_hypersurface(_r(5).parse("x"))
+    rep = classify([_r(5).parse("x")])
     assert rep.status == "smooth"
     assert rep.f_pure and rep.f_liftable and rep.conclusive
 
 
 def test_non_fpure_short_circuit():
-    rep = classify_hypersurface(_r(2).parse("z^2+x^2*y+x*y^3"))
+    rep = classify([_r(2).parse("z^2+x^2*y+x*y^3")])
     assert rep.status == "classified"
     assert (rep.f_pure, rep.f_liftable, rep.conclusive) == (False, False, True)
     assert rep.certificate.fedder_survivor is None
@@ -121,15 +123,15 @@ def test_residual_degenerate_zero_delta1():
 
 def test_ci_examples():
     r4 = PolyRing(["x", "y", "z", "w"], 2)
-    rep = classify_complete_intersection(
+    rep = classify(
         [r4.parse("x*y+z^3+w^2"), r4.parse("z*w+x^2+y^2")])
     assert (rep.f_pure, rep.f_liftable) == (True, True)
 
-    rep = classify_complete_intersection(
+    rep = classify(
         [r4.parse("x*y+z^3+w^3"), r4.parse("z*w+x^3+y^3")])
     assert (rep.f_pure, rep.f_liftable) == (True, True)
 
-    rep = classify_complete_intersection([r4.parse("x"), r4.parse("y")])
+    rep = classify([r4.parse("x"), r4.parse("y")])
     assert rep.status == "smooth"
     assert rep.f_pure and rep.f_liftable
 
@@ -137,7 +139,7 @@ def test_ci_examples():
 def test_ci_certificates():
     r4 = PolyRing(["x", "y", "z", "w"], 2)
     gens = [r4.parse("x*y+z^3+w^2"), r4.parse("z*w+x^2+y^2")]
-    rep = classify_complete_intersection(gens, certificates=True)
+    rep = classify(gens, certificates=True)
     assert rep.f_liftable
     assert rep.certificate.cofactors is not None
 
@@ -145,7 +147,7 @@ def test_ci_certificates():
 def test_hypersurface_certificates_roundtrip():
     ring = _r(2)
     f = ring.parse("z^2+x^2*y+x*y^2+x*y*z")
-    rep = classify_hypersurface(f, certificates=True)
+    rep = classify([f], certificates=True)
     assert rep.f_liftable
     cof = rep.certificate.cofactors
     assert cof is not None
@@ -166,13 +168,25 @@ def test_classify_dispatch():
 
 
 def test_hypersurface_ci_consistency_on_full_table():
-    # single-generator CI path must agree with the hypersurface path on
-    # every catalog equation
+    # the module route holds for any m; on one generator it must agree
+    # with the seeded ideal route on every catalog equation.  Both reduce
+    # modulo the reduced basis of one ideal, so the remainders agree too.
+    compared = 0
     for inst in enumerate_table_rows(8):
-        hyp = classify_hypersurface(inst.poly)
-        ci = classify_complete_intersection([inst.poly])
-        assert (hyp.f_pure, hyp.f_liftable) == (ci.f_pure, ci.f_liftable), \
+        f = inst.poly
+        status, iso_gb = isolated_singularity_check([f])
+        split = build_splitting([f])
+        if status in ("smooth", "not_isolated") or not split.fpure_at_origin:
+            continue
+        residual = residual_polynomial(f, split)
+        ideal = _ideal_residual_membership(residual, f, iso_gb, GREVLEX,
+                                           False)
+        module = _module_residual_membership([residual], [f], GREVLEX,
+                                             False)
+        assert (ideal[0], (ideal[1],)) == module[:2], \
             (inst.row.row_label, inst.p, inst.params)
+        compared += 1
+    assert compared > 70
 
 
 def test_seeded_membership_agrees_with_naive_route():
@@ -212,47 +226,54 @@ def test_verdicts_are_order_independent():
              (3, "z^2+x^3+y^4+x^2*y^2"), (2, "z^2+x^2*y+x*y^3")]
     for p, text in cases:
         f = _r(p).parse(text)
-        a = classify_hypersurface(f)
-        b = classify_hypersurface(f, order=LEX)
+        a = classify([f])
+        b = classify([f], order=LEX)
         assert (a.f_pure, a.f_liftable) == (b.f_pure, b.f_liftable)
         assert b.order == "lex"
 
 
-def test_ci_negative_with_nonunit_section_is_inconclusive():
-    # the known non-liftable equation pushed through the CI path: same
-    # verdict as the hypersurface path, but the negative answer is only
-    # certified when the section is identically 1
-    f = _r(5).parse("z^2+x^3+y^5+x*y^4")
-    hyp = classify_hypersurface(f)
-    ci = classify_complete_intersection([f])
-    assert (ci.f_pure, ci.f_liftable) == (hyp.f_pure, hyp.f_liftable) == (True, False)
-    assert hyp.conclusive
-    assert not ci.conclusive
+def test_negative_ci_verdict_needs_a_splitting_section(monkeypatch):
+    # no known two-generator input is F-pure and not liftable, so the
+    # module route is stubbed to answer "not a member": the negative
+    # verdict is conclusive only when the section s is identically 1
+    monkeypatch.setattr(criteria, "_module_residual_membership",
+                        lambda residuals, gens, order, want_cofactors:
+                        (False, tuple(residuals), None))
+    r4 = PolyRing(["x", "y", "z", "w"], 3)
+    unit_section = [r4.parse("x*y+z^2+w^2"), r4.parse("z*w+x^2+y^2+2*x*y*w")]
+    r4 = PolyRing(["x", "y", "z", "w"], 2)
+    one_section = [r4.parse("x*y+z^3+w^2"), r4.parse("z*w+x^2+y^2")]
+    for gens, s_is_one in ((unit_section, False), (one_section, True)):
+        assert (build_splitting(gens).s == gens[0].ring.one()) == s_is_one
+        rep = classify(gens)
+        assert rep.status == "classified"
+        assert (rep.f_pure, rep.f_liftable) == (True, False)
+        assert rep.conclusive == s_is_one
 
 
 def test_ci_negative_verdict_same_with_certificates():
-    # a certified negative CI verdict takes its remainder from the tracked
-    # basis; it must match the uncertified run
+    # the module route on the known non-liftable equation (m = 1): a
+    # certified negative answer takes its remainder from the tracked
+    # basis, and it must match the uncertified run
     f = _r(5).parse("z^2+x^3+y^5+x*y^4")
-    plain = classify_complete_intersection([f])
-    cert = classify_complete_intersection([f], certificates=True)
-    assert (cert.f_pure, cert.f_liftable) == (plain.f_pure, plain.f_liftable) \
-        == (True, False)
-    assert cert.certificate.remainder == plain.certificate.remainder
-    assert not any(r.is_zero() for r in cert.certificate.remainder)
-    assert not cert.conclusive and not plain.conclusive
-    assert cert.certificate.cofactors is None
+    residual = residual_polynomial(f)
+    plain = _module_residual_membership([residual], [f], GREVLEX, False)
+    cert = _module_residual_membership([residual], [f], GREVLEX, True)
+    assert plain[0] is False and cert[0] is False
+    assert cert[1] == plain[1]
+    assert not any(r.is_zero() for r in cert[1])
+    assert cert[2] is None and plain[2] is None
 
 
 def test_singular_elsewhere_positive_verdict_is_conclusive():
     # extra singular points away from the origin: membership still certifies
-    rep = classify_hypersurface(_r(7).parse("x^11+y^12+z^12+x*y*z"))
+    rep = classify([_r(7).parse("x^11+y^12+z^12+x*y*z")])
     assert rep.status == "classified"
     assert rep.f_liftable and rep.conclusive
 
 
 def test_timings_present():
-    rep = classify_hypersurface(_r(2).parse("z^2+x^2*y+x*y^2+x*y*z"))
+    rep = classify([_r(2).parse("z^2+x^2*y+x*y^2+x*y*z")])
     for key in ("isolated", "fedder", "delta1", "groebner", "total"):
         assert key in rep.timings_ms
         assert rep.timings_ms[key] >= 0.0

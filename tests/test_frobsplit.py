@@ -9,10 +9,9 @@ import pytest
 
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               PolyRing)
-from fliftlab.frobsplit import (apply_sigma, bracket_power, build_splitting,
-                                delta1, delta1_integer_oracle,
-                                fedder_fpure_test, frobenius_decompose,
-                                trace_u)
+from fliftlab.frobsplit import (apply_sigma, build_splitting, delta1,
+                                delta1_integer_oracle, find_fedder_survivor,
+                                frobenius_decompose, trace_u)
 from fliftlab.groebner import buchberger, normal_form
 
 from support import random_poly, random_nonzero_poly
@@ -157,36 +156,16 @@ def test_wilson_coefficient_law_exhaustive():
                 assert wilson == exact % p
 
 
-def test_bracket_power():
-    ring = PolyRing(["x", "y"], 2)
-    assert bracket_power([ring.parse("x"), ring.parse("y")]) == \
-        [ring.parse("x^2"), ring.parse("y^2")]
-    r2 = PolyRing(["x", "y", "z"], 2)
-    f = r2.parse("z^2+x^2*y+x*y^2+x*y*z")
-    parts = [f.derivative(v) for v in range(3)]
-    assert bracket_power(parts) == [g * g for g in parts]
-    assert bracket_power([ring.zero()]) == [ring.zero()]
-
-
-def test_bracket_power_matches_binary_pow_random():
-    rng = random.Random(111)
-    for p in (2, 3, 5):
-        ring = PolyRing(["x", "y"], p)
-        for _ in range(10):
-            g = random_poly(rng, ring, 4, 5)
-            assert bracket_power([g]) == [g ** p]
-
-
 def test_fedder_examples():
     ring = PolyRing(["x", "y", "z"], 2)
-    assert fedder_fpure_test([ring.parse("z^2+x^2*y+x*y^3+x*y*z")])
-    assert not fedder_fpure_test([ring.parse("z^2+x^2*y+x*y^3")])
+    assert build_splitting([ring.parse("z^2+x^2*y+x*y^3+x*y*z")]).fpure_at_origin
+    assert not build_splitting([ring.parse("z^2+x^2*y+x*y^3")]).fpure_at_origin
     r5 = PolyRing(["x", "y", "z"], 5)
-    assert fedder_fpure_test([r5.parse("z^2+x^3+y^5+x*y^4")])
+    assert build_splitting([r5.parse("z^2+x^3+y^5+x*y^4")]).fpure_at_origin
     with pytest.raises(ValueError):
-        fedder_fpure_test([ring.zero()])
+        build_splitting([ring.zero()])
     with pytest.raises(ValueError):
-        fedder_fpure_test([])
+        build_splitting([])
 
 
 def test_build_splitting_examples():
@@ -212,7 +191,11 @@ def test_fedder_sigma_consistency_random():
         gens = [random_nonzero_poly(rng, ring, 4, 4)
                 for _ in range(rng.randint(1, 2))]
         split = build_splitting(gens)
-        assert fedder_fpure_test(gens) == (split.trace_constant != 0)
+        h = gens[0]
+        for g in gens[1:]:
+            h = h * g
+        survives = find_fedder_survivor(h ** (p - 1)) is not None
+        assert survives == (split.trace_constant != 0)
         assert split.fpure_at_origin == (split.trace_constant != 0)
 
 

@@ -2,9 +2,9 @@
 
 import json
 
-from fliftlab.criteria import classify_complete_intersection, classify_hypersurface
+from fliftlab.criteria import classify
 from fliftlab.fp_poly import PolyRing
-from fliftlab.report import (CSV_HEADER, report_csv_row, report_from_dict,
+from fliftlab.report import (CSV_HEADER, csv_table, report_from_dict,
                              report_text, report_to_dict, report_to_json)
 
 SCHEMA_KEYS = {"version", "p", "variables", "generators", "status", "f_pure",
@@ -14,7 +14,7 @@ SCHEMA_KEYS = {"version", "p", "variables", "generators", "status", "f_pure",
 
 def _sample_report(certificates=False):
     ring = PolyRing(["x", "y", "z"], 5)
-    return classify_hypersurface(ring.parse("z^2+x^3+y^5+x*y^4"),
+    return classify([ring.parse("z^2+x^3+y^5+x*y^4")],
                                  certificates=certificates)
 
 
@@ -42,7 +42,7 @@ def test_json_roundtrip():
 
 def test_json_roundtrip_ci():
     ring = PolyRing(["x", "y", "z", "w"], 2)
-    rep = classify_complete_intersection(
+    rep = classify(
         [ring.parse("x*y+z^3+w^2"), ring.parse("z*w+x^2+y^2")],
         certificates=True)
     d1 = report_to_dict(rep)
@@ -59,8 +59,10 @@ def test_json_text_is_valid():
 
 def test_csv_row():
     rep = _sample_report()
-    row = report_csv_row(rep, "E_8^1", "")
-    fields = row.split(",")
+    text = csv_table([(rep.p, "E_8^1", "", rep.f_pure, rep.f_liftable,
+                       rep.conclusive, rep.timings_ms["total"])])
+    assert text.splitlines()[0] == CSV_HEADER
+    fields = text.splitlines()[1].split(",")
     assert CSV_HEADER.split(",") == ["p", "family", "params", "f_pure",
                                      "f_liftable", "conclusive", "ms"]
     assert fields[0] == "5"
@@ -76,7 +78,7 @@ def test_text_rendering():
     assert "cofactors" not in text  # non-member has no cofactors
 
     ring = PolyRing(["x", "y", "z"], 2)
-    rep = classify_hypersurface(ring.parse("z^2+x^2*y+x*y^2+x*y*z"),
+    rep = classify([ring.parse("z^2+x^2*y+x*y^2+x*y*z")],
                                 certificates=True)
     text = report_text(rep)
     assert "cofactors" in text
