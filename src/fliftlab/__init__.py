@@ -5,12 +5,10 @@ machine-checkable certificates.
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, FpPolyError,
                       NotPrimeError, ParseError, Poly, PolyRing,
-                      UnknownVariableError, format_poly, parse_poly,
-                      partial_derivative)
+                      UnknownVariableError, format_poly, parse_poly)
 from .groebner import (GREVLEX, LEX, GroebnerBasis, ModuleGroebnerBasis,
                        ModuleVector, MonomialOrder, buchberger,
-                       ideal_membership, is_zero_dimensional,
-                       module_buchberger, module_membership, normal_form,
+                       is_zero_dimensional, module_buchberger, normal_form,
                        quotient_dimension, supported_only_at_origin)
 from .frobsplit import (FrobeniusDecomposition, SplittingData, apply_sigma,
                         build_splitting, delta1, delta1_integer_oracle,
@@ -33,10 +31,9 @@ __all__ = [
     "UnknownVariableError", "apply_sigma", "buchberger", "build_splitting",
     "classify", "delta1", "delta1_integer_oracle", "enumerate_table_rows",
     "expected_classification", "format_poly", "frobenius_decompose",
-    "ideal_membership", "isolated_singularity_check", "is_zero_dimensional",
-    "make_cusp_ci", "make_cusp_hypersurface", "make_rdp",
-    "module_buchberger", "module_membership", "normal_form", "parse_poly",
-    "partial_derivative", "quotient_dimension", "report_from_dict",
-    "report_to_dict", "report_to_json", "residual_polynomial",
-    "supported_only_at_origin", "trace_u",
+    "isolated_singularity_check", "is_zero_dimensional", "make_cusp_ci",
+    "make_cusp_hypersurface", "make_rdp", "module_buchberger", "normal_form",
+    "parse_poly", "quotient_dimension", "report_from_dict", "report_to_dict",
+    "report_to_json", "residual_polynomial", "supported_only_at_origin",
+    "trace_u",
 ]

@@ -6,11 +6,13 @@ machine-checkable certificates.
 the per-generator residuals r_i = s^p * delta1(f_i) + g_i^p with
 g_i = -sigma(F_* delta1(f_i)), and the containment.  sigma is the
 near-splitting built from the survivor-normalized multiplier and
-s = sigma(F_* 1).  The input is F-liftable iff the vector (r_1..r_m)
-lies in the submodule of R^m spanned by the gradient-power columns
-((df_i/dx_k)^p)_i and the multiples f_j e_i, which encodes the
-shared-cofactor condition.  For m = 1 that is r in (f) + I_f^[p], and it
-is decided on the ideal route seeded with the screen's basis.
+s = sigma(F_* 1).  Both the screen and the containment rest on one
+submodule N of R^m, spanned by the multiples f_j e_i and the Jacobian
+columns (df_i/dx_k)_i.  The screen reads the singular locus off the
+support of R^m/N.  The input is F-liftable iff the vector (r_1..r_m)
+lies in N^[p] + (f_j e_i), the span of the gradient-power columns
+((df_i/dx_k)^p)_i and the f_j e_i, which encodes the shared-cofactor
+condition; for m = 1 that is r in (f) + J^[p].
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fp_poly import Poly, format_poly
-from .groebner import (GREVLEX, GroebnerBasis, ModuleVector, MonomialOrder,
-                       buchberger, is_zero_dimensional, module_buchberger,
-                       module_normal_form, normal_form,
-                       normal_form_with_cofactors, reduce_by_generators,
-                       supported_only_at_origin)
+from .groebner import (GREVLEX, ModuleGroebnerBasis, ModuleVector,
+                       MonomialOrder, is_zero_dimensional, module_buchberger,
+                       module_normal_form, normal_form_with_cofactors,
+                       reduce_by_generators, supported_only_at_origin)
+# unused here, but bound for perfbench/tracer.py, which patches the
+# engine functions by name in this module
+from .groebner import buchberger, normal_form  # noqa: F401
 from .frobsplit import SplittingData, apply_sigma, build_splitting, delta1
 
 SMOOTH = "smooth"
@@ -72,32 +76,45 @@ class LiftabilityReport:
 def isolated_singularity_check(gens: Sequence[Poly],
                                order: MonomialOrder = GREVLEX, *,
                                track: bool = False
-                               ) -> tuple[str, GroebnerBasis]:
-    """Classify the vanishing locus of the generators plus all their
-    partials: smooth / isolated_at_origin_only / singular_elsewhere /
-    not_isolated.  Returns the basis of that locus ideal as well, built
-    with `track` (its generators are the inputs, then the partials of
-    each input in variable order).
+                               ) -> tuple[str, ModuleGroebnerBasis]:
+    """Classify the support of R^m/N: smooth (N = R^m) /
+    isolated_at_origin_only / singular_elsewhere / not_isolated.
+
+    N is spanned by the f_j e_i, by (i, j), followed by the Jacobian
+    columns (df_i/dx_k)_i, by k; for m = 1 it is the ideal
+    (f, df/dx_1, ..., df/dx_n).  The 0th Fitting ideal of R^m/N, made of
+    the m x m minors of that presentation, contains f_j^m and lies in
+    (f) + (m x m minors of the Jacobian), so the support of R^m/N is
+    V(f) cut with those minors: the singular locus by the Jacobian
+    criterion (Eisenbud, Commutative Algebra, Section 20).  Input of
+    codimension below m comes out not_isolated: by Krull's principal
+    ideal theorem every component of V(f) has codimension at most m,
+    and along one of codimension c < m, which is positive-dimensional,
+    the Jacobian has rank at most c, so every m x m minor vanishes.
+
+    Returns the reduced basis of N as well, built with `track`.
     """
     if not gens:
         raise ValueError("generator list must be nonempty")
     ring = gens[0].ring
-    if len(gens) > ring.nvars:
+    m = len(gens)
+    if m > ring.nvars:
         raise TooManyGeneratorsError(
-            f"{len(gens)} generators in {ring.nvars} variables is not a "
+            f"{m} generators in {ring.nvars} variables is not a "
             "complete intersection")
-    jac = list(gens)
-    for g in gens:
-        for v in range(ring.nvars):
-            jac.append(g.derivative(v))
-    gb = buchberger(jac, order, track=track)
-    if gb.contains_one():
-        return SMOOTH, gb
-    if not is_zero_dimensional(gb):
-        return NOT_ISOLATED, gb
-    if supported_only_at_origin(gb):
-        return ISOLATED, gb
-    return SINGULAR_ELSEWHERE, gb
+    zero = ring.zero()
+    spanning = [ModuleVector([f if t == i else zero for t in range(m)])
+                for i in range(m) for f in gens]
+    spanning += [ModuleVector([f.derivative(k) for f in gens])
+                 for k in range(ring.nvars)]
+    basis = module_buchberger(spanning, order, track=track)
+    if basis.contains_one():
+        return SMOOTH, basis
+    if not is_zero_dimensional(basis):
+        return NOT_ISOLATED, basis
+    if supported_only_at_origin(basis):
+        return ISOLATED, basis
+    return SINGULAR_ELSEWHERE, basis
 
 
 def residual_polynomial(f: Poly, split: SplittingData | None = None) -> Poly:
@@ -123,94 +140,70 @@ def _lift_and_residual(f: Poly, split: SplittingData,
     return g, s_p * d1 + g.frobenius()
 
 
-def _ideal_residual_membership(residual: Poly, f: Poly, iso_gb: GroebnerBasis,
-                               order: MonomialOrder, want_cofactors: bool):
-    """Decide residual in (f) + I_f^[p]; returns (member, remainder, cofactors).
+def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
+                         screen: ModuleGroebnerBasis, order: MonomialOrder,
+                         want_cofactors: bool):
+    """Decide (r_1..r_m) in N^[p] + (f_j e_i), with N the screen's
+    submodule; returns (member, remainder coordinates, cofactors).
 
-    Fast path: reduce against {g^p for g in GB((f)+I_f)} + {f}, a
-    generating set of the same ideal ((f) + ((f)+I_f)^[p] = (f) + I_f^[p]
-    because f^p is a multiple of f, and p-th powers of a basis form a
-    basis of the bracket ideal.  A zero remainder already proves
-    membership; otherwise Buchberger completes the generating set,
-    skipping the pairs internal to the known-basis prefix, and reduces
-    the quick remainder.  Cofactors
-    need `iso_gb` built with track=True: its `reprs` carry each screen
-    basis element back to f and its partials.
-    """
-    ring = f.ring
-    seed = [g.frobenius() for g in iso_gb.generators] + [f]
-    if not want_cofactors:
-        quick = reduce_by_generators(residual, seed, order)
-        if quick.is_zero():
-            return True, ring.zero(), None
-        full = buchberger(seed, order, known_gb_prefix=len(iso_gb.generators))
-        # the quick remainder differs from the residual by an ideal
-        # element, so it has the same (unique) normal form
-        rem = normal_form(quick, full)
-        return rem.is_zero(), rem, None
-
-    full = buchberger(seed, order, track=True,
-                      known_gb_prefix=len(iso_gb.generators))
-    rem, quotients = normal_form_with_cofactors(residual, full)
-    member = rem.is_zero()
-    cofactors = None
-    if member:
-        # seed cofactors -> cofactors over (f, f_{x_1}^p, ..., f_{x_n}^p):
-        # each seed element g^p with g = sum(c_t * J_t) over the isolated
-        # ideal generators J = [f, partials...] satisfies
-        # g^p = c_0^p f^(p-1) * f + sum(c_t^p * partial_t^p).
-        seed_cof = [ring.zero()] * len(seed)
-        for q, rep in zip(quotients, full.reprs):
-            if q.is_zero():
-                continue
-            for t in range(len(seed)):
-                if not rep[t].is_zero():
-                    seed_cof[t] = seed_cof[t] + q * rep[t]
-        nparts = ring.nvars
-        out = [ring.zero()] * (1 + nparts)
-        fp_minus1 = f ** (ring.p - 1)
-        for idx, c in enumerate(seed_cof):
-            if c.is_zero():
-                continue
-            if idx == len(seed) - 1:  # the trailing f itself
-                out[0] = out[0] + c
-                continue
-            rep = iso_gb.reprs[idx]
-            out[0] = out[0] + c * rep[0].frobenius() * fp_minus1
-            for t in range(nparts):
-                out[1 + t] = out[1 + t] + c * rep[1 + t].frobenius()
-        cofactors = tuple(out)
-        check = cofactors[0] * f
-        for t in range(nparts):
-            check = check + cofactors[1 + t] * f.derivative(t).frobenius()
-        if check != residual:
-            raise RuntimeError("residual certificate failed re-expansion")
-    return member, rem, cofactors
-
-
-def _module_residual_membership(residuals: Sequence[Poly],
-                                gens: Sequence[Poly], order: MonomialOrder,
-                                want_cofactors: bool):
-    """Decide (r_1..r_m) in the submodule of R^m generated by the
-    gradient-power columns w_k = ((df_i/dx_k)^p)_i and the vectors f_j e_i;
-    returns (member, remainder coordinates, cofactors).  Valid for any m.
+    The p-th powers of the coordinates of N's reduced basis form a basis
+    of N^[p] (leading terms go to p-th powers), so they seed Buchberger
+    as a known prefix, followed by the f_j e_i.  A zero remainder on
+    division by that generating set already proves membership;
+    otherwise Buchberger completes it and reduces the quick remainder,
+    which has the residual's (unique) normal form.  Cofactors run over
+    the f_j e_i by (i, j), then w_1..w_n, w_k = ((df_i/dx_k)^p)_i; they
+    need `screen` built with track=True.
     """
     ring = gens[0].ring
     m = len(gens)
-    # generator order is part of the certificate contract: gradient-power
-    # columns w_1..w_n (zero columns included), then f_j e_i by (i, j)
-    module_gens = [ModuleVector([f.derivative(k).frobenius() for f in gens])
-                   for k in range(ring.nvars)]
-    zero = ring.zero()
-    module_gens += [ModuleVector([f if t == i else zero for t in range(m)])
-                    for i in range(m) for f in gens]
+    multiples = screen.original_generators[:m * m]
+    known = len(screen.generators)
+    seed = [ModuleVector([c.frobenius() for c in g]) for g in screen]
+    seed += multiples
     target = ModuleVector(residuals)
-    mgb = module_buchberger(module_gens, order, track=want_cofactors)
-    nf = module_normal_form(target, mgb)
-    member = nf.is_zero()
-    cofactors = (tuple(mgb.cofactors(target)) if want_cofactors and member
-                 else None)
-    return member, nf.coordinates, cofactors
+    if not want_cofactors:
+        quick = reduce_by_generators(target, seed, order)
+        if quick.is_zero():
+            return True, quick.coordinates, None
+        full = module_buchberger(seed, order, known_gb_prefix=known)
+        rem = module_normal_form(quick, full)
+        return rem.is_zero(), rem.coordinates, None
+
+    full = module_buchberger(seed, order, track=True, known_gb_prefix=known)
+    rem, quotients = normal_form_with_cofactors(target, full)
+    if not rem.is_zero():
+        return False, rem.coordinates, None
+    seed_cof = [ring.zero()] * len(seed)
+    for q, rep in zip(quotients, full.reprs):
+        if q.is_zero():
+            continue
+        for t, r in enumerate(rep):
+            if not r.is_zero():
+                seed_cof[t] = seed_cof[t] + q * r
+    # a seed element g^[p] with g = sum(c_t * N_t) over N's generators is
+    # sum(c_t^p * N_t^[p]), where w_k is the p-th power of a Jacobian
+    # column and (f_j e_i)^[p] = f_j^(p-1) * (f_j e_i)
+    f_pow = [f ** (ring.p - 1) for f in gens]
+    cofactors = seed_cof[known:] + [ring.zero()] * ring.nvars
+    for c, rep in zip(seed_cof, screen.reprs):
+        if c.is_zero():
+            continue
+        for t, r in enumerate(rep):
+            if not r.is_zero():
+                term = c * r.frobenius()
+                cofactors[t] = cofactors[t] + (
+                    term * f_pow[t % m] if t < m * m else term)
+    columns = list(multiples) + [
+        [c.frobenius() for c in g]
+        for g in screen.original_generators[m * m:]]
+    for pos, r in enumerate(residuals):
+        check = ring.zero()
+        for c, col in zip(cofactors, columns):
+            check = check + c * col[pos]
+        if check != r:
+            raise RuntimeError("residual certificate failed re-expansion")
+    return True, rem.coordinates, tuple(cofactors)
 
 
 def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
@@ -222,7 +215,6 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
     for g in gens:
         if g.is_zero() or g.total_degree() < 1:
             raise ValueError("generators must be nonzero and nonconstant")
-    m = len(gens)
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 
@@ -238,9 +230,8 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
             f_pure=f_pure, f_liftable=f_liftable, conclusive=conclusive,
             certificate=certificate, timings_ms=timings, order=order.name)
 
-    # only the m = 1 membership route reads the screen basis' expressions
-    status, iso_gb = isolated_singularity_check(
-        gens, order, track=certificates and m == 1)
+    status, screen = isolated_singularity_check(gens, order,
+                                                track=certificates)
     timings["isolated"] = _ms_since(t_start)
     if status == SMOOTH:
         return report(SMOOTH, True, True, True)
@@ -261,13 +252,8 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
     timings["delta1"] = _ms_since(t)
 
     t = time.perf_counter()
-    if m == 1:
-        member, rem, cofactors = _ideal_residual_membership(
-            residuals[0], gens[0], iso_gb, order, certificates)
-        remainder = (rem,)
-    else:
-        member, remainder, cofactors = _module_residual_membership(
-            residuals, gens, order, certificates)
+    member, remainder, cofactors = _residual_membership(
+        residuals, gens, screen, order, certificates)
     timings["groebner"] = _ms_since(t)
 
     # A positive containment certifies liftability at the origin, even
@@ -278,7 +264,7 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
     # the converse of the shared-cofactor test needs that, while the
     # hypersurface test holds for any unit s.
     conclusive = member or (status == ISOLATED and
-                            (m == 1 or split.s == split.s.ring.one()))
+                            (len(gens) == 1 or split.s == split.s.ring.one()))
     return report("classified", True, member, conclusive, Certificate(
         fedder_survivor=split.survivor,
         sigma_trace_constant=split.trace_constant,

@@ -516,10 +516,6 @@ class _Parser:
         raise ParseError(f"expected a term, found {text!r}" if text else "unexpected end of input", pos)
 
 
-def partial_derivative(f: Poly, var_index: int) -> Poly:
-    return f.derivative(var_index)
-
-
 def format_monomial(mono: tuple[int, ...], variables: tuple[str, ...],
                     style: str = "canonical") -> str:
     if style == "latex":

@@ -10,8 +10,8 @@ ideal is the rank-1 case and carries no slots.  Modules use the
 term-over-position order (e_1 > e_2 > ...) under either monomial order.
 Public names take and return exponent tuples.
 
-Provides reduced bases, normal forms, membership tests with optional
-cofactor certificates, zero-dimensionality and origin-support checks.
+Provides reduced bases, normal forms with optional cofactor
+certificates, and the dimension and origin-support checks of R^s/N.
 The default order is degrevlex; lex is available for debugging.
 """
 
@@ -252,6 +252,7 @@ class GroebnerBasis:
     against them shares one divisor memo (see `_reduce_full`).
     """
 
+    size = 1  # the rank s of the ambient free module
     _slots = 0
 
     def __init__(self, generators: Sequence, order: MonomialOrder,
@@ -281,8 +282,10 @@ class GroebnerBasis:
         return len(self.generators)
 
     def contains_one(self) -> bool:
-        zero = (0,) * self.ring.nvars
-        return any(lm == zero for lm in self.leading_monomials)
+        """Whether the span is the whole module: a unit lead at every
+        position."""
+        return all(any(not any(lm) for lm in leads)
+                   for leads in _position_leads(self))
 
     # An element of the span as the engine's packed term dict, and back.
     def _encode(self, f: Poly) -> dict:
@@ -337,19 +340,20 @@ def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis) -> tuple[Poly, lis
     return rem, [_poly(basis._layout, f.ring, q) for q in quotients]
 
 
-def reduce_by_generators(f: Poly, gens: Sequence[Poly],
-                         order: MonomialOrder = GREVLEX) -> Poly:
-    """Divide f by an arbitrary generator list (no basis completion).
+def reduce_by_generators(f, gens: Sequence, order: MonomialOrder = GREVLEX):
+    """Divide f, a Poly or a ModuleVector, by an arbitrary list of the same
+    kind (no basis completion).
 
     The remainder is not unique unless the list is a Groebner basis, but a
-    zero remainder always proves membership in the generated ideal.
+    zero remainder always proves membership in the generated span.
     """
-    ring = f.ring
-    layout = _Layout(ring.nvars, 0, order, ring.max_degree)
-    reducers = [_prep_reducer(layout.enc_terms(g.terms), ring.p)
+    shell = (ModuleGroebnerBasis if isinstance(f, ModuleVector)
+             else GroebnerBasis)([], order, [f])
+    p = f.ring.p
+    reducers = [_prep_reducer(shell._encode(g), p)
                 for g in gens if not g.is_zero()]
-    rem = _reduce_full(layout.enc_terms(f.terms), reducers, ring.p, layout)
-    return Poly._make(ring, layout.dec_terms(rem))
+    rem = _reduce_full(shell._encode(f), reducers, p, shell._layout)
+    return shell._decode(rem, f.ring)
 
 
 def _spair_terms(fi: dict, fj: dict, si: int, sj: int, p: int,
@@ -607,32 +611,26 @@ def verify_buchberger(basis: GroebnerBasis) -> bool:
     return True
 
 
-def _membership(f, basis: GroebnerBasis, certificate: bool):
-    if not certificate:
-        return _normal_form(f, basis).is_zero()
-    cofactors = basis.cofactors(f)
-    return cofactors is not None, cofactors
-
-
-def ideal_membership(f: Poly, gens: Sequence[Poly],
-                     order: MonomialOrder = GREVLEX, *,
-                     certificate: bool = False):
-    """Decide f in (gens).  With `certificate=True` returns
-    (bool, cofactors) where f = sum(cofactor_i * gens_i); the expansion is
-    re-checked before returning.
-    """
-    return _membership(f, buchberger(gens, order, track=certificate),
-                       certificate)
+def _position_leads(basis: GroebnerBasis) -> list[list[tuple[int, ...]]]:
+    """The leading monomials of a basis at each position of R^s."""
+    slots = basis._slots
+    out: list[list[tuple[int, ...]]] = [[] for _ in range(basis.size)]
+    for lm in basis.leading_monomials:
+        out[lm.index(1) if slots else 0].append(lm[slots:])
+    return out
 
 
 def is_zero_dimensional(basis: GroebnerBasis) -> bool:
-    """True iff every variable has a pure power among the leading monomials."""
-    if basis.contains_one():
-        return True
+    """True iff R^s/N is finite-dimensional: at every position the leads
+    hold 1 or a pure power of every variable."""
     n = basis.ring.nvars
-    for v in range(n):
-        if not any(lm[v] and all(e == 0 for k, e in enumerate(lm) if k != v)
-                   for lm in basis.leading_monomials):
+    for leads in _position_leads(basis):
+        covered: set[int] = set()
+        for lm in leads:
+            support = [v for v, e in enumerate(lm) if e]
+            if len(support) <= 1:
+                covered.update(support or range(n))
+        if len(covered) < n:
             return False
     return True
 
@@ -654,33 +652,48 @@ def _standard_count(lms: list[tuple[int, ...]], nvars: int) -> int:
 
 
 def quotient_dimension(basis: GroebnerBasis) -> int:
-    """Number of standard monomials (k-dimension of the quotient ring)."""
-    if basis.contains_one():
-        return 0
+    """k-dimension of R^s/N: the standard terms, summed over positions."""
     if not is_zero_dimensional(basis):
         raise ValueError("quotient is infinite-dimensional")
-    return _standard_count(list(basis.leading_monomials), basis.ring.nvars)
+    n = basis.ring.nvars
+    return sum(_standard_count(leads, n) for leads in _position_leads(basis))
 
 
 def supported_only_at_origin(basis: GroebnerBasis) -> bool:
-    """True iff x_i^D lies in the ideal for every variable, D the quotient
-    dimension; equivalently the zero locus is (at most) the origin.
+    """True iff x_v^D * e_i lies in N for every variable v and position i,
+    D the quotient dimension; equivalently R^s/N is supported (at most) at
+    the origin, since a module of length D supported there is killed by
+    the D-th power of the maximal ideal.
 
-    Powers are walked by repeated squaring of normal forms, which decides
-    the same predicate with early exit.
+    The power is walked by doubling with early exit: the normal form t of
+    x_v^e * e_i times x_v^e has the normal form of x_v^(2e) * e_i, and
+    that product is a shift of t's packed terms, so no vector is decoded.
     """
     d = quotient_dimension(basis)
     if d == 0:
         return True
-    ring = basis.ring
+    ring, layout, slots = basis.ring, basis._layout, basis._slots
+    zero = (0,) * slots
+
+    def nf(terms: dict) -> dict:
+        return _reduce_full(terms, basis._reducers, ring.p, layout,
+                            memo=basis._memo)
+
     for v in range(ring.nvars):
-        t = normal_form(ring.variable(v), basis)
-        e = 1
-        while not t.is_zero() and e < d:
-            t = normal_form(t * t, basis)
-            e *= 2
-        if not t.is_zero():
-            return False
+        unit = tuple(int(k == v) for k in range(ring.nvars))
+        for i in range(basis.size):
+            slot = tuple(int(k == i) for k in range(slots))
+            t = nf({layout.enc(slot + unit): 1})
+            e = 1
+            while t and e < d:
+                if max(map(layout.degree, t)) + e > ring.max_degree:
+                    raise DegreeGuardError(
+                        f"power of x_{v} exceeds guard {ring.max_degree}")
+                shift = layout.enc(zero + tuple(e * u for u in unit))
+                t = nf({m + shift: c for m, c in t.items()})
+                e *= 2
+            if t:
+                return False
     return True
 
 
@@ -726,8 +739,11 @@ class ModuleVector:
         return all(c.is_zero() for c in self.coordinates)
 
     def _terms(self) -> dict:
-        """Slotted terms: x^a e_i becomes (slots of i) + a."""
-        slots = _slot_count(len(self.coordinates))
+        """Slotted terms: x^a e_i becomes (slots of i) + a.  A vector of
+        size 1 has no slots, so its terms are its coordinate's."""
+        slots = len(self.coordinates)
+        if slots == 1:
+            return self.coordinates[0].terms
         out = {}
         for pos, poly in enumerate(self.coordinates):
             slot = tuple(int(k == pos) for k in range(slots))
@@ -737,10 +753,11 @@ class ModuleVector:
 
     @classmethod
     def _from_terms(cls, terms: dict, ring: PolyRing, size: int) -> "ModuleVector":
-        slots = _slot_count(size)
+        if size == 1:
+            return cls([Poly._make(ring, terms)])
         coords = [dict() for _ in range(size)]
         for t, c in terms.items():
-            coords[t.index(1) if slots else 0][t[slots:]] = c
+            coords[t.index(1)][t[size:]] = c
         return cls([Poly._make(ring, d) for d in coords])
 
     def __repr__(self):
@@ -773,26 +790,18 @@ class ModuleGroebnerBasis(GroebnerBasis):
 
 
 def module_buchberger(gens: Sequence[ModuleVector],
-                      order: MonomialOrder = GREVLEX, *,
-                      track: bool = False) -> ModuleGroebnerBasis:
+                      order: MonomialOrder = GREVLEX, *, track: bool = False,
+                      known_gb_prefix: int = 0) -> ModuleGroebnerBasis:
     """Reduced basis of the submodule of R^s generated by `gens`, computed
-    by the ideal engine on slotted terms (see `buchberger`)."""
+    by the ideal engine on slotted terms (see `buchberger`, also for
+    `track` and `known_gb_prefix`)."""
     gens = list(gens)
     _common_ring(gens)
     size = len(gens[0])
     if any(len(g) != size for g in gens):
         raise ValueError("coordinate-count mismatch between generators")
-    return _basis(ModuleGroebnerBasis, gens, order, track)
+    return _basis(ModuleGroebnerBasis, gens, order, track, known_gb_prefix)
 
 
 def module_normal_form(v: ModuleVector, basis: ModuleGroebnerBasis) -> ModuleVector:
     return _normal_form(v, basis)
-
-
-def module_membership(v: ModuleVector, gens: Sequence[ModuleVector],
-                      order: MonomialOrder = GREVLEX, *,
-                      certificate: bool = False):
-    """Decide whether v lies in the submodule of R^s generated by gens;
-    with `certificate=True` as `ideal_membership`."""
-    return _membership(v, module_buchberger(gens, order, track=certificate),
-                       certificate)

@@ -129,9 +129,11 @@ def csv_table(rows) -> str:
 
 
 def markdown_table(header, rows) -> str:
+    """A `|` inside a cell is escaped as `\\|`, so it splits no column."""
     lines = ["| " + " | ".join(header) + " |",
              "|" + "|".join("---" for _ in header) + "|"]
-    lines += ["| " + " | ".join(_cell(c) for c in row) + " |" for row in rows]
+    lines += ["| " + " | ".join(_cell(c).replace("|", "\\|") for c in row)
+              + " |" for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -38,6 +38,18 @@ def test_classify_ci(capsys):
     assert len(rep["generators"]) == 2
 
 
+def test_classify_ci_cuspidal_curve_is_not_smooth(capsys):
+    # (x, x+y^2-z^3) is the plane cusp y^2 = z^3, not F-pure at p = 5
+    code, out, _ = run_cli(capsys, "classify", "--p", "5", "--vars", "x,y,z",
+                           "--poly", "x", "--poly", "x+y^2-z^3",
+                           "--format", "json")
+    assert code == EXIT_OK
+    rep = json.loads(out)[0]
+    assert rep["status"] == "classified"
+    assert (rep["f_pure"], rep["f_liftable"], rep["conclusive"]) == \
+        (False, False, True)
+
+
 def test_classify_nonprime_exit_1(capsys):
     code, out, err = run_cli(capsys, "classify", "--p", "4", "--vars", "x",
                              "--poly", "x")

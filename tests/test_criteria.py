@@ -1,17 +1,22 @@
 """Classification pipeline: screening, verdicts, certificates, residuals."""
 
+import json
+from itertools import product
+
 import pytest
 
 from fliftlab import criteria
-from fliftlab.catalog import enumerate_table_rows
+from fliftlab.catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
+                              enumerate_table_rows, make_cusp_ci)
 from fliftlab.criteria import (LiftabilityReport, TooManyGeneratorsError,
-                               _ideal_residual_membership,
-                               _module_residual_membership, classify,
-                               isolated_singularity_check,
+                               _lift_and_residual, _residual_membership,
+                               classify, isolated_singularity_check,
                                residual_polynomial)
 from fliftlab.fp_poly import PolyRing
 from fliftlab.frobsplit import build_splitting
-from fliftlab.groebner import GREVLEX
+from fliftlab.groebner import (GREVLEX, ModuleVector, module_buchberger,
+                               module_normal_form)
+from fliftlab.report import report_from_dict, report_to_json
 
 
 def _r(p, names=("x", "y", "z")):
@@ -29,6 +34,21 @@ def test_isolated_examples():
         isolated_singularity_check(
             [ring.parse("x"), ring.parse("y"), ring.parse("z"),
              ring.parse("x+y")])
+
+
+@pytest.mark.parametrize("p, names, texts, verdict", [
+    # a cuspidal plane curve, and a fat point: each used to pass the
+    # m = 1 screen as "smooth", Y/Y, conclusive
+    (5, "xyz", ("x", "x+y^2-z^3"), ("classified", False, False, True)),
+    (3, "xy", ("x", "x+y^2"), ("classified", False, False, True)),
+    # non-reduced along a surface: its singular locus is not isolated
+    (3, "xyzw", ("x*y+z^2", "x*y+z^2+w^3"), ("not_isolated", None, None,
+                                             False)),
+])
+def test_ci_screen_uses_the_jacobian_minors(p, names, texts, verdict):
+    ring = PolyRing(list(names), p)
+    rep = classify([ring.parse(t) for t in texts])
+    assert (rep.status, rep.f_pure, rep.f_liftable, rep.conclusive) == verdict
 
 
 def test_singular_elsewhere_detected():
@@ -136,12 +156,33 @@ def test_ci_examples():
     assert rep.f_pure and rep.f_liftable
 
 
+def _membership_columns(gens):
+    """The membership generators in the documented cofactor order: the
+    f_j e_i by (i, j), then w_k = ((df_i/dx_k)^p)_i for k = 1..n."""
+    ring, m = gens[0].ring, len(gens)
+    cols = [[f if t == i else ring.zero() for t in range(m)]
+            for i in range(m) for f in gens]
+    return cols + [[f.derivative(k).frobenius() for f in gens]
+                   for k in range(ring.nvars)]
+
+
 def test_ci_certificates():
     r4 = PolyRing(["x", "y", "z", "w"], 2)
     gens = [r4.parse("x*y+z^3+w^2"), r4.parse("z*w+x^2+y^2")]
     rep = classify(gens, certificates=True)
     assert rep.f_liftable
-    assert rep.certificate.cofactors is not None
+    # the cofactors re-expand the residual vector after a JSON round trip
+    back = report_from_dict(json.loads(report_to_json(rep)))
+    cof = back.certificate.cofactors
+    cols = _membership_columns(gens)
+    assert len(cof) == len(cols) == 2 * 2 + 4
+    split = build_splitting(gens)
+    s_p = split.s.frobenius()
+    for pos, f in enumerate(gens):
+        expansion = r4.zero()
+        for c, col in zip(cof, cols):
+            expansion = expansion + c * col[pos]
+        assert expansion == _lift_and_residual(f, split, s_p)[1]
 
 
 def test_hypersurface_certificates_roundtrip():
@@ -167,33 +208,45 @@ def test_classify_dispatch():
     assert rep.f_liftable
 
 
-def test_hypersurface_ci_consistency_on_full_table():
-    # the module route holds for any m; on one generator it must agree
-    # with the seeded ideal route on every catalog equation.  Both reduce
-    # modulo the reduced basis of one ideal, so the remainders agree too.
+def _cold_membership(residuals, gens):
+    """The oracle: a cold module Buchberger on (f_j e_i, w_k) and the
+    normal form of the residual vector, sharing nothing with the screen."""
+    basis = module_buchberger(map(ModuleVector, _membership_columns(gens)))
+    nf = module_normal_form(ModuleVector(residuals), basis)
+    return nf.is_zero(), nf.coordinates
+
+
+def _ci_classes(max_exp):
+    return sorted({cusp_ci_symmetry_class(t)
+                   for t in product(range(2, max_exp + 1), repeat=4)
+                   if cusp_ci_admissible(*t)})
+
+
+def test_seeded_membership_matches_cold_oracle():
+    # the seeded route against the cold one on every table row at n <= 8
+    # and every cusp_ci class at p = 2 that reaches membership; a reduced
+    # basis is unique, so the remainders agree too
+    cases = [[inst.poly] for inst in enumerate_table_rows(8)]
+    cases += [make_cusp_ci(2, *t) for t in _ci_classes(6)]
     compared = 0
-    for inst in enumerate_table_rows(8):
-        f = inst.poly
-        status, iso_gb = isolated_singularity_check([f])
-        split = build_splitting([f])
+    for gens in cases:
+        status, screen = isolated_singularity_check(gens)
+        split = build_splitting(gens)
         if status in ("smooth", "not_isolated") or not split.fpure_at_origin:
             continue
-        residual = residual_polynomial(f, split)
-        ideal = _ideal_residual_membership(residual, f, iso_gb, GREVLEX,
-                                           False)
-        module = _module_residual_membership([residual], [f], GREVLEX,
-                                             False)
-        assert (ideal[0], (ideal[1],)) == module[:2], \
-            (inst.row.row_label, inst.p, inst.params)
+        s_p = split.s.frobenius()
+        residuals = [_lift_and_residual(f, split, s_p)[1] for f in gens]
+        seeded = _residual_membership(residuals, gens, screen, GREVLEX, False)
+        assert seeded[:2] == _cold_membership(residuals, gens), \
+            [str(f) for f in gens]
         compared += 1
-    assert compared > 70
+    assert compared == 79 + 119
 
 
 def test_seeded_membership_agrees_with_naive_route():
     # the pipeline seeds Buchberger with bracket powers of the isolated
     # locus basis; the naive route runs Buchberger on (f, I_f^[p]) from
     # scratch.  Both must produce the same remainder.
-    from fliftlab.criteria import _ideal_residual_membership
     from fliftlab.frobsplit import apply_sigma, build_splitting, delta1
     from fliftlab.groebner import GREVLEX, buchberger, normal_form
 
@@ -203,15 +256,15 @@ def test_seeded_membership_agrees_with_naive_route():
              (7, "z^2+x^3+y^5"), (7, "x^3+y^3+z^4+x*y*z")]
     for p, text in cases:
         f = _r(p).parse(text)
-        status, iso_gb = isolated_singularity_check([f])
+        status, screen = isolated_singularity_check([f])
         split = build_splitting([f])
         if not split.fpure_at_origin:
             continue
         d1 = delta1(f)
         g = -apply_sigma(split, d1)
         residual = split.s.frobenius() * d1 + g.frobenius()
-        member, rem, _ = _ideal_residual_membership(residual, f, iso_gb,
-                                                    GREVLEX, False)
+        member, (rem,), _ = _residual_membership([residual], [f], screen,
+                                                 GREVLEX, False)
         naive_gens = [f] + [f.derivative(v).frobenius() for v in range(3)]
         naive_gb = buchberger(naive_gens)
         naive_rem = normal_form(residual, naive_gb)
@@ -236,8 +289,8 @@ def test_negative_ci_verdict_needs_a_splitting_section(monkeypatch):
     # no known two-generator input is F-pure and not liftable, so the
     # module route is stubbed to answer "not a member": the negative
     # verdict is conclusive only when the section s is identically 1
-    monkeypatch.setattr(criteria, "_module_residual_membership",
-                        lambda residuals, gens, order, want_cofactors:
+    monkeypatch.setattr(criteria, "_residual_membership",
+                        lambda residuals, gens, screen, order, want_cofactors:
                         (False, tuple(residuals), None))
     r4 = PolyRing(["x", "y", "z", "w"], 3)
     unit_section = [r4.parse("x*y+z^2+w^2"), r4.parse("z*w+x^2+y^2+2*x*y*w")]
@@ -252,13 +305,17 @@ def test_negative_ci_verdict_needs_a_splitting_section(monkeypatch):
 
 
 def test_ci_negative_verdict_same_with_certificates():
-    # the module route on the known non-liftable equation (m = 1): a
-    # certified negative answer takes its remainder from the tracked
-    # basis, and it must match the uncertified run
+    # the known non-liftable equation, plain and tracked: a certified
+    # negative answer takes its remainder from the tracked basis, and it
+    # must match the uncertified run
     f = _r(5).parse("z^2+x^3+y^5+x*y^4")
     residual = residual_polynomial(f)
-    plain = _module_residual_membership([residual], [f], GREVLEX, False)
-    cert = _module_residual_membership([residual], [f], GREVLEX, True)
+    plain = _residual_membership([residual], [f],
+                                 isolated_singularity_check([f])[1],
+                                 GREVLEX, False)
+    cert = _residual_membership([residual], [f],
+                                isolated_singularity_check([f], track=True)[1],
+                                GREVLEX, True)
     assert plain[0] is False and cert[0] is False
     assert cert[1] == plain[1]
     assert not any(r.is_zero() for r in cert[1])

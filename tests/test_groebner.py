@@ -7,10 +7,11 @@ import pytest
 
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               PolyRing, format_poly)
-from fliftlab.groebner import (GREVLEX, LEX, _Layout, _prep_reducer,
-                               _reduce_full, _standard_count, buchberger,
-                               ideal_membership, is_zero_dimensional,
-                               normal_form, normal_form_with_cofactors,
+from fliftlab.groebner import (GREVLEX, LEX, ModuleVector, _Layout,
+                               _prep_reducer, _reduce_full, _standard_count,
+                               buchberger, is_zero_dimensional,
+                               module_buchberger, normal_form,
+                               normal_form_with_cofactors,
                                order_by_name, quotient_dimension,
                                reduce_by_generators, supported_only_at_origin,
                                verify_buchberger)
@@ -217,17 +218,13 @@ def test_ambient_mismatch():
 
 def test_membership_examples():
     ring = PolyRing(["x", "y"], 5)
-    ok, cof = ideal_membership(ring.parse("x^2*y"),
-                               [ring.parse("x"), ring.parse("y")],
-                               certificate=True)
-    assert ok
+    gb = buchberger([ring.parse("x"), ring.parse("y")], track=True)
+    cof = gb.cofactors(ring.parse("x^2*y"))
     expansion = cof[0] * ring.parse("x") + cof[1] * ring.parse("y")
     assert expansion == ring.parse("x^2*y")
 
-    assert not ideal_membership(ring.one(), [ring.parse("x"), ring.parse("y")])
-    no, cof = ideal_membership(ring.one(), [ring.parse("x"), ring.parse("y")],
-                               certificate=True)
-    assert (no, cof) == (False, None)
+    assert not normal_form(ring.one(), gb).is_zero()
+    assert gb.cofactors(ring.one()) is None
 
 
 def test_membership_d41_closed_form_identity():
@@ -237,7 +234,8 @@ def test_membership_d41_closed_form_identity():
     fx, fy, fz = (f.derivative(v) for v in range(3))
     lhs = ring.parse("z^2") * f + \
         ring.parse("x^2+x*y+x*z+y^2+y*z") * fz * fz
-    assert ideal_membership(lhs, [f, fx * fx, fy * fy, fz * fz])
+    assert normal_form(lhs, buchberger([f, fx * fx, fy * fy,
+                                        fz * fz])).is_zero()
 
 
 def test_zero_dimensionality():
@@ -260,6 +258,44 @@ def test_zero_dimensionality():
     assert is_zero_dimensional(gb)
     assert quotient_dimension(gb) == 0
     assert supported_only_at_origin(gb)
+
+
+def test_rank_aware_predicates_on_a_module():
+    # R^2/N for the fat point (x, x+y^2) at p = 3: N is spanned by the
+    # f_j e_i and the Jacobian columns, and R^2/N is one copy of k at the
+    # origin (the support of R^2/N is the singular locus)
+    ring = PolyRing(["x", "y"], 3)
+    x, y, zero, one = ring.parse("x"), ring.parse("y"), ring.zero(), ring.one()
+    f, g = x, x + y ** 2
+    fat_point = [ModuleVector([f, zero]), ModuleVector([g, zero]),
+                 ModuleVector([zero, f]), ModuleVector([zero, g]),
+                 ModuleVector([one, one]), ModuleVector([zero, 2 * y])]
+    gb = module_buchberger(fat_point)
+    assert not gb.contains_one()
+    assert is_zero_dimensional(gb)
+    assert quotient_dimension(gb) == 1
+    assert supported_only_at_origin(gb)
+
+    # x(x-1) at e_1 and (x, y) at e_2: finite, but x^D e_1 never enters N
+    two_points = [ModuleVector([x * x - x, zero]), ModuleVector([y, zero]),
+                  ModuleVector([zero, x]), ModuleVector([zero, y])]
+    gb = module_buchberger(two_points)
+    assert is_zero_dimensional(gb)
+    assert quotient_dimension(gb) == 3
+    assert not supported_only_at_origin(gb)
+
+    # a pure power of every variable at e_1, only x at e_2: a line
+    line = [ModuleVector([x, zero]), ModuleVector([y, zero]),
+            ModuleVector([zero, x])]
+    gb = module_buchberger(line)
+    assert not is_zero_dimensional(gb)
+    with pytest.raises(ValueError):
+        quotient_dimension(gb)
+    # N = R^2 needs a unit lead at both positions
+    assert not module_buchberger(line + [ModuleVector([zero, one])]
+                                 ).contains_one()
+    assert module_buchberger([ModuleVector([one, y]),
+                              ModuleVector([zero, one])]).contains_one()
 
 
 def test_jacobian_ideal_d41_zero_dimensional():
@@ -333,8 +369,7 @@ def test_certificate_soundness_random():
             gens = [random_nonzero_poly(rng, ring, 3, 3) for _ in range(2)]
             coeffs = [random_poly(rng, ring, 3, 3) for _ in range(2)]
             f = coeffs[0] * gens[0] + coeffs[1] * gens[1]
-            ok, cof = ideal_membership(f, gens, certificate=True)
-            assert ok
+            cof = buchberger(gens, track=True).cofactors(f)
             assert cof[0] * gens[0] + cof[1] * gens[1] == f
 
 
@@ -344,7 +379,7 @@ def test_reduce_by_generators_zero_proves_membership():
     f = ring.parse("x^2*y^2 + y^3")
     rem = reduce_by_generators(f, gens)
     if rem.is_zero():
-        assert ideal_membership(f, gens)
+        assert normal_form(f, buchberger(gens)).is_zero()
 
 
 def _reference_buchberger(gens, order=GREVLEX):
@@ -548,7 +583,7 @@ def run_macaulay_agreement(rng, rounds):
         else:
             f = random_nonzero_poly(rng, ring, 4, 5)
         bound = f.total_degree() + 4
-        member = ideal_membership(f, gens)
+        member = normal_form(f, buchberger(gens)).is_zero()
         oracle = macaulay_membership(f, gens, bound)
         if oracle:
             assert member, "oracle found an expansion the engine rejected"
