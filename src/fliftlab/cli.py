@@ -12,6 +12,7 @@ table --check mismatches and identity failures), 2 resource limit
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -314,8 +315,18 @@ def _read_cursor() -> tuple | None:
 
 
 def _write_cursor(family, p, exponents) -> None:
-    with open(CURSOR_FILE, "w", encoding="utf-8") as fh:
-        fh.write(_cursor_text(family, p, exponents) + "\n")
+    """Replace the cursor file atomically: write a temporary file, then
+    rename it over the cursor.  A write that fails leaves the previous
+    cursor in place and removes the temporary file."""
+    tmp = CURSOR_FILE + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(_cursor_text(family, p, exponents) + "\n")
+        os.replace(tmp, CURSOR_FILE)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _cmd_sweep(cfg: RunConfig, out) -> int:

@@ -153,7 +153,10 @@ def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
     otherwise Buchberger completes it and reduces the quick remainder,
     which has the residual's (unique) normal form.  Cofactors run over
     the f_j e_i by (i, j), then w_1..w_n, w_k = ((df_i/dx_k)^p)_i; they
-    need `screen` built with track=True.
+    need `screen` built with track=True.  The seed's cofactors come from
+    one backward pass over the tracked membership run, and the part on
+    N^[p] maps back to N's generators by a second, Frobenius-twisted pass
+    over the screen's trace (see `GroebnerBasis.expand`).
     """
     ring = gens[0].ring
     m = len(gens)
@@ -174,26 +177,14 @@ def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
     rem, quotients = normal_form_with_cofactors(target, full)
     if not rem.is_zero():
         return False, rem.coordinates, None
-    seed_cof = [ring.zero()] * len(seed)
-    for q, rep in zip(quotients, full.reprs):
-        if q.is_zero():
-            continue
-        for t, r in enumerate(rep):
-            if not r.is_zero():
-                seed_cof[t] = seed_cof[t] + q * r
+    seed_cof = full.expand(quotients)
     # a seed element g^[p] with g = sum(c_t * N_t) over N's generators is
     # sum(c_t^p * N_t^[p]), where w_k is the p-th power of a Jacobian
     # column and (f_j e_i)^[p] = f_j^(p-1) * (f_j e_i)
+    twisted = screen.expand(seed_cof[:known], frobenius=True)
     f_pow = [f ** (ring.p - 1) for f in gens]
-    cofactors = seed_cof[known:] + [ring.zero()] * ring.nvars
-    for c, rep in zip(seed_cof, screen.reprs):
-        if c.is_zero():
-            continue
-        for t, r in enumerate(rep):
-            if not r.is_zero():
-                term = c * r.frobenius()
-                cofactors[t] = cofactors[t] + (
-                    term * f_pow[t % m] if t < m * m else term)
+    cofactors = [c + t * f_pow[k % m] for k, (c, t) in
+                 enumerate(zip(seed_cof[known:], twisted))] + twisted[m * m:]
     columns = list(multiples) + [
         [c.frobenius() for c in g]
         for g in screen.original_generators[m * m:]]

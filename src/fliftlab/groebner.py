@@ -246,10 +246,15 @@ def _poly(layout: _Layout, ring: PolyRing, terms: dict) -> Poly:
 class GroebnerBasis:
     """A reduced, monic Groebner basis with a fixed monomial order.
 
-    `reprs`, when present, expresses each generator as a combination of
-    `original_generators` (cofactor tracking).  `reducers`, when given,
-    are the engine's prepared reducers of `generators`; every reduction
-    against them shares one divisor memo (see `_reduce_full`).
+    `trace`, when present (track=True), is (steps, roots): how the engine
+    formed each element from `original_generators`, which `expand` turns
+    into cofactors.  Node t < len(original_generators) is the t-th
+    original generator, with an empty step; every later node is the sum
+    of multiplier * source over the (source node, packed multiplier)
+    pairs of its step, and every source is an earlier node.  roots[i] is
+    the node of generators[i].  `reducers`, when given, are the engine's
+    prepared reducers of `generators`; every reduction against them
+    shares one divisor memo (see `_reduce_full`).
     """
 
     size = 1  # the rank s of the ambient free module
@@ -257,12 +262,12 @@ class GroebnerBasis:
 
     def __init__(self, generators: Sequence, order: MonomialOrder,
                  original_generators: Sequence,
-                 reprs: Sequence[Sequence[Poly]] | None = None,
+                 trace: tuple[list, list] | None = None,
                  reducers: list[tuple] | None = None):
         self.generators = tuple(generators)
         self.order = order
         self.original_generators = tuple(original_generators)
-        self.reprs = tuple(tuple(r) for r in reprs) if reprs is not None else None
+        self.trace = trace
         self.ring = self.generators[0].ring if self.generators else (
             self.original_generators[0].ring)
         self._layout = _Layout(self.ring.nvars, self._slots, order,
@@ -294,18 +299,77 @@ class GroebnerBasis:
     def _decode(self, terms: dict, ring: PolyRing) -> Poly:
         return Poly._make(ring, self._layout.dec_terms(terms))
 
+    def expand(self, coeffs: Sequence[Poly],
+               frobenius: bool = False) -> list[Poly]:
+        """Cofactors c_t over `original_generators` of the combination
+        sum(coeffs[k] * generators[k]): sum(c_t * original_generators[t])
+        equals it.  With `frobenius`, the cofactors of
+        sum(coeffs[k] * generators[k]^[p]) over the
+        original_generators[t]^[p] instead, ^[p] the coordinate-wise p-th
+        power.  The basis must have been built with track=True.
+
+        One backward pass over the trace (reverse accumulation; Griewank
+        and Walther, Evaluating Derivatives, 2008): a node's adjoint, its
+        coefficient in the combination, is final once every later node
+        has passed its own on, so the nodes are walked in decreasing order
+        and each adds adjoint * multiplier to its sources in place; its
+        coefficients are reduced mod p once, when it is complete.  A
+        product of packed terms is an int addition.  Since
+        (sum c_t N_t)^[p] = sum c_t^p N_t^[p], `frobenius` takes every
+        multiplier to its p-th power, a packed term times p.  Every term
+        stays within the degree guard, so no packed field wraps: a
+        product whose degree would pass the guard raises DegreeGuardError
+        before it is formed.
+        """
+        if self.trace is None:
+            raise ValueError("expanding needs a basis built with track=True")
+        steps, roots = self.trace
+        layout, p, guard = self._layout, self.ring.p, self.ring.max_degree
+        degree = layout.degree
+        zero = (0,) * self._slots
+        adj: list = [None] * len(steps)
+        for node, q in zip(roots, coeffs):
+            adj[node] = {layout.enc(zero + m): c for m, c in q.terms.items()}
+        ngens = len(self.original_generators)
+        for node in range(len(steps) - 1, ngens - 1, -1):
+            a = adj[node]
+            adj[node] = None
+            if a:
+                a = {m: r for m, c in a.items() if (r := c % p)}
+            if not a:
+                continue
+            da = max(map(degree, a))
+            for src, mult in steps[node]:
+                dm = max(map(degree, mult)) * (p if frobenius else 1)
+                if da + dm > guard:
+                    raise DegreeGuardError(
+                        f"cofactor degree {da + dm} exceeds guard {guard}")
+                if frobenius:
+                    mult = {m * p: c for m, c in mult.items()}
+                out = adj[src]
+                if out is None:
+                    out = adj[src] = {}
+                get = out.get
+                for mm, cm in mult.items():
+                    for ma, ca in a.items():
+                        m = ma + mm
+                        out[m] = get(m, 0) + ca * cm
+        return [_poly(layout, self.ring,
+                      {m: r for m, c in (a or {}).items() if (r := c % p)})
+                for a in adj[:ngens]]
+
     def cofactors(self, f) -> list[Poly] | None:
         """Cofactors c_t with f = sum(c_t * original_generators[t]), or None
         when f is not in the span.  The expansion is re-checked before
         returning.  The basis must have been built with track=True.
         """
-        if self.reprs is None:
+        if self.trace is None:
             raise ValueError("cofactors need a basis built with track=True")
-        quotients: list[dict] = [{} for _ in self.generators]
-        if not _normal_form(f, self, quotients).is_zero():
+        rem, quotients = normal_form_with_cofactors(f, self)
+        if not rem.is_zero():
             return None
         ring = f.ring
-        cofactors = _express(quotients, self.reprs, ring, self._layout)
+        cofactors = self.expand(quotients)
         columns = [_coordinates(g) for g in self.original_generators]
         for pos, want in enumerate(_coordinates(f)):
             acc = ring.zero()
@@ -373,21 +437,6 @@ def _spair_terms(fi: dict, fj: dict, si: int, sj: int, p: int,
     return {m: c for m, c in out.items() if c}
 
 
-def _express(quotients: list[dict], reprs: Sequence[Sequence[Poly]],
-             ring: PolyRing, layout: _Layout) -> list[Poly]:
-    """sum(q_k * reprs[k]) coordinate by coordinate: the expression in the
-    original generators of sum(q_k * g_k) when reprs[k] expresses g_k."""
-    out = [ring.zero()] * len(reprs[0])
-    for q, rep in zip(quotients, reprs):
-        if not q:
-            continue
-        qp = _poly(layout, ring, q)
-        for t, r in enumerate(rep):
-            if not r.is_zero():
-                out[t] = out[t] + qp * r
-    return out
-
-
 def _common_ring(gens: Sequence) -> PolyRing:
     if not gens:
         raise ValueError("generator list must be nonempty")
@@ -400,28 +449,28 @@ def _common_ring(gens: Sequence) -> PolyRing:
 
 def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
               track: bool, known_gb_prefix: int = 0
-              ) -> tuple[list[tuple], list[list[Poly]] | None]:
+              ) -> tuple[list[tuple], tuple[list, list] | None]:
     """Buchberger's algorithm on packed term dicts (see `_Layout`).
 
     Returns the prepared reducers (lead, 1, tail) of the reduced basis,
-    largest lead first, and with `track` each element's expression in
-    the generators.  Pairs are pruned once, when an element joins, by the
-    Gebauer-Moeller update (Gebauer and Moeller 1988, as UPDATE in Becker
-    and Weispfenning 1993): a new pair is kept only if no other new
-    pair's lcm divides its lcm (criteria M and F), an old pair is dropped
-    when the new lead divides its lcm strictly on both sides (criterion
-    B_k), and an element whose lead the new lead divides takes no further
-    pairs.  Pairs form only between leads at the same position.  The
-    coprime criterion acts at rank 1 only: slotted terms at one position
-    are never coprime, as their lead product has a slot of 2.  Every
-    basis element carries one prepared reducer, built when it joins, and
-    all S-pair reductions share one divisor memo.  The pair heap pops the
-    smallest lcm first, ties by index; leads, lcms and shifts stay packed
-    throughout, and only `track` decodes shifts and quotients into
-    polynomials.
+    largest lead first, and with `track` the trace (steps, roots) of
+    `GroebnerBasis`: each element that joins records one step, how it was
+    formed, and no expression is built during the run.  Pairs are pruned
+    once, when an element joins, by the Gebauer-Moeller update (Gebauer
+    and Moeller 1988, as UPDATE in Becker and Weispfenning 1993): a new
+    pair is kept only if no other new pair's lcm divides its lcm
+    (criteria M and F), an old pair is dropped when the new lead divides
+    its lcm strictly on both sides (criterion B_k), and an element whose
+    lead the new lead divides takes no further pairs.  Pairs form only
+    between leads at the same position.  The coprime criterion acts at
+    rank 1 only: slotted terms at one position are never coprime, as
+    their lead product has a slot of 2.  Every basis element carries one
+    prepared reducer, built when it joins, and all S-pair reductions
+    share one divisor memo.  The pair heap pops the smallest lcm first,
+    ties by index; leads, lcms, shifts and the recorded multipliers stay
+    packed throughout.
     """
     p = ring.p
-    ngens = len(gens)
     slot_mask = layout.slot_mask
     guard = layout.guard
     lcm_of = layout.lcm
@@ -430,7 +479,10 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     basis: list[dict] = []
     lms: list[int] = []
     reducers: list[tuple] = []  # (lead, 1, tail) of each monic element
-    reprs: list[list[Poly]] = []
+    # with track, one step per node (an input generator's is empty) and
+    # the node of each basis element
+    steps: list[list[tuple]] | None = [[] for _ in gens] if track else None
+    nodes: list[int] = []
     active: list[int] = []  # elements whose lead no later lead divides
     pairs: list[tuple] = []  # heap of (lcm, i, j)
     memo: dict = {}  # the divisor memo of `reducers`
@@ -470,21 +522,21 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
                   if ((lms[g] | guard) - lm) & guard != guard]
         active.append(h)
 
-    def add(lm: int, monic: dict, seed: bool = False) -> None:
+    def add(lm: int, monic: dict, step: list, seed: bool = False) -> None:
         basis.append(monic)
         lms.append(lm)
         reducers.append((lm, 1, tuple(
             (m, c) for m, c in monic.items() if m != lm)))
+        if track:
+            nodes.append(len(steps))
+            steps.append(step)
         update(len(basis) - 1, lm, seed)
 
     for i, g in enumerate(gens):
         if not g:
             continue
         lm, inv, monic = _monic(g, p)
-        if track:
-            reprs.append([ring.from_int(inv) if j == i else ring.zero()
-                          for j in range(ngens)])
-        add(lm, monic, seed=i < known_gb_prefix)
+        add(lm, monic, [(i, {0: inv})], seed=i < known_gb_prefix)
     if not basis:
         raise ValueError("all generators are zero")
 
@@ -502,26 +554,28 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
         if not rem:
             continue
         lm, inv, new = _monic(rem, p)
+        step = None
         if track:
-            # s-poly = shift_i*basis[i] - shift_j*basis[j]; remainder =
-            # s-poly - sum(q_k basis[k]); everything scaled by inv.
-            shift_i = _poly(layout, ring, {si: 1})
-            shift_j = _poly(layout, ring, {sj: 1})
-            reduced = _express(quotients, reprs, ring, layout)
-            reprs.append([(shift_i * a - shift_j * b - r).scale(inv)
-                          for a, b, r in zip(reprs[i], reprs[j], reduced)])
-        add(lm, new)
+            # new = inv * (x^si basis[i] - x^sj basis[j] - sum(q_k basis[k]))
+            step = [(nodes[i], {si: inv}), (nodes[j], {sj: p - inv})]
+            step += [(nodes[k], {m: -inv * c % p for m, c in q.items()})
+                     for k, q in enumerate(quotients) if q]
+        add(lm, new, step)
 
-    return _interreduce(reducers, reprs if track else None, ring, layout,
-                        active)
+    reducers, roots = _interreduce(reducers, ring, layout, active,
+                                   (steps, nodes) if track else None)
+    return reducers, (steps, roots) if track else None
 
 
-def _interreduce(reducers: list[tuple], reprs: list[list[Poly]] | None,
-                 ring: PolyRing, layout: _Layout, active: list[int]
-                 ) -> tuple[list[tuple], list[list[Poly]] | None]:
+def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
+                 active: list[int], trace: tuple[list, list] | None
+                 ) -> tuple[list[tuple], list[int] | None]:
     """The reducers of the reduced basis, largest lead first, from the
-    prepared reducers (lead, 1, tail) of a monic Groebner basis, with the
-    expressions `reprs` carried along.
+    prepared reducers (lead, 1, tail) of a monic Groebner basis.
+
+    `trace`, when given, is the engine's (steps, nodes): every rewritten
+    tail records one more step, the old node minus the quotients over the
+    current nodes, and the nodes of the reduced basis are returned too.
 
     `active` lists the elements whose lead no later lead divides; their
     leads are distinct and generate the lead ideal.  Minimalization walks
@@ -539,8 +593,10 @@ def _interreduce(reducers: list[tuple], reprs: list[list[Poly]] | None,
             keep.append(i)
     keep.reverse()
     reducers = [reducers[i] for i in keep]
-    if reprs is not None:
-        reprs = [reprs[i] for i in keep]
+    nodes = None
+    if trace is not None:
+        steps, nodes = trace
+        nodes = [nodes[i] for i in keep]
 
     # Tail-reduce from the smallest lead up.  A tail term is smaller than
     # its own lead, so only smaller, already reduced elements divide it
@@ -549,15 +605,17 @@ def _interreduce(reducers: list[tuple], reprs: list[list[Poly]] | None,
     for i in range(len(reducers) - 1, -1, -1):
         lm, _, tail = reducers[i]
         tail = dict(tail)
-        quotients = [{} for _ in reducers] if reprs is not None else None
+        quotients = [{} for _ in reducers] if trace is not None else None
         rem = _reduce_full(tail, reducers, p, layout, quotients, memo)
         if rem == tail:
             continue
         reducers[i] = (lm, 1, tuple(rem.items()))
-        if reprs is not None:
-            reduced = _express(quotients, reprs, ring, layout)
-            reprs[i] = [a - r for a, r in zip(reprs[i], reduced)]
-    return reducers, reprs
+        if trace is not None:
+            steps.append([(nodes[i], {0: 1})] + [
+                (nodes[k], {m: -c % p for m, c in q.items()})
+                for k, q in enumerate(quotients) if q])
+            nodes[i] = len(steps) - 1
+    return reducers, nodes
 
 
 def _basis(cls, gens: list, order: MonomialOrder, track: bool,
@@ -565,11 +623,11 @@ def _basis(cls, gens: list, order: MonomialOrder, track: bool,
     """Run the engine on `gens` and return the reduced basis as a `cls`:
     encode at entry, decode the basis at exit."""
     shell = cls([], order, gens)
-    reducers, reprs = _groebner([shell._encode(g) for g in gens], shell.ring,
+    reducers, trace = _groebner([shell._encode(g) for g in gens], shell.ring,
                                 shell._layout, track, known_gb_prefix)
     generators = [shell._decode({lm: 1, **dict(tail)}, shell.ring)
                   for lm, _, tail in reducers]
-    return cls(generators, order, gens, reprs, reducers)
+    return cls(generators, order, gens, trace, reducers)
 
 
 def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
@@ -584,8 +642,9 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
 
     `known_gb_prefix` marks the first k generators as a Groebner basis of
     the subideal they generate, so their mutual S-pairs are skipped.
-    With `track=True` every basis element carries its expression in the
-    original generators.
+    With `track=True` the basis records how each element was formed, and
+    `expand` and `cofactors` express combinations of it in the original
+    generators.
     """
     gens = list(gens)
     _common_ring(gens)

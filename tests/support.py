@@ -47,6 +47,25 @@ def naive_product(a: Poly, b: Poly) -> Poly:
     return a.ring.from_terms(out)
 
 
+def unit_expansions(basis, frobenius: bool = False) -> list[list[Poly]]:
+    """`basis.expand` of each unit coefficient vector: the cofactors of
+    each basis element over the original generators."""
+    ring = basis.ring
+    n = len(basis.generators)
+    return [basis.expand([ring.one() if i == k else ring.zero()
+                          for i in range(n)], frobenius)
+            for k in range(n)]
+
+
+def combine(cofactors, gens, pos: int = 0) -> Poly:
+    """Coordinate `pos` of sum(cofactors[t] * gens[t]), for polynomial or
+    module-vector generators."""
+    acc = cofactors[0].ring.zero()
+    for c, g in zip(cofactors, gens):
+        acc = acc + c * (g if isinstance(g, Poly) else g[pos])
+    return acc
+
+
 def box_standard_count(lms, nvars: int) -> int:
     """Standard monomials of a zero-dimensional monomial ideal, counted by
     walking the box below the pure powers."""

@@ -1,5 +1,6 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
+import errno
 import json
 import os
 import re
@@ -211,6 +212,33 @@ def test_sweep_interrupt_flushes_partial_and_cursor(capsys, tmp_path, monkeypatc
     assert first_resumed not in out
 
 
+def test_cursor_write_is_atomic(tmp_path, monkeypatch):
+    # a write that fails midway (here: a full disk after a few bytes)
+    # leaves the previous cursor intact and no temporary file behind
+    import fliftlab.cli as cli_mod
+
+    monkeypatch.chdir(tmp_path)
+    cli_mod._write_cursor("cusp_hyp", 2, (2, 3, 5))
+    before = Path(CURSOR_FILE).read_text()
+    real_open = open
+
+    def full_disk_open(path, mode="r", **kwargs):
+        fh = real_open(path, mode, **kwargs)
+        if "w" in mode:
+            def write(text):
+                fh.buffer.write(text[:3].encode())
+                fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli_mod, "open", full_disk_open, raising=False)
+    with pytest.raises(OSError):
+        cli_mod._write_cursor("cusp_hyp", 2, (2, 3, 7))
+    assert Path(CURSOR_FILE).read_text() == before
+    assert os.listdir(tmp_path) == [CURSOR_FILE]
+
+
 def test_full_range_flag_conflicts(capsys):
     code, _, err = run_cli(capsys, "sweep", "cusp_hyp", "--full-range",
                            "--max", "6")
@@ -241,6 +269,11 @@ _TIMING = re.compile(r"\d+\.\d(?= ms)|(?<=,)\d+\.\d$", re.M)
 _E81 = ("classify", "--p", "5", "--vars", "x,y,z",
         "--poly", "z^2+x^3+y^5+x*y^4")
 _SWEEP_CI = ("sweep", "cusp_ci", "--p", "2", "--max", "3")
+# certified runs: their goldens pin the cofactors too
+_CUSP237_P3 = ("classify", "--p", "3", "--vars", "x,y,z",
+               "--poly", "x^2+y^3+z^7+x*y*z", "--certificates")
+_CI_P2 = ("classify", "--p", "2", "--vars", "x,y,z,w",
+          "--poly", "x^2+y^3+z*w", "--poly", "z^2+w^3+x*y", "--certificates")
 
 GOLDEN_RUNS = {
     "table_n8.md": ("table", "--n-max", "8", "--format", "md"),
@@ -250,6 +283,8 @@ GOLDEN_RUNS = {
     "classify_e81_p5.txt": _E81,
     "classify_e81_p5.md": _E81 + ("--format", "md"),
     "classify_e81_p5.csv": _E81 + ("--format", "csv"),
+    "classify_cusp237_p3_certificates.txt": _CUSP237_P3,
+    "classify_ci_p2_certificates.txt": _CI_P2,
 }
 
 

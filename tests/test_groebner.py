@@ -16,8 +16,9 @@ from fliftlab.groebner import (GREVLEX, LEX, ModuleVector, _Layout,
                                reduce_by_generators, supported_only_at_origin,
                                verify_buchberger)
 
-from support import (box_standard_count, check_packed_layout,
-                     macaulay_membership, random_poly, random_nonzero_poly)
+from support import (box_standard_count, check_packed_layout, combine,
+                     macaulay_membership, random_poly, random_nonzero_poly,
+                     unit_expansions)
 
 
 def test_order_lookup():
@@ -498,7 +499,8 @@ def test_minimalization_of_inputs_with_equal_or_divided_leads():
     # x*y + z^2 and x*y + 1 share a lead; y^2*z + x has a lead that the
     # earlier y^2 + z divides; x*y + y = y*(x + 1) keeps its lead to the
     # end, as its pair with x + 1 reduces to 0.  The reduced basis is the
-    # reference one, and a tracked basis re-expands from its reprs.
+    # reference one, and each element of a tracked basis expands from its
+    # unit coefficient vector back to itself.
     ring = PolyRing(["x", "y", "z"], 5)
     for gens in (["x*y+z", "x+1", "x*y+1"],
                  ["x*y+z^2", "x*y+1", "y^2+x"],
@@ -510,15 +512,13 @@ def test_minimalization_of_inputs_with_equal_or_divided_leads():
             assert gb.generators == _reference_buchberger(gens, order)
             tracked = buchberger(gens, order, track=True)
             assert tracked.generators == gb.generators
-            for g, rep in zip(tracked.generators, tracked.reprs):
-                acc = ring.zero()
-                for c, h in zip(rep, gens):
-                    acc = acc + c * h
-                assert acc == g
+            for g, cof in zip(tracked.generators, unit_expansions(tracked)):
+                assert combine(cof, gens) == g
 
 
 def test_tracked_basis_elements_expand_from_their_reprs():
-    # every element of a tracked basis is sum(reprs[k][t] * gens[t])
+    # every element g_k of a tracked basis is sum(c_t * gens[t]), where c
+    # is the expansion of its unit coefficient vector e_k
     rng = random.Random(6060)
     for order in (GREVLEX, LEX):
         for p in (2, 3, 5):
@@ -527,11 +527,70 @@ def test_tracked_basis_elements_expand_from_their_reprs():
                 gens = [random_nonzero_poly(rng, ring, 3, 3)
                         for _ in range(rng.randint(2, 3))]
                 gb = buchberger(gens, order, track=True)
-                for g, rep in zip(gb.generators, gb.reprs):
-                    acc = ring.zero()
-                    for c, h in zip(rep, gens):
-                        acc = acc + c * h
-                    assert acc == g
+                for g, cof in zip(gb.generators, unit_expansions(gb)):
+                    assert combine(cof, gens) == g
+
+
+def test_expand_is_linear_across_shared_nodes():
+    # the elements of a basis share the nodes of their trace, so one
+    # backward pass must add the adjoints that meet at a node:
+    # expand(c) = sum(c_k * expand(e_k)), and it re-expands to
+    # sum(c_k * g_k)
+    rng = random.Random(6161)
+    for order in (GREVLEX, LEX):
+        for p in (2, 3, 5):
+            ring = PolyRing(["x", "y", "z"], p)
+            for _ in range(4):
+                gens = [random_nonzero_poly(rng, ring, 3, 3)
+                        for _ in range(3)]
+                gb = buchberger(gens, order, track=True)
+                coeffs = [random_poly(rng, ring, 3, 2) for _ in gb]
+                got = gb.expand(coeffs)
+                units = unit_expansions(gb)
+                for t in range(len(gens)):
+                    assert got[t] == combine([u[t] for u in units], coeffs)
+                assert combine(got, gens) == combine(coeffs, gb.generators)
+
+
+def test_expand_frobenius_twists_the_multipliers():
+    # sum_t expand(e_k, frobenius=True)_t * gens_t^[p] = g_k^[p], since
+    # (sum c_t gens_t)^p = sum c_t^p gens_t^p in characteristic p
+    rng = random.Random(6262)
+    for order in (GREVLEX, LEX):
+        for p in (2, 3, 5):
+            ring = PolyRing(["x", "y", "z"], p)
+            for _ in range(4):
+                gens = [random_nonzero_poly(rng, ring, 3, 3)
+                        for _ in range(rng.randint(2, 3))]
+                gb = buchberger(gens, order, track=True)
+                twisted = unit_expansions(gb, frobenius=True)
+                powers = [g.frobenius() for g in gens]
+                for g, cof in zip(gb.generators, twisted):
+                    assert combine(cof, powers) == g.frobenius()
+
+
+def test_expand_obeys_degree_guard():
+    # y^2 + 4*x*z (grevlex) and 4*y^2 + x*z (lex) come from the S-pair
+    # of the inputs, with shifts of degree 1: a coefficient of degree 8
+    # passes the guard there, and so does one of degree 4 once the shift
+    # is taken to its 5th power
+    ring = PolyRing(["x", "y", "z"], 5, max_degree=8)
+    gens = [ring.parse("x^2+y"), ring.parse("x*y+z")]
+    for order in (GREVLEX, LEX):
+        gb = buchberger(gens, order, track=True)
+        k = next(k for k, g in enumerate(gb.generators) if g not in gens)
+        coeffs = [ring.zero() for _ in gb]
+        coeffs[k] = ring.parse("z^8")
+        with pytest.raises(DegreeGuardError):
+            gb.expand(coeffs)
+        coeffs[k] = ring.parse("z^4")
+        assert combine(gb.expand(coeffs), gens) == \
+            coeffs[k] * gb.generators[k]
+        with pytest.raises(DegreeGuardError):
+            gb.expand(coeffs, frobenius=True)
+    untracked = buchberger(gens)
+    with pytest.raises(ValueError):
+        untracked.expand([ring.one() for _ in untracked])
 
 
 def test_known_gb_prefix_gives_same_reduced_basis():

@@ -9,7 +9,8 @@ from fliftlab.groebner import (GREVLEX, LEX, ModuleGroebnerBasis,
                                ModuleVector, buchberger, module_buchberger,
                                module_normal_form, verify_buchberger)
 
-from support import check_packed_layout, random_poly, random_nonzero_poly
+from support import (check_packed_layout, combine, random_poly,
+                     random_nonzero_poly, unit_expansions)
 
 
 def _ring(p=2, names=("x", "y", "z", "w")):
@@ -209,12 +210,9 @@ def test_tracked_module_basis_elements_expand_from_their_reprs():
                 if all(g.is_zero() for g in gens):
                     continue
                 gb = module_buchberger(gens, order, track=True)
-                for v, rep in zip(gb.generators, gb.reprs):
+                for v, cof in zip(gb.generators, unit_expansions(gb)):
                     for pos in range(2):
-                        acc = ring.zero()
-                        for c, g in zip(rep, gens):
-                            acc = acc + c * g[pos]
-                        assert acc == v[pos]
+                        assert combine(cof, gens, pos) == v[pos]
 
 
 def test_module_spairs_obey_degree_guard_on_monomial_degree():
