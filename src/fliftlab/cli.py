@@ -16,6 +16,7 @@ import contextlib
 import itertools
 import json
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -356,9 +357,15 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
                 for res in pool.imap(_sweep_worker, tasks, chunksize=4):
                     results[(res[1], res[2])] = res
         else:
-            for task in tasks:
-                res = _sweep_worker(task)
-                results[(res[1], res[2])] = res
+            # SIGTERM stops a serial sweep as SIGINT does
+            previous = signal.signal(signal.SIGTERM,
+                                     signal.default_int_handler)
+            try:
+                for task in tasks:
+                    res = _sweep_worker(task)
+                    results[(res[1], res[2])] = res
+            finally:
+                signal.signal(signal.SIGTERM, previous)
     except KeyboardInterrupt:
         interrupted = True
 

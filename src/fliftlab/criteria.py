@@ -24,11 +24,11 @@ from typing import Sequence
 from .fp_poly import Poly, format_poly
 from .groebner import (GREVLEX, ModuleGroebnerBasis, ModuleVector,
                        MonomialOrder, is_zero_dimensional, module_buchberger,
-                       module_normal_form, normal_form_with_cofactors,
-                       reduce_by_generators, supported_only_at_origin)
+                       normal_form_with_cofactors, reduce_by_generators,
+                       supported_only_at_origin)
 # unused here, but bound for perfbench/tracer.py, which patches the
 # engine functions by name in this module
-from .groebner import buchberger, normal_form  # noqa: F401
+from .groebner import buchberger, module_normal_form, normal_form  # noqa: F401
 from .frobsplit import SplittingData, apply_sigma, build_splitting, delta1
 
 SMOOTH = "smooth"
@@ -149,14 +149,15 @@ def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
     The p-th powers of the coordinates of N's reduced basis form a basis
     of N^[p] (leading terms go to p-th powers), so they seed Buchberger
     as a known prefix, followed by the f_j e_i.  A zero remainder on
-    division by that generating set already proves membership;
-    otherwise Buchberger completes it and reduces the quick remainder,
-    which has the residual's (unique) normal form.  Cofactors run over
-    the f_j e_i by (i, j), then w_1..w_n, w_k = ((df_i/dx_k)^p)_i; they
-    need `screen` built with track=True.  The seed's cofactors come from
-    one backward pass over the tracked membership run, and the part on
-    N^[p] maps back to N's generators by a second, Frobenius-twisted pass
-    over the screen's trace (see `GroebnerBasis.expand`).
+    division by that generating set already proves membership; else an
+    uncertified run takes that remainder as its target and stops at its
+    first zero, while a nonmember's run, or a certified one, completes,
+    and the remainder is the residual's (unique) normal form.  Cofactors
+    run over the f_j e_i by (i, j), then w_1..w_n, w_k = ((df_i/dx_k)^p)_i;
+    they need `screen` built with track=True.  The seed's cofactors come
+    from one backward pass over the tracked membership run, and the part
+    on N^[p] maps back to N's generators by a second, Frobenius-twisted
+    pass over the screen's trace (see `GroebnerBasis.expand`).
     """
     ring = gens[0].ring
     m = len(gens)
@@ -169,8 +170,8 @@ def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
         quick = reduce_by_generators(target, seed, order)
         if quick.is_zero():
             return True, quick.coordinates, None
-        full = module_buchberger(seed, order, known_gb_prefix=known)
-        rem = module_normal_form(quick, full)
+        rem = module_buchberger(seed, order, known_gb_prefix=known,
+                                target=quick)
         return rem.is_zero(), rem.coordinates, None
 
     full = module_buchberger(seed, order, track=True, known_gb_prefix=known)

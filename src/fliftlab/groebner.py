@@ -120,9 +120,8 @@ class _Layout:
         return self._prefixed(sum(map(mul, t, self.units)))
 
     def _prefixed(self, m: int) -> int:
-        """m with its prefix-sum fields rebuilt from its exponent fields."""
-        if not self.grevlex:
-            return m
+        """m with its prefix-sum fields rebuilt from its exponent fields;
+        the identity under lex, which has no prefix fields."""
         return (m & self._low_mask) + (
             (m & self._exp_mask) * self._spread & self._prefix_mask)
 
@@ -147,12 +146,12 @@ class _Layout:
             return t >> self._top_shift
         return sum(self.mono(t))
 
-    def divided(self, m: int, divisors: list, start: int = 0) -> bool:
-        """Whether some divisors[k], k >= start, divides m."""
+    def divided(self, m: int, divisors: list) -> bool:
+        """Whether some term of `divisors` divides m."""
         guard = self.guard
         mg = m | guard
-        for k in range(start, len(divisors)):
-            if (mg - divisors[k]) & guard == guard:
+        for d in divisors:
+            if (mg - d) & guard == guard:
                 return True
         return False
 
@@ -447,9 +446,39 @@ def _common_ring(gens: Sequence) -> PolyRing:
     return ring
 
 
+def _new_pairs(layout: _Layout, lms: list[int], active: list[int],
+               h: int) -> list[tuple]:
+    """Criteria M and F: the pairs (lcm, g, h) that lead lms[h] keeps with
+    lms[g], g in `active`, at its position.  Each lcm keeps its last g, or
+    -1 if a candidate is coprime; the lcms are walked upward against the
+    minimal ones met so far (a divisor is never larger).  `_Layout.lcm`
+    is inlined."""
+    lm = lms[h]
+    guard, slot_mask = layout.guard, layout.slot_mask
+    pos, lmg, top = lm & slot_mask, lm | guard, layout.width - 1
+    low, exps = layout._low_mask, layout._exp_mask
+    spread, prefix = layout._spread, layout._prefix_mask
+    cands: dict[int, int] = {}
+    for g in active:
+        t = lms[g]
+        if t & slot_mask != pos:
+            continue
+        ge = (lmg - t) & guard
+        m = t ^ ((lm ^ t) & (ge - (ge >> top)))
+        lcm = (m & low) + ((m & exps) * spread & prefix)
+        if cands.get(lcm, 0) >= 0:
+            cands[lcm] = -1 if lcm == t + lm else g
+    minimal: list[int] = []
+    for lcm in sorted(cands):
+        if not layout.divided(lcm, minimal):
+            minimal.append(lcm)
+    return [(lcm, cands[lcm], h) for lcm in minimal if cands[lcm] >= 0]
+
+
 def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
-              track: bool, known_gb_prefix: int = 0
-              ) -> tuple[list[tuple], tuple[list, list] | None]:
+              track: bool, known_gb_prefix: int = 0,
+              target: dict | None = None
+              ) -> tuple[list[tuple] | None, tuple[list, list] | None]:
     """Buchberger's algorithm on packed term dicts (see `_Layout`).
 
     Returns the prepared reducers (lead, 1, tail) of the reduced basis,
@@ -459,22 +488,24 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     once, when an element joins, by the Gebauer-Moeller update (Gebauer
     and Moeller 1988, as UPDATE in Becker and Weispfenning 1993): a new
     pair is kept only if no other new pair's lcm divides its lcm
-    (criteria M and F), an old pair is dropped when the new lead divides
-    its lcm strictly on both sides (criterion B_k), and an element whose
-    lead the new lead divides takes no further pairs.  Pairs form only
-    between leads at the same position.  The coprime criterion acts at
-    rank 1 only: slotted terms at one position are never coprime, as
-    their lead product has a slot of 2.  Every basis element carries one
-    prepared reducer, built when it joins, and all S-pair reductions
-    share one divisor memo.  The pair heap pops the smallest lcm first,
-    ties by index; leads, lcms, shifts and the recorded multipliers stay
-    packed throughout.
+    (criteria M and F, see `_new_pairs`), an old pair is dropped when the
+    new lead divides its lcm strictly on both sides (criterion B_k), and
+    an element whose lead the new lead divides takes no further pairs.
+    Pairs form only between leads at the same position.  The coprime
+    criterion acts at rank 1 only: slotted terms at one position are
+    never coprime, as their lead product has a slot of 2.  Every basis
+    element carries one prepared reducer, built when it joins, and all
+    S-pair reductions share one divisor memo.  The pair heap pops the
+    smallest lcm first, ties by index; leads, lcms, shifts and the
+    recorded multipliers stay packed throughout.  `target`, a term dict
+    that no lead of `gens` divides a term of, is reduced with the run's
+    memo whenever a joining lead divides one of its terms; once it is 0
+    the run stops and returns (None, None).
     """
     p = ring.p
     slot_mask = layout.slot_mask
     guard = layout.guard
     lcm_of = layout.lcm
-    divided = layout.divided
 
     basis: list[dict] = []
     lms: list[int] = []
@@ -490,21 +521,7 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     def update(h: int, lm: int, seed: bool) -> None:
         nonlocal pairs, active
         if not seed:
-            pos = lm & slot_mask
-            cands = [(lcm_of(lms[g], lm), g) for g in active
-                     if lms[g] & slot_mask == pos]
-            lcms = [lcm for lcm, _ in cands]
-            # criteria M and F; a coprime pair is kept through this step,
-            # since it may still prune others, and dropped only after it
-            kept: list[int] = []
-            new: list[tuple] = []
-            for n, (lcm, g) in enumerate(cands):
-                coprime = lcm == lms[g] + lm
-                if coprime or not (divided(lcm, lcms, n + 1) or
-                                   divided(lcm, kept)):
-                    kept.append(lcm)
-                    if not coprime:
-                        new.append((lcm, g, h))
+            new = _new_pairs(layout, lms, active, h)
             # criterion B_k on the old pairs; the heap is rebuilt only
             # when it loses a pair
             npairs = len(pairs)
@@ -561,6 +578,11 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
             step += [(nodes[k], {m: -inv * c % p for m, c in q.items()})
                      for k, q in enumerate(quotients) if q]
         add(lm, new, step)
+        if target and any(((m | guard) - lm) & guard == guard
+                          for m in target):
+            target = _reduce_full(target, reducers, p, layout, memo=memo)
+            if not target:
+                return None, None
 
     reducers, roots = _interreduce(reducers, ring, layout, active,
                                    (steps, nodes) if track else None)
@@ -619,15 +641,20 @@ def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
 
 
 def _basis(cls, gens: list, order: MonomialOrder, track: bool,
-           known_gb_prefix: int = 0) -> GroebnerBasis:
+           known_gb_prefix: int = 0, target=None):
     """Run the engine on `gens` and return the reduced basis as a `cls`:
-    encode at entry, decode the basis at exit."""
+    encode at entry, decode the basis at exit.  With `target`, return its
+    remainder instead (see `module_buchberger`)."""
     shell = cls([], order, gens)
-    reducers, trace = _groebner([shell._encode(g) for g in gens], shell.ring,
-                                shell._layout, track, known_gb_prefix)
+    reducers, trace = _groebner(
+        [shell._encode(g) for g in gens], shell.ring, shell._layout, track,
+        known_gb_prefix, None if target is None else shell._encode(target))
+    if reducers is None:
+        return shell._decode({}, shell.ring)
     generators = [shell._decode({lm: 1, **dict(tail)}, shell.ring)
                   for lm, _, tail in reducers]
-    return cls(generators, order, gens, trace, reducers)
+    basis = cls(generators, order, gens, trace, reducers)
+    return basis if target is None else _normal_form(target, basis)
 
 
 def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
@@ -638,7 +665,9 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
     ties by input index).  The Gebauer-Moeller update prunes pairs once,
     as each element joins, and the coprime (product) criterion drops
     pairs of ideal leads; see `_groebner`.  The degree guard checks every
-    pair that survives.  Deterministic for a fixed input sequence.
+    pair that survives (with a `target`, see `module_buchberger`, every
+    pair processed before the run stops).  Deterministic for a fixed
+    input sequence.
 
     `known_gb_prefix` marks the first k generators as a Groebner basis of
     the subideal they generate, so their mutual S-pairs are skipped.
@@ -850,16 +879,21 @@ class ModuleGroebnerBasis(GroebnerBasis):
 
 def module_buchberger(gens: Sequence[ModuleVector],
                       order: MonomialOrder = GREVLEX, *, track: bool = False,
-                      known_gb_prefix: int = 0) -> ModuleGroebnerBasis:
+                      known_gb_prefix: int = 0,
+                      target: ModuleVector | None = None
+                      ) -> ModuleGroebnerBasis | ModuleVector:
     """Reduced basis of the submodule of R^s generated by `gens`, computed
     by the ideal engine on slotted terms (see `buchberger`, also for
-    `track` and `known_gb_prefix`)."""
+    `track` and `known_gb_prefix`).  With `target`, a remainder on
+    division by `gens`, returns instead 0 once the run proves `target`
+    in the submodule, else its normal form on the completed basis."""
     gens = list(gens)
     _common_ring(gens)
     size = len(gens[0])
     if any(len(g) != size for g in gens):
         raise ValueError("coordinate-count mismatch between generators")
-    return _basis(ModuleGroebnerBasis, gens, order, track, known_gb_prefix)
+    return _basis(ModuleGroebnerBasis, gens, order, track, known_gb_prefix,
+                  target)
 
 
 def module_normal_form(v: ModuleVector, basis: ModuleGroebnerBasis) -> ModuleVector:

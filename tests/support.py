@@ -1,7 +1,7 @@
 """Shared test helpers: random polynomial generation, the dense
 Macaulay-matrix membership oracle used to cross-check the Groebner
-engine, and plain tuple oracles for the polynomial product, the
-standard-monomial count and the packed term layout.
+engine, and plain oracles for the polynomial product, the
+standard-monomial count, the packed term layout and the pair criteria.
 """
 
 from __future__ import annotations
@@ -122,6 +122,29 @@ def check_packed_layout(rng: random.Random, order, slots: int,
                 assert ea + layout.enc((0,) * slots + mb) == \
                     layout.enc(a[:slots] + shift)
                 assert layout.divided(ea + eb - (eb & layout.slot_mask), [ea])
+
+
+def quadratic_new_pairs(layout, lms: list, active: list, h: int) -> set:
+    """Criteria M and F as first written, quadratic in the candidates:
+    the (lcm, g) pairs that lms[h] keeps with the leads lms[g], g in
+    `active`.  A candidate is kept unless a later candidate's lcm or an
+    already kept lcm divides its own; a coprime candidate is kept through
+    the walk, since it may still prune others, and dropped after it."""
+    lm = lms[h]
+    pos = lm & layout.slot_mask
+    cands = [(layout.lcm(lms[g], lm), g) for g in active
+             if lms[g] & layout.slot_mask == pos]
+    lcms = [lcm for lcm, _ in cands]
+    kept: list = []
+    new: set = set()
+    for n, (lcm, g) in enumerate(cands):
+        coprime = lcm == lms[g] + lm
+        if coprime or not (layout.divided(lcm, lcms[n + 1:]) or
+                           layout.divided(lcm, kept)):
+            kept.append(lcm)
+            if not coprime:
+                new.add((lcm, g))
+    return new
 
 
 def _monomials_up_to(n: int, degree: int) -> list[tuple[int, ...]]:

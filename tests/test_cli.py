@@ -4,12 +4,13 @@ import errno
 import json
 import os
 import re
+import signal
 from pathlib import Path
 
 import pytest
 
 from fliftlab.cli import (CURSOR_FILE, EXIT_INAPPLICABLE, EXIT_INPUT,
-                          EXIT_OK, EXIT_RESOURCE, main)
+                          EXIT_INTERRUPTED, EXIT_OK, EXIT_RESOURCE, main)
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +213,41 @@ def test_sweep_interrupt_flushes_partial_and_cursor(capsys, tmp_path, monkeypatc
     assert first_resumed not in out
 
 
+def test_sweep_sigterm_flushes_partial_and_cursor(capsys, tmp_path, monkeypatch):
+    # SIGTERM stops a serial sweep as SIGINT does, and the handler the run
+    # found is back in place afterwards
+    import fliftlab.cli as cli_mod
+
+    class Unhandled(Exception):
+        pass
+
+    def outer(signum, frame):
+        raise Unhandled("SIGTERM reached the handler outside the sweep")
+
+    monkeypatch.chdir(tmp_path)
+    real_worker = cli_mod._sweep_worker
+    calls = {"n": 0}
+
+    def terminated_worker(task):
+        calls["n"] += 1
+        if calls["n"] > 10:
+            os.kill(os.getpid(), signal.SIGTERM)
+        return real_worker(task)
+
+    monkeypatch.setattr(cli_mod, "_sweep_worker", terminated_worker)
+    previous = signal.signal(signal.SIGTERM, outer)
+    try:
+        code, out, _ = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
+                               "--max", "7")
+        assert signal.getsignal(signal.SIGTERM) is outer
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert code == EXIT_INTERRUPTED
+    assert "interrupted; cursor at cusp_hyp 2 " in out
+    assert os.path.exists(CURSOR_FILE)
+    assert out.count("F-liftable=") >= 10
+
+
 def test_cursor_write_is_atomic(tmp_path, monkeypatch):
     # a write that fails midway (here: a full disk after a few bytes)
     # leaves the previous cursor intact and no temporary file behind
@@ -285,6 +321,9 @@ GOLDEN_RUNS = {
     "classify_e81_p5.csv": _E81 + ("--format", "csv"),
     "classify_cusp237_p3_certificates.txt": _CUSP237_P3,
     "classify_ci_p2_certificates.txt": _CI_P2,
+    # plain members past the seed: the membership run stops early
+    "sweep_cusp_hyp_p5_max6.csv": ("sweep", "cusp_hyp", "--p", "5", "--max",
+                                   "6", "--format", "csv"),
 }
 
 

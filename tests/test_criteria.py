@@ -6,8 +6,11 @@ from itertools import product
 import pytest
 
 from fliftlab import criteria
+from fliftlab import groebner
 from fliftlab.catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
-                              enumerate_table_rows, make_cusp_ci)
+                              cusp_hyp_admissible, cusp_hyp_symmetry_class,
+                              enumerate_table_rows, make_cusp_ci,
+                              make_cusp_hypersurface)
 from fliftlab.criteria import (LiftabilityReport, TooManyGeneratorsError,
                                _lift_and_residual, _residual_membership,
                                classify, isolated_singularity_check,
@@ -271,6 +274,57 @@ def test_seeded_membership_agrees_with_naive_route():
         assert member == naive_rem.is_zero(), (p, text)
         if not member:
             assert rem == naive_rem, (p, text)
+
+
+def test_plain_and_certified_routes_agree():
+    # the plain route may stop at the first zero remainder; member and
+    # remainder must still match the certified route's full run on every
+    # cusp_hyp class at p = 3 (E_8^1 at p = 5, a nonmember, is compared
+    # in test_ci_negative_verdict_same_with_certificates)
+    classes = sorted({cusp_hyp_symmetry_class(t)
+                      for t in product(range(2, 9), repeat=3)
+                      if cusp_hyp_admissible(*t)})
+    assert len(classes) == 71
+    for t in classes:
+        gens = [make_cusp_hypersurface(3, *t)]
+        split = build_splitting(gens)
+        residuals = [_lift_and_residual(gens[0], split,
+                                        split.s.frobenius())[1]]
+        plain, cert = (_residual_membership(
+            residuals, gens, isolated_singularity_check(gens, track=c)[1],
+            GREVLEX, c) for c in (False, True))
+        assert plain[:2] == cert[:2], t
+
+
+def test_plain_membership_stops_at_the_first_zero_remainder(monkeypatch):
+    # cusp (2,4,5) at p = 7 is a member that the seed alone does not
+    # prove; the full run completes the basis before it reduces the target
+    gens = [make_cusp_hypersurface(7, 2, 4, 5)]
+    split = build_splitting(gens)
+    residuals = [_lift_and_residual(gens[0], split, split.s.frobenius())[1]]
+    screen = isolated_singularity_check(gens)[1]
+    formed = {"n": 0}
+    real_spair = groebner._spair_terms
+
+    def counting(*args):
+        formed["n"] += 1
+        return real_spair(*args)
+
+    def full_run(seed, order, known_gb_prefix, target):
+        basis = module_buchberger(seed, order,
+                                  known_gb_prefix=known_gb_prefix)
+        return module_normal_form(target, basis)
+
+    monkeypatch.setattr(groebner, "_spair_terms", counting)
+    counts = []
+    for run in (module_buchberger, full_run):
+        monkeypatch.setattr(criteria, "module_buchberger", run)
+        formed["n"] = 0
+        member, rem, _ = _residual_membership(residuals, gens, screen,
+                                              GREVLEX, False)
+        assert member and all(r.is_zero() for r in rem)
+        counts.append(formed["n"])
+    assert 0 < counts[0] < counts[1], counts
 
 
 def test_verdicts_are_order_independent():

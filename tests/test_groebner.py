@@ -8,7 +8,8 @@ import pytest
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               PolyRing, format_poly)
 from fliftlab.groebner import (GREVLEX, LEX, ModuleVector, _Layout,
-                               _prep_reducer, _reduce_full, _standard_count,
+                               _new_pairs, _prep_reducer, _reduce_full,
+                               _standard_count,
                                buchberger, is_zero_dimensional,
                                module_buchberger, normal_form,
                                normal_form_with_cofactors,
@@ -17,8 +18,8 @@ from fliftlab.groebner import (GREVLEX, LEX, ModuleVector, _Layout,
                                verify_buchberger)
 
 from support import (box_standard_count, check_packed_layout, combine,
-                     macaulay_membership, random_poly, random_nonzero_poly,
-                     unit_expansions)
+                     macaulay_membership, quadratic_new_pairs, random_poly,
+                     random_nonzero_poly, unit_expansions)
 
 
 def test_order_lookup():
@@ -459,6 +460,30 @@ def _assert_pruned_basis(gens, want, known_gb_prefix=0):
         assert verify_buchberger(gb)
         if order is GREVLEX:
             assert [format_poly(g) for g in gb.generators] == want
+
+
+def test_new_pairs_match_the_quadratic_rule():
+    # small exponents make equal lcms, coprime leads and unit leads common;
+    # with slots, leads at other positions take no pair
+    rng = random.Random(8128)
+    for order in (GREVLEX, LEX):
+        for slots in (0, 2, 3):
+            layout = _Layout(3, slots, order, 12)
+            for _ in range(300):
+                lms = []
+                for _ in range(rng.randint(1, 14)):
+                    slot = [0] * slots
+                    if slots:
+                        slot[rng.randrange(slots)] = 1
+                    lms.append(layout.enc(tuple(slot) + tuple(
+                        rng.choice((0, 0, 1, 2, 3)) for _ in range(3))))
+                h = len(lms) - 1
+                active = rng.sample(range(h), rng.randint(0, h))
+                new = _new_pairs(layout, lms, active, h)
+                assert all(e[2] == h for e in new)
+                pairs = [e[:2] for e in new]
+                assert len(set(pairs)) == len(pairs)
+                assert set(pairs) == quadratic_new_pairs(layout, lms, active, h)
 
 
 def test_equal_leads_keep_one_pair_per_lcm():
