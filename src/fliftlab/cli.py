@@ -330,6 +330,17 @@ def _write_cursor(family, p, exponents) -> None:
         raise
 
 
+@contextlib.contextmanager
+def _sigterm_interrupts():
+    """SIGTERM stops the block as SIGINT does, by KeyboardInterrupt; the
+    previous handler is back in place afterwards."""
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _cmd_sweep(cfg: RunConfig, out) -> int:
     family = cfg.sweep_family
     symmetry = (cusp_hyp_symmetry_class if family == "cusp_hyp"
@@ -353,19 +364,16 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
     interrupted = False
     try:
         if cfg.jobs > 1 and len(tasks) > 1:
-            with Pool(cfg.jobs) as pool:
+            # the handler goes in after the workers start, so that they
+            # keep the default one and Pool.terminate() still stops them
+            with Pool(cfg.jobs) as pool, _sigterm_interrupts():
                 for res in pool.imap(_sweep_worker, tasks, chunksize=4):
                     results[(res[1], res[2])] = res
         else:
-            # SIGTERM stops a serial sweep as SIGINT does
-            previous = signal.signal(signal.SIGTERM,
-                                     signal.default_int_handler)
-            try:
+            with _sigterm_interrupts():
                 for task in tasks:
                     res = _sweep_worker(task)
                     results[(res[1], res[2])] = res
-            finally:
-                signal.signal(signal.SIGTERM, previous)
     except KeyboardInterrupt:
         interrupted = True
 

@@ -24,11 +24,11 @@ from typing import Sequence
 from .fp_poly import Poly, format_poly
 from .groebner import (GREVLEX, ModuleGroebnerBasis, ModuleVector,
                        MonomialOrder, is_zero_dimensional, module_buchberger,
-                       normal_form_with_cofactors, reduce_by_generators,
-                       supported_only_at_origin)
+                       reduce_by_generators, supported_only_at_origin)
 # unused here, but bound for perfbench/tracer.py, which patches the
 # engine functions by name in this module
-from .groebner import buchberger, module_normal_form, normal_form  # noqa: F401
+from .groebner import (buchberger, module_normal_form,  # noqa: F401
+                       normal_form, normal_form_with_cofactors)
 from .frobsplit import SplittingData, apply_sigma, build_splitting, delta1
 
 SMOOTH = "smooth"
@@ -149,13 +149,14 @@ def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
     The p-th powers of the coordinates of N's reduced basis form a basis
     of N^[p] (leading terms go to p-th powers), so they seed Buchberger
     as a known prefix, followed by the f_j e_i.  A zero remainder on
-    division by that generating set already proves membership; else an
-    uncertified run takes that remainder as its target and stops at its
-    first zero, while a nonmember's run, or a certified one, completes,
-    and the remainder is the residual's (unique) normal form.  Cofactors
-    run over the f_j e_i by (i, j), then w_1..w_n, w_k = ((df_i/dx_k)^p)_i;
-    they need `screen` built with track=True.  The seed's cofactors come
-    from one backward pass over the tracked membership run, and the part
+    division by that generating set already proves membership; else the
+    run takes that remainder as its target and stops at its first zero,
+    while a nonmember's run completes and leaves the residual's (unique)
+    normal form.  Certified or not, the route is the same; `track` only
+    records how.  Cofactors run over the f_j e_i by (i, j), then
+    w_1..w_n, w_k = ((df_i/dx_k)^p)_i; they need `screen` built with
+    track=True.  The seed's cofactors are the division's quotients plus
+    the run's own, from one backward pass over its steps, and the part
     on N^[p] maps back to N's generators by a second, Frobenius-twisted
     pass over the screen's trace (see `GroebnerBasis.expand`).
     """
@@ -165,20 +166,15 @@ def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
     known = len(screen.generators)
     seed = [ModuleVector([c.frobenius() for c in g]) for g in screen]
     seed += multiples
-    target = ModuleVector(residuals)
-    if not want_cofactors:
-        quick = reduce_by_generators(target, seed, order)
-        if quick.is_zero():
-            return True, quick.coordinates, None
-        rem = module_buchberger(seed, order, known_gb_prefix=known,
-                                target=quick)
-        return rem.is_zero(), rem.coordinates, None
-
-    full = module_buchberger(seed, order, track=True, known_gb_prefix=known)
-    rem, quotients = normal_form_with_cofactors(target, full)
+    seed_cof = [] if want_cofactors else None
+    rem = reduce_by_generators(ModuleVector(residuals), seed, order, seed_cof)
     if not rem.is_zero():
-        return False, rem.coordinates, None
-    seed_cof = full.expand(quotients)
+        rem, run_cof = module_buchberger(seed, order, track=want_cofactors,
+                                         known_gb_prefix=known, target=rem)
+        if run_cof is not None:
+            seed_cof = [q + c for q, c in zip(seed_cof, run_cof)]
+    if not want_cofactors or not rem.is_zero():
+        return rem.is_zero(), rem.coordinates, None
     # a seed element g^[p] with g = sum(c_t * N_t) over N's generators is
     # sum(c_t^p * N_t^[p]), where w_k is the p-th power of a Jacobian
     # column and (f_j e_i)^[p] = f_j^(p-1) * (f_j e_i)

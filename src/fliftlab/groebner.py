@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
@@ -170,8 +171,10 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
     negated terms and divided by the first reducer in list order whose
     lead divides it.  Every term enters the heap once: one that cancels
     stays in the working dict at 0 until it is popped.  When `quotients`
-    is given (one dict per reducer) the division is tracked so that
-    input = sum(quotient_i * reducer_i) + remainder.  A new term that
+    is given (reducer index -> quotient dict; a `defaultdict(dict)` makes
+    a dict only for a reducer that is used) the division is tracked so
+    that input = sum(quotient_i * reducer_i) + remainder, and repeated
+    calls on one mapping add up their quotients.  A new term that
     overflows the packed fields, as lex reductions can climb in degree,
     raises DegreeGuardError.
 
@@ -247,11 +250,8 @@ class GroebnerBasis:
 
     `trace`, when present (track=True), is (steps, roots): how the engine
     formed each element from `original_generators`, which `expand` turns
-    into cofactors.  Node t < len(original_generators) is the t-th
-    original generator, with an empty step; every later node is the sum
-    of multiplier * source over the (source node, packed multiplier)
-    pairs of its step, and every source is an earlier node.  roots[i] is
-    the node of generators[i].  `reducers`, when given, are the engine's
+    into cofactors (see `_expand`).  roots[i] is the node of
+    generators[i].  `reducers`, when given, are the engine's
     prepared reducers of `generators`; every reduction against them
     shares one divisor memo (see `_reduce_full`).
     """
@@ -306,56 +306,15 @@ class GroebnerBasis:
         sum(coeffs[k] * generators[k]^[p]) over the
         original_generators[t]^[p] instead, ^[p] the coordinate-wise p-th
         power.  The basis must have been built with track=True.
-
-        One backward pass over the trace (reverse accumulation; Griewank
-        and Walther, Evaluating Derivatives, 2008): a node's adjoint, its
-        coefficient in the combination, is final once every later node
-        has passed its own on, so the nodes are walked in decreasing order
-        and each adds adjoint * multiplier to its sources in place; its
-        coefficients are reduced mod p once, when it is complete.  A
-        product of packed terms is an int addition.  Since
-        (sum c_t N_t)^[p] = sum c_t^p N_t^[p], `frobenius` takes every
-        multiplier to its p-th power, a packed term times p.  Every term
-        stays within the degree guard, so no packed field wraps: a
-        product whose degree would pass the guard raises DegreeGuardError
-        before it is formed.
         """
         if self.trace is None:
             raise ValueError("expanding needs a basis built with track=True")
         steps, roots = self.trace
-        layout, p, guard = self._layout, self.ring.p, self.ring.max_degree
-        degree = layout.degree
-        zero = (0,) * self._slots
-        adj: list = [None] * len(steps)
-        for node, q in zip(roots, coeffs):
-            adj[node] = {layout.enc(zero + m): c for m, c in q.terms.items()}
-        ngens = len(self.original_generators)
-        for node in range(len(steps) - 1, ngens - 1, -1):
-            a = adj[node]
-            adj[node] = None
-            if a:
-                a = {m: r for m, c in a.items() if (r := c % p)}
-            if not a:
-                continue
-            da = max(map(degree, a))
-            for src, mult in steps[node]:
-                dm = max(map(degree, mult)) * (p if frobenius else 1)
-                if da + dm > guard:
-                    raise DegreeGuardError(
-                        f"cofactor degree {da + dm} exceeds guard {guard}")
-                if frobenius:
-                    mult = {m * p: c for m, c in mult.items()}
-                out = adj[src]
-                if out is None:
-                    out = adj[src] = {}
-                get = out.get
-                for mm, cm in mult.items():
-                    for ma, ca in a.items():
-                        m = ma + mm
-                        out[m] = get(m, 0) + ca * cm
-        return [_poly(layout, self.ring,
-                      {m: r for m, c in (a or {}).items() if (r := c % p)})
-                for a in adj[:ngens]]
+        layout, zero = self._layout, (0,) * self._slots
+        seeds = [(node, {layout.enc(zero + m): c for m, c in q.terms.items()})
+                 for node, q in zip(roots, coeffs)]
+        return _expand(steps, seeds, len(self.original_generators), layout,
+                       self.ring, frobenius)
 
     def cofactors(self, f) -> list[Poly] | None:
         """Cofactors c_t with f = sum(c_t * original_generators[t]), or None
@@ -377,6 +336,62 @@ class GroebnerBasis:
             if acc != want:
                 raise RuntimeError("cofactor certificate failed re-expansion")
         return cofactors
+
+
+def _expand(steps: list, seeds: list, ngens: int, layout: _Layout,
+            ring: PolyRing, frobenius: bool = False) -> list[Poly]:
+    """Cofactors c_t over the ngens generators of sum(coeff * node) over
+    the (node, packed coefficient) pairs of `seeds`, from a trace `steps`
+    of the engine.
+
+    Node t < ngens is the t-th generator, with an empty step; every later
+    node is the sum of multiplier * source over the (source node, packed
+    multiplier) pairs of its step, and every source is an earlier node.
+    One backward pass (reverse accumulation; Griewank and Walther,
+    Evaluating Derivatives, 2008): a node's adjoint, its coefficient in
+    the combination, is final once every later node has passed its own
+    on, so the nodes are walked in decreasing order and each adds
+    adjoint * multiplier to its sources in place; its coefficients are
+    reduced mod p once, when it is complete.  A product of packed terms
+    is an int addition.  Since (sum c_t N_t)^[p] = sum c_t^p N_t^[p],
+    `frobenius` takes every multiplier to its p-th power, a packed term
+    times p, for the combination of the nodes' p-th powers.  Every term
+    stays within the degree guard, so no packed field wraps: a product
+    whose degree would pass the guard raises DegreeGuardError before it
+    is formed.
+    """
+    p, guard, degree = ring.p, ring.max_degree, layout.degree
+    adj: list = [None] * len(steps)
+    for node, q in seeds:
+        a = adj[node] = adj[node] or {}
+        for m, c in q.items():
+            a[m] = a.get(m, 0) + c
+    for node in range(len(steps) - 1, ngens - 1, -1):
+        a = adj[node]
+        adj[node] = None
+        if a:
+            a = {m: r for m, c in a.items() if (r := c % p)}
+        if not a:
+            continue
+        da = max(map(degree, a))
+        for src, mult in steps[node]:
+            dm = max(map(degree, mult)) * (p if frobenius else 1)
+            if da + dm > guard:
+                raise DegreeGuardError(
+                    f"cofactor degree {da + dm} exceeds guard {guard}")
+            if frobenius:
+                mult = {m * p: c for m, c in mult.items()}
+            out = adj[src]
+            if out is None:
+                out = adj[src] = {}
+            get = out.get
+            for mm, cm in mult.items():
+                for ma, ca in a.items():
+                    m = ma + mm
+                    out[m] = get(m, 0) + ca * cm
+    return [_poly(layout, ring,
+                  {m: r for m, c in (a or {}).items() if (r := c % p)})
+            for a in adj[:ngens]]
 
 
 def _coordinates(f) -> tuple[Poly, ...]:
@@ -403,19 +418,27 @@ def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis) -> tuple[Poly, lis
     return rem, [_poly(basis._layout, f.ring, q) for q in quotients]
 
 
-def reduce_by_generators(f, gens: Sequence, order: MonomialOrder = GREVLEX):
+def reduce_by_generators(f, gens: Sequence, order: MonomialOrder = GREVLEX,
+                         quotients: list | None = None):
     """Divide f, a Poly or a ModuleVector, by an arbitrary list of the same
     kind (no basis completion).
 
     The remainder is not unique unless the list is a Groebner basis, but a
-    zero remainder always proves membership in the generated span.
+    zero remainder always proves membership in the generated span.  A
+    `quotients` list receives one polynomial per element of `gens`, with
+    f = sum(quotients[t] * gens[t]) + remainder.
     """
     shell = (ModuleGroebnerBasis if isinstance(f, ModuleVector)
              else GroebnerBasis)([], order, [f])
     p = f.ring.p
-    reducers = [_prep_reducer(shell._encode(g), p)
-                for g in gens if not g.is_zero()]
-    rem = _reduce_full(shell._encode(f), reducers, p, shell._layout)
+    used = [t for t, g in enumerate(gens) if not g.is_zero()]
+    reducers = [_prep_reducer(shell._encode(gens[t]), p) for t in used]
+    found = None if quotients is None else defaultdict(dict)
+    rem = _reduce_full(shell._encode(f), reducers, p, shell._layout, found)
+    if quotients is not None:
+        by_gen = {used[k]: q for k, q in found.items()}
+        quotients.extend(_poly(shell._layout, f.ring, by_gen.get(t, {}))
+                         for t in range(len(gens)))
     return shell._decode(rem, f.ring)
 
 
@@ -478,7 +501,7 @@ def _new_pairs(layout: _Layout, lms: list[int], active: list[int],
 def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
               track: bool, known_gb_prefix: int = 0,
               target: dict | None = None
-              ) -> tuple[list[tuple] | None, tuple[list, list] | None]:
+              ) -> tuple[list[tuple] | dict, tuple[list, list] | None]:
     """Buchberger's algorithm on packed term dicts (see `_Layout`).
 
     Returns the prepared reducers (lead, 1, tail) of the reduced basis,
@@ -497,10 +520,17 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     element carries one prepared reducer, built when it joins, and all
     S-pair reductions share one divisor memo.  The pair heap pops the
     smallest lcm first, ties by index; leads, lcms, shifts and the
-    recorded multipliers stay packed throughout.  `target`, a term dict
-    that no lead of `gens` divides a term of, is reduced with the run's
-    memo whenever a joining lead divides one of its terms; once it is 0
-    the run stops and returns (None, None).
+    recorded multipliers stay packed throughout.
+
+    `target`, a term dict that no lead of `gens` divides a term of, is
+    reduced with the run's memo whenever a joining lead divides one of
+    its terms, so no lead met so far divides a term of it.  The run then
+    returns (target's remainder, trace) instead: it stops once the target
+    is 0, and a run that completes leaves the target's normal form, as
+    the leads met generate the lead module; neither interreduces.  With
+    `track` the trace is (steps, seeds): the target minus its remainder
+    is sum(quotient * node) over the (node, quotient) pairs of `seeds`,
+    one per reducer the target was divided by (see `_expand`).
     """
     p = ring.p
     slot_mask = layout.slot_mask
@@ -517,6 +547,8 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     active: list[int] = []  # elements whose lead no later lead divides
     pairs: list[tuple] = []  # heap of (lcm, i, j)
     memo: dict = {}  # the divisor memo of `reducers`
+    # with track, the target's quotient on each reducer it was divided by
+    target_q = defaultdict(dict) if track else None
 
     def update(h: int, lm: int, seed: bool) -> None:
         nonlocal pairs, active
@@ -557,7 +589,7 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     if not basis:
         raise ValueError("all generators are zero")
 
-    while pairs:
+    while pairs and target != {}:
         lcm, i, j = heapq.heappop(pairs)
         degree = layout.degree(lcm)
         if degree > ring.max_degree:
@@ -566,7 +598,7 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
                 f"guard {ring.max_degree}")
         si, sj = lcm - lms[i], lcm - lms[j]
         sterms = _spair_terms(basis[i], basis[j], si, sj, p, layout)
-        quotients = [{} for _ in basis] if track else None
+        quotients = defaultdict(dict) if track else None
         rem = _reduce_full(sterms, reducers, p, layout, quotients, memo)
         if not rem:
             continue
@@ -576,14 +608,16 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
             # new = inv * (x^si basis[i] - x^sj basis[j] - sum(q_k basis[k]))
             step = [(nodes[i], {si: inv}), (nodes[j], {sj: p - inv})]
             step += [(nodes[k], {m: -inv * c % p for m, c in q.items()})
-                     for k, q in enumerate(quotients) if q]
+                     for k, q in quotients.items()]
         add(lm, new, step)
         if target and any(((m | guard) - lm) & guard == guard
                           for m in target):
-            target = _reduce_full(target, reducers, p, layout, memo=memo)
-            if not target:
-                return None, None
+            target = _reduce_full(target, reducers, p, layout, target_q,
+                                  memo)
 
+    if target is not None:
+        return target, (steps, [(nodes[k], q) for k, q in target_q.items()]
+                        ) if track else None
     reducers, roots = _interreduce(reducers, ring, layout, active,
                                    (steps, nodes) if track else None)
     return reducers, (steps, roots) if track else None
@@ -627,7 +661,7 @@ def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
     for i in range(len(reducers) - 1, -1, -1):
         lm, _, tail = reducers[i]
         tail = dict(tail)
-        quotients = [{} for _ in reducers] if trace is not None else None
+        quotients = defaultdict(dict) if trace is not None else None
         rem = _reduce_full(tail, reducers, p, layout, quotients, memo)
         if rem == tail:
             continue
@@ -635,7 +669,7 @@ def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
         if trace is not None:
             steps.append([(nodes[i], {0: 1})] + [
                 (nodes[k], {m: -c % p for m, c in q.items()})
-                for k, q in enumerate(quotients) if q])
+                for k, q in quotients.items()])
             nodes[i] = len(steps) - 1
     return reducers, nodes
 
@@ -643,18 +677,21 @@ def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
 def _basis(cls, gens: list, order: MonomialOrder, track: bool,
            known_gb_prefix: int = 0, target=None):
     """Run the engine on `gens` and return the reduced basis as a `cls`:
-    encode at entry, decode the basis at exit.  With `target`, return its
-    remainder instead (see `module_buchberger`)."""
+    encode at entry, decode the basis at exit.  With `target`, return
+    (remainder, cofactors) instead (see `module_buchberger`)."""
     shell = cls([], order, gens)
-    reducers, trace = _groebner(
-        [shell._encode(g) for g in gens], shell.ring, shell._layout, track,
+    ring, layout = shell.ring, shell._layout
+    out, trace = _groebner(
+        [shell._encode(g) for g in gens], ring, layout, track,
         known_gb_prefix, None if target is None else shell._encode(target))
-    if reducers is None:
-        return shell._decode({}, shell.ring)
-    generators = [shell._decode({lm: 1, **dict(tail)}, shell.ring)
-                  for lm, _, tail in reducers]
-    basis = cls(generators, order, gens, trace, reducers)
-    return basis if target is None else _normal_form(target, basis)
+    if target is not None:
+        cofactors = None
+        if track and not out:
+            cofactors = _expand(*trace, len(gens), layout, ring)
+        return shell._decode(out, ring), cofactors
+    generators = [shell._decode({lm: 1, **dict(tail)}, ring)
+                  for lm, _, tail in out]
+    return cls(generators, order, gens, trace, out)
 
 
 def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
@@ -881,12 +918,20 @@ def module_buchberger(gens: Sequence[ModuleVector],
                       order: MonomialOrder = GREVLEX, *, track: bool = False,
                       known_gb_prefix: int = 0,
                       target: ModuleVector | None = None
-                      ) -> ModuleGroebnerBasis | ModuleVector:
+                      ) -> ModuleGroebnerBasis | tuple:
     """Reduced basis of the submodule of R^s generated by `gens`, computed
     by the ideal engine on slotted terms (see `buchberger`, also for
-    `track` and `known_gb_prefix`).  With `target`, a remainder on
-    division by `gens`, returns instead 0 once the run proves `target`
-    in the submodule, else its normal form on the completed basis."""
+    `track` and `known_gb_prefix`).
+
+    With `target`, a remainder on division by `gens`, the run decides
+    membership instead and returns (remainder, cofactors), as
+    `normal_form_with_cofactors` does: the remainder is 0 as soon as the
+    run proves `target` in the submodule, else the target's normal form
+    on the completed basis, taken from the run itself; no basis is
+    interreduced or returned.  Cofactors c_t with
+    target = sum(c_t * gens[t]) come with track=True and a zero
+    remainder, from one backward pass over the run's steps; else None.
+    """
     gens = list(gens)
     _common_ring(gens)
     size = len(gens[0])

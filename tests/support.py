@@ -1,7 +1,8 @@
 """Shared test helpers: random polynomial generation, the dense
 Macaulay-matrix membership oracle used to cross-check the Groebner
 engine, and plain oracles for the polynomial product, the
-standard-monomial count, the packed term layout and the pair criteria.
+standard-monomial count, the packed term layout and the pair criteria;
+and a re-expansion check of residual certificates.
 """
 
 from __future__ import annotations
@@ -64,6 +65,29 @@ def combine(cofactors, gens, pos: int = 0) -> Poly:
     for c, g in zip(cofactors, gens):
         acc = acc + c * (g if isinstance(g, Poly) else g[pos])
     return acc
+
+
+def membership_columns(gens: list[Poly]) -> list[list[Poly]]:
+    """The columns a residual certificate expands over, in the documented
+    cofactor order: the f_j e_i by (i, j), then w_k = ((df_i/dx_k)^p)_i
+    for k = 1..n."""
+    ring, m = gens[0].ring, len(gens)
+    cols = [[f if t == i else ring.zero() for t in range(m)]
+            for i in range(m) for f in gens]
+    return cols + [[f.derivative(k).frobenius() for f in gens]
+                   for k in range(ring.nvars)]
+
+
+def check_reexpansion(gens: list[Poly], residuals, cofactors) -> int:
+    """Assert that the cofactors re-expand the residual vector: at every
+    coordinate i, sum(cofactors[t] * column_t[i]) == residuals[i], over
+    `membership_columns`.  Uses polynomial arithmetic only, for any
+    number m of generators; returns the cofactors' term count."""
+    cols = membership_columns(gens)
+    assert len(cofactors) == len(cols)
+    for pos, r in enumerate(residuals):
+        assert combine(cofactors, cols, pos) == r, pos
+    return sum(len(c.terms) for c in cofactors)
 
 
 def box_standard_count(lms, nvars: int) -> int:

@@ -5,12 +5,14 @@ import json
 import os
 import re
 import signal
+import time
 from pathlib import Path
 
 import pytest
 
 from fliftlab.cli import (CURSOR_FILE, EXIT_INAPPLICABLE, EXIT_INPUT,
                           EXIT_INTERRUPTED, EXIT_OK, EXIT_RESOURCE, main)
+from fliftlab.cli import _sweep_worker as _real_sweep_worker
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +248,47 @@ def test_sweep_sigterm_flushes_partial_and_cursor(capsys, tmp_path, monkeypatch)
     assert "interrupted; cursor at cusp_hyp 2 " in out
     assert os.path.exists(CURSOR_FILE)
     assert out.count("F-liftable=") >= 10
+
+
+# The worker of this class, the 23rd of 44 in `sweep cusp_hyp --p 2 --max
+# 7`, sends SIGTERM to the sweep.  A Pool worker must be a module-level
+# function, as it is sent to the workers by name.
+def _terminating_worker(task):
+    if task[2] == (3, 6, 7):
+        # let the parent take the results of the earlier chunks first
+        time.sleep(0.3)
+        os.kill(os.getppid(), signal.SIGTERM)
+    return _real_sweep_worker(task)
+
+
+def test_sweep_pool_sigterm_flushes_partial_and_cursor(capsys, tmp_path,
+                                                       monkeypatch):
+    # a SIGTERM from a worker stops a --jobs 2 sweep as SIGINT does: exit
+    # 130 with the rows so far and the cursor, the previous handler back
+    # in place; the resumed rows complete the uninterrupted run
+    import fliftlab.cli as cli_mod
+
+    monkeypatch.chdir(tmp_path)
+    sweep = ("sweep", "cusp_hyp", "--p", "2", "--max", "7", "--format",
+             "csv")
+    code, full, _ = run_cli(capsys, *sweep)
+    assert code == EXIT_OK
+    rows = lambda text: [l.rsplit(",", 1)[0] for l in text.splitlines()[1:]
+                         if l and not l.startswith("interrupted")]
+    monkeypatch.setattr(cli_mod, "_sweep_worker", _terminating_worker)
+    previous = signal.getsignal(signal.SIGTERM)
+    code, out, _ = run_cli(capsys, *sweep, "--jobs", "2")
+    assert signal.getsignal(signal.SIGTERM) is previous
+    assert code == EXIT_INTERRUPTED
+    assert "interrupted; cursor at cusp_hyp 2 " in out
+    assert os.path.exists(CURSOR_FILE)
+    partial = rows(out)
+    assert 0 < len(partial) < len(rows(full))
+
+    monkeypatch.setattr(cli_mod, "_sweep_worker", _real_sweep_worker)
+    code, resumed, _ = run_cli(capsys, *sweep, "--jobs", "2", "--resume")
+    assert code == EXIT_OK
+    assert partial + rows(resumed) == rows(full)
 
 
 def test_cursor_write_is_atomic(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +17,14 @@ from fliftlab.criteria import (LiftabilityReport, TooManyGeneratorsError,
                                classify, isolated_singularity_check,
                                residual_polynomial)
 from fliftlab.fp_poly import PolyRing
-from fliftlab.frobsplit import build_splitting
+from fliftlab.frobsplit import build_splitting, delta1_integer_oracle
 from fliftlab.groebner import (GREVLEX, ModuleVector, module_buchberger,
                                module_normal_form)
 from fliftlab.report import report_from_dict, report_to_json
+
+from support import check_reexpansion, membership_columns
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _r(p, names=("x", "y", "z")):
@@ -159,16 +164,6 @@ def test_ci_examples():
     assert rep.f_pure and rep.f_liftable
 
 
-def _membership_columns(gens):
-    """The membership generators in the documented cofactor order: the
-    f_j e_i by (i, j), then w_k = ((df_i/dx_k)^p)_i for k = 1..n."""
-    ring, m = gens[0].ring, len(gens)
-    cols = [[f if t == i else ring.zero() for t in range(m)]
-            for i in range(m) for f in gens]
-    return cols + [[f.derivative(k).frobenius() for f in gens]
-                   for k in range(ring.nvars)]
-
-
 def test_ci_certificates():
     r4 = PolyRing(["x", "y", "z", "w"], 2)
     gens = [r4.parse("x*y+z^3+w^2"), r4.parse("z*w+x^2+y^2")]
@@ -176,16 +171,8 @@ def test_ci_certificates():
     assert rep.f_liftable
     # the cofactors re-expand the residual vector after a JSON round trip
     back = report_from_dict(json.loads(report_to_json(rep)))
-    cof = back.certificate.cofactors
-    cols = _membership_columns(gens)
-    assert len(cof) == len(cols) == 2 * 2 + 4
-    split = build_splitting(gens)
-    s_p = split.s.frobenius()
-    for pos, f in enumerate(gens):
-        expansion = r4.zero()
-        for c, col in zip(cof, cols):
-            expansion = expansion + c * col[pos]
-        assert expansion == _lift_and_residual(f, split, s_p)[1]
+    assert len(back.certificate.cofactors) == 2 * 2 + 4
+    check_reexpansion(gens, _residuals(gens), back.certificate.cofactors)
 
 
 def test_hypersurface_certificates_roundtrip():
@@ -211,10 +198,86 @@ def test_classify_dispatch():
     assert rep.f_liftable
 
 
+def _residuals(gens):
+    split = build_splitting(gens)
+    s_p = split.s.frobenius()
+    return [_lift_and_residual(f, split, s_p)[1] for f in gens]
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so that calls to it are counted in the returned
+    dict."""
+    counts = {"n": 0}
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_certified_quick_path_runs_only_the_screen(monkeypatch):
+    # cusp (2,4,5) at p = 2: the seed division alone proves membership,
+    # and its quotients are the seed's cofactors
+    gens = [make_cusp_hypersurface(2, 2, 4, 5)]
+    runs = _counting(monkeypatch, criteria, "module_buchberger")
+    rep = classify(gens, certificates=True)
+    assert rep.f_liftable and runs["n"] == 1
+    check_reexpansion(gens, _residuals(gens), rep.certificate.cofactors)
+
+
+def test_certified_membership_stops_at_the_first_zero_remainder(monkeypatch):
+    # cusp (3,3,4) at p = 5: the certified run stops at the first zero
+    # remainder too, short of the full tracked basis, and its certificate
+    # is no larger than the full basis gave (9,096 terms)
+    gens = [make_cusp_hypersurface(5, 3, 3, 4)]
+    residuals = _residuals(gens)
+    screen = isolated_singularity_check(gens, track=True)[1]
+    spairs = _counting(monkeypatch, groebner, "_spair_terms")
+    member, _, cofactors = _residual_membership(residuals, gens, screen,
+                                                GREVLEX, True)
+    early = spairs["n"]
+    spairs["n"] = 0
+    seed = [ModuleVector([c.frobenius() for c in g]) for g in screen]
+    seed += screen.original_generators[:1]
+    module_buchberger(seed, track=True, known_gb_prefix=len(screen))
+    assert member and 0 < early < spairs["n"], (early, spairs["n"])
+    assert check_reexpansion(gens, residuals, cofactors) <= 9096
+
+
+def _golden_fields(name):
+    fields = {}
+    for line in (GOLDEN / name).read_text().splitlines():
+        key, _, value = line.partition(":")
+        fields.setdefault(key.strip(), []).append(value.strip())
+    return fields
+
+
+@pytest.mark.parametrize("name", ["classify_cusp237_p3_certificates.txt",
+                                  "classify_ci_p2_certificates.txt"])
+def test_golden_certificates_reexpand(name):
+    # the pinned certificates, read back from the golden text, expand the
+    # residuals r_i = s^p * delta1(f_i) + g_i^p: delta1 from the integer
+    # oracle, g_i from the golden and s the unit 1 (sigma(1)(0) = 1)
+    fields = _golden_fields(name)
+    ring = PolyRing(fields["variables"][0].split(", "),
+                    int(fields["p"][0]))
+    gens = [ring.parse(v) for k, vs in fields.items()
+            if k.startswith("generator") for v in vs]
+    assert build_splitting(gens).s == ring.one()
+    g = fields["g"][0].strip("()").split(", ")
+    residuals = [delta1_integer_oracle(f) + ring.parse(gi).frobenius()
+                 for f, gi in zip(gens, g)]
+    cofactors = [ring.parse(c) for c in fields["cofactors"][0].split("; ")]
+    check_reexpansion(gens, residuals, cofactors)
+
+
 def _cold_membership(residuals, gens):
     """The oracle: a cold module Buchberger on (f_j e_i, w_k) and the
     normal form of the residual vector, sharing nothing with the screen."""
-    basis = module_buchberger(map(ModuleVector, _membership_columns(gens)))
+    basis = module_buchberger(map(ModuleVector, membership_columns(gens)))
     nf = module_normal_form(ModuleVector(residuals), basis)
     return nf.is_zero(), nf.coordinates
 
@@ -310,10 +373,10 @@ def test_plain_membership_stops_at_the_first_zero_remainder(monkeypatch):
         formed["n"] += 1
         return real_spair(*args)
 
-    def full_run(seed, order, known_gb_prefix, target):
-        basis = module_buchberger(seed, order,
+    def full_run(seed, order, track, known_gb_prefix, target):
+        basis = module_buchberger(seed, order, track=track,
                                   known_gb_prefix=known_gb_prefix)
-        return module_normal_form(target, basis)
+        return module_normal_form(target, basis), None
 
     monkeypatch.setattr(groebner, "_spair_terms", counting)
     counts = []
@@ -359,9 +422,8 @@ def test_negative_ci_verdict_needs_a_splitting_section(monkeypatch):
 
 
 def test_ci_negative_verdict_same_with_certificates():
-    # the known non-liftable equation, plain and tracked: a certified
-    # negative answer takes its remainder from the tracked basis, and it
-    # must match the uncertified run
+    # the known non-liftable equation, E_8^1 at p = 5, plain and tracked:
+    # both remainders must match each other and the cold normal form
     f = _r(5).parse("z^2+x^3+y^5+x*y^4")
     residual = residual_polynomial(f)
     plain = _residual_membership([residual], [f],
@@ -371,7 +433,9 @@ def test_ci_negative_verdict_same_with_certificates():
                                 isolated_singularity_check([f], track=True)[1],
                                 GREVLEX, True)
     assert plain[0] is False and cert[0] is False
-    assert cert[1] == plain[1]
+    # both take the remainder from the run itself: the normal form on the
+    # full reduced basis
+    assert cert[1] == plain[1] == _cold_membership([residual], [f])[1]
     assert not any(r.is_zero() for r in cert[1])
     assert cert[2] is None and plain[2] is None
 

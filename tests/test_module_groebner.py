@@ -7,7 +7,8 @@ import pytest
 from fliftlab.fp_poly import DegreeGuardError, PolyRing
 from fliftlab.groebner import (GREVLEX, LEX, ModuleGroebnerBasis,
                                ModuleVector, buchberger, module_buchberger,
-                               module_normal_form, verify_buchberger)
+                               module_normal_form, reduce_by_generators,
+                               verify_buchberger)
 
 from support import (check_packed_layout, combine, random_poly,
                      random_nonzero_poly, unit_expansions)
@@ -123,6 +124,43 @@ def test_membership_random_combinations():
                     v_coords[pos] = v_coords[pos] + c * g[pos]
             v = ModuleVector(v_coords)
             assert module_normal_form(v, module_buchberger(gens)).is_zero()
+
+
+def test_target_run_leaves_the_normal_form_random():
+    # a run with a target returns, tracked or not, the target's normal
+    # form on the full reduced basis, taken from the run itself; a
+    # tracked member's cofactors re-expand the target
+    rng = random.Random(4242)
+    seen = set()
+    for order in (GREVLEX, LEX):
+        for p in (2, 3, 5):
+            ring = _ring(p, ("x", "y"))
+            for _ in range(4):
+                gens = [ModuleVector([random_poly(rng, ring, 2, 3)
+                                      for _ in range(2)]) for _ in range(3)]
+                if any(g.is_zero() for g in gens):
+                    continue
+                gb = module_buchberger(gens, order)
+                coeffs = [random_poly(rng, ring, 2, 3) for _ in gens]
+                member = ModuleVector([combine(coeffs, gens, pos)
+                                       for pos in range(2)])
+                other = ModuleVector([random_poly(rng, ring, 3, 4)
+                                      for _ in range(2)])
+                for v in (member, other):
+                    target = reduce_by_generators(v, gens, order)
+                    if target.is_zero():
+                        continue
+                    for track in (False, True):
+                        rem, cof = module_buchberger(
+                            gens, order, track=track, target=target)
+                        assert rem == module_normal_form(v, gb)
+                        if track and rem.is_zero():
+                            assert all(combine(cof, gens, pos) == target[pos]
+                                       for pos in range(2))
+                        else:
+                            assert cof is None
+                        seen.add(rem.is_zero())
+    assert seen == {True, False}
 
 
 def test_lex_is_term_over_position_golden():
