@@ -11,8 +11,7 @@ from .groebner import (GREVLEX, LEX, GroebnerBasis, ModuleGroebnerBasis,
                        is_zero_dimensional, module_buchberger, normal_form,
                        quotient_dimension, supported_only_at_origin)
 from .frobsplit import (FrobeniusDecomposition, SplittingData, apply_sigma,
-                        build_splitting, delta1, delta1_integer_oracle,
-                        frobenius_decompose, trace_u)
+                        build_splitting, delta1, frobenius_decompose, trace_u)
 from .criteria import (Certificate, LiftabilityReport, classify,
                        isolated_singularity_check, residual_polynomial)
 from .catalog import (ExpectedRecord, FamilySpec, TableInstance,
@@ -29,7 +28,7 @@ __all__ = [
     "ModuleGroebnerBasis", "ModuleVector", "MonomialOrder", "NotPrimeError",
     "ParseError", "Poly", "PolyRing", "SplittingData", "TableInstance",
     "UnknownVariableError", "apply_sigma", "buchberger", "build_splitting",
-    "classify", "delta1", "delta1_integer_oracle", "enumerate_table_rows",
+    "classify", "delta1", "enumerate_table_rows",
     "expected_classification", "format_poly", "frobenius_decompose",
     "isolated_singularity_check", "is_zero_dimensional", "make_cusp_ci",
     "make_cusp_hypersurface", "make_rdp", "module_buchberger", "normal_form",

@@ -86,12 +86,10 @@ def _build_parser() -> _Parser:
                                  "singularities over prime fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def output(sp):
         sp.add_argument("--format", default="text",
                         choices=("text", "json", "csv", "md"))
         sp.add_argument("--order", default="grevlex", choices=("grevlex", "lex"))
-        sp.add_argument("--max-degree", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("classify", help="classify ad-hoc equations")
     sp.add_argument("--p", type=int, required=True)
@@ -100,14 +98,15 @@ def _build_parser() -> _Parser:
     sp.add_argument("--poly", action="append", required=True,
                     help="equation text; repeat for a complete intersection")
     sp.add_argument("--certificates", action="store_true")
-    common(sp)
+    sp.add_argument("--max-degree", type=int, default=None)
+    output(sp)
 
     sp = sub.add_parser("table", help="reproduce the RDP table")
     sp.add_argument("--n-max", type=int, default=8)
     sp.add_argument("--check", action="store_true",
                     help="compare with the expected columns; exit nonzero "
                          "on any mismatch")
-    common(sp)
+    output(sp)
 
     sp = sub.add_parser("sweep", help="classify a cusp family over a range")
     sp.add_argument("family", choices=SWEEP_FAMILIES)
@@ -119,11 +118,12 @@ def _build_parser() -> _Parser:
                     help="skip tuples up to the cursor file")
     sp.add_argument("--full-range", action="store_true",
                     help="p <= 19 and exponents <= 30 (hours-scale)")
-    common(sp)
+    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--max-degree", type=int, default=None)
+    output(sp)
 
     sp = sub.add_parser("identity", help="verify the closed-form identities")
     sp.add_argument("--n-max", type=int, default=10)
-    common(sp)
     return parser
 
 
@@ -141,14 +141,13 @@ def _effective_max_degree(arg_value: int | None) -> int:
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    cfg.fmt = args.format
-    cfg.order = args.order
-    cfg.max_degree = _effective_max_degree(args.max_degree)
-    if cfg.max_degree < 1:
-        raise UsageError("--max-degree must be positive")
-    cfg.jobs = args.jobs
-    if cfg.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
+    if "format" in args:
+        cfg.fmt = args.format
+        cfg.order = args.order
+    if "max_degree" in args:
+        cfg.max_degree = _effective_max_degree(args.max_degree)
+        if cfg.max_degree < 1:
+            raise UsageError("--max-degree must be positive")
 
     if args.command == "classify":
         if not is_prime(args.p):
@@ -166,6 +165,9 @@ def _config_from_args(args) -> RunConfig:
         cfg.n_max = args.n_max
         cfg.check = args.check
     elif args.command == "sweep":
+        cfg.jobs = args.jobs
+        if cfg.jobs < 1:
+            raise UsageError("--jobs must be at least 1")
         cfg.sweep_family = args.family
         cfg.resume = args.resume
         cfg.full_range = args.full_range

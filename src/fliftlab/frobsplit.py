@@ -1,20 +1,18 @@
-"""Frobenius-specific operators over F_p[x]: p-th power digit
-decomposition, the top-digit trace, the divided-power defect delta1,
-bracket powers, Fedder's F-purity test, and splitting sections.
+"""Frobenius-specific operators over F_p[x]: the p-th power digit
+decomposition, the top-digit trace u, the divided Frobenius defect
+delta1, Fedder's F-purity test and splitting sections.
 
-Conventions.  Writing every exponent vector as p*q + alpha with digits
-alpha in [0,p)^n expresses f uniquely as sum(g_alpha^p * x^alpha); the
-trace u projects onto the alpha = (p-1,...,p-1) component.  delta1(f)
-sums over the compositions of p into parts <= p-1 applied to the terms
-of f (terms carry their coefficients), with the mod-p coefficient
--(prod alpha_i!)^(-1), which equals (1/p)*multinomial(p; alpha) by
-Wilson's theorem.
+Writing every exponent vector as p*q + alpha with digits alpha in
+[0,p)^n expresses f uniquely as sum(g_alpha^p * x^alpha); u projects
+onto the alpha = (p-1,...,p-1) component.  For f = sum c_i x^a_i with
+each c_i lifted to [0, p), delta1(f) = ((lift f)^p - sum (lift c_i
+x^a_i)^p)/p mod p, the mixed terms of the integer p-th power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
@@ -69,113 +67,37 @@ def trace_u(f: Poly) -> Poly:
 
 
 def delta1(f: Poly) -> Poly:
-    """Divided Frobenius defect of f under the term decomposition.
-
-    Zero and single-term inputs give 0 (no composition of p into one
-    part <= p-1 exists).
-    """
+    """The divided Frobenius defect of f (module docstring), by p-1
+    multiplications by f over Z/p^2 on exponents packed as in
+    `Poly.__mul__`.  Zero and single-term inputs give 0; the degree
+    guard, that of f^p, is checked before any product."""
     ring = f.ring
     p = ring.p
-    terms = list(f.terms.items())
-    m = len(terms)
-    if m < 2:
+    if len(f.terms) < 2:
         return ring.zero()
-    if f.total_degree() * p > ring.max_degree:
+    degree = f.total_degree() * p
+    if degree > ring.max_degree:
         raise DegreeGuardError(
-            f"delta1 degree {f.total_degree() * p} exceeds guard {ring.max_degree}")
-    fact = [1] * p
-    for k in range(2, p):
-        fact[k] = fact[k - 1] * k % p
-    inv_fact = [pow(v, p - 2, p) for v in fact]
-    n = ring.nvars
-    out: dict[tuple[int, ...], int] = {}
-
-    def emit(mono: tuple[int, ...], coeff: int) -> None:
-        c = (out.get(mono, 0) - coeff) % p
-        if c:
-            out[mono] = c
-        else:
-            out.pop(mono, None)
-
-    # iterative walk over compositions of p into parts <= p-1; a spent
-    # budget finalizes immediately (all later parts are forced to zero)
-    stack = [(0, p, (0,) * n, 1)]
-    while stack:
-        idx, remaining, mono, coeff = stack.pop()
-        if remaining == 0:
-            emit(mono, coeff)
-            continue
-        if idx == m - 1:
-            if remaining <= p - 1:
-                bmono, bc = terms[idx]
-                nm = tuple(x + remaining * y for x, y in zip(mono, bmono))
-                emit(nm, coeff * pow(bc, remaining, p) * inv_fact[remaining] % p)
-            continue
-        bmono, bc = terms[idx]
-        stack.append((idx + 1, remaining, mono, coeff))
-        for alpha in range(1, min(p - 1, remaining) + 1):
-            nm = tuple(x + alpha * y for x, y in zip(mono, bmono))
-            nc = coeff * pow(bc, alpha, p) * inv_fact[alpha] % p
-            stack.append((idx + 1, remaining - alpha, nm, nc))
-    return Poly._make(ring, out)
-
-
-_ORACLE_COEFF_BOUND = 1 << 127
-
-
-def delta1_integer_oracle(f: Poly) -> Poly:
-    """Independent check of delta1: ((lift f)^p - sum (lift M_i)^p) / p
-    over the integers with canonical lifts to [0, p), reduced mod p.
-
-    Intended for small test inputs; intermediate coefficients beyond 128
-    bits raise OverflowError.
-    """
-    ring = f.ring
-    p = ring.p
-
-    def imul(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                mm = tuple(x + y for x, y in zip(ma, mb))
-                c = out.get(mm, 0) + ca * cb
-                if abs(c) >= _ORACLE_COEFF_BOUND:
-                    raise OverflowError("integer oracle coefficient exceeds 128 bits")
-                if c:
-                    out[mm] = c
-                else:
-                    out.pop(mm, None)
-        return out
-
-    def ipow(a: dict, e: int) -> dict:
-        result = {(0,) * ring.nvars: 1}
-        base = dict(a)
-        while e:
-            if e & 1:
-                result = imul(result, base)
-            e >>= 1
-            if e:
-                base = imul(base, base)
-        return result
-
-    lifted = {m: c % p for m, c in f.terms.items()}
-    total = ipow(lifted, p)
-    for mono, c in lifted.items():
-        single = ipow({mono: c}, p)
-        for mm, cc in single.items():
-            v = total.get(mm, 0) - cc
-            if v:
-                total[mm] = v
-            else:
-                total.pop(mm, None)
-    out: dict[tuple[int, ...], int] = {}
-    for mm, cc in total.items():
-        if cc % p:
-            raise ArithmeticError("defect not divisible by p; oracle misuse")
-        v = (cc // p) % p
-        if v:
-            out[mm] = v
-    return Poly._make(ring, out)
+            f"delta1 degree {degree} exceeds guard {ring.max_degree}")
+    q = p * p
+    w = degree.bit_length()
+    shifts = range(0, w * ring.nvars, w)
+    units = [1 << s for s in shifts]
+    base = [(sum(map(mul, m, units)), c) for m, c in f.terms.items()]
+    power = dict(base)
+    for _ in range(p - 1):
+        out: dict[int, int] = {}
+        get = out.get
+        for kb, cb in base:
+            for ka, ca in power.items():
+                k = ka + kb
+                out[k] = (get(k, 0) + ca * cb) % q
+        power = out
+    for k, c in base:
+        power[k * p] -= pow(c, p, q)  # zero terms stay keys
+    mask = (1 << w) - 1
+    return Poly._make(ring, {tuple((k >> s) & mask for s in shifts): c % q // p
+                             for k, c in power.items() if c % q})
 
 
 def _product(gens: Sequence[Poly]) -> Poly:

@@ -1,8 +1,9 @@
 """Shared test helpers: random polynomial generation, the dense
 Macaulay-matrix membership oracle used to cross-check the Groebner
-engine, and plain oracles for the polynomial product, the
+engine, and plain oracles for the polynomial product, delta1, the
 standard-monomial count, the packed term layout and the pair criteria;
-and a re-expansion check of residual certificates.
+a re-expansion check of residual certificates; and seeded coordinate
+changes that fix the origin.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 
 import numpy as np
 
-from fliftlab.fp_poly import Poly, PolyRing
+from fliftlab.fp_poly import DegreeGuardError, Poly, PolyRing
 
 
 def random_poly(rng: random.Random, ring: PolyRing, max_terms: int = 5,
@@ -46,6 +47,64 @@ def naive_product(a: Poly, b: Poly) -> Poly:
             m = tuple(x + y for x, y in zip(ma, mb))
             out[m] = (out.get(m, 0) + ca * cb) % p
     return a.ring.from_terms(out)
+
+
+def delta1_walk(f: Poly) -> Poly:
+    """Reference delta1: the divided Frobenius defect of f under the term
+    decomposition, by a walk over the compositions of p into parts
+    <= p-1 applied to the terms of f (terms carry their coefficients).
+    A composition alpha contributes its monomial with the mod-p
+    coefficient -(prod alpha_i!)^(-1), which equals
+    (1/p)*multinomial(p; alpha) by Wilson's theorem.  About
+    C(t+p-1, p) leaves for t terms.
+
+    Zero and single-term inputs give 0 (no composition of p into one
+    part <= p-1 exists).
+    """
+    ring = f.ring
+    p = ring.p
+    terms = list(f.terms.items())
+    m = len(terms)
+    if m < 2:
+        return ring.zero()
+    if f.total_degree() * p > ring.max_degree:
+        raise DegreeGuardError(
+            f"delta1 degree {f.total_degree() * p} exceeds guard {ring.max_degree}")
+    fact = [1] * p
+    for k in range(2, p):
+        fact[k] = fact[k - 1] * k % p
+    inv_fact = [pow(v, p - 2, p) for v in fact]
+    n = ring.nvars
+    out: dict[tuple[int, ...], int] = {}
+
+    def emit(mono: tuple[int, ...], coeff: int) -> None:
+        c = (out.get(mono, 0) - coeff) % p
+        if c:
+            out[mono] = c
+        else:
+            out.pop(mono, None)
+
+    # iterative walk over compositions of p into parts <= p-1; a spent
+    # budget finalizes immediately (all later parts are forced to zero)
+    stack = [(0, p, (0,) * n, 1)]
+    while stack:
+        idx, remaining, mono, coeff = stack.pop()
+        if remaining == 0:
+            emit(mono, coeff)
+            continue
+        if idx == m - 1:
+            if remaining <= p - 1:
+                bmono, bc = terms[idx]
+                nm = tuple(x + remaining * y for x, y in zip(mono, bmono))
+                emit(nm, coeff * pow(bc, remaining, p) * inv_fact[remaining] % p)
+            continue
+        bmono, bc = terms[idx]
+        stack.append((idx + 1, remaining, mono, coeff))
+        for alpha in range(1, min(p - 1, remaining) + 1):
+            nm = tuple(x + alpha * y for x, y in zip(mono, bmono))
+            nc = coeff * pow(bc, alpha, p) * inv_fact[alpha] % p
+            stack.append((idx + 1, remaining - alpha, nm, nc))
+    return Poly._make(ring, out)
 
 
 def unit_expansions(basis, frobenius: bool = False) -> list[list[Poly]]:
@@ -88,6 +147,50 @@ def check_reexpansion(gens: list[Poly], residuals, cofactors) -> int:
     for pos, r in enumerate(residuals):
         assert combine(cofactors, cols, pos) == r, pos
     return sum(len(c.terms) for c in cofactors)
+
+
+def substitute(f: Poly, images) -> Poly:
+    """f(images[0], ..., images[n-1]), one image per ambient variable."""
+    ring = f.ring
+    acc = ring.zero()
+    for mono, c in f.terms.items():
+        term = ring.from_int(c)
+        for g, e in zip(images, mono):
+            if e:
+                term = term * g ** e
+        acc = acc + term
+    return acc
+
+
+def random_automorphism(rng: random.Random, ring: PolyRing) -> list[Poly]:
+    """The images of the variables under a seeded automorphism of
+    F_p[x_1..x_n] (n >= 2) that fixes the origin: an invertible linear
+    map l, then x_i -> l_i + c*l_j*l_k with j, k != i.
+
+    l is a random row permutation of a unit lower triangular times an
+    upper triangular matrix with a nonzero diagonal, so it is invertible.
+    x_i -> l_i + c*l_j*l_k substitutes l into the elementary map
+    x_i -> x_i + c*x_j*x_k (inverse x_i -> x_i - c*x_j*x_k), so it is
+    invertible; l_i + c*x_j*x_k, the same steps in the other order, need
+    not be.  No translation (it moves the singular point) and no unit
+    multiplier (it changes the zero set).
+    """
+    n, p = ring.nvars, ring.p
+    lower = [[int(i == j) if j >= i else rng.randrange(p) for j in range(n)]
+             for i in range(n)]
+    upper = [[rng.randrange(1, p) if j == i else
+              rng.randrange(p) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*upper)]
+            for row in lower]
+    rng.shuffle(rows)
+    xs = ring.gens()
+    lin = [sum((x * a for x, a in zip(xs, row)), ring.zero()) for row in rows]
+    i = rng.randrange(n)
+    others = [v for v in range(n) if v != i]
+    j, k = rng.choice(others), rng.choice(others)
+    lin[i] = lin[i] + lin[j] * lin[k] * rng.randrange(1, p)
+    return lin
 
 
 def box_standard_count(lms, nvars: int) -> int:

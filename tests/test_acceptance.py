@@ -18,9 +18,9 @@ from fliftlab.catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
 from fliftlab.criteria import (LiftabilityReport, classify,
                                residual_polynomial)
 from fliftlab.fp_poly import PolyRing
-from fliftlab.frobsplit import delta1, delta1_integer_oracle, frobenius_decompose
+from fliftlab.frobsplit import delta1, frobenius_decompose
 
-from support import random_poly
+from support import delta1_walk, random_poly
 from test_groebner import run_macaulay_agreement
 
 
@@ -161,7 +161,7 @@ def test_criterion_5_ci_cusp_sweep():
 
 
 def test_criterion_6_property_suites():
-    """Oracle-backed property checks: delta1 vs the integer-lift oracle,
+    """Oracle-backed property checks: delta1 vs the composition-walk oracle,
     Frobenius decomposition round-trip, Groebner membership vs the
     Macaulay-matrix oracle, the liftable=>pure implication (a report
     that breaks it cannot be constructed, so every verdict is checked
@@ -174,7 +174,7 @@ def test_criterion_6_property_suites():
         p = rng.choice((2, 3, 5, 7))
         ring = PolyRing(["x", "y", "z"], p)
         f = random_poly(rng, ring, 5, 6)
-        assert delta1(f) == delta1_integer_oracle(f)
+        assert delta1(f) == delta1_walk(f)
 
     for _ in range(300):
         p = rng.choice((2, 3, 5, 7))

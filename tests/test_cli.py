@@ -103,6 +103,12 @@ def test_usage_errors_exit_1(capsys):
     assert code == EXIT_INPUT  # missing --poly
     code, _, err = run_cli(capsys, "nonsense")
     assert code == EXIT_INPUT
+    # each flag exists only on the commands that read it
+    for argv in (("table", "--jobs", "2"), ("identity", "--format", "json"),
+                 ("classify", "--p", "2", "--vars", "x", "--poly", "x",
+                  "--jobs", "2")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT and "unrecognized arguments" in err, argv
 
 
 def test_verdict_not_liftable_is_exit_0(capsys):

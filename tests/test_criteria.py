@@ -1,6 +1,7 @@
 """Classification pipeline: screening, verdicts, certificates, residuals."""
 
 import json
+import random
 from itertools import product
 from pathlib import Path
 
@@ -17,12 +18,13 @@ from fliftlab.criteria import (LiftabilityReport, TooManyGeneratorsError,
                                classify, isolated_singularity_check,
                                residual_polynomial)
 from fliftlab.fp_poly import PolyRing
-from fliftlab.frobsplit import build_splitting, delta1_integer_oracle
+from fliftlab.frobsplit import build_splitting
 from fliftlab.groebner import (GREVLEX, ModuleVector, module_buchberger,
                                module_normal_form)
 from fliftlab.report import report_from_dict, report_to_json
 
-from support import check_reexpansion, membership_columns
+from support import (check_reexpansion, delta1_walk, membership_columns,
+                     random_automorphism, substitute)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -259,7 +261,7 @@ def _golden_fields(name):
                                   "classify_ci_p2_certificates.txt"])
 def test_golden_certificates_reexpand(name):
     # the pinned certificates, read back from the golden text, expand the
-    # residuals r_i = s^p * delta1(f_i) + g_i^p: delta1 from the integer
+    # residuals r_i = s^p * delta1(f_i) + g_i^p: delta1 from the walk
     # oracle, g_i from the golden and s the unit 1 (sigma(1)(0) = 1)
     fields = _golden_fields(name)
     ring = PolyRing(fields["variables"][0].split(", "),
@@ -268,7 +270,7 @@ def test_golden_certificates_reexpand(name):
             if k.startswith("generator") for v in vs]
     assert build_splitting(gens).s == ring.one()
     g = fields["g"][0].strip("()").split(", ")
-    residuals = [delta1_integer_oracle(f) + ring.parse(gi).frobenius()
+    residuals = [delta1_walk(f) + ring.parse(gi).frobenius()
                  for f, gi in zip(gens, g)]
     cofactors = [ring.parse(c) for c in fields["cofactors"][0].split("; ")]
     check_reexpansion(gens, residuals, cofactors)
@@ -286,6 +288,29 @@ def _ci_classes(max_exp):
     return sorted({cusp_ci_symmetry_class(t)
                    for t in product(range(2, max_exp + 1), repeat=4)
                    if cusp_ci_admissible(*t)})
+
+
+def test_verdicts_invariant_under_coordinate_change():
+    # F-purity and F-liftability belong to the singularity, not to its
+    # equations: a seeded origin-fixing automorphism keeps every verdict
+    # field on the table rows at n <= 4 and p <= 5, and replacing f_2 by
+    # f_2 + f_1 keeps them on the cusp_ci classes at p = 2 with exponents
+    # <= 4.  (The 10 rows at p = 7 agree as well but take about 11 s.)
+    def verdict(gens):
+        rep = classify(gens)
+        return rep.status, rep.f_pure, rep.f_liftable, rep.conclusive
+
+    rng = random.Random(1)
+    rows = [inst for inst in enumerate_table_rows(4) if inst.p <= 5]
+    for inst in rows:
+        f = inst.poly
+        moved = substitute(f, random_automorphism(rng, f.ring))
+        assert verdict([moved]) == verdict([f]), (str(f), str(moved))
+    classes = _ci_classes(4)
+    for t in classes:
+        f1, f2 = make_cusp_ci(2, *t)
+        assert verdict([f1, f2 + f1]) == verdict([f1, f2]), t
+    assert (len(rows), len(classes)) == (58, 20)
 
 
 def test_seeded_membership_matches_cold_oracle():

@@ -10,11 +10,11 @@ import pytest
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               PolyRing)
 from fliftlab.frobsplit import (apply_sigma, build_splitting, delta1,
-                                delta1_integer_oracle, find_fedder_survivor,
-                                frobenius_decompose, trace_u)
+                                find_fedder_survivor, frobenius_decompose,
+                                trace_u)
 from fliftlab.groebner import buchberger, normal_form
 
-from support import random_poly, random_nonzero_poly
+from support import delta1_walk, random_poly, random_nonzero_poly
 
 
 def test_decompose_examples():
@@ -103,14 +103,14 @@ def test_delta1_ci_cusp_congruences():
             delta1(g) - ring.parse(f"x^{c}*y^{d} + z^2*w^2"), gb_g).is_zero()
 
 
-def test_delta1_integer_oracle_examples():
-    r5 = PolyRing(["x", "y"], 5)
-    d = delta1_integer_oracle(r5.parse("x+y"))
-    assert d.coefficient((4, 1)) == 1  # C(5;4,1)/5 = 1, Wilson route agrees
-    r2 = PolyRing(["x", "y", "z"], 2)
-    assert delta1_integer_oracle(r2.parse("x+y+z")) == r2.parse("x*y+x*z+y*z")
-    r3 = PolyRing(["x"], 3)
-    assert delta1_integer_oracle(r3.parse("2*x")).is_zero()
+def test_delta1_degree_guard():
+    # the guard bounds deg f^p = p * deg f and raises before any product
+    ring = PolyRing(["x", "y"], 5, max_degree=15)
+    assert delta1(ring.parse("x^3 + y")) == delta1_walk(ring.parse("x^3 + y"))
+    with pytest.raises(DegreeGuardError):
+        delta1(ring.parse("x^3*y + y"))
+    # a single term is 0 whatever its degree
+    assert delta1(ring.parse("x^4")).is_zero()
 
 
 def test_delta1_many_terms_char_2():
@@ -132,18 +132,29 @@ def test_delta1_many_terms_char_2():
     assert d.terms == expect
 
 
-def test_delta1_agrees_with_integer_oracle_200():
+def test_delta1_agrees_with_walk_oracle_200():
     rng = random.Random(1618)
     for _ in range(200):
-        p = rng.choice((2, 3, 5, 7))
+        p = rng.choice((2, 3, 5, 7, 11, 13))
         ring = PolyRing(["x", "y", "z"], p)
         f = random_poly(rng, ring, 5, 6)
-        assert delta1(f) == delta1_integer_oracle(f)
+        assert delta1(f) == delta1_walk(f)
+
+
+def test_delta1_walk_oracle_examples():
+    r5 = PolyRing(["x", "y"], 5)
+    d = delta1_walk(r5.parse("x+y"))
+    assert d.coefficient((4, 1)) == 1  # C(5;4,1)/5 = 1, Wilson route agrees
+    r2 = PolyRing(["x", "y", "z"], 2)
+    assert delta1_walk(r2.parse("x+y+z")) == r2.parse("x*y+x*z+y*z")
+    r3 = PolyRing(["x"], 3)
+    assert delta1_walk(r3.parse("2*x")).is_zero()
 
 
 def test_wilson_coefficient_law_exhaustive():
-    # -(prod a_i!)^(-1) mod p equals (p-1)!/prod(a_i!) for every
-    # composition of p with parts in [1, p-1], p <= 7, up to 4 parts
+    # the coefficient law of the walk oracle: -(prod a_i!)^(-1) mod p
+    # equals (p-1)!/prod(a_i!) for every composition of p with parts in
+    # [1, p-1], p <= 7, up to 4 parts
     for p in (2, 3, 5, 7):
         for m in range(2, 5):
             for parts in itertools.product(range(1, p), repeat=m):
