@@ -186,6 +186,8 @@ def _config_from_args(args) -> RunConfig:
                     primes = [int(t) for t in args.p_set.split(",") if t.strip()]
                 except ValueError:
                     raise UsageError(f"bad --p-set {args.p_set!r}")
+                if not primes or len(set(primes)) != len(primes):
+                    raise UsageError("--p-set must list distinct primes")
             for q in primes:
                 if not is_prime(q):
                     raise UsageError(f"{q} is not prime")

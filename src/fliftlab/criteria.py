@@ -24,11 +24,12 @@ from typing import Sequence
 from .fp_poly import Poly, format_poly
 from .groebner import (GREVLEX, ModuleGroebnerBasis, ModuleVector,
                        MonomialOrder, is_zero_dimensional, module_buchberger,
-                       reduce_by_generators, supported_only_at_origin)
+                       seeded_membership, supported_only_at_origin)
 # unused here, but bound for perfbench/tracer.py, which patches the
 # engine functions by name in this module
 from .groebner import (buchberger, module_normal_form,  # noqa: F401
-                       normal_form, normal_form_with_cofactors)
+                       normal_form, normal_form_with_cofactors,
+                       reduce_by_generators)
 from .frobsplit import SplittingData, apply_sigma, build_splitting, delta1
 
 SMOOTH = "smooth"
@@ -141,39 +142,28 @@ def _lift_and_residual(f: Poly, split: SplittingData,
 
 
 def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
-                         screen: ModuleGroebnerBasis, order: MonomialOrder,
-                         want_cofactors: bool):
+                         screen: ModuleGroebnerBasis, want_cofactors: bool):
     """Decide (r_1..r_m) in N^[p] + (f_j e_i), with N the screen's
     submodule; returns (member, remainder coordinates, cofactors).
 
-    The p-th powers of the coordinates of N's reduced basis form a basis
-    of N^[p] (leading terms go to p-th powers), so they seed Buchberger
-    as a known prefix, followed by the f_j e_i.  A zero remainder on
-    division by that generating set already proves membership; else the
-    run takes that remainder as its target and stops at its first zero,
-    while a nonmember's run completes and leaves the residual's (unique)
-    normal form.  Certified or not, the route is the same; `track` only
-    records how.  Cofactors run over the f_j e_i by (i, j), then
-    w_1..w_n, w_k = ((df_i/dx_k)^p)_i; they need `screen` built with
-    track=True.  The seed's cofactors are the division's quotients plus
-    the run's own, from one backward pass over its steps, and the part
-    on N^[p] maps back to N's generators by a second, Frobenius-twisted
-    pass over the screen's trace (see `GroebnerBasis.expand`).
+    `seeded_membership` seeds Buchberger with the p-th powers of N's
+    reduced basis, a basis of N^[p], followed by the f_j e_i, and stops
+    at the residual's first zero remainder; a nonmember's run completes
+    and leaves the residual's (unique) normal form.  Certified or not,
+    the route is the same; `track` only records how.  Cofactors run over
+    the f_j e_i by (i, j), then w_1..w_n, w_k = ((df_i/dx_k)^p)_i; they
+    need `screen` built with track=True.  The seed's cofactors come from
+    the membership run, and the part on N^[p] maps back to N's generators
+    by a Frobenius-twisted backward pass over the screen's trace (see
+    `GroebnerBasis.expand`).
     """
     ring = gens[0].ring
     m = len(gens)
     multiples = screen.original_generators[:m * m]
-    known = len(screen.generators)
-    seed = [ModuleVector([c.frobenius() for c in g]) for g in screen]
-    seed += multiples
-    seed_cof = [] if want_cofactors else None
-    rem = reduce_by_generators(ModuleVector(residuals), seed, order, seed_cof)
-    if not rem.is_zero():
-        rem, run_cof = module_buchberger(seed, order, track=want_cofactors,
-                                         known_gb_prefix=known, target=rem)
-        if run_cof is not None:
-            seed_cof = [q + c for q, c in zip(seed_cof, run_cof)]
-    if not want_cofactors or not rem.is_zero():
+    known = len(screen)
+    rem, seed_cof = seeded_membership(ModuleVector(residuals), screen,
+                                      multiples, track=want_cofactors)
+    if seed_cof is None:
         return rem.is_zero(), rem.coordinates, None
     # a seed element g^[p] with g = sum(c_t * N_t) over N's generators is
     # sum(c_t^p * N_t^[p]), where w_k is the p-th power of a Jacobian
@@ -233,6 +223,8 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
         return report("classified", False, False, True,
                       Certificate(fedder_survivor=None, sigma_trace_constant=0))
 
+    # the "delta1" stage times the whole residual computation: delta1,
+    # sigma, the p-th powers and s^p * delta1, not delta1 alone
     t = time.perf_counter()
     s_p = split.s.frobenius()
     lifts, residuals = zip(*(_lift_and_residual(f, split, s_p)
@@ -241,7 +233,7 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
 
     t = time.perf_counter()
     member, remainder, cofactors = _residual_membership(
-        residuals, gens, screen, order, certificates)
+        residuals, gens, screen, certificates)
     timings["groebner"] = _ms_since(t)
 
     # A positive containment certifies liftability at the origin, even

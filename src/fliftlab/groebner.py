@@ -17,6 +17,7 @@ The default order is degrevlex; lex is available for debugging.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from collections import defaultdict
@@ -107,10 +108,11 @@ class _Layout:
         # the exponent fields times this spread land on the prefix sums
         self._spread = sum(1 << (j * w) for j in range(nvars, 2 * nvars))
         self._top_shift = (nfields - 1) * w
+        # every field is linear in the exponents, so a term packs as the
+        # sum of its entries times these
+        self._weights = [self._prefixed(u) for u in self.units]
 
-    def enc(self, t: tuple[int, ...]) -> int:
-        """Pack a slotted exponent tuple."""
-        mono = t[self.slots:]
+    def _check(self, mono: tuple[int, ...]) -> None:
         if self.grevlex and sum(mono) > self.max_degree:
             raise DegreeGuardError(f"monomial degree {sum(mono)} exceeds "
                                    f"guard {self.max_degree}")
@@ -118,7 +120,11 @@ class _Layout:
             raise DegreeGuardError(
                 f"exponent {max(mono)} exceeds the packed field of degree "
                 f"guard {self.max_degree}")
-        return self._prefixed(sum(map(mul, t, self.units)))
+
+    def enc(self, t: tuple[int, ...]) -> int:
+        """Pack a slotted exponent tuple."""
+        self._check(t[self.slots:])
+        return sum(map(mul, t, self._weights))
 
     def _prefixed(self, m: int) -> int:
         """m with its prefix-sum fields rebuilt from its exponent fields;
@@ -135,8 +141,15 @@ class _Layout:
         """The slotted exponent tuple of a packed term."""
         return tuple((t >> s) & 1 for s in self._slot_shifts) + self.mono(t)
 
-    def enc_terms(self, terms: dict) -> dict:
-        return {self.enc(m): c for m, c in terms.items()}
+    def enc_terms(self, terms: dict, pos: int = 0) -> dict:
+        """Pack a polynomial's terms at position `pos` of R^s."""
+        slot = self.units[pos] if self.slots else 0
+        weights = self._weights[self.slots:]
+        out = {}
+        for m, c in terms.items():
+            self._check(m)
+            out[slot + sum(map(mul, m, weights))] = c
+        return out
 
     def dec_terms(self, terms: dict) -> dict:
         return {self.dec(m): c for m, c in terms.items()}
@@ -159,6 +172,14 @@ class _Layout:
     def lcm(self, a: int, b: int) -> int:
         ge = ((a | self.guard) - b) & self.guard
         return self._prefixed(b ^ ((a ^ b) & (ge - (ge >> (self.width - 1)))))
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_layout(nvars: int, slots: int, order: MonomialOrder,
+                   max_degree: int) -> _Layout:
+    """One shared `_Layout` per (nvars, slots, order, max_degree); a layout
+    is never changed after it is built."""
+    return _Layout(nvars, slots, order, max_degree)
 
 
 def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
@@ -252,38 +273,49 @@ class GroebnerBasis:
     formed each element from `original_generators`, which `expand` turns
     into cofactors (see `_expand`).  roots[i] is the node of
     generators[i].  `reducers`, when given, are the engine's
-    prepared reducers of `generators`; every reduction against them
-    shares one divisor memo (see `_reduce_full`).
+    prepared reducers of the basis, and `generators` may then be None:
+    they are decoded from the reducers on first access, since the engine's
+    own callers read only the leads, the reducers and the trace.  Every
+    reduction against the reducers shares one divisor memo (see
+    `_reduce_full`).
     """
 
     size = 1  # the rank s of the ambient free module
     _slots = 0
 
-    def __init__(self, generators: Sequence, order: MonomialOrder,
+    def __init__(self, generators: Sequence | None, order: MonomialOrder,
                  original_generators: Sequence,
                  trace: tuple[list, list] | None = None,
                  reducers: list[tuple] | None = None):
-        self.generators = tuple(generators)
+        self._generators = None if generators is None else tuple(generators)
         self.order = order
         self.original_generators = tuple(original_generators)
         self.trace = trace
-        self.ring = self.generators[0].ring if self.generators else (
-            self.original_generators[0].ring)
-        self._layout = _Layout(self.ring.nvars, self._slots, order,
-                               self.ring.max_degree)
+        self.ring = (self._generators or self.original_generators)[0].ring
+        self._layout = _shared_layout(self.ring.nvars, self._slots, order,
+                                      self.ring.max_degree)
         if reducers is None:
             reducers = [_prep_reducer(self._encode(g), self.ring.p)
-                        for g in self.generators]
+                        for g in self._generators]
         self._reducers = reducers
         self._memo: dict = {}
         self.leading_monomials = tuple(self._layout.dec(r[0])
                                        for r in reducers)
 
+    @property
+    def generators(self) -> tuple:
+        """The basis elements; the engine lists them largest lead first."""
+        if self._generators is None:
+            self._generators = tuple(
+                self._decode({lm: 1, **dict(tail)}, self.ring)
+                for lm, _, tail in self._reducers)
+        return self._generators
+
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self._reducers)
 
     def contains_one(self) -> bool:
         """Whether the span is the whole module: a unit lead at every
@@ -292,8 +324,14 @@ class GroebnerBasis:
                    for leads in _position_leads(self))
 
     # An element of the span as the engine's packed term dict, and back.
-    def _encode(self, f: Poly) -> dict:
-        return self._layout.enc_terms(f.terms)
+    def _encode(self, v) -> dict:
+        coords = _coordinates(v)
+        if len(coords) != self.size:
+            raise ValueError("coordinate-count mismatch")
+        out: dict = {}
+        for pos, poly in enumerate(coords):
+            out.update(self._layout.enc_terms(poly.terms, pos))
+        return out
 
     def _decode(self, terms: dict, ring: PolyRing) -> Poly:
         return Poly._make(ring, self._layout.dec_terms(terms))
@@ -413,32 +451,27 @@ def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
 
 def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis) -> tuple[Poly, list[Poly]]:
     """Normal form plus quotients q_i with f = sum(q_i g_i) + remainder."""
-    quotients: list[dict] = [{} for _ in basis.generators]
+    quotients: list[dict] = [{} for _ in basis._reducers]
     rem = _normal_form(f, basis, quotients)
     return rem, [_poly(basis._layout, f.ring, q) for q in quotients]
 
 
-def reduce_by_generators(f, gens: Sequence, order: MonomialOrder = GREVLEX,
-                         quotients: list | None = None):
+def reduce_by_generators(f, gens: Sequence, order: MonomialOrder = GREVLEX):
     """Divide f, a Poly or a ModuleVector, by an arbitrary list of the same
     kind (no basis completion).
 
     The remainder is not unique unless the list is a Groebner basis, but a
-    zero remainder always proves membership in the generated span.  A
-    `quotients` list receives one polynomial per element of `gens`, with
-    f = sum(quotients[t] * gens[t]) + remainder.
+    zero remainder always proves membership in the generated span.
     """
+    for g in gens:
+        if not g.ring.same_ambient(f.ring):
+            raise AmbientMismatchError("divisor and dividend ambients differ")
     shell = (ModuleGroebnerBasis if isinstance(f, ModuleVector)
              else GroebnerBasis)([], order, [f])
     p = f.ring.p
-    used = [t for t, g in enumerate(gens) if not g.is_zero()]
-    reducers = [_prep_reducer(shell._encode(gens[t]), p) for t in used]
-    found = None if quotients is None else defaultdict(dict)
-    rem = _reduce_full(shell._encode(f), reducers, p, shell._layout, found)
-    if quotients is not None:
-        by_gen = {used[k]: q for k, q in found.items()}
-        quotients.extend(_poly(shell._layout, f.ring, by_gen.get(t, {}))
-                         for t in range(len(gens)))
+    reducers = [_prep_reducer(shell._encode(g), p) for g in gens
+                if not g.is_zero()]
+    rem = _reduce_full(shell._encode(f), reducers, p, shell._layout)
     return shell._decode(rem, f.ring)
 
 
@@ -675,23 +708,13 @@ def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
 
 
 def _basis(cls, gens: list, order: MonomialOrder, track: bool,
-           known_gb_prefix: int = 0, target=None):
-    """Run the engine on `gens` and return the reduced basis as a `cls`:
-    encode at entry, decode the basis at exit.  With `target`, return
-    (remainder, cofactors) instead (see `module_buchberger`)."""
+           known_gb_prefix: int = 0):
+    """Run the engine on `gens` and return the reduced basis as a `cls`,
+    which decodes its generators only when they are read."""
     shell = cls([], order, gens)
-    ring, layout = shell.ring, shell._layout
-    out, trace = _groebner(
-        [shell._encode(g) for g in gens], ring, layout, track,
-        known_gb_prefix, None if target is None else shell._encode(target))
-    if target is not None:
-        cofactors = None
-        if track and not out:
-            cofactors = _expand(*trace, len(gens), layout, ring)
-        return shell._decode(out, ring), cofactors
-    generators = [shell._decode({lm: 1, **dict(tail)}, ring)
-                  for lm, _, tail in out]
-    return cls(generators, order, gens, trace, out)
+    reducers, trace = _groebner([shell._encode(g) for g in gens], shell.ring,
+                                shell._layout, track, known_gb_prefix)
+    return cls(None, order, gens, trace, reducers)
 
 
 def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
@@ -702,8 +725,8 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
     ties by input index).  The Gebauer-Moeller update prunes pairs once,
     as each element joins, and the coprime (product) criterion drops
     pairs of ideal leads; see `_groebner`.  The degree guard checks every
-    pair that survives (with a `target`, see `module_buchberger`, every
-    pair processed before the run stops).  Deterministic for a fixed
+    pair that survives (in `seeded_membership`, every pair processed
+    before the run stops).  Deterministic for a fixed
     input sequence.
 
     `known_gb_prefix` marks the first k generators as a Groebner basis of
@@ -863,19 +886,6 @@ class ModuleVector:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coordinates)
 
-    def _terms(self) -> dict:
-        """Slotted terms: x^a e_i becomes (slots of i) + a.  A vector of
-        size 1 has no slots, so its terms are its coordinate's."""
-        slots = len(self.coordinates)
-        if slots == 1:
-            return self.coordinates[0].terms
-        out = {}
-        for pos, poly in enumerate(self.coordinates):
-            slot = tuple(int(k == pos) for k in range(slots))
-            for m, c in poly.terms.items():
-                out[slot + m] = c
-        return out
-
     @classmethod
     def _from_terms(cls, terms: dict, ring: PolyRing, size: int) -> "ModuleVector":
         if size == 1:
@@ -904,11 +914,6 @@ class ModuleGroebnerBasis(GroebnerBasis):
     def _slots(self) -> int:
         return _slot_count(self.size)
 
-    def _encode(self, v: ModuleVector) -> dict:
-        if len(v) != self.size:
-            raise ValueError("coordinate-count mismatch")
-        return self._layout.enc_terms(v._terms())
-
     def _decode(self, terms: dict, ring: PolyRing) -> ModuleVector:
         return ModuleVector._from_terms(self._layout.dec_terms(terms), ring,
                                         self.size)
@@ -916,29 +921,78 @@ class ModuleGroebnerBasis(GroebnerBasis):
 
 def module_buchberger(gens: Sequence[ModuleVector],
                       order: MonomialOrder = GREVLEX, *, track: bool = False,
-                      known_gb_prefix: int = 0,
-                      target: ModuleVector | None = None
-                      ) -> ModuleGroebnerBasis | tuple:
+                      known_gb_prefix: int = 0) -> ModuleGroebnerBasis:
     """Reduced basis of the submodule of R^s generated by `gens`, computed
     by the ideal engine on slotted terms (see `buchberger`, also for
     `track` and `known_gb_prefix`).
-
-    With `target`, a remainder on division by `gens`, the run decides
-    membership instead and returns (remainder, cofactors), as
-    `normal_form_with_cofactors` does: the remainder is 0 as soon as the
-    run proves `target` in the submodule, else the target's normal form
-    on the completed basis, taken from the run itself; no basis is
-    interreduced or returned.  Cofactors c_t with
-    target = sum(c_t * gens[t]) come with track=True and a zero
-    remainder, from one backward pass over the run's steps; else None.
     """
     gens = list(gens)
     _common_ring(gens)
     size = len(gens[0])
     if any(len(g) != size for g in gens):
         raise ValueError("coordinate-count mismatch between generators")
-    return _basis(ModuleGroebnerBasis, gens, order, track, known_gb_prefix,
-                  target)
+    return _basis(ModuleGroebnerBasis, gens, order, track, known_gb_prefix)
+
+
+def _frobenius_reducer(reducer: tuple, layout: _Layout, p: int) -> tuple:
+    """The prepared reducer of the coordinate-wise p-th power of a monic
+    basis element, from its own (lead, 1, tail): every packed exponent and
+    prefix-sum field times p, the position slots kept and the coefficient
+    unchanged, since c^p = c in F_p.  Raises DegreeGuardError where
+    `Poly.frobenius` does, when p times the degree passes the guard, so
+    no field overflows."""
+    lm, _, tail = reducer
+    # under degrevlex no term has a larger degree than the lead
+    terms = (lm,) if layout.grevlex else (lm, *(m for m, _ in tail))
+    degree = max(map(layout.degree, terms)) * p
+    if degree > layout.max_degree:
+        raise DegreeGuardError(
+            f"power degree {degree} exceeds guard {layout.max_degree}")
+    slots, q = layout.slot_mask, p - 1
+    return (lm * p - (lm & slots) * q, 1,
+            tuple((m * p - (m & slots) * q, c) for m, c in tail))
+
+
+def seeded_membership(target: ModuleVector, screen: ModuleGroebnerBasis,
+                      extra: Sequence[ModuleVector], *, track: bool = False
+                      ) -> tuple[ModuleVector, list[Poly] | None]:
+    """Decide `target` in N^[p] + span(extra), N the submodule of the
+    reduced basis `screen` and ^[p] the coordinate-wise p-th power;
+    returns (remainder, cofactors) as `normal_form_with_cofactors` does.
+
+    The p-th powers of the screen's elements form a Groebner basis of
+    N^[p] (leading terms go to p-th powers); they are made from the
+    screen's packed reducers (see `_frobenius_reducer`) and followed by
+    `extra`.  The target is divided by that seed first, and a zero
+    remainder proves membership at once.  Else Buchberger runs on the
+    seed, with N^[p] as a known prefix, and carries the remainder as its
+    target (see `_groebner`): the remainder is 0 as soon as the run proves
+    membership, else the target's normal form on the completed module.
+    No basis is interreduced or decoded.  With track=True and a zero
+    remainder, cofactors c_t with target = sum(c_t * seed[t]) come from
+    the division's quotients plus the run's own, by one backward pass
+    over the run's steps; else None.
+    """
+    ring, layout, p = screen.ring, screen._layout, screen.ring.p
+    if not all(v.ring.same_ambient(ring) for v in (target, *extra)):
+        raise AmbientMismatchError("vector and basis ambients differ")
+    reducers = [_frobenius_reducer(r, layout, p) for r in screen._reducers]
+    known, extra = len(reducers), [screen._encode(v) for v in extra]
+    nodes = list(range(known)) + [t for t, g in enumerate(extra, known) if g]
+    reducers += [_prep_reducer(g, p) for g in extra if g]
+    quotients = defaultdict(dict) if track else None
+    rem = _reduce_full(screen._encode(target), reducers, p, layout, quotients)
+    steps = [[] for _ in range(known + len(extra))]
+    seeds = [(nodes[k], q) for k, q in quotients.items()] if track else None
+    if rem:
+        seed = [{lm: 1, **dict(tail)} for lm, _, tail in reducers[:known]]
+        rem, trace = _groebner(seed + extra, ring, layout, track, known, rem)
+        if track:
+            steps, run_seeds = trace
+            seeds += run_seeds
+    cofactors = (_expand(steps, seeds, known + len(extra), layout, ring)
+                 if track and not rem else None)
+    return screen._decode(rem, ring), cofactors
 
 
 def module_normal_form(v: ModuleVector, basis: ModuleGroebnerBasis) -> ModuleVector:

@@ -9,6 +9,9 @@ JSON schema (stable, versioned):
                    remainder, cofactors? } | null,
     timings_ms: { isolated, fedder, delta1, groebner, total } }
 
+`timings_ms.delta1` times the whole residual stage: delta1(f_i), sigma
+of it, the p-th powers and s^p * delta1(f_i); the key keeps its name.
+
 Polynomials appear as canonical text; a complete-intersection remainder
 is the coordinate list joined into a vector "(r1, r2)".  Certificates
 make every verdict independently re-checkable.

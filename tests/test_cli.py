@@ -103,6 +103,11 @@ def test_usage_errors_exit_1(capsys):
     assert code == EXIT_INPUT  # missing --poly
     code, _, err = run_cli(capsys, "nonsense")
     assert code == EXIT_INPUT
+    # an empty or repeated prime list is no sweep
+    for primes in (",", "5,5"):
+        code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p-set",
+                                 primes, "--max", "4")
+        assert code == EXIT_INPUT and "--p-set" in err and not out, primes
     # each flag exists only on the commands that read it
     for argv in (("table", "--jobs", "2"), ("identity", "--format", "json"),
                  ("classify", "--p", "2", "--vars", "x", "--poly", "x",

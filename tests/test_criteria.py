@@ -17,7 +17,7 @@ from fliftlab.criteria import (LiftabilityReport, TooManyGeneratorsError,
                                _lift_and_residual, _residual_membership,
                                classify, isolated_singularity_check,
                                residual_polynomial)
-from fliftlab.fp_poly import PolyRing
+from fliftlab.fp_poly import DegreeGuardError, PolyRing
 from fliftlab.frobsplit import build_splitting
 from fliftlab.groebner import (GREVLEX, ModuleVector, module_buchberger,
                                module_normal_form)
@@ -222,12 +222,53 @@ def _counting(monkeypatch, module, name):
 
 def test_certified_quick_path_runs_only_the_screen(monkeypatch):
     # cusp (2,4,5) at p = 2: the seed division alone proves membership,
-    # and its quotients are the seed's cofactors
+    # and its quotients are the seed's cofactors; the engine runs only
+    # for the screen
     gens = [make_cusp_hypersurface(2, 2, 4, 5)]
-    runs = _counting(monkeypatch, criteria, "module_buchberger")
+    runs = _counting(monkeypatch, groebner, "_groebner")
     rep = classify(gens, certificates=True)
     assert rep.f_liftable and runs["n"] == 1
     check_reexpansion(gens, _residuals(gens), rep.certificate.cofactors)
+
+
+def test_packed_seed_is_the_frobenius_of_the_screen():
+    # the membership seed N^[p], built by scaling the screen's packed
+    # reducers, equals the prepared reducers of the encoded Poly.frobenius
+    # of the screen's generators, for m = 1 and m = 2 under both orders;
+    # it raises DegreeGuardError exactly where Poly.frobenius does, once
+    # p * deg passes the guard.  The last screen has its largest degree in
+    # a tail under lex: x^3 + 2*x^2*y^2, with y^3.
+    from fliftlab.groebner import (LEX, _frobenius_reducer, _prep_reducer,
+                                   seeded_membership)
+
+    def prepared(reducer):
+        lm, inv, tail = reducer
+        return lm, inv, dict(tail)
+
+    cases = [[make_cusp_hypersurface(3, 2, 3, 7)], make_cusp_ci(2, 2, 3, 3, 4),
+             [PolyRing(["x", "y"], 5).parse("x^4 + y^4 + x^3*y^2")]]
+    for gens in cases:
+        names, p = gens[0].ring.variables, gens[0].ring.p
+        for order in (GREVLEX, LEX):
+            screen = isolated_singularity_check(gens, order)[1]
+            deg = max(c.total_degree() for g in screen for c in g)
+            for guard in (p * deg, p * deg - 1):
+                ring = PolyRing(names, p, guard)
+                moved = [ring.parse(str(f)) for f in gens]
+                screen = isolated_singularity_check(moved, order)[1]
+                try:
+                    want = [prepared(_prep_reducer(screen._encode(
+                        ModuleVector([c.frobenius() for c in g])), p))
+                        for g in screen]
+                except DegreeGuardError:
+                    want = None
+                assert (want is None) == (guard < p * deg)
+                if want is None:
+                    with pytest.raises(DegreeGuardError):
+                        seeded_membership(ModuleVector(moved), screen, [])
+                    continue
+                assert [prepared(_frobenius_reducer(r, screen._layout, p))
+                        for r in screen._reducers] == want
 
 
 def test_certified_membership_stops_at_the_first_zero_remainder(monkeypatch):
@@ -239,7 +280,7 @@ def test_certified_membership_stops_at_the_first_zero_remainder(monkeypatch):
     screen = isolated_singularity_check(gens, track=True)[1]
     spairs = _counting(monkeypatch, groebner, "_spair_terms")
     member, _, cofactors = _residual_membership(residuals, gens, screen,
-                                                GREVLEX, True)
+                                                True)
     early = spairs["n"]
     spairs["n"] = 0
     seed = [ModuleVector([c.frobenius() for c in g]) for g in screen]
@@ -327,7 +368,7 @@ def test_seeded_membership_matches_cold_oracle():
             continue
         s_p = split.s.frobenius()
         residuals = [_lift_and_residual(f, split, s_p)[1] for f in gens]
-        seeded = _residual_membership(residuals, gens, screen, GREVLEX, False)
+        seeded = _residual_membership(residuals, gens, screen, False)
         assert seeded[:2] == _cold_membership(residuals, gens), \
             [str(f) for f in gens]
         compared += 1
@@ -355,7 +396,7 @@ def test_seeded_membership_agrees_with_naive_route():
         g = -apply_sigma(split, d1)
         residual = split.s.frobenius() * d1 + g.frobenius()
         member, (rem,), _ = _residual_membership([residual], [f], screen,
-                                                 GREVLEX, False)
+                                                 False)
         naive_gens = [f] + [f.derivative(v).frobenius() for v in range(3)]
         naive_gb = buchberger(naive_gens)
         naive_rem = normal_form(residual, naive_gb)
@@ -380,7 +421,7 @@ def test_plain_and_certified_routes_agree():
                                         split.s.frobenius())[1]]
         plain, cert = (_residual_membership(
             residuals, gens, isolated_singularity_check(gens, track=c)[1],
-            GREVLEX, c) for c in (False, True))
+            c) for c in (False, True))
         assert plain[:2] == cert[:2], t
 
 
@@ -388,31 +429,18 @@ def test_plain_membership_stops_at_the_first_zero_remainder(monkeypatch):
     # cusp (2,4,5) at p = 7 is a member that the seed alone does not
     # prove; the full run completes the basis before it reduces the target
     gens = [make_cusp_hypersurface(7, 2, 4, 5)]
-    split = build_splitting(gens)
-    residuals = [_lift_and_residual(gens[0], split, split.s.frobenius())[1]]
+    residuals = _residuals(gens)
     screen = isolated_singularity_check(gens)[1]
-    formed = {"n": 0}
-    real_spair = groebner._spair_terms
-
-    def counting(*args):
-        formed["n"] += 1
-        return real_spair(*args)
-
-    def full_run(seed, order, track, known_gb_prefix, target):
-        basis = module_buchberger(seed, order, track=track,
-                                  known_gb_prefix=known_gb_prefix)
-        return module_normal_form(target, basis), None
-
-    monkeypatch.setattr(groebner, "_spair_terms", counting)
-    counts = []
-    for run in (module_buchberger, full_run):
-        monkeypatch.setattr(criteria, "module_buchberger", run)
-        formed["n"] = 0
-        member, rem, _ = _residual_membership(residuals, gens, screen,
-                                              GREVLEX, False)
-        assert member and all(r.is_zero() for r in rem)
-        counts.append(formed["n"])
-    assert 0 < counts[0] < counts[1], counts
+    spairs = _counting(monkeypatch, groebner, "_spair_terms")
+    member, rem, _ = _residual_membership(residuals, gens, screen, False)
+    assert member and all(r.is_zero() for r in rem)
+    early = spairs["n"]
+    spairs["n"] = 0
+    seed = [ModuleVector([c.frobenius() for c in g]) for g in screen]
+    seed += screen.original_generators[:1]
+    full = module_buchberger(seed, known_gb_prefix=len(screen))
+    assert module_normal_form(ModuleVector(residuals), full).is_zero()
+    assert 0 < early < spairs["n"], (early, spairs["n"])
 
 
 def test_verdicts_are_order_independent():
@@ -432,7 +460,7 @@ def test_negative_ci_verdict_needs_a_splitting_section(monkeypatch):
     # module route is stubbed to answer "not a member": the negative
     # verdict is conclusive only when the section s is identically 1
     monkeypatch.setattr(criteria, "_residual_membership",
-                        lambda residuals, gens, screen, order, want_cofactors:
+                        lambda residuals, gens, screen, want_cofactors:
                         (False, tuple(residuals), None))
     r4 = PolyRing(["x", "y", "z", "w"], 3)
     unit_section = [r4.parse("x*y+z^2+w^2"), r4.parse("z*w+x^2+y^2+2*x*y*w")]
@@ -453,10 +481,10 @@ def test_ci_negative_verdict_same_with_certificates():
     residual = residual_polynomial(f)
     plain = _residual_membership([residual], [f],
                                  isolated_singularity_check([f])[1],
-                                 GREVLEX, False)
+                                 False)
     cert = _residual_membership([residual], [f],
                                 isolated_singularity_check([f], track=True)[1],
-                                GREVLEX, True)
+                                True)
     assert plain[0] is False and cert[0] is False
     # both take the remainder from the run itself: the normal form on the
     # full reduced basis

@@ -218,6 +218,23 @@ def test_ambient_mismatch():
         normal_form(b.parse("x"), gb)
 
 
+def test_reduce_by_generators_checks_the_ambient():
+    # other variable names, another prime, another variable count: each
+    # once gave a wrong remainder (0, a false membership proof, in the
+    # first case) instead of an error
+    xy5 = PolyRing(["x", "y"], 5)
+    cases = [(xy5.parse("x^2 + 2*y"), PolyRing(["a", "b"], 5).parse("a^2 + 2*b")),
+             (xy5.parse("x^2 + 2*y"), PolyRing(["x", "y"], 7).parse("x^2 + 6*y")),
+             (xy5.parse("x^2 + y"), PolyRing(["x", "y", "z"], 5).parse("x^2 + z"))]
+    for f, g in cases:
+        for order in (GREVLEX, LEX):
+            with pytest.raises(AmbientMismatchError):
+                reduce_by_generators(f, [g], order)
+            with pytest.raises(AmbientMismatchError):
+                reduce_by_generators(ModuleVector([f]), [ModuleVector([g])],
+                                     order)
+
+
 def test_membership_examples():
     ring = PolyRing(["x", "y"], 5)
     gb = buchberger([ring.parse("x"), ring.parse("y")], track=True)

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from fliftlab.fp_poly import DegreeGuardError, PolyRing
+from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
+                              PolyRing)
 from fliftlab.groebner import (GREVLEX, LEX, ModuleGroebnerBasis,
                                ModuleVector, buchberger, module_buchberger,
                                module_normal_form, reduce_by_generators,
-                               verify_buchberger)
+                               seeded_membership, verify_buchberger)
 
 from support import (check_packed_layout, combine, random_poly,
                      random_nonzero_poly, unit_expansions)
@@ -126,41 +127,61 @@ def test_membership_random_combinations():
             assert module_normal_form(v, module_buchberger(gens)).is_zero()
 
 
-def test_target_run_leaves_the_normal_form_random():
-    # a run with a target returns, tracked or not, the target's normal
-    # form on the full reduced basis, taken from the run itself; a
-    # tracked member's cofactors re-expand the target
+def test_seeded_membership_leaves_the_normal_form_random():
+    # the seeded entry returns, tracked or not, the target's normal form on
+    # the full basis of N^[p] + span(extra), taken from the run itself; a
+    # tracked member's cofactors re-expand the target over the seed, the
+    # screen's p-th powers followed by `extra`
     rng = random.Random(4242)
     seen = set()
     for order in (GREVLEX, LEX):
         for p in (2, 3, 5):
             ring = _ring(p, ("x", "y"))
             for _ in range(4):
-                gens = [ModuleVector([random_poly(rng, ring, 2, 3)
-                                      for _ in range(2)]) for _ in range(3)]
-                if any(g.is_zero() for g in gens):
+                gens = [ModuleVector([random_poly(rng, ring, 2, 2)
+                                      for _ in range(2)]) for _ in range(2)]
+                extra = [ModuleVector([random_poly(rng, ring, 2, 3)
+                                       for _ in range(2)])]
+                if any(g.is_zero() for g in gens + extra):
                     continue
-                gb = module_buchberger(gens, order)
-                coeffs = [random_poly(rng, ring, 2, 3) for _ in gens]
-                member = ModuleVector([combine(coeffs, gens, pos)
-                                       for pos in range(2)])
-                other = ModuleVector([random_poly(rng, ring, 3, 4)
-                                      for _ in range(2)])
-                for v in (member, other):
-                    target = reduce_by_generators(v, gens, order)
-                    if target.is_zero():
-                        continue
-                    for track in (False, True):
-                        rem, cof = module_buchberger(
-                            gens, order, track=track, target=target)
+                for track in (False, True):
+                    screen = module_buchberger(gens, order, track=track)
+                    seed = [ModuleVector([c.frobenius() for c in g])
+                            for g in screen] + extra
+                    gb = module_buchberger(seed, order)
+                    coeffs = [random_poly(rng, ring, 2, 3) for _ in seed]
+                    member = ModuleVector([combine(coeffs, seed, pos)
+                                           for pos in range(2)])
+                    other = ModuleVector([random_poly(rng, ring, 3, 4)
+                                          for _ in range(2)])
+                    for v in (member, other):
+                        rem, cof = seeded_membership(v, screen, extra,
+                                                     track=track)
                         assert rem == module_normal_form(v, gb)
                         if track and rem.is_zero():
-                            assert all(combine(cof, gens, pos) == target[pos]
+                            assert all(combine(cof, seed, pos) == v[pos]
                                        for pos in range(2))
                         else:
                             assert cof is None
-                        seen.add(rem.is_zero())
-    assert seen == {True, False}
+                        quick = reduce_by_generators(v, seed, order)
+                        seen.add((rem.is_zero(), quick.is_zero()))
+    assert {(True, False), (False, False), (True, True)} <= seen, seen
+
+
+def test_seeded_membership_checks_the_ambient():
+    ring = _ring(5, ("x", "y"))
+    screen = module_buchberger([ModuleVector([ring.parse("x^2 + 2*y")])])
+    member = ModuleVector([ring.parse("x^10 + 2*y^5")])
+    assert seeded_membership(member, screen, [])[0].is_zero()
+    # other variable names, another prime, another variable count
+    for other, text in ((_ring(5, ("a", "b")), "a^10 + 2*b^5"),
+                        (_ring(7, ("x", "y")), "x^10 + 2*y^5"),
+                        (_ring(5, ("x", "y", "z")), "x^10 + 2*y^5")):
+        v = ModuleVector([other.parse(text)])
+        with pytest.raises(AmbientMismatchError):
+            seeded_membership(v, screen, [])
+        with pytest.raises(AmbientMismatchError):
+            seeded_membership(member, screen, [v])
 
 
 def test_lex_is_term_over_position_golden():

@@ -1,0 +1,27 @@
+"""The runtime stays stdlib-only: every module that src/fliftlab imports
+is in the standard library or is fliftlab itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fliftlab"
+
+
+def _imported_top_modules(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_runtime_imports_only_the_standard_library():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 8
+    for path in files:
+        for name in _imported_top_modules(path):
+            assert name in sys.stdlib_module_names or name == "fliftlab", \
+                (path.name, name)
