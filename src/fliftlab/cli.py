@@ -430,7 +430,9 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
     if interrupted:
         if last is not None:
             _write_cursor(family, last[0], last[1])
-            out.write(f"interrupted; cursor at {_cursor_text(family, last[0], last[1])}\n")
+            # on stderr, so that the rows on stdout still parse
+            print(f"interrupted; cursor at "
+                  f"{_cursor_text(family, last[0], last[1])}", file=sys.stderr)
         return EXIT_INTERRUPTED
     return EXIT_OK
 

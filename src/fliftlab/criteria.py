@@ -13,6 +13,13 @@ support of R^m/N.  The input is F-liftable iff the vector (r_1..r_m)
 lies in N^[p] + (f_j e_i), the span of the gradient-power columns
 ((df_i/dx_k)^p)_i and the f_j e_i, which encodes the shared-cofactor
 condition; for m = 1 that is r in (f) + J^[p].
+
+The screen decides only what every verdict needs: whether N = R^m
+(smooth) and whether R^m/N is finite-dimensional (else not_isolated).
+Whether R^m/N is supported at the origin alone is read by one verdict
+only, a negative containment, whose conclusiveness needs it; so
+`classify` walks the origin only for an F-pure nonmember, while
+`isolated_singularity_check` still reports all four statuses.
 """
 
 from __future__ import annotations
@@ -95,6 +102,19 @@ def isolated_singularity_check(gens: Sequence[Poly],
 
     Returns the reduced basis of N as well, built with `track`.
     """
+    status, basis = _screen(gens, order, track)
+    if status is None:
+        status = (ISOLATED if supported_only_at_origin(basis)
+                  else SINGULAR_ELSEWHERE)
+    return status, basis
+
+
+def _screen(gens: Sequence[Poly], order: MonomialOrder, track: bool
+            ) -> tuple[str | None, ModuleGroebnerBasis]:
+    """The reduced basis of N and the status it settles without the origin
+    walk: smooth, not_isolated, or None when R^m/N is nonzero and
+    finite-dimensional, so that only `supported_only_at_origin` tells
+    isolated_at_origin_only from singular_elsewhere."""
     if not gens:
         raise ValueError("generator list must be nonempty")
     ring = gens[0].ring
@@ -113,9 +133,7 @@ def isolated_singularity_check(gens: Sequence[Poly],
         return SMOOTH, basis
     if not is_zero_dimensional(basis):
         return NOT_ISOLATED, basis
-    if supported_only_at_origin(basis):
-        return ISOLATED, basis
-    return SINGULAR_ELSEWHERE, basis
+    return None, basis
 
 
 def residual_polynomial(f: Poly, split: SplittingData | None = None) -> Poly:
@@ -188,6 +206,11 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
              certificates: bool = False) -> LiftabilityReport:
     """Liftability of R/(f_1,...,f_m): isolatedness screen, Fedder test,
     then the residual containment, with certificates on request.
+
+    Origin-only support is decided only when a negative verdict's
+    conclusiveness needs it: members, non-F-pure inputs and the smooth
+    and not_isolated exits never walk the origin, and that walk, when it
+    runs, is timed with the screen (`timings_ms["isolated"]`).
     """
     gens = list(gens)
     for g in gens:
@@ -208,8 +231,7 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
             f_pure=f_pure, f_liftable=f_liftable, conclusive=conclusive,
             certificate=certificate, timings_ms=timings, order=order.name)
 
-    status, screen = isolated_singularity_check(gens, order,
-                                                track=certificates)
+    status, screen = _screen(gens, order, certificates)
     timings["isolated"] = _ms_since(t_start)
     if status == SMOOTH:
         return report(SMOOTH, True, True, True)
@@ -237,14 +259,17 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
     timings["groebner"] = _ms_since(t)
 
     # A positive containment certifies liftability at the origin, even
-    # when the screen found singular points elsewhere (status
-    # SINGULAR_ELSEWHERE; the localized ring is what is classified).  A
-    # negative one is conclusive only if the origin is the sole singular
-    # point, and, for m >= 2, only if the section is a splitting (s = 1):
-    # the converse of the shared-cofactor test needs that, while the
-    # hypersurface test holds for any unit s.
-    conclusive = member or (status == ISOLATED and
-                            (len(gens) == 1 or split.s == split.s.ring.one()))
+    # when there are singular points elsewhere (the localized ring is what
+    # is classified).  A negative one is conclusive only if, for m >= 2,
+    # the section is a splitting (s = 1): the converse of the
+    # shared-cofactor test needs that, while the hypersurface test holds
+    # for any unit s; and only if the origin is the sole singular point,
+    # which is all that the origin walk decides.
+    conclusive = member
+    if not member and (len(gens) == 1 or split.s == split.s.ring.one()):
+        t = time.perf_counter()
+        conclusive = supported_only_at_origin(screen)
+        timings["isolated"] += _ms_since(t)
     return report("classified", True, member, conclusive, Certificate(
         fedder_survivor=split.survivor,
         sigma_trace_constant=split.trace_constant,

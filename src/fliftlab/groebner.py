@@ -282,6 +282,8 @@ class GroebnerBasis:
 
     size = 1  # the rank s of the ambient free module
     _slots = 0
+    # an engine-built basis keeps the packed original_generators of its run
+    _packed_originals: Sequence[dict] = ()
 
     def __init__(self, generators: Sequence | None, order: MonomialOrder,
                  original_generators: Sequence,
@@ -485,7 +487,9 @@ def _spair_terms(fi: dict, fj: dict, si: int, sj: int, p: int,
     for m, c in fj.items():
         mm = m + sj
         out[mm] = (out.get(mm, 0) - c) % p
-    if any(m & layout.guard for m in out):
+    # under degrevlex no term here is of higher degree than the lcm, the
+    # lcm of two leads within the guard, and a field holds twice the guard
+    if not layout.grevlex and any(m & layout.guard for m in out):
         raise DegreeGuardError(
             "an S-polynomial term exceeds the packed fields of degree "
             f"guard {layout.max_degree}")
@@ -507,28 +511,32 @@ def _new_pairs(layout: _Layout, lms: list[int], active: list[int],
     """Criteria M and F: the pairs (lcm, g, h) that lead lms[h] keeps with
     lms[g], g in `active`, at its position.  Each lcm keeps its last g, or
     -1 if a candidate is coprime; the lcms are walked upward against the
-    minimal ones met so far (a divisor is never larger).  `_Layout.lcm`
-    is inlined."""
+    minimal ones met so far (a divisor is never larger).  Divisibility
+    reads only the slot and exponent fields, and an int of those alone
+    grows with every one of them, so the walk runs on such ints and the
+    prefix sums are rebuilt only for the pairs kept.  `_Layout.lcm` is
+    inlined."""
     lm = lms[h]
-    guard, slot_mask = layout.guard, layout.slot_mask
-    pos, lmg, top = lm & slot_mask, lm | guard, layout.width - 1
-    low, exps = layout._low_mask, layout._exp_mask
-    spread, prefix = layout._spread, layout._prefix_mask
+    guard, slot_mask, low = layout.guard, layout.slot_mask, layout._low_mask
+    pos, top = lm & slot_mask, layout.width - 1
+    lml = lm & low
+    lmg = lml | guard
     cands: dict[int, int] = {}
     for g in active:
         t = lms[g]
         if t & slot_mask != pos:
             continue
+        t &= low
         ge = (lmg - t) & guard
-        m = t ^ ((lm ^ t) & (ge - (ge >> top)))
-        lcm = (m & low) + ((m & exps) * spread & prefix)
+        lcm = t ^ ((lml ^ t) & (ge - (ge >> top)))
         if cands.get(lcm, 0) >= 0:
-            cands[lcm] = -1 if lcm == t + lm else g
+            cands[lcm] = -1 if lcm == t + lml else g
     minimal: list[int] = []
     for lcm in sorted(cands):
         if not layout.divided(lcm, minimal):
             minimal.append(lcm)
-    return [(lcm, cands[lcm], h) for lcm in minimal if cands[lcm] >= 0]
+    return [(layout._prefixed(lcm), cands[lcm], h) for lcm in minimal
+            if cands[lcm] >= 0]
 
 
 def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
@@ -712,9 +720,12 @@ def _basis(cls, gens: list, order: MonomialOrder, track: bool,
     """Run the engine on `gens` and return the reduced basis as a `cls`,
     which decodes its generators only when they are read."""
     shell = cls([], order, gens)
-    reducers, trace = _groebner([shell._encode(g) for g in gens], shell.ring,
-                                shell._layout, track, known_gb_prefix)
-    return cls(None, order, gens, trace, reducers)
+    packed = [shell._encode(g) for g in gens]
+    reducers, trace = _groebner(packed, shell.ring, shell._layout, track,
+                                known_gb_prefix)
+    basis = cls(None, order, gens, trace, reducers)
+    basis._packed_originals = packed
+    return basis
 
 
 def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
@@ -963,11 +974,13 @@ def seeded_membership(target: ModuleVector, screen: ModuleGroebnerBasis,
     The p-th powers of the screen's elements form a Groebner basis of
     N^[p] (leading terms go to p-th powers); they are made from the
     screen's packed reducers (see `_frobenius_reducer`) and followed by
-    `extra`.  The target is divided by that seed first, and a zero
-    remainder proves membership at once.  Else Buchberger runs on the
-    seed, with N^[p] as a known prefix, and carries the remainder as its
-    target (see `_groebner`): the remainder is 0 as soon as the run proves
-    membership, else the target's normal form on the completed module.
+    `extra`; an `extra` vector that is the screen's own original generator
+    at the same index is not packed again.  The target is divided by that
+    seed first, and a zero remainder proves membership at once.  Else
+    Buchberger runs on the seed, with N^[p] as a known prefix, and carries
+    the remainder as its target (see `_groebner`): the remainder is 0 as
+    soon as the run proves membership, else the target's normal form on
+    the completed module.
     No basis is interreduced or decoded.  With track=True and a zero
     remainder, cofactors c_t with target = sum(c_t * seed[t]) come from
     the division's quotients plus the run's own, by one backward pass
@@ -977,7 +990,10 @@ def seeded_membership(target: ModuleVector, screen: ModuleGroebnerBasis,
     if not all(v.ring.same_ambient(ring) for v in (target, *extra)):
         raise AmbientMismatchError("vector and basis ambients differ")
     reducers = [_frobenius_reducer(r, layout, p) for r in screen._reducers]
-    known, extra = len(reducers), [screen._encode(v) for v in extra]
+    own, packed = screen.original_generators, screen._packed_originals
+    known, extra = len(reducers), [
+        packed[k] if k < len(packed) and v is own[k] else screen._encode(v)
+        for k, v in enumerate(extra)]
     nodes = list(range(known)) + [t for t, g in enumerate(extra, known) if g]
     reducers += [_prep_reducer(g, p) for g in extra if g]
     quotients = defaultdict(dict) if track else None

@@ -210,10 +210,10 @@ def test_sweep_interrupt_flushes_partial_and_cursor(capsys, tmp_path, monkeypatc
         return real_worker(task)
 
     monkeypatch.setattr(cli_mod, "_sweep_worker", flaky_worker)
-    code, out, _ = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
-                           "--max", "7")
+    code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
+                             "--max", "7")
     assert code == 130
-    assert "interrupted; cursor at cusp_hyp 2 " in out
+    assert "interrupted; cursor at cusp_hyp 2 " in err
     assert os.path.exists(CURSOR_FILE)
     # partial per-tuple lines were flushed before the summary
     assert out.count("F-liftable=") >= 10
@@ -224,6 +224,34 @@ def test_sweep_interrupt_flushes_partial_and_cursor(capsys, tmp_path, monkeypatc
     assert code == EXIT_OK
     first_resumed = resumed.splitlines()[0]
     assert first_resumed not in out
+
+
+def test_interrupted_json_sweep_still_parses(capsys, tmp_path, monkeypatch):
+    # the interrupt notice goes to stderr, so stdout stays one JSON
+    # document holding the rows up to the cursor
+    import fliftlab.cli as cli_mod
+
+    monkeypatch.chdir(tmp_path)
+    real_worker = cli_mod._sweep_worker
+    calls = {"n": 0}
+
+    def flaky_worker(task):
+        calls["n"] += 1
+        if calls["n"] > 10:
+            raise KeyboardInterrupt
+        return real_worker(task)
+
+    monkeypatch.setattr(cli_mod, "_sweep_worker", flaky_worker)
+    code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
+                             "--max", "7", "--format", "json")
+    assert code == EXIT_INTERRUPTED
+    payload = json.loads(out)
+    results = payload["results"]
+    assert len(results) >= 10
+    assert payload["summary"]["total"] == len(results)
+    last = results[-1]
+    cursor = " ".join(map(str, ["cusp_hyp", last["p"], *last["params"]]))
+    assert f"interrupted; cursor at {cursor}" in err
 
 
 def test_sweep_sigterm_flushes_partial_and_cursor(capsys, tmp_path, monkeypatch):
@@ -250,13 +278,13 @@ def test_sweep_sigterm_flushes_partial_and_cursor(capsys, tmp_path, monkeypatch)
     monkeypatch.setattr(cli_mod, "_sweep_worker", terminated_worker)
     previous = signal.signal(signal.SIGTERM, outer)
     try:
-        code, out, _ = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
-                               "--max", "7")
+        code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
+                                 "--max", "7")
         assert signal.getsignal(signal.SIGTERM) is outer
     finally:
         signal.signal(signal.SIGTERM, previous)
     assert code == EXIT_INTERRUPTED
-    assert "interrupted; cursor at cusp_hyp 2 " in out
+    assert "interrupted; cursor at cusp_hyp 2 " in err
     assert os.path.exists(CURSOR_FILE)
     assert out.count("F-liftable=") >= 10
 
@@ -285,13 +313,13 @@ def test_sweep_pool_sigterm_flushes_partial_and_cursor(capsys, tmp_path,
     code, full, _ = run_cli(capsys, *sweep)
     assert code == EXIT_OK
     rows = lambda text: [l.rsplit(",", 1)[0] for l in text.splitlines()[1:]
-                         if l and not l.startswith("interrupted")]
+                         if l]
     monkeypatch.setattr(cli_mod, "_sweep_worker", _terminating_worker)
     previous = signal.getsignal(signal.SIGTERM)
-    code, out, _ = run_cli(capsys, *sweep, "--jobs", "2")
+    code, out, err = run_cli(capsys, *sweep, "--jobs", "2")
     assert signal.getsignal(signal.SIGTERM) is previous
     assert code == EXIT_INTERRUPTED
-    assert "interrupted; cursor at cusp_hyp 2 " in out
+    assert "interrupted; cursor at cusp_hyp 2 " in err
     assert os.path.exists(CURSOR_FILE)
     partial = rows(out)
     assert 0 < len(partial) < len(rows(full))

@@ -69,6 +69,29 @@ def test_singular_elsewhere_detected():
     assert status == "singular_elsewhere"
 
 
+@pytest.mark.parametrize("gens, verdict, walks", [
+    # members and a non-F-pure input never read origin-only support
+    (lambda: make_cusp_ci(2, 2, 3, 3, 4), (True, True, True), 0),
+    (lambda: [make_cusp_hypersurface(5, 2, 3, 7)], (True, True, True), 0),
+    (lambda: [_r(2).parse("x^2*y + x*y^2 + z^2")], (False, False, True), 0),
+    # an F-pure nonmember reads it once: E_8^1 at p = 5, isolated, and a
+    # perturbation of it with singular points elsewhere
+    (lambda: [_r(5).parse("z^2+x^3+y^5+x*y^4")], (True, False, True), 1),
+    (lambda: [_r(5).parse("z^2 + x^3 + y^5 + x*y^4 + 3*x^7*y*z")],
+     (True, False, False), 1),
+])
+@pytest.mark.parametrize("certificates", [False, True])
+def test_origin_walk_only_for_an_fpure_nonmember(monkeypatch, gens, verdict,
+                                                 walks, certificates):
+    calls = []
+    walk = criteria.supported_only_at_origin
+    monkeypatch.setattr(criteria, "supported_only_at_origin",
+                        lambda basis: calls.append(basis) or walk(basis))
+    rep = classify(gens(), certificates=certificates)
+    assert (rep.f_pure, rep.f_liftable, rep.conclusive) == verdict
+    assert len(calls) == walks
+
+
 def test_classify_headline_cases():
     rep = classify([_r(5).parse("z^2+x^3+y^5+x*y^4")])
     assert (rep.f_pure, rep.f_liftable) == (True, False)
