@@ -244,23 +244,21 @@ class Poly:
         return self._hash
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        p = self.ring.p
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cc = (out.get(m, 0) + c) % p
-            if cc:
-                out[m] = cc
-            else:
-                out.pop(m, None)
-        return Poly._make(self.ring, out)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int) -> "Poly":
+        """self + sign * other; NotImplemented for a non-Poly other, so
+        `x + 1` raises TypeError as `1 + x` does."""
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._check(other)
         p = self.ring.p
         out = dict(self.terms)
         for m, c in other.terms.items():
-            cc = (out.get(m, 0) - c) % p
+            cc = (out.get(m, 0) + sign * c) % p
             if cc:
                 out[m] = cc
             else:

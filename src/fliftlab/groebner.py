@@ -190,40 +190,45 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
     Each reducer is (lead, inverse of the lead coefficient, tail items),
     all terms packed.  The largest remaining term is taken from a heap of
     negated terms and divided by the first reducer in list order whose
-    lead divides it.  Every term enters the heap once: one that cancels
-    stays in the working dict at 0 until it is popped.  When `quotients`
-    is given (reducer index -> quotient dict; a `defaultdict(dict)` makes
-    a dict only for a reducer that is used) the division is tracked so
-    that input = sum(quotient_i * reducer_i) + remainder, and repeated
-    calls on one mapping add up their quotients.  A new term that
-    overflows the packed fields, as lex reductions can climb in degree,
-    raises DegreeGuardError.
+    lead divides it.  Every term enters the heap once.  Coefficients, of
+    `fterms` too, collect unreduced and are reduced mod p once, when their
+    term is popped; a term that cancels waits in the heap at a coefficient
+    that is 0 mod p.  When `quotients` is given (reducer index -> quotient
+    dict; a `defaultdict(dict)` makes a dict only for a reducer that is
+    used) the division is tracked so that input = sum(quotient_i *
+    reducer_i) + remainder, and repeated calls on one mapping add up their
+    quotients.  Under degrevlex no tail term is of higher degree than its
+    lead, so no new term outgrows the input; a lex reduction can climb,
+    and a new term past the packed fields raises DegreeGuardError.
 
-    `memo` maps a term to where its divisor search resumes: the index of
-    its first dividing reducer, or the list length after a miss.  It
-    holds across calls while the list only grows by appending and an
-    entry is replaced only by one with the same lead, so a caller keeps
-    one memo per reducer list.
+    The divisor search passes a lead larger than the term at one compare,
+    as a divisor is never larger.  `memo` maps a term to where the search
+    resumes: the index of its first dividing reducer, or the list length
+    after a miss (0 when absent).  It holds across calls while the list
+    only grows by appending and an entry is replaced only by one with the
+    same lead, so a caller keeps one memo per reducer list.
     """
-    guard = layout.guard
+    guard, lex = layout.guard, not layout.grevlex
     if memo is None:
         memo = {}
     nred = len(reducers)
     work = dict(fterms)
     heap = [-m for m in work]
     heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
+    pop, push, get = heapq.heappop, heapq.heappush, work.get
     rem: dict = {}
     while heap:
         m = -pop(heap)
-        c = work.pop(m)
+        c = work.pop(m) % p
         if not c:
             continue
         mg = m | guard
-        hit = memo.get(m, 0)
-        while hit < nred and (mg - reducers[hit][0]) & guard != guard:
+        hit = start = memo.get(m, 0)
+        while hit < nred and ((lead := reducers[hit][0]) > m or
+                              (mg - lead) & guard != guard):
             hit += 1
-        memo[m] = hit
+        if hit != start:
+            memo[m] = hit
         if hit == nred:
             rem[m] = c
             continue
@@ -233,18 +238,19 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
         if quotients is not None:
             q = quotients[hit]
             q[shift] = (q.get(shift, 0) + factor) % p
+        factor = p - factor  # nonnegative sums: CPython shares small ints
         for tm, tc in tail:
             mm = tm + shift
-            prev = work.get(mm)
+            prev = get(mm)
             if prev is None:
-                if mm & guard:
+                if lex and mm & guard:
                     raise DegreeGuardError(
                         "a reduction term exceeds the packed fields of "
                         f"degree guard {layout.max_degree}")
-                work[mm] = -factor * tc % p
+                work[mm] = factor * tc
                 push(heap, -mm)
             else:
-                work[mm] = (prev - factor * tc) % p
+                work[mm] = prev + factor * tc
     return rem
 
 
@@ -252,13 +258,6 @@ def _prep_reducer(terms: dict, p: int) -> tuple:
     lm = max(terms)
     tail = tuple((m, c) for m, c in terms.items() if m != lm)
     return (lm, pow(terms[lm], p - 2, p), tail)
-
-
-def _monic(terms: dict, p: int) -> tuple[int, int, dict]:
-    """(lead, inverse of the leading coefficient, monic terms)."""
-    lm = max(terms)
-    inv = pow(terms[lm], p - 2, p)
-    return lm, inv, {m: c * inv % p for m, c in terms.items()}
 
 
 def _poly(layout: _Layout, ring: PolyRing, terms: dict) -> Poly:
@@ -477,23 +476,25 @@ def reduce_by_generators(f, gens: Sequence, order: MonomialOrder = GREVLEX):
     return shell._decode(rem, f.ring)
 
 
-def _spair_terms(fi: dict, fj: dict, si: int, sj: int, p: int,
+def _spair_terms(ri: tuple, rj: tuple, si: int, sj: int, p: int,
                  layout: _Layout) -> dict:
-    """x^si*fi - x^sj*fj for monic fi, fj, whose leads then cancel."""
-    out: dict = {}
-    for m, c in fi.items():
-        mm = m + si
-        out[mm] = (out.get(mm, 0) + c) % p
-    for m, c in fj.items():
+    """x^si*g_i/lc_i - x^sj*g_j/lc_j for the prepared reducers ri, rj of
+    g_i, g_j, whose shifted leads cancel: formed from the tails, each
+    scaled by its lc_inv, and left unreduced for `_reduce_full`."""
+    _, ci, ti = ri
+    _, cj, tj = rj
+    out = {m + si: ci * c for m, c in ti}
+    get, cj = out.get, p - cj
+    for m, c in tj:
         mm = m + sj
-        out[mm] = (out.get(mm, 0) - c) % p
+        out[mm] = get(mm, 0) + cj * c
     # under degrevlex no term here is of higher degree than the lcm, the
     # lcm of two leads within the guard, and a field holds twice the guard
     if not layout.grevlex and any(m & layout.guard for m in out):
         raise DegreeGuardError(
             "an S-polynomial term exceeds the packed fields of degree "
             f"guard {layout.max_degree}")
-    return {m: c for m, c in out.items() if c}
+    return out
 
 
 def _common_ring(gens: Sequence) -> PolyRing:
@@ -514,8 +515,8 @@ def _new_pairs(layout: _Layout, lms: list[int], active: list[int],
     minimal ones met so far (a divisor is never larger).  Divisibility
     reads only the slot and exponent fields, and an int of those alone
     grows with every one of them, so the walk runs on such ints and the
-    prefix sums are rebuilt only for the pairs kept.  `_Layout.lcm` is
-    inlined."""
+    prefix sums are rebuilt only for the pairs kept.  The lcm with a lead
+    t is t plus lms[h]'s excess over t, all of lms[h] iff they are coprime."""
     lm = lms[h]
     guard, slot_mask, low = layout.guard, layout.slot_mask, layout._low_mask
     pos, top = lm & slot_mask, layout.width - 1
@@ -524,16 +525,20 @@ def _new_pairs(layout: _Layout, lms: list[int], active: list[int],
     cands: dict[int, int] = {}
     for g in active:
         t = lms[g]
-        if t & slot_mask != pos:
+        if slot_mask and t & slot_mask != pos:
             continue
         t &= low
-        ge = (lmg - t) & guard
-        lcm = t ^ ((lml ^ t) & (ge - (ge >> top)))
-        if cands.get(lcm, 0) >= 0:
-            cands[lcm] = -1 if lcm == t + lml else g
+        ge = (diff := lmg - t) & guard  # guard bits where lms[h] >= t
+        inc = diff & (ge - (ge >> top))
+        if cands.get(lcm := t + inc, 0) >= 0:
+            cands[lcm] = -1 if inc == lml else g
     minimal: list[int] = []
     for lcm in sorted(cands):
-        if not layout.divided(lcm, minimal):
+        lg = lcm | guard
+        for d in minimal:
+            if (lg - d) & guard == guard:
+                break
+        else:
             minimal.append(lcm)
     return [(layout._prefixed(lcm), cands[lcm], h) for lcm in minimal
             if cands[lcm] >= 0]
@@ -557,11 +562,12 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     an element whose lead the new lead divides takes no further pairs.
     Pairs form only between leads at the same position.  The coprime
     criterion acts at rank 1 only: slotted terms at one position are
-    never coprime, as their lead product has a slot of 2.  Every basis
-    element carries one prepared reducer, built when it joins, and all
-    S-pair reductions share one divisor memo.  The pair heap pops the
-    smallest lcm first, ties by index; leads, lcms, shifts and the
-    recorded multipliers stay packed throughout.
+    never coprime, as their lead product has a slot of 2.  The basis is
+    kept only as prepared monic reducers, each built in one pass over its
+    remainder when it joins; S-pairs are formed from their tails (see
+    `_spair_terms`), and all S-pair reductions share one divisor memo.
+    The pair heap pops the smallest lcm first, ties by index; leads, lcms,
+    shifts and the recorded multipliers stay packed throughout.
 
     `target`, a term dict that no lead of `gens` divides a term of, is
     reduced with the run's memo whenever a joining lead divides one of
@@ -574,11 +580,9 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     one per reducer the target was divided by (see `_expand`).
     """
     p = ring.p
-    slot_mask = layout.slot_mask
     guard = layout.guard
     lcm_of = layout.lcm
 
-    basis: list[dict] = []
     lms: list[int] = []
     reducers: list[tuple] = []  # (lead, 1, tail) of each monic element
     # with track, one step per node (an input generator's is empty) and
@@ -612,22 +616,24 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
                   if ((lms[g] | guard) - lm) & guard != guard]
         active.append(h)
 
-    def add(lm: int, monic: dict, step: list, seed: bool = False) -> None:
-        basis.append(monic)
+    def add(terms: dict, step: list | None, seed: bool = False) -> None:
+        # the element is terms / lc, and with track terms is the sum of
+        # multiplier * node over the (node, multiplier) pairs of `step`
+        lm = max(terms)
+        inv = pow(terms[lm], p - 2, p)
         lms.append(lm)
         reducers.append((lm, 1, tuple(
-            (m, c) for m, c in monic.items() if m != lm)))
+            (m, c * inv % p) for m, c in terms.items() if m != lm)))
         if track:
             nodes.append(len(steps))
-            steps.append(step)
-        update(len(basis) - 1, lm, seed)
+            steps.append([(src, {m: c * inv % p for m, c in mult.items()})
+                          for src, mult in step])
+        update(len(lms) - 1, lm, seed)
 
     for i, g in enumerate(gens):
-        if not g:
-            continue
-        lm, inv, monic = _monic(g, p)
-        add(lm, monic, [(i, {0: inv})], seed=i < known_gb_prefix)
-    if not basis:
+        if g:
+            add(g, [(i, {0: 1})], seed=i < known_gb_prefix)
+    if not lms:
         raise ValueError("all generators are zero")
 
     while pairs and target != {}:
@@ -638,20 +644,19 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
                 f"S-pair ({i}, {j}) with lcm degree {degree} exceeds "
                 f"guard {ring.max_degree}")
         si, sj = lcm - lms[i], lcm - lms[j]
-        sterms = _spair_terms(basis[i], basis[j], si, sj, p, layout)
+        sterms = _spair_terms(reducers[i], reducers[j], si, sj, p, layout)
         quotients = defaultdict(dict) if track else None
         rem = _reduce_full(sterms, reducers, p, layout, quotients, memo)
         if not rem:
             continue
-        lm, inv, new = _monic(rem, p)
         step = None
         if track:
-            # new = inv * (x^si basis[i] - x^sj basis[j] - sum(q_k basis[k]))
-            step = [(nodes[i], {si: inv}), (nodes[j], {sj: p - inv})]
-            step += [(nodes[k], {m: -inv * c % p for m, c in q.items()})
+            # rem = x^si g_i - x^sj g_j - sum(q_k g_k), all g monic
+            step = [(nodes[i], {si: 1}), (nodes[j], {sj: -1})]
+            step += [(nodes[k], {m: -c for m, c in q.items()})
                      for k, q in quotients.items()]
-        add(lm, new, step)
-        if target and any(((m | guard) - lm) & guard == guard
+        add(rem, step)
+        if target and any(((m | guard) - lms[-1]) & guard == guard
                           for m in target):
             target = _reduce_full(target, reducers, p, layout, target_q,
                                   memo)
@@ -756,14 +761,11 @@ def verify_buchberger(basis: GroebnerBasis) -> bool:
     every S-vector of two leads at the same position) reduces to 0."""
     layout = basis._layout
     p = basis.ring.p
-    lms = [r[0] for r in basis._reducers]
-    terms = [basis._encode(g) for g in basis.generators]
-    for i, j in itertools.combinations(range(len(terms)), 2):
-        if lms[i] & layout.slot_mask != lms[j] & layout.slot_mask:
+    for ri, rj in itertools.combinations(basis._reducers, 2):
+        if ri[0] & layout.slot_mask != rj[0] & layout.slot_mask:
             continue
-        lcm = layout.lcm(lms[i], lms[j])
-        sterms = _spair_terms(terms[i], terms[j], lcm - lms[i], lcm - lms[j],
-                              p, layout)
+        lcm = layout.lcm(ri[0], rj[0])
+        sterms = _spair_terms(ri, rj, lcm - ri[0], lcm - rj[0], p, layout)
         if _reduce_full(sterms, basis._reducers, p, layout,
                         memo=basis._memo):
             return False

@@ -251,6 +251,14 @@ def check_packed_layout(rng: random.Random, order, slots: int,
                 assert layout.divided(ea + eb - (eb & layout.slot_mask), [ea])
 
 
+def is_basis(leads, reduced_leads) -> bool:
+    """Whether monomials `leads` generate the lead module of a reduced
+    basis with leads `reduced_leads` (slotted exponent tuples): a list is
+    a Groebner basis of its span iff this holds for its leads."""
+    return all(any(all(map(int.__le__, a, b)) for a in leads)
+               for b in reduced_leads)
+
+
 def quadratic_new_pairs(layout, lms: list, active: list, h: int) -> set:
     """Criteria M and F as first written, quadratic in the candidates:
     the (lcm, g) pairs that lms[h] keeps with the leads lms[g], g in

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, parser and printer."""
 
+import operator
 import random
 
 import pytest
@@ -100,6 +101,18 @@ def test_ambient_mismatch():
     for other in (b, c):
         with pytest.raises(AmbientMismatchError):
             a + other
+
+
+def test_sum_with_a_non_poly_operand_raises_type_error():
+    ring = PolyRing(["x", "y"], 5)
+    x = ring.parse("x")
+    for other in (1, 0, 1.5, "x", None):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+    assert x + ring.one() - ring.one() == x
 
 
 def test_degree_guard():

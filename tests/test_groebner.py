@@ -7,9 +7,9 @@ import pytest
 
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               PolyRing, format_poly)
-from fliftlab.groebner import (GREVLEX, LEX, ModuleVector, _Layout,
-                               _new_pairs, _prep_reducer, _reduce_full,
-                               _standard_count,
+from fliftlab.groebner import (GREVLEX, LEX, GroebnerBasis, ModuleVector,
+                               _Layout, _new_pairs, _prep_reducer,
+                               _reduce_full, _standard_count,
                                buchberger, is_zero_dimensional,
                                module_buchberger, normal_form,
                                normal_form_with_cofactors,
@@ -18,8 +18,8 @@ from fliftlab.groebner import (GREVLEX, LEX, ModuleVector, _Layout,
                                verify_buchberger)
 
 from support import (box_standard_count, check_packed_layout, combine,
-                     macaulay_membership, quadratic_new_pairs, random_poly,
-                     random_nonzero_poly, unit_expansions)
+                     is_basis, macaulay_membership, quadratic_new_pairs,
+                     random_poly, random_nonzero_poly, unit_expansions)
 
 
 def test_order_lookup():
@@ -125,6 +125,84 @@ def test_divisor_memo_resumes_after_an_appended_reducer():
                                         memo) == \
                         _reduce_full(f, reducers, p, layout, fresh)
                     assert shared == fresh
+
+
+def _random_terms(rng, p: int, slots: int, nvars: int, max_terms: int,
+                  degree: int, exact: bool = False) -> dict:
+    """A random element of R^s (s = max(slots, 1)) as slotted exponent
+    tuples, of degree at most `degree`, or exactly `degree` if `exact`."""
+    out = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = [0] * nvars
+        for _ in range(degree if exact else rng.randint(0, degree)):
+            mono[rng.randrange(nvars)] += 1
+        slot = [0] * slots
+        if slots:
+            slot[rng.randrange(slots)] = 1
+        out[tuple(slot + mono)] = rng.randrange(1, p)
+    return out
+
+
+def _packed(layout, terms: dict) -> dict:
+    return {layout.enc(t): c for t, c in terms.items()}
+
+
+def test_reduction_reduces_each_coefficient_when_popped():
+    # the kernel keeps coefficients unreduced until their term is popped,
+    # so shifting the input's coefficients by multiples of p, and adding
+    # terms whose coefficients are 0 mod p, changes neither the remainder
+    # nor the quotients
+    rng = random.Random(6161)
+    for order in (GREVLEX, LEX):
+        for slots in (0, 2):
+            for p in (2, 5, 7):
+                layout = _Layout(3, slots, order, 40)
+                for _ in range(10):
+                    reducers = [_prep_reducer(_packed(layout, _random_terms(
+                        rng, p, slots, 3, 3, 3)), p)
+                        for _ in range(rng.randint(1, 4))]
+                    f = _packed(layout, _random_terms(rng, p, slots, 3, 8, 6))
+                    shifted = {m: c + p * rng.randint(-3, 3)
+                               for m, c in f.items()}
+                    extra = _random_terms(rng, p, slots, 3, 4, 6)
+                    for m in _packed(layout, extra):
+                        shifted.setdefault(m, p * rng.randint(-3, 3))
+                    want = [{} for _ in reducers]
+                    got = [{} for _ in reducers]
+                    rem = _reduce_full(f, reducers, p, layout, want)
+                    assert list(_reduce_full(shifted, reducers, p, layout,
+                                             got).items()) == list(rem.items())
+                    assert got == want
+                    assert all(0 < c < p for c in rem.values())
+
+
+def test_degrevlex_reduction_at_the_guard_sets_no_guard_bit():
+    # under degrevlex the kernel does not test new terms for overflow, as
+    # no tail term outgrows its lead: inputs at the degree guard reduce
+    # exactly as in a wide layout, and no remainder term sets a guard bit
+    rng = random.Random(5151)
+    p = 5
+    for slots in (0, 3):
+        for guard in (2, 3, 4, 7):
+            tight = _Layout(3, slots, GREVLEX, guard)
+            wide = _Layout(3, slots, GREVLEX, 100)
+            for _ in range(15):
+                gens = [_random_terms(rng, p, slots, 3, 4,
+                                      rng.randint(1, guard))
+                        for _ in range(rng.randint(1, 4))]
+                f = _random_terms(rng, p, slots, 3, 8, guard, exact=True)
+                out = []
+                for layout in (tight, wide):
+                    quotients = [{} for _ in gens]
+                    rem = _reduce_full(
+                        _packed(layout, f),
+                        [_prep_reducer(_packed(layout, g), p) for g in gens],
+                        p, layout, quotients)
+                    if layout is tight:
+                        assert not any(m & layout.guard for m in rem)
+                    out.append((layout.dec_terms(rem),
+                                [layout.dec_terms(q) for q in quotients]))
+                assert out[0] == out[1]
 
 
 def _textbook_division(f, divisors, order):
@@ -378,6 +456,29 @@ def test_buchberger_criterion_recheck_random():
             # original generators reduce to zero
             for g in gens:
                 assert normal_form(g, gb).is_zero()
+
+
+def test_verify_buchberger_on_scaled_hand_built_bases():
+    # a hand-built basis keeps its elements as given, so its reducers are
+    # not monic: an S-pair formed from their tails must scale each tail by
+    # the inverse of its lead coefficient
+    rng = random.Random(4242)
+    ring = PolyRing(["x", "y", "z"], 5)
+    for order in (GREVLEX, LEX):
+        seen = set()
+        for _ in range(12):
+            gens = [random_nonzero_poly(rng, ring, 3, 3)
+                    for _ in range(rng.randint(2, 3))]
+            gb = buchberger(gens, order)
+            scaled = [g * (2 + k % 3) for k, g in enumerate(gb.generators)]
+            assert verify_buchberger(
+                GroebnerBasis(scaled, order, gb.generators))
+            scaled = [g * (2 + k % 3) for k, g in enumerate(gens)]
+            hand = GroebnerBasis(scaled, order, gens)
+            want = is_basis(hand.leading_monomials, gb.leading_monomials)
+            assert verify_buchberger(hand) == want
+            seen.add(want)
+        assert seen == {True, False}
 
 
 def test_certificate_soundness_random():

@@ -11,7 +11,7 @@ from fliftlab.groebner import (GREVLEX, LEX, ModuleGroebnerBasis,
                                module_normal_form, reduce_by_generators,
                                seeded_membership, verify_buchberger)
 
-from support import (check_packed_layout, combine, random_poly,
+from support import (check_packed_layout, combine, is_basis, random_poly,
                      random_nonzero_poly, unit_expansions)
 
 
@@ -196,6 +196,33 @@ def test_lex_is_term_over_position_golden():
         ModuleVector([ring.parse("x*y"), ring.zero()]),
         ModuleVector([ring.zero(), ring.parse("x")]),
         ModuleVector([ring.parse("y"), ring.parse("y^2")]))
+
+
+def test_verify_buchberger_on_scaled_hand_built_module_bases():
+    # the module case of the scaled hand-built ideal bases: S-vectors from
+    # non-monic reducers' tails scale each tail by its lc_inv
+    rng = random.Random(4343)
+    ring = _ring(5, ("x", "y"))
+    for order in (GREVLEX, LEX):
+        seen = set()
+        for _ in range(12):
+            gens = [ModuleVector([random_poly(rng, ring, 2, 3)
+                                  for _ in range(2)]) for _ in range(3)]
+            gens = [g for g in gens if not g.is_zero()]
+            if not gens:
+                continue
+            gb = module_buchberger(gens, order)
+            scaled = [ModuleVector([c * (2 + k % 3) for c in g])
+                      for k, g in enumerate(gb.generators)]
+            assert verify_buchberger(
+                ModuleGroebnerBasis(scaled, order, gb.generators))
+            scaled = [ModuleVector([c * (2 + k % 3) for c in g])
+                      for k, g in enumerate(gens)]
+            hand = ModuleGroebnerBasis(scaled, order, gens)
+            want = is_basis(hand.leading_monomials, gb.leading_monomials)
+            assert verify_buchberger(hand) == want
+            seen.add(want)
+        assert seen == {True, False}
 
 
 def test_rank_one_module_basis_is_the_ideal_basis():
