@@ -13,22 +13,22 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
 import signal
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from multiprocessing import Pool
 
-from . import catalog
-from .catalog import (InadmissibleParameterError, cusp_ci_admissible,
-                      cusp_ci_symmetry_class, cusp_hyp_admissible,
-                      cusp_hyp_symmetry_class, enumerate_table_rows,
-                      make_cusp_ci, make_cusp_hypersurface)
+from .catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
+                      cusp_hyp_admissible, cusp_hyp_symmetry_class,
+                      enumerate_table_rows, make_cusp_ci,
+                      make_cusp_hypersurface, make_rdp)
 from .criteria import classify as _classify_gens
 from .fp_poly import (DEFAULT_MAX_DEGREE, DegreeGuardError, FpPolyError,
-                      NotPrimeError, ParseError, PolyRing, is_prime)
+                      PolyRing, is_prime)
 from .groebner import order_by_name
 from .report import (csv_table, markdown_table, report_text, report_to_dict,
                      sweep_text, text_table)
@@ -43,10 +43,23 @@ CURSOR_FILE = ".fliftlab_cursor"
 
 ENV_MAX_DEGREE = "FLIFTLAB_MAX_DEGREE"
 
-SWEEP_FAMILIES = ("cusp_hyp", "cusp_ci")
-
 FULL_RANGE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 FULL_RANGE_MAX = 30
+
+# A sweep family: `make(p, *exponents, max_degree=...)` gives its
+# generators, `admissible(*exponents)` its parameter range, `symmetry` the
+# representative of an exponent tuple's class under variable relabelings,
+# and `arity` the number of exponents.
+_Family = namedtuple("_Family", "make admissible symmetry arity")
+
+SWEEP_FAMILIES = {
+    "cusp_hyp": _Family(
+        lambda p, *t, max_degree: [make_cusp_hypersurface(
+            p, *t, max_degree=max_degree)],
+        cusp_hyp_admissible, cusp_hyp_symmetry_class, 3),
+    "cusp_ci": _Family(make_cusp_ci, cusp_ci_admissible,
+                       cusp_ci_symmetry_class, 4),
+}
 
 
 class UsageError(Exception):
@@ -56,27 +69,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation parameters; built before any computation."""
-
-    command: str
-    p_values: tuple[int, ...] = ()
-    variables: tuple[str, ...] = ()
-    polys: tuple[str, ...] = ()
-    fmt: str = "text"
-    order: str = "grevlex"
-    jobs: int = 1
-    max_degree: int = DEFAULT_MAX_DEGREE
-    certificates: bool = False
-    check: bool = False
-    n_max: int = 8
-    sweep_family: str = ""
-    sweep_max: int = 0
-    resume: bool = False
-    full_range: bool = False
 
 
 def _build_parser() -> _Parser:
@@ -109,7 +101,7 @@ def _build_parser() -> _Parser:
     output(sp)
 
     sp = sub.add_parser("sweep", help="classify a cusp family over a range")
-    sp.add_argument("family", choices=SWEEP_FAMILIES)
+    sp.add_argument("family", choices=tuple(SWEEP_FAMILIES))
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--p-set", default=None, help="comma-separated primes")
     sp.add_argument("--max", type=int, default=None,
@@ -127,102 +119,80 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _effective_max_degree(arg_value: int | None) -> int:
-    if arg_value is not None:
-        return arg_value
-    env = os.environ.get(ENV_MAX_DEGREE)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{ENV_MAX_DEGREE} must be an integer, got {env!r}")
-    return DEFAULT_MAX_DEGREE
-
-
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if "format" in args:
-        cfg.fmt = args.format
-        cfg.order = args.order
+def _validate(args) -> None:
+    """Check the parsed flags before any computation, and normalize them in
+    place: `max_degree` to its effective value, classify's `vars` to a
+    tuple of names, and a sweep's primes to `primes` and its exponent bound
+    to `max`."""
     if "max_degree" in args:
-        cfg.max_degree = _effective_max_degree(args.max_degree)
-        if cfg.max_degree < 1:
+        if args.max_degree is None:
+            env = os.environ.get(ENV_MAX_DEGREE)
+            try:
+                args.max_degree = int(env) if env else DEFAULT_MAX_DEGREE
+            except ValueError:
+                raise UsageError(
+                    f"{ENV_MAX_DEGREE} must be an integer, got {env!r}")
+        if args.max_degree < 1:
             raise UsageError("--max-degree must be positive")
 
     if args.command == "classify":
         if not is_prime(args.p):
             raise UsageError(f"{args.p} is not prime")
-        cfg.p_values = (args.p,)
-        variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-        if not variables:
+        args.vars = tuple(v.strip() for v in args.vars.split(",") if v.strip())
+        if not args.vars:
             raise UsageError("--vars must name at least one variable")
-        cfg.variables = variables
-        cfg.polys = tuple(args.poly)
-        cfg.certificates = args.certificates
     elif args.command == "table":
         if args.n_max < 1:
             raise UsageError("--n-max must be at least 1")
-        cfg.n_max = args.n_max
-        cfg.check = args.check
     elif args.command == "sweep":
-        cfg.jobs = args.jobs
-        if cfg.jobs < 1:
+        if args.jobs < 1:
             raise UsageError("--jobs must be at least 1")
-        cfg.sweep_family = args.family
-        cfg.resume = args.resume
-        cfg.full_range = args.full_range
-        if cfg.full_range:
-            cfg.p_values = FULL_RANGE_PRIMES
-            cfg.sweep_max = FULL_RANGE_MAX
+        if args.full_range:
             if args.p is not None or args.p_set is not None or args.max is not None:
                 raise UsageError("--full-range fixes --p/--p-set/--max")
+            args.primes, args.max = FULL_RANGE_PRIMES, FULL_RANGE_MAX
+            return
+        if (args.p is None) == (args.p_set is None):
+            raise UsageError("sweep needs exactly one of --p or --p-set")
+        if args.p is not None:
+            args.primes = (args.p,)
         else:
-            if (args.p is None) == (args.p_set is None):
-                raise UsageError("sweep needs exactly one of --p or --p-set")
-            if args.p is not None:
-                primes = [args.p]
-            else:
-                try:
-                    primes = [int(t) for t in args.p_set.split(",") if t.strip()]
-                except ValueError:
-                    raise UsageError(f"bad --p-set {args.p_set!r}")
-                if not primes or len(set(primes)) != len(primes):
-                    raise UsageError("--p-set must list distinct primes")
-            for q in primes:
-                if not is_prime(q):
-                    raise UsageError(f"{q} is not prime")
-            cfg.p_values = tuple(primes)
-            if args.max is None or args.max < 2:
-                raise UsageError("sweep needs --max >= 2")
-            cfg.sweep_max = args.max
+            try:
+                args.primes = tuple(int(t) for t in args.p_set.split(",")
+                                    if t.strip())
+            except ValueError:
+                raise UsageError(f"bad --p-set {args.p_set!r}")
+            if not args.primes or len(set(args.primes)) != len(args.primes):
+                raise UsageError("--p-set must list distinct primes")
+        for q in args.primes:
+            if not is_prime(q):
+                raise UsageError(f"{q} is not prime")
+        if args.max is None or args.max < 2:
+            raise UsageError("sweep needs --max >= 2")
     elif args.command == "identity":
         if args.n_max < 2:
             raise UsageError("--n-max must be at least 2")
-        cfg.n_max = args.n_max
-    return cfg
 
 
 # --------------------------------------------------------------------- classify
 
-def _cmd_classify(cfg: RunConfig, out) -> int:
-    ring = PolyRing(cfg.variables, cfg.p_values[0], cfg.max_degree)
-    gens = [ring.parse(text) for text in cfg.polys]
-    order = order_by_name(cfg.order)
-    report = _classify_gens(gens, order=order, certificates=cfg.certificates)
-    if cfg.fmt == "json":
+def _cmd_classify(args, out) -> int:
+    ring = PolyRing(args.vars, args.p, args.max_degree)
+    gens = [ring.parse(text) for text in args.poly]
+    report = _classify_gens(gens, order=order_by_name(args.order),
+                            certificates=args.certificates)
+    if args.format == "json":
         out.write(json.dumps([report_to_dict(report)], indent=2) + "\n")
-    elif cfg.fmt == "csv":
-        out.write(csv_table([_csv_row(report, "adhoc", ";".join(cfg.polys))]))
-    elif cfg.fmt == "md":
+    elif args.format == "csv":
+        out.write(csv_table([_csv_row(report, "adhoc", ";".join(args.poly))]))
+    elif args.format == "md":
         out.write(markdown_table(
             ("p", "generators", "F-pure", "F-liftable", "conclusive"),
             [(report.p, "; ".join(report.generators), report.f_pure,
               report.f_liftable, report.conclusive)]))
     else:
         out.write(report_text(report) + "\n")
-    if report.status == "not_isolated":
-        return EXIT_INAPPLICABLE
-    return EXIT_OK
+    return EXIT_INAPPLICABLE if report.status == "not_isolated" else EXIT_OK
 
 
 def _csv_row(report, family: str, params: str) -> tuple:
@@ -232,20 +202,18 @@ def _csv_row(report, family: str, params: str) -> tuple:
 
 # --------------------------------------------------------------------- table
 
-def _cmd_table(cfg: RunConfig, out) -> int:
-    order = order_by_name(cfg.order)
+def _cmd_table(args, out) -> int:
+    order = order_by_name(args.order)
     rows = []
-    mismatches = 0
-    for inst in enumerate_table_rows(cfg.n_max):
+    for inst in enumerate_table_rows(args.n_max):
         report = _classify_gens([inst.poly], order=order)
         expected = inst.expected
         ok = (report.f_pure, report.f_liftable) == \
             (expected.f_pure, expected.f_liftable)
-        if not ok:
-            mismatches += 1
         rows.append((inst, report, ok))
+    mismatches = sum(not ok for inst, report, ok in rows)
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = []
         for inst, report, ok in rows:
             d = report_to_dict(report)
@@ -256,7 +224,7 @@ def _cmd_table(cfg: RunConfig, out) -> int:
             d["match"] = ok
             payload.append(d)
         out.write(json.dumps(payload, indent=2) + "\n")
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         out.write(csv_table(
             [_csv_row(report, inst.row.row_label,
                       ";".join(f"{k}={v}" for k, v in inst.params))
@@ -270,35 +238,28 @@ def _cmd_table(cfg: RunConfig, out) -> int:
                  inst.expected.f_regular_ref, inst.expected.ret_ref,
                  inst.expected.let_ref)
                 for inst, report, ok in rows]
-        render = markdown_table if cfg.fmt == "md" else text_table
+        render = markdown_table if args.format == "md" else text_table
         out.write(render(header, body))
-    if cfg.check:
-        out.write(f"check: {mismatches} mismatches\n")
-        if mismatches:
-            return EXIT_INPUT
-    return EXIT_OK
+    if args.check:
+        # on stderr, so that stdout stays one document in every format
+        print(f"check: {mismatches} mismatches", file=sys.stderr)
+    return EXIT_INPUT if args.check and mismatches else EXIT_OK
 
 
 # --------------------------------------------------------------------- sweep
 
-def _sweep_tuples(cfg: RunConfig):
+def _sweep_tuples(args):
     """All admissible tuples in deterministic order: (p, exponents)."""
-    if cfg.sweep_family == "cusp_hyp":
-        admissible, arity = cusp_hyp_admissible, 3
-    else:
-        admissible, arity = cusp_ci_admissible, 4
-    exponents = range(2, cfg.sweep_max + 1)
-    return [(p, t) for p in cfg.p_values
-            for t in itertools.product(exponents, repeat=arity)
-            if admissible(*t)]
+    family = SWEEP_FAMILIES[args.family]
+    exponents = range(2, args.max + 1)
+    return [(p, t) for p in args.primes
+            for t in itertools.product(exponents, repeat=family.arity)
+            if family.admissible(*t)]
 
 
 def _sweep_worker(task):
     family, p, cls, max_degree, order_name = task
-    if family == "cusp_hyp":
-        gens = [make_cusp_hypersurface(p, *cls, max_degree=max_degree)]
-    else:
-        gens = make_cusp_ci(p, *cls, max_degree=max_degree)
+    gens = SWEEP_FAMILIES[family].make(p, *cls, max_degree=max_degree)
     report = _classify_gens(gens, order=order_by_name(order_name))
     return (family, p, cls, report.status, report.f_pure, report.f_liftable,
             report.conclusive, report.timings_ms.get("total", 0.0))
@@ -309,14 +270,19 @@ def _cursor_text(family, p, exponents) -> str:
 
 
 def _read_cursor() -> tuple | None:
+    """The cursor's (family, p, exponents), or None when there is no cursor
+    file.  A cursor file that cannot be read or parsed is a usage error."""
     try:
         with open(CURSOR_FILE, "r", encoding="utf-8") as fh:
-            parts = fh.read().split()
-    except OSError:
+            family, p, *exponents = fh.read().split()
+        if len(exponents) == SWEEP_FAMILIES[family].arity:
+            return (family, int(p), tuple(int(e) for e in exponents))
+    except FileNotFoundError:
         return None
-    if len(parts) < 3:
-        return None
-    return (parts[0], int(parts[1]), tuple(int(t) for t in parts[2:]))
+    except (OSError, ValueError, KeyError):
+        pass
+    raise UsageError(f"bad cursor file {CURSOR_FILE}: expected one line "
+                     f"'family p exponents...'")
 
 
 def _write_cursor(family, p, exponents) -> None:
@@ -345,54 +311,48 @@ def _sigterm_interrupts():
         signal.signal(signal.SIGTERM, previous)
 
 
-def _cmd_sweep(cfg: RunConfig, out) -> int:
-    family = cfg.sweep_family
-    symmetry = (cusp_hyp_symmetry_class if family == "cusp_hyp"
-                else cusp_ci_symmetry_class)
-    tuples = _sweep_tuples(cfg)
-    if cfg.resume:
+def _cmd_sweep(args, out) -> int:
+    family = args.family
+    symmetry = SWEEP_FAMILIES[family].symmetry
+    tuples = _sweep_tuples(args)
+    if args.resume:
         cursor = _read_cursor()
-        if cursor is not None and cursor[0] == family:
-            try:
-                idx = tuples.index((cursor[1], cursor[2]))
-                tuples = tuples[idx + 1:]
-            except ValueError:
-                pass
+        # a cursor of another family or range leaves the sweep whole
+        if cursor is not None and cursor[0] == family and cursor[1:] in tuples:
+            tuples = tuples[tuples.index(cursor[1:]) + 1:]
 
     # classify one representative per symmetry class; verdicts transfer
     # along variable relabelings
     classes = sorted({(p, symmetry(t)) for p, t in tuples})
-    tasks = [(family, p, cls, cfg.max_degree, cfg.order) for p, cls in classes]
+    tasks = [(family, p, cls, args.max_degree, args.order)
+             for p, cls in classes]
     results: dict[tuple, tuple] = {}
 
     interrupted = False
     try:
-        if cfg.jobs > 1 and len(tasks) > 1:
-            # the handler goes in after the workers start, so that they
-            # keep the default one and Pool.terminate() still stops them
-            with Pool(cfg.jobs) as pool, _sigterm_interrupts():
-                for res in pool.imap(_sweep_worker, tasks, chunksize=4):
-                    results[(res[1], res[2])] = res
-        else:
-            with _sigterm_interrupts():
-                for task in tasks:
-                    res = _sweep_worker(task)
-                    results[(res[1], res[2])] = res
+        with contextlib.ExitStack() as stack:
+            run = map
+            if args.jobs > 1 and len(tasks) > 1:
+                # the handler goes in after the workers start, so that they
+                # keep the default one and Pool.terminate() still stops them
+                pool = stack.enter_context(Pool(args.jobs))
+                run = functools.partial(pool.imap, chunksize=4)
+            stack.enter_context(_sigterm_interrupts())
+            for res in run(_sweep_worker, tasks):
+                results[(res[1], res[2])] = res
     except KeyboardInterrupt:
         interrupted = True
 
     emitted = []
-    last = None
     for p, t in tuples:
         key = (p, symmetry(t))
         if key not in results:
             break
         emitted.append((p, t) + results[key][3:])
-        last = (p, t)
 
     non_liftable = [(p, t) for (p, t, status, pure, lift, concl, ms) in emitted
                     if lift is not True]
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "version": "fliftlab/1", "command": "sweep", "family": family,
             "results": [
@@ -405,16 +365,16 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
                             {"p": p, "params": list(t)} for p, t in non_liftable]},
         }
         out.write(json.dumps(payload, indent=2) + "\n")
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         out.write(csv_table(
             [(p, family, ";".join(f"{n}={v}" for n, v in zip("abcd", t)),
               pure, lift, concl, ms)
              for (p, t, status, pure, lift, concl, ms) in emitted]))
     else:
-        arity = 3 if family == "cusp_hyp" else 4
-        if cfg.fmt == "md":
+        if args.format == "md":
+            exponents = "abcd"[:SWEEP_FAMILIES[family].arity]
             out.write(markdown_table(
-                ("p", *"abcd"[:arity], "F-pure", "F-liftable", "conclusive"),
+                ("p", *exponents, "F-pure", "F-liftable", "conclusive"),
                 [(p, *t, pure, lift, concl)
                  for (p, t, status, pure, lift, concl, ms) in emitted]))
         else:
@@ -427,47 +387,45 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
         for p, t in non_liftable:
             out.write(f"NOT LIFTABLE: p={p} {tuple(t)}\n")
 
-    if interrupted:
-        if last is not None:
-            _write_cursor(family, last[0], last[1])
-            # on stderr, so that the rows on stdout still parse
-            print(f"interrupted; cursor at "
-                  f"{_cursor_text(family, last[0], last[1])}", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    return EXIT_OK
+    if interrupted and emitted:
+        p, t = emitted[-1][:2]
+        _write_cursor(family, p, t)
+        # on stderr, so that the rows on stdout still parse
+        print(f"interrupted; cursor at {_cursor_text(family, p, t)}",
+              file=sys.stderr)
+    return EXIT_INTERRUPTED if interrupted else EXIT_OK
 
 
 # --------------------------------------------------------------------- identity
 
 def _identity_cases(n_max: int):
+    """(label, computation, expected value) for the residual identities of
+    the D_2n^{n-1} and D_2n+1^{n-1} rows at p = 2 and the delta1 expansion
+    of three cusps."""
     from .criteria import residual_polynomial
     from .frobsplit import delta1
 
     cases = []
     for n in range(2, n_max + 1):
-        ring = PolyRing(catalog.RDP_VARIABLES, 2)
-        x, y, z = ring.gens()
-        f = z ** 2 + x ** 2 * y + x * y ** n + x * y * z
+        f = make_rdp("D_2n^{n-1}", 2, n)
+        x, y, z = f.ring.gens()
         fz = f.derivative(2)
         target = z ** 2 * f + (x ** 2 + x * y ** (n - 1) + x * z +
                                y ** (2 * n - 2) + y ** (n - 1) * z) * fz * fz
         cases.append((f"D_2n^{{n-1}} identity, n={n}",
                       lambda f=f: residual_polynomial(f), target))
     for n in range(2, n_max + 1):
-        ring = PolyRing(catalog.RDP_VARIABLES, 2)
-        x, y, z = ring.gens()
-        f = z ** 2 + x ** 2 * y + y ** n * z + x * y * z
-        fx = f.derivative(0)
-        fz = f.derivative(2)
+        f = make_rdp("D_2n+1^{n-1}", 2, n)
+        x, y, z = f.ring.gens()
+        fx, fz = f.derivative(0), f.derivative(2)
         target = ((z ** 2 + y ** (2 * n - 1)) * f +
                   (x ** 2 + x * y ** (n - 1) + y ** (2 * n - 3)) * fx * fx +
                   (x ** 2 + z ** 2 + x * z + y ** (n - 1) * z) * fz * fz)
         cases.append((f"D_2n+1^{{n-1}} identity, n={n}",
                       lambda f=f: residual_polynomial(f), target))
     for (a, b, c) in ((3, 4, 5), (2, 3, 7), (3, 3, 4)):
-        ring = PolyRing(catalog.RDP_VARIABLES, 2)
-        x, y, z = ring.gens()
         f = make_cusp_hypersurface(2, a, b, c)
+        x, y, z = f.ring.gens()
         target = (x ** a * y ** b + x ** a * z ** c + y ** b * z ** c +
                   x * y * z * (x ** a + y ** b + z ** c))
         cases.append((f"cusp delta1 expansion, (a,b,c)=({a},{b},{c})",
@@ -475,8 +433,8 @@ def _identity_cases(n_max: int):
     return cases
 
 
-def _cmd_identity(cfg: RunConfig, out) -> int:
-    for label, compute, target in _identity_cases(cfg.n_max):
+def _cmd_identity(args, out) -> int:
+    for label, compute, target in _identity_cases(args.n_max):
         got = compute()
         if got != target:
             out.write(f"FAIL {label}\n  computed: {got}\n  expected: {target}\n")
@@ -487,32 +445,20 @@ def _cmd_identity(cfg: RunConfig, out) -> int:
 
 # --------------------------------------------------------------------- main
 
+_COMMANDS = {"classify": _cmd_classify, "table": _cmd_table,
+             "sweep": _cmd_sweep, "identity": _cmd_identity}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    out = sys.stdout
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        if cfg.command == "classify":
-            return _cmd_classify(cfg, out)
-        if cfg.command == "table":
-            return _cmd_table(cfg, out)
-        if cfg.command == "sweep":
-            return _cmd_sweep(cfg, out)
-        return _cmd_identity(cfg, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ParseError, NotPrimeError, InadmissibleParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        args = _build_parser().parse_args(argv)
+        _validate(args)
+        return _COMMANDS[args.command](args, sys.stdout)
     except DegreeGuardError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except FpPolyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    # parse, prime and parameter errors are FpPolyError or ValueError
+    except (UsageError, FpPolyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

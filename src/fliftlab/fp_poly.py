@@ -279,8 +279,12 @@ class Poly:
         return Poly._make(self.ring, {m: c * v % p for m, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
+        if not isinstance(other, Poly):
+            # an int scales; any other operand is NotImplemented, so
+            # `x * 1.5` raises TypeError as `x + 1.5` does
+            if isinstance(other, int):
+                return self.scale(other)
+            return NotImplemented
         self._check(other)
         ring = self.ring
         a, b = self.terms, other.terms

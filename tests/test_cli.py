@@ -124,9 +124,23 @@ def test_verdict_not_liftable_is_exit_0(capsys):
 
 
 def test_table_check_small(capsys):
-    code, out, _ = run_cli(capsys, "table", "--check", "--n-max", "2")
+    code, out, err = run_cli(capsys, "table", "--check", "--n-max", "2")
     assert code == EXIT_OK
-    assert "check: 0 mismatches" in out
+    assert err == "check: 0 mismatches\n"
+    assert "check:" not in out
+
+
+def test_table_check_keeps_json_and_csv_parseable(capsys):
+    # the check line goes to stderr, so stdout is the payload alone
+    argv = ("table", "--n-max", "2", "--check", "--format")
+    code, out, err = run_cli(capsys, *argv, "json")
+    assert code == EXIT_OK and err == "check: 0 mismatches\n"
+    assert all(row["match"] for row in json.loads(out))
+    code, out, err = run_cli(capsys, *argv, "csv")
+    assert code == EXIT_OK and err == "check: 0 mismatches\n"
+    header, *rows = out.splitlines()
+    assert header == "p,family,params,f_pure,f_liftable,conclusive,ms"
+    assert rows and all(len(row.split(",")) == 7 for row in rows)
 
 
 def test_table_md_format(capsys):
@@ -194,6 +208,25 @@ def test_sweep_resume_skips_cursor(capsys, tmp_path, monkeypatch):
     resumed_lines = [l for l in resumed.splitlines()[1:] if l]
     strip = lambda ls: [l.rsplit(",", 1)[0] for l in ls]
     assert strip(resumed_lines) == strip(lines[k:])
+
+
+@pytest.mark.parametrize("cursor", ["cusp_hyp x 2 3", "cusp_hyp 2", "",
+                                    "cusp_hyp 2 3 4 5 6", "cusp_foo 2 3 4 5"])
+def test_malformed_cursor_is_a_usage_error(cursor, capsys, tmp_path,
+                                           monkeypatch):
+    # the sweep stops before it classifies anything, naming the file
+    import fliftlab.cli as cli_mod
+
+    def no_worker(task):
+        raise AssertionError("a class was classified")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_mod, "_sweep_worker", no_worker)
+    Path(CURSOR_FILE).write_text(cursor + "\n")
+    code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
+                             "--max", "5", "--resume")
+    assert code == EXIT_INPUT and not out
+    assert err.startswith("error: ") and CURSOR_FILE in err
 
 
 def test_sweep_interrupt_flushes_partial_and_cursor(capsys, tmp_path, monkeypatch):
@@ -406,6 +439,12 @@ GOLDEN_RUNS = {
     # plain members past the seed: the membership run stops early
     "sweep_cusp_hyp_p5_max6.csv": ("sweep", "cusp_hyp", "--p", "5", "--max",
                                    "6", "--format", "csv"),
+    "identity_n10.txt": ("identity", "--n-max", "10"),
+    "table_n3.csv": ("table", "--n-max", "3", "--format", "csv"),
+    # the Pool side of the sweep loop
+    "sweep_cusp_hyp_p2_max5_jobs2.md": ("sweep", "cusp_hyp", "--p", "2",
+                                        "--max", "5", "--format", "md",
+                                        "--jobs", "2"),
 }
 
 

@@ -112,7 +112,14 @@ def test_sum_with_a_non_poly_operand_raises_type_error():
                 op(x, other)
             with pytest.raises(TypeError):
                 op(other, x)
+    # an int scales, so only the other operands are refused by `*`
+    for other in (1.5, "x", None):
+        with pytest.raises(TypeError):
+            operator.mul(x, other)
+        with pytest.raises(TypeError):
+            operator.mul(other, x)
     assert x + ring.one() - ring.one() == x
+    assert x * 2 == 2 * x == x + x and x * x == ring.parse("x^2")
 
 
 def test_degree_guard():
