@@ -6,10 +6,10 @@ machine-checkable certificates.
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, FpPolyError,
                       NotPrimeError, ParseError, Poly, PolyRing,
                       UnknownVariableError, format_poly, parse_poly)
-from .groebner import (GREVLEX, LEX, GroebnerBasis, ModuleGroebnerBasis,
-                       ModuleVector, MonomialOrder, buchberger,
-                       is_zero_dimensional, module_buchberger, normal_form,
-                       quotient_dimension, supported_only_at_origin)
+from .groebner import (GREVLEX, LEX, GroebnerBasis, ModuleVector,
+                       MonomialOrder, buchberger, is_zero_dimensional,
+                       module_buchberger, normal_form, quotient_dimension,
+                       supported_only_at_origin)
 from .frobsplit import (FrobeniusDecomposition, SplittingData, apply_sigma,
                         build_splitting, delta1, frobenius_decompose, trace_u)
 from .criteria import (Certificate, LiftabilityReport, classify,
@@ -24,15 +24,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientMismatchError", "Certificate", "DegreeGuardError",
     "ExpectedRecord", "FamilySpec", "FpPolyError", "FrobeniusDecomposition",
-    "GREVLEX", "GroebnerBasis", "LEX", "LiftabilityReport",
-    "ModuleGroebnerBasis", "ModuleVector", "MonomialOrder", "NotPrimeError",
-    "ParseError", "Poly", "PolyRing", "SplittingData", "TableInstance",
-    "UnknownVariableError", "apply_sigma", "buchberger", "build_splitting",
-    "classify", "delta1", "enumerate_table_rows",
-    "expected_classification", "format_poly", "frobenius_decompose",
-    "isolated_singularity_check", "is_zero_dimensional", "make_cusp_ci",
-    "make_cusp_hypersurface", "make_rdp", "module_buchberger", "normal_form",
-    "parse_poly", "quotient_dimension", "report_from_dict", "report_to_dict",
-    "report_to_json", "residual_polynomial", "supported_only_at_origin",
-    "trace_u",
+    "GREVLEX", "GroebnerBasis", "LEX", "LiftabilityReport", "ModuleVector",
+    "MonomialOrder", "NotPrimeError", "ParseError", "Poly", "PolyRing",
+    "SplittingData", "TableInstance", "UnknownVariableError", "apply_sigma",
+    "buchberger", "build_splitting", "classify", "delta1",
+    "enumerate_table_rows", "expected_classification", "format_poly",
+    "frobenius_decompose", "isolated_singularity_check", "is_zero_dimensional",
+    "make_cusp_ci", "make_cusp_hypersurface", "make_rdp", "module_buchberger",
+    "normal_form", "parse_poly", "quotient_dimension", "report_from_dict",
+    "report_to_dict", "report_to_json", "residual_polynomial",
+    "supported_only_at_origin", "trace_u",
 ]

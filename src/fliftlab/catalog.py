@@ -2,22 +2,26 @@
 families and the cusp families, together with the expected
 classification records used for cross-checking.
 
+Each table row carries its equation once, as a function of the
+variables x, y, z and the parameters n, r, and `make_rdp` and
+`enumerate_table_rows` instantiate the row through it.
+
 Family ids follow the usual type labels: "A_n", "D_n", "E_6".."E_8" for
 the large-characteristic rows, "D_2n^0", "D_2n^r", "D_2n^{n-1}",
 "D_2n+1^0", "D_2n+1^r", "D_2n+1^{n-1}" and "E_6^0".."E_8^4" for the
 small-characteristic rows, plus "cusp_hyp" and "cusp_ci".
 
-The D_2n+1^{n-1} equation uses the xyz cross term (the printed template
-x*y^(n-r)*z at r = n-1).  The F-regular / RET / LET columns are carried
-as literature metadata only and are never computed here.
+The D_2n+1^{n-1} equation uses the xyz cross term (the D_2n+1^r cross
+term x*y^(n-r)*z at r = n-1).  The F-regular / RET / LET columns are
+carried as literature metadata only and are never computed here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .fp_poly import Poly, PolyRing, format_poly
+from .fp_poly import DEFAULT_MAX_DEGREE, Poly, PolyRing, format_poly
 
 RDP_VARIABLES = ("x", "y", "z")
 CUSP_CI_VARIABLES = ("x", "y", "z", "w")
@@ -53,7 +57,7 @@ class FamilySpec:
     family: str
     row_label: str
     p_constraint: str            # "p>0", "p>2", "p>3", "p>5", "p=2", ...
-    equation_template: str
+    equation: Callable[..., Poly]  # (x, y, z, n, r) -> the row's equation
     param_names: tuple[str, ...]
     expected: ExpectedRecord
     test_primes: tuple[int, ...]
@@ -65,49 +69,78 @@ class FamilySpec:
         return p == bound
 
 
-def _p2(label, template, params, code):
-    return (label, "p=2", template, params, code, (2,))
+def _p2(label, params, code, equation):
+    return (label, "p=2", params, code, (2,), equation)
 
 
-def _p3(label, template, code):
-    return (label, "p=3", template, (), code, (3,))
+def _p3(label, code, equation):
+    return (label, "p=3", (), code, (3,), equation)
 
 
-# one entry per printed table row, in row order:
-# (row label, p constraint, template, param names, YYNNN code, test primes)
+# one entry per printed table row, in row order: (row label, p constraint,
+# param names, YYNNN code, test primes, equation of (x, y, z, n, r))
 _RDP_ROWS: list[tuple] = [
-    ("A_n (p !| n+1)", "p>0", "z^(n+1) + x*y", ("n",), "YYYYY", (2, 3, 5, 7)),
-    ("A_n (p | n+1)", "p>0", "z^(n+1) + x*y", ("n",), "YYYNY", (2, 3, 5, 7)),
-    ("D_n", "p>2", "z^2 + x^2*y + y^(n+1)", ("n",), "YYYYY", (3, 5, 7)),
-    ("E_6", "p>3", "z^2 + x^3 + y^4", (), "YYYYY", (5, 7)),
-    ("E_7", "p>3", "z^2 + x^3 + x*y^3", (), "YYYYY", (5, 7)),
-    ("E_8", "p>5", "z^2 + x^3 + y^5", (), "YYYYY", (7,)),
-    _p2("D_2n^0", "z^2 + x^2*y + x*y^n", ("n",), "NNNNN"),
-    _p2("D_2n^r", "z^2 + x^2*y + x*y^n + x*y^(n-r)*z", ("n", "r"), "NNNNN"),
-    _p2("D_2n^{n-1}", "z^2 + x^2*y + x*y^n + x*y*z", ("n",), "YNYNY"),
-    _p2("D_2n+1^0", "z^2 + x^2*y + y^n*z", ("n",), "NNNNN"),
-    _p2("D_2n+1^r", "z^2 + x^2*y + y^n*z + x*y^(n-r)*z", ("n", "r"), "NNNNN"),
-    _p2("D_2n+1^{n-1}", "z^2 + x^2*y + y^n*z + x*y*z", ("n",), "YNYNY"),
-    _p2("E_6^0", "z^2 + x^3 + y^2*z", (), "NNNNN"),
-    _p2("E_6^1", "z^2 + x^3 + y^2*z + x*y*z", (), "YNYYY"),
-    _p2("E_7^0", "z^2 + x^3 + x*y^3", (), "NNNNN"),
-    _p2("E_7^1", "z^2 + x^3 + x*y^3 + x^2*y*z", (), "NNNNN"),
-    _p2("E_7^2", "z^2 + x^3 + x*y^3 + y^3*z", (), "NNNNN"),
-    _p2("E_7^3", "z^2 + x^3 + x*y^3 + x*y*z", (), "YNYYY"),
-    _p2("E_8^0", "z^2 + x^3 + y^5", (), "NNNNN"),
-    _p2("E_8^1", "z^2 + x^3 + y^5 + x*y^3*z", (), "NNNNN"),
-    _p2("E_8^2", "z^2 + x^3 + y^5 + x*y^2*z", (), "NNNNN"),
-    _p2("E_8^3", "z^2 + x^3 + y^5 + y^3*z", (), "NNNNN"),
-    _p2("E_8^4", "z^2 + x^3 + y^5 + x*y*z", (), "YNYYY"),
-    _p3("E_6^0", "z^2 + x^3 + y^4", "NNNNN"),
-    _p3("E_6^1", "z^2 + x^3 + y^4 + x^2*y^2", "YNYNY"),
-    _p3("E_7^0", "z^2 + x^3 + x*y^3", "NNNNN"),
-    _p3("E_7^1", "z^2 + x^3 + x*y^3 + x^2*y^2", "YNYYY"),
-    _p3("E_8^0", "z^2 + x^3 + y^5", "NNNNN"),
-    _p3("E_8^1", "z^2 + x^3 + y^5 + x^2*y^3", "NNNNN"),
-    _p3("E_8^2", "z^2 + x^3 + y^5 + x^2*y^2", "YNYYY"),
-    ("E_8^0", "p=5", "z^2 + x^3 + y^5", (), "NNNNN", (5,)),
-    ("E_8^1", "p=5", "z^2 + x^3 + y^5 + x*y^4", (), "YNNYY", (5,)),
+    ("A_n (p !| n+1)", "p>0", ("n",), "YYYYY", (2, 3, 5, 7),
+     lambda x, y, z, n, r: z**(n + 1) + x*y),
+    ("A_n (p | n+1)", "p>0", ("n",), "YYYNY", (2, 3, 5, 7),
+     lambda x, y, z, n, r: z**(n + 1) + x*y),
+    ("D_n", "p>2", ("n",), "YYYYY", (3, 5, 7),
+     lambda x, y, z, n, r: z**2 + x**2*y + y**(n + 1)),
+    ("E_6", "p>3", (), "YYYYY", (5, 7),
+     lambda x, y, z, n, r: z**2 + x**3 + y**4),
+    ("E_7", "p>3", (), "YYYYY", (5, 7),
+     lambda x, y, z, n, r: z**2 + x**3 + x*y**3),
+    ("E_8", "p>5", (), "YYYYY", (7,),
+     lambda x, y, z, n, r: z**2 + x**3 + y**5),
+    _p2("D_2n^0", ("n",), "NNNNN",
+        lambda x, y, z, n, r: z**2 + x**2*y + x*y**n),
+    _p2("D_2n^r", ("n", "r"), "NNNNN",
+        lambda x, y, z, n, r: z**2 + x**2*y + x*y**n + x*y**(n - r)*z),
+    _p2("D_2n^{n-1}", ("n",), "YNYNY",
+        lambda x, y, z, n, r: z**2 + x**2*y + x*y**n + x*y*z),
+    _p2("D_2n+1^0", ("n",), "NNNNN",
+        lambda x, y, z, n, r: z**2 + x**2*y + y**n*z),
+    _p2("D_2n+1^r", ("n", "r"), "NNNNN",
+        lambda x, y, z, n, r: z**2 + x**2*y + y**n*z + x*y**(n - r)*z),
+    _p2("D_2n+1^{n-1}", ("n",), "YNYNY",
+        lambda x, y, z, n, r: z**2 + x**2*y + y**n*z + x*y*z),
+    _p2("E_6^0", (), "NNNNN",
+        lambda x, y, z, n, r: z**2 + x**3 + y**2*z),
+    _p2("E_6^1", (), "YNYYY",
+        lambda x, y, z, n, r: z**2 + x**3 + y**2*z + x*y*z),
+    _p2("E_7^0", (), "NNNNN",
+        lambda x, y, z, n, r: z**2 + x**3 + x*y**3),
+    _p2("E_7^1", (), "NNNNN",
+        lambda x, y, z, n, r: z**2 + x**3 + x*y**3 + x**2*y*z),
+    _p2("E_7^2", (), "NNNNN",
+        lambda x, y, z, n, r: z**2 + x**3 + x*y**3 + y**3*z),
+    _p2("E_7^3", (), "YNYYY",
+        lambda x, y, z, n, r: z**2 + x**3 + x*y**3 + x*y*z),
+    _p2("E_8^0", (), "NNNNN",
+        lambda x, y, z, n, r: z**2 + x**3 + y**5),
+    _p2("E_8^1", (), "NNNNN",
+        lambda x, y, z, n, r: z**2 + x**3 + y**5 + x*y**3*z),
+    _p2("E_8^2", (), "NNNNN",
+        lambda x, y, z, n, r: z**2 + x**3 + y**5 + x*y**2*z),
+    _p2("E_8^3", (), "NNNNN",
+        lambda x, y, z, n, r: z**2 + x**3 + y**5 + y**3*z),
+    _p2("E_8^4", (), "YNYYY",
+        lambda x, y, z, n, r: z**2 + x**3 + y**5 + x*y*z),
+    _p3("E_6^0", "NNNNN", lambda x, y, z, n, r: z**2 + x**3 + y**4),
+    _p3("E_6^1", "YNYNY",
+        lambda x, y, z, n, r: z**2 + x**3 + y**4 + x**2*y**2),
+    _p3("E_7^0", "NNNNN", lambda x, y, z, n, r: z**2 + x**3 + x*y**3),
+    _p3("E_7^1", "YNYYY",
+        lambda x, y, z, n, r: z**2 + x**3 + x*y**3 + x**2*y**2),
+    _p3("E_8^0", "NNNNN", lambda x, y, z, n, r: z**2 + x**3 + y**5),
+    _p3("E_8^1", "NNNNN",
+        lambda x, y, z, n, r: z**2 + x**3 + y**5 + x**2*y**3),
+    _p3("E_8^2", "YNYYY",
+        lambda x, y, z, n, r: z**2 + x**3 + y**5 + x**2*y**2),
+    ("E_8^0", "p=5", (), "NNNNN", (5,),
+     lambda x, y, z, n, r: z**2 + x**3 + y**5),
+    ("E_8^1", "p=5", (), "YNNYY", (5,),
+     lambda x, y, z, n, r: z**2 + x**3 + y**5 + x*y**4),
 ]
 
 
@@ -116,85 +149,13 @@ def _family_of_label(label: str) -> str:
 
 
 TABLE_ROWS: tuple[FamilySpec, ...] = tuple(
-    FamilySpec(_family_of_label(label), label, constraint, template,
+    FamilySpec(_family_of_label(label), label, constraint, equation,
                tuple(params), _rec(code), tuple(primes))
-    for (label, constraint, template, params, code, primes) in _RDP_ROWS)
-
-
-class UnknownFamilyError(ValueError):
-    pass
+    for (label, constraint, params, code, primes, equation) in _RDP_ROWS)
 
 
 class InadmissibleParameterError(ValueError):
     pass
-
-
-def _rdp_ring(p: int, max_degree: int | None = None) -> PolyRing:
-    if max_degree is None:
-        return PolyRing(RDP_VARIABLES, p)
-    return PolyRing(RDP_VARIABLES, p, max_degree)
-
-
-def _build_equation(family: str, ring: PolyRing, n: int | None,
-                    r: int | None) -> Poly:
-    x, y, z = ring.gens()
-    if family == "A_n":
-        return z ** (n + 1) + x * y
-    if family == "D_n":
-        return z ** 2 + x ** 2 * y + y ** (n + 1)
-    if family == "E_6":
-        return z ** 2 + x ** 3 + y ** 4
-    if family == "E_7":
-        return z ** 2 + x ** 3 + x * y ** 3
-    if family == "E_8":
-        return z ** 2 + x ** 3 + y ** 5
-    if family == "D_2n^0":
-        return z ** 2 + x ** 2 * y + x * y ** n
-    if family == "D_2n^r":
-        return z ** 2 + x ** 2 * y + x * y ** n + x * y ** (n - r) * z
-    if family == "D_2n^{n-1}":
-        return z ** 2 + x ** 2 * y + x * y ** n + x * y * z
-    if family == "D_2n+1^0":
-        return z ** 2 + x ** 2 * y + y ** n * z
-    if family == "D_2n+1^r":
-        return z ** 2 + x ** 2 * y + y ** n * z + x * y ** (n - r) * z
-    if family == "D_2n+1^{n-1}":
-        return z ** 2 + x ** 2 * y + y ** n * z + x * y * z
-    if family == "E_6^0":
-        if ring.p == 2:
-            return z ** 2 + x ** 3 + y ** 2 * z
-        return z ** 2 + x ** 3 + y ** 4
-    if family == "E_6^1":
-        if ring.p == 2:
-            return z ** 2 + x ** 3 + y ** 2 * z + x * y * z
-        return z ** 2 + x ** 3 + y ** 4 + x ** 2 * y ** 2
-    if family == "E_7^0":
-        return z ** 2 + x ** 3 + x * y ** 3
-    if family == "E_7^1":
-        if ring.p == 2:
-            return z ** 2 + x ** 3 + x * y ** 3 + x ** 2 * y * z
-        return z ** 2 + x ** 3 + x * y ** 3 + x ** 2 * y ** 2
-    if family == "E_7^2":
-        return z ** 2 + x ** 3 + x * y ** 3 + y ** 3 * z
-    if family == "E_7^3":
-        return z ** 2 + x ** 3 + x * y ** 3 + x * y * z
-    if family == "E_8^0":
-        return z ** 2 + x ** 3 + y ** 5
-    if family == "E_8^1":
-        if ring.p == 2:
-            return z ** 2 + x ** 3 + y ** 5 + x * y ** 3 * z
-        if ring.p == 3:
-            return z ** 2 + x ** 3 + y ** 5 + x ** 2 * y ** 3
-        return z ** 2 + x ** 3 + y ** 5 + x * y ** 4
-    if family == "E_8^2":
-        if ring.p == 2:
-            return z ** 2 + x ** 3 + y ** 5 + x * y ** 2 * z
-        return z ** 2 + x ** 3 + y ** 5 + x ** 2 * y ** 2
-    if family == "E_8^3":
-        return z ** 2 + x ** 3 + y ** 5 + y ** 3 * z
-    if family == "E_8^4":
-        return z ** 2 + x ** 3 + y ** 5 + x * y * z
-    raise UnknownFamilyError(f"unknown family {family!r}")
 
 
 def _rows_for(family: str, p: int) -> list[FamilySpec]:
@@ -206,7 +167,7 @@ def _rows_for(family: str, p: int) -> list[FamilySpec]:
     return rows
 
 
-def _validate_params(row: FamilySpec, p: int, n: int | None, r: int | None):
+def _validate_params(row: FamilySpec, n: int | None, r: int | None):
     if "n" in row.param_names:
         if n is None:
             raise InadmissibleParameterError(
@@ -230,9 +191,8 @@ def make_rdp(family: str, p: int, n: int | None = None,
              r: int | None = None) -> Poly:
     """The table equation of the given family at characteristic p."""
     rows = _rows_for(family, p)
-    _validate_params(rows[0], p, n, r)
-    ring = _rdp_ring(p)
-    return _build_equation(family, ring, n, r)
+    _validate_params(rows[0], n, r)
+    return rows[0].equation(*PolyRing(RDP_VARIABLES, p).gens(), n, r)
 
 
 def expected_classification(family: str, p: int,
@@ -250,7 +210,7 @@ def expected_classification(family: str, p: int,
 
 
 def make_cusp_hypersurface(p: int, a: int, b: int, c: int,
-                           max_degree: int | None = None) -> Poly:
+                           max_degree: int = DEFAULT_MAX_DEGREE) -> Poly:
     """x^a + y^b + z^c + x*y*z with a,b,c >= 2 and 1/a + 1/b + 1/c < 1."""
     for name, v in (("a", a), ("b", b), ("c", c)):
         if v < 2:
@@ -258,13 +218,12 @@ def make_cusp_hypersurface(p: int, a: int, b: int, c: int,
     if b * c + a * c + a * b >= a * b * c:
         raise InadmissibleParameterError(
             f"(a,b,c)=({a},{b},{c}) violates 1/a + 1/b + 1/c < 1")
-    ring = _rdp_ring(p, max_degree)
-    x, y, z = ring.gens()
+    x, y, z = PolyRing(RDP_VARIABLES, p, max_degree).gens()
     return x ** a + y ** b + z ** c + x * y * z
 
 
 def make_cusp_ci(p: int, a: int, b: int, c: int, d: int,
-                 max_degree: int | None = None) -> list[Poly]:
+                 max_degree: int = DEFAULT_MAX_DEGREE) -> list[Poly]:
     """(x*y + z^a + w^b, z*w + x^c + y^d) with all exponents >= 2 and at
     least one >= 3."""
     for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
@@ -273,11 +232,7 @@ def make_cusp_ci(p: int, a: int, b: int, c: int, d: int,
     if max(a, b, c, d) < 3:
         raise InadmissibleParameterError(
             f"(a,b,c,d)=({a},{b},{c},{d}) violates max(a,b,c,d) >= 3")
-    if max_degree is None:
-        ring = PolyRing(CUSP_CI_VARIABLES, p)
-    else:
-        ring = PolyRing(CUSP_CI_VARIABLES, p, max_degree)
-    x, y, z, w = ring.gens()
+    x, y, z, w = PolyRing(CUSP_CI_VARIABLES, p, max_degree).gens()
     return [x * y + z ** a + w ** b, z * w + x ** c + y ** d]
 
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fp_poly import Poly, format_poly
-from .groebner import (GREVLEX, ModuleGroebnerBasis, ModuleVector,
-                       MonomialOrder, is_zero_dimensional, module_buchberger,
+from .groebner import (GREVLEX, GroebnerBasis, ModuleVector, MonomialOrder,
+                       is_zero_dimensional, module_buchberger,
                        seeded_membership, supported_only_at_origin)
 # unused here, but bound for perfbench/tracer.py, which patches the
 # engine functions by name in this module
@@ -84,7 +84,7 @@ class LiftabilityReport:
 def isolated_singularity_check(gens: Sequence[Poly],
                                order: MonomialOrder = GREVLEX, *,
                                track: bool = False
-                               ) -> tuple[str, ModuleGroebnerBasis]:
+                               ) -> tuple[str, GroebnerBasis]:
     """Classify the support of R^m/N: smooth (N = R^m) /
     isolated_at_origin_only / singular_elsewhere / not_isolated.
 
@@ -110,7 +110,7 @@ def isolated_singularity_check(gens: Sequence[Poly],
 
 
 def _screen(gens: Sequence[Poly], order: MonomialOrder, track: bool
-            ) -> tuple[str | None, ModuleGroebnerBasis]:
+            ) -> tuple[str | None, GroebnerBasis]:
     """The reduced basis of N and the status it settles without the origin
     walk: smooth, not_isolated, or None when R^m/N is nonzero and
     finite-dimensional, so that only `supported_only_at_origin` tells
@@ -160,7 +160,7 @@ def _lift_and_residual(f: Poly, split: SplittingData,
 
 
 def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
-                         screen: ModuleGroebnerBasis, want_cofactors: bool):
+                         screen: GroebnerBasis, want_cofactors: bool):
     """Decide (r_1..r_m) in N^[p] + (f_j e_i), with N the screen's
     submodule; returns (member, remainder coordinates, cofactors).
 

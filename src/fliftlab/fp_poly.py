@@ -518,36 +518,27 @@ class _Parser:
         raise ParseError(f"expected a term, found {text!r}" if text else "unexpected end of input", pos)
 
 
-def format_monomial(mono: tuple[int, ...], variables: tuple[str, ...],
-                    style: str = "canonical") -> str:
-    if style == "latex":
-        factors = [v if e == 1 else f"{v}^{{{e}}}"
-                   for v, e in zip(variables, mono) if e]
-        return "".join(factors) if factors else "1"
+def format_monomial(mono: tuple[int, ...], variables: tuple[str, ...]) -> str:
     factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(variables, mono) if e]
     return "*".join(factors) if factors else "1"
 
 
-def format_poly(f: Poly, style: str = "canonical") -> str:
+def format_poly(f: Poly) -> str:
     """Deterministic text form; terms in descending degrevlex order.
 
-    The canonical style reparses to an equal polynomial (round-trip law).
+    It reparses to an equal polynomial (round-trip law).
     """
-    if style not in ("canonical", "latex"):
-        raise ValueError(f"unknown style {style!r}")
     if f.is_zero():
         return "0"
     variables = f.ring.variables
     parts = []
     for mono in sorted(f.terms, key=grevlex_key, reverse=True):
         c = f.terms[mono]
-        body = format_monomial(mono, variables, style)
+        body = format_monomial(mono, variables)
         if body == "1":
             parts.append(str(c))
         elif c == 1:
             parts.append(body)
-        elif style == "latex":
-            parts.append(f"{c}{body}")
         else:
             parts.append(f"{c}*{body}")
     return " + ".join(parts)

@@ -1,14 +1,16 @@
 """Buchberger-based Groebner engine for ideals in F_p[x] and submodules
 of free modules.
 
-One engine serves both.  A submodule of R^s with s > 1 runs on the ideal
-code with each term x^a e_i written as s one-hot position slots followed
-by a.  Inside the engine every term is one int in the packed layout of
-`_Layout`, so a product is an addition and a divisibility test is a
-subtract-and-mask; a lead divides only terms at its own position.  An
-ideal is the rank-1 case and carries no slots.  Modules use the
-term-over-position order (e_1 > e_2 > ...) under either monomial order.
-Public names take and return exponent tuples.
+One engine and one basis class, `GroebnerBasis`, serve both: an ideal is
+the rank-1 case.  A submodule of R^s with s > 1 runs on the same code
+with each term x^a e_i written as s one-hot position slots followed by
+a; rank 1 carries no slots.  Inside the engine every term is one int in
+the packed layout of `_Layout`, so a product is an addition and a
+divisibility test is a subtract-and-mask; a lead divides only terms at
+its own position.  Modules use the term-over-position order
+(e_1 > e_2 > ...) under either monomial order.  Public names take and
+return Polys for an ideal, ModuleVectors for a submodule, and exponent
+tuples for monomials.
 
 Provides reduced bases, normal forms with optional cofactor
 certificates, and the dimension and origin-support checks of R^s/N.
@@ -265,8 +267,52 @@ def _poly(layout: _Layout, ring: PolyRing, terms: dict) -> Poly:
     return Poly._make(ring, {layout.mono(m): c for m, c in terms.items()})
 
 
+class ModuleVector:
+    """An element of a free module R^s: a fixed-length tuple of polynomials."""
+
+    __slots__ = ("coordinates", "ring")
+
+    def __init__(self, coordinates: Sequence[Poly]):
+        coords = tuple(coordinates)
+        if not coords:
+            raise ValueError("module vectors need at least one coordinate")
+        ring = coords[0].ring
+        for c in coords[1:]:
+            if not c.ring.same_ambient(ring):
+                raise AmbientMismatchError("coordinates live in different ambients")
+        self.coordinates = coords
+        self.ring = ring
+
+    def __len__(self):
+        return len(self.coordinates)
+
+    def __iter__(self):
+        return iter(self.coordinates)
+
+    def __getitem__(self, i):
+        return self.coordinates[i]
+
+    def __eq__(self, other):
+        return isinstance(other, ModuleVector) and self.coordinates == other.coordinates
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coordinates)
+
+    def __repr__(self):
+        return "ModuleVector(" + ", ".join(str(c) for c in self.coordinates) + ")"
+
+
+def _coordinates(f) -> tuple[Poly, ...]:
+    return f.coordinates if isinstance(f, ModuleVector) else (f,)
+
+
 class GroebnerBasis:
-    """A reduced, monic Groebner basis with a fixed monomial order.
+    """A reduced, monic Groebner basis with a fixed monomial order, of an
+    ideal or of a submodule of R^s under term-over-position order.
+
+    Its elements are Polys when `original_generators` are Polys, else
+    ModuleVectors of their length s; the leading monomials are exponent
+    tuples, after s position slots when s > 1.
 
     `trace`, when present (track=True), is (steps, roots): how the engine
     formed each element from `original_generators`, which `expand` turns
@@ -279,8 +325,6 @@ class GroebnerBasis:
     `_reduce_full`).
     """
 
-    size = 1  # the rank s of the ambient free module
-    _slots = 0
     # an engine-built basis keeps the packed original_generators of its run
     _packed_originals: Sequence[dict] = ()
 
@@ -292,7 +336,11 @@ class GroebnerBasis:
         self.order = order
         self.original_generators = tuple(original_generators)
         self.trace = trace
-        self.ring = (self._generators or self.original_generators)[0].ring
+        first = self.original_generators[0]
+        self.ring = first.ring
+        self._vectors = isinstance(first, ModuleVector)
+        self.size = len(_coordinates(first))  # the rank s of the module
+        self._slots = self.size if self.size > 1 else 0
         self._layout = _shared_layout(self.ring.nvars, self._slots, order,
                                       self.ring.max_degree)
         if reducers is None:
@@ -334,8 +382,14 @@ class GroebnerBasis:
             out.update(self._layout.enc_terms(poly.terms, pos))
         return out
 
-    def _decode(self, terms: dict, ring: PolyRing) -> Poly:
-        return Poly._make(ring, self._layout.dec_terms(terms))
+    def _decode(self, terms: dict, ring: PolyRing):
+        if not self._slots:
+            poly = Poly._make(ring, self._layout.dec_terms(terms))
+            return ModuleVector([poly]) if self._vectors else poly
+        coords: list[dict] = [{} for _ in range(self.size)]
+        for t, c in self._layout.dec_terms(terms).items():
+            coords[t.index(1)][t[self._slots:]] = c
+        return ModuleVector([Poly._make(ring, d) for d in coords])
 
     def expand(self, coeffs: Sequence[Poly],
                frobenius: bool = False) -> list[Poly]:
@@ -433,10 +487,6 @@ def _expand(steps: list, seeds: list, ngens: int, layout: _Layout,
             for a in adj[:ngens]]
 
 
-def _coordinates(f) -> tuple[Poly, ...]:
-    return f.coordinates if isinstance(f, ModuleVector) else (f,)
-
-
 def _normal_form(f, basis: GroebnerBasis, quotients: list[dict] | None = None):
     if not basis.ring.same_ambient(f.ring):
         raise AmbientMismatchError("polynomial and basis ambients differ")
@@ -445,8 +495,9 @@ def _normal_form(f, basis: GroebnerBasis, quotients: list[dict] | None = None):
     return basis._decode(rem, f.ring)
 
 
-def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
-    """Remainder of f on division by the basis; unique for a reduced basis."""
+def normal_form(f, basis: GroebnerBasis):
+    """Remainder of f, a Poly or a ModuleVector, on division by the basis,
+    of the basis's kind; unique for a reduced basis."""
     return _normal_form(f, basis)
 
 
@@ -467,8 +518,7 @@ def reduce_by_generators(f, gens: Sequence, order: MonomialOrder = GREVLEX):
     for g in gens:
         if not g.ring.same_ambient(f.ring):
             raise AmbientMismatchError("divisor and dividend ambients differ")
-    shell = (ModuleGroebnerBasis if isinstance(f, ModuleVector)
-             else GroebnerBasis)([], order, [f])
+    shell = GroebnerBasis([], order, [f])
     p = f.ring.p
     reducers = [_prep_reducer(shell._encode(g), p) for g in gens
                 if not g.is_zero()]
@@ -720,22 +770,11 @@ def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
     return reducers, nodes
 
 
-def _basis(cls, gens: list, order: MonomialOrder, track: bool,
-           known_gb_prefix: int = 0):
-    """Run the engine on `gens` and return the reduced basis as a `cls`,
-    which decodes its generators only when they are read."""
-    shell = cls([], order, gens)
-    packed = [shell._encode(g) for g in gens]
-    reducers, trace = _groebner(packed, shell.ring, shell._layout, track,
-                                known_gb_prefix)
-    basis = cls(None, order, gens, trace, reducers)
-    basis._packed_originals = packed
-    return basis
-
-
-def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
+def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX, *,
                track: bool = False, known_gb_prefix: int = 0) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by `gens`.
+    """Reduced Groebner basis of the ideal or submodule generated by
+    `gens`: Polys, or ModuleVectors of one length; a generator with
+    another coordinate count raises ValueError.
 
     Pair selection follows the normal strategy (smallest lcm in the order,
     ties by input index).  The Gebauer-Moeller update prunes pairs once,
@@ -749,11 +788,17 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX, *,
     the subideal they generate, so their mutual S-pairs are skipped.
     With `track=True` the basis records how each element was formed, and
     `expand` and `cofactors` express combinations of it in the original
-    generators.
+    generators.  The basis decodes its generators only when they are read.
     """
     gens = list(gens)
     _common_ring(gens)
-    return _basis(GroebnerBasis, gens, order, track, known_gb_prefix)
+    shell = GroebnerBasis([], order, gens)
+    packed = [shell._encode(g) for g in gens]
+    reducers, trace = _groebner(packed, shell.ring, shell._layout, track,
+                                known_gb_prefix)
+    basis = GroebnerBasis(None, order, gens, trace, reducers)
+    basis._packed_originals = packed
+    return basis
 
 
 def verify_buchberger(basis: GroebnerBasis) -> bool:
@@ -858,95 +903,6 @@ def supported_only_at_origin(basis: GroebnerBasis) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Submodules of free modules R^s: thin wrappers that encode vectors for the
-# engine above and decode its results.
-
-
-def _slot_count(size: int) -> int:
-    """Position slots for vectors of `size` coordinates; rank 1 needs none."""
-    return size if size > 1 else 0
-
-
-class ModuleVector:
-    """An element of a free module R^s: a fixed-length tuple of polynomials."""
-
-    __slots__ = ("coordinates", "ring")
-
-    def __init__(self, coordinates: Sequence[Poly]):
-        coords = tuple(coordinates)
-        if not coords:
-            raise ValueError("module vectors need at least one coordinate")
-        ring = coords[0].ring
-        for c in coords[1:]:
-            if not c.ring.same_ambient(ring):
-                raise AmbientMismatchError("coordinates live in different ambients")
-        self.coordinates = coords
-        self.ring = ring
-
-    def __len__(self):
-        return len(self.coordinates)
-
-    def __iter__(self):
-        return iter(self.coordinates)
-
-    def __getitem__(self, i):
-        return self.coordinates[i]
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleVector) and self.coordinates == other.coordinates
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coordinates)
-
-    @classmethod
-    def _from_terms(cls, terms: dict, ring: PolyRing, size: int) -> "ModuleVector":
-        if size == 1:
-            return cls([Poly._make(ring, terms)])
-        coords = [dict() for _ in range(size)]
-        for t, c in terms.items():
-            coords[t.index(1)][t[size:]] = c
-        return cls([Poly._make(ring, d) for d in coords])
-
-    def __repr__(self):
-        return "ModuleVector(" + ", ".join(str(c) for c in self.coordinates) + ")"
-
-
-class ModuleGroebnerBasis(GroebnerBasis):
-    """Reduced basis of a submodule of R^s under term-over-position order.
-
-    `generators` and `original_generators` are ModuleVectors; the leading
-    monomials are slotted exponent tuples.
-    """
-
-    @property
-    def size(self) -> int:
-        return len(self.original_generators[0])
-
-    @property
-    def _slots(self) -> int:
-        return _slot_count(self.size)
-
-    def _decode(self, terms: dict, ring: PolyRing) -> ModuleVector:
-        return ModuleVector._from_terms(self._layout.dec_terms(terms), ring,
-                                        self.size)
-
-
-def module_buchberger(gens: Sequence[ModuleVector],
-                      order: MonomialOrder = GREVLEX, *, track: bool = False,
-                      known_gb_prefix: int = 0) -> ModuleGroebnerBasis:
-    """Reduced basis of the submodule of R^s generated by `gens`, computed
-    by the ideal engine on slotted terms (see `buchberger`, also for
-    `track` and `known_gb_prefix`).
-    """
-    gens = list(gens)
-    _common_ring(gens)
-    size = len(gens[0])
-    if any(len(g) != size for g in gens):
-        raise ValueError("coordinate-count mismatch between generators")
-    return _basis(ModuleGroebnerBasis, gens, order, track, known_gb_prefix)
-
-
 def _frobenius_reducer(reducer: tuple, layout: _Layout, p: int) -> tuple:
     """The prepared reducer of the coordinate-wise p-th power of a monic
     basis element, from its own (lead, 1, tail): every packed exponent and
@@ -966,7 +922,7 @@ def _frobenius_reducer(reducer: tuple, layout: _Layout, p: int) -> tuple:
             tuple((m * p - (m & slots) * q, c) for m, c in tail))
 
 
-def seeded_membership(target: ModuleVector, screen: ModuleGroebnerBasis,
+def seeded_membership(target: ModuleVector, screen: GroebnerBasis,
                       extra: Sequence[ModuleVector], *, track: bool = False
                       ) -> tuple[ModuleVector, list[Poly] | None]:
     """Decide `target` in N^[p] + span(extra), N the submodule of the
@@ -1013,5 +969,7 @@ def seeded_membership(target: ModuleVector, screen: ModuleGroebnerBasis,
     return screen._decode(rem, ring), cofactors
 
 
-def module_normal_form(v: ModuleVector, basis: ModuleGroebnerBasis) -> ModuleVector:
-    return _normal_form(v, basis)
+# The pipeline calls the engine under these names for its submodules, so
+# that perfbench/tracer.py times those calls apart from the ideal ones.
+module_buchberger = buchberger
+module_normal_form = normal_form

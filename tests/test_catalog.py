@@ -3,8 +3,7 @@
 import pytest
 
 from fliftlab.catalog import (CUSP_EXPECTED, InadmissibleParameterError,
-                              TABLE_ROWS, UnknownFamilyError,
-                              cusp_ci_symmetry_class,
+                              TABLE_ROWS, cusp_ci_symmetry_class,
                               cusp_hyp_symmetry_class, enumerate_table_rows,
                               expected_classification, make_cusp_ci,
                               make_cusp_hypersurface, make_rdp)
@@ -32,7 +31,7 @@ def test_make_rdp_inadmissible():
         make_rdp("D_2n^r", 2, n=4)
     with pytest.raises(InadmissibleParameterError):
         make_rdp("A_n", 3)
-    with pytest.raises((UnknownFamilyError, InadmissibleParameterError)):
+    with pytest.raises(InadmissibleParameterError):
         make_rdp("Z_9", 3)
     with pytest.raises(InadmissibleParameterError):
         make_rdp("E_6", 3)  # row requires p > 3

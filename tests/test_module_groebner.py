@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
+from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError, Poly,
                               PolyRing)
-from fliftlab.groebner import (GREVLEX, LEX, ModuleGroebnerBasis,
-                               ModuleVector, buchberger, module_buchberger,
-                               module_normal_form, reduce_by_generators,
-                               seeded_membership, verify_buchberger)
+from fliftlab.groebner import (GREVLEX, LEX, GroebnerBasis, ModuleVector,
+                               buchberger, module_buchberger,
+                               module_normal_form, normal_form,
+                               reduce_by_generators, seeded_membership,
+                               verify_buchberger)
 
 from support import (check_packed_layout, combine, is_basis, random_poly,
                      random_nonzero_poly, unit_expansions)
@@ -44,6 +45,17 @@ def test_coordinate_count_mismatch():
         module_normal_form(v3, module_buchberger([v2]))
     with pytest.raises(ValueError):
         module_buchberger([v2, v3])
+    # one class serves both kinds: a Poly counts as one coordinate, and a
+    # remainder is of the basis's kind
+    f = ring.parse("x^2 + y")
+    for gens in ([f, v2], [v2, f]):
+        with pytest.raises(ValueError):
+            buchberger(gens)
+    v1 = ModuleVector([ring.parse("x")])
+    rem = normal_form(f, buchberger([ring.parse("x")]))
+    assert isinstance(rem, Poly) and rem == ring.parse("y")
+    rem = normal_form(ModuleVector([f]), buchberger([v1]))
+    assert rem == ModuleVector([ring.parse("y")])
 
 
 def test_non_member():
@@ -190,7 +202,7 @@ def test_lex_is_term_over_position_golden():
     gens = [ModuleVector([ring.zero(), ring.parse("x")]),
             ModuleVector([ring.parse("y"), ring.parse("y^2")])]
     # the inputs alone are not a basis: their S-vector at e_2 leaves x*y e_1
-    assert not verify_buchberger(ModuleGroebnerBasis(gens, LEX, gens))
+    assert not verify_buchberger(GroebnerBasis(gens, LEX, gens))
     gb = module_buchberger(gens, LEX)
     assert gb.generators == (
         ModuleVector([ring.parse("x*y"), ring.zero()]),
@@ -215,10 +227,10 @@ def test_verify_buchberger_on_scaled_hand_built_module_bases():
             scaled = [ModuleVector([c * (2 + k % 3) for c in g])
                       for k, g in enumerate(gb.generators)]
             assert verify_buchberger(
-                ModuleGroebnerBasis(scaled, order, gb.generators))
+                GroebnerBasis(scaled, order, gb.generators))
             scaled = [ModuleVector([c * (2 + k % 3) for c in g])
                       for k, g in enumerate(gens)]
-            hand = ModuleGroebnerBasis(scaled, order, gens)
+            hand = GroebnerBasis(scaled, order, gens)
             want = is_basis(hand.leading_monomials, gb.leading_monomials)
             assert verify_buchberger(hand) == want
             seen.add(want)

@@ -1,9 +1,12 @@
-"""The runtime stays stdlib-only: every module that src/fliftlab imports
-is in the standard library or is fliftlab itself."""
+"""Package hygiene: the runtime stays stdlib-only (every module that
+src/fliftlab imports is in the standard library or is fliftlab itself),
+and `fliftlab.__all__` lists each name the package has, once."""
 
 import ast
 import sys
 from pathlib import Path
+
+import fliftlab
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fliftlab"
 
@@ -25,3 +28,10 @@ def test_runtime_imports_only_the_standard_library():
         for name in _imported_top_modules(path):
             assert name in sys.stdlib_module_names or name == "fliftlab", \
                 (path.name, name)
+
+
+def test_every_export_exists_once():
+    names = fliftlab.__all__
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(fliftlab, name)]
+    assert not missing, missing
