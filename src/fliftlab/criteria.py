@@ -202,10 +202,48 @@ def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
     return True, rem.coordinates, tuple(cofactors)
 
 
+def _decision_order(gens: Sequence[Poly],
+                    order: MonomialOrder) -> MonomialOrder:
+    """The order that the screen and the membership run under.
+
+    A degrevlex request on a hypersurface f that holds a pure power
+    x_v^(e_v) of every variable (the smallest, if several) is decided
+    under the weights w_v = round(max(e) / e_v), which make those powers
+    nearly homogeneous; any other request, and one whose weights are all
+    1, is decided under the requested order."""
+    if order != GREVLEX or len(gens) != 1:
+        return order
+    f = gens[0]
+    pure: dict[int, int] = {}
+    for mono in f.terms:
+        support = [v for v, e in enumerate(mono) if e]
+        if len(support) == 1:
+            v = support[0]
+            pure[v] = min(mono[v], pure.get(v, mono[v]))
+    if len(pure) < f.ring.nvars:
+        return order
+    top = max(pure.values())
+    weights = tuple(round(top / pure[v]) for v in range(f.ring.nvars))
+    if max(weights) == 1:
+        return order
+    return MonomialOrder("grevlex", weights)
+
+
 def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
              certificates: bool = False) -> LiftabilityReport:
     """Liftability of R/(f_1,...,f_m): isolatedness screen, Fedder test,
     then the residual containment, with certificates on request.
+
+    The screen, the containment and the certified trace run under the
+    decision order of `_decision_order`: for a degrevlex request on a
+    hypersurface with a pure power of every variable, degrevlex weighted
+    by those powers, else the requested order.  The verdict does not
+    depend on the order (membership, smoothness, finite dimension and
+    origin-only support are order-free, and the p-th powers of a
+    Groebner basis form one under any monomial order), but a remainder
+    does: an F-pure nonmember's remainder is recomputed under the
+    requested order, which the report's `order` names.  Certified
+    cofactors are those of the decision order.
 
     Origin-only support is decided only when a negative verdict's
     conclusiveness needs it: members, non-F-pure inputs and the smooth
@@ -231,7 +269,8 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
             f_pure=f_pure, f_liftable=f_liftable, conclusive=conclusive,
             certificate=certificate, timings_ms=timings, order=order.name)
 
-    status, screen = _screen(gens, order, certificates)
+    decision = _decision_order(gens, order)
+    status, screen = _screen(gens, decision, certificates)
     timings["isolated"] = _ms_since(t_start)
     if status == SMOOTH:
         return report(SMOOTH, True, True, True)
@@ -256,6 +295,9 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
     t = time.perf_counter()
     member, remainder, cofactors = _residual_membership(
         residuals, gens, screen, certificates)
+    if not member and decision != order:
+        screen = _screen(gens, order, False)[1]
+        remainder = _residual_membership(residuals, gens, screen, False)[1]
     timings["groebner"] = _ms_since(t)
 
     # A positive containment certifies liftability at the origin, even

@@ -8,13 +8,14 @@ a; rank 1 carries no slots.  Inside the engine every term is one int in
 the packed layout of `_Layout`, so a product is an addition and a
 divisibility test is a subtract-and-mask; a lead divides only terms at
 its own position.  Modules use the term-over-position order
-(e_1 > e_2 > ...) under either monomial order.  Public names take and
+(e_1 > e_2 > ...) under any monomial order.  Public names take and
 return Polys for an ideal, ModuleVectors for a submodule, and exponent
 tuples for monomials.
 
 Provides reduced bases, normal forms with optional cofactor
 certificates, and the dimension and origin-support checks of R^s/N.
-The default order is degrevlex; lex is available for debugging.
+The default order is degrevlex, which takes optional variable weights;
+lex is available for debugging.
 """
 
 from __future__ import annotations
@@ -33,14 +34,28 @@ from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A multiplicative well-order on monomials; `key` sorts ascending."""
+    """A multiplicative well-order on monomials; `key` sorts ascending.
+
+    `weights`, positive integers w_v for a grevlex order only, compare the
+    weighted degree sum(w_v * a_v) first and break its ties by degrevlex;
+    None is degrevlex itself.
+    """
 
     name: str
+    weights: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.weights is not None and (
+                self.name != "grevlex" or
+                not all(isinstance(w, int) and w > 0 for w in self.weights)):
+            raise ValueError("weights are positive integers on grevlex")
 
     def key(self, mono: tuple[int, ...]) -> tuple:
-        if self.name == "grevlex":
+        if self.name != "grevlex":
+            return lex_key(mono)
+        if self.weights is None:
             return grevlex_key(mono)
-        return lex_key(mono)
+        return (sum(map(mul, self.weights, mono)), grevlex_key(mono))
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -63,38 +78,50 @@ class _Layout:
 
     From the lowest field up: the slots, position 0 highest; the
     exponents; under degrevlex the prefix sums a_0 + ... + a_(k-1) for
-    k = 1..nvars, so the top field is the degree.  Under lex the
+    k = 1..nvars, so that the degree comes next, and under a weighted
+    order the weighted degree sum(w_v * a_v) on top.  Under lex the
     exponents come a_0 highest.  Each field is `width` bits, and its top
     bit is a guard bit that no valid term sets.  The width comes from the
     degree guard: under lex a field holds any exponent up to the guard;
-    under degrevlex it holds twice the guard, so that the lcm of two
-    terms within the guard fits as well.  Then
+    under degrevlex it holds twice the guard times the largest weight
+    (1 unweighted), so that the lcm of two terms within the guard fits,
+    and so does every term a reduction makes from them, since none has a
+    larger weighted degree than its input and no field exceeds the
+    weighted degree.  Then
 
     - plain `<` on the ints is the term order, monomial before position:
-      (degree, prefix sums) is degrevlex and determines the exponents;
+      (weighted degree, degree, prefix sums) is the weighted order and
+      determines the exponents;
     - every field is linear in the exponents, so a product is `+` and the
       shift by a divisor is `-`;
     - a divides b iff ((b | guard) - a) & guard == guard: no field
       borrows past its guard bit, which stays set where b's field is at
       least a's;
     - the lcm takes each field from the side whose guard bit wins that
-      compare; under degrevlex one multiply rebuilds the prefix sums.
+      compare; under degrevlex multiplies rebuild the prefix sums and the
+      weighted degree.
 
     Packing raises DegreeGuardError for a monomial beyond the guard
-    (degrevlex) or beyond a field (lex); a lex reduction term that grows
-    past its field sets a guard bit and raises there, so no field ever
-    wraps.
+    (degrevlex, on the ordinary degree) or beyond a field (lex); a lex
+    reduction term that grows past its field sets a guard bit and raises
+    there, so no field ever wraps.
     """
 
     def __init__(self, nvars: int, slots: int, order: MonomialOrder,
                  max_degree: int):
         self.grevlex = order.name == "grevlex"
-        w = (2 * max_degree if self.grevlex else max_degree).bit_length() + 1
+        self.weighted = order.weights is not None
+        if self.weighted and len(order.weights) != nvars:
+            raise ValueError(f"{len(order.weights)} weights for {nvars} "
+                             "variables")
+        top = 2 * max_degree * max(order.weights or (1,))
+        w = (top if self.grevlex else max_degree).bit_length() + 1
         self.slots = slots
         self.max_degree = max_degree
         self.width = w
         self.cap = (1 << (w - 1)) - 1  # the largest value of a field
-        nfields = slots + nvars * (2 if self.grevlex else 1)
+        nfields = slots + (2 * nvars + self.weighted if self.grevlex
+                           else nvars)
         one = [1 << (f * w) for f in range(nfields)]
         self.guard = sum(one) << (w - 1)
         exp_field = [slots + k if self.grevlex else slots + nvars - 1 - k
@@ -106,13 +133,17 @@ class _Layout:
         self.slot_mask = sum(one[:slots]) * self.cap
         self._low_mask = sum(one[:slots + nvars]) * self.cap
         self._exp_mask = self._low_mask - self.slot_mask
-        self._prefix_mask = sum(one[slots + nvars:]) * self.cap
-        # the exponent fields times this spread land on the prefix sums
+        self._prefix_mask = sum(one[slots + nvars:slots + 2 * nvars]) * self.cap
+        # the exponent fields times this spread land on the prefix sums,
+        # and times the weighted one on the weighted degree
         self._spread = sum(1 << (j * w) for j in range(nvars, 2 * nvars))
-        self._top_shift = (nfields - 1) * w
+        self._wspread = sum(c << ((2 * nvars - k) * w)
+                            for k, c in enumerate(order.weights or ()))
+        self._wmask = one[-1] * self.cap if self.weighted else 0
+        self._degree_shift = (slots + 2 * nvars - 1) * w
         # every field is linear in the exponents, so a term packs as the
         # sum of its entries times these
-        self._weights = [self._prefixed(u) for u in self.units]
+        self._packers = [self._prefixed(u) for u in self.units]
 
     def _check(self, mono: tuple[int, ...]) -> None:
         if self.grevlex and sum(mono) > self.max_degree:
@@ -126,13 +157,16 @@ class _Layout:
     def enc(self, t: tuple[int, ...]) -> int:
         """Pack a slotted exponent tuple."""
         self._check(t[self.slots:])
-        return sum(map(mul, t, self._weights))
+        return sum(map(mul, t, self._packers))
 
     def _prefixed(self, m: int) -> int:
-        """m with its prefix-sum fields rebuilt from its exponent fields;
-        the identity under lex, which has no prefix fields."""
-        return (m & self._low_mask) + (
-            (m & self._exp_mask) * self._spread & self._prefix_mask)
+        """m with its prefix-sum and weighted-degree fields rebuilt from
+        its exponent fields; the identity under lex, which has neither."""
+        e = m & self._exp_mask
+        out = (m & self._low_mask) + (e * self._spread & self._prefix_mask)
+        if self.weighted:
+            out += e * self._wspread & self._wmask
+        return out
 
     def mono(self, t: int) -> tuple[int, ...]:
         """The exponents of a packed term, without its slots."""
@@ -146,20 +180,21 @@ class _Layout:
     def enc_terms(self, terms: dict, pos: int = 0) -> dict:
         """Pack a polynomial's terms at position `pos` of R^s."""
         slot = self.units[pos] if self.slots else 0
-        weights = self._weights[self.slots:]
+        packers = self._packers[self.slots:]
         out = {}
         for m, c in terms.items():
             self._check(m)
-            out[slot + sum(map(mul, m, weights))] = c
+            out[slot + sum(map(mul, m, packers))] = c
         return out
 
     def dec_terms(self, terms: dict) -> dict:
         return {self.dec(m): c for m, c in terms.items()}
 
     def degree(self, t: int) -> int:
-        """Degree of the monomial of a packed term; slots do not count."""
+        """Degree of the monomial of a packed term, unweighted; slots do
+        not count."""
         if self.grevlex:
-            return t >> self._top_shift
+            return (t >> self._degree_shift) & self.cap
         return sum(self.mono(t))
 
     def divided(self, m: int, divisors: list) -> bool:
@@ -199,9 +234,10 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
     dict; a `defaultdict(dict)` makes a dict only for a reducer that is
     used) the division is tracked so that input = sum(quotient_i *
     reducer_i) + remainder, and repeated calls on one mapping add up their
-    quotients.  Under degrevlex no tail term is of higher degree than its
-    lead, so no new term outgrows the input; a lex reduction can climb,
-    and a new term past the packed fields raises DegreeGuardError.
+    quotients.  Under (weighted) degrevlex no tail term has a larger
+    weighted degree than its lead, so no new term outgrows the packed
+    fields (see `_Layout`); a lex reduction can climb, and a new term past
+    the packed fields raises DegreeGuardError.
 
     The divisor search passes a lead larger than the term at one compare,
     as a divisor is never larger.  `memo` maps a term to where the search
@@ -538,8 +574,8 @@ def _spair_terms(ri: tuple, rj: tuple, si: int, sj: int, p: int,
     for m, c in tj:
         mm = m + sj
         out[mm] = get(mm, 0) + cj * c
-    # under degrevlex no term here is of higher degree than the lcm, the
-    # lcm of two leads within the guard, and a field holds twice the guard
+    # under (weighted) degrevlex no term here has a larger weighted degree
+    # than the lcm of two leads, which the packed fields hold
     if not layout.grevlex and any(m & layout.guard for m in out):
         raise DegreeGuardError(
             "an S-polynomial term exceeds the packed fields of degree "
@@ -905,14 +941,15 @@ def supported_only_at_origin(basis: GroebnerBasis) -> bool:
 
 def _frobenius_reducer(reducer: tuple, layout: _Layout, p: int) -> tuple:
     """The prepared reducer of the coordinate-wise p-th power of a monic
-    basis element, from its own (lead, 1, tail): every packed exponent and
-    prefix-sum field times p, the position slots kept and the coefficient
-    unchanged, since c^p = c in F_p.  Raises DegreeGuardError where
+    basis element, from its own (lead, 1, tail): every packed exponent,
+    prefix-sum and weighted-degree field times p, the position slots kept
+    and the coefficient unchanged, since c^p = c in F_p.  Raises DegreeGuardError where
     `Poly.frobenius` does, when p times the degree passes the guard, so
     no field overflows."""
     lm, _, tail = reducer
-    # under degrevlex no term has a larger degree than the lead
-    terms = (lm,) if layout.grevlex else (lm, *(m for m, _ in tail))
+    # under unweighted degrevlex no term has a larger degree than the lead
+    terms = ((lm,) if layout.grevlex and not layout.weighted
+             else (lm, *(m for m, _ in tail)))
     degree = max(map(layout.degree, terms)) * p
     if degree > layout.max_degree:
         raise DegreeGuardError(

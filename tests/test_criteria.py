@@ -2,7 +2,7 @@
 
 import json
 import random
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -17,10 +17,10 @@ from fliftlab.criteria import (LiftabilityReport, TooManyGeneratorsError,
                                _lift_and_residual, _residual_membership,
                                classify, isolated_singularity_check,
                                residual_polynomial)
-from fliftlab.fp_poly import DegreeGuardError, PolyRing
+from fliftlab.fp_poly import DegreeGuardError, PolyRing, format_poly
 from fliftlab.frobsplit import build_splitting
-from fliftlab.groebner import (GREVLEX, ModuleVector, module_buchberger,
-                               module_normal_form)
+from fliftlab.groebner import (GREVLEX, LEX, ModuleVector, MonomialOrder,
+                               module_buchberger, module_normal_form)
 from fliftlab.report import report_from_dict, report_to_json
 
 from support import (check_reexpansion, delta1_walk, membership_columns,
@@ -528,3 +528,89 @@ def test_timings_present():
     for key in ("isolated", "fedder", "delta1", "groebner", "total"):
         assert key in rep.timings_ms
         assert rep.timings_ms[key] >= 0.0
+
+
+def _unit_weights(gens):
+    return MonomialOrder("grevlex", (1,) * gens[0].ring.nvars)
+
+
+def _route_oracle_inputs():
+    yield from ([inst.poly] for inst in enumerate_table_rows(8))
+    for p in (2, 3):
+        for t in sorted({cusp_hyp_symmetry_class(t)
+                         for t in product(range(2, 9), repeat=3)
+                         if cusp_hyp_admissible(*t)}):
+            yield [make_cusp_hypersurface(p, *t)]
+
+
+def test_weighted_route_matches_the_unit_weight_route():
+    # every RDP row at n <= 8 and every cusp_hyp class at p = 2, 3 with
+    # exponents <= 8: a degrevlex request decides under the weights read
+    # off the pure powers where it can, and unit weights are degrevlex
+    # itself through the engine's orders; both give the same report apart
+    # from the timings, remainders included
+    weighted = 0
+    for gens in _route_oracle_inputs():
+        weighted += criteria._decision_order(gens, GREVLEX) != GREVLEX
+        a = classify(gens)
+        b = classify(gens, order=_unit_weights(gens))
+        assert (a.status, a.f_pure, a.f_liftable, a.conclusive,
+                a.certificate, a.order) == \
+            (b.status, b.f_pure, b.f_liftable, b.conclusive,
+             b.certificate, b.order), a.generators
+    assert weighted > 100, weighted
+
+
+def test_decision_order_reads_the_pure_powers():
+    ring = _r(5)
+    cases = [("x^2+y^3+z^7+x*y*z", (4, 2, 1)),  # round(3.5) = 4, round(2.33)
+             ("z^2+x^3+y^5+x*y^4", (2, 1, 2)),  # round(2.5) = 2
+             ("x^3+y^3+z^4+x*y*z", None),  # round(4/3) = 1: all units
+             ("x*y+z^5", None),  # no pure power of x or y
+             ("x^2+x^6+y^3+z^7", (4, 2, 1))]  # the smallest power of x
+    for text, weights in cases:
+        f = ring.parse(text)
+        want = GREVLEX if weights is None else MonomialOrder("grevlex",
+                                                             weights)
+        assert criteria._decision_order([f], GREVLEX) == want, text
+        assert criteria._decision_order([f], LEX) == LEX
+    # complete intersections keep the requested order
+    gens = make_cusp_ci(2, 2, 3, 3, 4)
+    assert criteria._decision_order(gens, GREVLEX) == GREVLEX
+
+
+def test_e81_remainder_is_recomputed_under_the_requested_order():
+    # E_8^1 at p = 5 is an F-pure nonmember decided under weights
+    # (2, 1, 2); its remainder under those weights differs from the
+    # degrevlex one, which the report keeps, as pinned in the golden
+    f = _r(5).parse("z^2+x^3+y^5+x*y^4")
+    decision = criteria._decision_order([f], GREVLEX)
+    assert decision.weights == (2, 1, 2)
+    residuals = _residuals([f])
+    weighted = _residual_membership(residuals, [f], criteria._screen(
+        [f], decision, False)[1], False)
+    report = classify([f])
+    golden = _golden_fields("classify_e81_p5.txt")["remainder"]
+    assert [format_poly(r) for r in report.certificate.remainder] == golden
+    assert not weighted[0] and weighted[1] != report.certificate.remainder
+
+
+def test_weighted_route_bounds_the_cusp_237_membership_run(monkeypatch):
+    # cusp (2,3,7) at p = 11, the large-p frontier, under all six
+    # permutations: the membership runs form 346 S-pairs under the weights
+    # read off x^2, y^3, z^7, where degrevlex formed 2,616
+    f = make_cusp_hypersurface(11, 2, 3, 7)
+    spairs = _counting(monkeypatch, groebner, "_spair_terms")
+    runs = []
+    real = criteria.seeded_membership
+
+    def membership(*args, **kwargs):
+        before = spairs["n"]
+        out = real(*args, **kwargs)
+        runs.append(spairs["n"] - before)
+        return out
+
+    monkeypatch.setattr(criteria, "seeded_membership", membership)
+    for perm in permutations(range(3)):
+        assert classify([f.permute_variables(perm)]).f_liftable
+    assert len(runs) == 6 and sum(runs) <= 400, runs

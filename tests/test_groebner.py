@@ -1,13 +1,16 @@
 """Groebner engine: normal forms, Buchberger, membership, dimension."""
 
 import itertools
+import operator
 import random
+import types
 
 import pytest
 
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
-                              PolyRing, format_poly)
+                              PolyRing, format_poly, grevlex_key)
 from fliftlab.groebner import (GREVLEX, LEX, GroebnerBasis, ModuleVector,
+                               MonomialOrder, _frobenius_reducer,
                                _Layout, _new_pairs, _prep_reducer,
                                _reduce_full, _standard_count,
                                buchberger, is_zero_dimensional,
@@ -186,6 +189,146 @@ def test_degrevlex_reduction_at_the_guard_sets_no_guard_bit():
         for guard in (2, 3, 4, 7):
             tight = _Layout(3, slots, GREVLEX, guard)
             wide = _Layout(3, slots, GREVLEX, 100)
+            for _ in range(15):
+                gens = [_random_terms(rng, p, slots, 3, 4,
+                                      rng.randint(1, guard))
+                        for _ in range(rng.randint(1, 4))]
+                f = _random_terms(rng, p, slots, 3, 8, guard, exact=True)
+                out = []
+                for layout in (tight, wide):
+                    quotients = [{} for _ in gens]
+                    rem = _reduce_full(
+                        _packed(layout, f),
+                        [_prep_reducer(_packed(layout, g), p) for g in gens],
+                        p, layout, quotients)
+                    if layout is tight:
+                        assert not any(m & layout.guard for m in rem)
+                    out.append((layout.dec_terms(rem),
+                                [layout.dec_terms(q) for q in quotients]))
+                assert out[0] == out[1]
+
+
+def _weighted_key(weights):
+    """The weighted order by definition: the weighted degree, ties broken
+    by degrevlex."""
+    return lambda mono: (sum(map(operator.mul, weights, mono)),
+                         grevlex_key(mono))
+
+
+def _field_pack(layout, weights, t: tuple) -> int:
+    """A slotted exponent tuple packed field by field, from the lowest up:
+    the slots (position 0 highest), the exponents, the prefix sums ending
+    in the degree, the weighted degree."""
+    slots, mono = t[:layout.slots], t[layout.slots:]
+    fields = (list(reversed(slots)) + list(mono) +
+              list(itertools.accumulate(mono)) +
+              [sum(map(operator.mul, weights, mono))])
+    return sum(v << (k * layout.width) for k, v in enumerate(fields))
+
+
+def _random_weights(rng, nvars: int) -> tuple:
+    weights = [rng.randint(1, 6) for _ in range(nvars)]
+    weights[rng.randrange(nvars)] = rng.randint(2, 6)
+    return tuple(weights)
+
+
+def test_weighted_packed_layout_matches_tuple_terms():
+    # a weighted degrevlex layout, for n = 2..4 at rank 1 and slotted:
+    # packed < is the weighted degree then grevlex_key, and packing, the
+    # degree (unweighted), products, the lcm and the rebuilt upper fields
+    # agree with exponent-tuple arithmetic, field by field; divisibility
+    # as in `check_packed_layout`
+    rng = random.Random(3131)
+    for nvars in (2, 3, 4):
+        for slots in (0, 2):
+            weights = _random_weights(rng, nvars)
+            order = MonomialOrder("grevlex", weights)
+            key = _weighted_key(weights)
+            check_packed_layout(rng, order, slots, nvars, rounds=60)
+            for guard in (1, 4, 9, 300):
+                layout = _Layout(nvars, slots, order, guard)
+
+                def term():
+                    mono = [0] * nvars
+                    for _ in range(rng.choice((rng.randint(0, guard),
+                                               guard))):
+                        mono[rng.randrange(nvars)] += 1
+                    pos = rng.randrange(slots) if slots else 0
+                    return pos, tuple(mono), tuple(
+                        int(k == pos) for k in range(slots)) + tuple(mono)
+
+                for _ in range(60):
+                    (pa, ma, a), (pb, mb, b) = term(), term()
+                    ea, eb = layout.enc(a), layout.enc(b)
+                    assert ea == _field_pack(layout, weights, a)
+                    assert (ea < eb) == ((key(ma), -pa) < (key(mb), -pb))
+                    assert layout.degree(ea) == sum(ma)
+                    assert layout._prefixed(ea & layout._low_mask) == ea
+                    if pa == pb:
+                        assert layout.lcm(ea, eb) == _field_pack(
+                            layout, weights, tuple(map(max, a, b)))
+                    product = a[:slots] + tuple(map(operator.add, ma, mb))
+                    assert ea + eb - (eb & layout.slot_mask) == \
+                        _field_pack(layout, weights, product)
+
+
+def test_weighted_order_rejects_bad_weights():
+    for bad in [(0, 1), (1, -2), (1.5, 1)]:
+        with pytest.raises(ValueError):
+            MonomialOrder("grevlex", bad)
+    with pytest.raises(ValueError):
+        MonomialOrder("lex", (2, 1))
+    with pytest.raises(ValueError):
+        _Layout(3, 0, MonomialOrder("grevlex", (2, 1)), 10)
+
+
+def test_weighted_frobenius_reducer_obeys_the_guard_on_the_degree():
+    # under a weighted order a tail term can have a larger degree than its
+    # lead (x + y^2 under weights (3, 1) leads with x), so the p-th power
+    # raises exactly where p times the largest degree of any term passes
+    # the guard, and otherwise scales every field by p
+    p = 5
+    rng = random.Random(2323)
+    cases = [((3, 1), {(1, 0): 1, (0, 2): 3})]
+    for nvars in (2, 3, 4):
+        weights = _random_weights(rng, nvars)
+        for _ in range(6):
+            terms = _random_terms(rng, p, 0, nvars, 4, 4)
+            terms[(1,) + (0,) * (nvars - 1)] = 1  # degree at least 1
+            cases.append((weights, terms))
+    for weights, terms in cases:
+        order = MonomialOrder("grevlex", weights)
+        degree = max(map(sum, terms))
+        for slots in (0, 2):
+            slot = tuple(int(k == slots - 1) for k in range(slots))
+            for guard in (p * degree - 1, p * degree):
+                layout = _Layout(len(weights), slots, order, guard)
+                reducer = _prep_reducer(
+                    {layout.enc(slot + m): c for m, c in terms.items()}, p)
+                if guard < p * degree:
+                    with pytest.raises(DegreeGuardError):
+                        _frobenius_reducer(reducer, layout, p)
+                    continue
+                want = _prep_reducer(
+                    {layout.enc(slot + tuple(e * p for e in m)): c
+                     for m, c in terms.items()}, p)
+                lm, inv, tail = _frobenius_reducer(reducer, layout, p)
+                assert (lm, dict(tail)) == (want[0], dict(want[2]))
+                assert inv == 1
+
+
+def test_weighted_reduction_at_the_guard_sets_no_guard_bit():
+    # a weighted reduction can climb in degree past the guard (its terms
+    # fall in weighted degree only), and a field holds twice the guard
+    # times the largest weight: inputs at the guard reduce as in a wide
+    # layout, and no remainder term sets a guard bit
+    rng = random.Random(5252)
+    p = 5
+    for slots in (0, 3):
+        for guard in (2, 3, 4, 7):
+            order = MonomialOrder("grevlex", (1, 4, 2))
+            tight = _Layout(3, slots, order, guard)
+            wide = _Layout(3, slots, order, 100)
             for _ in range(15):
                 gens = [_random_terms(rng, p, slots, 3, 4,
                                       rng.randint(1, guard))
@@ -568,6 +711,24 @@ def test_pruned_engine_matches_reference_buchberger():
                 assert buchberger(gens, order).generators == \
                     _reference_buchberger(gens, order)
 
+
+def test_weighted_engine_matches_reference_buchberger():
+    # the engine under a weighted order against the textbook route on
+    # exponent tuples, which sorts by the order's definition
+    rng = random.Random(434343)
+    for weights in ((2, 1, 1), (1, 3, 2), (5, 2, 4)):
+        reference = types.SimpleNamespace(key=_weighted_key(weights))
+        order = MonomialOrder("grevlex", weights)
+        for p in (2, 3, 5):
+            ring = PolyRing(["x", "y", "z"], p)
+            for _ in range(6):
+                gens = [random_nonzero_poly(rng, ring, 3, 4)
+                        for _ in range(rng.randint(2, 3))]
+                gb = buchberger(gens, order, track=True)
+                assert gb.generators == _reference_buchberger(gens, reference)
+                assert verify_buchberger(gb)
+                for g, cof in zip(gb.generators, unit_expansions(gb)):
+                    assert combine(cof, gens) == g
 
 def _assert_pruned_basis(gens, want, known_gb_prefix=0):
     """The engine's basis under both orders is the reference basis, and

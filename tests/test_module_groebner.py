@@ -7,7 +7,7 @@ import pytest
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError, Poly,
                               PolyRing)
 from fliftlab.groebner import (GREVLEX, LEX, GroebnerBasis, ModuleVector,
-                               buchberger, module_buchberger,
+                               MonomialOrder, buchberger, module_buchberger,
                                module_normal_form, normal_form,
                                reduce_by_generators, seeded_membership,
                                verify_buchberger)
@@ -146,7 +146,7 @@ def test_seeded_membership_leaves_the_normal_form_random():
     # screen's p-th powers followed by `extra`
     rng = random.Random(4242)
     seen = set()
-    for order in (GREVLEX, LEX):
+    for order in (GREVLEX, LEX, MonomialOrder("grevlex", (3, 1))):
         for p in (2, 3, 5):
             ring = _ring(p, ("x", "y"))
             for _ in range(4):
