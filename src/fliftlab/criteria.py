@@ -30,14 +30,15 @@ from typing import Sequence
 
 from .fp_poly import Poly, format_poly
 from .groebner import (GREVLEX, GroebnerBasis, ModuleVector, MonomialOrder,
-                       is_zero_dimensional, module_buchberger,
+                       is_zero_dimensional, jacobian_module,
                        seeded_membership, supported_only_at_origin)
+from .frobsplit import SplittingData, build_splitting, lift_and_residual
 # unused here, but bound for perfbench/tracer.py, which patches the
 # engine functions by name in this module
-from .groebner import (buchberger, module_normal_form,  # noqa: F401
-                       normal_form, normal_form_with_cofactors,
-                       reduce_by_generators)
-from .frobsplit import SplittingData, apply_sigma, build_splitting, delta1
+from .groebner import (buchberger, module_buchberger,  # noqa: F401
+                       module_normal_form, normal_form,
+                       normal_form_with_cofactors, reduce_by_generators)
+from .frobsplit import apply_sigma, delta1  # noqa: F401
 
 SMOOTH = "smooth"
 ISOLATED = "isolated_at_origin_only"
@@ -123,12 +124,7 @@ def _screen(gens: Sequence[Poly], order: MonomialOrder, track: bool
         raise TooManyGeneratorsError(
             f"{m} generators in {ring.nvars} variables is not a "
             "complete intersection")
-    zero = ring.zero()
-    spanning = [ModuleVector([f if t == i else zero for t in range(m)])
-                for i in range(m) for f in gens]
-    spanning += [ModuleVector([f.derivative(k) for f in gens])
-                 for k in range(ring.nvars)]
-    basis = module_buchberger(spanning, order, track=track)
+    basis = jacobian_module(gens, order, track=track)
     if basis.contains_one():
         return SMOOTH, basis
     if not is_zero_dimensional(basis):
@@ -147,52 +143,46 @@ def residual_polynomial(f: Poly, split: SplittingData | None = None) -> Poly:
     if not split.fpure_at_origin:
         raise ValueError("residual is defined only for F-pure input "
                          "(Fedder test failed)")
-    return _lift_and_residual(f, split, split.s.frobenius())[1]
-
-
-def _lift_and_residual(f: Poly, split: SplittingData,
-                       s_p: Poly) -> tuple[Poly, Poly]:
-    """(g, r) for one generator: g = -sigma(F_* delta1(f)) and
-    r = s^p * delta1(f) + g^p, given s_p = s^p."""
-    d1 = delta1(f)
-    g = -apply_sigma(split, d1)
-    return g, s_p * d1 + g.frobenius()
+    return lift_and_residual(split, f)[1]
 
 
 def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
-                         screen: GroebnerBasis, want_cofactors: bool):
+                         screen: GroebnerBasis, want_cofactors: bool,
+                         power: Poly | None = None):
     """Decide (r_1..r_m) in N^[p] + (f_j e_i), with N the screen's
     submodule; returns (member, remainder coordinates, cofactors).
 
     `seeded_membership` seeds Buchberger with the p-th powers of N's
-    reduced basis, a basis of N^[p], followed by the f_j e_i, and stops
-    at the residual's first zero remainder; a nonmember's run completes
-    and leaves the residual's (unique) normal form.  Certified or not,
-    the route is the same; `track` only records how.  Cofactors run over
-    the f_j e_i by (i, j), then w_1..w_n, w_k = ((df_i/dx_k)^p)_i; they
-    need `screen` built with track=True.  The seed's cofactors come from
-    the membership run, and the part on N^[p] maps back to N's generators
-    by a Frobenius-twisted backward pass over the screen's trace (see
-    `GroebnerBasis.expand`).
+    reduced basis, a basis of N^[p], followed by the f_j e_i, taken as the
+    screen packed them, and stops at the residual's first zero remainder;
+    a nonmember's run completes and leaves the residual's (unique) normal
+    form.  Certified or not, the route is the same; `track` only records
+    how.  Cofactors run over the f_j e_i by (i, j), then w_1..w_n,
+    w_k = ((df_i/dx_k)^p)_i; they need `screen` built with track=True.
+    The seed's cofactors come from the membership run, and the part on
+    N^[p] maps back to N's generators by a Frobenius-twisted backward pass
+    over the screen's trace (see `GroebnerBasis.expand`).  `power`, when
+    given, is f^(p-1) for m = 1 (`SplittingData.power`), which is then
+    not formed again.
     """
     ring = gens[0].ring
     m = len(gens)
-    multiples = screen.original_generators[:m * m]
     known = len(screen)
     rem, seed_cof = seeded_membership(ModuleVector(residuals), screen,
-                                      multiples, track=want_cofactors)
+                                      m * m, track=want_cofactors)
     if seed_cof is None:
         return rem.is_zero(), rem.coordinates, None
     # a seed element g^[p] with g = sum(c_t * N_t) over N's generators is
     # sum(c_t^p * N_t^[p]), where w_k is the p-th power of a Jacobian
     # column and (f_j e_i)^[p] = f_j^(p-1) * (f_j e_i)
     twisted = screen.expand(seed_cof[:known], frobenius=True)
-    f_pow = [f ** (ring.p - 1) for f in gens]
+    f_pow = ([power] if m == 1 and power is not None
+             else [f ** (ring.p - 1) for f in gens])
     cofactors = [c + t * f_pow[k % m] for k, (c, t) in
                  enumerate(zip(seed_cof[known:], twisted))] + twisted[m * m:]
-    columns = list(multiples) + [
-        [c.frobenius() for c in g]
-        for g in screen.original_generators[m * m:]]
+    originals = screen.original_generators
+    columns = list(originals[:m * m]) + [
+        [c.frobenius() for c in g] for g in originals[m * m:]]
     for pos, r in enumerate(residuals):
         check = ring.zero()
         for c, col in zip(cofactors, columns):
@@ -287,14 +277,12 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
     # the "delta1" stage times the whole residual computation: delta1,
     # sigma, the p-th powers and s^p * delta1, not delta1 alone
     t = time.perf_counter()
-    s_p = split.s.frobenius()
-    lifts, residuals = zip(*(_lift_and_residual(f, split, s_p)
-                             for f in gens))
+    lifts, residuals = zip(*(lift_and_residual(split, f) for f in gens))
     timings["delta1"] = _ms_since(t)
 
     t = time.perf_counter()
     member, remainder, cofactors = _residual_membership(
-        residuals, gens, screen, certificates)
+        residuals, gens, screen, certificates, split.power)
     if not member and decision != order:
         screen = _screen(gens, order, False)[1]
         remainder = _residual_membership(residuals, gens, screen, False)[1]

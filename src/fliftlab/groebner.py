@@ -368,24 +368,59 @@ class GroebnerBasis:
                  original_generators: Sequence,
                  trace: tuple[list, list] | None = None,
                  reducers: list[tuple] | None = None):
+        originals = tuple(original_generators)
+        first = originals[0]
+        self._setup(first.ring, len(_coordinates(first)),
+                    isinstance(first, ModuleVector), order, trace, originals)
         self._generators = None if generators is None else tuple(generators)
-        self.order = order
-        self.original_generators = tuple(original_generators)
-        self.trace = trace
-        first = self.original_generators[0]
-        self.ring = first.ring
-        self._vectors = isinstance(first, ModuleVector)
-        self.size = len(_coordinates(first))  # the rank s of the module
-        self._slots = self.size if self.size > 1 else 0
-        self._layout = _shared_layout(self.ring.nvars, self._slots, order,
-                                      self.ring.max_degree)
         if reducers is None:
             reducers = [_prep_reducer(self._encode(g), self.ring.p)
                         for g in self._generators]
         self._reducers = reducers
+
+    @classmethod
+    def _from_packed(cls, ring: PolyRing, size: int, order: MonomialOrder,
+                     packed: list[dict], reducers: list[tuple],
+                     trace: tuple[list, list] | None) -> "GroebnerBasis":
+        """An engine basis of ModuleVectors of length `size` whose
+        original_generators are known only as the packed `packed`; they
+        are decoded on first access."""
+        self = object.__new__(cls)
+        self._setup(ring, size, True, order, trace, None)
+        self._packed_originals = packed
+        self._generators = None
+        self._reducers = reducers
+        return self
+
+    def _setup(self, ring: PolyRing, size: int, vectors: bool,
+               order: MonomialOrder, trace, originals) -> None:
+        self.ring = ring
+        self.size = size  # the rank s of the module
+        self._vectors = vectors
+        self._slots = size if size > 1 else 0
+        self.order = order
+        self.trace = trace
+        self._originals = originals
+        self._leads = None
+        self._layout = _shared_layout(ring.nvars, self._slots, order,
+                                      ring.max_degree)
         self._memo: dict = {}
-        self.leading_monomials = tuple(self._layout.dec(r[0])
-                                       for r in reducers)
+
+    @property
+    def original_generators(self) -> tuple:
+        if self._originals is None:
+            self._originals = tuple(self._decode(g, self.ring)
+                                    for g in self._packed_originals)
+        return self._originals
+
+    @property
+    def leading_monomials(self) -> tuple:
+        """The leads as exponent tuples, after the position slots when
+        s > 1; decoded on first access."""
+        if self._leads is None:
+            self._leads = tuple(self._layout.dec(r[0])
+                                for r in self._reducers)
+        return self._leads
 
     @property
     def generators(self) -> tuple:
@@ -404,9 +439,11 @@ class GroebnerBasis:
 
     def contains_one(self) -> bool:
         """Whether the span is the whole module: a unit lead at every
-        position."""
-        return all(any(not any(lm) for lm in leads)
-                   for leads in _position_leads(self))
+        position, read off the packed leads (a unit has no exponent)."""
+        layout = self._layout
+        exps, slots = layout._exp_mask, layout.slot_mask
+        units = {lm & slots for lm, _, _ in self._reducers if not lm & exps}
+        return len(units) == self.size
 
     # An element of the span as the engine's packed term dict, and back.
     def _encode(self, v) -> dict:
@@ -442,8 +479,9 @@ class GroebnerBasis:
         layout, zero = self._layout, (0,) * self._slots
         seeds = [(node, {layout.enc(zero + m): c for m, c in q.terms.items()})
                  for node, q in zip(roots, coeffs)]
-        return _expand(steps, seeds, len(self.original_generators), layout,
-                       self.ring, frobenius)
+        return _expand(steps, seeds,
+                       len(self._packed_originals or self.original_generators),
+                       layout, self.ring, frobenius)
 
     def cofactors(self, f) -> list[Poly] | None:
         """Cofactors c_t with f = sum(c_t * original_generators[t]), or None
@@ -864,17 +902,23 @@ def _position_leads(basis: GroebnerBasis) -> list[list[tuple[int, ...]]]:
 
 def is_zero_dimensional(basis: GroebnerBasis) -> bool:
     """True iff R^s/N is finite-dimensional: at every position the leads
-    hold 1 or a pure power of every variable."""
-    n = basis.ring.nvars
-    for leads in _position_leads(basis):
-        covered: set[int] = set()
-        for lm in leads:
-            support = [v for v, e in enumerate(lm) if e]
-            if len(support) <= 1:
-                covered.update(support or range(n))
-        if len(covered) < n:
-            return False
-    return True
+    hold 1 or a pure power of every variable.
+
+    Read off the packed leads: a lead's exponent fields are a pure power
+    iff nothing is set above the field of its lowest set bit, and a unit
+    has none set."""
+    layout = basis._layout
+    exps, slots, w = layout._exp_mask, layout.slot_mask, layout.width
+    every = range(basis.ring.nvars)
+    covered: dict[int, set] = {}
+    for lm, _, _ in basis._reducers:
+        e = lm & exps
+        field = ((e & -e).bit_length() - 1) // w
+        if not e >> (field + 1) * w:
+            covered.setdefault(lm & slots, set()).update(
+                (field,) if e else (layout.slots + v for v in every))
+    return (len(covered) == basis.size and
+            all(len(c) == len(every) for c in covered.values()))
 
 
 def _standard_count(lms: list[tuple[int, ...]], nvars: int) -> int:
@@ -939,39 +983,86 @@ def supported_only_at_origin(basis: GroebnerBasis) -> bool:
     return True
 
 
-def _frobenius_reducer(reducer: tuple, layout: _Layout, p: int) -> tuple:
-    """The prepared reducer of the coordinate-wise p-th power of a monic
-    basis element, from its own (lead, 1, tail): every packed exponent,
+def _frobenius_reducers(reducers: list[tuple], layout: _Layout,
+                        p: int) -> list[tuple]:
+    """The prepared reducers of the coordinate-wise p-th powers of monic
+    basis elements, from their own (lead, 1, tail): every packed exponent,
     prefix-sum and weighted-degree field times p, the position slots kept
-    and the coefficient unchanged, since c^p = c in F_p.  Raises DegreeGuardError where
-    `Poly.frobenius` does, when p times the degree passes the guard, so
-    no field overflows."""
-    lm, _, tail = reducer
-    # under unweighted degrevlex no term has a larger degree than the lead
-    terms = ((lm,) if layout.grevlex and not layout.weighted
-             else (lm, *(m for m, _ in tail)))
+    and the coefficient unchanged, since c^p = c in F_p.  Raises
+    DegreeGuardError where `Poly.frobenius` raises on one of them, when p
+    times its degree passes the guard, so no field overflows; the guard is
+    checked once, on the largest degree of any term."""
+    if layout.grevlex and not layout.weighted:
+        # under unweighted degrevlex no term has a larger degree than its lead
+        terms = [lm for lm, _, _ in reducers]
+    else:
+        terms = [m for lm, _, tail in reducers for m in (lm, *dict(tail))]
     degree = max(map(layout.degree, terms)) * p
     if degree > layout.max_degree:
         raise DegreeGuardError(
             f"power degree {degree} exceeds guard {layout.max_degree}")
     slots, q = layout.slot_mask, p - 1
-    return (lm * p - (lm & slots) * q, 1,
-            tuple((m * p - (m & slots) * q, c) for m, c in tail))
+    if not slots:
+        return [(lm * p, 1, tuple((m * p, c) for m, c in tail))
+                for lm, _, tail in reducers]
+    return [(lm * p - (lm & slots) * q, 1,
+             tuple((m * p - (m & slots) * q, c) for m, c in tail))
+            for lm, _, tail in reducers]
+
+
+def jacobian_module(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
+                    *, track: bool = False) -> GroebnerBasis:
+    """Reduced basis of the submodule N of R^m spanned by the f_j e_i, by
+    (i, j), followed by the Jacobian columns (df_1/dx_k, ..., df_m/dx_k),
+    by k: for m = 1 the ideal (f, df/dx_1, ..., df/dx_n), as vectors of
+    length 1.  The original generators are these spanning vectors, in
+    this order, and are decoded only when read.
+
+    Each f_j is packed once, which checks its terms against the degree
+    guard, and the spanning set is formed from the packed terms: f_j e_i
+    moves f_j to the slot of position i, and df/dx_k shifts every term
+    down by x_k's packer with its coefficient times the exponent, a term
+    whose exponent p divides dropping out.  The shift is one constant, so
+    no two terms of f meet.  The generators must share one ambient.
+    """
+    ring = _common_ring(gens)
+    m, n, p = len(gens), ring.nvars, ring.p
+    layout = _shared_layout(n, m if m > 1 else 0, order, ring.max_degree)
+    base = [layout.enc_terms(f.terms) for f in gens]
+    offsets = [layout.units[i] - layout.units[0] if m > 1 else 0
+               for i in range(m)]
+    spanning = [{k + off: c for k, c in b.items()} if off else b
+                for off in offsets for b in base]
+    cap, packers = layout.cap, layout._packers[layout.slots:]
+    for v in range(n):
+        shift, packer = layout._exp_shifts[v], packers[v]
+        column = {}
+        for off, b in zip(offsets, base):
+            off -= packer
+            for k, c in b.items():
+                if c := c * ((k >> shift) & cap) % p:
+                    column[k + off] = c
+        spanning.append(column)
+    reducers, trace = _groebner(spanning, ring, layout, track)
+    return GroebnerBasis._from_packed(ring, m, order, spanning, reducers,
+                                      trace)
 
 
 def seeded_membership(target: ModuleVector, screen: GroebnerBasis,
-                      extra: Sequence[ModuleVector], *, track: bool = False
+                      extra: Sequence[ModuleVector] | int, *,
+                      track: bool = False
                       ) -> tuple[ModuleVector, list[Poly] | None]:
     """Decide `target` in N^[p] + span(extra), N the submodule of the
     reduced basis `screen` and ^[p] the coordinate-wise p-th power;
     returns (remainder, cofactors) as `normal_form_with_cofactors` does.
 
-    The p-th powers of the screen's elements form a Groebner basis of
-    N^[p] (leading terms go to p-th powers); they are made from the
-    screen's packed reducers (see `_frobenius_reducer`) and followed by
-    `extra`; an `extra` vector that is the screen's own original generator
-    at the same index is not packed again.  The target is divided by that
-    seed first, and a zero remainder proves membership at once.  Else
+    `extra` is a list of vectors, or an int k for the screen's first k
+    original generators, which are then taken as the screen's run packed
+    them, never decoded or checked again.  The p-th powers of the
+    screen's elements form a Groebner basis of N^[p] (leading terms go to
+    p-th powers); they are made from the screen's packed reducers (see
+    `_frobenius_reducers`) and followed by `extra`.  The target is divided
+    by that seed first, and a zero remainder proves membership at once.  Else
     Buchberger runs on the seed, with N^[p] as a known prefix, and carries
     the remainder as its target (see `_groebner`): the remainder is 0 as
     soon as the run proves membership, else the target's normal form on
@@ -982,13 +1073,16 @@ def seeded_membership(target: ModuleVector, screen: GroebnerBasis,
     over the run's steps; else None.
     """
     ring, layout, p = screen.ring, screen._layout, screen.ring.p
-    if not all(v.ring.same_ambient(ring) for v in (target, *extra)):
+    if not target.ring.same_ambient(ring):
         raise AmbientMismatchError("vector and basis ambients differ")
-    reducers = [_frobenius_reducer(r, layout, p) for r in screen._reducers]
-    own, packed = screen.original_generators, screen._packed_originals
-    known, extra = len(reducers), [
-        packed[k] if k < len(packed) and v is own[k] else screen._encode(v)
-        for k, v in enumerate(extra)]
+    if isinstance(extra, int):
+        extra = list(screen._packed_originals[:extra])
+    else:
+        if not all(v.ring.same_ambient(ring) for v in extra):
+            raise AmbientMismatchError("vector and basis ambients differ")
+        extra = [screen._encode(v) for v in extra]
+    reducers = _frobenius_reducers(screen._reducers, layout, p)
+    known = len(reducers)
     nodes = list(range(known)) + [t for t, g in enumerate(extra, known) if g]
     reducers += [_prep_reducer(g, p) for g in extra if g]
     quotients = defaultdict(dict) if track else None

@@ -14,11 +14,11 @@ from fliftlab.catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
                               enumerate_table_rows, make_cusp_ci,
                               make_cusp_hypersurface)
 from fliftlab.criteria import (LiftabilityReport, TooManyGeneratorsError,
-                               _lift_and_residual, _residual_membership,
+                               _residual_membership,
                                classify, isolated_singularity_check,
                                residual_polynomial)
 from fliftlab.fp_poly import DegreeGuardError, PolyRing, format_poly
-from fliftlab.frobsplit import build_splitting
+from fliftlab.frobsplit import build_splitting, lift_and_residual
 from fliftlab.groebner import (GREVLEX, LEX, ModuleVector, MonomialOrder,
                                module_buchberger, module_normal_form)
 from fliftlab.report import report_from_dict, report_to_json
@@ -169,7 +169,7 @@ def test_residual_degenerate_zero_delta1():
     # a two-term freshman's-dream polynomial: delta1 = x^p * y^p-ish terms
     ring = PolyRing(["x", "y"], 2)
     f = ring.parse("x")          # single term, delta1 = 0
-    from fliftlab.frobsplit import build_splitting
+    from fliftlab.frobsplit import build_splitting, lift_and_residual
     split = build_splitting([f])
     assert residual_polynomial(f, split).is_zero()
 
@@ -225,8 +225,7 @@ def test_classify_dispatch():
 
 def _residuals(gens):
     split = build_splitting(gens)
-    s_p = split.s.frobenius()
-    return [_lift_and_residual(f, split, s_p)[1] for f in gens]
+    return [lift_and_residual(split, f)[1] for f in gens]
 
 
 def _counting(monkeypatch, module, name):
@@ -261,7 +260,7 @@ def test_packed_seed_is_the_frobenius_of_the_screen():
     # it raises DegreeGuardError exactly where Poly.frobenius does, once
     # p * deg passes the guard.  The last screen has its largest degree in
     # a tail under lex: x^3 + 2*x^2*y^2, with y^3.
-    from fliftlab.groebner import (LEX, _frobenius_reducer, _prep_reducer,
+    from fliftlab.groebner import (LEX, _frobenius_reducers, _prep_reducer,
                                    seeded_membership)
 
     def prepared(reducer):
@@ -290,8 +289,8 @@ def test_packed_seed_is_the_frobenius_of_the_screen():
                     with pytest.raises(DegreeGuardError):
                         seeded_membership(ModuleVector(moved), screen, [])
                     continue
-                assert [prepared(_frobenius_reducer(r, screen._layout, p))
-                        for r in screen._reducers] == want
+                assert [prepared(r) for r in _frobenius_reducers(
+                    screen._reducers, screen._layout, p)] == want
 
 
 def test_certified_membership_stops_at_the_first_zero_remainder(monkeypatch):
@@ -389,8 +388,7 @@ def test_seeded_membership_matches_cold_oracle():
         split = build_splitting(gens)
         if status in ("smooth", "not_isolated") or not split.fpure_at_origin:
             continue
-        s_p = split.s.frobenius()
-        residuals = [_lift_and_residual(f, split, s_p)[1] for f in gens]
+        residuals = [lift_and_residual(split, f)[1] for f in gens]
         seeded = _residual_membership(residuals, gens, screen, False)
         assert seeded[:2] == _cold_membership(residuals, gens), \
             [str(f) for f in gens]
@@ -440,8 +438,7 @@ def test_plain_and_certified_routes_agree():
     for t in classes:
         gens = [make_cusp_hypersurface(3, *t)]
         split = build_splitting(gens)
-        residuals = [_lift_and_residual(gens[0], split,
-                                        split.s.frobenius())[1]]
+        residuals = [lift_and_residual(split, gens[0])[1]]
         plain, cert = (_residual_membership(
             residuals, gens, isolated_singularity_check(gens, track=c)[1],
             c) for c in (False, True))
@@ -483,8 +480,8 @@ def test_negative_ci_verdict_needs_a_splitting_section(monkeypatch):
     # module route is stubbed to answer "not a member": the negative
     # verdict is conclusive only when the section s is identically 1
     monkeypatch.setattr(criteria, "_residual_membership",
-                        lambda residuals, gens, screen, want_cofactors:
-                        (False, tuple(residuals), None))
+                        lambda residuals, gens, screen, want_cofactors,
+                        power=None: (False, tuple(residuals), None))
     r4 = PolyRing(["x", "y", "z", "w"], 3)
     unit_section = [r4.parse("x*y+z^2+w^2"), r4.parse("z*w+x^2+y^2+2*x*y*w")]
     r4 = PolyRing(["x", "y", "z", "w"], 2)
@@ -614,3 +611,26 @@ def test_weighted_route_bounds_the_cusp_237_membership_run(monkeypatch):
     for perm in permutations(range(3)):
         assert classify([f.permute_variables(perm)]).f_liftable
     assert len(runs) == 6 and sum(runs) <= 400, runs
+
+
+def test_classify_validates_what_the_packed_screen_packs():
+    # the screen packs each generator once, without building
+    # ModuleVectors: generators in different ambients (another prime,
+    # other variables) still raise AmbientMismatchError, and a generator
+    # with a term past the first generator's degree guard still raises
+    # DegreeGuardError, under degrevlex and lex
+    from fliftlab.fp_poly import AmbientMismatchError
+    f1 = PolyRing("xyzw", 2).parse("x*y+z^3+w^2")
+    for ring in (PolyRing("xyzw", 3), PolyRing("xyzv", 2)):
+        f2 = ring.parse(f"z*{ring.variables[3]}+x^2+y^2")
+        for gens in ([f1, f2], [f2, f1]):
+            with pytest.raises(AmbientMismatchError):
+                classify(gens)
+    small, big = PolyRing("xyzw", 2, 12), PolyRing("xyzw", 2, 100)
+    gens = [small.parse("x*y+z^3+w^2"), big.parse("z*w+x^13+y^2")]
+    for order in (GREVLEX, LEX):
+        with pytest.raises(DegreeGuardError):
+            classify(gens, order=order)
+    # within the guard the mixed guards classify as one ring does
+    gens[1] = big.parse("z*w+x^3+y^2")
+    assert classify(gens).f_liftable

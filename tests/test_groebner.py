@@ -10,7 +10,7 @@ import pytest
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               PolyRing, format_poly, grevlex_key)
 from fliftlab.groebner import (GREVLEX, LEX, GroebnerBasis, ModuleVector,
-                               MonomialOrder, _frobenius_reducer,
+                               MonomialOrder, _frobenius_reducers,
                                _Layout, _new_pairs, _prep_reducer,
                                _reduce_full, _standard_count,
                                buchberger, is_zero_dimensional,
@@ -307,12 +307,12 @@ def test_weighted_frobenius_reducer_obeys_the_guard_on_the_degree():
                     {layout.enc(slot + m): c for m, c in terms.items()}, p)
                 if guard < p * degree:
                     with pytest.raises(DegreeGuardError):
-                        _frobenius_reducer(reducer, layout, p)
+                        _frobenius_reducers([reducer], layout, p)[0]
                     continue
                 want = _prep_reducer(
                     {layout.enc(slot + tuple(e * p for e in m)): c
                      for m, c in terms.items()}, p)
-                lm, inv, tail = _frobenius_reducer(reducer, layout, p)
+                lm, inv, tail = _frobenius_reducers([reducer], layout, p)[0]
                 assert (lm, dict(tail)) == (want[0], dict(want[2]))
                 assert inv == 1
 

@@ -7,10 +7,11 @@ import pytest
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError, Poly,
                               PolyRing)
 from fliftlab.groebner import (GREVLEX, LEX, GroebnerBasis, ModuleVector,
-                               MonomialOrder, buchberger, module_buchberger,
-                               module_normal_form, normal_form,
-                               reduce_by_generators, seeded_membership,
-                               verify_buchberger)
+                               MonomialOrder, _position_leads, buchberger,
+                               is_zero_dimensional, jacobian_module,
+                               module_buchberger, module_normal_form,
+                               normal_form, reduce_by_generators,
+                               seeded_membership, verify_buchberger)
 
 from support import (check_packed_layout, combine, is_basis, random_poly,
                      random_nonzero_poly, unit_expansions)
@@ -324,3 +325,109 @@ def test_module_spairs_obey_degree_guard_on_monomial_degree():
         else:
             with pytest.raises(DegreeGuardError):
                 module_buchberger(gens)
+
+
+def _jacobian_spanning(gens):
+    """The spanning vectors of N as `Poly`s: the f_j e_i by (i, j), then
+    the Jacobian columns (df_1/dx_k, ..., df_m/dx_k) by k."""
+    m, zero = len(gens), gens[0].ring.zero()
+    spanning = [ModuleVector([f if t == i else zero for t in range(m)])
+                for i in range(m) for f in gens]
+    return spanning + [ModuleVector([f.derivative(k) for f in gens])
+                       for k in range(gens[0].ring.nvars)]
+
+
+def test_jacobian_module_packs_the_spanning_vectors():
+    # the packed spanning set equals the encoded Poly construction (with
+    # Poly.derivative), and the basis and trace those of module_buchberger
+    # on it, under degrevlex, weighted degrevlex and lex for m = 1, 2, 3;
+    # every input has terms whose exponent p divides, so some derivative
+    # terms drop out, and some column is zero
+    rng = random.Random(2323)
+    seen_dropped = seen_zero = 0
+    for p in (2, 3, 5):
+        ring = _ring(p, ("x", "y", "z"))
+        for m in (1, 2, 3):
+            for _ in range(3):
+                gens = [random_nonzero_poly(rng, ring, 3, 3) +
+                        ring.monomial((p, 0, 1)) for _ in range(m)]
+                spanning = _jacobian_spanning(gens)
+                seen_dropped += any(
+                    len(f.derivative(k)) < len(f)
+                    for f in gens for k in range(3) if f.terms)
+                seen_zero += any(v.is_zero() for v in spanning[m * m:])
+                for order in (GREVLEX, LEX, MonomialOrder("grevlex",
+                                                          (2, 1, 3))):
+                    for track in (False, True):
+                        basis = jacobian_module(gens, order, track=track)
+                        want = module_buchberger(spanning, order,
+                                                 track=track)
+                        assert basis._packed_originals == [
+                            want._encode(v) for v in spanning]
+                        assert basis.original_generators == \
+                            tuple(spanning)
+                        assert basis._reducers == want._reducers
+                        assert basis.trace == want.trace
+                        assert basis.leading_monomials == \
+                            want.leading_monomials
+    assert seen_dropped and seen_zero, (seen_dropped, seen_zero)
+
+
+def _tuple_contains_one(basis):
+    return all(any(not any(lm) for lm in leads)
+               for leads in _position_leads(basis))
+
+
+def _tuple_zero_dimensional(basis):
+    n = basis.ring.nvars
+    for leads in _position_leads(basis):
+        covered = set()
+        for lm in leads:
+            support = [v for v, e in enumerate(lm) if e]
+            if len(support) <= 1:
+                covered.update(support or range(n))
+        if len(covered) < n:
+            return False
+    return True
+
+
+def test_packed_read_out_matches_the_tuple_definitions():
+    # contains_one and is_zero_dimensional, read off the packed leads,
+    # against their definitions on the decoded leads: random ideals and
+    # rank-2 submodules, unit ones (a constant at some or every
+    # position), and ones that are not zero-dimensional, under all three
+    # kinds of order
+    rng = random.Random(4141)
+    seen = set()
+    for order in (GREVLEX, LEX, MonomialOrder("grevlex", (1, 3, 2))):
+        for p in (2, 3, 7):
+            ring = _ring(p, ("x", "y", "z"))
+            one, x = ring.one(), ring.variable(0)
+            for size in (1, 2):
+                cases = [[ModuleVector([random_poly(rng, ring, 2, 3)
+                                        for _ in range(size)])
+                          for _ in range(rng.randint(1, 3))]
+                         for _ in range(6)]
+                cases += [[ModuleVector([one] + [x] * (size - 1))],
+                          [ModuleVector([x] * size)],
+                          [ModuleVector([one] * size),
+                           ModuleVector([x] * (size - 1) + [one])]]
+                cases += [[ModuleVector([ring.parse(t)] * size)
+                           for t in texts]
+                          for texts in (["x^2", "y^3"], ["x*y", "z^2"],
+                                        ["x^3", "y^2", "z^4", "x*y*z"],
+                                        # every variable is the first or
+                                        # last of some lead, and some
+                                        # variable has no pure power
+                                        ["x*y", "y*z", "z^2"],
+                                        ["x*y", "y*z", "x^2"])]
+                for gens in cases:
+                    if all(g.is_zero() for g in gens):
+                        continue
+                    basis = module_buchberger(gens, order)
+                    want = (_tuple_contains_one(basis),
+                            _tuple_zero_dimensional(basis))
+                    assert (basis.contains_one(),
+                            is_zero_dimensional(basis)) == want
+                    seen.add(want)
+    assert seen == {(True, True), (False, True), (False, False)}, seen
