@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fp_poly import Poly, format_poly
+from .fp_poly import DegreeGuardError, Poly, dot, format_poly
 from .groebner import (GREVLEX, GroebnerBasis, ModuleVector, MonomialOrder,
                        is_zero_dimensional, jacobian_module,
                        seeded_membership, supported_only_at_origin)
@@ -161,9 +161,16 @@ def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
     w_k = ((df_i/dx_k)^p)_i; they need `screen` built with track=True.
     The seed's cofactors come from the membership run, and the part on
     N^[p] maps back to N's generators by a Frobenius-twisted backward pass
-    over the screen's trace (see `GroebnerBasis.expand`).  `power`, when
-    given, is f^(p-1) for m = 1 (`SplittingData.power`), which is then
-    not formed again.
+    over the screen's trace (see `GroebnerBasis.expand_packed`).  They
+    stay packed in the screen's layout until each final cofactor is
+    decoded once.  `power`, when given, is f^(p-1) for m = 1
+    (`SplittingData.power`), which is then not formed again.
+
+    The certificate is re-checked before it is returned, from the input
+    generators alone and in `fp_poly` arithmetic, which shares nothing
+    with the engine's packing: the columns are recomputed with
+    `Poly.derivative` and `Poly.frobenius`, and each coordinate's
+    sum(c_t * column_t) is one `dot`.
     """
     ring = gens[0].ring
     m = len(gens)
@@ -175,21 +182,38 @@ def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
     # a seed element g^[p] with g = sum(c_t * N_t) over N's generators is
     # sum(c_t^p * N_t^[p]), where w_k is the p-th power of a Jacobian
     # column and (f_j e_i)^[p] = f_j^(p-1) * (f_j e_i)
-    twisted = screen.expand(seed_cof[:known], frobenius=True)
+    twisted = screen.expand_packed(seed_cof[:known], frobenius=True)
     f_pow = ([power] if m == 1 and power is not None
              else [f ** (ring.p - 1) for f in gens])
-    cofactors = [c + t * f_pow[k % m] for k, (c, t) in
-                 enumerate(zip(seed_cof[known:], twisted))] + twisted[m * m:]
-    originals = screen.original_generators
-    columns = list(originals[:m * m]) + [
-        [c.frobenius() for c in g] for g in originals[m * m:]]
-    for pos, r in enumerate(residuals):
-        check = ring.zero()
-        for c, col in zip(cofactors, columns):
-            check = check + c * col[pos]
-        if check != r:
+    cofactors = [screen.unpack(_plus_product(screen, c, t, f_pow[k % m]))
+                 for k, (c, t) in enumerate(zip(seed_cof[known:], twisted))]
+    cofactors += map(screen.unpack, twisted[m * m:])
+    columns = [[f.derivative(v).frobenius() for f in gens]
+               for v in range(ring.nvars)]
+    for i, r in enumerate(residuals):
+        if dot(cofactors[i * m:i * m + m] + cofactors[m * m:],
+               list(gens) + [w[i] for w in columns]) != r:
             raise RuntimeError("residual certificate failed re-expansion")
     return True, rem.coordinates, tuple(cofactors)
+
+
+def _plus_product(screen: GroebnerBasis, c: dict, t: dict, f: Poly) -> dict:
+    """c + t * f for packed shift terms c and t in the screen's layout,
+    coefficients unreduced; f is packed only after the degree-guard check
+    that the Poly product of t and f makes."""
+    out = dict(c)
+    if t and f:
+        degree = screen.degree(t) + f.total_degree()
+        guard = screen.ring.max_degree
+        if degree > guard:
+            raise DegreeGuardError(
+                f"product degree {degree} exceeds guard {guard}")
+        get = out.get
+        for mf, cf in screen.pack(f).items():
+            for mt, ct in t.items():
+                k = mt + mf
+                out[k] = get(k, 0) + ct * cf
+    return out
 
 
 def _decision_order(gens: Sequence[Poly],

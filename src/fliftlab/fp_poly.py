@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class FpPolyError(Exception):
@@ -302,13 +302,10 @@ class Poly:
             (ma, ca), = a.items()
             return Poly._make(ring, {tuple(x + y for x, y in zip(ma, mb)):
                                      ca * cb % p for mb, cb in b.items()})
-        # Pack each exponent tuple into one int, variable k in bits
-        # [k*w, (k+1)*w), with w wide enough for the product's degree: a
-        # product of terms is then one addition, and every output term is
-        # unpacked once.
-        w = (self.total_degree() + other.total_degree()).bit_length()
-        shifts = range(0, w * ring.nvars, w)
-        units = [1 << s for s in shifts]
+        # a product of packed terms is one addition, and every output term
+        # is unpacked once
+        shifts, units, mask = _packing(
+            ring.nvars, self.total_degree() + other.total_degree())
         pb = [(sum(map(operator.mul, mb, units)), cb) for mb, cb in b.items()]
         out: dict[int, int] = {}
         get = out.get
@@ -321,7 +318,6 @@ class Poly:
                     out[m] = c
                 else:
                     out.pop(m, None)
-        mask = (1 << w) - 1
         return Poly._make(ring, {tuple((m >> s) & mask for s in shifts): c
                                  for m, c in out.items()})
 
@@ -402,6 +398,54 @@ class Poly:
 
     def __str__(self):
         return format_poly(self)
+
+
+def _packing(nvars: int, degree: int) -> tuple[range, list[int], int]:
+    """(shifts, units, mask) of the exponent packing of `Poly.__mul__`:
+    variable k in bits [k*w, (k+1)*w), w the bit length of `degree`, so
+    that every monomial of at most that degree fits, a product of terms
+    is an addition and a p-th power a multiplication by p."""
+    w = degree.bit_length()
+    shifts = range(0, w * nvars, w)
+    return shifts, [1 << s for s in shifts], (1 << w) - 1
+
+
+def dot(left: Sequence[Poly], right: Sequence[Poly]) -> Poly:
+    """sum(a * b) over the pairs (a, b) of `left` and `right`, in the ring
+    of left[0]: every product is accumulated into one packed term dict
+    (see `_packing`), whose coefficients are reduced mod p once.  Raises
+    AmbientMismatchError on operands in different ambients, and
+    DegreeGuardError where one of the products a * b would, before any
+    product is formed."""
+    if not left or len(left) != len(right):
+        raise ValueError("dot needs two nonempty sequences of one length")
+    first, ring = left[0], left[0].ring
+    pairs = []
+    top = 1
+    for a, b in zip(left, right):
+        first._check(a)
+        first._check(b)
+        if a.terms and b.terms:
+            degree = a.total_degree() + b.total_degree()
+            if degree > a.ring.max_degree:
+                raise DegreeGuardError(f"product degree {degree} exceeds "
+                                       f"guard {a.ring.max_degree}")
+            top = max(top, degree)
+            pairs.append((a.terms, b.terms) if len(a) <= len(b)
+                         else (b.terms, a.terms))
+    shifts, units, mask = _packing(ring.nvars, top)
+    out: dict[int, int] = {}
+    get = out.get
+    for a, b in pairs:
+        pb = [(sum(map(operator.mul, mb, units)), cb) for mb, cb in b.items()]
+        for ma, ca in a.items():
+            ka = sum(map(operator.mul, ma, units))
+            for kb, cb in pb:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+    p = ring.p
+    return Poly._make(ring, {tuple((k >> s) & mask for s in shifts): r
+                             for k, c in out.items() if (r := c % p)})
 
 
 def parse_poly(source: str, variables: Iterable[str], p: int,

@@ -18,7 +18,7 @@ from operator import floordiv, mod, mul
 from typing import Sequence
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
-                      grevlex_key)
+                      _packing as _mul_packing, grevlex_key)
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,10 @@ def _digit_groups(f: Poly) -> dict:
     return groups
 
 
-@functools.lru_cache(maxsize=64)
-def _packing(nvars: int, max_degree: int) -> tuple[range, list[int], int]:
-    """(shifts, units, mask) of the exponent packing used here: variable k
-    in bits [k*w, (k+1)*w), w the bit length of the degree guard, so that
-    every monomial within the guard fits, a product is an addition and a
-    p-th power a multiplication by p."""
-    w = max_degree.bit_length()
-    shifts = range(0, w * nvars, w)
-    return shifts, [1 << s for s in shifts], (1 << w) - 1
+# _packing(nvars, max_degree): the exponent packing of `Poly.__mul__` at
+# the width of the degree guard, which every monomial within the guard
+# fits, built once per ambient shape
+_packing = functools.lru_cache(maxsize=64)(_mul_packing)
 
 
 def _unpack(ring: PolyRing, terms: dict) -> Poly:

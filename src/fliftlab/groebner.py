@@ -29,7 +29,7 @@ from operator import mul
 from typing import Sequence
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
-                      grevlex_key, lex_key)
+                      dot, grevlex_key, lex_key)
 
 
 @dataclass(frozen=True)
@@ -299,8 +299,11 @@ def _prep_reducer(terms: dict, p: int) -> tuple:
 
 
 def _poly(layout: _Layout, ring: PolyRing, terms: dict) -> Poly:
-    """The polynomial of a packed shift or quotient dict (slots all 0)."""
-    return Poly._make(ring, {layout.mono(m): c for m, c in terms.items()})
+    """The polynomial of a packed shift or quotient dict (slots all 0),
+    coefficients reduced mod p."""
+    p, cap, shifts = ring.p, layout.cap, layout._exp_shifts
+    return Poly._make(ring, {tuple([(m >> s) & cap for s in shifts]): r
+                             for m, c in terms.items() if (r := c % p)})
 
 
 class ModuleVector:
@@ -464,6 +467,19 @@ class GroebnerBasis:
             coords[t.index(1)][t[self._slots:]] = c
         return ModuleVector([Poly._make(ring, d) for d in coords])
 
+    # A coefficient of the span, such as a quotient or a cofactor, as
+    # packed shift terms (slots all 0) in the basis's layout, and back.
+    def pack(self, poly: Poly) -> dict:
+        layout, zero = self._layout, (0,) * self._slots
+        return {layout.enc(zero + m): c for m, c in poly.terms.items()}
+
+    def unpack(self, terms: dict) -> Poly:
+        return _poly(self._layout, self.ring, terms)
+
+    def degree(self, terms: dict) -> int:
+        """The largest degree of packed shift terms; -1 for none."""
+        return max(map(self._layout.degree, terms), default=-1)
+
     def expand(self, coeffs: Sequence[Poly],
                frobenius: bool = False) -> list[Poly]:
         """Cofactors c_t over `original_generators` of the combination
@@ -473,15 +489,18 @@ class GroebnerBasis:
         original_generators[t]^[p] instead, ^[p] the coordinate-wise p-th
         power.  The basis must have been built with track=True.
         """
+        return [self.unpack(c) for c in self.expand_packed(
+            [self.pack(q) for q in coeffs], frobenius)]
+
+    def expand_packed(self, coeffs: Sequence[dict],
+                      frobenius: bool = False) -> list[dict]:
+        """`expand` on packed shift terms, in and out (see `pack`)."""
         if self.trace is None:
             raise ValueError("expanding needs a basis built with track=True")
         steps, roots = self.trace
-        layout, zero = self._layout, (0,) * self._slots
-        seeds = [(node, {layout.enc(zero + m): c for m, c in q.terms.items()})
-                 for node, q in zip(roots, coeffs)]
-        return _expand(steps, seeds,
+        return _expand(steps, list(zip(roots, coeffs)),
                        len(self._packed_originals or self.original_generators),
-                       layout, self.ring, frobenius)
+                       self._layout, self.ring, frobenius)
 
     def cofactors(self, f) -> list[Poly] | None:
         """Cofactors c_t with f = sum(c_t * original_generators[t]), or None
@@ -493,23 +512,19 @@ class GroebnerBasis:
         rem, quotients = normal_form_with_cofactors(f, self)
         if not rem.is_zero():
             return None
-        ring = f.ring
         cofactors = self.expand(quotients)
         columns = [_coordinates(g) for g in self.original_generators]
         for pos, want in enumerate(_coordinates(f)):
-            acc = ring.zero()
-            for c, g in zip(cofactors, columns):
-                acc = acc + c * g[pos]
-            if acc != want:
+            if dot(cofactors, [g[pos] for g in columns]) != want:
                 raise RuntimeError("cofactor certificate failed re-expansion")
         return cofactors
 
 
 def _expand(steps: list, seeds: list, ngens: int, layout: _Layout,
-            ring: PolyRing, frobenius: bool = False) -> list[Poly]:
+            ring: PolyRing, frobenius: bool = False) -> list[dict]:
     """Cofactors c_t over the ngens generators of sum(coeff * node) over
     the (node, packed coefficient) pairs of `seeds`, from a trace `steps`
-    of the engine.
+    of the engine, as packed shift terms with coefficients in [1, p).
 
     Node t < ngens is the t-th generator, with an empty step; every later
     node is the sum of multiplier * source over the (source node, packed
@@ -556,8 +571,7 @@ def _expand(steps: list, seeds: list, ngens: int, layout: _Layout,
                 for ma, ca in a.items():
                     m = ma + mm
                     out[m] = get(m, 0) + ca * cm
-    return [_poly(layout, ring,
-                  {m: r for m, c in (a or {}).items() if (r := c % p)})
+    return [{m: r for m, c in (a or {}).items() if (r := c % p)}
             for a in adj[:ngens]]
 
 
@@ -1051,10 +1065,11 @@ def jacobian_module(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
 def seeded_membership(target: ModuleVector, screen: GroebnerBasis,
                       extra: Sequence[ModuleVector] | int, *,
                       track: bool = False
-                      ) -> tuple[ModuleVector, list[Poly] | None]:
+                      ) -> tuple[ModuleVector, list[dict] | None]:
     """Decide `target` in N^[p] + span(extra), N the submodule of the
     reduced basis `screen` and ^[p] the coordinate-wise p-th power;
-    returns (remainder, cofactors) as `normal_form_with_cofactors` does.
+    returns (remainder, cofactors), the cofactors as packed shift terms
+    in the screen's layout (see `GroebnerBasis.pack`).
 
     `extra` is a list of vectors, or an int k for the screen's first k
     original generators, which are then taken as the screen's run packed

@@ -312,6 +312,31 @@ def test_certified_membership_stops_at_the_first_zero_remainder(monkeypatch):
     assert check_reexpansion(gens, residuals, cofactors) <= 9096
 
 
+@pytest.mark.parametrize("which", [0, -1])
+@pytest.mark.parametrize("gens", [
+    [make_cusp_hypersurface(3, 2, 3, 7)], make_cusp_ci(2, 2, 3, 3, 4)],
+    ids=["m=1", "m=2"])
+def test_reexpansion_check_rejects_a_wrong_cofactor(monkeypatch, gens, which):
+    # one seed cofactor off by the monomial 1, on N^[p]'s first element or
+    # on the last f_j e_i, must fail the re-expansion check
+    real = criteria.seeded_membership
+
+    def off_by_one(target, screen, extra, **kwargs):
+        rem, cof = real(target, screen, extra, **kwargs)
+        p = screen.ring.p
+        bad = dict(cof[which])
+        for k, c in screen.pack(screen.ring.one()).items():
+            if r := (bad.pop(k, 0) + c) % p:
+                bad[k] = r
+        cof[which] = bad
+        return rem, cof
+
+    assert classify(gens, certificates=True).f_liftable
+    monkeypatch.setattr(criteria, "seeded_membership", off_by_one)
+    with pytest.raises(RuntimeError, match="failed re-expansion"):
+        classify(gens, certificates=True)
+
+
 def _golden_fields(name):
     fields = {}
     for line in (GOLDEN / name).read_text().splitlines():

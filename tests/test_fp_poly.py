@@ -7,8 +7,8 @@ import pytest
 
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               NotPrimeError, ParseError, PolyRing,
-                              UnknownVariableError, format_poly, is_prime,
-                              parse_poly)
+                              UnknownVariableError, dot, format_poly,
+                              is_prime, parse_poly)
 
 from support import naive_product, random_poly
 
@@ -168,6 +168,81 @@ def test_format_examples():
 def test_format_constant_term():
     ring = PolyRing(["x", "y"], 7)
     assert format_poly(ring.from_int(12)) == "5"
+
+
+def _summed_products(left, right):
+    """sum(a * b) by `Poly` products and sums, which raise as they go."""
+    acc = left[0].ring.zero()
+    for a, b in zip(left, right):
+        acc = acc + a * b
+    return acc
+
+
+def test_dot_matches_summed_naive_products():
+    # dot against the sum of schoolbook products, zero and one-term
+    # operands included, and on pairs whose products cancel
+    rng = random.Random(2425)
+    seen = set()
+    for p in (2, 3, 5):
+        for n in (2, 3, 4):
+            ring = PolyRing(["x", "y", "z", "w"][:n], p)
+            for _ in range(25):
+                k = rng.randint(1, 4)
+                sizes = [rng.choice((0, 1, 1, 5)) for _ in range(2 * k)]
+                operands = [random_poly(rng, ring, t) for t in sizes]
+                left, right = operands[:k], operands[k:]
+                want = ring.zero()
+                for a, b in zip(left, right):
+                    want = want + naive_product(a, b)
+                    seen.update(len(x) for x in (a, b))
+                assert dot(left, right) == want
+                if not left[0].is_zero():
+                    assert dot(left[:1] * 2, [right[0], -right[0]]).is_zero()
+    assert {0, 1} <= seen and max(seen) > 1, seen
+    with pytest.raises(ValueError):
+        dot([], [])
+    with pytest.raises(ValueError):
+        dot([ring.one()], [ring.one(), ring.one()])
+
+
+def test_dot_guard_matches_the_products():
+    # dot raises DegreeGuardError exactly where some a * b of the sum
+    # does, the guard being that of a's ring, as in `a * b`
+    rng = random.Random(2426)
+    outcomes = set()
+    for guard in (6, 8, 10):
+        ring = PolyRing(["x", "y", "z"], 3, max_degree=guard)
+        for _ in range(40):
+            k = rng.randint(1, 3)
+            left, right = ([random_poly(rng, ring, 3, 6) for _ in range(k)]
+                           for _ in range(2))
+            try:
+                want = _summed_products(left, right)
+            except DegreeGuardError:
+                want = None
+                with pytest.raises(DegreeGuardError):
+                    dot(left, right)
+            else:
+                assert dot(left, right) == want
+            outcomes.add(want is None)
+    assert outcomes == {False, True}
+    small, big = PolyRing(["x"], 3, 6), PolyRing(["x"], 3, 100)
+    a, b = small.parse("x^4 + 1"), big.parse("x^3 + x")
+    with pytest.raises(DegreeGuardError):
+        dot([a], [b])
+    assert dot([b], [a]) == b * a
+    assert dot([small.zero(), b], [big.parse("x^99"), a]) == b * a
+
+
+def test_dot_refuses_mixed_ambients():
+    xy3 = PolyRing(["x", "y"], 3)
+    a, b = xy3.parse("x + y"), xy3.parse("x*y")
+    for other in (PolyRing(["x", "z"], 3), PolyRing(["x", "y"], 5)):
+        c = other.parse("x + 1")
+        for left, right in (([a], [c]), ([c], [a]), ([a, c], [b, c]),
+                            ([a, a], [b, c]), ([a, b], [b, other.zero()])):
+            with pytest.raises(AmbientMismatchError):
+                dot(left, right)
 
 
 RING_LAW_PRIMES = (2, 3, 5, 7)

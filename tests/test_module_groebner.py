@@ -144,7 +144,8 @@ def test_seeded_membership_leaves_the_normal_form_random():
     # the seeded entry returns, tracked or not, the target's normal form on
     # the full basis of N^[p] + span(extra), taken from the run itself; a
     # tracked member's cofactors re-expand the target over the seed, the
-    # screen's p-th powers followed by `extra`
+    # screen's p-th powers followed by `extra`; they come packed in the
+    # screen's layout
     rng = random.Random(4242)
     seen = set()
     for order in (GREVLEX, LEX, MonomialOrder("grevlex", (3, 1))):
@@ -172,6 +173,7 @@ def test_seeded_membership_leaves_the_normal_form_random():
                                                      track=track)
                         assert rem == module_normal_form(v, gb)
                         if track and rem.is_zero():
+                            cof = [screen.unpack(c) for c in cof]
                             assert all(combine(cof, seed, pos) == v[pos]
                                        for pos in range(2))
                         else:

@@ -1,6 +1,7 @@
 """Package hygiene: the runtime stays stdlib-only (every module that
 src/fliftlab imports is in the standard library or is fliftlab itself),
-and `fliftlab.__all__` lists each name the package has, once."""
+the lower modules keep their place in the package's import graph, and
+`fliftlab.__all__` lists each name the package has, once."""
 
 import ast
 import sys
@@ -28,6 +29,33 @@ def test_runtime_imports_only_the_standard_library():
         for name in _imported_top_modules(path):
             assert name in sys.stdlib_module_names or name == "fliftlab", \
                 (path.name, name)
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The fliftlab modules that a module imports, relatively or not."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module
+                         else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            if node.module.startswith("fliftlab."):
+                names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("fliftlab."))
+    return names
+
+
+# fp_poly, in whose arithmetic certificates are re-checked, depends on no
+# other module, so the check cannot come to rest on the engine it checks
+LAYERS = {"fp_poly": set(), "groebner": {"fp_poly"},
+          "frobsplit": {"fp_poly"}, "catalog": {"fp_poly"}}
+
+
+def test_lower_modules_keep_their_imports():
+    for name, imports in LAYERS.items():
+        assert _package_imports(SRC / f"{name}.py") == imports, name
 
 
 def test_every_export_exists_once():
