@@ -335,7 +335,7 @@ def _cmd_sweep(args, out) -> int:
             if args.jobs > 1 and len(tasks) > 1:
                 # the handler goes in after the workers start, so that they
                 # keep the default one and Pool.terminate() still stops them
-                pool = stack.enter_context(Pool(args.jobs))
+                pool = stack.enter_context(Pool(min(args.jobs, len(tasks))))
                 run = functools.partial(pool.imap, chunksize=4)
             stack.enter_context(_sigterm_interrupts())
             for res in run(_sweep_worker, tasks):

@@ -143,14 +143,15 @@ def residual_polynomial(f: Poly, split: SplittingData | None = None) -> Poly:
     if not split.fpure_at_origin:
         raise ValueError("residual is defined only for F-pure input "
                          "(Fedder test failed)")
-    return lift_and_residual(split, f)[1]
+    return split.unpack(lift_and_residual(split, f)[1])
 
 
-def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
+def _residual_membership(residuals: Sequence, gens: Sequence[Poly],
                          screen: GroebnerBasis, want_cofactors: bool,
-                         power: Poly | None = None):
-    """Decide (r_1..r_m) in N^[p] + (f_j e_i), with N the screen's
-    submodule; returns (member, remainder coordinates, cofactors).
+                         split: SplittingData | None = None):
+    """Decide (r_1..r_m) in N^[p] + (f_j e_i), N the screen's submodule,
+    for Polys r_i or r_i packed in the screen layout's `fields`; returns
+    (member, remainder coordinates, cofactors).
 
     `seeded_membership` seeds Buchberger with the p-th powers of N's
     reduced basis, a basis of N^[p], followed by the f_j e_i, taken as the
@@ -163,8 +164,8 @@ def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
     N^[p] maps back to N's generators by a Frobenius-twisted backward pass
     over the screen's trace (see `GroebnerBasis.expand_packed`).  They
     stay packed in the screen's layout until each final cofactor is
-    decoded once.  `power`, when given, is f^(p-1) for m = 1
-    (`SplittingData.power`), which is then not formed again.
+    decoded once.  `split`, when given, is that of `gens`: for m = 1 its
+    `power` is f^(p-1), which is then not formed again.
 
     The certificate is re-checked before it is returned, from the input
     generators alone and in `fp_poly` arithmetic, which shares nothing
@@ -175,15 +176,17 @@ def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
     ring = gens[0].ring
     m = len(gens)
     known = len(screen)
-    rem, seed_cof = seeded_membership(ModuleVector(residuals), screen,
-                                      m * m, track=want_cofactors)
+    packed = isinstance(residuals[0], dict)
+    rem, seed_cof = seeded_membership(
+        residuals if packed else ModuleVector(residuals), screen, m * m,
+        track=want_cofactors)
     if seed_cof is None:
         return rem.is_zero(), rem.coordinates, None
     # a seed element g^[p] with g = sum(c_t * N_t) over N's generators is
     # sum(c_t^p * N_t^[p]), where w_k is the p-th power of a Jacobian
     # column and (f_j e_i)^[p] = f_j^(p-1) * (f_j e_i)
     twisted = screen.expand_packed(seed_cof[:known], frobenius=True)
-    f_pow = ([power] if m == 1 and power is not None
+    f_pow = ([split.power] if m == 1 and split is not None
              else [f ** (ring.p - 1) for f in gens])
     cofactors = [screen.unpack(_plus_product(screen, c, t, f_pow[k % m]))
                  for k, (c, t) in enumerate(zip(seed_cof[known:], twisted))]
@@ -191,6 +194,7 @@ def _residual_membership(residuals: Sequence[Poly], gens: Sequence[Poly],
     columns = [[f.derivative(v).frobenius() for f in gens]
                for v in range(ring.nvars)]
     for i, r in enumerate(residuals):
+        r = screen.unpack(r) if packed else r
         if dot(cofactors[i * m:i * m + m] + cofactors[m * m:],
                list(gens) + [w[i] for w in columns]) != r:
             raise RuntimeError("residual certificate failed re-expansion")
@@ -292,22 +296,23 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
         return report(NOT_ISOLATED, None, None, False)
 
     t = time.perf_counter()
-    split = build_splitting(gens)
+    split = build_splitting(gens, screen._layout.fields)
     timings["fedder"] = _ms_since(t)
     if not split.fpure_at_origin:
         return report("classified", False, False, True,
                       Certificate(fedder_survivor=None, sigma_trace_constant=0))
 
-    # the "delta1" stage times the whole residual computation: delta1,
-    # sigma, the p-th powers and s^p * delta1, not delta1 alone
+    # the "delta1" stage times the whole residual computation, not delta1
+    # alone; for m = 1 delta1 is one product by f of fedder's f^(p-1) mod p^2
     t = time.perf_counter()
     lifts, residuals = zip(*(lift_and_residual(split, f) for f in gens))
     timings["delta1"] = _ms_since(t)
 
     t = time.perf_counter()
     member, remainder, cofactors = _residual_membership(
-        residuals, gens, screen, certificates, split.power)
+        residuals, gens, screen, certificates, split)
     if not member and decision != order:
+        residuals = [screen.unpack(r) for r in residuals]
         screen = _screen(gens, order, False)[1]
         remainder = _residual_membership(residuals, gens, screen, False)[1]
     timings["groebner"] = _ms_since(t)

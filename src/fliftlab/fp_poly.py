@@ -8,6 +8,7 @@ makes equality syntactic.  All values are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -285,41 +286,22 @@ class Poly:
             if isinstance(other, int):
                 return self.scale(other)
             return NotImplemented
-        self._check(other)
-        ring = self.ring
         a, b = self.terms, other.terms
-        if not a or not b:
-            return ring.zero()
-        if self.total_degree() + other.total_degree() > ring.max_degree:
-            raise DegreeGuardError(
-                f"product degree {self.total_degree() + other.total_degree()} "
-                f"exceeds guard {ring.max_degree}")
         if len(a) > len(b):
             a, b = b, a
+        if len(a) != 1:  # dot makes the ambient and degree-guard checks
+            return dot([self], [other])
+        self._check(other)
+        ring = self.ring
+        degree = self.total_degree() + other.total_degree()
+        if degree > ring.max_degree:
+            raise DegreeGuardError(
+                f"product degree {degree} exceeds guard {ring.max_degree}")
+        # a monomial times b: distinct products, no term cancels
+        (ma, ca), = a.items()
         p = ring.p
-        if len(a) == 1:
-            # a monomial times b: distinct products, no term cancels
-            (ma, ca), = a.items()
-            return Poly._make(ring, {tuple(x + y for x, y in zip(ma, mb)):
-                                     ca * cb % p for mb, cb in b.items()})
-        # a product of packed terms is one addition, and every output term
-        # is unpacked once
-        shifts, units, mask = _packing(
-            ring.nvars, self.total_degree() + other.total_degree())
-        pb = [(sum(map(operator.mul, mb, units)), cb) for mb, cb in b.items()]
-        out: dict[int, int] = {}
-        get = out.get
-        for ma, ca in a.items():
-            ka = sum(map(operator.mul, ma, units))
-            for kb, cb in pb:
-                m = ka + kb
-                c = (get(m, 0) + ca * cb) % p
-                if c:
-                    out[m] = c
-                else:
-                    out.pop(m, None)
-        return Poly._make(ring, {tuple((m >> s) & mask for s in shifts): c
-                                 for m, c in out.items()})
+        return Poly._make(ring, {tuple(x + y for x, y in zip(ma, mb)):
+                                 ca * cb % p for mb, cb in b.items()})
 
     __rmul__ = __mul__
 
@@ -334,15 +316,9 @@ class Poly:
         if self.total_degree() * e > ring.max_degree:
             raise DegreeGuardError(
                 f"power degree {self.total_degree() * e} exceeds guard {ring.max_degree}")
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        packing = _packing(ring.nvars, self.total_degree() * e or 1)
+        base = _pack(self.terms, packing[1])
+        return _unpack(ring, _times(dict(base), base, ring.p, e - 1), packing)
 
     def frobenius(self) -> "Poly":
         """The p-th power, computed by scaling every exponent by p.
@@ -400,14 +376,43 @@ class Poly:
         return format_poly(self)
 
 
+@functools.lru_cache(maxsize=64)
 def _packing(nvars: int, degree: int) -> tuple[range, list[int], int]:
-    """(shifts, units, mask) of the exponent packing of `Poly.__mul__`:
-    variable k in bits [k*w, (k+1)*w), w the bit length of `degree`, so
-    that every monomial of at most that degree fits, a product of terms
+    """(shifts, units, mask) of the exponent packing of `dot`, one per
+    shape: variable k in bits [k*w, (k+1)*w), w the bit length of `degree`,
+    so that every monomial of at most that degree fits, a product of terms
     is an addition and a p-th power a multiplication by p."""
     w = degree.bit_length()
     shifts = range(0, w * nvars, w)
     return shifts, [1 << s for s in shifts], (1 << w) - 1
+
+
+def _pack(terms: dict, units) -> list:
+    """Exponent-tuple terms as (packed key, coefficient) pairs."""
+    return [(sum(map(operator.mul, m, units)), c) for m, c in terms.items()]
+
+
+def _times(a: dict, b: list, q: int, e: int = 1) -> dict:
+    """a * b^e for packed terms, a the longer, by e products by the pairs
+    (key, coefficient) of b, coefficients reduced mod q."""
+    for _ in range(e):
+        out: dict[int, int] = {}
+        get = out.get
+        for kb, cb in b:
+            for ka, ca in a.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        a = {k: r for k, c in out.items() if (r := c % q)}
+    return a
+
+
+def _unpack(ring: PolyRing, terms: dict, packing: tuple) -> Poly:
+    """The polynomial of terms packed in `packing` (shifts, units, mask),
+    coefficients reduced mod p."""
+    shifts, _, mask = packing
+    p = ring.p
+    return Poly._make(ring, {tuple([(k >> s) & mask for s in shifts]): r
+                             for k, c in terms.items() if (r := c % p)})
 
 
 def dot(left: Sequence[Poly], right: Sequence[Poly]) -> Poly:
@@ -433,19 +438,18 @@ def dot(left: Sequence[Poly], right: Sequence[Poly]) -> Poly:
             top = max(top, degree)
             pairs.append((a.terms, b.terms) if len(a) <= len(b)
                          else (b.terms, a.terms))
-    shifts, units, mask = _packing(ring.nvars, top)
+    packing = _packing(ring.nvars, top)
+    units = packing[1]
     out: dict[int, int] = {}
     get = out.get
     for a, b in pairs:
-        pb = [(sum(map(operator.mul, mb, units)), cb) for mb, cb in b.items()]
+        pb = _pack(b, units)
         for ma, ca in a.items():
             ka = sum(map(operator.mul, ma, units))
             for kb, cb in pb:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-    p = ring.p
-    return Poly._make(ring, {tuple((k >> s) & mask for s in shifts): r
-                             for k, c in out.items() if (r := c % p)})
+    return _unpack(ring, out, packing)
 
 
 def parse_poly(source: str, variables: Iterable[str], p: int,

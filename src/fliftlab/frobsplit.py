@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import floordiv, mod, mul
+from operator import mul
 from typing import Sequence
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
-                      _packing as _mul_packing, grevlex_key)
+                      _pack, _packing, _times, _unpack, grevlex_key)
 
 
 @dataclass(frozen=True)
@@ -54,50 +53,21 @@ def frobenius_decompose(f: Poly) -> FrobeniusDecomposition:
 
 
 def trace_u(f: Poly) -> Poly:
-    """The (p-1,...,p-1) component of the digit decomposition: the group
-    of zero residues in `_digit_groups`."""
-    return _unpack(f.ring, dict(_digit_groups(f).get((0,) * f.ring.nvars,
-                                                     ())))
-
-
-def _digit_groups(f: Poly) -> dict:
-    """f's terms by digits: x^a listed, as (packed a // p, coefficient),
-    under the residues (p-1) - a mod p, so that a term x^b meets the terms
-    listed under b mod p (see `apply_sigma`)."""
-    p = f.ring.p
-    units = _packing(f.ring.nvars, f.ring.max_degree)[1]
-    top, ps = p - 1, repeat(p)
-    groups: dict[tuple[int, ...], list] = {}
-    for a, c in f.terms.items():
-        groups.setdefault(tuple([top - e % p for e in a]), []).append(
-            (sum(map(mul, map(floordiv, a, ps), units)), c))
-    return groups
-
-
-# _packing(nvars, max_degree): the exponent packing of `Poly.__mul__` at
-# the width of the degree guard, which every monomial within the guard
-# fits, built once per ambient shape
-_packing = functools.lru_cache(maxsize=64)(_mul_packing)
-
-
-def _unpack(ring: PolyRing, terms: dict) -> Poly:
-    """The polynomial of packed terms, coefficients reduced mod p."""
-    shifts, _, mask = _packing(ring.nvars, ring.max_degree)
-    p = ring.p
-    return Poly._make(ring, {tuple([(k >> s) & mask for s in shifts]): r
-                             for k, c in terms.items() if (r := c % p)})
+    """The (p-1,...,p-1) component of the digit decomposition."""
+    return frobenius_decompose(f).component((f.ring.p - 1,) * f.ring.nvars)
 
 
 def delta1(f: Poly) -> Poly:
     """The divided Frobenius defect of f (module docstring), by p-1
-    multiplications by f over Z/p^2 on packed exponents.  Zero and
-    single-term inputs give 0; the degree guard, that of f^p, is checked
-    before any product."""
-    return _unpack(f.ring, _delta1_terms(f))
+    multiplications by f over Z/p^2 on packed terms.  Zero and one-term
+    inputs give 0; the guard, that of f^p, is checked before a product."""
+    packing = _packing(f.ring.nvars, f.ring.max_degree)
+    return _unpack(f.ring, _delta1_terms(f, packing[1]), packing)
 
 
-def _delta1_terms(f: Poly) -> dict:
-    """delta1(f) as packed terms in f's ring (see `delta1`)."""
+def _delta1_terms(f: Poly, units, power: dict | None = None) -> dict:
+    """delta1(f) packed by `units`, from f^p mod p^2: one product by f of
+    `power`, (lift f)^(p-1) mod p^2 in that packing, when given."""
     ring = f.ring
     p = ring.p
     if len(f.terms) < 2:
@@ -107,50 +77,14 @@ def _delta1_terms(f: Poly) -> dict:
         raise DegreeGuardError(
             f"delta1 degree {degree} exceeds guard {ring.max_degree}")
     q = p * p
-    units = _packing(ring.nvars, ring.max_degree)[1]
-    base = [(sum(map(mul, m, units)), c) for m, c in f.terms.items()]
-    power = dict(base)
-    for _ in range(p - 1):
-        out: dict[int, int] = {}
-        get = out.get
-        for kb, cb in base:
-            for ka, ca in power.items():
-                k = ka + kb
-                out[k] = (get(k, 0) + ca * cb) % q
-        power = out
+    base = _pack(f.terms, units)
+    out = _times(power or dict(base), base, q, 1 if power else p - 1)
+    get = out.get
     for k, c in base:
-        power[k * p] -= pow(c, p, q)  # zero terms stay keys
+        k *= p
+        out[k] = get(k, 0) - pow(c, p, q)
     # every value is 0 mod p: the mixed terms of the integer p-th power
-    return {k: r for k, c in power.items() if (r := c % q // p)}
-
-
-def _product(gens: Sequence[Poly]) -> Poly:
-    acc = gens[0]
-    for g in gens[1:]:
-        acc = acc * g
-    return acc
-
-
-def _check_gens(gens: Sequence[Poly]) -> PolyRing:
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    for g in gens:
-        if g.is_zero():
-            raise ValueError("zero generator is not allowed")
-    return gens[0].ring
-
-
-def find_fedder_survivor(h: Poly) -> tuple[int, ...] | None:
-    """Largest (degrevlex) monomial of h with every exponent <= p-1, if any."""
-    p = h.ring.p
-    best = None
-    best_key = None
-    for mono in h.terms:
-        if max(mono) < p:
-            k = grevlex_key(mono)
-            if best_key is None or k > best_key:
-                best, best_key = mono, k
-    return best
+    return {k: r for k, c in out.items() if (r := c % q // p)}
 
 
 @dataclass(frozen=True)
@@ -158,128 +92,182 @@ class SplittingData:
     """A near-splitting section sigma(F_* r) = u(F_*(h*r)) compatible with
     the generated ideal.
 
-    `h` is `power` = (prod gens)^(p-1) times the monomial that moves the
-    chosen survivor monomial into the top digit block, so that the trace
-    constant s(0) is nonzero exactly when the F-purity test passes.
-    `survivor` is the witness monomial inside `power` itself.  `groups`
-    are h's `_digit_groups`, built once; s = u(h) is their group of zero
-    residues.
+    h = `power` * x^((p-1) - anchor) has total degree `degree`; `power`
+    is (prod gens)^(p-1), and `anchor` the survivor, the witness monomial
+    inside it, or (p-1, ..., p-1) without one, so that the trace constant
+    s(0) is nonzero exactly when the F-purity test passes.  In `packing`,
+    `power_terms` are the power's terms, coefficients mod p^2 for one
+    generator, `lifted`, else mod p, and `groups` them by a mod p, as
+    {packed a: c mod p}; `power`, `h` and s = u(h) are decoded if read.
     """
 
-    h: Poly
-    s: Poly
+    ring: PolyRing
+    packing: tuple = field(compare=False, repr=False)
+    power_terms: dict = field(compare=False, repr=False)
+    lifted: Poly | None
+    degree: int
     fpure_at_origin: bool
     survivor: tuple[int, ...] | None
-    power: Poly
+    anchor: tuple[int, ...]
     groups: dict = field(compare=False, repr=False)
+
+    def unpack(self, terms: dict) -> Poly:
+        return _unpack(self.ring, terms, self.packing)
+
+    @functools.cached_property
+    def power(self) -> Poly:
+        return self.unpack(self.power_terms)
+
+    @functools.cached_property
+    def h(self) -> Poly:
+        top = self.ring.p - 1
+        moved = sum(map(mul, [top - e for e in self.anchor], self.packing[1]))
+        return self.unpack({k + moved: c for k, c in self.power_terms.items()})
+
+    @functools.cached_property
+    def s(self) -> Poly:
+        at, p = sum(map(mul, self.anchor, self.packing[1])), self.ring.p
+        return self.unpack({(k - at) // p: c for k, c in
+                            self.groups.get(self.anchor, {}).items()})
 
     @property
     def trace_constant(self) -> int:
         return self.s.constant_term()
 
 
-def build_splitting(gens: Sequence[Poly]) -> SplittingData:
-    ring = _check_gens(gens)
-    p = ring.p
-    power = h = _product(gens) ** (p - 1)
-    survivor = find_fedder_survivor(power)
-    if survivor is not None:
-        shift = tuple(p - 1 - e for e in survivor)
-        if any(shift):
-            h = h * ring.monomial(shift)
-    groups = _digit_groups(h)
-    s = _unpack(ring, dict(groups.get((0,) * ring.nvars, ())))
-    fpure = survivor is not None
-    if (s.constant_term() != 0) != fpure:
-        raise RuntimeError("the Fedder survivor and the trace constant of "
-                           "the splitting disagree")
-    return SplittingData(h, s, fpure, survivor, power, groups)
+def build_splitting(gens: Sequence[Poly],
+                    packing: tuple | None = None) -> SplittingData:
+    """The splitting data of `gens` in `packing`, fields that hold every
+    exponent within the degree guard (`_packing` of the ring by default).
+    The power is formed on packed terms, over Z/p^2 for one generator;
+    the residues of each of its terms are read once.  DegreeGuardError
+    and AmbientMismatchError are raised where the Poly products of the
+    generators, their power and its product with x^((p-1) - anchor) would,
+    in that order."""
+    if not gens:
+        raise ValueError("generator list must be nonempty")
+    if any(g.is_zero() for g in gens):
+        raise ValueError("zero generator is not allowed")
+    ring = gens[0].ring
+    p, guard, top = ring.p, ring.max_degree, ring.p - 1
+    shifts, units, mask = packing = packing or _packing(ring.nvars, guard)
+    base, degree = dict(_pack(gens[0].terms, units)), gens[0].total_degree()
+    for g in gens[1:]:
+        gens[0]._check(g)
+        degree += g.total_degree()
+        if degree > guard:
+            raise DegreeGuardError(
+                f"product degree {degree} exceeds guard {guard}")
+        base = _times(base, _pack(g.terms, units), p)
+    degree *= top
+    if degree > guard:
+        raise DegreeGuardError(f"power degree {degree} exceeds guard {guard}")
+    power = _times(base, list(base.items()), p * p if len(gens) == 1 else p,
+                   top - 1)
+    groups: dict[tuple[int, ...], dict] = {}
+    for k, c in power.items():
+        if c := c % p:
+            groups.setdefault(
+                tuple([((k >> s) & mask) % p for s in shifts]), {})[k] = c
+    # x^alpha, the term of zero quotient in its group, is a candidate
+    survivor = max((alpha for alpha, terms in groups.items()
+                    if sum(map(mul, alpha, units)) in terms),
+                   key=grevlex_key, default=None)
+    anchor = survivor or (top,) * ring.nvars
+    moved = sum(map(top.__sub__, anchor))
+    if degree + moved > guard:
+        raise DegreeGuardError(
+            f"monomial degree {moved} exceeds guard {guard}" if moved > guard
+            else f"product degree {degree + moved} exceeds guard {guard}")
+    return SplittingData(ring, packing, power,
+                         gens[0] if len(gens) == 1 else None, degree + moved,
+                         survivor is not None, survivor, anchor, groups)
 
 
 def _sigma_terms(split: SplittingData, terms) -> dict:
-    """sigma(F_* r) as packed terms with unreduced coefficients, for the
-    (exponents, coefficient) pairs `terms` of r, forming only the
-    products u keeps; see `apply_sigma`, whose checks its callers make."""
-    ring = split.h.ring
-    p = ring.p
-    units = _packing(ring.nvars, ring.max_degree)[1]
-    groups, ps = split.groups, repeat(p)
+    """sigma(F_* r) for r's packed terms, coefficients unreduced; see
+    `apply_sigma`, whose checks its callers make."""
+    shifts, units, mask = split.packing
+    p, groups, anchor = split.ring.p, split.groups, split.anchor
+    at = sum(map(mul, anchor, units))
     out: dict[int, int] = {}
     get = out.get
-    for b, cb in terms:
-        group = groups.get(tuple(map(mod, b, ps)))
-        if group is None:
-            continue
-        qb = sum(map(mul, map(floordiv, b, ps), units))
-        for qa, ca in group:
-            q = qa + qb
-            out[q] = get(q, 0) + ca * cb
+    for kb, cb in terms:
+        if group := groups.get(tuple([(e - ((kb >> s) & mask)) % p
+                                      for s, e in zip(shifts, anchor)])):
+            kb -= at
+            for ka, ca in group.items():
+                q = (ka + kb) // p
+                out[q] = get(q, 0) + ca * cb
     return out
 
 
 def _check_sigma(split: SplittingData, ring: PolyRing, degree: int) -> None:
-    """The ambient and degree-guard checks of sigma on an argument of
-    `degree` in `ring`."""
-    h = split.h
-    if not h.ring.same_ambient(ring):
+    """sigma's checks on an argument of `degree` in `ring`."""
+    if not split.ring.same_ambient(ring):
         raise AmbientMismatchError("splitting and argument ambients differ")
-    degree += h.total_degree()
-    if degree > h.ring.max_degree:
+    if (degree := degree + split.degree) > split.ring.max_degree:
         raise DegreeGuardError(
-            f"product degree {degree} exceeds guard {h.ring.max_degree}")
+            f"product degree {degree} exceeds guard {split.ring.max_degree}")
 
 
 def apply_sigma(split: SplittingData, r: Poly) -> Poly:
     """sigma(F_* r) = u(F_*(h * r)), forming only the products u keeps.
 
-    A term x^(a+b) of h * r (a from h, b from r) survives u iff every
-    digit of a + b is p-1, that is a = (p-1) - b mod p in each variable;
-    the digits then sum to p-1 without a carry, so u sends it to
-    x^(a//p + b//p).  Each term of r meets only the group of h listed
-    under its residues (`SplittingData.groups`): about 1/p^n of the
-    products of h * r, each one addition of packed quotients.  The
-    degree guard is that of h * r.
+    A term x^(a+b) of h * r (x^a from the power, x^b from r) survives u
+    iff every digit of a + b + (p-1) - anchor is p-1, that is a = anchor
+    - b mod p, and u sends it to x^((a + b - anchor)/p): each term of r
+    meets one of the power's `groups`, about 1/p^n of the products of
+    h * r.  The degree guard is that of h * r.
     """
     _check_sigma(split, r.ring, r.total_degree())
-    return _unpack(split.h.ring, _sigma_terms(split, r.terms.items()))
+    return split.unpack(_sigma_terms(split, _pack(r.terms, split.packing[1])))
 
 
-def lift_and_residual(split: SplittingData, f: Poly) -> tuple[Poly, Poly]:
+def lift_and_residual(split: SplittingData, f: Poly) -> tuple[Poly, dict]:
     """(g, r) for one generator: g = -sigma(F_* delta1(f)) and
-    r = s^p * delta1(f) + g^p, on packed terms from delta1's products on:
-    s^p and g^p are packed terms times p, the product is one addition per
-    pair of terms, and only g and r are unpacked.  DegreeGuardError is
-    raised where `Poly.frobenius` on s, `delta1`, `apply_sigma`, the
-    product s^p * delta1(f) and `Poly.frobenius` on g would, in that
-    order."""
-    ring = split.h.ring
+    r = s^p * delta1(f) + g^p in the split's `packing`, coefficients in
+    [1, p).  delta1(f) of the split's one generator is one product by f
+    of its lifted power; it stays packed, and its exact degree is read
+    only where p * deg(f) could pass a guard.  DegreeGuardError is raised
+    where `Poly.frobenius` on s, `delta1`, `apply_sigma`, the product
+    s^p * delta1(f) and `Poly.frobenius` on g would, in that order."""
+    ring, packing = split.ring, split.packing
     p, guard = ring.p, ring.max_degree
     ds = split.s.total_degree() * p
     if ds > guard:
         raise DegreeGuardError(f"power degree {ds} exceeds guard {guard}")
-    shifts, _, mask = _packing(f.ring.nvars, f.ring.max_degree)
-    d1 = [([(k >> s) & mask for s in shifts], c)
-          for k, c in _delta1_terms(f).items()]
-    degree = max((sum(e) for e, _ in d1), default=-1)
+    power = split.power_terms if split.lifted == f else None
+    degree = f.total_degree() * p  # delta1's degree is at most this
+    if degree > packing[2]:  # f's own guard passes the split's fields
+        packing, power = _packing(f.ring.nvars, f.ring.max_degree), None
+    shifts, units, mask = packing
+    d1 = _delta1_terms(f, units, power)
+    if packing is not split.packing or degree + max(ds, split.degree) > guard:
+        exps = [[(k >> s) & mask for s in shifts] for k in d1]
+        degree = max(map(sum, exps), default=-1)
     _check_sigma(split, f.ring, degree)
-    g = {k: r for k, c in _sigma_terms(split, d1).items() if (r := -c % p)}
-    lift = _unpack(ring, g)
+    if packing is not split.packing:
+        d1 = {sum(map(mul, e, split.packing[1])): c
+              for e, c in zip(exps, d1.values())}
+    g = {k: r for k, c in _sigma_terms(split, d1.items()).items()
+         if (r := -c % p)}
+    lift = split.unpack(g)
     if d1 and ds + degree > guard:
         raise DegreeGuardError(
             f"product degree {ds + degree} exceeds guard {guard}")
     dg = lift.total_degree() * p
     if dg > guard:
         raise DegreeGuardError(f"power degree {dg} exceeds guard {guard}")
-    units = _packing(ring.nvars, guard)[1]
-    d1 = [(sum(map(mul, e, units)), c) for e, c in d1]
     r: dict[int, int] = {}
     get = r.get
-    for ks, cs in split.groups.get((0,) * ring.nvars, ()):
-        ks *= p
-        for kd, cd in d1:
+    at = sum(map(mul, split.anchor, split.packing[1]))
+    for ks, cs in split.groups.get(split.anchor, {}).items():
+        ks -= at  # s^p, from s = u(h)
+        for kd, cd in d1.items():
             k = ks + kd
             r[k] = get(k, 0) + cs * cd
     for k, c in g.items():
         k *= p
         r[k] = get(k, 0) + c
-    return lift, _unpack(ring, r)
+    return lift, {k: v for k, c in r.items() if (v := c % p)}

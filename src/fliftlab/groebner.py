@@ -29,7 +29,7 @@ from operator import mul
 from typing import Sequence
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
-                      dot, grevlex_key, lex_key)
+                      _unpack, dot, grevlex_key, lex_key)
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,8 @@ class _Layout:
         self.slot_mask = sum(one[:slots]) * self.cap
         self._low_mask = sum(one[:slots + nvars]) * self.cap
         self._exp_mask = self._low_mask - self.slot_mask
+        # the exponent fields alone, as an `fp_poly._packing`
+        self.fields = (self._exp_shifts, self.units[slots:], self.cap)
         self._prefix_mask = sum(one[slots + nvars:slots + 2 * nvars]) * self.cap
         # the exponent fields times this spread land on the prefix sums,
         # and times the weighted one on the weighted degree
@@ -296,14 +298,6 @@ def _prep_reducer(terms: dict, p: int) -> tuple:
     lm = max(terms)
     tail = tuple((m, c) for m, c in terms.items() if m != lm)
     return (lm, pow(terms[lm], p - 2, p), tail)
-
-
-def _poly(layout: _Layout, ring: PolyRing, terms: dict) -> Poly:
-    """The polynomial of a packed shift or quotient dict (slots all 0),
-    coefficients reduced mod p."""
-    p, cap, shifts = ring.p, layout.cap, layout._exp_shifts
-    return Poly._make(ring, {tuple([(m >> s) & cap for s in shifts]): r
-                             for m, c in terms.items() if (r := c % p)})
 
 
 class ModuleVector:
@@ -474,7 +468,7 @@ class GroebnerBasis:
         return {layout.enc(zero + m): c for m, c in poly.terms.items()}
 
     def unpack(self, terms: dict) -> Poly:
-        return _poly(self._layout, self.ring, terms)
+        return _unpack(self.ring, terms, self._layout.fields)
 
     def degree(self, terms: dict) -> int:
         """The largest degree of packed shift terms; -1 for none."""
@@ -593,7 +587,7 @@ def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis) -> tuple[Poly, lis
     """Normal form plus quotients q_i with f = sum(q_i g_i) + remainder."""
     quotients: list[dict] = [{} for _ in basis._reducers]
     rem = _normal_form(f, basis, quotients)
-    return rem, [_poly(basis._layout, f.ring, q) for q in quotients]
+    return rem, [_unpack(f.ring, q, basis._layout.fields) for q in quotients]
 
 
 def reduce_by_generators(f, gens: Sequence, order: MonomialOrder = GREVLEX):
@@ -1062,7 +1056,7 @@ def jacobian_module(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
                                       trace)
 
 
-def seeded_membership(target: ModuleVector, screen: GroebnerBasis,
+def seeded_membership(target: ModuleVector | list, screen: GroebnerBasis,
                       extra: Sequence[ModuleVector] | int, *,
                       track: bool = False
                       ) -> tuple[ModuleVector, list[dict] | None]:
@@ -1071,6 +1065,8 @@ def seeded_membership(target: ModuleVector, screen: GroebnerBasis,
     returns (remainder, cofactors), the cofactors as packed shift terms
     in the screen's layout (see `GroebnerBasis.pack`).
 
+    `target` is a vector, or its coordinates packed in the layout's
+    `fields` within the guard, completed by `_prefixed` and the slot.
     `extra` is a list of vectors, or an int k for the screen's first k
     original generators, which are then taken as the screen's run packed
     them, never decoded or checked again.  The p-th powers of the
@@ -1088,8 +1084,14 @@ def seeded_membership(target: ModuleVector, screen: GroebnerBasis,
     over the run's steps; else None.
     """
     ring, layout, p = screen.ring, screen._layout, screen.ring.p
-    if not target.ring.same_ambient(ring):
-        raise AmbientMismatchError("vector and basis ambients differ")
+    if isinstance(target, ModuleVector):
+        if not target.ring.same_ambient(ring):
+            raise AmbientMismatchError("vector and basis ambients differ")
+        target = screen._encode(target)
+    else:
+        target = {layout._prefixed(k) + slot: c for slot, terms in
+                  zip(layout.units[:layout.slots] or [0], target)
+                  for k, c in terms.items()}
     if isinstance(extra, int):
         extra = list(screen._packed_originals[:extra])
     else:
@@ -1101,7 +1103,7 @@ def seeded_membership(target: ModuleVector, screen: GroebnerBasis,
     nodes = list(range(known)) + [t for t, g in enumerate(extra, known) if g]
     reducers += [_prep_reducer(g, p) for g in extra if g]
     quotients = defaultdict(dict) if track else None
-    rem = _reduce_full(screen._encode(target), reducers, p, layout, quotients)
+    rem = _reduce_full(target, reducers, p, layout, quotients)
     steps = [[] for _ in range(known + len(extra))]
     seeds = [(nodes[k], q) for k, q in quotients.items()] if track else None
     if rem:

@@ -11,6 +11,7 @@ JSON schema (stable, versioned):
 
 `timings_ms.delta1` times the whole residual stage: delta1(f_i), sigma
 of it, the p-th powers and s^p * delta1(f_i); the key keeps its name.
+For one f, `fedder` forms f^(p-1) over Z/p^2, and delta1 one product by f.
 
 Polynomials appear as canonical text; a complete-intersection remainder
 is the coordinate list joined into a vector "(r1, r2)".  Certificates

@@ -1,9 +1,9 @@
 """Shared test helpers: random polynomial generation, the dense
 Macaulay-matrix membership oracle used to cross-check the Groebner
 engine, and plain oracles for the polynomial product, delta1, the
-standard-monomial count, the packed term layout and the pair criteria;
-a re-expansion check of residual certificates; and seeded coordinate
-changes that fix the origin.
+Fedder survivor, the standard-monomial count, the packed term layout and
+the pair criteria; a re-expansion check of residual certificates; and
+seeded coordinate changes that fix the origin.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from fliftlab.fp_poly import DegreeGuardError, Poly, PolyRing
+from fliftlab.fp_poly import DegreeGuardError, Poly, PolyRing, grevlex_key
 
 
 def random_poly(rng: random.Random, ring: PolyRing, max_terms: int = 5,
@@ -105,6 +105,13 @@ def delta1_walk(f: Poly) -> Poly:
             nc = coeff * pow(bc, alpha, p) * inv_fact[alpha] % p
             stack.append((idx + 1, remaining - alpha, nm, nc))
     return Poly._make(ring, out)
+
+
+def find_fedder_survivor(h: Poly) -> tuple[int, ...] | None:
+    """Largest (degrevlex) monomial of h with every exponent <= p-1, if
+    any: the Fedder survivor, read off the Poly h."""
+    low = [mono for mono in h.terms if max(mono) < h.ring.p]
+    return max(low, key=grevlex_key, default=None)
 
 
 def unit_expansions(basis, frobenius: bool = False) -> list[list[Poly]]:

@@ -474,6 +474,37 @@ def test_sweep_parallel_jobs_matches_serial(capsys, tmp_path, monkeypatch):
     assert strip(serial) == strip(parallel)
 
 
+def test_sweep_pool_is_no_larger_than_its_classes(capsys, tmp_path,
+                                                   monkeypatch):
+    # --jobs N asks for min(N, number of classes) workers; the stub Pool
+    # records its size and runs the tasks here, so it starts no process
+    from fliftlab import cli
+    sizes, classes = [], []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            classes.append(len(tasks))
+            return map(fn, tasks)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    for jobs in ("5000", "3"):
+        code, out, _ = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
+                               "--max", "5", "--jobs", jobs)
+        assert code == EXIT_OK and "0 not liftable" in out
+    assert classes == [11, 11] and sizes == [11, 3]
+
+
 def test_sweep_md_format(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, "sweep", "cusp_ci", "--p", "2",

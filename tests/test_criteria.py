@@ -17,7 +17,7 @@ from fliftlab.criteria import (LiftabilityReport, TooManyGeneratorsError,
                                _residual_membership,
                                classify, isolated_singularity_check,
                                residual_polynomial)
-from fliftlab.fp_poly import DegreeGuardError, PolyRing, format_poly
+from fliftlab.fp_poly import DegreeGuardError, Poly, PolyRing, format_poly
 from fliftlab.frobsplit import build_splitting, lift_and_residual
 from fliftlab.groebner import (GREVLEX, LEX, ModuleVector, MonomialOrder,
                                module_buchberger, module_normal_form)
@@ -225,7 +225,7 @@ def test_classify_dispatch():
 
 def _residuals(gens):
     split = build_splitting(gens)
-    return [lift_and_residual(split, f)[1] for f in gens]
+    return [split.unpack(lift_and_residual(split, f)[1]) for f in gens]
 
 
 def _counting(monkeypatch, module, name):
@@ -413,7 +413,8 @@ def test_seeded_membership_matches_cold_oracle():
         split = build_splitting(gens)
         if status in ("smooth", "not_isolated") or not split.fpure_at_origin:
             continue
-        residuals = [lift_and_residual(split, f)[1] for f in gens]
+        residuals = [split.unpack(lift_and_residual(split, f)[1])
+                     for f in gens]
         seeded = _residual_membership(residuals, gens, screen, False)
         assert seeded[:2] == _cold_membership(residuals, gens), \
             [str(f) for f in gens]
@@ -463,7 +464,7 @@ def test_plain_and_certified_routes_agree():
     for t in classes:
         gens = [make_cusp_hypersurface(3, *t)]
         split = build_splitting(gens)
-        residuals = [lift_and_residual(split, gens[0])[1]]
+        residuals = [split.unpack(lift_and_residual(split, gens[0])[1])]
         plain, cert = (_residual_membership(
             residuals, gens, isolated_singularity_check(gens, track=c)[1],
             c) for c in (False, True))
@@ -659,3 +660,34 @@ def test_classify_validates_what_the_packed_screen_packs():
     # within the guard the mixed guards classify as one ring does
     gens[1] = big.parse("z*w+x^3+y^2")
     assert classify(gens).f_liftable
+
+
+def test_uncertified_classify_forms_no_poly_product(monkeypatch):
+    # Fedder, delta1, sigma and the residual run on packed terms: a plain
+    # verdict calls neither Poly.__mul__ nor Poly.__pow__, the F-pure
+    # nonmember E_8^1 and its recompute under degrevlex included; a
+    # certified complete intersection still forms its f_j^(p-1) by them
+    cases = [([make_cusp_hypersurface(5, 2, 3, 7)], (True, True)),
+             (make_cusp_ci(2, 2, 3, 3, 4), (True, True)),
+             ([_r(5).parse("z^2+x^3+y^5+x*y^4")], (True, False))]
+    calls = {"__mul__": 0, "__pow__": 0}
+
+    def counted(name):
+        real = getattr(Poly, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Poly, name, counted(name))
+    monkeypatch.setattr(Poly, "__rmul__", Poly.__mul__)
+    screens = _counting(monkeypatch, criteria, "_screen")
+    for gens, verdict in cases:
+        rep = classify(gens)
+        assert (rep.f_pure, rep.f_liftable) == verdict
+    assert screens["n"] == 4  # E_8^1 is screened again under degrevlex
+    assert calls == {"__mul__": 0, "__pow__": 0}
+    assert classify(cases[1][0], certificates=True).f_liftable
+    assert calls["__pow__"] == 2

@@ -1,20 +1,24 @@
 """Frobenius operators: digit decomposition, trace, delta1, Fedder,
 splitting sections."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
 
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               PolyRing)
-from fliftlab.frobsplit import (apply_sigma, build_splitting, delta1,
-                                find_fedder_survivor, frobenius_decompose,
-                                trace_u)
-from fliftlab.groebner import buchberger, normal_form
+from fliftlab.frobsplit import (_delta1_terms, apply_sigma, build_splitting,
+                                delta1, frobenius_decompose,
+                                lift_and_residual, trace_u)
+from fliftlab.groebner import (GREVLEX, LEX, MonomialOrder, _Layout,
+                               buchberger, normal_form)
 
-from support import delta1_walk, random_poly, random_nonzero_poly
+from support import (delta1_walk, find_fedder_survivor, random_poly,
+                     random_nonzero_poly)
 
 
 def test_decompose_examples():
@@ -260,3 +264,141 @@ def test_apply_sigma_keeps_the_product_guard_and_ambient_check():
         apply_sigma(split, over)
     with pytest.raises(AmbientMismatchError):
         apply_sigma(split, PolyRing(["x", "z"], 3).parse("x"))
+
+
+def _poly_fedder(gens):
+    """Fedder through Poly arithmetic: (prod gens)^(p-1), its survivor and
+    h = power * x^((p-1) - survivor)."""
+    ring, p = gens[0].ring, gens[0].ring.p
+    power = functools.reduce(operator.mul, gens) ** (p - 1)
+    survivor = find_fedder_survivor(power)
+    h = power
+    if survivor is not None and any(e < p - 1 for e in survivor):
+        h = h * ring.monomial([p - 1 - e for e in survivor])
+    return power, survivor, h
+
+
+def _packings(ring):
+    """The default packing and the exponent fields of the layouts the
+    screen may hand over: degrevlex, weighted degrevlex with position
+    slots, and lex."""
+    n, guard = ring.nvars, ring.max_degree
+    weighted = MonomialOrder("grevlex", tuple(range(1, n + 1)))
+    return [None, _Layout(n, 0, GREVLEX, guard).fields,
+            _Layout(n, 2, weighted, guard).fields,
+            _Layout(n, 0, LEX, guard).fields]
+
+
+def test_packed_fedder_matches_the_poly_route():
+    # seeded generators, one-term ones among them: the packed power,
+    # survivor, h, s and digit groups equal the Poly route's in every
+    # packing, and delta1 from the shared power equals delta1 and the
+    # walk oracle (0 for one term)
+    rng = random.Random(2501)
+    compared = one_term = 0
+    for p in (2, 3, 5, 7):
+        for n in (2, 3, 4):
+            ring = PolyRing("xyzw"[:n], p, max_degree=400)
+            for m in (1, 2):
+                for trial in range(4):
+                    gens = [random_nonzero_poly(rng, ring, 1 + 3 * (trial > 0),
+                                                3) for _ in range(m)]
+                    power, survivor, h = _poly_fedder(gens)
+                    groups: dict = {}
+                    for a, c in power.terms.items():
+                        groups.setdefault(tuple(e % p for e in a), {})[a] = c
+                    for packing in _packings(ring):
+                        split = build_splitting(gens, packing)
+                        assert (split.power, split.survivor, split.h) == \
+                            (power, survivor, h)
+                        assert split.fpure_at_origin == (survivor is not None)
+                        assert split.s == trace_u(h)
+                        assert split.degree == h.total_degree()
+                        assert {alpha: split.unpack(terms).terms for
+                                alpha, terms in split.groups.items()} == groups
+                        if m == 1:
+                            f = gens[0]
+                            shared = split.unpack(_delta1_terms(
+                                f, split.packing[1], split.power_terms))
+                            assert shared == delta1(f) == delta1_walk(f)
+                            one_term += len(f) == 1 and shared.is_zero()
+                        compared += 1
+    assert compared == 4 * 3 * 2 * 4 * 4 and one_term >= 8, one_term
+
+
+def _outcome(route, gens):
+    try:
+        return route(gens)
+    except (AmbientMismatchError, DegreeGuardError) as exc:
+        return type(exc), str(exc)
+
+
+def _packed_route(gens):
+    split = build_splitting(gens)
+    return [split.survivor] + ([
+        (g, split.unpack(r)) for g, r in
+        (lift_and_residual(split, f) for f in gens)]
+        if split.fpure_at_origin else [])
+
+
+def _poly_route(gens):
+    """Fedder and the residuals through Poly products and powers, which
+    raise at their own checks: sigma as the trace of h * delta1."""
+    _, survivor, h = _poly_fedder(gens)
+    if survivor is None:
+        return [survivor]
+    s_p = trace_u(h).frobenius()
+    out = [survivor]
+    for f in gens:
+        d1 = delta1_walk(f)
+        g = -trace_u(h * d1)
+        out.append((g, s_p * d1 + g.frobenius()))
+    return out
+
+
+def test_packed_fedder_and_residual_raise_where_the_poly_route_does():
+    # every degree guard from the generators' degree up past f^p and h:
+    # the same DegreeGuardError (message included, so the same check) or
+    # the same result, among them at deg(prod f) * (p-1) and deg(f) * p
+    # and one below each, and where the survivor's shift passes the guard
+    # (x + y^3, and x alone, whose shift y^2*z^2 outgrows x^2); generators
+    # of another ambient raise AmbientMismatchError at the same product
+    cases = [(5, "xyz", ["x^2+y^3+z^7+x*y*z"]),
+             (5, "xyz", ["z^2+x^3+y^5+x*y^4"]),
+             (3, "xy", ["x^2+y^3+x*y"]), (3, "xy", ["x+y^3"]),
+             (3, "xyz", ["x"]),
+             (3, "xyzw", ["x*y+z^2+w^2", "z*w+x^2+y^2+2*x*y*w"]),
+             (2, "xyzw", ["x*y+z^2+w^3", "z*w+x^3+y^4"])]
+    raised = set()
+    for p, names, texts in cases:
+        top = PolyRing(names, p).parse("*".join(f"({t})" for t in texts))
+        degrees = [PolyRing(names, p).parse(t).total_degree() for t in texts]
+        thresholds = {top.total_degree() * (p - 1)}
+        thresholds |= {d * p for d in degrees}
+        guards = range(max(degrees), max(thresholds) + len(names) * p)
+        assert all(t in guards and t - 1 in guards for t in thresholds
+                   if t > max(degrees))
+        for guard in guards:
+            ring = PolyRing(names, p, guard)
+            gens = [ring.parse(t) for t in texts]
+            want = _outcome(_poly_route, gens)
+            assert _outcome(_packed_route, gens) == want, (texts, guard)
+            if isinstance(want, tuple):
+                raised.add(want[1].split()[0])
+    assert raised == {"product", "power", "delta1", "monomial"}, raised
+    # a second generator under a larger guard of its own: below 16 its
+    # delta1, with the term x^17*z, passes the fields of the first one's
+    # guard, so delta1 is formed in its own packing; the outcomes still
+    # agree guard by guard
+    for guard in range(11, 32):
+        gens = [PolyRing("xyzw", 2, guard).parse("x*y+z^2"),
+                PolyRing("xyzw", 2, 100).parse("z*w+x^9+x^8*z")]
+        want = _outcome(_poly_route, gens)
+        assert _outcome(_packed_route, gens) == want, guard
+    ring, other = PolyRing("xyzw", 3), PolyRing("xyzw", 5)
+    for gens in ([ring.parse("x*y+z^2"), other.parse("z*w+x^2")],
+                 [ring.parse("x*y+z^2"), ring.parse("z*w+x^2"),
+                  other.parse("w")]):
+        want = _outcome(_poly_route, gens)
+        assert want[0] is AmbientMismatchError
+        assert _outcome(_packed_route, gens) == want

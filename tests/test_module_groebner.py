@@ -433,3 +433,34 @@ def test_packed_read_out_matches_the_tuple_definitions():
                             is_zero_dimensional(basis)) == want
                     seen.add(want)
     assert seen == {(True, True), (False, True), (False, False)}, seen
+
+
+def test_seeded_membership_takes_the_residual_packed():
+    # the residual packed in the screen layout's fields, as classify hands
+    # it over, gives the remainder and cofactors of its ModuleVector, plain
+    # and tracked: m = 1 under degrevlex, weighted degrevlex and lex, for
+    # a member and the nonmember E_8^1, and m = 2 under both orders
+    from fliftlab.catalog import make_cusp_ci, make_cusp_hypersurface
+    from fliftlab.frobsplit import build_splitting, lift_and_residual
+
+    cusp = [make_cusp_hypersurface(5, 2, 3, 7)]
+    e81 = [_ring(5, ("x", "y", "z")).parse("z^2+x^3+y^5+x*y^4")]
+    ci = make_cusp_ci(2, 2, 3, 3, 4)
+    cases = [(cusp, GREVLEX), (cusp, MonomialOrder("grevlex", (4, 2, 1))),
+             (cusp, LEX), (e81, GREVLEX),
+             (e81, MonomialOrder("grevlex", (2, 1, 2))), (e81, LEX),
+             (ci, GREVLEX), (ci, LEX)]
+    members = 0
+    for gens, order in cases:
+        m = len(gens)
+        for track in (False, True):
+            screen = jacobian_module(gens, order, track=track)
+            split = build_splitting(gens, screen._layout.fields)
+            packed = [lift_and_residual(split, f)[1] for f in gens]
+            vector = ModuleVector([split.unpack(r) for r in packed])
+            got = seeded_membership(packed, screen, m * m, track=track)
+            assert got == seeded_membership(vector, screen, m * m,
+                                            track=track), (gens, order)
+            members += got[0].is_zero()
+            assert (got[1] is not None) == (track and got[0].is_zero())
+    assert members == 2 * 5, members
