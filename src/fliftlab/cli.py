@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import os
 import signal
 import sys
@@ -30,8 +29,8 @@ from .criteria import classify as _classify_gens
 from .fp_poly import (DEFAULT_MAX_DEGREE, DegreeGuardError, FpPolyError,
                       PolyRing, is_prime)
 from .groebner import order_by_name
-from .report import (csv_table, markdown_table, report_text, report_to_dict,
-                     sweep_text, text_table)
+from .report import (csv_table, json_text, markdown_table, report_text,
+                     report_to_dict, sweep_text, text_table)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -182,7 +181,7 @@ def _cmd_classify(args, out) -> int:
     report = _classify_gens(gens, order=order_by_name(args.order),
                             certificates=args.certificates)
     if args.format == "json":
-        out.write(json.dumps([report_to_dict(report)], indent=2) + "\n")
+        out.write(json_text([report_to_dict(report)]) + "\n")
     elif args.format == "csv":
         out.write(csv_table([_csv_row(report, "adhoc", ";".join(args.poly))]))
     elif args.format == "md":
@@ -223,7 +222,7 @@ def _cmd_table(args, out) -> int:
                              "f_liftable": inst.expected.f_liftable}
             d["match"] = ok
             payload.append(d)
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(json_text(payload) + "\n")
     elif args.format == "csv":
         out.write(csv_table(
             [_csv_row(report, inst.row.row_label,
@@ -364,7 +363,7 @@ def _cmd_sweep(args, out) -> int:
                         "non_liftable": [
                             {"p": p, "params": list(t)} for p, t in non_liftable]},
         }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(json_text(payload) + "\n")
     elif args.format == "csv":
         out.write(csv_table(
             [(p, family, ";".join(f"{n}={v}" for n, v in zip("abcd", t)),

@@ -571,22 +571,27 @@ def format_monomial(mono: tuple[int, ...], variables: tuple[str, ...]) -> str:
     return "*".join(factors) if factors else "1"
 
 
+_REVERSED = operator.itemgetter(slice(None, None, -1))
+
+
 def format_poly(f: Poly) -> str:
     """Deterministic text form; terms in descending degrevlex order.
 
-    It reparses to an equal polynomial (round-trip law).
+    It reparses to an equal polynomial (round-trip law).  The order comes
+    from two stable sorts on C-level keys: ascending on the reversed
+    exponent tuple, then descending on the total degree, which together
+    are descending `grevlex_key`.
     """
-    if f.is_zero():
+    terms = f.terms
+    if not terms:
         return "0"
     variables = f.ring.variables
+    monos = sorted(terms, key=_REVERSED)
+    monos.sort(key=sum, reverse=True)
     parts = []
-    for mono in sorted(f.terms, key=grevlex_key, reverse=True):
-        c = f.terms[mono]
-        body = format_monomial(mono, variables)
-        if body == "1":
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(body)
-        else:
-            parts.append(f"{c}*{body}")
+    for mono in monos:
+        body = "*".join([v if e == 1 else f"{v}^{e}"
+                         for v, e in zip(variables, mono) if e])
+        c = terms[mono]
+        parts.append((body if c == 1 else f"{c}*{body}") if body else str(c))
     return " + ".join(parts)

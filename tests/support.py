@@ -1,9 +1,10 @@
 """Shared test helpers: random polynomial generation, the dense
 Macaulay-matrix membership oracle used to cross-check the Groebner
 engine, and plain oracles for the polynomial product, delta1, the
-Fedder survivor, the standard-monomial count, the packed term layout and
-the pair criteria; a re-expansion check of residual certificates; and
-seeded coordinate changes that fix the origin.
+Fedder survivor, the printer's term order, the standard-monomial count,
+the packed term layout and the pair criteria; a re-expansion check of
+residual certificates; seeded coordinate changes that fix the origin;
+and diagonal hypersurfaces with their closed-form F-purity.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import random
 
 import numpy as np
 
-from fliftlab.fp_poly import DegreeGuardError, Poly, PolyRing, grevlex_key
+from fliftlab.fp_poly import (DegreeGuardError, Poly, PolyRing,
+                              format_monomial, grevlex_key)
 
 
 def random_poly(rng: random.Random, ring: PolyRing, max_terms: int = 5,
@@ -112,6 +114,41 @@ def find_fedder_survivor(h: Poly) -> tuple[int, ...] | None:
     any: the Fedder survivor, read off the Poly h."""
     low = [mono for mono in h.terms if max(mono) < h.ring.p]
     return max(low, key=grevlex_key, default=None)
+
+
+def format_poly_by_grevlex_key(f: Poly) -> str:
+    """Reference printer: terms sorted by the Python key `grevlex_key`."""
+    if f.is_zero():
+        return "0"
+    variables = f.ring.variables
+    parts = []
+    for mono in sorted(f.terms, key=grevlex_key, reverse=True):
+        c = f.terms[mono]
+        body = format_monomial(mono, variables)
+        if body == "1":
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(body)
+        else:
+            parts.append(f"{c}*{body}")
+    return " + ".join(parts)
+
+
+def diagonal(exponents, p: int) -> Poly:
+    """The Brieskorn-Pham hypersurface x0^a0 + x1^a1 + ... over F_p."""
+    n = len(exponents)
+    ring = PolyRing([f"x{i}" for i in range(n)], p)
+    return ring.from_terms({tuple(a if j == i else 0 for j in range(n)): 1
+                            for i, a in enumerate(exponents)})
+
+
+def diagonal_is_fpure(exponents, p: int) -> bool:
+    """Fedder's test on a diagonal f, in closed form: f^(p-1) is the sum of
+    the multinomial terms x^(a*k) over sum(k) = p-1, each with a unit
+    coefficient and all distinct, and one lies outside m^[p] iff some k
+    has a_i*k_i <= p-1 for every i, that is iff
+    sum floor((p-1)/a_i) >= p-1."""
+    return sum((p - 1) // a for a in exponents) >= p - 1
 
 
 def unit_expansions(basis, frobenius: bool = False) -> list[list[Poly]]:

@@ -2,7 +2,7 @@
 
 import json
 import random
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import pytest
@@ -23,7 +23,8 @@ from fliftlab.groebner import (GREVLEX, LEX, ModuleVector, MonomialOrder,
                                module_buchberger, module_normal_form)
 from fliftlab.report import report_from_dict, report_to_json
 
-from support import (check_reexpansion, delta1_walk, membership_columns,
+from support import (check_reexpansion, delta1_walk, diagonal,
+                     diagonal_is_fpure, membership_columns,
                      random_automorphism, substitute)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -691,3 +692,18 @@ def test_uncertified_classify_forms_no_poly_product(monkeypatch):
     assert calls == {"__mul__": 0, "__pow__": 0}
     assert classify(cases[1][0], certificates=True).f_liftable
     assert calls["__pow__"] == 2
+
+
+def test_diagonal_verdicts_beyond_surfaces_match_the_closed_form():
+    """x0^a0 + ... at n = 4, 5 with a_i <= 4 and p = 3, 5.  The screen
+    refuses exactly the inputs with two exponents divisible by p (on the
+    other coordinates' zero set, x_i^a_i + x_j^a_j = 0 is then a singular
+    curve), and every classified verdict's f_pure is the closed form's."""
+    for n, p in product((4, 5), (3, 5)):
+        for a in combinations_with_replacement(range(2, 5), n):
+            rep = classify([diagonal(a, p)])
+            refused = sum(e % p == 0 for e in a) >= 2
+            assert rep.status == ("not_isolated" if refused
+                                  else "classified"), (a, p)
+            if not refused:
+                assert rep.f_pure == diagonal_is_fpure(a, p), (a, p)

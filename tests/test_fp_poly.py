@@ -10,7 +10,7 @@ from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               UnknownVariableError, dot, format_poly,
                               is_prime, parse_poly)
 
-from support import naive_product, random_poly
+from support import format_poly_by_grevlex_key, naive_product, random_poly
 
 
 def test_parse_term_list():
@@ -307,6 +307,26 @@ def test_parse_format_roundtrip_500():
         f = random_poly(rng, ring, 6, 7)
         assert ring.parse(format_poly(f)) == f
         count += 1
+
+
+def test_format_poly_matches_the_grevlex_key_printer():
+    """Up to 41 terms, many of one degree, exponents up to 12, a constant
+    term, and coefficients 1 and > 1: the printed order is descending
+    grevlex_key and the text reparses to the same polynomial."""
+    rng = random.Random(2026)
+    names = ["x", "y", "z", "u", "v"]
+    for _ in range(300):
+        p = rng.choice((2, 3, 7))
+        n = rng.randint(1, 5)
+        ring = PolyRing(names[:n], p)
+        terms = {(0,) * n: rng.randrange(1, p) if p > 2 else 1}
+        for i in range(rng.randint(1, 40)):
+            mono = tuple(rng.randint(0, 12) for _ in range(n))
+            terms[mono] = 1 if i == 0 else rng.randrange(1, p) if p > 2 else 1
+        f = ring.from_terms(terms)
+        text = format_poly(f)
+        assert text == format_poly_by_grevlex_key(f)
+        assert ring.parse(text) == f
 
 
 def test_equality_is_syntactic():

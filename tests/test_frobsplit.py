@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,8 +18,8 @@ from fliftlab.frobsplit import (_delta1_terms, apply_sigma, build_splitting,
 from fliftlab.groebner import (GREVLEX, LEX, MonomialOrder, _Layout,
                                buchberger, normal_form)
 
-from support import (delta1_walk, find_fedder_survivor, random_poly,
-                     random_nonzero_poly)
+from support import (delta1_walk, diagonal, diagonal_is_fpure,
+                     find_fedder_survivor, random_poly, random_nonzero_poly)
 
 
 def test_decompose_examples():
@@ -402,3 +403,19 @@ def test_packed_fedder_and_residual_raise_where_the_poly_route_does():
         want = _outcome(_poly_route, gens)
         assert want[0] is AmbientMismatchError
         assert _outcome(_packed_route, gens) == want
+
+
+def test_diagonal_fedder_matches_the_closed_form():
+    """Fedder's test on x0^a0 + ... (2 <= a_i) at n = 3, 4, 5 against
+    sum floor((p-1)/a_i) >= p-1; and never F-pure when sum 1/a_i < 1,
+    since F-pure implies log canonical (Hara-Watanabe 2002).  The sum is
+    exact: in floats 1/2 + 1/3 + 1/6 comes out below 1."""
+    for n, top, primes in ((3, 8, (3, 5, 7, 11)), (4, 6, (3, 5, 7)),
+                           (5, 4, (3, 5))):
+        for p in primes:
+            for a in itertools.combinations_with_replacement(
+                    range(2, top + 1), n):
+                pure = build_splitting([diagonal(a, p)]).fpure_at_origin
+                assert pure == diagonal_is_fpure(a, p), (a, p)
+                if sum(Fraction(1, e) for e in a) < 1:
+                    assert not pure, (a, p)
