@@ -26,7 +26,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
                       _unpack, dot, grevlex_key, lex_key)
@@ -639,31 +639,33 @@ def _common_ring(gens: Sequence) -> PolyRing:
     return ring
 
 
-def _new_pairs(layout: _Layout, lms: list[int], active: list[int],
-               h: int) -> list[tuple]:
+def _new_pairs(layout: _Layout, lms: list[int], kinds: list[int],
+               active: list[int], h: int) -> list[tuple]:
     """Criteria M and F: the pairs (lcm, g, h) that lead lms[h] keeps with
-    lms[g], g in `active`, at its position.  Each lcm keeps its last g, or
-    -1 if a candidate is coprime; the lcms are walked upward against the
+    lms[g], g in `active`, the list at its position.  Each lcm keeps its
+    last g, or -1 if a candidate passes the product criterion (Buchberger
+    1979), by `kinds` (2 a monomial, 1 all terms at the lead's position,
+    0 spread): two monomials, whose S-vector is 0, or two one-position
+    elements with coprime lead exponents, whose S-vector reduces to 0 by
+    the two as in the ideal case.  The lcms are walked upward against the
     minimal ones met so far (a divisor is never larger).  Divisibility
     reads only the slot and exponent fields, and an int of those alone
     grows with every one of them, so the walk runs on such ints and the
     prefix sums are rebuilt only for the pairs kept.  The lcm with a lead
-    t is t plus lms[h]'s excess over t, all of lms[h] iff they are coprime."""
-    lm = lms[h]
-    guard, slot_mask, low = layout.guard, layout.slot_mask, layout._low_mask
-    pos, top = lm & slot_mask, layout.width - 1
-    lml = lm & low
-    lmg = lml | guard
+    t is t plus lms[h]'s excess over t, all of lms[h]'s exponents iff
+    they are coprime."""
+    lm, kh = lms[h], kinds[h]
+    guard, low, top = layout.guard, layout._low_mask, layout.width - 1
+    lmg = lm & low | guard
+    coprime = lm & layout._exp_mask
     cands: dict[int, int] = {}
     for g in active:
-        t = lms[g]
-        if slot_mask and t & slot_mask != pos:
-            continue
-        t &= low
+        t = lms[g] & low
         ge = (diff := lmg - t) & guard  # guard bits where lms[h] >= t
         inc = diff & (ge - (ge >> top))
         if cands.get(lcm := t + inc, 0) >= 0:
-            cands[lcm] = -1 if inc == lml else g
+            cands[lcm] = -1 if kh and (kg := kinds[g]) and (
+                inc == coprime or kh == kg == 2) else g
     minimal: list[int] = []
     for lcm in sorted(cands):
         lg = lcm | guard
@@ -692,14 +694,17 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     (criteria M and F, see `_new_pairs`), an old pair is dropped when the
     new lead divides its lcm strictly on both sides (criterion B_k), and
     an element whose lead the new lead divides takes no further pairs.
-    Pairs form only between leads at the same position.  The coprime
-    criterion acts at rank 1 only: slotted terms at one position are
-    never coprime, as their lead product has a slot of 2.  The basis is
-    kept only as prepared monic reducers, each built in one pass over its
-    remainder when it joins; S-pairs are formed from their tails (see
-    `_spair_terms`), and all S-pair reductions share one divisor memo.
-    The pair heap pops the smallest lcm first, ties by index; leads, lcms,
-    shifts and the recorded multipliers stay packed throughout.
+    Pairs form only between leads at the same position, so `active` is
+    kept per position.  The product criterion drops a pair of monomials
+    (its S-vector is 0) and a pair of elements that each live at their
+    lead's position, as every element does at rank 1, with coprime lead
+    exponents (their S-vector reduces to 0 by the two, as for ideals).
+    The basis is kept only as prepared monic reducers, each built in one
+    pass over its remainder when it joins; S-pairs are formed from their
+    tails (see `_spair_terms`), and all S-pair reductions share one
+    divisor memo.  The pair heap pops the smallest lcm first, ties by
+    index; leads, lcms, shifts and the recorded multipliers stay packed
+    throughout.
 
     `target`, a term dict that no lead of `gens` divides a term of, is
     reduced with the run's memo whenever a joining lead divides one of
@@ -712,7 +717,7 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     one per reducer the target was divided by (see `_expand`).
     """
     p = ring.p
-    guard = layout.guard
+    guard, slot_mask = layout.guard, layout.slot_mask
     lcm_of = layout.lcm
 
     lms: list[int] = []
@@ -721,16 +726,19 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     # the node of each basis element
     steps: list[list[tuple]] | None = [[] for _ in gens] if track else None
     nodes: list[int] = []
-    active: list[int] = []  # elements whose lead no later lead divides
+    kinds: list[int] = []  # 2 a monomial, 1 one-position, 0 spread
+    # per position, the elements whose lead no later lead divides
+    active: dict[int, list[int]] = {}
     pairs: list[tuple] = []  # heap of (lcm, i, j)
     memo: dict = {}  # the divisor memo of `reducers`
     # with track, the target's quotient on each reducer it was divided by
     target_q = defaultdict(dict) if track else None
 
     def update(h: int, lm: int, seed: bool) -> None:
-        nonlocal pairs, active
+        nonlocal pairs
+        here = active.get(pos := lm & slot_mask, [])
         if not seed:
-            new = _new_pairs(layout, lms, active, h)
+            new = _new_pairs(layout, lms, kinds, here, h)
             # criterion B_k on the old pairs; the heap is rebuilt only
             # when it loses a pair
             npairs = len(pairs)
@@ -744,9 +752,9 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
             else:
                 pairs.extend(new)
                 heapq.heapify(pairs)
-        active = [g for g in active
-                  if ((lms[g] | guard) - lm) & guard != guard]
-        active.append(h)
+        here = [g for g in here if ((lms[g] | guard) - lm) & guard != guard]
+        here.append(h)
+        active[pos] = here
 
     def add(terms: dict, step: list | None, seed: bool = False) -> None:
         # the element is terms / lc, and with track terms is the sum of
@@ -754,6 +762,9 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
         lm = max(terms)
         inv = pow(terms[lm], p - 2, p)
         lms.append(lm)
+        pos = lm & slot_mask
+        kinds.append(2 if len(terms) == 1 else not slot_mask or
+                     all(m & slot_mask == pos for m in terms))
         reducers.append((lm, 1, tuple(
             (m, c * inv % p) for m, c in terms.items() if m != lm)))
         if track:
@@ -796,13 +807,14 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     if target is not None:
         return target, (steps, [(nodes[k], q) for k, q in target_q.items()]
                         ) if track else None
-    reducers, roots = _interreduce(reducers, ring, layout, active,
+    reducers, roots = _interreduce(reducers, ring, layout,
+                                   itertools.chain(*active.values()),
                                    (steps, nodes) if track else None)
     return reducers, (steps, roots) if track else None
 
 
 def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
-                 active: list[int], trace: tuple[list, list] | None
+                 active: Iterable[int], trace: tuple[list, list] | None
                  ) -> tuple[list[tuple], list[int] | None]:
     """The reducers of the reduced basis, largest lead first, from the
     prepared reducers (lead, 1, tail) of a monic Groebner basis.
@@ -860,11 +872,13 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX, *,
 
     Pair selection follows the normal strategy (smallest lcm in the order,
     ties by input index).  The Gebauer-Moeller update prunes pairs once,
-    as each element joins, and the coprime (product) criterion drops
-    pairs of ideal leads; see `_groebner`.  The degree guard checks every
-    pair that survives (in `seeded_membership`, every pair processed
-    before the run stops).  Deterministic for a fixed
-    input sequence.
+    as each element joins, and the product criterion drops a pair of
+    monomials, whose S-vector is 0, and a pair of elements that each live
+    at one position with coprime lead exponents, whose S-vector reduces
+    to 0 by the two as for ideals; see `_groebner`.  The degree guard
+    checks every pair that survives (in `seeded_membership`, every pair
+    processed before the run stops).  Deterministic for a fixed input
+    sequence.
 
     `known_gb_prefix` marks the first k generators as a Groebner basis of
     the subideal they generate, so their mutual S-pairs are skipped.

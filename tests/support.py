@@ -303,12 +303,17 @@ def is_basis(leads, reduced_leads) -> bool:
                for b in reduced_leads)
 
 
-def quadratic_new_pairs(layout, lms: list, active: list, h: int) -> set:
+def quadratic_new_pairs(layout, lms: list, kinds: list, active: list,
+                        h: int) -> set:
     """Criteria M and F as first written, quadratic in the candidates:
     the (lcm, g) pairs that lms[h] keeps with the leads lms[g], g in
-    `active`.  A candidate is kept unless a later candidate's lcm or an
-    already kept lcm divides its own; a coprime candidate is kept through
-    the walk, since it may still prune others, and dropped after it."""
+    `active`, at its position.  A candidate is kept unless a later
+    candidate's lcm or an already kept lcm divides its own; a candidate
+    that passes the product criterion is kept through the walk, since it
+    may still prune others, and dropped after it.  By `kinds` (2 a
+    monomial, 1 one-position, 0 spread) it passes when both leads are
+    monomials or both one-position with the lcm their product, less one
+    copy of the shared position slot."""
     lm = lms[h]
     pos = lm & layout.slot_mask
     cands = [(layout.lcm(lms[g], lm), g) for g in active
@@ -317,11 +322,13 @@ def quadratic_new_pairs(layout, lms: list, active: list, h: int) -> set:
     kept: list = []
     new: set = set()
     for n, (lcm, g) in enumerate(cands):
-        coprime = lcm == lms[g] + lm
-        if coprime or not (layout.divided(lcm, lcms[n + 1:]) or
+        product = (kinds[g] == kinds[h] == 2 or
+                   kinds[g] > 0 and kinds[h] > 0 and
+                   lcm == lms[g] + lm - pos)
+        if product or not (layout.divided(lcm, lcms[n + 1:]) or
                            layout.divided(lcm, kept)):
             kept.append(lcm)
-            if not coprime:
+            if not product:
                 new.add((lcm, g))
     return new
 

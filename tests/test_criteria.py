@@ -640,6 +640,20 @@ def test_weighted_route_bounds_the_cusp_237_membership_run(monkeypatch):
     assert len(runs) == 6 and sum(runs) <= 400, runs
 
 
+def test_product_criterion_bounds_the_cusp_ci_screens(monkeypatch):
+    # the screens of the 119 cusp_ci classes at p = 2, exponents <= 6:
+    # most of N's basis elements are monomials or live at one position, and
+    # the product criterion at every rank leaves 1,599 of the 4,434 S-pairs
+    # formed when it held at rank 1 only
+    spairs = _counting(monkeypatch, groebner, "_spair_terms")
+    classes = sorted({cusp_ci_symmetry_class(t)
+                      for t in product(range(2, 7), repeat=4)
+                      if cusp_ci_admissible(*t)})
+    for cls in classes:
+        criteria._screen(make_cusp_ci(2, *cls), GREVLEX, False)
+    assert len(classes) == 119 and spairs["n"] <= 1700, spairs["n"]
+
+
 def test_classify_validates_what_the_packed_screen_packs():
     # the screen packs each generator once, without building
     # ModuleVectors: generators in different ambients (another prime,

@@ -743,7 +743,8 @@ def _assert_pruned_basis(gens, want, known_gb_prefix=0):
 
 def test_new_pairs_match_the_quadratic_rule():
     # small exponents make equal lcms, coprime leads and unit leads common;
-    # with slots, leads at other positions take no pair
+    # every lead draws a kind (monomial, one-position or spread), and with
+    # slots the engine hands over only the active leads at h's position
     rng = random.Random(8128)
     for order in (GREVLEX, LEX):
         for slots in (0, 2, 3):
@@ -756,13 +757,18 @@ def test_new_pairs_match_the_quadratic_rule():
                         slot[rng.randrange(slots)] = 1
                     lms.append(layout.enc(tuple(slot) + tuple(
                         rng.choice((0, 0, 1, 2, 3)) for _ in range(3))))
+                kinds = [rng.choice((0, 1, 2)) for _ in lms]
                 h = len(lms) - 1
                 active = rng.sample(range(h), rng.randint(0, h))
-                new = _new_pairs(layout, lms, active, h)
+                pos = lms[h] & layout.slot_mask
+                here = [g for g in active
+                        if lms[g] & layout.slot_mask == pos]
+                new = _new_pairs(layout, lms, kinds, here, h)
                 assert all(e[2] == h for e in new)
                 pairs = [e[:2] for e in new]
                 assert len(set(pairs)) == len(pairs)
-                assert set(pairs) == quadratic_new_pairs(layout, lms, active, h)
+                assert set(pairs) == quadratic_new_pairs(layout, lms, kinds,
+                                                         active, h)
 
 
 def test_equal_leads_keep_one_pair_per_lcm():

@@ -288,7 +288,8 @@ def test_module_bases_satisfy_buchberger_criterion_random():
 
 def test_coprime_leads_at_one_position_still_pair():
     # the leads x e_1 and y e_1 have coprime monomials, but their S-vector
-    # (0, y) is new: the product criterion holds at rank 1 only
+    # (0, y) is new: (x, 1) does not live at one position, so the product
+    # criterion does not drop the pair
     ring = _ring(3, ("x", "y"))
     gens = [ModuleVector([ring.parse("x"), ring.one()]),
             ModuleVector([ring.parse("y"), ring.zero()])]
@@ -297,6 +298,70 @@ def test_coprime_leads_at_one_position_still_pair():
         assert verify_buchberger(gb)
         assert gb.generators == (gens[0], gens[1],
                                  ModuleVector([ring.zero(), ring.parse("y")]))
+
+
+def _kind_biased_vector(rng, ring, size):
+    # a monomial vector, a vector at one position, or a random one
+    coords = [ring.zero()] * size
+    roll = rng.random()
+    if roll < 0.8:
+        terms = 1 if roll < 0.4 else 3
+        coords[rng.randrange(size)] = random_nonzero_poly(rng, ring, terms, 3)
+    else:
+        coords = [random_poly(rng, ring, 2, 3) for _ in range(size)]
+    return ModuleVector(coords)
+
+
+def test_product_criterion_on_monomial_and_one_position_vectors():
+    # the update drops pairs of monomials and coprime pairs of vectors at
+    # one position; the basis must still pass the full Buchberger test,
+    # which forms every pair at a position, hold every input, re-expand
+    # in the inputs and not depend on their order
+    rng = random.Random(2727)
+    for order in (GREVLEX, LEX):
+        for p in (2, 3, 5):
+            ring = _ring(p, ("x", "y"))
+            for size in (2, 3):
+                for _ in range(8):
+                    gens = [_kind_biased_vector(rng, ring, size)
+                            for _ in range(rng.randint(2, 5))]
+                    if all(g.is_zero() for g in gens):
+                        continue
+                    gb = module_buchberger(gens, order, track=True)
+                    assert verify_buchberger(gb)
+                    for g in gens:
+                        assert module_normal_form(g, gb).is_zero()
+                    for v, cof in zip(gb.generators, unit_expansions(gb)):
+                        for pos in range(size):
+                            assert combine(cof, gens, pos) == v[pos]
+                    assert module_buchberger(gens[::-1], order).generators \
+                        == gb.generators
+
+
+def test_product_criterion_drops_the_pair(monkeypatch):
+    # (x, 0) and (y, 0) are monomials at one position, and so are x^2*y
+    # and x*y^2 at rank 1: their S-vectors are 0.  (x + 1, 0) and
+    # (y + 1, 0) live at one position with coprime leads, so theirs
+    # reduces to 0 by the two.  None of the three forms an S-pair.
+    from fliftlab import groebner
+    calls = []
+    real = groebner._spair_terms
+    monkeypatch.setattr(groebner, "_spair_terms",
+                        lambda *args: calls.append(1) or real(*args))
+    ring = _ring(3, ("x", "y"))
+    zero = ring.zero()
+    cases = [
+        [ModuleVector([ring.parse("x"), zero]),
+         ModuleVector([ring.parse("y"), zero])],
+        [ModuleVector([ring.parse("x+1"), zero]),
+         ModuleVector([ring.parse("y+1"), zero])],
+        [ring.parse("x^2*y"), ring.parse("x*y^2")]]
+    for gens in cases:
+        for order in (GREVLEX, LEX):
+            gb = buchberger(gens, order)
+            assert calls == [] and gb.generators == tuple(gens)
+            assert verify_buchberger(gb)  # forms the pair itself
+            calls.clear()
 
 
 def test_tracked_module_basis_elements_expand_from_their_reprs():
