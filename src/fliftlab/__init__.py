@@ -11,7 +11,7 @@ from .groebner import (GREVLEX, LEX, GroebnerBasis, ModuleVector,
                        module_buchberger, normal_form, quotient_dimension,
                        supported_only_at_origin)
 from .frobsplit import (FrobeniusDecomposition, SplittingData, apply_sigma,
-                        build_splitting, delta1, frobenius_decompose, trace_u)
+                        build_splitting, delta1, frobenius_decompose)
 from .criteria import (Certificate, LiftabilityReport, classify,
                        isolated_singularity_check, residual_polynomial)
 from .catalog import (ExpectedRecord, FamilySpec, TableInstance,
@@ -33,5 +33,5 @@ __all__ = [
     "make_cusp_ci", "make_cusp_hypersurface", "make_rdp", "module_buchberger",
     "normal_form", "parse_poly", "quotient_dimension", "report_from_dict",
     "report_to_dict", "report_to_json", "residual_polynomial",
-    "supported_only_at_origin", "trace_u",
+    "supported_only_at_origin",
 ]

@@ -388,10 +388,13 @@ def _cmd_sweep(args, out) -> int:
 
     if interrupted and emitted:
         p, t = emitted[-1][:2]
-        _write_cursor(family, p, t)
+        try:
+            _write_cursor(family, p, t)
+            notice = f"cursor at {_cursor_text(family, p, t)}"
+        except OSError as exc:
+            notice = f"cursor not saved: {exc}"
         # on stderr, so that the rows on stdout still parse
-        print(f"interrupted; cursor at {_cursor_text(family, p, t)}",
-              file=sys.stderr)
+        print(f"interrupted; {notice}", file=sys.stderr)
     return EXIT_INTERRUPTED if interrupted else EXIT_OK
 
 

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fp_poly import DegreeGuardError, Poly, dot, format_poly
+from .fp_poly import DegreeGuardError, Poly, _add_product, dot, format_poly
 from .groebner import (GREVLEX, GroebnerBasis, ModuleVector, MonomialOrder,
                        is_zero_dimensional, jacobian_module,
                        seeded_membership, supported_only_at_origin)
@@ -207,16 +207,12 @@ def _plus_product(screen: GroebnerBasis, c: dict, t: dict, f: Poly) -> dict:
     that the Poly product of t and f makes."""
     out = dict(c)
     if t and f:
-        degree = screen.degree(t) + f.total_degree()
+        degree = max(map(screen._layout.degree, t)) + f.total_degree()
         guard = screen.ring.max_degree
         if degree > guard:
             raise DegreeGuardError(
                 f"product degree {degree} exceeds guard {guard}")
-        get = out.get
-        for mf, cf in screen.pack(f).items():
-            for mt, ct in t.items():
-                k = mt + mf
-                out[k] = get(k, 0) + ct * cf
+        _add_product(out, screen.pack(f).items(), t.items())
     return out
 
 

@@ -392,16 +392,22 @@ def _pack(terms: dict, units) -> list:
     return [(sum(map(operator.mul, m, units)), c) for m, c in terms.items()]
 
 
+def _add_product(out: dict, a: Iterable, b: Iterable) -> dict:
+    """out += a * b in place for packed (key, coefficient) pairs, b walked
+    once per pair of a; coefficients unreduced.  Returns out."""
+    get = out.get
+    for ka, ca in a:
+        for kb, cb in b:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
 def _times(a: dict, b: list, q: int, e: int = 1) -> dict:
     """a * b^e for packed terms, a the longer, by e products by the pairs
     (key, coefficient) of b, coefficients reduced mod q."""
     for _ in range(e):
-        out: dict[int, int] = {}
-        get = out.get
-        for kb, cb in b:
-            for ka, ca in a.items():
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
+        out = _add_product({}, b, a.items())
         a = {k: r for k, c in out.items() if (r := c % q)}
     return a
 
@@ -441,14 +447,8 @@ def dot(left: Sequence[Poly], right: Sequence[Poly]) -> Poly:
     packing = _packing(ring.nvars, top)
     units = packing[1]
     out: dict[int, int] = {}
-    get = out.get
     for a, b in pairs:
-        pb = _pack(b, units)
-        for ma, ca in a.items():
-            ka = sum(map(operator.mul, ma, units))
-            for kb, cb in pb:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
+        _add_product(out, _pack(a, units), _pack(b, units))
     return _unpack(ring, out, packing)
 
 

@@ -1,10 +1,11 @@
 """Frobenius-specific operators over F_p[x]: the p-th power digit
-decomposition, the top-digit trace u, the divided Frobenius defect
-delta1, Fedder's F-purity test and splitting sections.
+decomposition, the divided Frobenius defect delta1, Fedder's F-purity
+test and splitting sections.
 
 Writing every exponent vector as p*q + alpha with digits alpha in
-[0,p)^n expresses f uniquely as sum(g_alpha^p * x^alpha); u projects
-onto the alpha = (p-1,...,p-1) component.  For f = sum c_i x^a_i with
+[0,p)^n expresses f uniquely as sum(g_alpha^p * x^alpha); the trace u,
+which splitting sections apply (see `apply_sigma`), projects onto the
+alpha = (p-1,...,p-1) component.  For f = sum c_i x^a_i with
 each c_i lifted to [0, p), delta1(f) = ((lift f)^p - sum (lift c_i
 x^a_i)^p)/p mod p, the mixed terms of the integer p-th power.
 """
@@ -17,7 +18,8 @@ from operator import mul
 from typing import Sequence
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
-                      _pack, _packing, _times, _unpack, grevlex_key)
+                      _add_product, _pack, _packing, _times, _unpack,
+                      grevlex_key)
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,6 @@ def frobenius_decompose(f: Poly) -> FrobeniusDecomposition:
         bucket[q] = c
     components = {alpha: Poly._make(ring, terms) for alpha, terms in buckets.items()}
     return FrobeniusDecomposition(p, ring, components)
-
-
-def trace_u(f: Poly) -> Poly:
-    """The (p-1,...,p-1) component of the digit decomposition."""
-    return frobenius_decompose(f).component((f.ring.p - 1,) * f.ring.nvars)
 
 
 def delta1(f: Poly) -> Poly:
@@ -98,7 +95,7 @@ class SplittingData:
     s(0) is nonzero exactly when the F-purity test passes.  In `packing`,
     `power_terms` are the power's terms, coefficients mod p^2 for one
     generator, `lifted`, else mod p, and `groups` them by a mod p, as
-    {packed a: c mod p}; `power`, `h` and s = u(h) are decoded if read.
+    {packed a: c mod p}; `power` and s = u(h) are decoded if read.
     """
 
     ring: PolyRing
@@ -117,12 +114,6 @@ class SplittingData:
     @functools.cached_property
     def power(self) -> Poly:
         return self.unpack(self.power_terms)
-
-    @functools.cached_property
-    def h(self) -> Poly:
-        top = self.ring.p - 1
-        moved = sum(map(mul, [top - e for e in self.anchor], self.packing[1]))
-        return self.unpack({k + moved: c for k, c in self.power_terms.items()})
 
     @functools.cached_property
     def s(self) -> Poly:
@@ -259,14 +250,11 @@ def lift_and_residual(split: SplittingData, f: Poly) -> tuple[Poly, dict]:
     dg = lift.total_degree() * p
     if dg > guard:
         raise DegreeGuardError(f"power degree {dg} exceeds guard {guard}")
-    r: dict[int, int] = {}
-    get = r.get
     at = sum(map(mul, split.anchor, split.packing[1]))
-    for ks, cs in split.groups.get(split.anchor, {}).items():
-        ks -= at  # s^p, from s = u(h)
-        for kd, cd in d1.items():
-            k = ks + kd
-            r[k] = get(k, 0) + cs * cd
+    s_p = [(ks - at, cs)  # from s = u(h)
+           for ks, cs in split.groups.get(split.anchor, {}).items()]
+    r = _add_product({}, s_p, d1.items())
+    get = r.get
     for k, c in g.items():
         k *= p
         r[k] = get(k, 0) + c

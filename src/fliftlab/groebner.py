@@ -12,8 +12,8 @@ its own position.  Modules use the term-over-position order
 return Polys for an ideal, ModuleVectors for a submodule, and exponent
 tuples for monomials.
 
-Provides reduced bases, normal forms with optional cofactor
-certificates, and the dimension and origin-support checks of R^s/N.
+Provides reduced bases, normal forms with optional quotients, cofactors
+from a tracked run, and the dimension and origin-support checks of R^s/N.
 The default order is degrevlex, which takes optional variable weights;
 lex is available for debugging.
 """
@@ -29,7 +29,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
-                      _unpack, dot, grevlex_key, lex_key)
+                      _add_product, _unpack, grevlex_key, lex_key)
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,17 @@ class _Layout:
             out[slot + sum(map(mul, m, packers))] = c
         return out
 
+    def enc_vector(self, v) -> dict:
+        """Pack a Poly or ModuleVector with one coordinate per position
+        of R^s, s = max(slots, 1)."""
+        coords = _coordinates(v)
+        if len(coords) != (self.slots or 1):
+            raise ValueError("coordinate-count mismatch")
+        out: dict = {}
+        for pos, poly in enumerate(coords):
+            out.update(self.enc_terms(poly.terms, pos))
+        return out
+
     def dec_terms(self, terms: dict) -> dict:
         return {self.dec(m): c for m, c in terms.items()}
 
@@ -343,62 +354,32 @@ class GroebnerBasis:
     """A reduced, monic Groebner basis with a fixed monomial order, of an
     ideal or of a submodule of R^s under term-over-position order.
 
-    Its elements are Polys when `original_generators` are Polys, else
-    ModuleVectors of their length s; the leading monomials are exponent
-    tuples, after s position slots when s > 1.
-
-    `trace`, when present (track=True), is (steps, roots): how the engine
-    formed each element from `original_generators`, which `expand` turns
-    into cofactors (see `_expand`).  roots[i] is the node of
-    generators[i].  `reducers`, when given, are the engine's
-    prepared reducers of the basis, and `generators` may then be None:
-    they are decoded from the reducers on first access, since the engine's
-    own callers read only the leads, the reducers and the trace.  Every
-    reduction against the reducers shares one divisor memo (see
-    `_reduce_full`).
+    Built from the engine's output only: the rank `size`, the kind
+    (`vectors`: ModuleVectors of length s, else Polys), the `packed`
+    original generators, the prepared `reducers` and the `trace`.  The
+    `originals`, when not given, and the elements and leads are decoded
+    on first access; the leads are exponent tuples, after s position
+    slots when s > 1.  The `trace`, when present (track=True), is (steps,
+    roots): how the engine formed each element from `original_generators`,
+    which `expand_packed` turns into cofactors (see `_expand`); roots[i]
+    is the node of generators[i].  Every reduction against the reducers
+    shares one divisor memo (see `_reduce_full`).
     """
 
-    # an engine-built basis keeps the packed original_generators of its run
-    _packed_originals: Sequence[dict] = ()
-
-    def __init__(self, generators: Sequence | None, order: MonomialOrder,
-                 original_generators: Sequence,
-                 trace: tuple[list, list] | None = None,
-                 reducers: list[tuple] | None = None):
-        originals = tuple(original_generators)
-        first = originals[0]
-        self._setup(first.ring, len(_coordinates(first)),
-                    isinstance(first, ModuleVector), order, trace, originals)
-        self._generators = None if generators is None else tuple(generators)
-        if reducers is None:
-            reducers = [_prep_reducer(self._encode(g), self.ring.p)
-                        for g in self._generators]
-        self._reducers = reducers
-
-    @classmethod
-    def _from_packed(cls, ring: PolyRing, size: int, order: MonomialOrder,
-                     packed: list[dict], reducers: list[tuple],
-                     trace: tuple[list, list] | None) -> "GroebnerBasis":
-        """An engine basis of ModuleVectors of length `size` whose
-        original_generators are known only as the packed `packed`; they
-        are decoded on first access."""
-        self = object.__new__(cls)
-        self._setup(ring, size, True, order, trace, None)
-        self._packed_originals = packed
-        self._generators = None
-        self._reducers = reducers
-        return self
-
-    def _setup(self, ring: PolyRing, size: int, vectors: bool,
-               order: MonomialOrder, trace, originals) -> None:
+    def __init__(self, ring: PolyRing, size: int, vectors: bool,
+                 order: MonomialOrder, packed: Sequence[dict],
+                 reducers: list[tuple], trace: tuple[list, list] | None,
+                 originals: tuple | None = None):
         self.ring = ring
         self.size = size  # the rank s of the module
         self._vectors = vectors
         self._slots = size if size > 1 else 0
         self.order = order
         self.trace = trace
+        self._packed_originals = packed
         self._originals = originals
-        self._leads = None
+        self._reducers = reducers
+        self._generators = self._leads = None
         self._layout = _shared_layout(ring.nvars, self._slots, order,
                                       ring.max_degree)
         self._memo: dict = {}
@@ -442,16 +423,7 @@ class GroebnerBasis:
         units = {lm & slots for lm, _, _ in self._reducers if not lm & exps}
         return len(units) == self.size
 
-    # An element of the span as the engine's packed term dict, and back.
-    def _encode(self, v) -> dict:
-        coords = _coordinates(v)
-        if len(coords) != self.size:
-            raise ValueError("coordinate-count mismatch")
-        out: dict = {}
-        for pos, poly in enumerate(coords):
-            out.update(self._layout.enc_terms(poly.terms, pos))
-        return out
-
+    # A packed element of the span (see `_Layout.enc_vector`) decoded.
     def _decode(self, terms: dict, ring: PolyRing):
         if not self._slots:
             poly = Poly._make(ring, self._layout.dec_terms(terms))
@@ -470,48 +442,22 @@ class GroebnerBasis:
     def unpack(self, terms: dict) -> Poly:
         return _unpack(self.ring, terms, self._layout.fields)
 
-    def degree(self, terms: dict) -> int:
-        """The largest degree of packed shift terms; -1 for none."""
-        return max(map(self._layout.degree, terms), default=-1)
-
-    def expand(self, coeffs: Sequence[Poly],
-               frobenius: bool = False) -> list[Poly]:
+    def expand_packed(self, coeffs: Sequence[dict],
+                      frobenius: bool = False) -> list[dict]:
         """Cofactors c_t over `original_generators` of the combination
         sum(coeffs[k] * generators[k]): sum(c_t * original_generators[t])
         equals it.  With `frobenius`, the cofactors of
         sum(coeffs[k] * generators[k]^[p]) over the
         original_generators[t]^[p] instead, ^[p] the coordinate-wise p-th
-        power.  The basis must have been built with track=True.
+        power.  Coefficients and cofactors are packed shift terms (see
+        `pack`).  The basis must have been built with track=True.
         """
-        return [self.unpack(c) for c in self.expand_packed(
-            [self.pack(q) for q in coeffs], frobenius)]
-
-    def expand_packed(self, coeffs: Sequence[dict],
-                      frobenius: bool = False) -> list[dict]:
-        """`expand` on packed shift terms, in and out (see `pack`)."""
         if self.trace is None:
             raise ValueError("expanding needs a basis built with track=True")
         steps, roots = self.trace
         return _expand(steps, list(zip(roots, coeffs)),
-                       len(self._packed_originals or self.original_generators),
+                       len(self._packed_originals),
                        self._layout, self.ring, frobenius)
-
-    def cofactors(self, f) -> list[Poly] | None:
-        """Cofactors c_t with f = sum(c_t * original_generators[t]), or None
-        when f is not in the span.  The expansion is re-checked before
-        returning.  The basis must have been built with track=True.
-        """
-        if self.trace is None:
-            raise ValueError("cofactors need a basis built with track=True")
-        rem, quotients = normal_form_with_cofactors(f, self)
-        if not rem.is_zero():
-            return None
-        cofactors = self.expand(quotients)
-        columns = [_coordinates(g) for g in self.original_generators]
-        for pos, want in enumerate(_coordinates(f)):
-            if dot(cofactors, [g[pos] for g in columns]) != want:
-                raise RuntimeError("cofactor certificate failed re-expansion")
-        return cofactors
 
 
 def _expand(steps: list, seeds: list, ngens: int, layout: _Layout,
@@ -557,14 +503,7 @@ def _expand(steps: list, seeds: list, ngens: int, layout: _Layout,
                     f"cofactor degree {da + dm} exceeds guard {guard}")
             if frobenius:
                 mult = {m * p: c for m, c in mult.items()}
-            out = adj[src]
-            if out is None:
-                out = adj[src] = {}
-            get = out.get
-            for mm, cm in mult.items():
-                for ma, ca in a.items():
-                    m = ma + mm
-                    out[m] = get(m, 0) + ca * cm
+            adj[src] = _add_product(adj[src] or {}, mult.items(), a.items())
     return [{m: r for m, c in (a or {}).items() if (r := c % p)}
             for a in adj[:ngens]]
 
@@ -572,7 +511,7 @@ def _expand(steps: list, seeds: list, ngens: int, layout: _Layout,
 def _normal_form(f, basis: GroebnerBasis, quotients: list[dict] | None = None):
     if not basis.ring.same_ambient(f.ring):
         raise AmbientMismatchError("polynomial and basis ambients differ")
-    rem = _reduce_full(basis._encode(f), basis._reducers, f.ring.p,
+    rem = _reduce_full(basis._layout.enc_vector(f), basis._reducers, f.ring.p,
                        basis._layout, quotients, basis._memo)
     return basis._decode(rem, f.ring)
 
@@ -597,15 +536,11 @@ def reduce_by_generators(f, gens: Sequence, order: MonomialOrder = GREVLEX):
     The remainder is not unique unless the list is a Groebner basis, but a
     zero remainder always proves membership in the generated span.
     """
-    for g in gens:
-        if not g.ring.same_ambient(f.ring):
-            raise AmbientMismatchError("divisor and dividend ambients differ")
-    shell = GroebnerBasis([], order, [f])
-    p = f.ring.p
-    reducers = [_prep_reducer(shell._encode(g), p) for g in gens
-                if not g.is_zero()]
-    rem = _reduce_full(shell._encode(f), reducers, p, shell._layout)
-    return shell._decode(rem, f.ring)
+    ring, size, layout, (packed, *divisors) = _packed([f, *gens], order)
+    reducers = [_prep_reducer(g, ring.p) for g in divisors if g]
+    basis = GroebnerBasis(ring, size, isinstance(f, ModuleVector), order,
+                          divisors, reducers, None, tuple(gens))
+    return basis._decode(_reduce_full(packed, reducers, ring.p, layout), ring)
 
 
 def _spair_terms(ri: tuple, rj: tuple, si: int, sj: int, p: int,
@@ -637,6 +572,18 @@ def _common_ring(gens: Sequence) -> PolyRing:
         if not g.ring.same_ambient(ring):
             raise AmbientMismatchError("generators live in different ambients")
     return ring
+
+
+def _packed(gens: Sequence, order: MonomialOrder
+            ) -> tuple[PolyRing, int, _Layout, list[dict]]:
+    """The ring, rank s and layout of Polys or ModuleVectors of one
+    ambient, s the first's coordinate count, and their packed terms; a
+    generator with another coordinate count raises ValueError."""
+    ring = _common_ring(gens)
+    size = len(_coordinates(gens[0]))
+    layout = _shared_layout(ring.nvars, size if size > 1 else 0, order,
+                            ring.max_degree)
+    return ring, size, layout, [layout.enc_vector(g) for g in gens]
 
 
 def _new_pairs(layout: _Layout, lms: list[int], kinds: list[int],
@@ -883,34 +830,14 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX, *,
     `known_gb_prefix` marks the first k generators as a Groebner basis of
     the subideal they generate, so their mutual S-pairs are skipped.
     With `track=True` the basis records how each element was formed, and
-    `expand` and `cofactors` express combinations of it in the original
+    `expand_packed` expresses combinations of it in the original
     generators.  The basis decodes its generators only when they are read.
     """
-    gens = list(gens)
-    _common_ring(gens)
-    shell = GroebnerBasis([], order, gens)
-    packed = [shell._encode(g) for g in gens]
-    reducers, trace = _groebner(packed, shell.ring, shell._layout, track,
-                                known_gb_prefix)
-    basis = GroebnerBasis(None, order, gens, trace, reducers)
-    basis._packed_originals = packed
-    return basis
-
-
-def verify_buchberger(basis: GroebnerBasis) -> bool:
-    """Re-check the Buchberger criterion: every S-polynomial (for a module,
-    every S-vector of two leads at the same position) reduces to 0."""
-    layout = basis._layout
-    p = basis.ring.p
-    for ri, rj in itertools.combinations(basis._reducers, 2):
-        if ri[0] & layout.slot_mask != rj[0] & layout.slot_mask:
-            continue
-        lcm = layout.lcm(ri[0], rj[0])
-        sterms = _spair_terms(ri, rj, lcm - ri[0], lcm - rj[0], p, layout)
-        if _reduce_full(sterms, basis._reducers, p, layout,
-                        memo=basis._memo):
-            return False
-    return True
+    gens = tuple(gens)
+    ring, size, layout, packed = _packed(gens, order)
+    reducers, trace = _groebner(packed, ring, layout, track, known_gb_prefix)
+    return GroebnerBasis(ring, size, isinstance(gens[0], ModuleVector),
+                         order, packed, reducers, trace, gens)
 
 
 def _position_leads(basis: GroebnerBasis) -> list[list[tuple[int, ...]]]:
@@ -1066,8 +993,7 @@ def jacobian_module(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
                     column[k + off] = c
         spanning.append(column)
     reducers, trace = _groebner(spanning, ring, layout, track)
-    return GroebnerBasis._from_packed(ring, m, order, spanning, reducers,
-                                      trace)
+    return GroebnerBasis(ring, m, True, order, spanning, reducers, trace)
 
 
 def seeded_membership(target: ModuleVector | list, screen: GroebnerBasis,
@@ -1101,7 +1027,7 @@ def seeded_membership(target: ModuleVector | list, screen: GroebnerBasis,
     if isinstance(target, ModuleVector):
         if not target.ring.same_ambient(ring):
             raise AmbientMismatchError("vector and basis ambients differ")
-        target = screen._encode(target)
+        target = layout.enc_vector(target)
     else:
         target = {layout._prefixed(k) + slot: c for slot, terms in
                   zip(layout.units[:layout.slots] or [0], target)
@@ -1111,7 +1037,7 @@ def seeded_membership(target: ModuleVector | list, screen: GroebnerBasis,
     else:
         if not all(v.ring.same_ambient(ring) for v in extra):
             raise AmbientMismatchError("vector and basis ambients differ")
-        extra = [screen._encode(v) for v in extra]
+        extra = [layout.enc_vector(v) for v in extra]
     reducers = _frobenius_reducers(screen._reducers, layout, p)
     known = len(reducers)
     nodes = list(range(known)) + [t for t, g in enumerate(extra, known) if g]

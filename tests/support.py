@@ -4,18 +4,25 @@ engine, and plain oracles for the polynomial product, delta1, the
 Fedder survivor, the printer's term order, the standard-monomial count,
 the packed term layout and the pair criteria; a re-expansion check of
 residual certificates; seeded coordinate changes that fix the origin;
-and diagonal hypersurfaces with their closed-form F-purity.
+and diagonal hypersurfaces with their closed-form F-purity.  Also the
+engine's views that only tests use: the Buchberger criterion check,
+hand-built bases, Poly cofactors, the trace u and a splitting's h.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from operator import mul
 
 import numpy as np
 
-from fliftlab.fp_poly import (DegreeGuardError, Poly, PolyRing,
+from fliftlab.fp_poly import (DegreeGuardError, Poly, PolyRing, dot,
                               format_monomial, grevlex_key)
+from fliftlab.frobsplit import SplittingData, frobenius_decompose
+from fliftlab.groebner import (GroebnerBasis, ModuleVector, _coordinates,
+                               _packed, _prep_reducer, _reduce_full,
+                               _spair_terms, normal_form_with_cofactors)
 
 
 def random_poly(rng: random.Random, ring: PolyRing, max_terms: int = 5,
@@ -151,14 +158,77 @@ def diagonal_is_fpure(exponents, p: int) -> bool:
     return sum((p - 1) // a for a in exponents) >= p - 1
 
 
+def hand_built(generators, order, originals) -> GroebnerBasis:
+    """A basis over `originals`, without a trace, whose elements are
+    `generators` as given, neither checked nor made monic."""
+    k = len(originals)
+    ring, size, _, packed = _packed([*originals, *generators], order)
+    basis = GroebnerBasis(ring, size, isinstance(originals[0], ModuleVector),
+                          order, packed[:k], [_prep_reducer(g, ring.p)
+                                              for g in packed[k:]],
+                          None, tuple(originals))
+    basis._generators = tuple(generators)  # not monic: never decoded
+    return basis
+
+
+def verify_buchberger(basis: GroebnerBasis) -> bool:
+    """Re-check the Buchberger criterion: every S-polynomial (for a module,
+    every S-vector of two leads at the same position) reduces to 0."""
+    layout = basis._layout
+    p = basis.ring.p
+    for ri, rj in itertools.combinations(basis._reducers, 2):
+        if ri[0] & layout.slot_mask != rj[0] & layout.slot_mask:
+            continue
+        lcm = layout.lcm(ri[0], rj[0])
+        sterms = _spair_terms(ri, rj, lcm - ri[0], lcm - rj[0], p, layout)
+        if _reduce_full(sterms, basis._reducers, p, layout,
+                        memo=basis._memo):
+            return False
+    return True
+
+
+def expand(basis: GroebnerBasis, coeffs, frobenius=False) -> list[Poly]:
+    """`basis.expand_packed` on Polys, in and out."""
+    return [basis.unpack(c) for c in basis.expand_packed(
+        [basis.pack(q) for q in coeffs], frobenius)]
+
+
+def cofactors(basis: GroebnerBasis, f) -> list[Poly] | None:
+    """Cofactors c_t with f = sum(c_t * original_generators[t]), re-checked,
+    or None when f is not in the span; needs a basis built with track."""
+    if basis.trace is None:
+        raise ValueError("cofactors need a basis built with track=True")
+    rem, quotients = normal_form_with_cofactors(f, basis)
+    if not rem.is_zero():
+        return None
+    out = expand(basis, quotients)
+    columns = [_coordinates(g) for g in basis.original_generators]
+    for pos, want in enumerate(_coordinates(f)):
+        if dot(out, [g[pos] for g in columns]) != want:
+            raise RuntimeError("cofactor certificate failed re-expansion")
+    return out
+
+
 def unit_expansions(basis, frobenius: bool = False) -> list[list[Poly]]:
-    """`basis.expand` of each unit coefficient vector: the cofactors of
-    each basis element over the original generators."""
+    """`expand` of each unit coefficient vector: the cofactors of each
+    basis element over the original generators."""
     ring = basis.ring
     n = len(basis.generators)
-    return [basis.expand([ring.one() if i == k else ring.zero()
-                          for i in range(n)], frobenius)
+    return [expand(basis, [ring.one() if i == k else ring.zero()
+                           for i in range(n)], frobenius)
             for k in range(n)]
+
+
+def trace_u(f: Poly) -> Poly:
+    """The (p-1,...,p-1) component of the digit decomposition."""
+    return frobenius_decompose(f).component((f.ring.p - 1,) * f.ring.nvars)
+
+
+def splitting_h(split: SplittingData) -> Poly:
+    """The multiplier h = power * x^((p-1) - anchor) of a splitting."""
+    top = split.ring.p - 1
+    moved = sum(map(mul, [top - e for e in split.anchor], split.packing[1]))
+    return split.unpack({k + moved: c for k, c in split.power_terms.items()})
 
 
 def combine(cofactors, gens, pos: int = 0) -> Poly:

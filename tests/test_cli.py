@@ -1,6 +1,7 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
 import errno
+import itertools
 import json
 import os
 import re
@@ -229,20 +230,39 @@ def test_malformed_cursor_is_a_usage_error(cursor, capsys, tmp_path,
     assert err.startswith("error: ") and CURSOR_FILE in err
 
 
+def _interrupt():
+    raise KeyboardInterrupt  # as SIGINT does
+
+
+def _stopping_after(n, stop=_interrupt):
+    """A sweep worker that calls `stop` from its (n+1)-th call on."""
+    calls = itertools.count(1)
+
+    def worker(task):
+        if next(calls) > n:
+            stop()
+        return _real_sweep_worker(task)
+    return worker
+
+
+def _full_disk_open(path, mode="r", **kwargs):
+    """open, except that a file opened for writing takes a few bytes and
+    then fails as on a full disk."""
+    fh = open(path, mode, **kwargs)
+    if "w" in mode:
+        def write(text):
+            fh.buffer.write(text[:3].encode())
+            fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        fh.write = write
+    return fh
+
+
 def test_sweep_interrupt_flushes_partial_and_cursor(capsys, tmp_path, monkeypatch):
     import fliftlab.cli as cli_mod
 
     monkeypatch.chdir(tmp_path)
-    real_worker = cli_mod._sweep_worker
-    calls = {"n": 0}
-
-    def flaky_worker(task):
-        calls["n"] += 1
-        if calls["n"] > 10:
-            raise KeyboardInterrupt
-        return real_worker(task)
-
-    monkeypatch.setattr(cli_mod, "_sweep_worker", flaky_worker)
+    monkeypatch.setattr(cli_mod, "_sweep_worker", _stopping_after(10))
     code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
                              "--max", "7")
     assert code == 130
@@ -251,7 +271,7 @@ def test_sweep_interrupt_flushes_partial_and_cursor(capsys, tmp_path, monkeypatc
     # partial per-tuple lines were flushed before the summary
     assert out.count("F-liftable=") >= 10
 
-    monkeypatch.setattr(cli_mod, "_sweep_worker", real_worker)
+    monkeypatch.setattr(cli_mod, "_sweep_worker", _real_sweep_worker)
     code, resumed, _ = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
                                "--max", "7", "--resume")
     assert code == EXIT_OK
@@ -265,16 +285,7 @@ def test_interrupted_json_sweep_still_parses(capsys, tmp_path, monkeypatch):
     import fliftlab.cli as cli_mod
 
     monkeypatch.chdir(tmp_path)
-    real_worker = cli_mod._sweep_worker
-    calls = {"n": 0}
-
-    def flaky_worker(task):
-        calls["n"] += 1
-        if calls["n"] > 10:
-            raise KeyboardInterrupt
-        return real_worker(task)
-
-    monkeypatch.setattr(cli_mod, "_sweep_worker", flaky_worker)
+    monkeypatch.setattr(cli_mod, "_sweep_worker", _stopping_after(10))
     code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
                              "--max", "7", "--format", "json")
     assert code == EXIT_INTERRUPTED
@@ -299,16 +310,8 @@ def test_sweep_sigterm_flushes_partial_and_cursor(capsys, tmp_path, monkeypatch)
         raise Unhandled("SIGTERM reached the handler outside the sweep")
 
     monkeypatch.chdir(tmp_path)
-    real_worker = cli_mod._sweep_worker
-    calls = {"n": 0}
-
-    def terminated_worker(task):
-        calls["n"] += 1
-        if calls["n"] > 10:
-            os.kill(os.getpid(), signal.SIGTERM)
-        return real_worker(task)
-
-    monkeypatch.setattr(cli_mod, "_sweep_worker", terminated_worker)
+    monkeypatch.setattr(cli_mod, "_sweep_worker", _stopping_after(
+        10, lambda: os.kill(os.getpid(), signal.SIGTERM)))
     previous = signal.signal(signal.SIGTERM, outer)
     try:
         code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
@@ -371,21 +374,30 @@ def test_cursor_write_is_atomic(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cli_mod._write_cursor("cusp_hyp", 2, (2, 3, 5))
     before = Path(CURSOR_FILE).read_text()
-    real_open = open
-
-    def full_disk_open(path, mode="r", **kwargs):
-        fh = real_open(path, mode, **kwargs)
-        if "w" in mode:
-            def write(text):
-                fh.buffer.write(text[:3].encode())
-                fh.flush()
-                raise OSError(errno.ENOSPC, "No space left on device")
-            fh.write = write
-        return fh
-
-    monkeypatch.setattr(cli_mod, "open", full_disk_open, raising=False)
+    monkeypatch.setattr(cli_mod, "open", _full_disk_open, raising=False)
     with pytest.raises(OSError):
         cli_mod._write_cursor("cusp_hyp", 2, (2, 3, 7))
+    assert Path(CURSOR_FILE).read_text() == before
+    assert os.listdir(tmp_path) == [CURSOR_FILE]
+
+
+def test_interrupted_sweep_whose_cursor_cannot_be_written(capsys, tmp_path,
+                                                         monkeypatch):
+    # the rows already on stdout stay, the notice says the cursor was not
+    # saved, the exit is still 130, and the previous cursor is untouched
+    import fliftlab.cli as cli_mod
+
+    monkeypatch.chdir(tmp_path)
+    cli_mod._write_cursor("cusp_hyp", 2, (2, 3, 5))
+    before = Path(CURSOR_FILE).read_text()
+    monkeypatch.setattr(cli_mod, "_sweep_worker", _stopping_after(10))
+    monkeypatch.setattr(cli_mod, "open", _full_disk_open, raising=False)
+    code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
+                             "--max", "7")
+    assert code == EXIT_INTERRUPTED
+    assert out.count("F-liftable=") >= 10
+    assert err == ("interrupted; cursor not saved: "
+                   f"[Errno {errno.ENOSPC}] No space left on device\n")
     assert Path(CURSOR_FILE).read_text() == before
     assert os.listdir(tmp_path) == [CURSOR_FILE]
 

@@ -280,7 +280,7 @@ def test_packed_seed_is_the_frobenius_of_the_screen():
                 moved = [ring.parse(str(f)) for f in gens]
                 screen = isolated_singularity_check(moved, order)[1]
                 try:
-                    want = [prepared(_prep_reducer(screen._encode(
+                    want = [prepared(_prep_reducer(screen._layout.enc_vector(
                         ModuleVector([c.frobenius() for c in g])), p))
                         for g in screen]
                 except DegreeGuardError:
