@@ -6,7 +6,7 @@ machine-checkable certificates.
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, FpPolyError,
                       NotPrimeError, ParseError, Poly, PolyRing,
                       UnknownVariableError, format_poly, parse_poly)
-from .groebner import (GREVLEX, LEX, GroebnerBasis, ModuleVector,
+from .groebner import (GREVLEX, GroebnerBasis, ModuleVector,
                        MonomialOrder, buchberger, is_zero_dimensional,
                        module_buchberger, normal_form, quotient_dimension,
                        supported_only_at_origin)
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientMismatchError", "Certificate", "DegreeGuardError",
     "ExpectedRecord", "FamilySpec", "FpPolyError", "FrobeniusDecomposition",
-    "GREVLEX", "GroebnerBasis", "LEX", "LiftabilityReport", "ModuleVector",
+    "GREVLEX", "GroebnerBasis", "LiftabilityReport", "ModuleVector",
     "MonomialOrder", "NotPrimeError", "ParseError", "Poly", "PolyRing",
     "SplittingData", "TableInstance", "UnknownVariableError", "apply_sigma",
     "buchberger", "build_splitting", "classify", "delta1",

@@ -28,7 +28,6 @@ from .catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
 from .criteria import classify as _classify_gens
 from .fp_poly import (DEFAULT_MAX_DEGREE, DegreeGuardError, FpPolyError,
                       PolyRing, is_prime)
-from .groebner import order_by_name
 from .report import (csv_table, json_text, markdown_table, report_text,
                      report_to_dict, sweep_text, text_table)
 
@@ -80,7 +79,6 @@ def _build_parser() -> _Parser:
     def output(sp):
         sp.add_argument("--format", default="text",
                         choices=("text", "json", "csv", "md"))
-        sp.add_argument("--order", default="grevlex", choices=("grevlex", "lex"))
 
     sp = sub.add_parser("classify", help="classify ad-hoc equations")
     sp.add_argument("--p", type=int, required=True)
@@ -178,8 +176,7 @@ def _validate(args) -> None:
 def _cmd_classify(args, out) -> int:
     ring = PolyRing(args.vars, args.p, args.max_degree)
     gens = [ring.parse(text) for text in args.poly]
-    report = _classify_gens(gens, order=order_by_name(args.order),
-                            certificates=args.certificates)
+    report = _classify_gens(gens, certificates=args.certificates)
     if args.format == "json":
         out.write(json_text([report_to_dict(report)]) + "\n")
     elif args.format == "csv":
@@ -202,10 +199,9 @@ def _csv_row(report, family: str, params: str) -> tuple:
 # --------------------------------------------------------------------- table
 
 def _cmd_table(args, out) -> int:
-    order = order_by_name(args.order)
     rows = []
     for inst in enumerate_table_rows(args.n_max):
-        report = _classify_gens([inst.poly], order=order)
+        report = _classify_gens([inst.poly])
         expected = inst.expected
         ok = (report.f_pure, report.f_liftable) == \
             (expected.f_pure, expected.f_liftable)
@@ -257,9 +253,9 @@ def _sweep_tuples(args):
 
 
 def _sweep_worker(task):
-    family, p, cls, max_degree, order_name = task
+    family, p, cls, max_degree = task
     gens = SWEEP_FAMILIES[family].make(p, *cls, max_degree=max_degree)
-    report = _classify_gens(gens, order=order_by_name(order_name))
+    report = _classify_gens(gens)
     return (family, p, cls, report.status, report.f_pure, report.f_liftable,
             report.conclusive, report.timings_ms.get("total", 0.0))
 
@@ -323,8 +319,7 @@ def _cmd_sweep(args, out) -> int:
     # classify one representative per symmetry class; verdicts transfer
     # along variable relabelings
     classes = sorted({(p, symmetry(t)) for p, t in tuples})
-    tasks = [(family, p, cls, args.max_degree, args.order)
-             for p, cls in classes]
+    tasks = [(family, p, cls, args.max_degree) for p, cls in classes]
     results: dict[tuple, tuple] = {}
 
     interrupted = False

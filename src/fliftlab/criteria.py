@@ -220,11 +220,12 @@ def _decision_order(gens: Sequence[Poly],
                     order: MonomialOrder) -> MonomialOrder:
     """The order that the screen and the membership run under.
 
-    A degrevlex request on a hypersurface f that holds a pure power
+    A plain degrevlex request on a hypersurface f that holds a pure power
     x_v^(e_v) of every variable (the smallest, if several) is decided
     under the weights w_v = round(max(e) / e_v), which make those powers
-    nearly homogeneous; any other request, and one whose weights are all
-    1, is decided under the requested order."""
+    nearly homogeneous; a weighted request, a complete intersection and
+    a hypersurface whose weights would all be 1 are decided under the
+    requested order."""
     if order != GREVLEX or len(gens) != 1:
         return order
     f = gens[0]
@@ -240,7 +241,7 @@ def _decision_order(gens: Sequence[Poly],
     weights = tuple(round(top / pure[v]) for v in range(f.ring.nvars))
     if max(weights) == 1:
         return order
-    return MonomialOrder("grevlex", weights)
+    return MonomialOrder(weights)
 
 
 def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
@@ -248,16 +249,18 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
     """Liftability of R/(f_1,...,f_m): isolatedness screen, Fedder test,
     then the residual containment, with certificates on request.
 
-    The screen, the containment and the certified trace run under the
-    decision order of `_decision_order`: for a degrevlex request on a
-    hypersurface with a pure power of every variable, degrevlex weighted
-    by those powers, else the requested order.  The verdict does not
-    depend on the order (membership, smoothness, finite dimension and
-    origin-only support are order-free, and the p-th powers of a
-    Groebner basis form one under any monomial order), but a remainder
-    does: an F-pure nonmember's remainder is recomputed under the
-    requested order, which the report's `order` names.  Certified
-    cofactors are those of the decision order.
+    `order` is (weighted) degrevlex; a weighted one is taken as given,
+    which lets a caller run the unit-weight reference route.  The screen,
+    the containment and the certified trace run under the decision order
+    of `_decision_order`: for a plain request on a hypersurface with a
+    pure power of every variable, degrevlex weighted by those powers,
+    else the requested order.  The verdict does not depend on the order
+    (membership, smoothness, finite dimension and origin-only support
+    are order-free, and the p-th powers of a Groebner basis form one
+    under any monomial order), but a remainder does: an F-pure
+    nonmember's remainder is recomputed under the requested order.  The
+    report's `order` is always "grevlex".  Certified cofactors are those
+    of the decision order.
 
     Origin-only support is decided only when a negative verdict's
     conclusiveness needs it: members, non-F-pure inputs and the smooth
@@ -281,7 +284,7 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
             p=ring.p, variables=ring.variables,
             generators=tuple(format_poly(g) for g in gens), status=status,
             f_pure=f_pure, f_liftable=f_liftable, conclusive=conclusive,
-            certificate=certificate, timings_ms=timings, order=order.name)
+            certificate=certificate, timings_ms=timings)
 
     decision = _decision_order(gens, order)
     status, screen = _screen(gens, decision, certificates)

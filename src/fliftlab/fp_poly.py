@@ -80,10 +80,6 @@ def grevlex_key(mono: tuple[int, ...]) -> tuple:
     return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
-def lex_key(mono: tuple[int, ...]) -> tuple:
-    return mono
-
-
 class PolyRing:
     """Ambient for polynomials: variable names, prime modulus, degree guard.
 

@@ -94,8 +94,9 @@ class SplittingData:
     inside it, or (p-1, ..., p-1) without one, so that the trace constant
     s(0) is nonzero exactly when the F-purity test passes.  In `packing`,
     `power_terms` are the power's terms, coefficients mod p^2 for one
-    generator, `lifted`, else mod p, and `groups` them by a mod p, as
-    {packed a: c mod p}; `power` and s = u(h) are decoded if read.
+    generator, `lifted`, else mod p, `groups` them by a mod p, as
+    {packed a: c mod p}, and `at` is the packed anchor; `power` and
+    s = u(h) are decoded if read.
     """
 
     ring: PolyRing
@@ -107,6 +108,7 @@ class SplittingData:
     survivor: tuple[int, ...] | None
     anchor: tuple[int, ...]
     groups: dict = field(compare=False, repr=False)
+    at: int = field(compare=False, repr=False)
 
     def unpack(self, terms: dict) -> Poly:
         return _unpack(self.ring, terms, self.packing)
@@ -117,7 +119,7 @@ class SplittingData:
 
     @functools.cached_property
     def s(self) -> Poly:
-        at, p = sum(map(mul, self.anchor, self.packing[1])), self.ring.p
+        at, p = self.at, self.ring.p
         return self.unpack({(k - at) // p: c for k, c in
                             self.groups.get(self.anchor, {}).items()})
 
@@ -128,8 +130,11 @@ class SplittingData:
 
 def build_splitting(gens: Sequence[Poly],
                     packing: tuple | None = None) -> SplittingData:
-    """The splitting data of `gens` in `packing`, fields that hold every
-    exponent within the degree guard (`_packing` of the ring by default).
+    """The splitting data of `gens` in `packing`, fields that must hold
+    every exponent up to twice the degree guard (by default `_packing`
+    of the ring for 2 * guard): once the power's guard check passes,
+    delta1 of a generator f, of degree at most p * deg(f) <=
+    2 * (p-1) * deg(f) <= 2 * guard, fits them too.
     The power is formed on packed terms, over Z/p^2 for one generator;
     the residues of each of its terms are read once.  DegreeGuardError
     and AmbientMismatchError are raised where the Poly products of the
@@ -141,7 +146,7 @@ def build_splitting(gens: Sequence[Poly],
         raise ValueError("zero generator is not allowed")
     ring = gens[0].ring
     p, guard, top = ring.p, ring.max_degree, ring.p - 1
-    shifts, units, mask = packing = packing or _packing(ring.nvars, guard)
+    shifts, units, mask = packing = packing or _packing(ring.nvars, 2 * guard)
     base, degree = dict(_pack(gens[0].terms, units)), gens[0].total_degree()
     for g in gens[1:]:
         gens[0]._check(g)
@@ -172,15 +177,15 @@ def build_splitting(gens: Sequence[Poly],
             else f"product degree {degree + moved} exceeds guard {guard}")
     return SplittingData(ring, packing, power,
                          gens[0] if len(gens) == 1 else None, degree + moved,
-                         survivor is not None, survivor, anchor, groups)
+                         survivor is not None, survivor, anchor, groups,
+                         sum(map(mul, anchor, units)))
 
 
 def _sigma_terms(split: SplittingData, terms) -> dict:
     """sigma(F_* r) for r's packed terms, coefficients unreduced; see
     `apply_sigma`, whose checks its callers make."""
-    shifts, units, mask = split.packing
-    p, groups, anchor = split.ring.p, split.groups, split.anchor
-    at = sum(map(mul, anchor, units))
+    shifts, _, mask = split.packing
+    p, groups, anchor, at = split.ring.p, split.groups, split.anchor, split.at
     out: dict[int, int] = {}
     get = out.get
     for kb, cb in terms:
@@ -216,46 +221,35 @@ def apply_sigma(split: SplittingData, r: Poly) -> Poly:
 
 
 def lift_and_residual(split: SplittingData, f: Poly) -> tuple[Poly, dict]:
-    """(g, r) for one generator: g = -sigma(F_* delta1(f)) and
-    r = s^p * delta1(f) + g^p in the split's `packing`, coefficients in
-    [1, p).  delta1(f) of the split's one generator is one product by f
-    of its lifted power; it stays packed, and its exact degree is read
-    only where p * deg(f) could pass a guard.  DegreeGuardError is raised
-    where `Poly.frobenius` on s, `delta1`, `apply_sigma`, the product
-    s^p * delta1(f) and `Poly.frobenius` on g would, in that order."""
-    ring, packing = split.ring, split.packing
-    p, guard = ring.p, ring.max_degree
-    ds = split.s.total_degree() * p
-    if ds > guard:
-        raise DegreeGuardError(f"power degree {ds} exceeds guard {guard}")
+    """(g, r) for f, one of the split's generators: g = -sigma(F_* delta1(f))
+    and r = s^p * delta1(f) + g^p in the split's `packing`, coefficients
+    in [1, p).  delta1(f) of the split's one generator is one product by
+    f of its lifted power; it stays packed, which the packing's fields
+    allow (see `build_splitting`), and its exact degree is read only
+    where p * deg(f) + deg(h) could pass the guard.  DegreeGuardError is raised
+    where `delta1` and `apply_sigma` would, in that order.
+
+    Those two checks cover the rest of the Poly route.  The terms of
+    s = u(h) are (a - (p-1, ..., p-1)) / p for terms a of h, so
+    p * deg(s) <= deg(h), which `build_splitting` has checked against the
+    guard.  Once sigma's check deg(h) + deg(delta1) <= guard passes, the
+    product s^p * delta1(f) has degree at most that sum, and so has g^p,
+    as g is u of h * delta1(f)."""
+    p, (shifts, units, mask) = split.ring.p, split.packing
     power = split.power_terms if split.lifted == f else None
-    degree = f.total_degree() * p  # delta1's degree is at most this
-    if degree > packing[2]:  # f's own guard passes the split's fields
-        packing, power = _packing(f.ring.nvars, f.ring.max_degree), None
-    shifts, units, mask = packing
     d1 = _delta1_terms(f, units, power)
-    if packing is not split.packing or degree + max(ds, split.degree) > guard:
-        exps = [[(k >> s) & mask for s in shifts] for k in d1]
-        degree = max(map(sum, exps), default=-1)
+    degree = f.total_degree() * p  # delta1's degree is at most this
+    if degree + split.degree > split.ring.max_degree:
+        degree = max((sum([(k >> s) & mask for s in shifts]) for k in d1),
+                     default=-1)
     _check_sigma(split, f.ring, degree)
-    if packing is not split.packing:
-        d1 = {sum(map(mul, e, split.packing[1])): c
-              for e, c in zip(exps, d1.values())}
     g = {k: r for k, c in _sigma_terms(split, d1.items()).items()
          if (r := -c % p)}
-    lift = split.unpack(g)
-    if d1 and ds + degree > guard:
-        raise DegreeGuardError(
-            f"product degree {ds + degree} exceeds guard {guard}")
-    dg = lift.total_degree() * p
-    if dg > guard:
-        raise DegreeGuardError(f"power degree {dg} exceeds guard {guard}")
-    at = sum(map(mul, split.anchor, split.packing[1]))
-    s_p = [(ks - at, cs)  # from s = u(h)
+    s_p = [(ks - split.at, cs)  # from s = u(h)
            for ks, cs in split.groups.get(split.anchor, {}).items()]
     r = _add_product({}, s_p, d1.items())
     get = r.get
     for k, c in g.items():
         k *= p
         r[k] = get(k, 0) + c
-    return lift, {k: v for k, c in r.items() if (v := c % p)}
+    return split.unpack(g), {k: v for k, c in r.items() if (v := c % p)}

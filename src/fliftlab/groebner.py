@@ -8,14 +8,13 @@ a; rank 1 carries no slots.  Inside the engine every term is one int in
 the packed layout of `_Layout`, so a product is an addition and a
 divisibility test is a subtract-and-mask; a lead divides only terms at
 its own position.  Modules use the term-over-position order
-(e_1 > e_2 > ...) under any monomial order.  Public names take and
-return Polys for an ideal, ModuleVectors for a submodule, and exponent
-tuples for monomials.
+(e_1 > e_2 > ...).  Public names take and return Polys for an ideal,
+ModuleVectors for a submodule, and exponent tuples for monomials.
 
 Provides reduced bases, normal forms with optional quotients, cofactors
 from a tracked run, and the dimension and origin-support checks of R^s/N.
-The default order is degrevlex, which takes optional variable weights;
-lex is available for debugging.
+Every order is degrevlex, which takes optional variable weights: the
+decision is order-free, so one order and one packed layout serve it.
 """
 
 from __future__ import annotations
@@ -29,46 +28,33 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
-                      _add_product, _unpack, grevlex_key, lex_key)
+                      _add_product, _unpack, grevlex_key)
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A multiplicative well-order on monomials; `key` sorts ascending.
+    """Degrevlex, a multiplicative well-order on monomials; `key` sorts
+    ascending.
 
-    `weights`, positive integers w_v for a grevlex order only, compare the
-    weighted degree sum(w_v * a_v) first and break its ties by degrevlex;
-    None is degrevlex itself.
+    `weights`, positive integers w_v, compare the weighted degree
+    sum(w_v * a_v) first and break its ties by degrevlex; None is
+    degrevlex itself.
     """
 
-    name: str
     weights: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.weights is not None and (
-                self.name != "grevlex" or
-                not all(isinstance(w, int) and w > 0 for w in self.weights)):
-            raise ValueError("weights are positive integers on grevlex")
+        if self.weights is not None and not all(
+                isinstance(w, int) and w > 0 for w in self.weights):
+            raise ValueError("weights are positive integers")
 
     def key(self, mono: tuple[int, ...]) -> tuple:
-        if self.name != "grevlex":
-            return lex_key(mono)
         if self.weights is None:
             return grevlex_key(mono)
         return (sum(map(mul, self.weights, mono)), grevlex_key(mono))
 
 
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
-
-_ORDERS = {"grevlex": GREVLEX, "lex": LEX}
-
-
-def order_by_name(name: str) -> MonomialOrder:
-    try:
-        return _ORDERS[name]
-    except KeyError:
-        raise ValueError(f"unknown monomial order {name!r}") from None
+GREVLEX = MonomialOrder()
 
 
 class _Layout:
@@ -77,17 +63,14 @@ class _Layout:
     1998).
 
     From the lowest field up: the slots, position 0 highest; the
-    exponents; under degrevlex the prefix sums a_0 + ... + a_(k-1) for
-    k = 1..nvars, so that the degree comes next, and under a weighted
-    order the weighted degree sum(w_v * a_v) on top.  Under lex the
-    exponents come a_0 highest.  Each field is `width` bits, and its top
-    bit is a guard bit that no valid term sets.  The width comes from the
-    degree guard: under lex a field holds any exponent up to the guard;
-    under degrevlex it holds twice the guard times the largest weight
-    (1 unweighted), so that the lcm of two terms within the guard fits,
-    and so does every term a reduction makes from them, since none has a
-    larger weighted degree than its input and no field exceeds the
-    weighted degree.  Then
+    exponents; the prefix sums a_0 + ... + a_(k-1) for k = 1..nvars, so
+    that the degree comes next; and under a weighted order the weighted
+    degree sum(w_v * a_v) on top.  Each field is `width` bits, and its
+    top bit is a guard bit that no valid term sets.  A field holds twice
+    the degree guard times the largest weight (1 unweighted), so that
+    the lcm of two terms within the guard fits, and so does every term a
+    reduction makes from them, since none has a larger weighted degree
+    than its input and no field exceeds the weighted degree.  Then
 
     - plain `<` on the ints is the term order, monomial before position:
       (weighted degree, degree, prefix sums) is the weighted order and
@@ -98,38 +81,30 @@ class _Layout:
       borrows past its guard bit, which stays set where b's field is at
       least a's;
     - the lcm takes each field from the side whose guard bit wins that
-      compare; under degrevlex multiplies rebuild the prefix sums and the
-      weighted degree.
+      compare, and multiplies rebuild the prefix sums and the weighted
+      degree.
 
-    Packing raises DegreeGuardError for a monomial beyond the guard
-    (degrevlex, on the ordinary degree) or beyond a field (lex); a lex
-    reduction term that grows past its field sets a guard bit and raises
-    there, so no field ever wraps.
+    Packing raises DegreeGuardError for a monomial beyond the guard, so
+    no field ever wraps.
     """
 
     def __init__(self, nvars: int, slots: int, order: MonomialOrder,
                  max_degree: int):
-        self.grevlex = order.name == "grevlex"
         self.weighted = order.weights is not None
         if self.weighted and len(order.weights) != nvars:
             raise ValueError(f"{len(order.weights)} weights for {nvars} "
                              "variables")
-        top = 2 * max_degree * max(order.weights or (1,))
-        w = (top if self.grevlex else max_degree).bit_length() + 1
+        w = (2 * max_degree * max(order.weights or (1,))).bit_length() + 1
         self.slots = slots
         self.max_degree = max_degree
         self.width = w
         self.cap = (1 << (w - 1)) - 1  # the largest value of a field
-        nfields = slots + (2 * nvars + self.weighted if self.grevlex
-                           else nvars)
-        one = [1 << (f * w) for f in range(nfields)]
+        one = [1 << (f * w) for f in range(slots + 2 * nvars + self.weighted)]
         self.guard = sum(one) << (w - 1)
-        exp_field = [slots + k if self.grevlex else slots + nvars - 1 - k
-                     for k in range(nvars)]
         self.units = ([one[slots - 1 - i] for i in range(slots)] +
-                      [one[f] for f in exp_field])
+                      one[slots:slots + nvars])
         self._slot_shifts = [(slots - 1 - i) * w for i in range(slots)]
-        self._exp_shifts = [f * w for f in exp_field]
+        self._exp_shifts = [(slots + k) * w for k in range(nvars)]
         self.slot_mask = sum(one[:slots]) * self.cap
         self._low_mask = sum(one[:slots + nvars]) * self.cap
         self._exp_mask = self._low_mask - self.slot_mask
@@ -148,13 +123,9 @@ class _Layout:
         self._packers = [self._prefixed(u) for u in self.units]
 
     def _check(self, mono: tuple[int, ...]) -> None:
-        if self.grevlex and sum(mono) > self.max_degree:
+        if sum(mono) > self.max_degree:
             raise DegreeGuardError(f"monomial degree {sum(mono)} exceeds "
                                    f"guard {self.max_degree}")
-        if not self.grevlex and max(mono) > self.cap:
-            raise DegreeGuardError(
-                f"exponent {max(mono)} exceeds the packed field of degree "
-                f"guard {self.max_degree}")
 
     def enc(self, t: tuple[int, ...]) -> int:
         """Pack a slotted exponent tuple."""
@@ -163,7 +134,7 @@ class _Layout:
 
     def _prefixed(self, m: int) -> int:
         """m with its prefix-sum and weighted-degree fields rebuilt from
-        its exponent fields; the identity under lex, which has neither."""
+        its exponent fields."""
         e = m & self._exp_mask
         out = (m & self._low_mask) + (e * self._spread & self._prefix_mask)
         if self.weighted:
@@ -206,9 +177,7 @@ class _Layout:
     def degree(self, t: int) -> int:
         """Degree of the monomial of a packed term, unweighted; slots do
         not count."""
-        if self.grevlex:
-            return (t >> self._degree_shift) & self.cap
-        return sum(self.mono(t))
+        return (t >> self._degree_shift) & self.cap
 
     def divided(self, m: int, divisors: list) -> bool:
         """Whether some term of `divisors` divides m."""
@@ -247,10 +216,8 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
     dict; a `defaultdict(dict)` makes a dict only for a reducer that is
     used) the division is tracked so that input = sum(quotient_i *
     reducer_i) + remainder, and repeated calls on one mapping add up their
-    quotients.  Under (weighted) degrevlex no tail term has a larger
-    weighted degree than its lead, so no new term outgrows the packed
-    fields (see `_Layout`); a lex reduction can climb, and a new term past
-    the packed fields raises DegreeGuardError.
+    quotients.  No tail term has a larger weighted degree than its lead,
+    so no new term outgrows the packed fields (see `_Layout`).
 
     The divisor search passes a lead larger than the term at one compare,
     as a divisor is never larger.  `memo` maps a term to where the search
@@ -259,7 +226,7 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
     only grows by appending and an entry is replaced only by one with the
     same lead, so a caller keeps one memo per reducer list.
     """
-    guard, lex = layout.guard, not layout.grevlex
+    guard = layout.guard
     if memo is None:
         memo = {}
     nred = len(reducers)
@@ -294,10 +261,6 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
             mm = tm + shift
             prev = get(mm)
             if prev is None:
-                if lex and mm & guard:
-                    raise DegreeGuardError(
-                        "a reduction term exceeds the packed fields of "
-                        f"degree guard {layout.max_degree}")
                 work[mm] = factor * tc
                 push(heap, -mm)
             else:
@@ -543,8 +506,7 @@ def reduce_by_generators(f, gens: Sequence, order: MonomialOrder = GREVLEX):
     return basis._decode(_reduce_full(packed, reducers, ring.p, layout), ring)
 
 
-def _spair_terms(ri: tuple, rj: tuple, si: int, sj: int, p: int,
-                 layout: _Layout) -> dict:
+def _spair_terms(ri: tuple, rj: tuple, si: int, sj: int, p: int) -> dict:
     """x^si*g_i/lc_i - x^sj*g_j/lc_j for the prepared reducers ri, rj of
     g_i, g_j, whose shifted leads cancel: formed from the tails, each
     scaled by its lc_inv, and left unreduced for `_reduce_full`."""
@@ -555,12 +517,6 @@ def _spair_terms(ri: tuple, rj: tuple, si: int, sj: int, p: int,
     for m, c in tj:
         mm = m + sj
         out[mm] = get(mm, 0) + cj * c
-    # under (weighted) degrevlex no term here has a larger weighted degree
-    # than the lcm of two leads, which the packed fields hold
-    if not layout.grevlex and any(m & layout.guard for m in out):
-        raise DegreeGuardError(
-            "an S-polynomial term exceeds the packed fields of degree "
-            f"guard {layout.max_degree}")
     return out
 
 
@@ -734,7 +690,7 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
                 f"S-pair ({i}, {j}) with lcm degree {degree} exceeds "
                 f"guard {ring.max_degree}")
         si, sj = lcm - lms[i], lcm - lms[j]
-        sterms = _spair_terms(reducers[i], reducers[j], si, sj, p, layout)
+        sterms = _spair_terms(reducers[i], reducers[j], si, sj, p)
         quotients = defaultdict(dict) if track else None
         rem = _reduce_full(sterms, reducers, p, layout, quotients, memo)
         if not rem:
@@ -941,7 +897,7 @@ def _frobenius_reducers(reducers: list[tuple], layout: _Layout,
     DegreeGuardError where `Poly.frobenius` raises on one of them, when p
     times its degree passes the guard, so no field overflows; the guard is
     checked once, on the largest degree of any term."""
-    if layout.grevlex and not layout.weighted:
+    if not layout.weighted:
         # under unweighted degrevlex no term has a larger degree than its lead
         terms = [lm for lm, _, _ in reducers]
     else:

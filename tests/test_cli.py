@@ -542,14 +542,17 @@ def test_classify_csv_and_md(capsys):
     assert "| 5 |" in out
 
 
-def test_classify_lex_order(capsys):
-    code, out, _ = run_cli(capsys, "classify", "--p", "5", "--vars", "x,y,z",
-                           "--poly", "z^2+x^3+y^5+x*y^4", "--order", "lex",
-                           "--format", "json")
-    assert code == EXIT_OK
-    rep = json.loads(out)[0]
-    assert rep["order"] == "lex"
-    assert rep["f_pure"] is True and rep["f_liftable"] is False
+def test_order_flag_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # degrevlex is the only order, so no command takes --order
+    monkeypatch.chdir(tmp_path)
+    for argv in (("classify", "--p", "5", "--vars", "x,y,z",
+                  "--poly", "z^2+x^3+y^5+x*y^4"),
+                 ("table", "--n-max", "2"),
+                 ("sweep", "cusp_hyp", "--p", "2", "--max", "3")):
+        for order in ("lex", "grevlex"):
+            code, out, err = run_cli(capsys, *argv, "--order", order)
+            assert code == EXIT_INPUT and not out, (argv, order)
+            assert "unrecognized arguments: --order" in err, (argv, order)
 
 
 def test_certificates_flag(capsys):

@@ -19,13 +19,13 @@ from fliftlab.criteria import (LiftabilityReport, TooManyGeneratorsError,
                                residual_polynomial)
 from fliftlab.fp_poly import DegreeGuardError, Poly, PolyRing, format_poly
 from fliftlab.frobsplit import build_splitting, lift_and_residual
-from fliftlab.groebner import (GREVLEX, LEX, ModuleVector, MonomialOrder,
+from fliftlab.groebner import (GREVLEX, ModuleVector, MonomialOrder,
                                module_buchberger, module_normal_form)
 from fliftlab.report import report_from_dict, report_to_json
 
 from support import (check_reexpansion, delta1_walk, diagonal,
                      diagonal_is_fpure, membership_columns,
-                     random_automorphism, substitute)
+                     random_automorphism, substitute, weighted_order)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -260,8 +260,8 @@ def test_packed_seed_is_the_frobenius_of_the_screen():
     # of the screen's generators, for m = 1 and m = 2 under both orders;
     # it raises DegreeGuardError exactly where Poly.frobenius does, once
     # p * deg passes the guard.  The last screen has its largest degree in
-    # a tail under lex: x^3 + 2*x^2*y^2, with y^3.
-    from fliftlab.groebner import (LEX, _frobenius_reducers, _prep_reducer,
+    # a tail under the weighted order: x^3 + 2*x^2*y^2, with y^3.
+    from fliftlab.groebner import (_frobenius_reducers, _prep_reducer,
                                    seeded_membership)
 
     def prepared(reducer):
@@ -272,7 +272,7 @@ def test_packed_seed_is_the_frobenius_of_the_screen():
              [PolyRing(["x", "y"], 5).parse("x^4 + y^4 + x^3*y^2")]]
     for gens in cases:
         names, p = gens[0].ring.variables, gens[0].ring.p
-        for order in (GREVLEX, LEX):
+        for order in (GREVLEX, weighted_order(len(names))):
             screen = isolated_singularity_check(gens, order)[1]
             deg = max(c.total_degree() for g in screen for c in g)
             for guard in (p * deg, p * deg - 1):
@@ -491,15 +491,14 @@ def test_plain_membership_stops_at_the_first_zero_remainder(monkeypatch):
 
 
 def test_verdicts_are_order_independent():
-    from fliftlab.groebner import LEX
     cases = [(2, "z^2+x^2*y+x*y^2+x*y*z"), (5, "z^2+x^3+y^5+x*y^4"),
              (3, "z^2+x^3+y^4+x^2*y^2"), (2, "z^2+x^2*y+x*y^3")]
     for p, text in cases:
         f = _r(p).parse(text)
         a = classify([f])
-        b = classify([f], order=LEX)
+        b = classify([f], order=weighted_order(3))
         assert (a.f_pure, a.f_liftable) == (b.f_pure, b.f_liftable)
-        assert b.order == "lex"
+        assert a.order == b.order == "grevlex"
 
 
 def test_negative_ci_verdict_needs_a_splitting_section(monkeypatch):
@@ -555,7 +554,7 @@ def test_timings_present():
 
 
 def _unit_weights(gens):
-    return MonomialOrder("grevlex", (1,) * gens[0].ring.nvars)
+    return MonomialOrder((1,) * gens[0].ring.nvars)
 
 
 def _route_oracle_inputs():
@@ -594,10 +593,11 @@ def test_decision_order_reads_the_pure_powers():
              ("x^2+x^6+y^3+z^7", (4, 2, 1))]  # the smallest power of x
     for text, weights in cases:
         f = ring.parse(text)
-        want = GREVLEX if weights is None else MonomialOrder("grevlex",
-                                                             weights)
+        want = GREVLEX if weights is None else MonomialOrder(weights)
         assert criteria._decision_order([f], GREVLEX) == want, text
-        assert criteria._decision_order([f], LEX) == LEX
+        # a weighted request is taken as given
+        assert criteria._decision_order([f], weighted_order(3)) == \
+            weighted_order(3)
     # complete intersections keep the requested order
     gens = make_cusp_ci(2, 2, 3, 3, 4)
     assert criteria._decision_order(gens, GREVLEX) == GREVLEX
@@ -659,7 +659,7 @@ def test_classify_validates_what_the_packed_screen_packs():
     # ModuleVectors: generators in different ambients (another prime,
     # other variables) still raise AmbientMismatchError, and a generator
     # with a term past the first generator's degree guard still raises
-    # DegreeGuardError, under degrevlex and lex
+    # DegreeGuardError, under degrevlex and a weighted order
     from fliftlab.fp_poly import AmbientMismatchError
     f1 = PolyRing("xyzw", 2).parse("x*y+z^3+w^2")
     for ring in (PolyRing("xyzw", 3), PolyRing("xyzv", 2)):
@@ -669,7 +669,7 @@ def test_classify_validates_what_the_packed_screen_packs():
                 classify(gens)
     small, big = PolyRing("xyzw", 2, 12), PolyRing("xyzw", 2, 100)
     gens = [small.parse("x*y+z^3+w^2"), big.parse("z*w+x^13+y^2")]
-    for order in (GREVLEX, LEX):
+    for order in (GREVLEX, weighted_order(4)):
         with pytest.raises(DegreeGuardError):
             classify(gens, order=order)
     # within the guard the mixed guards classify as one ring does

@@ -15,12 +15,12 @@ from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
 from fliftlab.frobsplit import (_delta1_terms, apply_sigma, build_splitting,
                                 delta1, frobenius_decompose,
                                 lift_and_residual)
-from fliftlab.groebner import (GREVLEX, LEX, MonomialOrder, _Layout,
+from fliftlab.groebner import (GREVLEX, MonomialOrder, _Layout,
                                buchberger, normal_form)
 
 from support import (delta1_walk, diagonal, diagonal_is_fpure,
                      find_fedder_survivor, random_poly, random_nonzero_poly,
-                     splitting_h, trace_u)
+                     splitting_h, trace_u, weighted_order)
 
 
 def test_decompose_examples():
@@ -282,13 +282,13 @@ def _poly_fedder(gens):
 
 def _packings(ring):
     """The default packing and the exponent fields of the layouts the
-    screen may hand over: degrevlex, weighted degrevlex with position
-    slots, and lex."""
+    screen may hand over: degrevlex, and two weighted degrevlex orders,
+    one with position slots."""
     n, guard = ring.nvars, ring.max_degree
-    weighted = MonomialOrder("grevlex", tuple(range(1, n + 1)))
+    weighted = MonomialOrder(tuple(range(1, n + 1)))
     return [None, _Layout(n, 0, GREVLEX, guard).fields,
             _Layout(n, 2, weighted, guard).fields,
-            _Layout(n, 0, LEX, guard).fields]
+            _Layout(n, 0, weighted_order(n), guard).fields]
 
 
 def test_packed_fedder_matches_the_poly_route():

@@ -6,7 +6,7 @@ import pytest
 
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError, Poly,
                               PolyRing)
-from fliftlab.groebner import (GREVLEX, LEX, ModuleVector,
+from fliftlab.groebner import (GREVLEX, ModuleVector,
                                MonomialOrder, _position_leads, buchberger,
                                is_zero_dimensional, jacobian_module,
                                module_buchberger, module_normal_form,
@@ -15,7 +15,7 @@ from fliftlab.groebner import (GREVLEX, LEX, ModuleVector,
 
 from support import (check_packed_layout, cofactors, combine, hand_built,
                      is_basis, random_poly, random_nonzero_poly,
-                     unit_expansions, verify_buchberger)
+                     unit_expansions, verify_buchberger, weighted_order)
 
 
 def _ring(p=2, names=("x", "y", "z", "w")):
@@ -149,7 +149,7 @@ def test_seeded_membership_leaves_the_normal_form_random():
     # screen's layout
     rng = random.Random(4242)
     seen = set()
-    for order in (GREVLEX, LEX, MonomialOrder("grevlex", (3, 1))):
+    for order in (GREVLEX, MonomialOrder((3, 1))):
         for p in (2, 3, 5):
             ring = _ring(p, ("x", "y"))
             for _ in range(4):
@@ -200,26 +200,12 @@ def test_seeded_membership_checks_the_ambient():
             seeded_membership(member, screen, [v])
 
 
-def test_lex_is_term_over_position_golden():
-    # lex compares the monomial before the position: x*y e_1 > x e_2 > y e_1
-    ring = _ring(3, ("x", "y"))
-    gens = [ModuleVector([ring.zero(), ring.parse("x")]),
-            ModuleVector([ring.parse("y"), ring.parse("y^2")])]
-    # the inputs alone are not a basis: their S-vector at e_2 leaves x*y e_1
-    assert not verify_buchberger(hand_built(gens, LEX, gens))
-    gb = module_buchberger(gens, LEX)
-    assert gb.generators == (
-        ModuleVector([ring.parse("x*y"), ring.zero()]),
-        ModuleVector([ring.zero(), ring.parse("x")]),
-        ModuleVector([ring.parse("y"), ring.parse("y^2")]))
-
-
 def test_verify_buchberger_on_scaled_hand_built_module_bases():
     # the module case of the scaled hand-built ideal bases: S-vectors from
     # non-monic reducers' tails scale each tail by its lc_inv
     rng = random.Random(4343)
     ring = _ring(5, ("x", "y"))
-    for order in (GREVLEX, LEX):
+    for order in (GREVLEX, weighted_order(2)):
         seen = set()
         for _ in range(12):
             gens = [ModuleVector([random_poly(rng, ring, 2, 3)
@@ -243,7 +229,7 @@ def test_verify_buchberger_on_scaled_hand_built_module_bases():
 
 def test_rank_one_module_basis_is_the_ideal_basis():
     rng = random.Random(1212)
-    for order in (GREVLEX, LEX):
+    for order in (GREVLEX, weighted_order(3)):
         for p in (2, 3, 5):
             ring = _ring(p, ("x", "y", "z"))
             for _ in range(6):
@@ -256,7 +242,7 @@ def test_rank_one_module_basis_is_the_ideal_basis():
 
 def test_packed_slotted_layout_matches_tuple_terms():
     rng = random.Random(4545)
-    for order in (GREVLEX, LEX):
+    for order in (GREVLEX, weighted_order(3)):
         for slots in (2, 3):
             check_packed_layout(rng, order, slots)
 
@@ -269,7 +255,7 @@ def _top_key(order, v):
 
 def test_module_bases_satisfy_buchberger_criterion_random():
     rng = random.Random(3434)
-    for order in (GREVLEX, LEX):
+    for order in (GREVLEX, weighted_order(2)):
         for p in (2, 3, 5):
             ring = _ring(p, ("x", "y"))
             for _ in range(6):
@@ -294,7 +280,7 @@ def test_coprime_leads_at_one_position_still_pair():
     ring = _ring(3, ("x", "y"))
     gens = [ModuleVector([ring.parse("x"), ring.one()]),
             ModuleVector([ring.parse("y"), ring.zero()])]
-    for order in (GREVLEX, LEX):
+    for order in (GREVLEX, weighted_order(2)):
         gb = module_buchberger(gens, order)
         assert verify_buchberger(gb)
         assert gb.generators == (gens[0], gens[1],
@@ -319,7 +305,7 @@ def test_product_criterion_on_monomial_and_one_position_vectors():
     # which forms every pair at a position, hold every input, re-expand
     # in the inputs and not depend on their order
     rng = random.Random(2727)
-    for order in (GREVLEX, LEX):
+    for order in (GREVLEX, weighted_order(2)):
         for p in (2, 3, 5):
             ring = _ring(p, ("x", "y"))
             for size in (2, 3):
@@ -358,7 +344,7 @@ def test_product_criterion_drops_the_pair(monkeypatch):
          ModuleVector([ring.parse("y+1"), zero])],
         [ring.parse("x^2*y"), ring.parse("x*y^2")]]
     for gens in cases:
-        for order in (GREVLEX, LEX):
+        for order in (GREVLEX, weighted_order(2)):
             gb = buchberger(gens, order)
             assert calls == [] and gb.generators == tuple(gens)
             assert verify_buchberger(gb)  # forms the pair itself
@@ -367,7 +353,7 @@ def test_product_criterion_drops_the_pair(monkeypatch):
 
 def test_tracked_module_basis_elements_expand_from_their_reprs():
     rng = random.Random(7070)
-    for order in (GREVLEX, LEX):
+    for order in (GREVLEX, weighted_order(2)):
         for p in (2, 3, 5):
             ring = _ring(p, ("x", "y"))
             for _ in range(5):
@@ -408,7 +394,7 @@ def _jacobian_spanning(gens):
 def test_jacobian_module_packs_the_spanning_vectors():
     # the packed spanning set equals the encoded Poly construction (with
     # Poly.derivative), and the basis and trace those of module_buchberger
-    # on it, under degrevlex, weighted degrevlex and lex for m = 1, 2, 3;
+    # on it, under degrevlex and weighted degrevlex for m = 1, 2, 3;
     # every input has terms whose exponent p divides, so some derivative
     # terms drop out, and some column is zero
     rng = random.Random(2323)
@@ -424,8 +410,7 @@ def test_jacobian_module_packs_the_spanning_vectors():
                     len(f.derivative(k)) < len(f)
                     for f in gens for k in range(3) if f.terms)
                 seen_zero += any(v.is_zero() for v in spanning[m * m:])
-                for order in (GREVLEX, LEX, MonomialOrder("grevlex",
-                                                          (2, 1, 3))):
+                for order in (GREVLEX, MonomialOrder((2, 1, 3))):
                     for track in (False, True):
                         basis = jacobian_module(gens, order, track=track)
                         want = module_buchberger(spanning, order,
@@ -463,11 +448,11 @@ def test_packed_read_out_matches_the_tuple_definitions():
     # contains_one and is_zero_dimensional, read off the packed leads,
     # against their definitions on the decoded leads: random ideals and
     # rank-2 submodules, unit ones (a constant at some or every
-    # position), and ones that are not zero-dimensional, under all three
-    # kinds of order
+    # position), and ones that are not zero-dimensional, under both kinds
+    # of order
     rng = random.Random(4141)
     seen = set()
-    for order in (GREVLEX, LEX, MonomialOrder("grevlex", (1, 3, 2))):
+    for order in (GREVLEX, MonomialOrder((1, 3, 2))):
         for p in (2, 3, 7):
             ring = _ring(p, ("x", "y", "z"))
             one, x = ring.one(), ring.variable(0)
@@ -504,18 +489,19 @@ def test_packed_read_out_matches_the_tuple_definitions():
 def test_seeded_membership_takes_the_residual_packed():
     # the residual packed in the screen layout's fields, as classify hands
     # it over, gives the remainder and cofactors of its ModuleVector, plain
-    # and tracked: m = 1 under degrevlex, weighted degrevlex and lex, for
-    # a member and the nonmember E_8^1, and m = 2 under both orders
+    # and tracked: m = 1 under degrevlex and two weighted orders, for a
+    # member and the nonmember E_8^1, and m = 2 under degrevlex and a
+    # weighted order
     from fliftlab.catalog import make_cusp_ci, make_cusp_hypersurface
     from fliftlab.frobsplit import build_splitting, lift_and_residual
 
     cusp = [make_cusp_hypersurface(5, 2, 3, 7)]
     e81 = [_ring(5, ("x", "y", "z")).parse("z^2+x^3+y^5+x*y^4")]
     ci = make_cusp_ci(2, 2, 3, 3, 4)
-    cases = [(cusp, GREVLEX), (cusp, MonomialOrder("grevlex", (4, 2, 1))),
-             (cusp, LEX), (e81, GREVLEX),
-             (e81, MonomialOrder("grevlex", (2, 1, 2))), (e81, LEX),
-             (ci, GREVLEX), (ci, LEX)]
+    cases = [(cusp, GREVLEX), (cusp, MonomialOrder((4, 2, 1))),
+             (cusp, weighted_order(3)), (e81, GREVLEX),
+             (e81, MonomialOrder((2, 1, 2))), (e81, weighted_order(3)),
+             (ci, GREVLEX), (ci, weighted_order(4))]
     members = 0
     for gens, order in cases:
         m = len(gens)
