@@ -19,8 +19,8 @@ decision is order-free, so one order and one packed layout serve it.
 
 from __future__ import annotations
 
+import bisect
 import functools
-import heapq
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -28,13 +28,12 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
-                      _add_product, _unpack, grevlex_key)
+                      _add_product, _unpack)
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Degrevlex, a multiplicative well-order on monomials; `key` sorts
-    ascending.
+    """Degrevlex, a multiplicative well-order on monomials.
 
     `weights`, positive integers w_v, compare the weighted degree
     sum(w_v * a_v) first and break its ties by degrevlex; None is
@@ -47,11 +46,6 @@ class MonomialOrder:
         if self.weights is not None and not all(
                 isinstance(w, int) and w > 0 for w in self.weights):
             raise ValueError("weights are positive integers")
-
-    def key(self, mono: tuple[int, ...]) -> tuple:
-        if self.weights is None:
-            return grevlex_key(mono)
-        return (sum(map(mul, self.weights, mono)), grevlex_key(mono))
 
 
 GREVLEX = MonomialOrder()
@@ -85,7 +79,8 @@ class _Layout:
       degree.
 
     Packing raises DegreeGuardError for a monomial beyond the guard, so
-    no field ever wraps.
+    no field ever wraps.  `pair_masks` holds the masks that `_new_pairs`
+    reads, bound once per layout.
     """
 
     def __init__(self, nvars: int, slots: int, order: MonomialOrder,
@@ -121,6 +116,9 @@ class _Layout:
         # every field is linear in the exponents, so a term packs as the
         # sum of its entries times these
         self._packers = [self._prefixed(u) for u in self.units]
+        self.pair_masks = (self.guard, self._low_mask, w - 1, self._exp_mask,
+                           self._spread, self._prefix_mask, self._wspread,
+                           self._wmask)
 
     def _check(self, mono: tuple[int, ...]) -> None:
         if sum(mono) > self.max_degree:
@@ -207,17 +205,19 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
     """Full normal form of a packed term dict against prepared reducers.
 
     Each reducer is (lead, inverse of the lead coefficient, tail items),
-    all terms packed.  The largest remaining term is taken from a heap of
-    negated terms and divided by the first reducer in list order whose
-    lead divides it.  Every term enters the heap once.  Coefficients, of
-    `fterms` too, collect unreduced and are reduced mod p once, when their
-    term is popped; a term that cancels waits in the heap at a coefficient
-    that is 0 mod p.  When `quotients` is given (reducer index -> quotient
-    dict; a `defaultdict(dict)` makes a dict only for a reducer that is
-    used) the division is tracked so that input = sum(quotient_i *
-    reducer_i) + remainder, and repeated calls on one mapping add up their
-    quotients.  No tail term has a larger weighted degree than its lead,
-    so no new term outgrows the packed fields (see `_Layout`).
+    all terms packed.  The pending terms are an ascending list: the
+    largest is popped off its end and divided by the first reducer in list
+    order whose lead divides it, and a new term, always smaller than the
+    one popped, is put in by bisection.  Every term enters the list once.
+    Coefficients, of `fterms` too, collect unreduced and are reduced mod p
+    once, when their term is popped; a term that cancels waits in the list
+    at a coefficient that is 0 mod p.  When `quotients` is given (reducer
+    index -> quotient dict; a `defaultdict(dict)` makes a dict only for a
+    reducer that is used) the division is tracked so that input =
+    sum(quotient_i * reducer_i) + remainder, and repeated calls on one
+    mapping add up their quotients.  No tail term has a larger weighted
+    degree than its lead, so no new term outgrows the packed fields (see
+    `_Layout`).
 
     The divisor search passes a lead larger than the term at one compare,
     as a divisor is never larger.  `memo` maps a term to where the search
@@ -231,12 +231,11 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
         memo = {}
     nred = len(reducers)
     work = dict(fterms)
-    heap = [-m for m in work]
-    heapq.heapify(heap)
-    pop, push, get = heapq.heappop, heapq.heappush, work.get
+    queue = sorted(work)
+    pop, put, get = queue.pop, bisect.insort, work.get
     rem: dict = {}
-    while heap:
-        m = -pop(heap)
+    while queue:
+        m = pop()
         c = work.pop(m) % p
         if not c:
             continue
@@ -262,7 +261,7 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
             prev = get(mm)
             if prev is None:
                 work[mm] = factor * tc
-                push(heap, -mm)
+                put(queue, mm)
             else:
                 work[mm] = prev + factor * tc
     return rem
@@ -554,13 +553,14 @@ def _new_pairs(layout: _Layout, lms: list[int], kinds: list[int],
     minimal ones met so far (a divisor is never larger).  Divisibility
     reads only the slot and exponent fields, and an int of those alone
     grows with every one of them, so the walk runs on such ints and the
-    prefix sums are rebuilt only for the pairs kept.  The lcm with a lead
-    t is t plus lms[h]'s excess over t, all of lms[h]'s exponents iff
-    they are coprime."""
+    prefix-sum and weighted-degree fields are added only to the pairs
+    kept, from the layout's `pair_masks`.  The lcm with a lead t is t plus
+    lms[h]'s excess over t, all of lms[h]'s exponents iff they are
+    coprime."""
+    guard, low, top, exps, spread, prefix, wspread, wmask = layout.pair_masks
     lm, kh = lms[h], kinds[h]
-    guard, low, top = layout.guard, layout._low_mask, layout.width - 1
     lmg = lm & low | guard
-    coprime = lm & layout._exp_mask
+    coprime = lm & exps
     cands: dict[int, int] = {}
     for g in active:
         t = lms[g] & low
@@ -570,6 +570,7 @@ def _new_pairs(layout: _Layout, lms: list[int], kinds: list[int],
             cands[lcm] = -1 if kh and (kg := kinds[g]) and (
                 inc == coprime or kh == kg == 2) else g
     minimal: list[int] = []
+    new: list[tuple] = []
     for lcm in sorted(cands):
         lg = lcm | guard
         for d in minimal:
@@ -577,8 +578,11 @@ def _new_pairs(layout: _Layout, lms: list[int], kinds: list[int],
                 break
         else:
             minimal.append(lcm)
-    return [(layout._prefixed(lcm), cands[lcm], h) for lcm in minimal
-            if cands[lcm] >= 0]
+            if (g := cands[lcm]) >= 0:
+                e = lcm & exps
+                new.append((lcm + (e * spread & prefix) +
+                            (e * wspread & wmask), g, h))
+    return new
 
 
 def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
@@ -605,8 +609,11 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     The basis is kept only as prepared monic reducers, each built in one
     pass over its remainder when it joins; S-pairs are formed from their
     tails (see `_spair_terms`), and all S-pair reductions share one
-    divisor memo.  The pair heap pops the smallest lcm first, ties by
-    index; leads, lcms, shifts and the recorded multipliers stay packed
+    divisor memo; a monomial joins as (lead, 1, ()) without a pass over
+    its terms.  The pairs wait in a list sorted ascending, (lcm, i, j)
+    with no two equal, so the smallest lcm is popped first, ties by
+    index: new pairs are put in by bisection and B_k filters the list in
+    order.  Leads, lcms, shifts and the recorded multipliers stay packed
     throughout.
 
     `target`, a term dict that no lead of `gens` divides a term of, is
@@ -621,7 +628,7 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     """
     p = ring.p
     guard, slot_mask = layout.guard, layout.slot_mask
-    lcm_of = layout.lcm
+    lcm_of, insort = layout.lcm, bisect.insort
 
     lms: list[int] = []
     reducers: list[tuple] = []  # (lead, 1, tail) of each monic element
@@ -632,49 +639,46 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     kinds: list[int] = []  # 2 a monomial, 1 one-position, 0 spread
     # per position, the elements whose lead no later lead divides
     active: dict[int, list[int]] = {}
-    pairs: list[tuple] = []  # heap of (lcm, i, j)
+    pairs: list[tuple] = []  # (lcm, i, j), ascending
     memo: dict = {}  # the divisor memo of `reducers`
     # with track, the target's quotient on each reducer it was divided by
     target_q = defaultdict(dict) if track else None
 
-    def update(h: int, lm: int, seed: bool) -> None:
-        nonlocal pairs
-        here = active.get(pos := lm & slot_mask, [])
-        if not seed:
-            new = _new_pairs(layout, lms, kinds, here, h)
-            # criterion B_k on the old pairs; the heap is rebuilt only
-            # when it loses a pair
-            npairs = len(pairs)
-            pairs = [e for e in pairs
-                     if ((e[0] | guard) - lm) & guard != guard or
-                     lcm_of(lms[e[1]], lm) == e[0] or
-                     lcm_of(lms[e[2]], lm) == e[0]]
-            if len(pairs) == npairs:
-                for e in new:
-                    heapq.heappush(pairs, e)
-            else:
-                pairs.extend(new)
-                heapq.heapify(pairs)
-        here = [g for g in here if ((lms[g] | guard) - lm) & guard != guard]
-        here.append(h)
-        active[pos] = here
-
     def add(terms: dict, step: list | None, seed: bool = False) -> None:
         # the element is terms / lc, and with track terms is the sum of
-        # multiplier * node over the (node, multiplier) pairs of `step`
-        lm = max(terms)
-        inv = pow(terms[lm], p - 2, p)
+        # multiplier * node over the (node, multiplier) pairs of `step`;
+        # it joins, then its pairs are formed and the old ones pruned
+        nonlocal pairs
+        if len(terms) == 1:
+            (lm, lc), = terms.items()
+            kind, pos = 2, lm & slot_mask
+        else:
+            lm = max(terms)
+            lc, pos = terms[lm], lm & slot_mask
+            kind = not slot_mask or all(m & slot_mask == pos for m in terms)
+        inv = pow(lc, p - 2, p)
+        h = len(lms)
         lms.append(lm)
-        pos = lm & slot_mask
-        kinds.append(2 if len(terms) == 1 else not slot_mask or
-                     all(m & slot_mask == pos for m in terms))
-        reducers.append((lm, 1, tuple(
+        kinds.append(kind)
+        reducers.append((lm, 1, () if kind == 2 else tuple(
             (m, c * inv % p) for m, c in terms.items() if m != lm)))
         if track:
             nodes.append(len(steps))
             steps.append([(src, {m: c * inv % p for m, c in mult.items()})
                           for src, mult in step])
-        update(len(lms) - 1, lm, seed)
+        here = active.get(pos, [])
+        if not seed:
+            new = _new_pairs(layout, lms, kinds, here, h)
+            # criterion B_k on the old pairs, which stay in order
+            pairs = [e for e in pairs
+                     if ((e[0] | guard) - lm) & guard != guard or
+                     lcm_of(lms[e[1]], lm) == e[0] or
+                     lcm_of(lms[e[2]], lm) == e[0]]
+            for e in new:
+                insort(pairs, e)
+        here = [g for g in here if ((lms[g] | guard) - lm) & guard != guard]
+        here.append(h)
+        active[pos] = here
 
     for i, g in enumerate(gens):
         if g:
@@ -683,7 +687,7 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
         raise ValueError("all generators are zero")
 
     while pairs and target != {}:
-        lcm, i, j = heapq.heappop(pairs)
+        lcm, i, j = pairs.pop(0)
         degree = layout.degree(lcm)
         if degree > ring.max_degree:
             raise DegreeGuardError(
@@ -730,7 +734,8 @@ def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
     leads are distinct and generate the lead ideal.  Minimalization walks
     them from the smallest lead up and keeps each one that no kept lead
     divides: a divisor is never larger, so the minimal generators are
-    met first.  The tail reductions share one divisor memo.
+    met first.  The tail reductions share one divisor memo, and a
+    monomial, with no tail, is not reduced.
     """
     p = ring.p
     kept: list[int] = []
@@ -753,6 +758,8 @@ def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
     memo: dict = {}
     for i in range(len(reducers) - 1, -1, -1):
         lm, _, tail = reducers[i]
+        if not tail:
+            continue
         tail = dict(tail)
         quotients = defaultdict(dict) if trace is not None else None
         rem = _reduce_full(tail, reducers, p, layout, quotients, memo)

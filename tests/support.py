@@ -1,8 +1,9 @@
 """Shared test helpers: a second monomial order, random polynomial
 generation, the dense Macaulay-matrix membership oracle used to
-cross-check the Groebner engine, and plain oracles for the polynomial
-product, delta1, the Fedder survivor, the printer's term order, the
-standard-monomial count, the packed term layout and the pair criteria;
+cross-check the Groebner engine, and plain oracles for the monomial
+order's sort key, the polynomial product, delta1, the Fedder survivor,
+the printer's term order, the standard-monomial count, the packed term
+layout and the pair criteria;
 a re-expansion check of residual certificates; seeded coordinate
 changes that fix the origin; and diagonal hypersurfaces with their
 closed-form F-purity.  Also the engine's views that only tests use: the
@@ -25,6 +26,15 @@ from fliftlab.groebner import (GroebnerBasis, ModuleVector, MonomialOrder,
                                _coordinates, _packed, _prep_reducer,
                                _reduce_full, _spair_terms,
                                normal_form_with_cofactors)
+
+
+def order_key(order: MonomialOrder, mono: tuple[int, ...]) -> tuple:
+    """The order on exponent tuples by its definition, as an ascending
+    sort key: `grevlex_key`, after the weighted degree sum(w_v * a_v)
+    under weights."""
+    if order.weights is None:
+        return grevlex_key(mono)
+    return (sum(map(mul, order.weights, mono)), grevlex_key(mono))
 
 
 def weighted_order(nvars: int) -> MonomialOrder:
@@ -347,7 +357,7 @@ def check_packed_layout(rng: random.Random, order, slots: int,
             return pos, tuple(mono), slot + tuple(mono)
 
         def key(pos, mono):
-            return (order.key(mono), -pos)
+            return (order_key(order, mono), -pos)
 
         for _ in range(rounds):
             (pa, ma, a), (pb, mb, b) = term(), term()

@@ -14,7 +14,7 @@ from fliftlab.groebner import (GREVLEX, ModuleVector,
                                seeded_membership)
 
 from support import (check_packed_layout, cofactors, combine, hand_built,
-                     is_basis, random_poly, random_nonzero_poly,
+                     is_basis, order_key, random_poly, random_nonzero_poly,
                      unit_expansions, verify_buchberger, weighted_order)
 
 
@@ -249,7 +249,7 @@ def test_packed_slotted_layout_matches_tuple_terms():
 
 def _top_key(order, v):
     """Independent term-over-position key of a vector's leading term."""
-    return max((order.key(m), -pos) for pos, c in enumerate(v)
+    return max((order_key(order, m), -pos) for pos, c in enumerate(v)
                for m in c.terms)
 
 
