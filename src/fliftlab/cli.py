@@ -28,8 +28,8 @@ from .catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
 from .criteria import classify as _classify_gens
 from .fp_poly import (DEFAULT_MAX_DEGREE, DegreeGuardError, FpPolyError,
                       PolyRing, is_prime)
-from .report import (csv_table, json_text, markdown_table, report_text,
-                     report_to_dict, sweep_text, text_table)
+from .report import (SCHEMA_VERSION, csv_table, json_text, markdown_table,
+                     report_text, report_to_dict, sweep_text, text_table)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -348,7 +348,7 @@ def _cmd_sweep(args, out) -> int:
                     if lift is not True]
     if args.format == "json":
         payload = {
-            "version": "fliftlab/1", "command": "sweep", "family": family,
+            "version": SCHEMA_VERSION, "command": "sweep", "family": family,
             "results": [
                 {"p": p, "params": list(t), "status": status, "f_pure": pure,
                  "f_liftable": lift, "conclusive": concl, "ms": ms}

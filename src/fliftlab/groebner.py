@@ -319,9 +319,9 @@ class GroebnerBasis:
     Built from the engine's output only: the rank `size`, the kind
     (`vectors`: ModuleVectors of length s, else Polys), the `packed`
     original generators, the prepared `reducers` and the `trace`.  The
-    `originals`, when not given, and the elements and leads are decoded
-    on first access; the leads are exponent tuples, after s position
-    slots when s > 1.  The `trace`, when present (track=True), is (steps,
+    original generators, the elements and the leads are decoded on first
+    access; the leads are exponent tuples, after s position slots when
+    s > 1.  The `trace`, when present (track=True), is (steps,
     roots): how the engine formed each element from `original_generators`,
     which `expand_packed` turns into cofactors (see `_expand`); roots[i]
     is the node of generators[i].  Every reduction against the reducers
@@ -330,8 +330,7 @@ class GroebnerBasis:
 
     def __init__(self, ring: PolyRing, size: int, vectors: bool,
                  order: MonomialOrder, packed: Sequence[dict],
-                 reducers: list[tuple], trace: tuple[list, list] | None,
-                 originals: tuple | None = None):
+                 reducers: list[tuple], trace: tuple[list, list] | None):
         self.ring = ring
         self.size = size  # the rank s of the module
         self._vectors = vectors
@@ -339,9 +338,8 @@ class GroebnerBasis:
         self.order = order
         self.trace = trace
         self._packed_originals = packed
-        self._originals = originals
         self._reducers = reducers
-        self._generators = self._leads = None
+        self._originals = self._generators = self._leads = None
         self._layout = _shared_layout(ring.nvars, self._slots, order,
                                       ring.max_degree)
         self._memo: dict = {}
@@ -501,7 +499,7 @@ def reduce_by_generators(f, gens: Sequence, order: MonomialOrder = GREVLEX):
     ring, size, layout, (packed, *divisors) = _packed([f, *gens], order)
     reducers = [_prep_reducer(g, ring.p) for g in divisors if g]
     basis = GroebnerBasis(ring, size, isinstance(f, ModuleVector), order,
-                          divisors, reducers, None, tuple(gens))
+                          divisors, reducers, None)
     return basis._decode(_reduce_full(packed, reducers, ring.p, layout), ring)
 
 
@@ -800,7 +798,7 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX, *,
     ring, size, layout, packed = _packed(gens, order)
     reducers, trace = _groebner(packed, ring, layout, track, known_gb_prefix)
     return GroebnerBasis(ring, size, isinstance(gens[0], ModuleVector),
-                         order, packed, reducers, trace, gens)
+                         order, packed, reducers, trace)
 
 
 def _position_leads(basis: GroebnerBasis) -> list[list[tuple[int, ...]]]:

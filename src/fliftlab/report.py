@@ -3,7 +3,7 @@ and the one renderer per format that the commands share: JSON text,
 CSV and markdown tables, aligned text tables and plain text.
 
 Every JSON output, a report's and the CLI's, is written by `json_text`,
-whose bytes are those of `json.dumps(value, indent=2)`.
+which is `json.dumps(value, indent=2)`.
 
 JSON schema (stable, versioned):
   { version, p, variables: [...], generators: [...], status, f_pure,
@@ -111,57 +111,9 @@ def report_from_dict(d: dict) -> LiftabilityReport:
         timings_ms=dict(d["timings_ms"]), order=d.get("order", "grevlex"))
 
 
-_ESCAPE = json.encoder.encode_basestring_ascii
-_INFINITY = float("inf")
-
-
-def _float_text(x: float) -> str:
-    """float.__repr__, with json's spellings of the non-finite values."""
-    if x != x:
-        return "NaN"
-    if x == _INFINITY:
-        return "Infinity"
-    if x == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-_SCALAR_TEXT = {str: _ESCAPE, int: int.__repr__, float: _float_text,
-                bool: {True: "true", False: "false"}.__getitem__,
-                type(None): lambda _: "null"}
-
-
-def _json_text(value, newline: str) -> str:
-    """`value` with its nested lines indented as `newline` is."""
-    scalar = _SCALAR_TEXT.get(type(value))
-    if scalar is not None:
-        return scalar(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return ("{" + inner + ("," + inner).join(
-            [f"{_ESCAPE(k)}: {_json_text(v, inner)}" for k, v in value.items()])
-            + newline + "}")
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return ("[" + inner + ("," + inner).join(
-            [_json_text(v, inner) for v in value]) + newline + "]")
-    raise TypeError(f"Object of type {type(value).__name__} "
-                    "is not JSON serializable")
-
-
 def json_text(value) -> str:
-    """The bytes of `json.dumps(value, indent=2)`, from C-level pieces.
-
-    `json.dumps` falls back to its pure-Python encoder whenever `indent`
-    is set; this writer escapes strings with json's C escaper and joins
-    containers with precomputed padding instead.  `value` is built of
-    dicts with str keys, lists, tuples, str, int, float, bool and None
-    (exact types); anything else raises TypeError.
-    """
-    return _json_text(value, "\n")
+    """The one JSON layout of every output: `json.dumps(value, indent=2)`."""
+    return json.dumps(value, indent=2)
 
 
 def report_to_json(report: LiftabilityReport) -> str:

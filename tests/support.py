@@ -186,8 +186,7 @@ def hand_built(generators, order, originals) -> GroebnerBasis:
     ring, size, _, packed = _packed([*originals, *generators], order)
     basis = GroebnerBasis(ring, size, isinstance(originals[0], ModuleVector),
                           order, packed[:k], [_prep_reducer(g, ring.p)
-                                              for g in packed[k:]],
-                          None, tuple(originals))
+                                              for g in packed[k:]], None)
     basis._generators = tuple(generators)  # not monic: never decoded
     return basis
 

@@ -185,7 +185,8 @@ def test_sweep_json_summary(capsys, tmp_path, monkeypatch):
                            "--max", "3", "--format", "json")
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["family"] == "cusp_ci"
+    assert payload["version"] == "fliftlab/1"
+    assert payload["command"] == "sweep" and payload["family"] == "cusp_ci"
     assert payload["summary"]["non_liftable"] == []
     assert payload["summary"]["total"] == payload["summary"]["liftable"]
     # all admissible tuples are enumerated, not just symmetry classes
@@ -428,6 +429,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # timings vary run to run: "12.3 ms" in text, the trailing csv column
 _TIMING = re.compile(r"\d+\.\d(?= ms)|(?<=,)\d+\.\d$", re.M)
+# and in JSON the float after a timing key (a sweep's integer total stays)
+_JSON_TIMING = re.compile(
+    r'("(?:isolated|fedder|delta1|groebner|total|ms)": )'
+    r'-?\d+(?:\.\d+(?:e[-+]\d+)?|e[-+]\d+)(?=,?$)', re.M)
+
+
+def _masked(out: str) -> str:
+    return _JSON_TIMING.sub(r"\1*", _TIMING.sub("*", out))
+
 
 _E81 = ("classify", "--p", "5", "--vars", "x,y,z",
         "--poly", "z^2+x^3+y^5+x*y^4")
@@ -443,9 +453,11 @@ GOLDEN_RUNS = {
     "sweep_cusp_ci_p2_max3.txt": _SWEEP_CI,
     "sweep_cusp_ci_p2_max3.md": _SWEEP_CI + ("--format", "md"),
     "sweep_cusp_ci_p2_max3.csv": _SWEEP_CI + ("--format", "csv"),
+    "sweep_cusp_ci_p2_max3.json": _SWEEP_CI + ("--format", "json"),
     "classify_e81_p5.txt": _E81,
     "classify_e81_p5.md": _E81 + ("--format", "md"),
     "classify_e81_p5.csv": _E81 + ("--format", "csv"),
+    "classify_e81_p5.json": _E81 + ("--certificates", "--format", "json"),
     "classify_cusp237_p3_certificates.txt": _CUSP237_P3,
     "classify_ci_p2_certificates.txt": _CI_P2,
     # plain members past the seed: the membership run stops early
@@ -471,7 +483,7 @@ def test_output_matches_golden(name, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, *GOLDEN_RUNS[name])
     assert code == EXIT_OK
-    assert _TIMING.sub("*", out) == (GOLDEN / name).read_text()
+    assert _masked(out) == (GOLDEN / name).read_text()
 
 
 def test_sweep_parallel_jobs_matches_serial(capsys, tmp_path, monkeypatch):

@@ -5,11 +5,8 @@ import json
 from fliftlab.cli import main
 from fliftlab.criteria import classify
 from fliftlab.fp_poly import PolyRing
-from fliftlab.report import (CSV_HEADER, csv_table, json_text,
-                             report_from_dict, report_text, report_to_dict,
-                             report_to_json)
-
-from test_report_digests import digest_inputs
+from fliftlab.report import (CSV_HEADER, csv_table, report_from_dict,
+                             report_text, report_to_dict, report_to_json)
 
 SCHEMA_KEYS = {"version", "p", "variables", "generators", "status", "f_pure",
                "f_liftable", "conclusive", "order", "certificate",
@@ -89,35 +86,6 @@ def test_text_rendering():
                                 certificates=True)
     text = report_text(rep)
     assert "cofactors" in text
-
-
-JSON_EDGE_CASES = [
-    {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, [[]], [{}]],
-    (1, (2, [3, ()])), {"t": ("x", {"u": (None,)})},
-    None, True, False, 0, -1, 2**70, [None, True, False, 0, -1, -2**70],
-    0.0, -0.0, 1e-07, 1e22, {"f": [1.5, -0.0, 1e-07, 1e22, 123456789.125]},
-    '"', "\\", "\n", "\x01", "é", "😀",
-    {"\"k\\\n\x01é😀": ["a\"b", "c\\d", "\te\x7f", "é😀"]},
-]
-
-
-def test_json_text_matches_json_dumps_on_edge_cases():
-    for value in JSON_EDGE_CASES:
-        assert json_text(value) == json.dumps(value, indent=2), value
-
-
-def test_report_json_is_json_dumps_of_its_dict():
-    """Every pinned report, each classified plain and certified."""
-    seen = set()
-    for _, gens, order, _ in digest_inputs():
-        key = (gens[0].ring.p, tuple(map(str, gens)), order)
-        if key in seen:
-            continue
-        seen.add(key)
-        for certificates in (False, True):
-            rep = classify(gens, order=order, certificates=certificates)
-            assert report_to_json(rep) == \
-                json.dumps(report_to_dict(rep), indent=2), key
 
 
 def test_cli_json_is_json_dumps(capsys, tmp_path, monkeypatch):
