@@ -312,6 +312,10 @@ class Poly:
         if self.total_degree() * e > ring.max_degree:
             raise DegreeGuardError(
                 f"power degree {self.total_degree() * e} exceeds guard {ring.max_degree}")
+        if len(self.terms) == 1:  # (c x^m)^e = c^e x^(e m), one term
+            (m, c), = self.terms.items()
+            return Poly._make(ring, {tuple(a * e for a in m):
+                                     pow(c, e, ring.p)})
         packing = _packing(ring.nvars, self.total_degree() * e or 1)
         base = _pack(self.terms, packing[1])
         return _unpack(ring, _times(dict(base), base, ring.p, e - 1), packing)

@@ -24,7 +24,7 @@ import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import mul
+from operator import itemgetter, mul, or_
 from typing import Iterable, Sequence
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, Poly, PolyRing,
@@ -191,6 +191,9 @@ class _Layout:
         return self._prefixed(b ^ ((a ^ b) & (ge - (ge >> (self.width - 1)))))
 
 
+_first = itemgetter(0)
+
+
 @functools.lru_cache(maxsize=64)
 def _shared_layout(nvars: int, slots: int, order: MonomialOrder,
                    max_degree: int) -> _Layout:
@@ -205,13 +208,16 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
     """Full normal form of a packed term dict against prepared reducers.
 
     Each reducer is (lead, inverse of the lead coefficient, tail items),
-    all terms packed.  The pending terms are an ascending list: the
-    largest is popped off its end and divided by the first reducer in list
-    order whose lead divides it, and a new term, always smaller than the
-    one popped, is put in by bisection.  Every term enters the list once.
-    Coefficients, of `fterms` too, collect unreduced and are reduced mod p
-    once, when their term is popped; a term that cancels waits in the list
-    at a coefficient that is 0 mod p.  When `quotients` is given (reducer
+    all terms packed.  The division works in `fterms` itself and empties
+    it, so a caller passes a dict it no longer needs.  The pending terms
+    are an ascending list: the largest is popped off its end and divided
+    by the first reducer in list order whose lead divides it, and a new
+    term, always smaller than the one popped, is put in by bisection.
+    Every term enters the list once, and the remainder's terms come out
+    largest first, so its first key is its lead.  Coefficients, of
+    `fterms` too, collect unreduced and are reduced mod p once, when
+    their term is popped; a term that cancels waits in the list at a
+    coefficient that is 0 mod p.  When `quotients` is given (reducer
     index -> quotient dict; a `defaultdict(dict)` makes a dict only for a
     reducer that is used) the division is tracked so that input =
     sum(quotient_i * reducer_i) + remainder, and repeated calls on one
@@ -230,7 +236,7 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
     if memo is None:
         memo = {}
     nred = len(reducers)
-    work = dict(fterms)
+    work = fterms
     queue = sorted(work)
     pop, put, get = queue.pop, bisect.insort, work.get
     rem: dict = {}
@@ -540,30 +546,34 @@ def _packed(gens: Sequence, order: MonomialOrder
 
 
 def _new_pairs(layout: _Layout, lms: list[int], kinds: list[int],
-               active: list[int], h: int) -> list[tuple]:
+               active: list[int], h: int) -> tuple[list[tuple], list[int]]:
     """Criteria M and F: the pairs (lcm, g, h) that lead lms[h] keeps with
-    lms[g], g in `active`, the list at its position.  Each lcm keeps its
-    last g, or -1 if a candidate passes the product criterion (Buchberger
-    1979), by `kinds` (2 a monomial, 1 all terms at the lead's position,
-    0 spread): two monomials, whose S-vector is 0, or two one-position
-    elements with coprime lead exponents, whose S-vector reduces to 0 by
-    the two as in the ideal case.  The lcms are walked upward against the
-    minimal ones met so far (a divisor is never larger).  Divisibility
-    reads only the slot and exponent fields, and an int of those alone
-    grows with every one of them, so the walk runs on such ints and the
-    prefix-sum and weighted-degree fields are added only to the pairs
-    kept, from the layout's `pair_masks`.  The lcm with a lead t is t plus
-    lms[h]'s excess over t, all of lms[h]'s exponents iff they are
-    coprime."""
+    lms[g], g in `active`, the list at its position, and the elements of
+    `active` whose lead lms[h] does not divide, in order.  Each lcm keeps
+    its last g, or -1 if a candidate passes the product criterion
+    (Buchberger 1979), by `kinds` (2 a monomial, 1 all terms at the lead's
+    position, 0 spread): two monomials, whose S-vector is 0, or two
+    one-position elements with coprime lead exponents, whose S-vector
+    reduces to 0 by the two as in the ideal case.  The lcms are walked
+    upward against the minimal ones met so far (a divisor is never
+    larger).  Divisibility reads only the slot and exponent fields, and
+    an int of those alone grows with every one of them, so the walk runs
+    on such ints and the prefix-sum and weighted-degree fields are added
+    only to the pairs kept, from the layout's `pair_masks`.  The lcm with
+    a lead t is t plus lms[h]'s excess over t, all of lms[h]'s exponents
+    iff they are coprime, and none iff lms[h] divides t."""
     guard, low, top, exps, spread, prefix, wspread, wmask = layout.pair_masks
     lm, kh = lms[h], kinds[h]
     lmg = lm & low | guard
     coprime = lm & exps
     cands: dict[int, int] = {}
+    kept: list[int] = []
     for g in active:
         t = lms[g] & low
         ge = (diff := lmg - t) & guard  # guard bits where lms[h] >= t
         inc = diff & (ge - (ge >> top))
+        if inc:
+            kept.append(g)
         if cands.get(lcm := t + inc, 0) >= 0:
             cands[lcm] = -1 if kh and (kg := kinds[g]) and (
                 inc == coprime or kh == kg == 2) else g
@@ -580,14 +590,15 @@ def _new_pairs(layout: _Layout, lms: list[int], kinds: list[int],
                 e = lcm & exps
                 new.append((lcm + (e * spread & prefix) +
                             (e * wspread & wmask), g, h))
-    return new
+    return new, kept
 
 
-def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
+def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
               track: bool, known_gb_prefix: int = 0,
               target: dict | None = None
               ) -> tuple[list[tuple] | dict, tuple[list, list] | None]:
-    """Buchberger's algorithm on packed term dicts (see `_Layout`).
+    """Buchberger's algorithm on packed term dicts (see `_Layout`); a
+    generator may also be a prepared monic reducer, which joins as it is.
 
     Returns the prepared reducers (lead, 1, tail) of the reduced basis,
     largest lead first, and with `track` the trace (steps, roots) of
@@ -600,19 +611,20 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     new lead divides its lcm strictly on both sides (criterion B_k), and
     an element whose lead the new lead divides takes no further pairs.
     Pairs form only between leads at the same position, so `active` is
-    kept per position.  The product criterion drops a pair of monomials
-    (its S-vector is 0) and a pair of elements that each live at their
-    lead's position, as every element does at rank 1, with coprime lead
-    exponents (their S-vector reduces to 0 by the two, as for ideals).
-    The basis is kept only as prepared monic reducers, each built in one
-    pass over its remainder when it joins; S-pairs are formed from their
-    tails (see `_spair_terms`), and all S-pair reductions share one
-    divisor memo; a monomial joins as (lead, 1, ()) without a pass over
-    its terms.  The pairs wait in a list sorted ascending, (lcm, i, j)
-    with no two equal, so the smallest lcm is popped first, ties by
-    index: new pairs are put in by bisection and B_k filters the list in
-    order.  Leads, lcms, shifts and the recorded multipliers stay packed
-    throughout.
+    kept per position, and one walk of it forms the new pairs and the
+    list that stays (see `_new_pairs`).  The product criterion drops a
+    pair of monomials (its S-vector is 0) and a pair of elements that each
+    live at their lead's position, as every element does at rank 1, with
+    coprime lead exponents (their S-vector reduces to 0 by the two, as for
+    ideals).  The basis is kept only as prepared monic reducers, each
+    built in one pass over its remainder, whose first key is its lead;
+    S-pairs are formed from their tails (see `_spair_terms`), and all
+    S-pair reductions share one divisor memo.  A step's multipliers are
+    formed once, already divided by the lead coefficient.  The pairs wait
+    in a list sorted ascending, (lcm, i, j) with no two equal, so the
+    smallest lcm is popped first, ties by index: new pairs are put in by
+    bisection and B_k filters the list in order.  Leads, lcms, shifts and
+    the recorded multipliers stay packed throughout.
 
     `target`, a term dict that no lead of `gens` divides a term of, is
     reduced with the run's memo whenever a joining lead divides one of
@@ -642,31 +654,38 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
     # with track, the target's quotient on each reducer it was divided by
     target_q = defaultdict(dict) if track else None
 
-    def add(terms: dict, step: list | None, seed: bool = False) -> None:
-        # the element is terms / lc, and with track terms is the sum of
-        # multiplier * node over the (node, multiplier) pairs of `step`;
-        # it joins, then its pairs are formed and the old ones pruned
-        nonlocal pairs
-        if len(terms) == 1:
-            (lm, lc), = terms.items()
-            kind, pos = 2, lm & slot_mask
-        else:
-            lm = max(terms)
-            lc, pos = terms[lm], lm & slot_mask
-            kind = not slot_mask or all(m & slot_mask == pos for m in terms)
+    def monic(terms: dict) -> tuple[tuple, int]:
+        # the reducer (lead, 1, tail) of terms / lc, for a term dict whose
+        # first key is its lead, and 1 / lc; lc = 1 copies the tail as is
+        items = iter(terms.items())
+        lm, lc = next(items)
+        if lc == 1:
+            return (lm, 1, tuple(items)), 1
         inv = pow(lc, p - 2, p)
+        return (lm, 1, tuple((m, c * inv % p) for m, c in items)), inv
+
+    def add(reducer: tuple, step: list | None, seed: bool = False) -> None:
+        # the monic element `reducer` joins, and with track it is the sum
+        # of multiplier * node over the (node, multiplier) pairs of
+        # `step`; then its pairs are formed and the old ones pruned
+        nonlocal pairs
+        lm, _, tail = reducer
+        pos = lm & slot_mask
         h = len(lms)
         lms.append(lm)
-        kinds.append(kind)
-        reducers.append((lm, 1, () if kind == 2 else tuple(
-            (m, c * inv % p) for m, c in terms.items() if m != lm)))
+        # one-position iff the one-hot slots of all terms OR to the lead's
+        kinds.append(2 if not tail else not slot_mask or functools.reduce(
+            or_, map(_first, tail), lm) & slot_mask == pos)
+        reducers.append(reducer)
         if track:
             nodes.append(len(steps))
-            steps.append([(src, {m: c * inv % p for m, c in mult.items()})
-                          for src, mult in step])
+            steps.append(step)
         here = active.get(pos, [])
-        if not seed:
-            new = _new_pairs(layout, lms, kinds, here, h)
+        if seed:
+            here = [g for g in here
+                    if ((lms[g] | guard) - lm) & guard != guard]
+        else:
+            new, here = _new_pairs(layout, lms, kinds, here, h)
             # criterion B_k on the old pairs, which stay in order
             pairs = [e for e in pairs
                      if ((e[0] | guard) - lm) & guard != guard or
@@ -674,13 +693,17 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
                      lcm_of(lms[e[2]], lm) == e[0]]
             for e in new:
                 insort(pairs, e)
-        here = [g for g in here if ((lms[g] | guard) - lm) & guard != guard]
         here.append(h)
         active[pos] = here
 
     for i, g in enumerate(gens):
-        if g:
-            add(g, [(i, {0: 1})], seed=i < known_gb_prefix)
+        if not g:
+            continue
+        inv = 1
+        if isinstance(g, dict):  # else a prepared monic reducer already
+            lm = max(g)
+            g, inv = monic({lm: g[lm], **g})
+        add(g, [(i, {0: inv})] if track else None, seed=i < known_gb_prefix)
     if not lms:
         raise ValueError("all generators are zero")
 
@@ -697,13 +720,15 @@ def _groebner(gens: list[dict], ring: PolyRing, layout: _Layout,
         rem = _reduce_full(sterms, reducers, p, layout, quotients, memo)
         if not rem:
             continue
+        reducer, inv = monic(rem)
         step = None
         if track:
-            # rem = x^si g_i - x^sj g_j - sum(q_k g_k), all g monic
-            step = [(nodes[i], {si: 1}), (nodes[j], {sj: -1})]
-            step += [(nodes[k], {m: -c for m, c in q.items()})
+            # rem = x^si g_i - x^sj g_j - sum(q_k g_k), all g monic, and
+            # the element is rem / lc
+            step = [(nodes[i], {si: inv}), (nodes[j], {sj: p - inv})]
+            step += [(nodes[k], {m: -c * inv % p for m, c in q.items()})
                      for k, q in quotients.items()]
-        add(rem, step)
+        add(reducer, step)
         if target and any(((m | guard) - lms[-1]) & guard == guard
                           for m in target):
             target = _reduce_full(target, reducers, p, layout, target_q,
@@ -758,10 +783,9 @@ def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
         lm, _, tail = reducers[i]
         if not tail:
             continue
-        tail = dict(tail)
         quotients = defaultdict(dict) if trace is not None else None
-        rem = _reduce_full(tail, reducers, p, layout, quotients, memo)
-        if rem == tail:
+        rem = _reduce_full(dict(tail), reducers, p, layout, quotients, memo)
+        if rem == dict(tail):
             continue
         reducers[i] = (lm, 1, tuple(rem.items()))
         if trace is not None:
@@ -975,10 +999,10 @@ def seeded_membership(target: ModuleVector | list, screen: GroebnerBasis,
     p-th powers); they are made from the screen's packed reducers (see
     `_frobenius_reducers`) and followed by `extra`.  The target is divided
     by that seed first, and a zero remainder proves membership at once.  Else
-    Buchberger runs on the seed, with N^[p] as a known prefix, and carries
-    the remainder as its target (see `_groebner`): the remainder is 0 as
-    soon as the run proves membership, else the target's normal form on
-    the completed module.
+    Buchberger runs on the seed, with N^[p] as a known prefix that joins
+    as the same prepared reducers, and carries the remainder as its
+    target (see `_groebner`): the remainder is 0 as soon as the run proves
+    membership, else the target's normal form on the completed module.
     No basis is interreduced or decoded.  With track=True and a zero
     remainder, cofactors c_t with target = sum(c_t * seed[t]) come from
     the division's quotients plus the run's own, by one backward pass
@@ -1008,8 +1032,8 @@ def seeded_membership(target: ModuleVector | list, screen: GroebnerBasis,
     steps = [[] for _ in range(known + len(extra))]
     seeds = [(nodes[k], q) for k, q in quotients.items()] if track else None
     if rem:
-        seed = [{lm: 1, **dict(tail)} for lm, _, tail in reducers[:known]]
-        rem, trace = _groebner(seed + extra, ring, layout, track, known, rem)
+        rem, trace = _groebner(reducers[:known] + extra, ring, layout, track,
+                               known, rem)
         if track:
             steps, run_seeds = trace
             seeds += run_seeds

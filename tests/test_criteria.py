@@ -669,6 +669,43 @@ def test_monomials_take_no_tail_reduction_on_the_cusp_ci_screens(monkeypatch):
         spairs["n"], reductions["n"])
 
 
+def test_membership_runs_form_the_same_pairs_and_joins(monkeypatch):
+    # the membership runs of the 71 cusp_hyp classes at p = 5, exponents
+    # <= 8, plain and certified: the seed N^[p] joins as prepared reducers
+    # without pairs, and every later element by one walk of its
+    # position's active list (one `_new_pairs` call each); the runs form
+    # 3,353 S-pairs and join 1,884 elements, as when the seed joined as
+    # rebuilt term dicts and the active list was filtered apart
+    counts = {"spairs": 0, "joins": 0}
+    inside = []
+    for name, key in (("_spair_terms", "spairs"), ("_new_pairs", "joins")):
+        def counted(*args, _real=getattr(groebner, name), _key=key):
+            counts[_key] += bool(inside)
+            return _real(*args)
+        monkeypatch.setattr(groebner, name, counted)
+    real = criteria.seeded_membership
+
+    def membership(*args, **kwargs):
+        inside.append(1)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(criteria, "seeded_membership", membership)
+    classes = sorted({cusp_hyp_symmetry_class(t)
+                      for t in product(range(2, 9), repeat=3)
+                      if cusp_hyp_admissible(*t)})
+    assert len(classes) == 71
+    for certificates in (False, True):
+        counts.update(spairs=0, joins=0)
+        for cls in classes:
+            rep = classify([make_cusp_hypersurface(5, *cls)],
+                           certificates=certificates)
+            assert rep.f_liftable
+        assert counts == {"spairs": 3353, "joins": 1884}, counts
+
+
 def test_classify_validates_what_the_packed_screen_packs():
     # the screen packs each generator once, without building
     # ModuleVectors: generators in different ambients (another prime,

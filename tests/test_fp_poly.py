@@ -148,6 +148,29 @@ def test_pow_edge_cases():
         x ** (-1)
 
 
+def test_one_term_power_is_the_repeated_product():
+    # a one-term polynomial to the e is the one term c^e x^(e*m): it equals
+    # the schoolbook product of e copies, for unit and other coefficients
+    # and the constant, and raises DegreeGuardError at the same e
+    for p in (2, 3, 5):
+        ring = PolyRing(["x", "y", "z"], p, 24)
+        for mono in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (1, 2, 3)):
+            for c in range(1, p):
+                f = ring.monomial(mono, c)
+                want = ring.one()
+                for e in range(30):
+                    if want is not None and e:
+                        try:
+                            want = naive_product(want, f)
+                        except DegreeGuardError:
+                            want = None
+                    if want is None:
+                        with pytest.raises(DegreeGuardError):
+                            f ** e
+                    else:
+                        assert (f ** e).terms == want.terms
+
+
 def test_derivative_examples():
     ring = PolyRing(["x", "y", "z"], 2)
     f = ring.parse("z^2+x^2*y+x*y^3+x*y*z")

@@ -89,7 +89,8 @@ def test_divisor_memo_resumes_after_an_appended_reducer():
     reducers = [prep("y^2 + 1")]
     memo: dict = {}
     f = layout.enc_terms(ring.parse("x*y").terms)
-    assert _reduce_full(f, reducers, 5, layout, memo=memo) == f
+    # the division empties its input, so a term dict used again is copied
+    assert _reduce_full(dict(f), reducers, 5, layout, memo=memo) == f
     reducers.append(prep("x + 1"))
     rem = _reduce_full(f, reducers, 5, layout, memo=memo)
     assert layout.dec_terms(rem) == ring.parse("4*y").terms
@@ -108,7 +109,7 @@ def test_divisor_memo_resumes_after_an_appended_reducer():
                     f = layout.enc_terms(random_poly(rng, ring, 5, 6).terms)
                     shared = [{} for _ in reducers]
                     fresh = [{} for _ in reducers]
-                    assert _reduce_full(f, reducers, p, layout, shared,
+                    assert _reduce_full(dict(f), reducers, p, layout, shared,
                                         memo) == \
                         _reduce_full(f, reducers, p, layout, fresh)
                     assert shared == fresh
@@ -760,7 +761,9 @@ def _assert_pruned_basis(gens, want, known_gb_prefix=0):
 def test_new_pairs_match_the_quadratic_rule():
     # small exponents make equal lcms, coprime leads and unit leads common;
     # every lead draws a kind (monomial, one-position or spread), and with
-    # slots the engine hands over only the active leads at h's position
+    # slots the engine hands over only the active leads at h's position.
+    # The same walk returns the active leads that lms[h] does not divide,
+    # in order, which the engine keeps as the position's new active list
     rng = random.Random(8128)
     for order in (GREVLEX, weighted_order(3)):
         for slots in (0, 2, 3):
@@ -779,7 +782,9 @@ def test_new_pairs_match_the_quadratic_rule():
                 pos = lms[h] & layout.slot_mask
                 here = [g for g in active
                         if lms[g] & layout.slot_mask == pos]
-                new = _new_pairs(layout, lms, kinds, here, h)
+                new, kept = _new_pairs(layout, lms, kinds, here, h)
+                assert kept == [g for g in here
+                                if not layout.divided(lms[g], [lms[h]])]
                 assert all(e[2] == h for e in new)
                 pairs = [e[:2] for e in new]
                 assert len(set(pairs)) == len(pairs)
