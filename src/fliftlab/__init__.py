@@ -5,7 +5,7 @@ machine-checkable certificates.
 
 from .fp_poly import (AmbientMismatchError, DegreeGuardError, FpPolyError,
                       NotPrimeError, ParseError, Poly, PolyRing,
-                      UnknownVariableError, format_poly, parse_poly)
+                      UnknownVariableError, format_poly)
 from .groebner import (GREVLEX, GroebnerBasis, ModuleVector,
                        MonomialOrder, buchberger, is_zero_dimensional,
                        module_buchberger, normal_form, quotient_dimension,
@@ -15,8 +15,8 @@ from .frobsplit import (FrobeniusDecomposition, SplittingData, apply_sigma,
 from .criteria import (Certificate, LiftabilityReport, classify,
                        isolated_singularity_check, residual_polynomial)
 from .catalog import (ExpectedRecord, FamilySpec, TableInstance,
-                      enumerate_table_rows, expected_classification,
-                      make_cusp_ci, make_cusp_hypersurface, make_rdp)
+                      enumerate_table_rows, make_cusp_ci,
+                      make_cusp_hypersurface, make_rdp)
 from .report import report_from_dict, report_to_dict, report_to_json
 
 __version__ = "0.1.0"
@@ -28,10 +28,10 @@ __all__ = [
     "MonomialOrder", "NotPrimeError", "ParseError", "Poly", "PolyRing",
     "SplittingData", "TableInstance", "UnknownVariableError", "apply_sigma",
     "buchberger", "build_splitting", "classify", "delta1",
-    "enumerate_table_rows", "expected_classification", "format_poly",
+    "enumerate_table_rows", "format_poly",
     "frobenius_decompose", "isolated_singularity_check", "is_zero_dimensional",
     "make_cusp_ci", "make_cusp_hypersurface", "make_rdp", "module_buchberger",
-    "normal_form", "parse_poly", "quotient_dimension", "report_from_dict",
+    "normal_form", "quotient_dimension", "report_from_dict",
     "report_to_dict", "report_to_json", "residual_polynomial",
     "supported_only_at_origin",
 ]

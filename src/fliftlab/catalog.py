@@ -195,20 +195,6 @@ def make_rdp(family: str, p: int, n: int | None = None,
     return rows[0].equation(*PolyRing(RDP_VARIABLES, p).gens(), n, r)
 
 
-def expected_classification(family: str, p: int,
-                            n: int | None = None) -> ExpectedRecord:
-    """The table row's expected verdicts; A_n rows split on p | n+1."""
-    rows = _rows_for(family, p)
-    if family == "A_n":
-        if n is None:
-            raise InadmissibleParameterError(
-                "A_n rows split on the divisibility p | n+1; pass n")
-        divides = (n + 1) % p == 0
-        label = "A_n (p | n+1)" if divides else "A_n (p !| n+1)"
-        return next(row.expected for row in rows if row.row_label == label)
-    return rows[0].expected
-
-
 def make_cusp_hypersurface(p: int, a: int, b: int, c: int,
                            max_degree: int = DEFAULT_MAX_DEGREE) -> Poly:
     """x^a + y^b + z^c + x*y*z with a,b,c >= 2 and 1/a + 1/b + 1/c < 1."""

@@ -28,8 +28,9 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fp_poly import DegreeGuardError, Poly, _add_product, dot, format_poly
-from .groebner import (GREVLEX, GroebnerBasis, ModuleVector, MonomialOrder,
+from .fp_poly import (DegreeGuardError, Poly, _add_product, _pack, dot,
+                      format_poly)
+from .groebner import (GREVLEX, GroebnerBasis, MonomialOrder,
                        is_zero_dimensional, jacobian_module,
                        seeded_membership, supported_only_at_origin)
 from .frobsplit import SplittingData, build_splitting, lift_and_residual
@@ -146,12 +147,12 @@ def residual_polynomial(f: Poly, split: SplittingData | None = None) -> Poly:
     return split.unpack(lift_and_residual(split, f)[1])
 
 
-def _residual_membership(residuals: Sequence, gens: Sequence[Poly],
+def _residual_membership(residuals: Sequence[dict], gens: Sequence[Poly],
                          screen: GroebnerBasis, want_cofactors: bool,
                          split: SplittingData | None = None):
     """Decide (r_1..r_m) in N^[p] + (f_j e_i), N the screen's submodule,
-    for Polys r_i or r_i packed in the screen layout's `fields`; returns
-    (member, remainder coordinates, cofactors).
+    for r_i packed in the screen layout's `fields`; returns (member,
+    remainder coordinates, cofactors).
 
     `seeded_membership` seeds Buchberger with the p-th powers of N's
     reduced basis, a basis of N^[p], followed by the f_j e_i, taken as the
@@ -164,8 +165,8 @@ def _residual_membership(residuals: Sequence, gens: Sequence[Poly],
     N^[p] maps back to N's generators by a Frobenius-twisted backward pass
     over the screen's trace (see `GroebnerBasis.expand_packed`).  They
     stay packed in the screen's layout until each final cofactor is
-    decoded once.  `split`, when given, is that of `gens`: for m = 1 its
-    `power` is f^(p-1), which is then not formed again.
+    decoded once.  `split`, that of `gens`, is needed for cofactors: for
+    m = 1 its `power` is f^(p-1), which is then not formed again.
 
     The certificate is re-checked before it is returned, from the input
     generators alone and in `fp_poly` arithmetic, which shares nothing
@@ -176,27 +177,23 @@ def _residual_membership(residuals: Sequence, gens: Sequence[Poly],
     ring = gens[0].ring
     m = len(gens)
     known = len(screen)
-    packed = isinstance(residuals[0], dict)
-    rem, seed_cof = seeded_membership(
-        residuals if packed else ModuleVector(residuals), screen, m * m,
-        track=want_cofactors)
+    rem, seed_cof = seeded_membership(residuals, screen,
+                                      track=want_cofactors)
     if seed_cof is None:
         return rem.is_zero(), rem.coordinates, None
     # a seed element g^[p] with g = sum(c_t * N_t) over N's generators is
     # sum(c_t^p * N_t^[p]), where w_k is the p-th power of a Jacobian
     # column and (f_j e_i)^[p] = f_j^(p-1) * (f_j e_i)
     twisted = screen.expand_packed(seed_cof[:known], frobenius=True)
-    f_pow = ([split.power] if m == 1 and split is not None
-             else [f ** (ring.p - 1) for f in gens])
+    f_pow = [split.power] if m == 1 else [f ** (ring.p - 1) for f in gens]
     cofactors = [screen.unpack(_plus_product(screen, c, t, f_pow[k % m]))
                  for k, (c, t) in enumerate(zip(seed_cof[known:], twisted))]
     cofactors += map(screen.unpack, twisted[m * m:])
     columns = [[f.derivative(v).frobenius() for f in gens]
                for v in range(ring.nvars)]
     for i, r in enumerate(residuals):
-        r = screen.unpack(r) if packed else r
         if dot(cofactors[i * m:i * m + m] + cofactors[m * m:],
-               list(gens) + [w[i] for w in columns]) != r:
+               list(gens) + [w[i] for w in columns]) != screen.unpack(r):
             raise RuntimeError("residual certificate failed re-expansion")
     return True, rem.coordinates, tuple(cofactors)
 
@@ -259,8 +256,11 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
     are order-free, and the p-th powers of a Groebner basis form one
     under any monomial order), but a remainder does: an F-pure
     nonmember's remainder is recomputed under the requested order.  The
-    report's `order` is always "grevlex".  Certified cofactors are those
-    of the decision order.
+    membership takes the residual in one form, packed in the exponent
+    fields of its screen's layout: the splitting is built in the
+    decision screen's fields, and the recompute repacks each coordinate
+    into the requested order's.  The report's `order` is always
+    "grevlex".  Certified cofactors are those of the decision order.
 
     Origin-only support is decided only when a negative verdict's
     conclusiveness needs it: members, non-F-pure inputs and the smooth
@@ -311,8 +311,10 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
     member, remainder, cofactors = _residual_membership(
         residuals, gens, screen, certificates, split)
     if not member and decision != order:
-        residuals = [screen.unpack(r) for r in residuals]
+        terms = [screen.unpack(r).terms for r in residuals]
         screen = _screen(gens, order, False)[1]
+        units = screen._layout.fields[1]
+        residuals = [dict(_pack(r, units)) for r in terms]
         remainder = _residual_membership(residuals, gens, screen, False)[1]
     timings["groebner"] = _ms_since(t)
 

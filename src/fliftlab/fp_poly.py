@@ -452,17 +452,6 @@ def dot(left: Sequence[Poly], right: Sequence[Poly]) -> Poly:
     return _unpack(ring, out, packing)
 
 
-def parse_poly(source: str, variables: Iterable[str], p: int,
-               max_degree: int = DEFAULT_MAX_DEGREE) -> Poly:
-    """Parse an expression over the given variables into canonical form.
-
-    Grammar: integers, variable identifiers, ``+ - * ^``, parentheses and
-    unary minus.  Multiplication is explicit (``x*y``, never ``xy``) so
-    multi-character variable names stay unambiguous.
-    """
-    return PolyRing(variables, p, max_degree).parse(source)
-
-
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
 
 

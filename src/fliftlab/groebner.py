@@ -345,35 +345,26 @@ class GroebnerBasis:
         self.trace = trace
         self._packed_originals = packed
         self._reducers = reducers
-        self._originals = self._generators = self._leads = None
         self._layout = _shared_layout(ring.nvars, self._slots, order,
                                       ring.max_degree)
         self._memo: dict = {}
 
-    @property
+    @functools.cached_property
     def original_generators(self) -> tuple:
-        if self._originals is None:
-            self._originals = tuple(self._decode(g, self.ring)
-                                    for g in self._packed_originals)
-        return self._originals
+        return tuple(self._decode(g, self.ring)
+                     for g in self._packed_originals)
 
-    @property
+    @functools.cached_property
     def leading_monomials(self) -> tuple:
         """The leads as exponent tuples, after the position slots when
         s > 1; decoded on first access."""
-        if self._leads is None:
-            self._leads = tuple(self._layout.dec(r[0])
-                                for r in self._reducers)
-        return self._leads
+        return tuple(self._layout.dec(r[0]) for r in self._reducers)
 
-    @property
+    @functools.cached_property
     def generators(self) -> tuple:
         """The basis elements; the engine lists them largest lead first."""
-        if self._generators is None:
-            self._generators = tuple(
-                self._decode({lm: 1, **dict(tail)}, self.ring)
-                for lm, _, tail in self._reducers)
-        return self._generators
+        return tuple(self._decode({lm: 1, **dict(tail)}, self.ring)
+                     for lm, _, tail in self._reducers)
 
     def __iter__(self):
         return iter(self.generators)
@@ -981,68 +972,59 @@ def jacobian_module(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
     return GroebnerBasis(ring, m, True, order, spanning, reducers, trace)
 
 
-def seeded_membership(target: ModuleVector | list, screen: GroebnerBasis,
-                      extra: Sequence[ModuleVector] | int, *,
+def seeded_membership(target: Sequence[dict], screen: GroebnerBasis, *,
                       track: bool = False
                       ) -> tuple[ModuleVector, list[dict] | None]:
-    """Decide `target` in N^[p] + span(extra), N the submodule of the
-    reduced basis `screen` and ^[p] the coordinate-wise p-th power;
-    returns (remainder, cofactors), the cofactors as packed shift terms
-    in the screen's layout (see `GroebnerBasis.pack`).
+    """Decide `target` in N^[p] + (f_j e_i), N the submodule of the
+    reduced basis `screen` of `jacobian_module` and ^[p] the
+    coordinate-wise p-th power; returns (remainder, cofactors), the
+    cofactors as packed shift terms in the screen's layout (see
+    `GroebnerBasis.pack`).
 
-    `target` is a vector, or its coordinates packed in the layout's
-    `fields` within the guard, completed by `_prefixed` and the slot.
-    `extra` is a list of vectors, or an int k for the screen's first k
-    original generators, which are then taken as the screen's run packed
-    them, never decoded or checked again.  The p-th powers of the
-    screen's elements form a Groebner basis of N^[p] (leading terms go to
-    p-th powers); they are made from the screen's packed reducers (see
-    `_frobenius_reducers`) and followed by `extra`.  The target is divided
-    by that seed first, and a zero remainder proves membership at once.  Else
-    Buchberger runs on the seed, with N^[p] as a known prefix that joins
-    as the same prepared reducers, and carries the remainder as its
-    target (see `_groebner`): the remainder is 0 as soon as the run proves
-    membership, else the target's normal form on the completed module.
-    No basis is interreduced or decoded.  With track=True and a zero
-    remainder, cofactors c_t with target = sum(c_t * seed[t]) come from
-    the division's quotients plus the run's own, by one backward pass
-    over the run's steps; else None.
+    `target` is the vector's coordinates packed in the layout's `fields`
+    within the guard, completed here by `_prefixed` and the slot.  The
+    f_j e_i are the screen's first m^2 original generators, m its rank,
+    taken as the screen's run packed them, never decoded or checked
+    again.  The p-th powers of the screen's elements form a Groebner
+    basis of N^[p] (leading terms go to p-th powers); they are made from
+    the screen's packed reducers (see `_frobenius_reducers`) and followed
+    by the f_j e_i.  The target is divided by that seed first, and a zero
+    remainder proves membership at once.  Else Buchberger runs on the
+    seed, with N^[p] as a known prefix that joins as the same prepared
+    reducers, and carries the remainder as its target (see `_groebner`):
+    the remainder is 0 as soon as the run proves membership, else the
+    target's normal form on the completed module.  No basis is
+    interreduced or decoded.  With track=True and a zero remainder,
+    cofactors c_t with target = sum(c_t * seed[t]) come from the
+    division's quotients plus the run's own, by one backward pass over
+    the run's steps; else None.
     """
     ring, layout, p = screen.ring, screen._layout, screen.ring.p
-    if isinstance(target, ModuleVector):
-        if not target.ring.same_ambient(ring):
-            raise AmbientMismatchError("vector and basis ambients differ")
-        target = layout.enc_vector(target)
-    else:
-        target = {layout._prefixed(k) + slot: c for slot, terms in
-                  zip(layout.units[:layout.slots] or [0], target)
-                  for k, c in terms.items()}
-    if isinstance(extra, int):
-        extra = list(screen._packed_originals[:extra])
-    else:
-        if not all(v.ring.same_ambient(ring) for v in extra):
-            raise AmbientMismatchError("vector and basis ambients differ")
-        extra = [layout.enc_vector(v) for v in extra]
+    target = {layout._prefixed(k) + slot: c for slot, terms in
+              zip(layout.units[:layout.slots] or [0], target)
+              for k, c in terms.items()}
+    multiples = screen._packed_originals[:screen.size ** 2]
     reducers = _frobenius_reducers(screen._reducers, layout, p)
     known = len(reducers)
-    nodes = list(range(known)) + [t for t, g in enumerate(extra, known) if g]
-    reducers += [_prep_reducer(g, p) for g in extra if g]
+    reducers += [_prep_reducer(g, p) for g in multiples]
     quotients = defaultdict(dict) if track else None
     rem = _reduce_full(target, reducers, p, layout, quotients)
-    steps = [[] for _ in range(known + len(extra))]
-    seeds = [(nodes[k], q) for k, q in quotients.items()] if track else None
+    steps = [[] for _ in reducers]
+    seeds = list(quotients.items()) if track else None
     if rem:
-        rem, trace = _groebner(reducers[:known] + extra, ring, layout, track,
-                               known, rem)
+        rem, trace = _groebner(reducers[:known] + multiples, ring, layout,
+                               track, known, rem)
         if track:
             steps, run_seeds = trace
             seeds += run_seeds
-    cofactors = (_expand(steps, seeds, known + len(extra), layout, ring)
+    cofactors = (_expand(steps, seeds, len(reducers), layout, ring)
                  if track and not rem else None)
     return screen._decode(rem, ring), cofactors
 
 
-# The pipeline calls the engine under these names for its submodules, so
-# that perfbench/tracer.py times those calls apart from the ideal ones.
+# No pipeline code calls these aliases: the screen and the membership
+# reach `_groebner` through `jacobian_module` and `seeded_membership`.
+# They stay because perfbench/tracer.py binds them by name, which
+# tests/test_bench_hooks.py pins.
 module_buchberger = buchberger
 module_normal_form = normal_form

@@ -187,7 +187,7 @@ def hand_built(generators, order, originals) -> GroebnerBasis:
     basis = GroebnerBasis(ring, size, isinstance(originals[0], ModuleVector),
                           order, packed[:k], [_prep_reducer(g, ring.p)
                                               for g in packed[k:]], None)
-    basis._generators = tuple(generators)  # not monic: never decoded
+    basis.generators = tuple(generators)  # not monic: never decoded
     return basis
 
 

@@ -5,19 +5,19 @@ import pytest
 from fliftlab.catalog import (CUSP_EXPECTED, InadmissibleParameterError,
                               TABLE_ROWS, cusp_ci_symmetry_class,
                               cusp_hyp_symmetry_class, enumerate_table_rows,
-                              expected_classification, make_cusp_ci,
-                              make_cusp_hypersurface, make_rdp)
-from fliftlab.fp_poly import format_poly, parse_poly
+                              make_cusp_ci, make_cusp_hypersurface, make_rdp)
+from fliftlab.fp_poly import PolyRing, format_poly
 
 
 def test_make_rdp_examples():
     assert format_poly(make_rdp("A_n", 3, n=2)) == "z^3 + x*y"
+    ring = PolyRing(["x", "y", "z"], 2)
     f = make_rdp("E_7^3", 2)
-    assert f == parse_poly("z^2+x^3+x*y^3+x*y*z", ["x", "y", "z"], 2)
+    assert f == ring.parse("z^2+x^3+x*y^3+x*y*z")
     f = make_rdp("D_2n^0", 2, n=2)
-    assert f == parse_poly("z^2+x^2*y+x*y^2", ["x", "y", "z"], 2)
+    assert f == ring.parse("z^2+x^2*y+x*y^2")
     f = make_rdp("D_2n^{n-1}", 2, n=3)
-    assert f == parse_poly("z^2+x^2*y+x*y^3+x*y*z", ["x", "y", "z"], 2)
+    assert f == ring.parse("z^2+x^2*y+x*y^3+x*y*z")
 
 
 def test_make_rdp_inadmissible():
@@ -47,7 +47,7 @@ def test_equation_depends_on_characteristic_row():
 
 def test_cusp_constructors():
     f = make_cusp_hypersurface(2, 3, 4, 5)
-    assert f == parse_poly("x^3+y^4+z^5+x*y*z", ["x", "y", "z"], 2)
+    assert f == PolyRing(["x", "y", "z"], 2).parse("x^3+y^4+z^5+x*y*z")
     with pytest.raises(InadmissibleParameterError) as err:
         make_cusp_hypersurface(2, 2, 2, 2)
     assert "1/a + 1/b + 1/c" in str(err.value)
@@ -56,8 +56,8 @@ def test_cusp_constructors():
 
     f, g = make_cusp_ci(2, 3, 2, 2, 2)
     vars4 = ["x", "y", "z", "w"]
-    assert f == parse_poly("x*y+z^3+w^2", vars4, 2)
-    assert g == parse_poly("z*w+x^2+y^2", vars4, 2)
+    assert f == PolyRing(vars4, 2).parse("x*y+z^3+w^2")
+    assert g == PolyRing(vars4, 2).parse("z*w+x^2+y^2")
     with pytest.raises(InadmissibleParameterError):
         make_cusp_ci(2, 2, 2, 2, 2)
     with pytest.raises(InadmissibleParameterError):
@@ -76,20 +76,18 @@ def test_cusp_boundary_cases():
 
 
 def test_expected_classification_examples():
-    rec = expected_classification("E_8^1", 5)
+    # each instance carries its row's record, A_n split on p | n+1
+    expected = {(i.row.family, i.p, i.param_dict().get("n")): i.expected
+                for i in enumerate_table_rows(2)}
+    rec = expected["E_8^1", 5, None]
     assert (rec.f_pure, rec.f_liftable) == (True, False)
-    rec = expected_classification("E_7^2", 2)
+    rec = expected["E_7^2", 2, None]
     assert (rec.f_pure, rec.f_liftable) == (False, False)
-    rec = expected_classification("E_8^2", 3)
+    rec = expected["E_8^2", 3, None]
     assert (rec.f_pure, rec.f_liftable) == (True, True)
-    rec = expected_classification("A_n", 2, n=1)
-    assert rec.ret_ref is False  # p | n+1 splits to the second row
-    rec = expected_classification("A_n", 2, n=2)
-    assert rec.ret_ref is True
-    with pytest.raises(InadmissibleParameterError):
-        expected_classification("A_n", 2)
-    with pytest.raises(InadmissibleParameterError):
-        expected_classification("E_8^4", 7)
+    assert expected["A_n", 2, 1].ret_ref is False  # p | n+1: second row
+    assert expected["A_n", 2, 2].ret_ref is True
+    assert ("E_8^4", 7, None) not in expected
 
 
 def test_table_internal_law():
@@ -164,7 +162,8 @@ def test_constructor_parse_agreement():
         ("E_8^1", 5, {}, "z^2+x^3+y^5+x*y^4"),
     ]
     for family, p, kwargs, text in cases:
-        assert make_rdp(family, p, **kwargs) == parse_poly(text, vars3, p), \
+        assert make_rdp(family, p, **kwargs) == \
+            PolyRing(vars3, p).parse(text), \
             (family, p, kwargs)
 
 

@@ -229,6 +229,14 @@ def _residuals(gens):
     return [split.unpack(lift_and_residual(split, f)[1]) for f in gens]
 
 
+def _membership(gens, screen, certificates=False):
+    """`_residual_membership` as `classify` calls it: the residuals packed
+    in the screen layout's fields by the pipeline's own splitting."""
+    split = build_splitting(gens, screen._layout.fields)
+    residuals = [lift_and_residual(split, f)[1] for f in gens]
+    return _residual_membership(residuals, gens, screen, certificates, split)
+
+
 def _counting(monkeypatch, module, name):
     """Wrap module.name so that calls to it are counted in the returned
     dict."""
@@ -261,6 +269,7 @@ def test_packed_seed_is_the_frobenius_of_the_screen():
     # it raises DegreeGuardError exactly where Poly.frobenius does, once
     # p * deg passes the guard.  The last screen has its largest degree in
     # a tail under the weighted order: x^3 + 2*x^2*y^2, with y^3.
+    from fliftlab.fp_poly import _pack
     from fliftlab.groebner import (_frobenius_reducers, _prep_reducer,
                                    seeded_membership)
 
@@ -287,8 +296,10 @@ def test_packed_seed_is_the_frobenius_of_the_screen():
                     want = None
                 assert (want is None) == (guard < p * deg)
                 if want is None:
+                    units = screen._layout.fields[1]
                     with pytest.raises(DegreeGuardError):
-                        seeded_membership(ModuleVector(moved), screen, [])
+                        seeded_membership([dict(_pack(f.terms, units))
+                                           for f in moved], screen)
                     continue
                 assert [prepared(r) for r in _frobenius_reducers(
                     screen._reducers, screen._layout, p)] == want
@@ -302,8 +313,7 @@ def test_certified_membership_stops_at_the_first_zero_remainder(monkeypatch):
     residuals = _residuals(gens)
     screen = isolated_singularity_check(gens, track=True)[1]
     spairs = _counting(monkeypatch, groebner, "_spair_terms")
-    member, _, cofactors = _residual_membership(residuals, gens, screen,
-                                                True)
+    member, _, cofactors = _membership(gens, screen, True)
     early = spairs["n"]
     spairs["n"] = 0
     seed = [ModuleVector([c.frobenius() for c in g]) for g in screen]
@@ -322,8 +332,8 @@ def test_reexpansion_check_rejects_a_wrong_cofactor(monkeypatch, gens, which):
     # on the last f_j e_i, must fail the re-expansion check
     real = criteria.seeded_membership
 
-    def off_by_one(target, screen, extra, **kwargs):
-        rem, cof = real(target, screen, extra, **kwargs)
+    def off_by_one(target, screen, **kwargs):
+        rem, cof = real(target, screen, **kwargs)
         p = screen.ring.p
         bad = dict(cof[which])
         for k, c in screen.pack(screen.ring.one()).items():
@@ -414,10 +424,8 @@ def test_seeded_membership_matches_cold_oracle():
         split = build_splitting(gens)
         if status in ("smooth", "not_isolated") or not split.fpure_at_origin:
             continue
-        residuals = [split.unpack(lift_and_residual(split, f)[1])
-                     for f in gens]
-        seeded = _residual_membership(residuals, gens, screen, False)
-        assert seeded[:2] == _cold_membership(residuals, gens), \
+        seeded = _membership(gens, screen)
+        assert seeded[:2] == _cold_membership(_residuals(gens), gens), \
             [str(f) for f in gens]
         compared += 1
     assert compared == 79 + 119
@@ -443,8 +451,8 @@ def test_seeded_membership_agrees_with_naive_route():
         d1 = delta1(f)
         g = -apply_sigma(split, d1)
         residual = split.s.frobenius() * d1 + g.frobenius()
-        member, (rem,), _ = _residual_membership([residual], [f], screen,
-                                                 False)
+        assert _residuals([f]) == [residual], (p, text)
+        member, (rem,), _ = _membership([f], screen)
         naive_gens = [f] + [f.derivative(v).frobenius() for v in range(3)]
         naive_gb = buchberger(naive_gens)
         naive_rem = normal_form(residual, naive_gb)
@@ -464,11 +472,9 @@ def test_plain_and_certified_routes_agree():
     assert len(classes) == 71
     for t in classes:
         gens = [make_cusp_hypersurface(3, *t)]
-        split = build_splitting(gens)
-        residuals = [split.unpack(lift_and_residual(split, gens[0])[1])]
-        plain, cert = (_residual_membership(
-            residuals, gens, isolated_singularity_check(gens, track=c)[1],
-            c) for c in (False, True))
+        plain, cert = (_membership(
+            gens, isolated_singularity_check(gens, track=c)[1], c)
+            for c in (False, True))
         assert plain[:2] == cert[:2], t
 
 
@@ -479,7 +485,7 @@ def test_plain_membership_stops_at_the_first_zero_remainder(monkeypatch):
     residuals = _residuals(gens)
     screen = isolated_singularity_check(gens)[1]
     spairs = _counting(monkeypatch, groebner, "_spair_terms")
-    member, rem, _ = _residual_membership(residuals, gens, screen, False)
+    member, rem, _ = _membership(gens, screen)
     assert member and all(r.is_zero() for r in rem)
     early = spairs["n"]
     spairs["n"] = 0
@@ -525,12 +531,9 @@ def test_ci_negative_verdict_same_with_certificates():
     # both remainders must match each other and the cold normal form
     f = _r(5).parse("z^2+x^3+y^5+x*y^4")
     residual = residual_polynomial(f)
-    plain = _residual_membership([residual], [f],
-                                 isolated_singularity_check([f])[1],
-                                 False)
-    cert = _residual_membership([residual], [f],
-                                isolated_singularity_check([f], track=True)[1],
-                                True)
+    plain = _membership([f], isolated_singularity_check([f])[1])
+    cert = _membership([f], isolated_singularity_check([f], track=True)[1],
+                       True)
     assert plain[0] is False and cert[0] is False
     # both take the remainder from the run itself: the normal form on the
     # full reduced basis
@@ -610,9 +613,7 @@ def test_e81_remainder_is_recomputed_under_the_requested_order():
     f = _r(5).parse("z^2+x^3+y^5+x*y^4")
     decision = criteria._decision_order([f], GREVLEX)
     assert decision.weights == (2, 1, 2)
-    residuals = _residuals([f])
-    weighted = _residual_membership(residuals, [f], criteria._screen(
-        [f], decision, False)[1], False)
+    weighted = _membership([f], criteria._screen([f], decision, False)[1])
     report = classify([f])
     golden = _golden_fields("classify_e81_p5.txt")["remainder"]
     assert [format_poly(r) for r in report.certificate.remainder] == golden

@@ -8,28 +8,28 @@ import pytest
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               NotPrimeError, ParseError, PolyRing,
                               UnknownVariableError, dot, format_poly,
-                              is_prime, parse_poly)
+                              is_prime)
 
 from support import format_poly_by_grevlex_key, naive_product, random_poly
 
 
 def test_parse_term_list():
-    f = parse_poly("z^2+x^2*y+x*y*z", ["x", "y", "z"], 2)
+    f = PolyRing(["x", "y", "z"], 2).parse("z^2+x^2*y+x*y*z")
     assert f.terms == {(0, 0, 2): 1, (2, 1, 0): 1, (1, 1, 1): 1}
 
 
 def test_parse_negative_coefficient_reduces():
-    f = parse_poly("x - y", ["x", "y"], 3)
+    f = PolyRing(["x", "y"], 3).parse("x - y")
     assert f.terms == {(1, 0): 1, (0, 1): 2}
 
 
 def test_parse_kills_char_multiple():
-    f = parse_poly("2*x + x^2", ["x"], 2)
+    f = PolyRing(["x"], 2).parse("2*x + x^2")
     assert f.terms == {(2,): 1}
 
 
 def test_parse_parentheses_and_unary_minus():
-    f = parse_poly("-(x - 2)*(x + 1)^2", ["x"], 5)
+    f = PolyRing(["x"], 5).parse("-(x - 2)*(x + 1)^2")
     x_ring = PolyRing(["x"], 5)
     x = x_ring.variable(0)
     assert f == -(x - x_ring.from_int(2)) * (x + x_ring.one()) ** 2
@@ -37,27 +37,27 @@ def test_parse_parentheses_and_unary_minus():
 
 def test_parse_errors():
     with pytest.raises(ParseError):
-        parse_poly("x +", ["x"], 3)
+        PolyRing(["x"], 3).parse("x +")
     with pytest.raises(UnknownVariableError):
-        parse_poly("x*t", ["x"], 3)
+        PolyRing(["x"], 3).parse("x*t")
     with pytest.raises(ParseError) as err:
-        parse_poly("x^-2", ["x"], 3)
+        PolyRing(["x"], 3).parse("x^-2")
     assert "negative exponent" in str(err.value)
     with pytest.raises(NotPrimeError):
-        parse_poly("x", ["x"], 4)
+        PolyRing(["x"], 4).parse("x")
     with pytest.raises(ParseError):
-        parse_poly("x$y", ["x", "y"], 3)
+        PolyRing(["x", "y"], 3).parse("x$y")
 
 
 def test_parse_error_position():
     with pytest.raises(ParseError) as err:
-        parse_poly("x + qq", ["x"], 3)
+        PolyRing(["x"], 3).parse("x + qq")
     assert err.value.position == 4
 
 
 def test_multiplication_must_be_explicit():
     with pytest.raises(UnknownVariableError):
-        parse_poly("xy", ["x", "y"], 3)
+        PolyRing(["x", "y"], 3).parse("xy")
 
 
 def test_ring_validation():
@@ -182,7 +182,7 @@ def test_derivative_examples():
 
 
 def test_format_examples():
-    assert format_poly(parse_poly("y+x", ["x", "y"], 5)) == "x + y"
+    assert format_poly(PolyRing(["x", "y"], 5).parse("y+x")) == "x + y"
     ring = PolyRing(["x", "y"], 3)
     assert format_poly(ring.zero()) == "0"
     assert format_poly(ring.parse("x^2+2*y")) == "x^2 + 2*y"

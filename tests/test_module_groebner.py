@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError, Poly,
-                              PolyRing)
+from fliftlab.fp_poly import DegreeGuardError, Poly, PolyRing, _pack
 from fliftlab.groebner import (GREVLEX, ModuleVector,
                                MonomialOrder, _position_leads, buchberger,
                                is_zero_dimensional, jacobian_module,
@@ -143,61 +142,52 @@ def test_membership_random_combinations():
 
 def test_seeded_membership_leaves_the_normal_form_random():
     # the seeded entry returns, tracked or not, the target's normal form on
-    # the full basis of N^[p] + span(extra), taken from the run itself; a
-    # tracked member's cofactors re-expand the target over the seed, the
-    # screen's p-th powers followed by `extra`; they come packed in the
-    # screen's layout
+    # the full basis of N^[p] + (f_j e_i), N the submodule of a
+    # `jacobian_module` screen, taken from the run itself; a tracked
+    # member's cofactors re-expand the target over the seed, the screen's
+    # p-th powers followed by its f_j e_i; they come packed in the
+    # screen's layout, and the target goes in packed in its fields
     rng = random.Random(4242)
     seen = set()
     for order in (GREVLEX, MonomialOrder((3, 1))):
         for p in (2, 3, 5):
             ring = _ring(p, ("x", "y"))
-            for _ in range(4):
-                gens = [ModuleVector([random_poly(rng, ring, 2, 2)
-                                      for _ in range(2)]) for _ in range(2)]
-                extra = [ModuleVector([random_poly(rng, ring, 2, 3)
-                                       for _ in range(2)])]
-                if any(g.is_zero() for g in gens + extra):
-                    continue
-                for track in (False, True):
-                    screen = module_buchberger(gens, order, track=track)
-                    seed = [ModuleVector([c.frobenius() for c in g])
-                            for g in screen] + extra
-                    gb = module_buchberger(seed, order)
-                    coeffs = [random_poly(rng, ring, 2, 3) for _ in seed]
-                    member = ModuleVector([combine(coeffs, seed, pos)
-                                           for pos in range(2)])
-                    other = ModuleVector([random_poly(rng, ring, 3, 4)
-                                          for _ in range(2)])
-                    for v in (member, other):
-                        rem, cof = seeded_membership(v, screen, extra,
-                                                     track=track)
-                        assert rem == module_normal_form(v, gb)
-                        if track and rem.is_zero():
-                            cof = [screen.unpack(c) for c in cof]
-                            assert all(combine(cof, seed, pos) == v[pos]
-                                       for pos in range(2))
-                        else:
-                            assert cof is None
-                        quick = reduce_by_generators(v, seed, order)
-                        seen.add((rem.is_zero(), quick.is_zero()))
-    assert {(True, False), (False, False), (True, True)} <= seen, seen
-
-
-def test_seeded_membership_checks_the_ambient():
-    ring = _ring(5, ("x", "y"))
-    screen = module_buchberger([ModuleVector([ring.parse("x^2 + 2*y")])])
-    member = ModuleVector([ring.parse("x^10 + 2*y^5")])
-    assert seeded_membership(member, screen, [])[0].is_zero()
-    # other variable names, another prime, another variable count
-    for other, text in ((_ring(5, ("a", "b")), "a^10 + 2*b^5"),
-                        (_ring(7, ("x", "y")), "x^10 + 2*y^5"),
-                        (_ring(5, ("x", "y", "z")), "x^10 + 2*y^5")):
-        v = ModuleVector([other.parse(text)])
-        with pytest.raises(AmbientMismatchError):
-            seeded_membership(v, screen, [])
-        with pytest.raises(AmbientMismatchError):
-            seeded_membership(member, screen, [v])
+            for m in (1, 2):
+                for _ in range(4):
+                    # generators through the origin, of degree 2 or 3
+                    gens = [random_nonzero_poly(rng, ring, 2, 3)
+                            for _ in range(m)]
+                    if any(g.constant_term() or g.total_degree() < 2
+                           for g in gens):
+                        continue
+                    for track in (False, True):
+                        screen = jacobian_module(gens, order, track=track)
+                        units = screen._layout.fields[1]
+                        seed = [ModuleVector([c.frobenius() for c in g])
+                                for g in screen]
+                        seed += screen.original_generators[:m * m]
+                        gb = module_buchberger(seed, order)
+                        coeffs = [random_poly(rng, ring, 2, 3) for _ in seed]
+                        member = ModuleVector([combine(coeffs, seed, pos)
+                                               for pos in range(m)])
+                        other = ModuleVector([random_poly(rng, ring, 3, 4)
+                                              for _ in range(m)])
+                        for v in (member, other):
+                            rem, cof = seeded_membership(
+                                [dict(_pack(c.terms, units)) for c in v],
+                                screen, track=track)
+                            assert rem == module_normal_form(v, gb)
+                            if track and rem.is_zero():
+                                cof = [screen.unpack(c) for c in cof]
+                                assert all(combine(cof, seed, pos) == v[pos]
+                                           for pos in range(m))
+                            else:
+                                assert cof is None
+                            quick = reduce_by_generators(v, seed, order)
+                            seen.add((m, rem.is_zero(), quick.is_zero()))
+    assert seen == {(m, member, quick) for m in (1, 2)
+                    for member, quick in ((True, False), (False, False),
+                                          (True, True))}, seen
 
 
 def test_verify_buchberger_on_scaled_hand_built_module_bases():
@@ -484,35 +474,3 @@ def test_packed_read_out_matches_the_tuple_definitions():
                             is_zero_dimensional(basis)) == want
                     seen.add(want)
     assert seen == {(True, True), (False, True), (False, False)}, seen
-
-
-def test_seeded_membership_takes_the_residual_packed():
-    # the residual packed in the screen layout's fields, as classify hands
-    # it over, gives the remainder and cofactors of its ModuleVector, plain
-    # and tracked: m = 1 under degrevlex and two weighted orders, for a
-    # member and the nonmember E_8^1, and m = 2 under degrevlex and a
-    # weighted order
-    from fliftlab.catalog import make_cusp_ci, make_cusp_hypersurface
-    from fliftlab.frobsplit import build_splitting, lift_and_residual
-
-    cusp = [make_cusp_hypersurface(5, 2, 3, 7)]
-    e81 = [_ring(5, ("x", "y", "z")).parse("z^2+x^3+y^5+x*y^4")]
-    ci = make_cusp_ci(2, 2, 3, 3, 4)
-    cases = [(cusp, GREVLEX), (cusp, MonomialOrder((4, 2, 1))),
-             (cusp, weighted_order(3)), (e81, GREVLEX),
-             (e81, MonomialOrder((2, 1, 2))), (e81, weighted_order(3)),
-             (ci, GREVLEX), (ci, weighted_order(4))]
-    members = 0
-    for gens, order in cases:
-        m = len(gens)
-        for track in (False, True):
-            screen = jacobian_module(gens, order, track=track)
-            split = build_splitting(gens, screen._layout.fields)
-            packed = [lift_and_residual(split, f)[1] for f in gens]
-            vector = ModuleVector([split.unpack(r) for r in packed])
-            got = seeded_membership(packed, screen, m * m, track=track)
-            assert got == seeded_membership(vector, screen, m * m,
-                                            track=track), (gens, order)
-            members += got[0].is_zero()
-            assert (got[1] is not None) == (track and got[0].is_zero())
-    assert members == 2 * 5, members
