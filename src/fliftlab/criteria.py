@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .fp_poly import (DegreeGuardError, Poly, _add_product, _pack, dot,
-                      format_poly)
+                      format_poly, grevlex_key)
 from .groebner import (GREVLEX, GroebnerBasis, MonomialOrder,
                        is_zero_dimensional, jacobian_module,
                        seeded_membership, supported_only_at_origin)
@@ -166,7 +167,8 @@ def _residual_membership(residuals: Sequence[dict], gens: Sequence[Poly],
     over the screen's trace (see `GroebnerBasis.expand_packed`).  They
     stay packed in the screen's layout until each final cofactor is
     decoded once.  `split`, that of `gens`, is needed for cofactors: for
-    m = 1 its `power` is f^(p-1), which is then not formed again.
+    m = 1 its packed `power_terms` are f^(p-1) in the screen's fields,
+    which are then neither formed again nor decoded.
 
     The certificate is re-checked before it is returned, from the input
     generators alone and in `fp_poly` arithmetic, which shares nothing
@@ -185,7 +187,11 @@ def _residual_membership(residuals: Sequence[dict], gens: Sequence[Poly],
     # sum(c_t^p * N_t^[p]), where w_k is the p-th power of a Jacobian
     # column and (f_j e_i)^[p] = f_j^(p-1) * (f_j e_i)
     twisted = screen.expand_packed(seed_cof[:known], frobenius=True)
-    f_pow = [split.power] if m == 1 else [f ** (ring.p - 1) for f in gens]
+    if m == 1:  # Fedder's f^(p-1) mod p^2, already in the screen's fields
+        f_pow = [{screen._layout._prefixed(k): r for k, c in
+                  split.power_terms.items() if (r := c % ring.p)}]
+    else:
+        f_pow = [screen.pack(f ** (ring.p - 1)) for f in gens]
     cofactors = [screen.unpack(_plus_product(screen, c, t, f_pow[k % m]))
                  for k, (c, t) in enumerate(zip(seed_cof[known:], twisted))]
     cofactors += map(screen.unpack, twisted[m * m:])
@@ -198,18 +204,19 @@ def _residual_membership(residuals: Sequence[dict], gens: Sequence[Poly],
     return True, rem.coordinates, tuple(cofactors)
 
 
-def _plus_product(screen: GroebnerBasis, c: dict, t: dict, f: Poly) -> dict:
-    """c + t * f for packed shift terms c and t in the screen's layout,
-    coefficients unreduced; f is packed only after the degree-guard check
-    that the Poly product of t and f makes."""
+def _plus_product(screen: GroebnerBasis, c: dict, t: dict, f: dict) -> dict:
+    """c + t * f for packed shift terms c, t and f in the screen's layout,
+    coefficients unreduced; raises DegreeGuardError where the Poly
+    product of t and f would, on the packed degrees."""
     out = dict(c)
     if t and f:
-        degree = max(map(screen._layout.degree, t)) + f.total_degree()
+        degree = screen._layout.degree
+        total = max(map(degree, t)) + max(map(degree, f))
         guard = screen.ring.max_degree
-        if degree > guard:
+        if total > guard:
             raise DegreeGuardError(
-                f"product degree {degree} exceeds guard {guard}")
-        _add_product(out, screen.pack(f).items(), t.items())
+                f"product degree {total} exceeds guard {guard}")
+        _add_product(out, f.items(), t.items())
     return out
 
 
@@ -220,9 +227,13 @@ def _decision_order(gens: Sequence[Poly],
     A plain degrevlex request on a hypersurface f that holds a pure power
     x_v^(e_v) of every variable (the smallest, if several) is decided
     under the weights w_v = round(max(e) / e_v), which make those powers
-    nearly homogeneous; a weighted request, a complete intersection and
-    a hypersurface whose weights would all be 1 are decided under the
-    requested order."""
+    nearly homogeneous, if f's lead under them, read over all of its
+    terms, is a pure power; a mixed lead (x*y^4 ties x^3 in E_8^1 at
+    p = 5 and wins the degrevlex tie-break) would leave the weights no
+    gain and, for an F-pure nonmember, a remainder to recompute.  A
+    weighted request, a complete intersection and a hypersurface whose
+    weights would all be 1 or lead with a mixed term are decided under
+    the requested order."""
     if order != GREVLEX or len(gens) != 1:
         return order
     f = gens[0]
@@ -238,6 +249,10 @@ def _decision_order(gens: Sequence[Poly],
     weights = tuple(round(top / pure[v]) for v in range(f.ring.nvars))
     if max(weights) == 1:
         return order
+    lead = max(f.terms, key=lambda m: (sum(map(mul, weights, m)),
+                                       grevlex_key(m)))
+    if sum(map(bool, lead)) != 1:
+        return order
     return MonomialOrder(weights)
 
 
@@ -250,12 +265,13 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
     which lets a caller run the unit-weight reference route.  The screen,
     the containment and the certified trace run under the decision order
     of `_decision_order`: for a plain request on a hypersurface with a
-    pure power of every variable, degrevlex weighted by those powers,
-    else the requested order.  The verdict does not depend on the order
-    (membership, smoothness, finite dimension and origin-only support
-    are order-free, and the p-th powers of a Groebner basis form one
-    under any monomial order), but a remainder does: an F-pure
-    nonmember's remainder is recomputed under the requested order.  The
+    pure power of every variable, degrevlex weighted by those powers if
+    a pure power leads under them, else the requested order.  The
+    verdict does not depend on the order (membership, smoothness, finite
+    dimension and origin-only support are order-free, and the p-th
+    powers of a Groebner basis form one under any monomial order), but a
+    remainder does: an F-pure nonmember decided under weights is screened
+    again and its remainder recomputed under the requested order.  The
     membership takes the residual in one form, packed in the exponent
     fields of its screen's layout: the splitting is built in the
     decision screen's fields, and the recompute repacks each coordinate

@@ -603,7 +603,8 @@ def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
     an element whose lead the new lead divides takes no further pairs.
     Pairs form only between leads at the same position, so `active` is
     kept per position, and one walk of it forms the new pairs and the
-    list that stays (see `_new_pairs`).  The product criterion drops a
+    list that stays (see `_new_pairs`); an element that joins an empty
+    position forms no pair and prunes none.  The product criterion drops a
     pair of monomials (its S-vector is 0) and a pair of elements that each
     live at their lead's position, as every element does at rank 1, with
     coprime lead exponents (their S-vector reduces to 0 by the two, as for
@@ -616,6 +617,13 @@ def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
     smallest lcm is popped first, ties by index: new pairs are put in by
     bisection and B_k filters the list in order.  Leads, lcms, shifts and
     the recorded multipliers stay packed throughout.
+
+    An S-pair remainder is reduced by every lead met so far, so only an
+    input, unreduced, can have its lead divided by an earlier one: when
+    it joins, after the leads that it divides are retired, it is marked
+    redundant if a lead still active at its position divides its lead.
+    The active elements left unmarked are the minimal generators of the
+    lead module, which `_interreduce` takes as they are.
 
     `target`, a term dict that no lead of `gens` divides a term of, is
     reduced with the run's memo whenever a joining lead divides one of
@@ -644,21 +652,23 @@ def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
     memo: dict = {}  # the divisor memo of `reducers`
     # with track, the target's quotient on each reducer it was divided by
     target_q = defaultdict(dict) if track else None
+    redundant: set[int] = set()  # active inputs that an earlier lead divides
 
-    def monic(terms: dict) -> tuple[tuple, int]:
-        # the reducer (lead, 1, tail) of terms / lc, for a term dict whose
-        # first key is its lead, and 1 / lc; lc = 1 copies the tail as is
-        items = iter(terms.items())
-        lm, lc = next(items)
+    def monic(lm: int, lc: int, tail) -> tuple[tuple, int]:
+        # the reducer (lead, 1, tail) of lc * lm + tail over lc, for tail
+        # (term, coefficient) pairs, and 1 / lc; lc = 1 keeps the tail
         if lc == 1:
-            return (lm, 1, tuple(items)), 1
+            return (lm, 1, tuple(tail)), 1
         inv = pow(lc, p - 2, p)
-        return (lm, 1, tuple((m, c * inv % p) for m, c in items)), inv
+        return (lm, 1, tuple([(m, c * inv % p) for m, c in tail])), inv
 
-    def add(reducer: tuple, step: list | None, seed: bool = False) -> None:
+    def add(reducer: tuple, step: list | None, seed: bool = False,
+            unreduced: bool = False) -> None:
         # the monic element `reducer` joins, and with track it is the sum
         # of multiplier * node over the (node, multiplier) pairs of
-        # `step`; then its pairs are formed and the old ones pruned
+        # `step`; then its pairs are formed and the old ones pruned, and
+        # an `unreduced` one is marked redundant if a lead still active
+        # at its position divides its lead
         nonlocal pairs
         lm, _, tail = reducer
         pos = lm & slot_mask
@@ -671,19 +681,25 @@ def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
         if track:
             nodes.append(len(steps))
             steps.append(step)
-        here = active.get(pos, [])
-        if seed:
+        here = active.get(pos)
+        if not here:
+            # nothing to pair with, and its lead divides no lcm at
+            # another position
+            here = []
+        elif seed:
             here = [g for g in here
                     if ((lms[g] | guard) - lm) & guard != guard]
         else:
             new, here = _new_pairs(layout, lms, kinds, here, h)
-            # criterion B_k on the old pairs, which stay in order
-            pairs = [e for e in pairs
-                     if ((e[0] | guard) - lm) & guard != guard or
-                     lcm_of(lms[e[1]], lm) == e[0] or
-                     lcm_of(lms[e[2]], lm) == e[0]]
+            if pairs:  # criterion B_k on the old pairs, which stay in order
+                pairs = [e for e in pairs
+                         if ((e[0] | guard) - lm) & guard != guard or
+                         lcm_of(lms[e[1]], lm) == e[0] or
+                         lcm_of(lms[e[2]], lm) == e[0]]
             for e in new:
                 insort(pairs, e)
+        if unreduced and layout.divided(lm, [lms[g] for g in here]):
+            redundant.add(h)
         here.append(h)
         active[pos] = here
 
@@ -693,8 +709,10 @@ def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
         inv = 1
         if isinstance(g, dict):  # else a prepared monic reducer already
             lm = max(g)
-            g, inv = monic({lm: g[lm], **g})
-        add(g, [(i, {0: inv})] if track else None, seed=i < known_gb_prefix)
+            g, inv = monic(lm, g[lm],
+                           [(m, c) for m, c in g.items() if m != lm])
+        add(g, [(i, {0: inv})] if track else None, seed=i < known_gb_prefix,
+            unreduced=target is None)
     if not lms:
         raise ValueError("all generators are zero")
 
@@ -711,7 +729,8 @@ def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
         rem = _reduce_full(sterms, reducers, p, layout, quotients, memo)
         if not rem:
             continue
-        reducer, inv = monic(rem)
+        items = iter(rem.items())
+        reducer, inv = monic(*next(items), items)
         step = None
         if track:
             # rem = x^si g_i - x^sj g_j - sum(q_k g_k), all g monic, and
@@ -728,14 +747,15 @@ def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
     if target is not None:
         return target, (steps, [(nodes[k], q) for k, q in target_q.items()]
                         ) if track else None
-    reducers, roots = _interreduce(reducers, ring, layout,
-                                   itertools.chain(*active.values()),
+    minimal = [i for i in itertools.chain(*active.values())
+               if i not in redundant]
+    reducers, roots = _interreduce(reducers, ring, layout, minimal,
                                    (steps, nodes) if track else None)
     return reducers, (steps, roots) if track else None
 
 
 def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
-                 active: Iterable[int], trace: tuple[list, list] | None
+                 minimal: Iterable[int], trace: tuple[list, list] | None
                  ) -> tuple[list[tuple], list[int] | None]:
     """The reducers of the reduced basis, largest lead first, from the
     prepared reducers (lead, 1, tail) of a monic Groebner basis.
@@ -744,22 +764,13 @@ def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
     tail records one more step, the old node minus the quotients over the
     current nodes, and the nodes of the reduced basis are returned too.
 
-    `active` lists the elements whose lead no later lead divides; their
-    leads are distinct and generate the lead ideal.  Minimalization walks
-    them from the smallest lead up and keeps each one that no kept lead
-    divides: a divisor is never larger, so the minimal generators are
-    met first.  The tail reductions share one divisor memo, and a
+    `minimal` lists the elements whose leads are the minimal generators
+    of the lead ideal, each once, as `_groebner` decides them when each
+    element joins.  The tail reductions share one divisor memo, and a
     monomial, with no tail, is not reduced.
     """
     p = ring.p
-    kept: list[int] = []
-    keep: list[int] = []
-    for i in sorted(active, key=lambda i: reducers[i][0]):
-        lm = reducers[i][0]
-        if not layout.divided(lm, kept):
-            kept.append(lm)
-            keep.append(i)
-    keep.reverse()
+    keep = sorted(minimal, key=lambda i: reducers[i][0], reverse=True)
     reducers = [reducers[i] for i in keep]
     nodes = None
     if trace is not None:
@@ -775,8 +786,9 @@ def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
         if not tail:
             continue
         quotients = defaultdict(dict) if trace is not None else None
-        rem = _reduce_full(dict(tail), reducers, p, layout, quotients, memo)
-        if rem == dict(tail):
+        terms = dict(tail)
+        rem = _reduce_full(terms.copy(), reducers, p, layout, quotients, memo)
+        if rem == terms:
             continue
         reducers[i] = (lm, 1, tuple(rem.items()))
         if trace is not None:
@@ -928,10 +940,10 @@ def _frobenius_reducers(reducers: list[tuple], layout: _Layout,
             f"power degree {degree} exceeds guard {layout.max_degree}")
     slots, q = layout.slot_mask, p - 1
     if not slots:
-        return [(lm * p, 1, tuple((m * p, c) for m, c in tail))
+        return [(lm * p, 1, tuple([(m * p, c) for m, c in tail]))
                 for lm, _, tail in reducers]
     return [(lm * p - (lm & slots) * q, 1,
-             tuple((m * p - (m & slots) * q, c) for m, c in tail))
+             tuple([(m * p - (m & slots) * q, c) for m, c in tail]))
             for lm, _, tail in reducers]
 
 
@@ -1009,16 +1021,15 @@ def seeded_membership(target: Sequence[dict], screen: GroebnerBasis, *,
     reducers += [_prep_reducer(g, p) for g in multiples]
     quotients = defaultdict(dict) if track else None
     rem = _reduce_full(target, reducers, p, layout, quotients)
-    steps = [[] for _ in reducers]
-    seeds = list(quotients.items()) if track else None
+    trace = None
     if rem:
         rem, trace = _groebner(reducers[:known] + multiples, ring, layout,
                                track, known, rem)
-        if track:
-            steps, run_seeds = trace
-            seeds += run_seeds
-    cofactors = (_expand(steps, seeds, len(reducers), layout, ring)
-                 if track and not rem else None)
+    cofactors = None
+    if track and not rem:
+        steps, seeds = trace or ([[] for _ in reducers], [])
+        cofactors = _expand(steps, [*quotients.items(), *seeds],
+                            len(reducers), layout, ring)
     return screen._decode(rem, ring), cofactors
 
 

@@ -3,7 +3,7 @@ generation, the dense Macaulay-matrix membership oracle used to
 cross-check the Groebner engine, and plain oracles for the monomial
 order's sort key, the polynomial product, delta1, the Fedder survivor,
 the printer's term order, the standard-monomial count, the packed term
-layout and the pair criteria;
+layout, a weighted lead and the pair criteria;
 a re-expansion check of residual certificates; seeded coordinate
 changes that fix the origin; and diagonal hypersurfaces with their
 closed-form F-purity.  Also the engine's views that only tests use: the
@@ -24,7 +24,7 @@ from fliftlab.fp_poly import (DegreeGuardError, Poly, PolyRing, dot,
 from fliftlab.frobsplit import SplittingData, frobenius_decompose
 from fliftlab.groebner import (GroebnerBasis, ModuleVector, MonomialOrder,
                                _coordinates, _packed, _prep_reducer,
-                               _reduce_full, _spair_terms,
+                               _reduce_full, _shared_layout, _spair_terms,
                                normal_form_with_cofactors)
 
 
@@ -35,6 +35,15 @@ def order_key(order: MonomialOrder, mono: tuple[int, ...]) -> tuple:
     if order.weights is None:
         return grevlex_key(mono)
     return (sum(map(mul, order.weights, mono)), grevlex_key(mono))
+
+
+def weighted_lead(f: Poly, weights) -> tuple[int, ...]:
+    """f's lead under degrevlex weighted by `weights`, read off the
+    engine's own packed layout, whose int order is the term order."""
+    ring = f.ring
+    layout = _shared_layout(ring.nvars, 0, MonomialOrder(tuple(weights)),
+                            ring.max_degree)
+    return max(f.terms, key=layout.enc)
 
 
 def weighted_order(nvars: int) -> MonomialOrder:

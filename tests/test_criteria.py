@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from fliftlab.report import report_from_dict, report_to_json
 
 from support import (check_reexpansion, delta1_walk, diagonal,
                      diagonal_is_fpure, membership_columns,
-                     random_automorphism, substitute, weighted_order)
+                     random_automorphism, substitute, weighted_lead,
+                     weighted_order)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -590,10 +592,15 @@ def test_weighted_route_matches_the_unit_weight_route():
 def test_decision_order_reads_the_pure_powers():
     ring = _r(5)
     cases = [("x^2+y^3+z^7+x*y*z", (4, 2, 1)),  # round(3.5) = 4, round(2.33)
-             ("z^2+x^3+y^5+x*y^4", (2, 1, 2)),  # round(2.5) = 2
+             # under (2, 1, 2), round(2.5) = 2, x*y^4 ties x^3 at 6 and
+             # leads by degrevlex
+             ("z^2+x^3+y^5+x*y^4", None),
              ("x^3+y^3+z^4+x*y*z", None),  # round(4/3) = 1: all units
              ("x*y+z^5", None),  # no pure power of x or y
-             ("x^2+x^6+y^3+z^7", (4, 2, 1))]  # the smallest power of x
+             ("x^2+x^6+y^3+z^7", (4, 2, 1)),  # the smallest power of x
+             # x^9 leads x^3*y under (4, 2, 1): the lead is read over all
+             # terms, not against the smallest power of each variable
+             ("x^2+x^9+y^3+z^7+x^3*y", (4, 2, 1))]
     for text, weights in cases:
         f = ring.parse(text)
         want = GREVLEX if weights is None else MonomialOrder(weights)
@@ -606,18 +613,67 @@ def test_decision_order_reads_the_pure_powers():
     assert criteria._decision_order(gens, GREVLEX) == GREVLEX
 
 
-def test_e81_remainder_is_recomputed_under_the_requested_order():
-    # E_8^1 at p = 5 is an F-pure nonmember decided under weights
-    # (2, 1, 2); its remainder under those weights differs from the
-    # degrevlex one, which the report keeps, as pinned in the golden
-    f = _r(5).parse("z^2+x^3+y^5+x*y^4")
+def _rule_inputs():
+    for inst in enumerate_table_rows(8):
+        for perm in permutations(range(inst.poly.ring.nvars)):
+            yield inst, inst.poly.permute_variables(perm)
+    for p in (2, 3, 5, 7):
+        for t in product(range(2, 13), repeat=3):
+            if cusp_hyp_admissible(*t):
+                yield None, make_cusp_hypersurface(p, *t)
+
+
+def test_decision_order_keeps_the_weights_iff_a_pure_power_leads():
+    # every RDP row at n <= 8 under all variable orders and every cusp_hyp
+    # exponent triple <= 12 at p = 2, 3, 5, 7: the weights read off the
+    # pure powers are kept iff f's lead under them, by the engine's
+    # layout, is a pure power; only E_8^1, E_8^2 and E_6^1 lead mixed
+    count, mixed = 0, Counter()
+    for inst, f in _rule_inputs():
+        count += 1
+        pure: dict[int, int] = {}
+        for mono in f.terms:
+            if sum(map(bool, mono)) == 1:
+                v = next(v for v, e in enumerate(mono) if e)
+                pure[v] = min(mono[v], pure.get(v, mono[v]))
+        n = f.ring.nvars
+        weights = None
+        if len(pure) == n:
+            top = max(pure.values())
+            weights = tuple(round(top / pure[v]) for v in range(n))
+            if max(weights) == 1:
+                weights = None
+        if weights and sum(map(bool, weighted_lead(f, weights))) > 1:
+            mixed[inst and (inst.row.row_label, inst.p)] += 1
+            weights = None
+        want = GREVLEX if weights is None else MonomialOrder(weights)
+        assert criteria._decision_order([f], GREVLEX) == want, format_poly(f)
+    assert count == 5988
+    assert mixed == {("E_8^1", 2): 6, ("E_8^1", 3): 6, ("E_8^1", 5): 6,
+                     ("E_8^2", 2): 6, ("E_8^2", 3): 6, ("E_6^1", 3): 3}
+
+
+def test_fpure_nonmember_remainder_is_recomputed_under_the_requested_order(
+        monkeypatch):
+    # x^2 + y^2 + z^3 + w^5 at p = 3 is an F-pure nonmember decided under
+    # weights (2, 2, 2, 1), under which z^3 leads; its remainder under
+    # those weights differs from the degrevlex one, which the report keeps
+    f = _r(3, "xyzw").parse("x^2+y^2+z^3+w^5")
     decision = criteria._decision_order([f], GREVLEX)
-    assert decision.weights == (2, 1, 2)
+    assert decision.weights == (2, 2, 2, 1)
     weighted = _membership([f], criteria._screen([f], decision, False)[1])
+    plain = _membership([f], criteria._screen([f], GREVLEX, False)[1])
     report = classify([f])
+    assert (report.f_pure, report.f_liftable) == (True, False)
+    assert not weighted[0] and weighted[1] != plain[1]
+    assert report.certificate.remainder == plain[1]
+    # E_8^1 at p = 5 leads with x*y^4 under its weights, so it is decided
+    # once, under degrevlex, with the remainder that the golden pins
+    screens = _counting(monkeypatch, criteria, "_screen")
+    report = classify([_r(5).parse("z^2+x^3+y^5+x*y^4")])
+    assert screens["n"] == 1
     golden = _golden_fields("classify_e81_p5.txt")["remainder"]
     assert [format_poly(r) for r in report.certificate.remainder] == golden
-    assert not weighted[0] and weighted[1] != report.certificate.remainder
 
 
 def test_weighted_route_bounds_the_cusp_237_membership_run(monkeypatch):
@@ -733,11 +789,12 @@ def test_classify_validates_what_the_packed_screen_packs():
 def test_uncertified_classify_forms_no_poly_product(monkeypatch):
     # Fedder, delta1, sigma and the residual run on packed terms: a plain
     # verdict calls neither Poly.__mul__ nor Poly.__pow__, the F-pure
-    # nonmember E_8^1 and its recompute under degrevlex included; a
-    # certified complete intersection still forms its f_j^(p-1) by them
+    # nonmember x^2 + y^2 + z^3 + w^5 and its recompute under degrevlex
+    # included; a certified complete intersection still forms its
+    # f_j^(p-1) by them
     cases = [([make_cusp_hypersurface(5, 2, 3, 7)], (True, True)),
              (make_cusp_ci(2, 2, 3, 3, 4), (True, True)),
-             ([_r(5).parse("z^2+x^3+y^5+x*y^4")], (True, False))]
+             ([_r(3, "xyzw").parse("x^2+y^2+z^3+w^5")], (True, False))]
     calls = {"__mul__": 0, "__pow__": 0}
 
     def counted(name):
@@ -755,7 +812,7 @@ def test_uncertified_classify_forms_no_poly_product(monkeypatch):
     for gens, verdict in cases:
         rep = classify(gens)
         assert (rep.f_pure, rep.f_liftable) == verdict
-    assert screens["n"] == 4  # E_8^1 is screened again under degrevlex
+    assert screens["n"] == 4  # the nonmember is screened again
     assert calls == {"__mul__": 0, "__pow__": 0}
     assert classify(cases[1][0], certificates=True).f_liftable
     assert calls["__pow__"] == 2

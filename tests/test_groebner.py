@@ -829,19 +829,25 @@ def test_minimalization_of_inputs_with_equal_or_divided_leads():
     # x*y + 1 has the lead of x*y + z, which the lead of x + 1 divides;
     # x*y + z^2 and x*y + 1 share a lead; y^2*z + x has a lead that the
     # earlier y^2 + z divides; x*y + y = y*(x + 1) keeps its lead to the
-    # end, as its pair with x + 1 reduces to 0.  The reduced basis is the
+    # end, as its pair with x + 1 reduces to 0.  With a known prefix, the
+    # seed lead x^2 divides the later leads x^3 and x^2*y, and divides
+    # the lead of the seed x^3 + x*y = x*(x^2 + y), which leaves the
+    # prefix a basis that is not minimal.  The reduced basis is the
     # reference one, and each element of a tracked basis expands from its
     # unit coefficient vector back to itself.
     ring = PolyRing(["x", "y", "z"], 5)
-    for gens in (["x*y+z", "x+1", "x*y+1"],
-                 ["x*y+z^2", "x*y+1", "y^2+x"],
-                 ["y^2+z", "x*z+1", "y^2*z+x", "y^2+2*z"],
-                 ["x+1", "z^2+y", "x*y+y"]):
+    for gens, prefix in ((["x*y+z", "x+1", "x*y+1"], 0),
+                         (["x*y+z^2", "x*y+1", "y^2+x"], 0),
+                         (["y^2+z", "x*z+1", "y^2*z+x", "y^2+2*z"], 0),
+                         (["x+1", "z^2+y", "x*y+y"], 0),
+                         (["x^2+y", "y^2+z", "x^3+z", "x^2*y+1"], 2),
+                         (["x^2+y", "x^3+x*y", "y*z+x"], 2)):
         gens = [ring.parse(g) for g in gens]
         for order in (GREVLEX, weighted_order(3)):
-            gb = buchberger(gens, order)
+            gb = buchberger(gens, order, known_gb_prefix=prefix)
             assert gb.generators == _reference_buchberger(gens, order)
-            tracked = buchberger(gens, order, track=True)
+            tracked = buchberger(gens, order, track=True,
+                                 known_gb_prefix=prefix)
             assert tracked.generators == gb.generators
             for g, cof in zip(tracked.generators, unit_expansions(tracked)):
                 assert combine(cof, gens) == g
