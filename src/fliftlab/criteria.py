@@ -134,14 +134,13 @@ def _screen(gens: Sequence[Poly], order: MonomialOrder, track: bool
     return None, basis
 
 
-def residual_polynomial(f: Poly, split: SplittingData | None = None) -> Poly:
+def residual_polynomial(f: Poly) -> Poly:
     """s^p * delta1(f) + (-sigma(F_* delta1(f)))^p, unreduced.
 
     Requires the F-purity test to pass (the section must be a unit at the
     origin for the containment test to be meaningful).
     """
-    if split is None:
-        split = build_splitting([f])
+    split = build_splitting([f])
     if not split.fpure_at_origin:
         raise ValueError("residual is defined only for F-pure input "
                          "(Fedder test failed)")
@@ -220,22 +219,20 @@ def _plus_product(screen: GroebnerBasis, c: dict, t: dict, f: dict) -> dict:
     return out
 
 
-def _decision_order(gens: Sequence[Poly],
-                    order: MonomialOrder) -> MonomialOrder:
+def _decision_order(gens: Sequence[Poly]) -> MonomialOrder:
     """The order that the screen and the membership run under.
 
-    A plain degrevlex request on a hypersurface f that holds a pure power
-    x_v^(e_v) of every variable (the smallest, if several) is decided
-    under the weights w_v = round(max(e) / e_v), which make those powers
-    nearly homogeneous, if f's lead under them, read over all of its
-    terms, is a pure power; a mixed lead (x*y^4 ties x^3 in E_8^1 at
-    p = 5 and wins the degrevlex tie-break) would leave the weights no
-    gain and, for an F-pure nonmember, a remainder to recompute.  A
-    weighted request, a complete intersection and a hypersurface whose
-    weights would all be 1 or lead with a mixed term are decided under
-    the requested order."""
-    if order != GREVLEX or len(gens) != 1:
-        return order
+    A hypersurface f that holds a pure power x_v^(e_v) of every variable
+    (the smallest, if several) is decided under the weights
+    w_v = round(max(e) / e_v), which make those powers nearly
+    homogeneous, if f's lead under them, read over all of its terms, is
+    a pure power; a mixed lead (x*y^4 ties x^3 in E_8^1 at p = 5 and wins
+    the degrevlex tie-break) would leave the weights no gain and, for an
+    F-pure nonmember, a remainder to recompute.  A complete intersection
+    and a hypersurface whose weights would all be 1 or lead with a mixed
+    term are decided under degrevlex."""
+    if len(gens) != 1:
+        return GREVLEX
     f = gens[0]
     pure: dict[int, int] = {}
     for mono in f.terms:
@@ -244,39 +241,37 @@ def _decision_order(gens: Sequence[Poly],
             v = support[0]
             pure[v] = min(mono[v], pure.get(v, mono[v]))
     if len(pure) < f.ring.nvars:
-        return order
+        return GREVLEX
     top = max(pure.values())
     weights = tuple(round(top / pure[v]) for v in range(f.ring.nvars))
     if max(weights) == 1:
-        return order
+        return GREVLEX
     lead = max(f.terms, key=lambda m: (sum(map(mul, weights, m)),
                                        grevlex_key(m)))
     if sum(map(bool, lead)) != 1:
-        return order
+        return GREVLEX
     return MonomialOrder(weights)
 
 
-def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
+def classify(gens: Sequence[Poly], *,
              certificates: bool = False) -> LiftabilityReport:
     """Liftability of R/(f_1,...,f_m): isolatedness screen, Fedder test,
     then the residual containment, with certificates on request.
 
-    `order` is (weighted) degrevlex; a weighted one is taken as given,
-    which lets a caller run the unit-weight reference route.  The screen,
-    the containment and the certified trace run under the decision order
-    of `_decision_order`: for a plain request on a hypersurface with a
-    pure power of every variable, degrevlex weighted by those powers if
-    a pure power leads under them, else the requested order.  The
-    verdict does not depend on the order (membership, smoothness, finite
-    dimension and origin-only support are order-free, and the p-th
-    powers of a Groebner basis form one under any monomial order), but a
-    remainder does: an F-pure nonmember decided under weights is screened
-    again and its remainder recomputed under the requested order.  The
-    membership takes the residual in one form, packed in the exponent
-    fields of its screen's layout: the splitting is built in the
-    decision screen's fields, and the recompute repacks each coordinate
-    into the requested order's.  The report's `order` is always
-    "grevlex".  Certified cofactors are those of the decision order.
+    The screen, the containment and the certified trace run under the
+    decision order of `_decision_order`: for a hypersurface with a pure
+    power of every variable, degrevlex weighted by those powers if a pure
+    power leads under them, else degrevlex.  The verdict does not depend
+    on the order (membership, smoothness, finite dimension and
+    origin-only support are order-free, and the p-th powers of a Groebner
+    basis form one under any monomial order), but a remainder does: an
+    F-pure nonmember decided under weights is screened again and its
+    remainder recomputed under degrevlex, the order the report names.
+    The membership takes the residual in one form, packed in the exponent
+    fields of its screen's layout: the splitting is built in the decision
+    screen's fields, and the recompute repacks each coordinate into the
+    degrevlex screen's.  Certified cofactors are those of the decision
+    order.
 
     Origin-only support is decided only when a negative verdict's
     conclusiveness needs it: members, non-F-pure inputs and the smooth
@@ -302,7 +297,7 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
             f_pure=f_pure, f_liftable=f_liftable, conclusive=conclusive,
             certificate=certificate, timings_ms=timings)
 
-    decision = _decision_order(gens, order)
+    decision = _decision_order(gens)
     status, screen = _screen(gens, decision, certificates)
     timings["isolated"] = _ms_since(t_start)
     if status == SMOOTH:
@@ -326,9 +321,9 @@ def classify(gens: Sequence[Poly], *, order: MonomialOrder = GREVLEX,
     t = time.perf_counter()
     member, remainder, cofactors = _residual_membership(
         residuals, gens, screen, certificates, split)
-    if not member and decision != order:
+    if not member and decision != GREVLEX:
         terms = [screen.unpack(r).terms for r in residuals]
-        screen = _screen(gens, order, False)[1]
+        screen = _screen(gens, GREVLEX, False)[1]
         units = screen._layout.fields[1]
         residuals = [dict(_pack(r, units)) for r in terms]
         remainder = _residual_membership(residuals, gens, screen, False)[1]

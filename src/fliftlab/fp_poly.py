@@ -356,6 +356,8 @@ class Poly:
     def substitute_scaled(self, var_index: int, unit: int) -> "Poly":
         """Substitute x_i -> unit * x_i for a nonzero scalar unit."""
         ring = self.ring
+        if not 0 <= var_index < ring.nvars:
+            raise IndexError(f"variable index {var_index} out of range")
         p = ring.p
         unit %= p
         if unit == 0:
@@ -363,11 +365,13 @@ class Poly:
         out = {m: c * pow(unit, m[var_index], p) % p for m, c in self.terms.items()}
         return Poly._make(ring, {m: c for m, c in out.items() if c})
 
-    def permute_variables(self, perm: Iterable[int], target: "PolyRing" | None = None) -> "Poly":
+    def permute_variables(self, perm: Iterable[int]) -> "Poly":
         """Relabel variables: new exponent j comes from old position perm[j]."""
         perm = tuple(perm)
-        ring = target if target is not None else self.ring
-        return Poly._make(ring, {tuple(m[i] for i in perm): c for m, c in self.terms.items()})
+        if sorted(perm) != list(range(self.ring.nvars)):
+            raise ValueError(f"{perm} is not a permutation of the variables")
+        return Poly._make(self.ring, {tuple(m[i] for i in perm): c
+                                      for m, c in self.terms.items()})
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r}, p={self.ring.p})"

@@ -95,8 +95,8 @@ class SplittingData:
     s(0) is nonzero exactly when the F-purity test passes.  In `packing`,
     `power_terms` are the power's terms, coefficients mod p^2 for one
     generator, `lifted`, else mod p, `groups` them by a mod p, as
-    {packed a: c mod p}, and `at` is the packed anchor; `power` and
-    s = u(h) are decoded if read.
+    {packed a: c mod p}, and `at` is the packed anchor; s = u(h) is
+    decoded if read.
     """
 
     ring: PolyRing
@@ -112,10 +112,6 @@ class SplittingData:
 
     def unpack(self, terms: dict) -> Poly:
         return _unpack(self.ring, terms, self.packing)
-
-    @functools.cached_property
-    def power(self) -> Poly:
-        return self.unpack(self.power_terms)
 
     @functools.cached_property
     def s(self) -> Poly:

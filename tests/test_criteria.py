@@ -172,9 +172,7 @@ def test_residual_degenerate_zero_delta1():
     # a two-term freshman's-dream polynomial: delta1 = x^p * y^p-ish terms
     ring = PolyRing(["x", "y"], 2)
     f = ring.parse("x")          # single term, delta1 = 0
-    from fliftlab.frobsplit import build_splitting, lift_and_residual
-    split = build_splitting([f])
-    assert residual_polynomial(f, split).is_zero()
+    assert residual_polynomial(f).is_zero()
 
 
 def test_ci_examples():
@@ -498,15 +496,21 @@ def test_plain_membership_stops_at_the_first_zero_remainder(monkeypatch):
     assert 0 < early < spairs["n"], (early, spairs["n"])
 
 
-def test_verdicts_are_order_independent():
+def test_verdicts_are_order_independent(monkeypatch):
     cases = [(2, "z^2+x^2*y+x*y^2+x*y*z"), (5, "z^2+x^3+y^5+x*y^4"),
              (3, "z^2+x^3+y^4+x^2*y^2"), (2, "z^2+x^2*y+x*y^3")]
     for p, text in cases:
         f = _r(p).parse(text)
         a = classify([f])
-        b = classify([f], order=weighted_order(3))
+        with monkeypatch.context() as m:
+            m.setattr(criteria, "_decision_order",
+                      lambda gens: weighted_order(3))
+            b = classify([f])
         assert (a.f_pure, a.f_liftable) == (b.f_pure, b.f_liftable)
         assert a.order == b.order == "grevlex"
+    # `classify` picks its own order and takes none
+    with pytest.raises(TypeError):
+        classify([f], order=GREVLEX)
 
 
 def test_negative_ci_verdict_needs_a_splitting_section(monkeypatch):
@@ -571,17 +575,24 @@ def _route_oracle_inputs():
             yield [make_cusp_hypersurface(p, *t)]
 
 
-def test_weighted_route_matches_the_unit_weight_route():
+def test_weighted_route_matches_the_unit_weight_route(monkeypatch):
     # every RDP row at n <= 8 and every cusp_hyp class at p = 2, 3 with
-    # exponents <= 8: a degrevlex request decides under the weights read
-    # off the pure powers where it can, and unit weights are degrevlex
-    # itself through the engine's orders; both give the same report apart
-    # from the timings, remainders included
+    # exponents <= 8: `classify` decides under the weights read off the
+    # pure powers where it can, and unit weights are degrevlex itself
+    # through the engine's orders; both give the same report apart from
+    # the timings, remainders included
     weighted = 0
     for gens in _route_oracle_inputs():
-        weighted += criteria._decision_order(gens, GREVLEX) != GREVLEX
+        weighted += criteria._decision_order(gens) != GREVLEX
         a = classify(gens)
-        b = classify(gens, order=_unit_weights(gens))
+        unit = _unit_weights(gens)
+        with monkeypatch.context() as m:
+            # the whole route under unit weights, the order that an
+            # F-pure nonmember's remainder is recomputed under included,
+            # so that no remainder comes from a plain degrevlex run
+            m.setattr(criteria, "_decision_order", lambda gens: unit)
+            m.setattr(criteria, "GREVLEX", unit)
+            b = classify(gens)
         assert (a.status, a.f_pure, a.f_liftable, a.conclusive,
                 a.certificate, a.order) == \
             (b.status, b.f_pure, b.f_liftable, b.conclusive,
@@ -604,13 +615,10 @@ def test_decision_order_reads_the_pure_powers():
     for text, weights in cases:
         f = ring.parse(text)
         want = GREVLEX if weights is None else MonomialOrder(weights)
-        assert criteria._decision_order([f], GREVLEX) == want, text
-        # a weighted request is taken as given
-        assert criteria._decision_order([f], weighted_order(3)) == \
-            weighted_order(3)
-    # complete intersections keep the requested order
+        assert criteria._decision_order([f]) == want, text
+    # complete intersections are decided under degrevlex
     gens = make_cusp_ci(2, 2, 3, 3, 4)
-    assert criteria._decision_order(gens, GREVLEX) == GREVLEX
+    assert criteria._decision_order(gens) == GREVLEX
 
 
 def _rule_inputs():
@@ -647,19 +655,18 @@ def test_decision_order_keeps_the_weights_iff_a_pure_power_leads():
             mixed[inst and (inst.row.row_label, inst.p)] += 1
             weights = None
         want = GREVLEX if weights is None else MonomialOrder(weights)
-        assert criteria._decision_order([f], GREVLEX) == want, format_poly(f)
+        assert criteria._decision_order([f]) == want, format_poly(f)
     assert count == 5988
     assert mixed == {("E_8^1", 2): 6, ("E_8^1", 3): 6, ("E_8^1", 5): 6,
                      ("E_8^2", 2): 6, ("E_8^2", 3): 6, ("E_6^1", 3): 3}
 
 
-def test_fpure_nonmember_remainder_is_recomputed_under_the_requested_order(
-        monkeypatch):
+def test_fpure_nonmember_remainder_is_recomputed_under_degrevlex(monkeypatch):
     # x^2 + y^2 + z^3 + w^5 at p = 3 is an F-pure nonmember decided under
     # weights (2, 2, 2, 1), under which z^3 leads; its remainder under
     # those weights differs from the degrevlex one, which the report keeps
     f = _r(3, "xyzw").parse("x^2+y^2+z^3+w^5")
-    decision = criteria._decision_order([f], GREVLEX)
+    decision = criteria._decision_order([f])
     assert decision.weights == (2, 2, 2, 1)
     weighted = _membership([f], criteria._screen([f], decision, False)[1])
     plain = _membership([f], criteria._screen([f], GREVLEX, False)[1])
@@ -768,7 +775,8 @@ def test_classify_validates_what_the_packed_screen_packs():
     # ModuleVectors: generators in different ambients (another prime,
     # other variables) still raise AmbientMismatchError, and a generator
     # with a term past the first generator's degree guard still raises
-    # DegreeGuardError, under degrevlex and a weighted order
+    # DegreeGuardError, under degrevlex and, in the screen, a weighted
+    # order
     from fliftlab.fp_poly import AmbientMismatchError
     f1 = PolyRing("xyzw", 2).parse("x*y+z^3+w^2")
     for ring in (PolyRing("xyzw", 3), PolyRing("xyzv", 2)):
@@ -778,9 +786,10 @@ def test_classify_validates_what_the_packed_screen_packs():
                 classify(gens)
     small, big = PolyRing("xyzw", 2, 12), PolyRing("xyzw", 2, 100)
     gens = [small.parse("x*y+z^3+w^2"), big.parse("z*w+x^13+y^2")]
-    for order in (GREVLEX, weighted_order(4)):
-        with pytest.raises(DegreeGuardError):
-            classify(gens, order=order)
+    with pytest.raises(DegreeGuardError):
+        classify(gens)
+    with pytest.raises(DegreeGuardError):
+        criteria._screen(gens, weighted_order(4), False)
     # within the guard the mixed guards classify as one ring does
     gens[1] = big.parse("z*w+x^3+y^2")
     assert classify(gens).f_liftable

@@ -181,6 +181,29 @@ def test_derivative_examples():
     assert g.derivative(1) == ring.parse("x^2 + x*z")
 
 
+def test_permute_variables_takes_only_permutations():
+    ring = PolyRing(["x", "y", "z"], 3)
+    f = ring.parse("x + 2*y^2 + x*z^3")
+    assert f.permute_variables((2, 0, 1)) == ring.parse("y + 2*z^2 + x^3*y")
+    assert f.permute_variables(range(3)) == f
+    # a repeated index would merge variables, a short one drop a
+    # coordinate of every monomial
+    for perm in ((0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3), ()):
+        with pytest.raises(ValueError):
+            f.permute_variables(perm)
+
+
+def test_substitute_scaled_checks_the_variable_index():
+    ring = PolyRing(["x", "y"], 5)
+    f = ring.parse("x^2 + y^3")
+    assert f.substitute_scaled(1, 2) == ring.parse("x^2 + 3*y^3")
+    for v in (-1, 2):
+        with pytest.raises(IndexError):
+            f.substitute_scaled(v, 2)
+        with pytest.raises(IndexError):
+            f.derivative(v)
+
+
 def test_format_examples():
     assert format_poly(PolyRing(["x", "y"], 5).parse("y+x")) == "x + y"
     ring = PolyRing(["x", "y"], 3)

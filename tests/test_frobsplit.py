@@ -311,8 +311,8 @@ def test_packed_fedder_matches_the_poly_route():
                         groups.setdefault(tuple(e % p for e in a), {})[a] = c
                     for packing in _packings(ring):
                         split = build_splitting(gens, packing)
-                        assert (split.power, split.survivor,
-                                splitting_h(split)) == \
+                        assert (split.unpack(split.power_terms),
+                                split.survivor, splitting_h(split)) == \
                             (power, survivor, h)
                         assert split.fpure_at_origin == (survivor is not None)
                         assert split.s == trace_u(h)

@@ -4,8 +4,7 @@ removed, on a fixed set of inputs that walks every route of `classify`.
 The inputs are every `cusp_ci` class at p = 2 with exponents <= 3, plain
 and certified; every table row at n <= 4; every `cusp_hyp` class at
 p = 2, 3, 5 with exponents <= 6, plain and certified; certified E_8^1 at
-p = 5, whose F-pure nonmember remainder is recomputed under the
-requested order after the weighted decision run.  A changed byte
+p = 5, an F-pure nonmember decided under degrevlex.  A changed byte
 anywhere in a report, certified cofactors included, changes its
 digest.
 
@@ -23,45 +22,42 @@ from fliftlab.catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
                               enumerate_table_rows, make_cusp_ci,
                               make_cusp_hypersurface, make_rdp)
 from fliftlab.criteria import classify
-from fliftlab.groebner import GREVLEX
 from fliftlab.report import report_to_dict
 
 GOLDEN = Path(__file__).parent / "golden" / "report_digests.txt"
 
 
 def digest_inputs():
-    """(label, generators, order, certificates) of every pinned report."""
+    """(label, generators, certificates) of every pinned report."""
     ci = sorted({cusp_ci_symmetry_class(t)
                  for t in itertools.product(range(2, 4), repeat=4)
                  if cusp_ci_admissible(*t)})
     for t in ci:
         for cert in (False, True):
-            yield f"cusp_ci p=2 {t} cert={cert}", make_cusp_ci(2, *t), \
-                GREVLEX, cert
+            yield f"cusp_ci p=2 {t} cert={cert}", make_cusp_ci(2, *t), cert
     for inst in enumerate_table_rows(4):
         params = ",".join(f"{k}={v}" for k, v in inst.params)
         yield f"{inst.row.row_label} p={inst.p} {params}".rstrip(), \
-            [inst.poly], GREVLEX, False
+            [inst.poly], False
     hyp = sorted({cusp_hyp_symmetry_class(t)
                   for t in itertools.product(range(2, 7), repeat=3)
                   if cusp_hyp_admissible(*t)})
     for p, t, cert in itertools.product((2, 3, 5), hyp, (False, True)):
         yield f"cusp_hyp p={p} {t} cert={cert}", \
-            [make_cusp_hypersurface(p, *t)], GREVLEX, cert
+            [make_cusp_hypersurface(p, *t)], cert
     e81 = [make_rdp("E_8^1", 5)]
-    yield "E_8^1 p=5 cert=True", e81, GREVLEX, True
+    yield "E_8^1 p=5 cert=True", e81, True
 
 
-def report_digest(gens, order, certificates) -> str:
-    d = report_to_dict(classify(gens, order=order,
-                                certificates=certificates))
+def report_digest(gens, certificates) -> str:
+    d = report_to_dict(classify(gens, certificates=certificates))
     del d["timings_ms"]
     return hashlib.sha256(json.dumps(d).encode()).hexdigest()
 
 
 def digest_lines() -> list[str]:
-    return [f"{report_digest(gens, order, cert)}  {label}"
-            for label, gens, order, cert in digest_inputs()]
+    return [f"{report_digest(gens, cert)}  {label}"
+            for label, gens, cert in digest_inputs()]
 
 
 def test_reports_match_the_pinned_digests():
