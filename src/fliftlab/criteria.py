@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .fp_poly import (DegreeGuardError, Poly, _add_product, _pack, dot,
+from .fp_poly import (DegreeGuardError, Poly, _add_product, dot,
                       format_poly, grevlex_key)
 from .groebner import (GREVLEX, GroebnerBasis, MonomialOrder,
                        is_zero_dimensional, jacobian_module,
@@ -149,7 +149,7 @@ def residual_polynomial(f: Poly) -> Poly:
 
 def _residual_membership(residuals: Sequence[dict], gens: Sequence[Poly],
                          screen: GroebnerBasis, want_cofactors: bool,
-                         split: SplittingData | None = None):
+                         split: SplittingData):
     """Decide (r_1..r_m) in N^[p] + (f_j e_i), N the screen's submodule,
     for r_i packed in the screen layout's `fields`; returns (member,
     remainder coordinates, cofactors).
@@ -165,9 +165,9 @@ def _residual_membership(residuals: Sequence[dict], gens: Sequence[Poly],
     N^[p] maps back to N's generators by a Frobenius-twisted backward pass
     over the screen's trace (see `GroebnerBasis.expand_packed`).  They
     stay packed in the screen's layout until each final cofactor is
-    decoded once.  `split`, that of `gens`, is needed for cofactors: for
-    m = 1 its packed `power_terms` are f^(p-1) in the screen's fields,
-    which are then neither formed again nor decoded.
+    decoded once.  `split` is that of `gens`: for m = 1 its packed
+    `power_terms` are f^(p-1) in the screen's fields, which cofactors
+    then neither form again nor decode.
 
     The certificate is re-checked before it is returned, from the input
     generators alone and in `fp_poly` arithmetic, which shares nothing
@@ -227,10 +227,9 @@ def _decision_order(gens: Sequence[Poly]) -> MonomialOrder:
     w_v = round(max(e) / e_v), which make those powers nearly
     homogeneous, if f's lead under them, read over all of its terms, is
     a pure power; a mixed lead (x*y^4 ties x^3 in E_8^1 at p = 5 and wins
-    the degrevlex tie-break) would leave the weights no gain and, for an
-    F-pure nonmember, a remainder to recompute.  A complete intersection
-    and a hypersurface whose weights would all be 1 or lead with a mixed
-    term are decided under degrevlex."""
+    the degrevlex tie-break) would leave the weights no gain.  A complete
+    intersection and a hypersurface whose weights would all be 1 or lead
+    with a mixed term are decided under degrevlex."""
     if len(gens) != 1:
         return GREVLEX
     f = gens[0]
@@ -264,14 +263,11 @@ def classify(gens: Sequence[Poly], *,
     power leads under them, else degrevlex.  The verdict does not depend
     on the order (membership, smoothness, finite dimension and
     origin-only support are order-free, and the p-th powers of a Groebner
-    basis form one under any monomial order), but a remainder does: an
-    F-pure nonmember decided under weights is screened again and its
-    remainder recomputed under degrevlex, the order the report names.
-    The membership takes the residual in one form, packed in the exponent
-    fields of its screen's layout: the splitting is built in the decision
-    screen's fields, and the recompute repacks each coordinate into the
-    degrevlex screen's.  Certified cofactors are those of the decision
-    order.
+    basis form one under any monomial order), but a remainder and
+    certified cofactors do, so the report names the decision order:
+    "grevlex", or "grevlex:w_1,...,w_n" under weights.  The splitting is
+    built in the exponent fields of the screen's layout, the one form in
+    which the membership takes the residual.
 
     Origin-only support is decided only when a negative verdict's
     conclusiveness needs it: members, non-F-pure inputs and the smooth
@@ -295,9 +291,11 @@ def classify(gens: Sequence[Poly], *,
             p=ring.p, variables=ring.variables,
             generators=tuple(format_poly(g) for g in gens), status=status,
             f_pure=f_pure, f_liftable=f_liftable, conclusive=conclusive,
-            certificate=certificate, timings_ms=timings)
+            certificate=certificate, timings_ms=timings, order=order)
 
     decision = _decision_order(gens)
+    order = ("grevlex" if decision.weights is None
+             else "grevlex:" + ",".join(map(str, decision.weights)))
     status, screen = _screen(gens, decision, certificates)
     timings["isolated"] = _ms_since(t_start)
     if status == SMOOTH:
@@ -321,12 +319,6 @@ def classify(gens: Sequence[Poly], *,
     t = time.perf_counter()
     member, remainder, cofactors = _residual_membership(
         residuals, gens, screen, certificates, split)
-    if not member and decision != GREVLEX:
-        terms = [screen.unpack(r).terms for r in residuals]
-        screen = _screen(gens, GREVLEX, False)[1]
-        units = screen._layout.fields[1]
-        residuals = [dict(_pack(r, units)) for r in terms]
-        remainder = _residual_membership(residuals, gens, screen, False)[1]
     timings["groebner"] = _ms_since(t)
 
     # A positive containment certifies liftability at the origin, even

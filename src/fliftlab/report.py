@@ -12,6 +12,11 @@ JSON schema (stable, versioned):
                    remainder, cofactors? } | null,
     timings_ms: { isolated, fedder, delta1, groebner, total } }
 
+`order` names the monomial order that the screen, the remainder and
+the certified cofactors ran under: "grevlex" (degrevlex), or
+"grevlex:w_1,...,w_n" (degrevlex after the weighted degree with
+weights w_v, as in "grevlex:4,2,1").
+
 `timings_ms.delta1` times the whole residual stage: delta1(f_i), sigma
 of it, the p-th powers and s^p * delta1(f_i); the key keeps its name.
 For one f, `fedder` forms f^(p-1) over Z/p^2, and delta1 one product by f.

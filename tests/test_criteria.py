@@ -82,6 +82,9 @@ def test_singular_elsewhere_detected():
     (lambda: [_r(5).parse("z^2+x^3+y^5+x*y^4")], (True, False, True), 1),
     (lambda: [_r(5).parse("z^2 + x^3 + y^5 + x*y^4 + 3*x^7*y*z")],
      (True, False, False), 1),
+    # and one decided under weights, which walks its weighted screen
+    (lambda: [_r(3, "xyzw").parse("x^2+y^2+z^3+w^5")], (True, False, True),
+     1),
 ])
 @pytest.mark.parametrize("certificates", [False, True])
 def test_origin_walk_only_for_an_fpure_nonmember(monkeypatch, gens, verdict,
@@ -375,6 +378,13 @@ def test_golden_certificates_reexpand(name):
     check_reexpansion(gens, residuals, cofactors)
 
 
+def _order_name(order):
+    """The `order` field of a report decided under `order`."""
+    if order.weights is None:
+        return "grevlex"
+    return "grevlex:" + ",".join(map(str, order.weights))
+
+
 def _cold_membership(residuals, gens):
     """The oracle: a cold module Buchberger on (f_j e_i, w_k) and the
     normal form of the residual vector, sharing nothing with the screen."""
@@ -507,7 +517,7 @@ def test_verdicts_are_order_independent(monkeypatch):
                       lambda gens: weighted_order(3))
             b = classify([f])
         assert (a.f_pure, a.f_liftable) == (b.f_pure, b.f_liftable)
-        assert a.order == b.order == "grevlex"
+        assert (a.order, b.order) == ("grevlex", "grevlex:5,3,1")
     # `classify` picks its own order and takes none
     with pytest.raises(TypeError):
         classify([f], order=GREVLEX)
@@ -519,7 +529,7 @@ def test_negative_ci_verdict_needs_a_splitting_section(monkeypatch):
     # verdict is conclusive only when the section s is identically 1
     monkeypatch.setattr(criteria, "_residual_membership",
                         lambda residuals, gens, screen, want_cofactors,
-                        power=None: (False, tuple(residuals), None))
+                        split: (False, tuple(residuals), None))
     r4 = PolyRing(["x", "y", "z", "w"], 3)
     unit_section = [r4.parse("x*y+z^2+w^2"), r4.parse("z*w+x^2+y^2+2*x*y*w")]
     r4 = PolyRing(["x", "y", "z", "w"], 2)
@@ -580,23 +590,21 @@ def test_weighted_route_matches_the_unit_weight_route(monkeypatch):
     # exponents <= 8: `classify` decides under the weights read off the
     # pure powers where it can, and unit weights are degrevlex itself
     # through the engine's orders; both give the same report apart from
-    # the timings, remainders included
+    # the timings and the order it names, remainders included
     weighted = 0
     for gens in _route_oracle_inputs():
-        weighted += criteria._decision_order(gens) != GREVLEX
+        decision = criteria._decision_order(gens)
+        weighted += decision != GREVLEX
         a = classify(gens)
         unit = _unit_weights(gens)
         with monkeypatch.context() as m:
-            # the whole route under unit weights, the order that an
-            # F-pure nonmember's remainder is recomputed under included,
-            # so that no remainder comes from a plain degrevlex run
             m.setattr(criteria, "_decision_order", lambda gens: unit)
-            m.setattr(criteria, "GREVLEX", unit)
             b = classify(gens)
+        assert a.order == _order_name(decision), a.generators
         assert (a.status, a.f_pure, a.f_liftable, a.conclusive,
-                a.certificate, a.order) == \
+                a.certificate) == \
             (b.status, b.f_pure, b.f_liftable, b.conclusive,
-             b.certificate, b.order), a.generators
+             b.certificate), a.generators
     assert weighted > 100, weighted
 
 
@@ -661,24 +669,32 @@ def test_decision_order_keeps_the_weights_iff_a_pure_power_leads():
                      ("E_8^2", 2): 6, ("E_8^2", 3): 6, ("E_6^1", 3): 3}
 
 
-def test_fpure_nonmember_remainder_is_recomputed_under_degrevlex(monkeypatch):
+def test_fpure_nonmember_remainder_is_that_of_the_named_order(monkeypatch):
     # x^2 + y^2 + z^3 + w^5 at p = 3 is an F-pure nonmember decided under
-    # weights (2, 2, 2, 1), under which z^3 leads; its remainder under
-    # those weights differs from the degrevlex one, which the report keeps
+    # weights (2, 2, 2, 1), under which z^3 leads: it is screened once,
+    # the report names those weights and keeps their remainder, which
+    # differs from the degrevlex one but is the same residual class
     f = _r(3, "xyzw").parse("x^2+y^2+z^3+w^5")
     decision = criteria._decision_order([f])
     assert decision.weights == (2, 2, 2, 1)
     weighted = _membership([f], criteria._screen([f], decision, False)[1])
     plain = _membership([f], criteria._screen([f], GREVLEX, False)[1])
+    screens = _counting(monkeypatch, criteria, "_screen")
     report = classify([f])
+    assert screens["n"] == 1
     assert (report.f_pure, report.f_liftable) == (True, False)
+    assert report.order == "grevlex:2,2,2,1"
     assert not weighted[0] and weighted[1] != plain[1]
-    assert report.certificate.remainder == plain[1]
+    assert report.certificate.remainder == weighted[1]
+    # under degrevlex, the weighted remainder reduces to the normal form
+    # of the residual itself
+    cold = _cold_membership(list(weighted[1]), [f])
+    assert cold == _cold_membership(_residuals([f]), [f]) == (False, plain[1])
     # E_8^1 at p = 5 leads with x*y^4 under its weights, so it is decided
     # once, under degrevlex, with the remainder that the golden pins
-    screens = _counting(monkeypatch, criteria, "_screen")
+    screens["n"] = 0
     report = classify([_r(5).parse("z^2+x^3+y^5+x*y^4")])
-    assert screens["n"] == 1
+    assert screens["n"] == 1 and report.order == "grevlex"
     golden = _golden_fields("classify_e81_p5.txt")["remainder"]
     assert [format_poly(r) for r in report.certificate.remainder] == golden
 
@@ -798,8 +814,7 @@ def test_classify_validates_what_the_packed_screen_packs():
 def test_uncertified_classify_forms_no_poly_product(monkeypatch):
     # Fedder, delta1, sigma and the residual run on packed terms: a plain
     # verdict calls neither Poly.__mul__ nor Poly.__pow__, the F-pure
-    # nonmember x^2 + y^2 + z^3 + w^5 and its recompute under degrevlex
-    # included; a certified complete intersection still forms its
+    # nonmember x^2 + y^2 + z^3 + w^5 included; a certified complete intersection still forms its
     # f_j^(p-1) by them
     cases = [([make_cusp_hypersurface(5, 2, 3, 7)], (True, True)),
              (make_cusp_ci(2, 2, 3, 3, 4), (True, True)),
@@ -821,7 +836,7 @@ def test_uncertified_classify_forms_no_poly_product(monkeypatch):
     for gens, verdict in cases:
         rep = classify(gens)
         assert (rep.f_pure, rep.f_liftable) == verdict
-    assert screens["n"] == 4  # the nonmember is screened again
+    assert screens["n"] == 3  # one screen per input
     assert calls == {"__mul__": 0, "__pow__": 0}
     assert classify(cases[1][0], certificates=True).f_liftable
     assert calls["__pow__"] == 2

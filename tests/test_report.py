@@ -2,6 +2,7 @@
 
 import json
 
+from fliftlab.catalog import make_cusp_hypersurface
 from fliftlab.cli import main
 from fliftlab.criteria import classify
 from fliftlab.fp_poly import PolyRing
@@ -33,8 +34,11 @@ def test_schema_keys():
 
 
 def test_json_roundtrip():
-    for certificates in (False, True):
-        rep = _sample_report(certificates)
+    # E_8^1 at p = 5, plain and certified, and certified cusp (2,3,7) at
+    # p = 3, whose order is weighted
+    cusp = classify([make_cusp_hypersurface(3, 2, 3, 7)], certificates=True)
+    assert cusp.order == "grevlex:4,2,1"
+    for rep in (_sample_report(False), _sample_report(True), cusp):
         d1 = report_to_dict(rep)
         rebuilt = report_from_dict(json.loads(json.dumps(d1)))
         d2 = report_to_dict(rebuilt)

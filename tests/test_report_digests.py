@@ -4,7 +4,9 @@ removed, on a fixed set of inputs that walks every route of `classify`.
 The inputs are every `cusp_ci` class at p = 2 with exponents <= 3, plain
 and certified; every table row at n <= 4; every `cusp_hyp` class at
 p = 2, 3, 5 with exponents <= 6, plain and certified; certified E_8^1 at
-p = 5, an F-pure nonmember decided under degrevlex.  A changed byte
+p = 5, an F-pure nonmember decided under degrevlex; x^2+y^2+z^3+w^5 at
+p = 3, plain and certified, an F-pure nonmember decided under the
+weights (2, 2, 2, 1), whose remainder is theirs.  A changed byte
 anywhere in a report, certified cofactors included, changes its
 digest.
 
@@ -22,6 +24,7 @@ from fliftlab.catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
                               enumerate_table_rows, make_cusp_ci,
                               make_cusp_hypersurface, make_rdp)
 from fliftlab.criteria import classify
+from fliftlab.fp_poly import PolyRing
 from fliftlab.report import report_to_dict
 
 GOLDEN = Path(__file__).parent / "golden" / "report_digests.txt"
@@ -47,6 +50,9 @@ def digest_inputs():
             [make_cusp_hypersurface(p, *t)], cert
     e81 = [make_rdp("E_8^1", 5)]
     yield "E_8^1 p=5 cert=True", e81, True
+    weighted = [PolyRing("xyzw", 3).parse("x^2+y^2+z^3+w^5")]
+    for cert in (False, True):
+        yield f"x^2+y^2+z^3+w^5 p=3 cert={cert}", weighted, cert
 
 
 def report_digest(gens, certificates) -> str:
