@@ -12,12 +12,12 @@ from .groebner import (GREVLEX, GroebnerBasis, ModuleVector,
                        supported_only_at_origin)
 from .frobsplit import (FrobeniusDecomposition, SplittingData, apply_sigma,
                         build_splitting, delta1, frobenius_decompose)
-from .criteria import (Certificate, LiftabilityReport, classify,
-                       isolated_singularity_check, residual_polynomial)
+from .criteria import classify, isolated_singularity_check, residual_polynomial
 from .catalog import (ExpectedRecord, FamilySpec, TableInstance,
                       enumerate_table_rows, make_cusp_ci,
                       make_cusp_hypersurface, make_rdp)
-from .report import report_from_dict, report_to_dict, report_to_json
+from .report import (Certificate, LiftabilityReport, report_from_dict,
+                     report_to_dict, report_to_json)
 
 __version__ = "0.1.0"
 

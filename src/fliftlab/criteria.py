@@ -25,7 +25,6 @@ only, a negative containment, whose conclusiveness needs it; so
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
@@ -35,6 +34,7 @@ from .groebner import (GREVLEX, GroebnerBasis, MonomialOrder,
                        is_zero_dimensional, jacobian_module,
                        seeded_membership, supported_only_at_origin)
 from .frobsplit import SplittingData, build_splitting, lift_and_residual
+from .report import Certificate, LiftabilityReport
 # unused here, but bound for perfbench/tracer.py, which patches the
 # engine functions by name in this module
 from .groebner import (buchberger, module_buchberger,  # noqa: F401
@@ -49,39 +49,6 @@ SINGULAR_ELSEWHERE = "singular_elsewhere"
 
 class TooManyGeneratorsError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Evidence backing a verdict: the Fedder witness monomial, the trace
-    constant sigma(F_*1)(0), the canonical g (one per generator), the
-    membership remainder and, when requested, cofactors re-expanding the
-    residual over the test generators.
-    """
-
-    fedder_survivor: tuple[int, ...] | None
-    sigma_trace_constant: int
-    g: tuple[Poly, ...] | None = None
-    remainder: tuple[Poly, ...] | None = None
-    cofactors: tuple[Poly, ...] | None = None
-
-
-@dataclass(frozen=True)
-class LiftabilityReport:
-    p: int
-    variables: tuple[str, ...]
-    generators: tuple[str, ...]
-    status: str  # smooth | not_isolated | classified
-    f_pure: bool | None
-    f_liftable: bool | None
-    conclusive: bool
-    certificate: Certificate | None
-    timings_ms: dict
-    order: str = "grevlex"
-
-    def __post_init__(self):
-        if self.f_liftable and not self.f_pure:
-            raise ValueError("inconsistent report: F-liftable but not F-pure")
 
 
 def isolated_singularity_check(gens: Sequence[Poly],

@@ -1,6 +1,7 @@
-"""Serialization of classification reports: JSON (schema "fliftlab/1"),
-and the one renderer per format that the commands share: JSON text,
-CSV and markdown tables, aligned text tables and plain text.
+"""Classification reports (`LiftabilityReport` and its `Certificate`), their
+JSON form (schema "fliftlab/1"), and the one renderer per format that the
+commands share: JSON text, CSV and markdown tables, aligned text tables and
+plain text.  Only `fp_poly` is imported, so reading a report loads no engine.
 
 Every JSON output, a report's and the CLI's, is written by `json_text`,
 which is `json.dumps(value, indent=2)`.
@@ -29,9 +30,11 @@ make every verdict independently re-checkable.
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import dataclass
 
-from .criteria import Certificate, LiftabilityReport
-from .fp_poly import PolyRing, format_monomial, format_poly
+from .fp_poly import (DEFAULT_MAX_DEGREE, Poly, PolyRing, format_monomial,
+                      format_poly)
 
 SCHEMA_VERSION = "fliftlab/1"
 
@@ -39,12 +42,45 @@ CSV_HEADER = "p,family,params,f_pure,f_liftable,conclusive,ms"
 
 _TIMING_KEYS = ("isolated", "fedder", "delta1", "groebner", "total")
 
+# a variable and its exponent, which is 1 when none is written
+_FACTOR_RE = re.compile(r"[A-Za-z_]\w*(?:\^(\d+))?")
 
-def _poly_vector_text(polys) -> str:
-    texts = [format_poly(q) for q in polys]
-    if len(texts) == 1:
-        return texts[0]
-    return "(" + ", ".join(texts) + ")"
+
+@dataclass(frozen=True)
+class Certificate:
+    """Evidence backing a verdict: the Fedder witness monomial, the trace
+    constant sigma(F_*1)(0), the canonical g (one per generator), the
+    membership remainder and, when requested, cofactors re-expanding the
+    residual over the test generators.
+    """
+
+    fedder_survivor: tuple[int, ...] | None
+    sigma_trace_constant: int
+    g: tuple[Poly, ...] | None = None
+    remainder: tuple[Poly, ...] | None = None
+    cofactors: tuple[Poly, ...] | None = None
+
+
+@dataclass(frozen=True)
+class LiftabilityReport:
+    p: int
+    variables: tuple[str, ...]
+    generators: tuple[str, ...]
+    status: str  # smooth | not_isolated | classified
+    f_pure: bool | None
+    f_liftable: bool | None
+    conclusive: bool
+    certificate: Certificate | None
+    timings_ms: dict
+    order: str = "grevlex"
+
+    def __post_init__(self):
+        if self.f_liftable and not self.f_pure:
+            raise ValueError("inconsistent report: F-liftable but not F-pure")
+
+
+def _vector_text(texts: list[str]) -> str:
+    return texts[0] if len(texts) == 1 else "(" + ", ".join(texts) + ")"
 
 
 def certificate_to_dict(cert: Certificate | None, variables) -> dict | None:
@@ -55,7 +91,7 @@ def certificate_to_dict(cert: Certificate | None, variables) -> dict | None:
                             if cert.fedder_survivor is not None else None),
         "sigma_trace_constant": cert.sigma_trace_constant,
         "g": [format_poly(g) for g in cert.g] if cert.g is not None else None,
-        "remainder": (_poly_vector_text(cert.remainder)
+        "remainder": (_vector_text([format_poly(q) for q in cert.remainder])
                       if cert.remainder is not None else None),
     }
     if cert.cofactors is not None:
@@ -82,29 +118,27 @@ def report_to_dict(report: LiftabilityReport) -> dict:
 def report_from_dict(d: dict) -> LiftabilityReport:
     """Rebuild a report from its JSON form (round-trip support).
 
-    Certificate polynomials are reparsed in a reconstructed ring.
+    Certificate polynomials are reparsed in a reconstructed ring whose
+    degree guard is the default or, if larger, the largest degree of a
+    term in the certificate's JSON text, cut into terms at `+`, `,`, `"`.
     """
     if d.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report version {d.get('version')!r}")
-    ring = PolyRing(d["variables"], d["p"])
-    cert = None
     cd = d.get("certificate")
+    guard = max(DEFAULT_MAX_DEGREE, *(
+        sum(int(e or 1) for e in _FACTOR_RE.findall(term))
+        for term in re.split('[+,"]', json.dumps(cd))))
+    ring = PolyRing(d["variables"], d["p"], guard)
+    cert = None
     if cd is not None:
-        survivor = None
-        if cd.get("fedder_survivor"):
-            mono = ring.parse(cd["fedder_survivor"])
-            survivor = next(iter(mono.terms))
-        g = tuple(ring.parse(t) for t in cd["g"]) if cd.get("g") else None
-        remainder = None
-        if cd.get("remainder") is not None:
-            text = cd["remainder"]
-            if text.startswith("("):
-                parts = text[1:-1].split(", ")
-            else:
-                parts = [text]
-            remainder = tuple(ring.parse(t) for t in parts)
-        cofactors = (tuple(ring.parse(t) for t in cd["cofactors"])
-                     if cd.get("cofactors") else None)
+        survivor = (next(iter(ring.parse(cd["fedder_survivor"]).terms))
+                    if cd.get("fedder_survivor") else None)
+        g = tuple(map(ring.parse, cd.get("g") or ())) or None
+        # a vector "(r1, r2)" or one coordinate, which holds no ", "
+        rem = cd.get("remainder")
+        remainder = (None if rem is None else
+                     tuple(map(ring.parse, rem.strip("()").split(", "))))
+        cofactors = tuple(map(ring.parse, cd.get("cofactors") or ())) or None
         cert = Certificate(fedder_survivor=survivor,
                            sigma_trace_constant=cd["sigma_trace_constant"],
                            g=g, remainder=remainder, cofactors=cofactors)
@@ -172,33 +206,31 @@ def sweep_text(rows) -> str:
 
 
 def report_text(report: LiftabilityReport) -> str:
+    """The fields of `report_to_dict`, one a line."""
+    d = report_to_dict(report)
     lines = [
-        f"p             : {report.p}",
-        f"variables     : {', '.join(report.variables)}",
+        f"p             : {d['p']}",
+        f"variables     : {', '.join(d['variables'])}",
     ]
-    for i, g in enumerate(report.generators):
-        label = "generator" if len(report.generators) == 1 else f"generator {i+1}"
+    for i, g in enumerate(d["generators"]):
+        label = "generator" if len(d["generators"]) == 1 else f"generator {i+1}"
         lines.append(f"{label:<14}: {g}")
     lines += [
-        f"status        : {report.status}",
-        f"F-pure        : {_yn(report.f_pure)}",
-        f"F-liftable    : {_yn(report.f_liftable)}",
-        f"conclusive    : {_yn(report.conclusive)}",
-        f"order         : {report.order}",
+        f"status        : {d['status']}",
+        f"F-pure        : {_yn(d['f_pure'])}",
+        f"F-liftable    : {_yn(d['f_liftable'])}",
+        f"conclusive    : {_yn(d['conclusive'])}",
+        f"order         : {d['order']}",
     ]
-    cert = report.certificate
+    cert = d["certificate"]
     if cert is not None:
-        surv = (format_monomial(cert.fedder_survivor, report.variables)
-                if cert.fedder_survivor is not None else "-")
-        lines.append(f"fedder witness: {surv}")
-        lines.append(f"sigma(1)(0)   : {cert.sigma_trace_constant}")
-        if cert.g is not None:
-            lines.append(f"g             : {_poly_vector_text(cert.g)}")
-        if cert.remainder is not None:
-            lines.append(f"remainder     : {_poly_vector_text(cert.remainder)}")
-        if cert.cofactors is not None:
-            lines.append("cofactors     : " +
-                         "; ".join(format_poly(c) for c in cert.cofactors))
-    ms = report.timings_ms.get("total", 0.0)
-    lines.append(f"time          : {ms:.1f} ms")
+        lines.append(f"fedder witness: {cert['fedder_survivor'] or '-'}")
+        lines.append(f"sigma(1)(0)   : {cert['sigma_trace_constant']}")
+        if cert["g"] is not None:
+            lines.append(f"g             : {_vector_text(cert['g'])}")
+        if cert["remainder"] is not None:
+            lines.append(f"remainder     : {cert['remainder']}")
+        if "cofactors" in cert:
+            lines.append("cofactors     : " + "; ".join(cert["cofactors"]))
+    lines.append(f"time          : {d['timings_ms']['total']:.1f} ms")
     return "\n".join(lines)

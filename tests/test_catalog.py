@@ -2,7 +2,8 @@
 
 import pytest
 
-from fliftlab.catalog import (CUSP_EXPECTED, InadmissibleParameterError,
+from fliftlab.catalog import (CUSP_EXPECTED, ExpectedRecord,
+                              InadmissibleParameterError,
                               TABLE_ROWS, cusp_ci_symmetry_class,
                               cusp_hyp_symmetry_class, enumerate_table_rows,
                               make_cusp_ci, make_cusp_hypersurface, make_rdp)
@@ -186,3 +187,6 @@ def test_symmetry_transfers_verdicts():
 def test_cusp_expected_record():
     assert CUSP_EXPECTED.f_pure and CUSP_EXPECTED.f_liftable
     assert CUSP_EXPECTED.f_regular_ref is None
+    # no record is F-liftable without being F-pure
+    with pytest.raises(ValueError):
+        ExpectedRecord(f_pure=False, f_liftable=True)

@@ -95,7 +95,25 @@ def test_env_var_degree_guard(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(capsys, monkeypatch):
+    # each malformed flag value stops the command before any computation
+    monkeypatch.setenv("FLIFTLAB_MAX_DEGREE", "ten")
+    code, out, err = run_cli(capsys, "classify", "--p", "5", "--vars", "x",
+                             "--poly", "x")
+    assert code == EXIT_INPUT and "FLIFTLAB_MAX_DEGREE" in err and not out
+    monkeypatch.delenv("FLIFTLAB_MAX_DEGREE")
+    classify = ("classify", "--p", "5", "--poly", "x")
+    sweep = ("sweep", "cusp_hyp", "--max", "4")
+    for argv, message in (
+            ((*classify, "--vars", "x", "--max-degree", "0"), "--max-degree"),
+            ((*classify, "--vars", ","), "--vars"),
+            (("table", "--n-max", "0"), "--n-max"),
+            ((*sweep, "--p", "2", "--jobs", "0"), "--jobs"),
+            ((*sweep, "--p-set", "2,x"), "--p-set"),
+            ((*sweep, "--p-set", "2,4"), "4 is not prime"),
+            (("identity", "--n-max", "1"), "--n-max")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT and message in err and not out, argv
     code, _, err = run_cli(capsys, "sweep", "cusp_hyp", "--max", "6")
     assert code == EXIT_INPUT
     code, _, err = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2")
@@ -210,6 +228,51 @@ def test_sweep_resume_skips_cursor(capsys, tmp_path, monkeypatch):
     resumed_lines = [l for l in resumed.splitlines()[1:] if l]
     strip = lambda ls: [l.rsplit(",", 1)[0] for l in ls]
     assert strip(resumed_lines) == strip(lines[k:])
+
+
+def test_sweep_resume_without_cursor_runs_the_whole_sweep(capsys, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("sweep", "cusp_hyp", "--p", "2", "--max", "5", "--format", "csv")
+    outs = []
+    for extra in ((), ("--resume",)):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == EXIT_OK
+        outs.append([line.rsplit(",", 1)[0] for line in out.splitlines()])
+    assert len(outs[0]) > 1 and outs[1] == outs[0]
+    assert not os.path.exists(CURSOR_FILE)
+
+
+def test_full_range_sets_primes_and_max():
+    import fliftlab.cli as cli_mod
+
+    args = cli_mod._build_parser().parse_args(
+        ["sweep", "cusp_hyp", "--full-range"])
+    cli_mod._validate(args)
+    assert args.primes == (2, 3, 5, 7, 11, 13, 17, 19) and args.max == 30
+
+
+def test_text_sweep_lists_the_tuples_not_liftable(capsys, tmp_path,
+                                                  monkeypatch):
+    # a class whose verdict is F-pure but not F-liftable is named once
+    # for each of its tuples, after the summary that counts them
+    import fliftlab.cli as cli_mod
+
+    def worker(task):
+        family, p, cls, _ = task
+        lift = cls != (3, 3, 4)
+        return (family, p, cls, "classified", True, lift, True, 1.0)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_mod, "_sweep_worker", worker)
+    code, out, _ = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2",
+                           "--max", "4")
+    assert code == EXIT_OK
+    assert out.splitlines()[-4:] == [
+        "summary: 7 tuples, 4 liftable, 3 not liftable",
+        "NOT LIFTABLE: p=2 (3, 3, 4)", "NOT LIFTABLE: p=2 (3, 4, 3)",
+        "NOT LIFTABLE: p=2 (4, 3, 3)"]
+    assert "p=2 (3, 4, 3): F-pure=Y F-liftable=N conclusive=Y" in out
 
 
 @pytest.mark.parametrize("cursor", ["cusp_hyp x 2 3", "cusp_hyp 2", "",
@@ -541,6 +604,16 @@ def test_identity_command(capsys):
     code, out, _ = run_cli(capsys, "identity", "--n-max", "3")
     assert code == EXIT_OK
     assert out.count("ok ") == 2 * 2 + 3
+
+
+def test_identity_failure_is_exit_1(capsys, monkeypatch):
+    import fliftlab.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_identity_cases", lambda n_max: [
+        ("one wrong case", lambda: 1, 2), ("never reached", None, None)])
+    code, out, _ = run_cli(capsys, "identity", "--n-max", "2")
+    assert code == EXIT_INPUT
+    assert out == "FAIL one wrong case\n  computed: 1\n  expected: 2\n"
 
 
 def test_classify_csv_and_md(capsys):

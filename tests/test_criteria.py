@@ -119,6 +119,8 @@ def test_classify_rejects_bad_input():
         classify([ring.zero()])
     with pytest.raises(ValueError):
         classify([ring.one()])
+    with pytest.raises(ValueError, match="nonempty"):
+        classify([])
 
 
 def test_not_isolated_report():
@@ -809,6 +811,19 @@ def test_classify_validates_what_the_packed_screen_packs():
     # within the guard the mixed guards classify as one ring does
     gens[1] = big.parse("z*w+x^3+y^2")
     assert classify(gens).f_liftable
+
+
+def test_plus_product_obeys_degree_guard():
+    # c + t * f on packed terms raises where the Poly product t * f would
+    ring = PolyRing(["x", "y"], 3, 5)
+    screen = criteria._screen([ring.parse("x^2+y^3")], GREVLEX, False)[1]
+    c, f = screen.pack(ring.parse("x")), screen.pack(ring.parse("y^3"))
+    with pytest.raises(DegreeGuardError):
+        ring.parse("x^3") * ring.parse("y^3")
+    with pytest.raises(DegreeGuardError, match="exceeds guard 5"):
+        criteria._plus_product(screen, c, screen.pack(ring.parse("x^3")), f)
+    out = criteria._plus_product(screen, c, screen.pack(ring.parse("x^2")), f)
+    assert screen.unpack(out) == ring.parse("x + x^2*y^3")
 
 
 def test_uncertified_classify_forms_no_poly_product(monkeypatch):

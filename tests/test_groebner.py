@@ -16,7 +16,7 @@ from fliftlab.groebner import (GREVLEX, ModuleVector,
                                buchberger, is_zero_dimensional,
                                module_buchberger, normal_form,
                                normal_form_with_cofactors,
-                               quotient_dimension,
+                               jacobian_module, quotient_dimension,
                                reduce_by_generators, supported_only_at_origin)
 
 from support import (box_standard_count, check_packed_layout, cofactors,
@@ -455,6 +455,25 @@ def test_ambient_mismatch():
     gb = buchberger([a.parse("x")])
     with pytest.raises(AmbientMismatchError):
         normal_form(b.parse("x"), gb)
+
+
+def test_module_vector_needs_coordinates_of_one_ambient():
+    with pytest.raises(ValueError):
+        ModuleVector([])
+    a, b = PolyRing(["x", "y"], 3), PolyRing(["x", "y"], 5)
+    with pytest.raises(AmbientMismatchError):
+        ModuleVector([a.parse("x"), b.parse("y")])
+
+
+def test_origin_walk_obeys_degree_guard():
+    # this surface is singular off the origin too, so no power of x lies
+    # in N and the walk doubles x^e toward the quotient dimension, 1,210,
+    # past any guard from 12 to 100
+    for guard in (12, 50, 100):
+        ring = PolyRing(["x", "y", "z"], 7, guard)
+        basis = jacobian_module([ring.parse("x^11+y^12+z^12+x*y*z")])
+        with pytest.raises(DegreeGuardError, match="exceeds guard"):
+            supported_only_at_origin(basis)
 
 
 def test_reduce_by_generators_checks_the_ambient():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from fliftlab.catalog import make_cusp_hypersurface
 from fliftlab.cli import main
 from fliftlab.criteria import classify
@@ -34,11 +36,22 @@ def test_schema_keys():
 
 
 def test_json_roundtrip():
-    # E_8^1 at p = 5, plain and certified, and certified cusp (2,3,7) at
-    # p = 3, whose order is weighted
+    # E_8^1 at p = 5, plain and certified, certified cusp (2,3,7) at
+    # p = 3, whose order is weighted, x*y + z^10001 at p = 2, plain and
+    # certified, whose g = z^10001 lies past the default degree guard, and
+    # a smooth and a not_isolated report, whose certificate is null
     cusp = classify([make_cusp_hypersurface(3, 2, 3, 7)], certificates=True)
     assert cusp.order == "grevlex:4,2,1"
-    for rep in (_sample_report(False), _sample_report(True), cusp):
+    big = PolyRing(["x", "y", "z"], 2, 40000).parse("x*y+z^10001")
+    high = [classify([big], certificates=c) for c in (False, True)]
+    assert all(report_to_dict(r)["certificate"]["g"] == ["z^10001"]
+               for r in high)
+    ring = PolyRing(["x", "y", "z"], 3)
+    bare = [classify([ring.parse(t)], certificates=True) for t in ("x", "x^2")]
+    assert [(r.status, report_to_dict(r)["certificate"]) for r in bare] == \
+        [("smooth", None), ("not_isolated", None)]
+    for rep in (_sample_report(False), _sample_report(True), cusp, *high,
+                *bare):
         d1 = report_to_dict(rep)
         rebuilt = report_from_dict(json.loads(json.dumps(d1)))
         d2 = report_to_dict(rebuilt)
@@ -46,6 +59,14 @@ def test_json_roundtrip():
         # a report written under the lex order of earlier versions loads
         d1["order"] = "lex"
         assert report_to_dict(report_from_dict(d1)) == d1
+
+
+def test_report_from_dict_rejects_another_version():
+    d = report_to_dict(_sample_report())
+    for version in ("fliftlab/2", None):
+        d["version"] = version
+        with pytest.raises(ValueError, match="unsupported report version"):
+            report_from_dict(d)
 
 
 def test_json_roundtrip_ci():

@@ -49,10 +49,12 @@ def _package_imports(path: Path) -> set[str]:
 
 # fp_poly, in whose arithmetic certificates are re-checked, depends on no
 # other module, so the check cannot come to rest on the engine it checks;
-# the front end reaches the Groebner engine only through `classify`
-# (its identity command checks delta1 itself)
+# a report, and so reading one back, needs fp_poly alone; the front end
+# reaches the Groebner engine only through `classify` (its identity
+# command checks delta1 itself)
 LAYERS = {"fp_poly": set(), "groebner": {"fp_poly"},
           "frobsplit": {"fp_poly"}, "catalog": {"fp_poly"},
+          "report": {"fp_poly"},
           "cli": {"catalog", "criteria", "fp_poly", "frobsplit", "report"}}
 
 
