@@ -559,9 +559,28 @@ class _Parser:
         raise ParseError(f"expected a term, found {text!r}" if text else "unexpected end of input", pos)
 
 
+_FACTOR_TABLE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=64)
+def _factor_table(variables: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """Per variable v, the texts of v^0 .. v^127: "", "v", "v^2", ..."""
+    return tuple(("", v, *[f"{v}^{e}" for e in range(2, _FACTOR_TABLE_SIZE)])
+                 for v in variables)
+
+
+def _monomial_body(mono, variables, table) -> str:
+    """The factors of `mono` joined by "*", "" for the constant monomial;
+    `table` is `_factor_table(variables)`."""
+    try:
+        return "*".join(filter(None, map(operator.getitem, table, mono)))
+    except IndexError:  # an exponent past the table
+        return "*".join([v if e == 1 else f"{v}^{e}"
+                         for v, e in zip(variables, mono) if e])
+
+
 def format_monomial(mono: tuple[int, ...], variables: tuple[str, ...]) -> str:
-    factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(variables, mono) if e]
-    return "*".join(factors) if factors else "1"
+    return _monomial_body(mono, variables, _factor_table(variables)) or "1"
 
 
 _REVERSED = operator.itemgetter(slice(None, None, -1))
@@ -579,12 +598,12 @@ def format_poly(f: Poly) -> str:
     if not terms:
         return "0"
     variables = f.ring.variables
+    table = _factor_table(variables)
     monos = sorted(terms, key=_REVERSED)
     monos.sort(key=sum, reverse=True)
     parts = []
     for mono in monos:
-        body = "*".join([v if e == 1 else f"{v}^{e}"
-                         for v, e in zip(variables, mono) if e])
+        body = _monomial_body(mono, variables, table)
         c = terms[mono]
         parts.append((body if c == 1 else f"{c}*{body}") if body else str(c))
     return " + ".join(parts)

@@ -4,7 +4,8 @@ commands share: JSON text, CSV and markdown tables, aligned text tables and
 plain text.  Only `fp_poly` is imported, so reading a report loads no engine.
 
 Every JSON output, a report's and the CLI's, is written by `json_text`,
-which is `json.dumps(value, indent=2)`.
+whose text is byte-identical to `json.dumps(value, indent=2)`; it writes
+the layout itself and encodes strings with the json module's C encoder.
 
 JSON schema (stable, versioned):
   { version, p, variables: [...], generators: [...], status, f_pure,
@@ -32,6 +33,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
+from math import isfinite
 
 from .fp_poly import (DEFAULT_MAX_DEGREE, Poly, PolyRing, format_monomial,
                       format_poly)
@@ -150,9 +153,46 @@ def report_from_dict(d: dict) -> LiftabilityReport:
         timings_ms=dict(d["timings_ms"]), order=d.get("order", "grevlex"))
 
 
+def _json_at(value, nl: str) -> str:
+    """`value` as `json.dumps(value, indent=2)` writes it on a line that
+    starts with `nl`.  Non-empty dicts with `str` keys, lists and tuples,
+    and `str`, `int`, finite `float`, `bool` and None are written here with
+    the json encoder's own leaf functions; any other value (a subclass, a
+    non-finite float) goes to `json.dumps`, its lines shifted to `nl`."""
+    t = type(value)
+    if t is str:
+        return _encode_str(value)
+    if t is dict and value:
+        inner = nl + "  "
+        try:
+            return ("{" + inner + ("," + inner).join([
+                _encode_str(k) + ": " + _json_at(v, inner)
+                for k, v in value.items()]) + nl + "}")
+        except TypeError:  # a key that is not a str
+            pass
+    elif (t is list or t is tuple) and value:
+        inner = nl + "  "
+        return ("[" + inner + ("," + inner).join([
+            _json_at(v, inner) for v in value]) + nl + "]")
+    elif value is None:
+        return "null"
+    elif t is bool:
+        return "true" if value else "false"
+    elif t is int:
+        return int.__repr__(value)
+    elif t is float and isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, indent=2).replace("\n", nl)
+
+
 def json_text(value) -> str:
-    """The one JSON layout of every output: `json.dumps(value, indent=2)`."""
-    return json.dumps(value, indent=2)
+    """The one JSON layout of every output, byte-identical to
+    `json.dumps(value, indent=2)`, which also decides every error: a
+    cycle, too deep a nesting or a value JSON cannot hold."""
+    try:
+        return _json_at(value, "\n")
+    except RecursionError:
+        return json.dumps(value, indent=2)
 
 
 def report_to_json(report: LiftabilityReport) -> str:
@@ -191,7 +231,7 @@ def markdown_table(header, rows) -> str:
 def text_table(header, rows) -> str:
     """Columns padded to their widest cell, trailing blanks stripped."""
     body = [[_cell(c) for c in row] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in body))
+    widths = [max([len(h), *(len(r[i]) for r in body)])
               for i, h in enumerate(header)]
     return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
                    + "\n" for row in [header, *body])

@@ -20,7 +20,7 @@ from operator import mul
 import numpy as np
 
 from fliftlab.fp_poly import (DegreeGuardError, Poly, PolyRing, dot,
-                              format_monomial, grevlex_key)
+                              grevlex_key)
 from fliftlab.frobsplit import SplittingData, frobenius_decompose
 from fliftlab.groebner import (GroebnerBasis, ModuleVector, MonomialOrder,
                                _coordinates, _packed, _prep_reducer,
@@ -154,15 +154,17 @@ def find_fedder_survivor(h: Poly) -> tuple[int, ...] | None:
 
 
 def format_poly_by_grevlex_key(f: Poly) -> str:
-    """Reference printer: terms sorted by the Python key `grevlex_key`."""
+    """Reference printer: terms sorted by the Python key `grevlex_key`,
+    each factor written out as `v` or `v^e`, with no table of texts."""
     if f.is_zero():
         return "0"
     variables = f.ring.variables
     parts = []
     for mono in sorted(f.terms, key=grevlex_key, reverse=True):
         c = f.terms[mono]
-        body = format_monomial(mono, variables)
-        if body == "1":
+        body = "*".join(v if e == 1 else f"{v}^{e}"
+                        for v, e in zip(variables, mono) if e)
+        if not body:
             parts.append(str(c))
         elif c == 1:
             parts.append(body)

@@ -7,8 +7,8 @@ import pytest
 
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               NotPrimeError, ParseError, PolyRing,
-                              UnknownVariableError, dot, format_poly,
-                              is_prime)
+                              UnknownVariableError, _FACTOR_TABLE_SIZE,
+                              dot, format_monomial, format_poly, is_prime)
 
 from support import format_poly_by_grevlex_key, naive_product, random_poly
 
@@ -373,6 +373,25 @@ def test_format_poly_matches_the_grevlex_key_printer():
         text = format_poly(f)
         assert text == format_poly_by_grevlex_key(f)
         assert ring.parse(text) == f
+    # exponents on both sides of the bound of the factor-text table, in
+    # rings of one to three variables, one variable in a third of them
+    bound = _FACTOR_TABLE_SIZE
+    near = (0, 1, 2, bound - 2, bound - 1, bound, bound + 1, 3 * bound)
+    for i in range(150):
+        n = 1 if i % 3 == 0 else rng.randint(2, 3)
+        ring = PolyRing(names[:n], rng.choice((2, 3, 7)))
+        terms = {tuple(rng.choice(near) for _ in range(n)):
+                 rng.randrange(1, ring.p) for _ in range(rng.randint(1, 8))}
+        f = ring.from_terms(terms)
+        text = format_poly(f)
+        assert text == format_poly_by_grevlex_key(f)
+        assert ring.parse(text) == f
+        for mono in f.terms:
+            assert ring.parse(format_monomial(mono, ring.variables)) == \
+                ring.from_terms({mono: 1})
+    assert format_monomial((0, 0), ("x", "y")) == "1"
+    assert format_monomial((bound - 1, bound), ("x", "y")) == \
+        f"x^{bound - 1}*y^{bound}"
 
 
 def test_equality_is_syntactic():
