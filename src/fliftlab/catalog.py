@@ -60,7 +60,6 @@ class FamilySpec:
     equation: Callable[..., Poly]  # (x, y, z, n, r) -> the row's equation
     param_names: tuple[str, ...]
     expected: ExpectedRecord
-    test_primes: tuple[int, ...]
 
     def admits_p(self, p: int) -> bool:
         kind, bound = self.p_constraint[1], int(self.p_constraint[2:])
@@ -70,28 +69,25 @@ class FamilySpec:
 
 
 def _p2(label, params, code, equation):
-    return (label, "p=2", params, code, (2,), equation)
+    return (label, "p=2", params, code, equation)
 
 
 def _p3(label, code, equation):
-    return (label, "p=3", (), code, (3,), equation)
+    return (label, "p=3", (), code, equation)
 
 
 # one entry per printed table row, in row order: (row label, p constraint,
-# param names, YYNNN code, test primes, equation of (x, y, z, n, r))
+# param names, YYNNN code, equation of (x, y, z, n, r))
 _RDP_ROWS: list[tuple] = [
-    ("A_n (p !| n+1)", "p>0", ("n",), "YYYYY", (2, 3, 5, 7),
+    ("A_n (p !| n+1)", "p>0", ("n",), "YYYYY",
      lambda x, y, z, n, r: z**(n + 1) + x*y),
-    ("A_n (p | n+1)", "p>0", ("n",), "YYYNY", (2, 3, 5, 7),
+    ("A_n (p | n+1)", "p>0", ("n",), "YYYNY",
      lambda x, y, z, n, r: z**(n + 1) + x*y),
-    ("D_n", "p>2", ("n",), "YYYYY", (3, 5, 7),
+    ("D_n", "p>2", ("n",), "YYYYY",
      lambda x, y, z, n, r: z**2 + x**2*y + y**(n + 1)),
-    ("E_6", "p>3", (), "YYYYY", (5, 7),
-     lambda x, y, z, n, r: z**2 + x**3 + y**4),
-    ("E_7", "p>3", (), "YYYYY", (5, 7),
-     lambda x, y, z, n, r: z**2 + x**3 + x*y**3),
-    ("E_8", "p>5", (), "YYYYY", (7,),
-     lambda x, y, z, n, r: z**2 + x**3 + y**5),
+    ("E_6", "p>3", (), "YYYYY", lambda x, y, z, n, r: z**2 + x**3 + y**4),
+    ("E_7", "p>3", (), "YYYYY", lambda x, y, z, n, r: z**2 + x**3 + x*y**3),
+    ("E_8", "p>5", (), "YYYYY", lambda x, y, z, n, r: z**2 + x**3 + y**5),
     _p2("D_2n^0", ("n",), "NNNNN",
         lambda x, y, z, n, r: z**2 + x**2*y + x*y**n),
     _p2("D_2n^r", ("n", "r"), "NNNNN",
@@ -104,20 +100,17 @@ _RDP_ROWS: list[tuple] = [
         lambda x, y, z, n, r: z**2 + x**2*y + y**n*z + x*y**(n - r)*z),
     _p2("D_2n+1^{n-1}", ("n",), "YNYNY",
         lambda x, y, z, n, r: z**2 + x**2*y + y**n*z + x*y*z),
-    _p2("E_6^0", (), "NNNNN",
-        lambda x, y, z, n, r: z**2 + x**3 + y**2*z),
+    _p2("E_6^0", (), "NNNNN", lambda x, y, z, n, r: z**2 + x**3 + y**2*z),
     _p2("E_6^1", (), "YNYYY",
         lambda x, y, z, n, r: z**2 + x**3 + y**2*z + x*y*z),
-    _p2("E_7^0", (), "NNNNN",
-        lambda x, y, z, n, r: z**2 + x**3 + x*y**3),
+    _p2("E_7^0", (), "NNNNN", lambda x, y, z, n, r: z**2 + x**3 + x*y**3),
     _p2("E_7^1", (), "NNNNN",
         lambda x, y, z, n, r: z**2 + x**3 + x*y**3 + x**2*y*z),
     _p2("E_7^2", (), "NNNNN",
         lambda x, y, z, n, r: z**2 + x**3 + x*y**3 + y**3*z),
     _p2("E_7^3", (), "YNYYY",
         lambda x, y, z, n, r: z**2 + x**3 + x*y**3 + x*y*z),
-    _p2("E_8^0", (), "NNNNN",
-        lambda x, y, z, n, r: z**2 + x**3 + y**5),
+    _p2("E_8^0", (), "NNNNN", lambda x, y, z, n, r: z**2 + x**3 + y**5),
     _p2("E_8^1", (), "NNNNN",
         lambda x, y, z, n, r: z**2 + x**3 + y**5 + x*y**3*z),
     _p2("E_8^2", (), "NNNNN",
@@ -137,9 +130,8 @@ _RDP_ROWS: list[tuple] = [
         lambda x, y, z, n, r: z**2 + x**3 + y**5 + x**2*y**3),
     _p3("E_8^2", "YNYYY",
         lambda x, y, z, n, r: z**2 + x**3 + y**5 + x**2*y**2),
-    ("E_8^0", "p=5", (), "NNNNN", (5,),
-     lambda x, y, z, n, r: z**2 + x**3 + y**5),
-    ("E_8^1", "p=5", (), "YNNYY", (5,),
+    ("E_8^0", "p=5", (), "NNNNN", lambda x, y, z, n, r: z**2 + x**3 + y**5),
+    ("E_8^1", "p=5", (), "YNNYY",
      lambda x, y, z, n, r: z**2 + x**3 + y**5 + x*y**4),
 ]
 
@@ -150,8 +142,8 @@ def _family_of_label(label: str) -> str:
 
 TABLE_ROWS: tuple[FamilySpec, ...] = tuple(
     FamilySpec(_family_of_label(label), label, constraint, equation,
-               tuple(params), _rec(code), tuple(primes))
-    for (label, constraint, params, code, primes, equation) in _RDP_ROWS)
+               tuple(params), _rec(code))
+    for (label, constraint, params, code, equation) in _RDP_ROWS)
 
 
 class InadmissibleParameterError(ValueError):
@@ -267,12 +259,13 @@ class TableInstance:
 
 def enumerate_table_rows(n_max: int = 8) -> Iterator[TableInstance]:
     """Deterministic enumeration of every table row instantiated over the
-    requested parameter bound: A_n at n = 1..n_max over p in {2,3,5,7}
-    split by the divisibility predicate, D families at n = 2..n_max, the
-    fixed-characteristic rows once per row.
+    requested parameter bound, at each prime of {2, 3, 5, 7} that its
+    constraint admits: A_n at n = 1..n_max split by the divisibility
+    predicate, D families at n = 2..n_max, the fixed-characteristic rows
+    once per row.
     """
     for row in TABLE_ROWS:
-        for p in row.test_primes:
+        for p in filter(row.admits_p, (2, 3, 5, 7)):
             for params in _param_instances(row, p, n_max):
                 kwargs = dict(params)
                 poly = make_rdp(row.family, p, **kwargs)

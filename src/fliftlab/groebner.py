@@ -273,7 +273,11 @@ def _reduce_full(fterms: dict, reducers: list, p: int, layout: _Layout,
     return rem
 
 
-def _prep_reducer(terms: dict, p: int) -> tuple:
+def _prep_reducer(terms: dict, p: int) -> tuple | None:
+    """The engine's one form of an element, from its packed terms: (lead,
+    inverse of the lead coefficient, tail items); None for 0."""
+    if not terms:
+        return None
     lm = max(terms)
     tail = tuple((m, c) for m, c in terms.items() if m != lm)
     return (lm, pow(terms[lm], p - 2, p), tail)
@@ -323,8 +327,9 @@ class GroebnerBasis:
     ideal or of a submodule of R^s under term-over-position order.
 
     Built from the engine's output only: the rank `size`, the kind
-    (`vectors`: ModuleVectors of length s, else Polys), the `packed`
-    original generators, the prepared `reducers` and the `trace`.  The
+    (`vectors`: ModuleVectors of length s, else Polys), the `originals`
+    the engine ran on (prepared as `_prep_reducer` prepares them, None for
+    a zero generator), the `reducers` of the basis and the `trace`.  The
     original generators, the elements and the leads are decoded on first
     access; the leads are exponent tuples, after s position slots when
     s > 1.  The `trace`, when present (track=True), is (steps,
@@ -335,7 +340,7 @@ class GroebnerBasis:
     """
 
     def __init__(self, ring: PolyRing, size: int, vectors: bool,
-                 order: MonomialOrder, packed: Sequence[dict],
+                 order: MonomialOrder, originals: Sequence[tuple | None],
                  reducers: list[tuple], trace: tuple[list, list] | None):
         self.ring = ring
         self.size = size  # the rank s of the module
@@ -343,7 +348,7 @@ class GroebnerBasis:
         self._slots = size if size > 1 else 0
         self.order = order
         self.trace = trace
-        self._packed_originals = packed
+        self._originals = originals
         self._reducers = reducers
         self._layout = _shared_layout(ring.nvars, self._slots, order,
                                       ring.max_degree)
@@ -351,8 +356,10 @@ class GroebnerBasis:
 
     @functools.cached_property
     def original_generators(self) -> tuple:
-        return tuple(self._decode(g, self.ring)
-                     for g in self._packed_originals)
+        p = self.ring.p  # an element's lc is the inverse of its 1/lc
+        return tuple(self._decode({g[0]: pow(g[1], p - 2, p), **dict(g[2])}
+                                  if g else {}, self.ring)
+                     for g in self._originals)
 
     @functools.cached_property
     def leading_monomials(self) -> tuple:
@@ -413,7 +420,7 @@ class GroebnerBasis:
             raise ValueError("expanding needs a basis built with track=True")
         steps, roots = self.trace
         return _expand(steps, list(zip(roots, coeffs)),
-                       len(self._packed_originals),
+                       len(self._originals),
                        self._layout, self.ring, frobenius)
 
 
@@ -494,9 +501,10 @@ def reduce_by_generators(f, gens: Sequence, order: MonomialOrder = GREVLEX):
     zero remainder always proves membership in the generated span.
     """
     ring, size, layout, (packed, *divisors) = _packed([f, *gens], order)
-    reducers = [_prep_reducer(g, ring.p) for g in divisors if g]
+    originals = [_prep_reducer(g, ring.p) for g in divisors]
+    reducers = [r for r in originals if r]
     basis = GroebnerBasis(ring, size, isinstance(f, ModuleVector), order,
-                          divisors, reducers, None)
+                          originals, reducers, None)
     return basis._decode(_reduce_full(packed, reducers, ring.p, layout), ring)
 
 
@@ -584,15 +592,16 @@ def _new_pairs(layout: _Layout, lms: list[int], kinds: list[int],
     return new, kept
 
 
-def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
+def _groebner(gens: list[tuple | None], ring: PolyRing, layout: _Layout,
               track: bool, known_gb_prefix: int = 0,
               target: dict | None = None
               ) -> tuple[list[tuple] | dict, tuple[list, list] | None]:
-    """Buchberger's algorithm on packed term dicts (see `_Layout`); a
-    generator may also be a prepared monic reducer, which joins as it is.
+    """Buchberger's algorithm on elements in `_prep_reducer`'s one form
+    (lead, 1/lc, tail), terms packed (see `_Layout`), None for a zero
+    generator; each joins as it is.
 
-    Returns the prepared reducers (lead, 1, tail) of the reduced basis,
-    largest lead first, and with `track` the trace (steps, roots) of
+    Returns the prepared reducers (lead, 1, tail) of the reduced, monic
+    basis, largest lead first, and with `track` the trace (steps, roots) of
     `GroebnerBasis`: each element that joins records one step, how it was
     formed, and no expression is built during the run.  Pairs are pruned
     once, when an element joins, by the Gebauer-Moeller update (Gebauer
@@ -608,39 +617,40 @@ def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
     pair of monomials (its S-vector is 0) and a pair of elements that each
     live at their lead's position, as every element does at rank 1, with
     coprime lead exponents (their S-vector reduces to 0 by the two, as for
-    ideals).  The basis is kept only as prepared monic reducers, each
-    built in one pass over its remainder, whose first key is its lead;
-    S-pairs are formed from their tails (see `_spair_terms`), and all
-    S-pair reductions share one divisor memo.  A step's multipliers are
-    formed once, already divided by the lead coefficient.  The pairs wait
-    in a list sorted ascending, (lcm, i, j) with no two equal, so the
-    smallest lcm is popped first, ties by index: new pairs are put in by
-    bisection and B_k filters the list in order.  Leads, lcms, shifts and
-    the recorded multipliers stay packed throughout.
+    ideals).  An S-pair remainder joins unscaled, its first key its lead
+    and its other items its tail, and only `_interreduce` makes an
+    element monic; S-pairs are formed from the tails, each scaled by its
+    1/lc (see `_spair_terms`), and all S-pair reductions share one
+    divisor memo.  The pairs wait in a list sorted ascending, (lcm, i, j)
+    with no two equal, so the smallest lcm is popped first, ties by
+    index: new pairs are put in by bisection and B_k filters the list in
+    order.  Leads, lcms, shifts and the recorded multipliers stay packed
+    throughout.
 
     An S-pair remainder is reduced by every lead met so far, so only an
     input, unreduced, can have its lead divided by an earlier one: when
     it joins, after the leads that it divides are retired, it is marked
     redundant if a lead still active at its position divides its lead.
     The active elements left unmarked are the minimal generators of the
-    lead module, which `_interreduce` takes as they are.
+    lead module, which `_interreduce` takes.
 
     `target`, a term dict that no lead of `gens` divides a term of, is
     reduced with the run's memo whenever a joining lead divides one of
     its terms, so no lead met so far divides a term of it.  The run then
     returns (target's remainder, trace) instead: it stops once the target
     is 0, and a run that completes leaves the target's normal form, as
-    the leads met generate the lead module; neither interreduces.  With
-    `track` the trace is (steps, seeds): the target minus its remainder
-    is sum(quotient * node) over the (node, quotient) pairs of `seeds`,
-    one per reducer the target was divided by (see `_expand`).
+    the leads met generate the lead module; neither interreduces, so no
+    element is rescaled.  With `track` the trace is (steps, seeds): the
+    target minus its remainder is sum(quotient * node) over the (node,
+    quotient) pairs of `seeds`, one per reducer the target was divided by
+    (see `_expand`).
     """
     p = ring.p
     guard, slot_mask = layout.guard, layout.slot_mask
     lcm_of, insort = layout.lcm, bisect.insort
 
     lms: list[int] = []
-    reducers: list[tuple] = []  # (lead, 1, tail) of each monic element
+    reducers: list[tuple] = []  # (lead, 1/lc, tail) of each element
     # with track, one step per node (an input generator's is empty) and
     # the node of each basis element
     steps: list[list[tuple]] | None = [[] for _ in gens] if track else None
@@ -654,17 +664,9 @@ def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
     target_q = defaultdict(dict) if track else None
     redundant: set[int] = set()  # active inputs that an earlier lead divides
 
-    def monic(lm: int, lc: int, tail) -> tuple[tuple, int]:
-        # the reducer (lead, 1, tail) of lc * lm + tail over lc, for tail
-        # (term, coefficient) pairs, and 1 / lc; lc = 1 keeps the tail
-        if lc == 1:
-            return (lm, 1, tuple(tail)), 1
-        inv = pow(lc, p - 2, p)
-        return (lm, 1, tuple([(m, c * inv % p) for m, c in tail])), inv
-
     def add(reducer: tuple, step: list | None, seed: bool = False,
             unreduced: bool = False) -> None:
-        # the monic element `reducer` joins, and with track it is the sum
+        # the element `reducer` joins, and with track it is the sum
         # of multiplier * node over the (node, multiplier) pairs of
         # `step`; then its pairs are formed and the old ones pruned, and
         # an `unreduced` one is marked redundant if a lead still active
@@ -704,15 +706,9 @@ def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
         active[pos] = here
 
     for i, g in enumerate(gens):
-        if not g:
-            continue
-        inv = 1
-        if isinstance(g, dict):  # else a prepared monic reducer already
-            lm = max(g)
-            g, inv = monic(lm, g[lm],
-                           [(m, c) for m, c in g.items() if m != lm])
-        add(g, [(i, {0: inv})] if track else None, seed=i < known_gb_prefix,
-            unreduced=target is None)
+        if g is not None:
+            add(g, [(i, {0: 1})] if track else None,
+                seed=i < known_gb_prefix, unreduced=target is None)
     if not lms:
         raise ValueError("all generators are zero")
 
@@ -730,15 +726,16 @@ def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
         if not rem:
             continue
         items = iter(rem.items())
-        reducer, inv = monic(*next(items), items)
+        lm, lc = next(items)
         step = None
         if track:
-            # rem = x^si g_i - x^sj g_j - sum(q_k g_k), all g monic, and
-            # the element is rem / lc
-            step = [(nodes[i], {si: inv}), (nodes[j], {sj: p - inv})]
-            step += [(nodes[k], {m: -c * inv % p for m, c in q.items()})
+            # the element rem = x^si g_i / lc_i - x^sj g_j / lc_j
+            # - sum(q_k g_k)
+            step = [(nodes[i], {si: reducers[i][1]}),
+                    (nodes[j], {sj: p - reducers[j][1]})]
+            step += [(nodes[k], {m: -c % p for m, c in q.items()})
                      for k, q in quotients.items()]
-        add(reducer, step)
+        add((lm, pow(lc, p - 2, p), tuple(items)), step)
         if target and any(((m | guard) - lms[-1]) & guard == guard
                           for m in target):
             target = _reduce_full(target, reducers, p, layout, target_q,
@@ -757,12 +754,15 @@ def _groebner(gens: list[dict | tuple], ring: PolyRing, layout: _Layout,
 def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
                  minimal: Iterable[int], trace: tuple[list, list] | None
                  ) -> tuple[list[tuple], list[int] | None]:
-    """The reducers of the reduced basis, largest lead first, from the
-    prepared reducers (lead, 1, tail) of a monic Groebner basis.
+    """The reducers (lead, 1, tail) of the reduced basis, largest lead
+    first, from the prepared elements (lead, 1/lc, tail) of a Groebner
+    basis.  This is the one place an element is made monic: each minimal
+    element is rescaled once, after its tail is reduced.
 
     `trace`, when given, is the engine's (steps, nodes): every rewritten
-    tail records one more step, the old node minus the quotients over the
-    current nodes, and the nodes of the reduced basis are returned too.
+    element records one more step, the old node minus the quotients over
+    the current nodes, all times 1/lc, and the nodes of the reduced basis
+    are returned too.
 
     `minimal` lists the elements whose leads are the minimal generators
     of the lead ideal, each once, as `_groebner` decides them when each
@@ -779,21 +779,21 @@ def _interreduce(reducers: list[tuple], ring: PolyRing, layout: _Layout,
 
     # Tail-reduce from the smallest lead up.  A tail term is smaller than
     # its own lead, so only smaller, already reduced elements divide it
-    # and one pass suffices; the lead and its coefficient 1 stay.
+    # and one pass suffices; the lead stays.
     memo: dict = {}
     for i in range(len(reducers) - 1, -1, -1):
-        lm, _, tail = reducers[i]
-        if not tail:
-            continue
+        lm, inv, tail = reducers[i]
         quotients = defaultdict(dict) if trace is not None else None
         terms = dict(tail)
-        rem = _reduce_full(terms.copy(), reducers, p, layout, quotients, memo)
-        if rem == terms:
+        rem = _reduce_full(terms.copy(), reducers, p, layout, quotients,
+                           memo) if tail else terms
+        if inv == 1 and rem == terms:
             continue
-        reducers[i] = (lm, 1, tuple(rem.items()))
+        reducers[i] = (lm, 1, tuple([(m, c * inv % p)
+                                     for m, c in rem.items()]))
         if trace is not None:
-            steps.append([(nodes[i], {0: 1})] + [
-                (nodes[k], {m: -c % p for m, c in q.items()})
+            steps.append([(nodes[i], {0: inv})] + [
+                (nodes[k], {m: -c * inv % p for m, c in q.items()})
                 for k, q in quotients.items()])
             nodes[i] = len(steps) - 1
     return reducers, nodes
@@ -823,9 +823,11 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX, *,
     """
     gens = tuple(gens)
     ring, size, layout, packed = _packed(gens, order)
-    reducers, trace = _groebner(packed, ring, layout, track, known_gb_prefix)
+    originals = [_prep_reducer(g, ring.p) for g in packed]
+    reducers, trace = _groebner(originals, ring, layout, track,
+                                known_gb_prefix)
     return GroebnerBasis(ring, size, isinstance(gens[0], ModuleVector),
-                         order, packed, reducers, trace)
+                         order, originals, reducers, trace)
 
 
 def _position_leads(basis: GroebnerBasis) -> list[list[tuple[int, ...]]]:
@@ -922,13 +924,14 @@ def supported_only_at_origin(basis: GroebnerBasis) -> bool:
 
 def _frobenius_reducers(reducers: list[tuple], layout: _Layout,
                         p: int) -> list[tuple]:
-    """The prepared reducers of the coordinate-wise p-th powers of monic
-    basis elements, from their own (lead, 1, tail): every packed exponent,
-    prefix-sum and weighted-degree field times p, the position slots kept
-    and the coefficient unchanged, since c^p = c in F_p.  Raises
-    DegreeGuardError where `Poly.frobenius` raises on one of them, when p
-    times its degree passes the guard, so no field overflows; the guard is
-    checked once, on the largest degree of any term."""
+    """The prepared reducers of the coordinate-wise p-th powers of
+    elements, from their own (lead, 1/lc, tail): every packed exponent,
+    prefix-sum and weighted-degree field times p, the position slots
+    (none at rank 1) kept and every coefficient unchanged, 1/lc too,
+    since c^p = c in F_p.  Raises DegreeGuardError where `Poly.frobenius`
+    raises on one of them, when p times its degree passes the guard, so
+    no field overflows; the guard is checked once, on the largest degree
+    of any term."""
     if not layout.weighted:
         # under unweighted degrevlex no term has a larger degree than its lead
         terms = [lm for lm, _, _ in reducers]
@@ -939,12 +942,9 @@ def _frobenius_reducers(reducers: list[tuple], layout: _Layout,
         raise DegreeGuardError(
             f"power degree {degree} exceeds guard {layout.max_degree}")
     slots, q = layout.slot_mask, p - 1
-    if not slots:
-        return [(lm * p, 1, tuple([(m * p, c) for m, c in tail]))
-                for lm, _, tail in reducers]
-    return [(lm * p - (lm & slots) * q, 1,
+    return [(lm * p - (lm & slots) * q, inv,
              tuple([(m * p - (m & slots) * q, c) for m, c in tail]))
-            for lm, _, tail in reducers]
+            for lm, inv, tail in reducers]
 
 
 def jacobian_module(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
@@ -953,7 +953,7 @@ def jacobian_module(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
     (i, j), followed by the Jacobian columns (df_1/dx_k, ..., df_m/dx_k),
     by k: for m = 1 the ideal (f, df/dx_1, ..., df/dx_n), as vectors of
     length 1.  The original generators are these spanning vectors, in
-    this order, and are decoded only when read.
+    this order, prepared once (see `_prep_reducer`), decoded when read.
 
     Each f_j is packed once, which checks its terms against the degree
     guard, and the spanning set is formed from the packed terms: f_j e_i
@@ -980,8 +980,9 @@ def jacobian_module(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
                 if c := c * ((k >> shift) & cap) % p:
                     column[k + off] = c
         spanning.append(column)
-    reducers, trace = _groebner(spanning, ring, layout, track)
-    return GroebnerBasis(ring, m, True, order, spanning, reducers, trace)
+    originals = [_prep_reducer(g, p) for g in spanning]
+    reducers, trace = _groebner(originals, ring, layout, track)
+    return GroebnerBasis(ring, m, True, order, originals, reducers, trace)
 
 
 def seeded_membership(target: Sequence[dict], screen: GroebnerBasis, *,
@@ -996,14 +997,14 @@ def seeded_membership(target: Sequence[dict], screen: GroebnerBasis, *,
     `target` is the vector's coordinates packed in the layout's `fields`
     within the guard, completed here by `_prefixed` and the slot.  The
     f_j e_i are the screen's first m^2 original generators, m its rank,
-    taken as the screen's run packed them, never decoded or checked
-    again.  The p-th powers of the screen's elements form a Groebner
-    basis of N^[p] (leading terms go to p-th powers); they are made from
-    the screen's packed reducers (see `_frobenius_reducers`) and followed
-    by the f_j e_i.  The target is divided by that seed first, and a zero
-    remainder proves membership at once.  Else Buchberger runs on the
-    seed, with N^[p] as a known prefix that joins as the same prepared
-    reducers, and carries the remainder as its target (see `_groebner`):
+    taken as the screen's run prepared them, never decoded, checked or
+    prepared again.  The p-th powers of the screen's elements form a
+    Groebner basis of N^[p] (leading terms go to p-th powers); they are
+    made from the screen's packed reducers (see `_frobenius_reducers`)
+    and followed by the f_j e_i.  The target is divided by that seed
+    first, and a zero remainder proves membership at once.  Else
+    Buchberger runs on the same prepared seed, with N^[p] as a known
+    prefix, and carries the remainder as its target (see `_groebner`):
     the remainder is 0 as soon as the run proves membership, else the
     target's normal form on the completed module.  No basis is
     interreduced or decoded.  With track=True and a zero remainder,
@@ -1015,16 +1016,14 @@ def seeded_membership(target: Sequence[dict], screen: GroebnerBasis, *,
     target = {layout._prefixed(k) + slot: c for slot, terms in
               zip(layout.units[:layout.slots] or [0], target)
               for k, c in terms.items()}
-    multiples = screen._packed_originals[:screen.size ** 2]
     reducers = _frobenius_reducers(screen._reducers, layout, p)
     known = len(reducers)
-    reducers += [_prep_reducer(g, p) for g in multiples]
+    reducers += screen._originals[:screen.size ** 2]
     quotients = defaultdict(dict) if track else None
     rem = _reduce_full(target, reducers, p, layout, quotients)
     trace = None
     if rem:
-        rem, trace = _groebner(reducers[:known] + multiples, ring, layout,
-                               track, known, rem)
+        rem, trace = _groebner(reducers, ring, layout, track, known, rem)
     cofactors = None
     if track and not rem:
         steps, seeds = trace or ([[] for _ in reducers], [])

@@ -195,9 +195,9 @@ def hand_built(generators, order, originals) -> GroebnerBasis:
     `generators` as given, neither checked nor made monic."""
     k = len(originals)
     ring, size, _, packed = _packed([*originals, *generators], order)
+    prepared = [_prep_reducer(g, ring.p) for g in packed]
     basis = GroebnerBasis(ring, size, isinstance(originals[0], ModuleVector),
-                          order, packed[:k], [_prep_reducer(g, ring.p)
-                                              for g in packed[k:]], None)
+                          order, prepared[:k], prepared[k:], None)
     basis.generators = tuple(generators)  # not monic: never decoded
     return basis
 

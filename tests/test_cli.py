@@ -111,6 +111,9 @@ def test_usage_errors_exit_1(capsys, monkeypatch):
             ((*sweep, "--p", "2", "--jobs", "0"), "--jobs"),
             ((*sweep, "--p-set", "2,x"), "--p-set"),
             ((*sweep, "--p-set", "2,4"), "4 is not prime"),
+            # a strong pseudoprime to every prime base up to 37
+            ((*sweep, "--p-set", "5,318665857834031151167461"),
+             "318665857834031151167461 is not prime"),
             (("identity", "--n-max", "1"), "--n-max")):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_INPUT and message in err and not out, argv

@@ -267,6 +267,39 @@ def test_certified_quick_path_runs_only_the_screen(monkeypatch):
     check_reexpansion(gens, _residuals(gens), rep.certificate.cofactors)
 
 
+def test_membership_prepares_no_element_again(monkeypatch):
+    # the membership run takes the f_j e_i as the screen prepared them,
+    # for the quick division and for Buchberger alike: with
+    # `_prep_reducer` raising inside `seeded_membership`, the certified
+    # and plain verdicts of cusp (3,3,4) at p = 5 (the division leaves a
+    # remainder, so Buchberger runs) and of cusp_ci (2,2,3,4) at p = 2
+    # (the division alone proves membership) still come out liftable
+    real = criteria.seeded_membership
+    inside = []
+
+    def refuse(*args):
+        raise AssertionError("an element was prepared again")
+
+    def membership(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_prep_reducer", refuse)
+            inside.append(1)
+            return real(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "seeded_membership", membership)
+    runs = _counting(monkeypatch, groebner, "_groebner")
+    for gens, want_runs in (([make_cusp_hypersurface(5, 3, 3, 4)], 2),
+                            (make_cusp_ci(2, 2, 2, 3, 4), 1)):
+        for certificates in (False, True):
+            runs["n"] = 0
+            rep = classify(gens, certificates=certificates)
+            assert rep.f_liftable and runs["n"] == want_runs
+            if certificates:
+                check_reexpansion(gens, _residuals(gens),
+                                  rep.certificate.cofactors)
+    assert len(inside) == 4
+
+
 def test_packed_seed_is_the_frobenius_of_the_screen():
     # the membership seed N^[p], built by scaling the screen's packed
     # reducers, equals the prepared reducers of the encoded Poly.frobenius

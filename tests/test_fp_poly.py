@@ -47,6 +47,14 @@ def test_parse_errors():
         PolyRing(["x"], 4).parse("x")
     with pytest.raises(ParseError):
         PolyRing(["x", "y"], 3).parse("x$y")
+    for text, message, position in (
+            ("x y", "unexpected 'y'", 2),
+            ("x^y", "expected exponent", 2),
+            ("(x+1", "expected ')'", 4)):
+        with pytest.raises(ParseError) as err:
+            PolyRing(["x", "y"], 3).parse(text)
+        assert message in str(err.value), text
+        assert err.value.position == position, text
 
 
 def test_parse_error_position():
@@ -77,6 +85,13 @@ def test_is_prime():
     assert [q for q in range(25) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19, 23]
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31 - 3)
+    # the least strong pseudoprime to the twelve prime bases up to 37
+    # (psi_12), composite and free of factors below 41; bases up to 41 are
+    # exact below psi_13 ~ 3.317e24
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    assert is_prime(2**61 - 1) and is_prime(2**79 - 67)
 
 
 def test_freshman_dream():

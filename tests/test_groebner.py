@@ -296,8 +296,9 @@ def test_weighted_frobenius_reducer_obeys_the_guard_on_the_degree():
                     {layout.enc(slot + tuple(e * p for e in m)): c
                      for m, c in terms.items()}, p)
                 lm, inv, tail = _frobenius_reducers([reducer], layout, p)[0]
-                assert (lm, dict(tail)) == (want[0], dict(want[2]))
-                assert inv == 1
+                # c^p = c, so the p-th power keeps the input's 1/lc
+                assert (lm, inv, dict(tail)) == (want[0], want[1],
+                                                 dict(want[2]))
 
 
 def test_weighted_reduction_at_the_guard_sets_no_guard_bit():

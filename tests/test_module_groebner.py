@@ -5,8 +5,8 @@ import random
 import pytest
 
 from fliftlab.fp_poly import DegreeGuardError, Poly, PolyRing, _pack
-from fliftlab.groebner import (GREVLEX, ModuleVector,
-                               MonomialOrder, _position_leads, buchberger,
+from fliftlab.groebner import (GREVLEX, ModuleVector, MonomialOrder,
+                               _position_leads, _prep_reducer, buchberger,
                                is_zero_dimensional, jacobian_module,
                                module_buchberger, module_normal_form,
                                normal_form, reduce_by_generators,
@@ -405,8 +405,9 @@ def test_jacobian_module_packs_the_spanning_vectors():
                         basis = jacobian_module(gens, order, track=track)
                         want = module_buchberger(spanning, order,
                                                  track=track)
-                        assert basis._packed_originals == [
-                            want._layout.enc_vector(v) for v in spanning]
+                        assert basis._originals == [
+                            _prep_reducer(want._layout.enc_vector(v), p)
+                            for v in spanning]
                         assert basis.original_generators == \
                             tuple(spanning)
                         assert basis._reducers == want._reducers
