@@ -335,7 +335,8 @@ class GroebnerBasis:
     s > 1.  The `trace`, when present (track=True), is (steps,
     roots): how the engine formed each element from `original_generators`,
     which `expand_packed` turns into cofactors (see `_expand`); roots[i]
-    is the node of generators[i].  Every reduction against the reducers
+    is the node of generators[i], and node t is original_generators[t]
+    itself, its step empty.  Every reduction against the reducers
     shares one divisor memo (see `_reduce_full`).
     """
 
@@ -430,7 +431,7 @@ def _expand(steps: list, seeds: list, ngens: int, layout: _Layout,
     the (node, packed coefficient) pairs of `seeds`, from a trace `steps`
     of the engine, as packed shift terms with coefficients in [1, p).
 
-    Node t < ngens is the t-th generator, with an empty step; every later
+    Node t < ngens is generator t itself, its step empty; every later
     node is the sum of multiplier * source over the (source node, packed
     multiplier) pairs of its step, and every source is an earlier node.
     One backward pass (reverse accumulation; Griewank and Walther,
@@ -602,8 +603,9 @@ def _groebner(gens: list[tuple | None], ring: PolyRing, layout: _Layout,
 
     Returns the prepared reducers (lead, 1, tail) of the reduced, monic
     basis, largest lead first, and with `track` the trace (steps, roots) of
-    `GroebnerBasis`: each element that joins records one step, how it was
-    formed, and no expression is built during the run.  Pairs are pruned
+    `GroebnerBasis`: input i is node i, with an empty step, and each
+    element the run forms, an S-pair remainder, records one step, how it
+    was formed; no expression is built during the run.  Pairs are pruned
     once, when an element joins, by the Gebauer-Moeller update (Gebauer
     and Moeller 1988, as UPDATE in Becker and Weispfenning 1993): a new
     pair is kept only if no other new pair's lcm divides its lcm
@@ -651,8 +653,8 @@ def _groebner(gens: list[tuple | None], ring: PolyRing, layout: _Layout,
 
     lms: list[int] = []
     reducers: list[tuple] = []  # (lead, 1/lc, tail) of each element
-    # with track, one step per node (an input generator's is empty) and
-    # the node of each basis element
+    # with track, one step per node (input i is node i, its step empty)
+    # and the node of each element
     steps: list[list[tuple]] | None = [[] for _ in gens] if track else None
     nodes: list[int] = []
     kinds: list[int] = []  # 2 a monomial, 1 one-position, 0 spread
@@ -664,13 +666,12 @@ def _groebner(gens: list[tuple | None], ring: PolyRing, layout: _Layout,
     target_q = defaultdict(dict) if track else None
     redundant: set[int] = set()  # active inputs that an earlier lead divides
 
-    def add(reducer: tuple, step: list | None, seed: bool = False,
+    def add(reducer: tuple, node: int | None, seed: bool = False,
             unreduced: bool = False) -> None:
-        # the element `reducer` joins, and with track it is the sum
-        # of multiplier * node over the (node, multiplier) pairs of
-        # `step`; then its pairs are formed and the old ones pruned, and
-        # an `unreduced` one is marked redundant if a lead still active
-        # at its position divides its lead
+        # the element `reducer` joins at trace node `node`; then its pairs
+        # are formed and the old ones pruned, and an `unreduced` one is
+        # marked redundant if a lead still active at its position divides
+        # its lead
         nonlocal pairs
         lm, _, tail = reducer
         pos = lm & slot_mask
@@ -680,9 +681,7 @@ def _groebner(gens: list[tuple | None], ring: PolyRing, layout: _Layout,
         kinds.append(2 if not tail else not slot_mask or functools.reduce(
             or_, map(_first, tail), lm) & slot_mask == pos)
         reducers.append(reducer)
-        if track:
-            nodes.append(len(steps))
-            steps.append(step)
+        nodes.append(node)
         here = active.get(pos)
         if not here:
             # nothing to pair with, and its lead divides no lcm at
@@ -707,8 +706,7 @@ def _groebner(gens: list[tuple | None], ring: PolyRing, layout: _Layout,
 
     for i, g in enumerate(gens):
         if g is not None:
-            add(g, [(i, {0: 1})] if track else None,
-                seed=i < known_gb_prefix, unreduced=target is None)
+            add(g, i, seed=i < known_gb_prefix, unreduced=target is None)
     if not lms:
         raise ValueError("all generators are zero")
 
@@ -727,15 +725,16 @@ def _groebner(gens: list[tuple | None], ring: PolyRing, layout: _Layout,
             continue
         items = iter(rem.items())
         lm, lc = next(items)
-        step = None
+        node = None
         if track:
             # the element rem = x^si g_i / lc_i - x^sj g_j / lc_j
             # - sum(q_k g_k)
-            step = [(nodes[i], {si: reducers[i][1]}),
-                    (nodes[j], {sj: p - reducers[j][1]})]
-            step += [(nodes[k], {m: -c % p for m, c in q.items()})
-                     for k, q in quotients.items()]
-        add((lm, pow(lc, p - 2, p), tuple(items)), step)
+            steps.append([(nodes[i], {si: reducers[i][1]}),
+                          (nodes[j], {sj: p - reducers[j][1]})] +
+                         [(nodes[k], {m: -c % p for m, c in q.items()})
+                          for k, q in quotients.items()])
+            node = len(steps) - 1
+        add((lm, pow(lc, p - 2, p), tuple(items)), node)
         if target and any(((m | guard) - lms[-1]) & guard == guard
                           for m in target):
             target = _reduce_full(target, reducers, p, layout, target_q,
@@ -1010,7 +1009,7 @@ def seeded_membership(target: Sequence[dict], screen: GroebnerBasis, *,
     interreduced or decoded.  With track=True and a zero remainder,
     cofactors c_t with target = sum(c_t * seed[t]) come from the
     division's quotients plus the run's own, by one backward pass over
-    the run's steps; else None.
+    the run's steps, down to node t, seed[t] itself; else None.
     """
     ring, layout, p = screen.ring, screen._layout, screen.ring.p
     target = {layout._prefixed(k) + slot: c for slot, terms in

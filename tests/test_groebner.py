@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from fliftlab.catalog import make_cusp_ci, make_cusp_hypersurface
 from fliftlab.fp_poly import (AmbientMismatchError, DegreeGuardError,
                               PolyRing, format_poly, grevlex_key)
 from fliftlab.groebner import (GREVLEX, ModuleVector,
@@ -886,6 +887,24 @@ def test_tracked_basis_elements_expand_from_their_reprs():
                 gb = buchberger(gens, order, track=True)
                 for g, cof in zip(gb.generators, unit_expansions(gb)):
                     assert combine(cof, gens) == g
+
+
+def test_inputs_are_their_own_trace_nodes():
+    # input t of a tracked run is node t and records no identity step
+    # [(t, {0: 1})]; every step left is an element the run formed, and the
+    # original generators still expand from the trace
+    f = make_cusp_hypersurface(3, 2, 3, 7)
+    cusp = buchberger([f] + [f.derivative(v) for v in range(3)], track=True)
+    pair = jacobian_module(make_cusp_ci(2, 2, 2, 2, 3), track=True)
+    for basis in (cusp, pair):
+        steps, _ = basis.trace
+        ngens = len(basis.original_generators)
+        assert len(steps) > ngens
+        assert all(steps[t] == [] for t in range(ngens))
+        assert not [s for s in steps
+                    if len(s) == 1 and s[0][0] < ngens and s[0][1] == {0: 1}]
+        for g in basis.original_generators:
+            assert cofactors(basis, g) is not None
 
 
 def test_expand_is_linear_across_shared_nodes():

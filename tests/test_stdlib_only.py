@@ -1,6 +1,7 @@
-"""Package hygiene: the runtime stays stdlib-only (every module that
-src/fliftlab imports is in the standard library or is fliftlab itself),
-the lower modules keep their place in the package's import graph, and
+"""Package hygiene: the runtime and the scripts in tools/ stay
+stdlib-only (every module that src/fliftlab imports is in the standard
+library or is fliftlab itself), the lower modules keep their place in
+the package's import graph, and
 `fliftlab.__all__` lists each name the package has, once."""
 
 import ast
@@ -23,12 +24,15 @@ def _imported_top_modules(path: Path) -> set[str]:
 
 
 def test_runtime_imports_only_the_standard_library():
-    files = sorted(SRC.glob("*.py"))
-    assert len(files) >= 8
-    for path in files:
-        for name in _imported_top_modules(path):
-            assert name in sys.stdlib_module_names or name == "fliftlab", \
-                (path.name, name)
+    # (directory, fewest files, names allowed beyond the standard library)
+    for directory, least, own in ((SRC, 8, {"fliftlab"}),
+                                  (SRC.parent.parent / "tools", 1, set())):
+        files = sorted(directory.glob("*.py"))
+        assert len(files) >= least, directory.name
+        for path in files:
+            for name in _imported_top_modules(path):
+                assert name in sys.stdlib_module_names or name in own, \
+                    (path.name, name)
 
 
 def _package_imports(path: Path) -> set[str]:
