@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .fp_poly import DEFAULT_MAX_DEGREE, Poly, PolyRing, format_poly
+from .fp_poly import DEFAULT_MAX_DEGREE, Poly, PolyRing
 
 RDP_VARIABLES = ("x", "y", "z")
 CUSP_CI_VARIABLES = ("x", "y", "z", "w")
@@ -190,12 +190,10 @@ def make_rdp(family: str, p: int, n: int | None = None,
 def make_cusp_hypersurface(p: int, a: int, b: int, c: int,
                            max_degree: int = DEFAULT_MAX_DEGREE) -> Poly:
     """x^a + y^b + z^c + x*y*z with a,b,c >= 2 and 1/a + 1/b + 1/c < 1."""
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if v < 2:
-            raise InadmissibleParameterError(f"exponent {name}={v} violates {name} >= 2")
-    if b * c + a * c + a * b >= a * b * c:
+    if not cusp_hyp_admissible(a, b, c):
         raise InadmissibleParameterError(
-            f"(a,b,c)=({a},{b},{c}) violates 1/a + 1/b + 1/c < 1")
+            f"(a,b,c)=({a},{b},{c}) violates a,b,c >= 2 and "
+            f"1/a + 1/b + 1/c < 1")
     x, y, z = PolyRing(RDP_VARIABLES, p, max_degree).gens()
     return x ** a + y ** b + z ** c + x * y * z
 
@@ -204,12 +202,10 @@ def make_cusp_ci(p: int, a: int, b: int, c: int, d: int,
                  max_degree: int = DEFAULT_MAX_DEGREE) -> list[Poly]:
     """(x*y + z^a + w^b, z*w + x^c + y^d) with all exponents >= 2 and at
     least one >= 3."""
-    for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if v < 2:
-            raise InadmissibleParameterError(f"exponent {name}={v} violates {name} >= 2")
-    if max(a, b, c, d) < 3:
+    if not cusp_ci_admissible(a, b, c, d):
         raise InadmissibleParameterError(
-            f"(a,b,c,d)=({a},{b},{c},{d}) violates max(a,b,c,d) >= 3")
+            f"(a,b,c,d)=({a},{b},{c},{d}) violates a,b,c,d >= 2 and "
+            f"max(a,b,c,d) >= 3")
     x, y, z, w = PolyRing(CUSP_CI_VARIABLES, p, max_degree).gens()
     return [x * y + z ** a + w ** b, z * w + x ** c + y ** d]
 
@@ -248,13 +244,6 @@ class TableInstance:
     params: tuple[tuple[str, int], ...]
     poly: Poly
     expected: ExpectedRecord
-
-    @property
-    def equation_text(self) -> str:
-        return format_poly(self.poly)
-
-    def param_dict(self) -> dict:
-        return dict(self.params)
 
 
 def enumerate_table_rows(n_max: int = 8) -> Iterator[TableInstance]:

@@ -27,7 +27,7 @@ from .catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
                       make_cusp_hypersurface, make_rdp)
 from .criteria import classify as _classify_gens
 from .fp_poly import (DEFAULT_MAX_DEGREE, DegreeGuardError, FpPolyError,
-                      PolyRing, is_prime)
+                      PolyRing, format_poly, is_prime)
 from .report import (SCHEMA_VERSION, csv_table, json_text, markdown_table,
                      report_text, report_to_dict, sweep_text, text_table)
 
@@ -38,11 +38,6 @@ EXIT_INAPPLICABLE = 3
 EXIT_INTERRUPTED = 130
 
 CURSOR_FILE = ".fliftlab_cursor"
-
-ENV_MAX_DEGREE = "FLIFTLAB_MAX_DEGREE"
-
-FULL_RANGE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
-FULL_RANGE_MAX = 30
 
 # A sweep family: `make(p, *exponents, max_degree=...)` gives its
 # generators, `admissible(*exponents)` its parameter range, `symmetry` the
@@ -69,6 +64,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _primes(text: str) -> tuple[int, ...]:
+    """A sweep's `--p`: one prime or a comma-separated list of distinct
+    primes."""
+    try:
+        primes = tuple(int(t) for t in text.split(",") if t.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad prime list {text!r}")
+    if not primes or len(set(primes)) != len(primes):
+        raise argparse.ArgumentTypeError("must list distinct primes")
+    for q in primes:
+        if not is_prime(q):
+            raise argparse.ArgumentTypeError(f"{q} is not prime")
+    return primes
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fliftlab",
                      description="F-purity and F-liftability of isolated "
@@ -87,7 +97,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--poly", action="append", required=True,
                     help="equation text; repeat for a complete intersection")
     sp.add_argument("--certificates", action="store_true")
-    sp.add_argument("--max-degree", type=int, default=None)
+    sp.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
     output(sp)
 
     sp = sub.add_parser("table", help="reproduce the RDP table")
@@ -99,16 +109,14 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("sweep", help="classify a cusp family over a range")
     sp.add_argument("family", choices=tuple(SWEEP_FAMILIES))
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--p-set", default=None, help="comma-separated primes")
-    sp.add_argument("--max", type=int, default=None,
+    sp.add_argument("--p", dest="primes", type=_primes, required=True,
+                    help="a prime or comma-separated distinct primes")
+    sp.add_argument("--max", type=int, required=True,
                     help="upper bound for all exponents")
     sp.add_argument("--resume", action="store_true",
                     help="skip tuples up to the cursor file")
-    sp.add_argument("--full-range", action="store_true",
-                    help="p <= 19 and exponents <= 30 (hours-scale)")
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--max-degree", type=int, default=None)
+    sp.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
     output(sp)
 
     sp = sub.add_parser("identity", help="verify the closed-form identities")
@@ -117,20 +125,10 @@ def _build_parser() -> _Parser:
 
 
 def _validate(args) -> None:
-    """Check the parsed flags before any computation, and normalize them in
-    place: `max_degree` to its effective value, classify's `vars` to a
-    tuple of names, and a sweep's primes to `primes` and its exponent bound
-    to `max`."""
-    if "max_degree" in args:
-        if args.max_degree is None:
-            env = os.environ.get(ENV_MAX_DEGREE)
-            try:
-                args.max_degree = int(env) if env else DEFAULT_MAX_DEGREE
-            except ValueError:
-                raise UsageError(
-                    f"{ENV_MAX_DEGREE} must be an integer, got {env!r}")
-        if args.max_degree < 1:
-            raise UsageError("--max-degree must be positive")
+    """Check the parsed flags before any computation, and normalize
+    classify's `vars` in place to a tuple of names."""
+    if "max_degree" in args and args.max_degree < 1:
+        raise UsageError("--max-degree must be positive")
 
     if args.command == "classify":
         if not is_prime(args.p):
@@ -144,27 +142,7 @@ def _validate(args) -> None:
     elif args.command == "sweep":
         if args.jobs < 1:
             raise UsageError("--jobs must be at least 1")
-        if args.full_range:
-            if args.p is not None or args.p_set is not None or args.max is not None:
-                raise UsageError("--full-range fixes --p/--p-set/--max")
-            args.primes, args.max = FULL_RANGE_PRIMES, FULL_RANGE_MAX
-            return
-        if (args.p is None) == (args.p_set is None):
-            raise UsageError("sweep needs exactly one of --p or --p-set")
-        if args.p is not None:
-            args.primes = (args.p,)
-        else:
-            try:
-                args.primes = tuple(int(t) for t in args.p_set.split(",")
-                                    if t.strip())
-            except ValueError:
-                raise UsageError(f"bad --p-set {args.p_set!r}")
-            if not args.primes or len(set(args.primes)) != len(args.primes):
-                raise UsageError("--p-set must list distinct primes")
-        for q in args.primes:
-            if not is_prime(q):
-                raise UsageError(f"{q} is not prime")
-        if args.max is None or args.max < 2:
+        if args.max < 2:
             raise UsageError("sweep needs --max >= 2")
     elif args.command == "identity":
         if args.n_max < 2:
@@ -213,7 +191,7 @@ def _cmd_table(args, out) -> int:
         for inst, report, ok in rows:
             d = report_to_dict(report)
             d["family"] = inst.row.row_label
-            d["params"] = inst.param_dict()
+            d["params"] = dict(inst.params)
             d["expected"] = {"f_pure": inst.expected.f_pure,
                              "f_liftable": inst.expected.f_liftable}
             d["match"] = ok
@@ -229,7 +207,7 @@ def _cmd_table(args, out) -> int:
                   "F-regular (lit.)", "RET (lit.)", "LET (lit.)")
         body = [(inst.p, inst.row.row_label,
                  ",".join(f"{k}={v}" for k, v in inst.params) or "-",
-                 inst.equation_text, report.f_pure, report.f_liftable,
+                 format_poly(inst.poly), report.f_pure, report.f_liftable,
                  inst.expected.f_regular_ref, inst.expected.ret_ref,
                  inst.expected.let_ref)
                 for inst, report, ok in rows]

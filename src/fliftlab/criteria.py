@@ -177,11 +177,8 @@ def _plus_product(screen: GroebnerBasis, c: dict, t: dict, f: dict) -> dict:
     out = dict(c)
     if t and f:
         degree = screen._layout.degree
-        total = max(map(degree, t)) + max(map(degree, f))
-        guard = screen.ring.max_degree
-        if total > guard:
-            raise DegreeGuardError(
-                f"product degree {total} exceeds guard {guard}")
+        DegreeGuardError.check(max(map(degree, t)) + max(map(degree, f)),
+                               screen.ring.max_degree, "product")
         _add_product(out, f.items(), t.items())
     return out
 

@@ -29,6 +29,12 @@ class AmbientMismatchError(FpPolyError, ValueError):
 class DegreeGuardError(FpPolyError, OverflowError):
     """A computation would exceed the configured total-degree guard."""
 
+    @classmethod
+    def check(cls, degree: int, guard: int, what: str) -> None:
+        """Raise "<what> degree D exceeds guard G" iff degree D > guard G."""
+        if degree > guard:
+            raise cls(f"{what} degree {degree} exceeds guard {guard}")
+
 
 class ParseError(FpPolyError, ValueError):
     """Syntax error in a polynomial expression; carries a 0-based position."""
@@ -149,15 +155,7 @@ class PolyRing:
         return tuple(self.variable(i) for i in range(self.nvars))
 
     def monomial(self, exponents: Iterable[int], coeff: int = 1) -> "Poly":
-        mono = tuple(exponents)
-        if len(mono) != self.nvars:
-            raise ValueError("exponent tuple has wrong length")
-        if any(e < 0 for e in mono):
-            raise ValueError("exponents must be nonnegative")
-        if sum(mono) > self.max_degree:
-            raise DegreeGuardError(f"monomial degree {sum(mono)} exceeds guard {self.max_degree}")
-        coeff %= self.p
-        return Poly._make(self, {mono: coeff} if coeff else {})
+        return self.from_terms({tuple(exponents): coeff})
 
     def from_terms(self, terms: Mapping[tuple[int, ...], int]) -> "Poly":
         out: dict[tuple[int, ...], int] = {}
@@ -165,9 +163,7 @@ class PolyRing:
             mono = tuple(mono)
             if len(mono) != self.nvars or any(e < 0 for e in mono):
                 raise ValueError(f"bad monomial {mono}")
-            if sum(mono) > self.max_degree:
-                raise DegreeGuardError(
-                    f"monomial degree {sum(mono)} exceeds guard {self.max_degree}")
+            DegreeGuardError.check(sum(mono), self.max_degree, "monomial")
             c = (out.get(mono, 0) + c) % self.p
             if c:
                 out[mono] = c
@@ -291,10 +287,8 @@ class Poly:
             return dot([self], [other])
         self._check(other)
         ring = self.ring
-        degree = self.total_degree() + other.total_degree()
-        if degree > ring.max_degree:
-            raise DegreeGuardError(
-                f"product degree {degree} exceeds guard {ring.max_degree}")
+        DegreeGuardError.check(self.total_degree() + other.total_degree(),
+                               ring.max_degree, "product")
         # a monomial times b: distinct products, no term cancels
         (ma, ca), = a.items()
         p = ring.p
@@ -311,9 +305,8 @@ class Poly:
             return ring.one()
         if self.is_zero():
             return ring.zero()
-        if self.total_degree() * e > ring.max_degree:
-            raise DegreeGuardError(
-                f"power degree {self.total_degree() * e} exceeds guard {ring.max_degree}")
+        DegreeGuardError.check(self.total_degree() * e, ring.max_degree,
+                               "power")
         if len(self.terms) == 1:  # (c x^m)^e = c^e x^(e m), one term
             (m, c), = self.terms.items()
             return Poly._make(ring, {tuple(a * e for a in m):
@@ -330,9 +323,8 @@ class Poly:
         """
         ring = self.ring
         p = ring.p
-        if self.total_degree() * p > ring.max_degree:
-            raise DegreeGuardError(
-                f"power degree {self.total_degree() * p} exceeds guard {ring.max_degree}")
+        DegreeGuardError.check(self.total_degree() * p, ring.max_degree,
+                               "power")
         return Poly._make(ring, {tuple(e * p for e in m): c for m, c in self.terms.items()})
 
     def derivative(self, var_index: int) -> "Poly":
@@ -435,9 +427,7 @@ def dot(left: Sequence[Poly], right: Sequence[Poly]) -> Poly:
         first._check(b)
         if a.terms and b.terms:
             degree = a.total_degree() + b.total_degree()
-            if degree > a.ring.max_degree:
-                raise DegreeGuardError(f"product degree {degree} exceeds "
-                                       f"guard {a.ring.max_degree}")
+            DegreeGuardError.check(degree, a.ring.max_degree, "product")
             top = max(top, degree)
             pairs.append((a.terms, b.terms) if len(a) <= len(b)
                          else (b.terms, a.terms))

@@ -69,10 +69,7 @@ def _delta1_terms(f: Poly, units, power: dict | None = None) -> dict:
     p = ring.p
     if len(f.terms) < 2:
         return {}
-    degree = f.total_degree() * p
-    if degree > ring.max_degree:
-        raise DegreeGuardError(
-            f"delta1 degree {degree} exceeds guard {ring.max_degree}")
+    DegreeGuardError.check(f.total_degree() * p, ring.max_degree, "delta1")
     q = p * p
     base = _pack(f.terms, units)
     out = _times(power or dict(base), base, q, 1 if power else p - 1)
@@ -147,13 +144,10 @@ def build_splitting(gens: Sequence[Poly],
     for g in gens[1:]:
         gens[0]._check(g)
         degree += g.total_degree()
-        if degree > guard:
-            raise DegreeGuardError(
-                f"product degree {degree} exceeds guard {guard}")
+        DegreeGuardError.check(degree, guard, "product")
         base = _times(base, _pack(g.terms, units), p)
     degree *= top
-    if degree > guard:
-        raise DegreeGuardError(f"power degree {degree} exceeds guard {guard}")
+    DegreeGuardError.check(degree, guard, "power")
     power = _times(base, list(base.items()), p * p if len(gens) == 1 else p,
                    top - 1)
     groups: dict[tuple[int, ...], dict] = {}
@@ -167,10 +161,8 @@ def build_splitting(gens: Sequence[Poly],
                    key=grevlex_key, default=None)
     anchor = survivor or (top,) * ring.nvars
     moved = sum(map(top.__sub__, anchor))
-    if degree + moved > guard:
-        raise DegreeGuardError(
-            f"monomial degree {moved} exceeds guard {guard}" if moved > guard
-            else f"product degree {degree + moved} exceeds guard {guard}")
+    DegreeGuardError.check(moved, guard, "monomial")
+    DegreeGuardError.check(degree + moved, guard, "product")
     return SplittingData(ring, packing, power,
                          gens[0] if len(gens) == 1 else None, degree + moved,
                          survivor is not None, survivor, anchor, groups,
@@ -198,9 +190,8 @@ def _check_sigma(split: SplittingData, ring: PolyRing, degree: int) -> None:
     """sigma's checks on an argument of `degree` in `ring`."""
     if not split.ring.same_ambient(ring):
         raise AmbientMismatchError("splitting and argument ambients differ")
-    if (degree := degree + split.degree) > split.ring.max_degree:
-        raise DegreeGuardError(
-            f"product degree {degree} exceeds guard {split.ring.max_degree}")
+    DegreeGuardError.check(degree + split.degree, split.ring.max_degree,
+                           "product")
 
 
 def apply_sigma(split: SplittingData, r: Poly) -> Poly:

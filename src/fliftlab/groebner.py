@@ -120,14 +120,10 @@ class _Layout:
                            self._spread, self._prefix_mask, self._wspread,
                            self._wmask)
 
-    def _check(self, mono: tuple[int, ...]) -> None:
-        if sum(mono) > self.max_degree:
-            raise DegreeGuardError(f"monomial degree {sum(mono)} exceeds "
-                                   f"guard {self.max_degree}")
-
     def enc(self, t: tuple[int, ...]) -> int:
         """Pack a slotted exponent tuple."""
-        self._check(t[self.slots:])
+        DegreeGuardError.check(sum(t[self.slots:]), self.max_degree,
+                               "monomial")
         return sum(map(mul, t, self._packers))
 
     def _prefixed(self, m: int) -> int:
@@ -154,7 +150,7 @@ class _Layout:
         packers = self._packers[self.slots:]
         out = {}
         for m, c in terms.items():
-            self._check(m)
+            DegreeGuardError.check(sum(m), self.max_degree, "monomial")
             out[slot + sum(map(mul, m, packers))] = c
         return out
 
@@ -463,9 +459,7 @@ def _expand(steps: list, seeds: list, ngens: int, layout: _Layout,
         da = max(map(degree, a))
         for src, mult in steps[node]:
             dm = max(map(degree, mult)) * (p if frobenius else 1)
-            if da + dm > guard:
-                raise DegreeGuardError(
-                    f"cofactor degree {da + dm} exceeds guard {guard}")
+            DegreeGuardError.check(da + dm, guard, "cofactor")
             if frobenius:
                 mult = {m * p: c for m, c in mult.items()}
             adj[src] = _add_product(adj[src] or {}, mult.items(), a.items())
@@ -936,10 +930,8 @@ def _frobenius_reducers(reducers: list[tuple], layout: _Layout,
         terms = [lm for lm, _, _ in reducers]
     else:
         terms = [m for lm, _, tail in reducers for m in (lm, *dict(tail))]
-    degree = max(map(layout.degree, terms)) * p
-    if degree > layout.max_degree:
-        raise DegreeGuardError(
-            f"power degree {degree} exceeds guard {layout.max_degree}")
+    DegreeGuardError.check(max(map(layout.degree, terms)) * p,
+                           layout.max_degree, "power")
     slots, q = layout.slot_mask, p - 1
     return [(lm * p - (lm & slots) * q, inv,
              tuple([(m * p - (m & slots) * q, c) for m, c in tail]))

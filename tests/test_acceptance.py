@@ -44,7 +44,7 @@ def test_criterion_1_table_reproduction():
         want = (inst.expected.f_pure, inst.expected.f_liftable)
         if got != want:
             mismatches.append((inst.row.row_label, inst.p,
-                               inst.param_dict(), got, want))
+                               dict(inst.params), got, want))
     assert mismatches == [], mismatches
     elapsed = _announce("1 (RDP table reproduction)", started,
                         f"{total} instances, 0 mismatches")

@@ -54,3 +54,32 @@ def test_output_without_a_result_line_is_an_error():
         bench_pairs.parse_run("run record: {}\nerror: no workload\n")
     assert list(bench_pairs._seeds("3-5")) == [3, 4, 5]
     assert list(bench_pairs._seeds("7")) == [7]
+
+
+def _argv(out: Path, seeds: str) -> list[str]:
+    return ["--parent", ".", "--change", ".", "--workload", "cusp_ci",
+            "--seeds", seeds, "--seconds", "1", "--out", str(out)]
+
+
+def _no_run(*args):
+    raise AssertionError("no run may start")
+
+
+def test_empty_seed_range_stops_before_any_run(tmp_path, monkeypatch):
+    # a reversed range would otherwise write an empty entry over the file's
+    out = tmp_path / "BENCH.json"
+    out.write_text('{"workloads": {"cusp_ci": {"pairs": [1]}}}\n')
+    before = out.read_text()
+    monkeypatch.setattr(bench_pairs, "run_once", _no_run)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(_argv(out, "5-3"))
+    assert exc.value.code == 2 and out.read_text() == before
+
+
+def test_unreadable_out_file_stops_before_any_run(tmp_path, monkeypatch):
+    out = tmp_path / "BENCH.json"
+    out.write_text("not json\n")
+    monkeypatch.setattr(bench_pairs, "run_once", _no_run)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(_argv(out, "1-2"))
+    assert exc.value.code == 2 and out.read_text() == "not json\n"

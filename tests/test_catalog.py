@@ -78,7 +78,7 @@ def test_cusp_boundary_cases():
 
 def test_expected_classification_examples():
     # each instance carries its row's record, A_n split on p | n+1
-    expected = {(i.row.family, i.p, i.param_dict().get("n")): i.expected
+    expected = {(i.row.family, i.p, dict(i.params).get("n")): i.expected
                 for i in enumerate_table_rows(2)}
     rec = expected["E_8^1", 5, None]
     assert (rec.f_pure, rec.f_liftable) == (True, False)

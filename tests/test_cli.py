@@ -84,24 +84,8 @@ def test_classify_degree_guard_exit_2(capsys):
     assert "guard" in err
 
 
-def test_env_var_degree_guard(capsys, monkeypatch):
-    monkeypatch.setenv("FLIFTLAB_MAX_DEGREE", "3")
-    code, _, err = run_cli(capsys, "classify", "--p", "2", "--vars", "x,y,z",
-                           "--poly", "z^2+x^2*y+x*y^2+x*y*z")
-    assert code == EXIT_RESOURCE
-    monkeypatch.setenv("FLIFTLAB_MAX_DEGREE", "10000")
-    code, _, _ = run_cli(capsys, "classify", "--p", "2", "--vars", "x,y,z",
-                         "--poly", "z^2+x^2*y+x*y^2+x*y*z")
-    assert code == EXIT_OK
-
-
-def test_usage_errors_exit_1(capsys, monkeypatch):
+def test_usage_errors_exit_1(capsys):
     # each malformed flag value stops the command before any computation
-    monkeypatch.setenv("FLIFTLAB_MAX_DEGREE", "ten")
-    code, out, err = run_cli(capsys, "classify", "--p", "5", "--vars", "x",
-                             "--poly", "x")
-    assert code == EXIT_INPUT and "FLIFTLAB_MAX_DEGREE" in err and not out
-    monkeypatch.delenv("FLIFTLAB_MAX_DEGREE")
     classify = ("classify", "--p", "5", "--poly", "x")
     sweep = ("sweep", "cusp_hyp", "--max", "4")
     for argv, message in (
@@ -109,10 +93,10 @@ def test_usage_errors_exit_1(capsys, monkeypatch):
             ((*classify, "--vars", ","), "--vars"),
             (("table", "--n-max", "0"), "--n-max"),
             ((*sweep, "--p", "2", "--jobs", "0"), "--jobs"),
-            ((*sweep, "--p-set", "2,x"), "--p-set"),
-            ((*sweep, "--p-set", "2,4"), "4 is not prime"),
+            ((*sweep, "--p", "2,x"), "--p"),
+            ((*sweep, "--p", "2,4"), "4 is not prime"),
             # a strong pseudoprime to every prime base up to 37
-            ((*sweep, "--p-set", "5,318665857834031151167461"),
+            ((*sweep, "--p", "5,318665857834031151167461"),
              "318665857834031151167461 is not prime"),
             (("identity", "--n-max", "1"), "--n-max")):
         code, out, err = run_cli(capsys, *argv)
@@ -127,9 +111,9 @@ def test_usage_errors_exit_1(capsys, monkeypatch):
     assert code == EXIT_INPUT
     # an empty or repeated prime list is no sweep
     for primes in (",", "5,5"):
-        code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p-set",
-                                 primes, "--max", "4")
-        assert code == EXIT_INPUT and "--p-set" in err and not out, primes
+        code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p", primes,
+                                 "--max", "4")
+        assert code == EXIT_INPUT and "--p" in err and not out, primes
     # each flag exists only on the commands that read it
     for argv in (("table", "--jobs", "2"), ("identity", "--format", "json"),
                  ("classify", "--p", "2", "--vars", "x", "--poly", "x",
@@ -246,13 +230,18 @@ def test_sweep_resume_without_cursor_runs_the_whole_sweep(capsys, tmp_path,
     assert not os.path.exists(CURSOR_FILE)
 
 
-def test_full_range_sets_primes_and_max():
-    import fliftlab.cli as cli_mod
-
-    args = cli_mod._build_parser().parse_args(
-        ["sweep", "cusp_hyp", "--full-range"])
-    cli_mod._validate(args)
-    assert args.primes == (2, 3, 5, 7, 11, 13, 17, 19) and args.max == 30
+def test_sweep_over_primes_concatenates_their_sweeps(capsys):
+    # `--p 2,3` is the `--p 2` sweep followed by the `--p 3` sweep, row for
+    # row once the timing column is dropped
+    rows = {}
+    for primes in ("2", "3", "2,3"):
+        code, out, _ = run_cli(capsys, "sweep", "cusp_hyp", "--p", primes,
+                               "--max", "5", "--format", "csv")
+        assert code == EXIT_OK
+        rows[primes] = [line.rsplit(",", 1)[0] for line in out.splitlines()]
+    header = rows["2"][0]
+    assert len(rows["2"]) > 1 and len(rows["3"]) > 1
+    assert rows["2,3"] == [header, *rows["2"][1:], *rows["3"][1:]]
 
 
 def test_text_sweep_lists_the_tuples_not_liftable(capsys, tmp_path,
@@ -467,13 +456,6 @@ def test_interrupted_sweep_whose_cursor_cannot_be_written(capsys, tmp_path,
                    f"[Errno {errno.ENOSPC}] No space left on device\n")
     assert Path(CURSOR_FILE).read_text() == before
     assert os.listdir(tmp_path) == [CURSOR_FILE]
-
-
-def test_full_range_flag_conflicts(capsys):
-    code, _, err = run_cli(capsys, "sweep", "cusp_hyp", "--full-range",
-                           "--max", "6")
-    assert code == EXIT_INPUT
-    assert "fixes" in err
 
 
 def test_table_json_and_csv_formats(capsys):

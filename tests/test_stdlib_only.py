@@ -1,8 +1,9 @@
 """Package hygiene: the runtime and the scripts in tools/ stay
 stdlib-only (every module that src/fliftlab imports is in the standard
 library or is fliftlab itself), the lower modules keep their place in
-the package's import graph, and
-`fliftlab.__all__` lists each name the package has, once."""
+the package's import graph, every degree-guard error but three is
+raised through `DegreeGuardError.check`, and `fliftlab.__all__` lists
+each name the package has, once."""
 
 import ast
 import sys
@@ -65,6 +66,35 @@ LAYERS = {"fp_poly": set(), "groebner": {"fp_poly"},
 def test_lower_modules_keep_their_imports():
     for name, imports in LAYERS.items():
         assert _package_imports(SRC / f"{name}.py") == imports, name
+
+
+def _constructions(path: Path, name: str) -> list[str]:
+    """The name of the innermost enclosing function of each call of
+    `name` in a module, None at module level."""
+    found = []
+
+    def walk(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    walk(ast.parse(path.read_text(), str(path)), None)
+    return found
+
+
+def test_degree_guard_errors_are_worded_by_check():
+    # "<what> degree D exceeds guard G" is written once, in
+    # DegreeGuardError.check; only the S-pair check of the Buchberger
+    # loop, the origin walk and the parser word their own messages
+    sites = sorted((path.stem, where) for path in SRC.glob("*.py")
+                   for where in _constructions(path, "DegreeGuardError"))
+    assert sites == [("fp_poly", "power"), ("groebner", "_groebner"),
+                     ("groebner", "supported_only_at_origin")]
+    assert _constructions(SRC / "fp_poly.py", "cls") == ["check"]
 
 
 def test_every_export_exists_once():

@@ -14,8 +14,10 @@ each side's source digest, and per end-to-end metric of BENCHMARK.json
 each side's median and quartiles and the count of pairs the change won
 in the metric's better direction, ties counting for neither.  The
 workload must be one BENCHMARK.json names.  An existing file keeps its
-other workloads' entries.  The exit status is 1 if any run failed or reports
-`"correct": false`, else 0.  Standard library only.
+other workloads' entries; one that is not such a file, or an empty seed
+range, stops the tool with status 2 before any run.  Otherwise the exit
+status is 1 if any run failed or reports `"correct": false`, else 0.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -108,7 +110,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def _seeds(text: str) -> range:
     lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
+    seeds = range(int(lo), int(hi or lo) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
 
 
 def main(argv=None) -> int:
@@ -124,6 +129,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent, "change": args.change}
+    try:  # an unreadable --out stops the tool before any run
+        out = (json.loads(args.out.read_text()) if args.out.exists()
+               else {"workloads": {}})
+        workloads = out["workloads"]
+    except (ValueError, KeyError, TypeError) as exc:
+        parser.error(f"--out {args.out} is not a BENCH file: {exc!r}")
 
     pairs, failures = [], []
     for seed in args.seeds:
@@ -145,9 +156,7 @@ def main(argv=None) -> int:
              "summary": summarize(complete, bench["end_to_end"])
              if complete else {},
              "failures": failures, "pairs": pairs}
-    out = (json.loads(args.out.read_text()) if args.out.exists()
-           else {"workloads": {}})
-    out["workloads"][args.workload] = entry
+    workloads[args.workload] = entry
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 1 if failures else 0
 
