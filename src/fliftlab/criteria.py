@@ -35,12 +35,6 @@ from .groebner import (GREVLEX, GroebnerBasis, MonomialOrder,
                        seeded_membership, supported_only_at_origin)
 from .frobsplit import SplittingData, build_splitting, lift_and_residual
 from .report import Certificate, LiftabilityReport
-# unused here, but bound for perfbench/tracer.py, which patches the
-# engine functions by name in this module
-from .groebner import (buchberger, module_buchberger,  # noqa: F401
-                       module_normal_form, normal_form,
-                       normal_form_with_cofactors, reduce_by_generators)
-from .frobsplit import apply_sigma, delta1  # noqa: F401
 
 SMOOTH = "smooth"
 ISOLATED = "isolated_at_origin_only"
@@ -111,12 +105,11 @@ def residual_polynomial(f: Poly) -> Poly:
     if not split.fpure_at_origin:
         raise ValueError("residual is defined only for F-pure input "
                          "(Fedder test failed)")
-    return split.unpack(lift_and_residual(split, f)[1])
+    return split.unpack(lift_and_residual(split, 0)[1])
 
 
-def _residual_membership(residuals: Sequence[dict], gens: Sequence[Poly],
-                         screen: GroebnerBasis, want_cofactors: bool,
-                         split: SplittingData):
+def _residual_membership(residuals: Sequence[dict], screen: GroebnerBasis,
+                         want_cofactors: bool, split: SplittingData):
     """Decide (r_1..r_m) in N^[p] + (f_j e_i), N the screen's submodule,
     for r_i packed in the screen layout's `fields`; returns (member,
     remainder coordinates, cofactors).
@@ -132,9 +125,10 @@ def _residual_membership(residuals: Sequence[dict], gens: Sequence[Poly],
     N^[p] maps back to N's generators by a Frobenius-twisted backward pass
     over the screen's trace (see `GroebnerBasis.expand_packed`).  They
     stay packed in the screen's layout until each final cofactor is
-    decoded once.  `split` is that of `gens`: for m = 1 its packed
-    `power_terms` are f^(p-1) in the screen's fields, which cofactors
-    then neither form again nor decode.
+    decoded once.  `split` is that of the generators, built in the
+    screen's fields: its `powers`, each f_j^(p-1) mod p^2, give the
+    cofactors of the (f_j e_i)^[p] without forming or decoding a power
+    again.
 
     The certificate is re-checked before it is returned, from the input
     generators alone and in `fp_poly` arithmetic, which shares nothing
@@ -142,6 +136,7 @@ def _residual_membership(residuals: Sequence[dict], gens: Sequence[Poly],
     `Poly.derivative` and `Poly.frobenius`, and each coordinate's
     sum(c_t * column_t) is one `dot`.
     """
+    gens = split.gens
     ring = gens[0].ring
     m = len(gens)
     known = len(screen)
@@ -153,11 +148,8 @@ def _residual_membership(residuals: Sequence[dict], gens: Sequence[Poly],
     # sum(c_t^p * N_t^[p]), where w_k is the p-th power of a Jacobian
     # column and (f_j e_i)^[p] = f_j^(p-1) * (f_j e_i)
     twisted = screen.expand_packed(seed_cof[:known], frobenius=True)
-    if m == 1:  # Fedder's f^(p-1) mod p^2, already in the screen's fields
-        f_pow = [{screen._layout._prefixed(k): r for k, c in
-                  split.power_terms.items() if (r := c % ring.p)}]
-    else:
-        f_pow = [screen.pack(f ** (ring.p - 1)) for f in gens]
+    f_pow = [{screen._layout._prefixed(k): r for k, c in power.items()
+              if (r := c % ring.p)} for power in split.powers]
     cofactors = [screen.unpack(_plus_product(screen, c, t, f_pow[k % m]))
                  for k, (c, t) in enumerate(zip(seed_cof[known:], twisted))]
     cofactors += map(screen.unpack, twisted[m * m:])
@@ -275,14 +267,15 @@ def classify(gens: Sequence[Poly], *,
                       Certificate(fedder_survivor=None, sigma_trace_constant=0))
 
     # the "delta1" stage times the whole residual computation, not delta1
-    # alone; for m = 1 delta1 is one product by f of fedder's f^(p-1) mod p^2
+    # alone; delta1(f_j) is one product by f_j of fedder's f_j^(p-1) mod p^2
     t = time.perf_counter()
-    lifts, residuals = zip(*(lift_and_residual(split, f) for f in gens))
+    lifts, residuals = zip(*(lift_and_residual(split, j)
+                             for j in range(len(gens))))
     timings["delta1"] = _ms_since(t)
 
     t = time.perf_counter()
     member, remainder, cofactors = _residual_membership(
-        residuals, gens, screen, certificates, split)
+        residuals, screen, certificates, split)
     timings["groebner"] = _ms_since(t)
 
     # A positive containment certifies liftability at the origin, even

@@ -84,22 +84,24 @@ def _delta1_terms(f: Poly, units, power: dict | None = None) -> dict:
 @dataclass(frozen=True)
 class SplittingData:
     """A near-splitting section sigma(F_* r) = u(F_*(h*r)) compatible with
-    the generated ideal.
+    the ideal of `gens`.
 
     h = `power` * x^((p-1) - anchor) has total degree `degree`; `power`
     is (prod gens)^(p-1), and `anchor` the survivor, the witness monomial
     inside it, or (p-1, ..., p-1) without one, so that the trace constant
     s(0) is nonzero exactly when the F-purity test passes.  In `packing`,
-    `power_terms` are the power's terms, coefficients mod p^2 for one
-    generator, `lifted`, else mod p, `groups` them by a mod p, as
-    {packed a: c mod p}, and `at` is the packed anchor; s = u(h) is
-    decoded if read.
+    `powers` are the terms of each generator's (lift f_j)^(p-1), with
+    coefficients mod p^2, and `power_terms` those of their product, the
+    power: `powers[0]` itself for one generator, else reduced mod p.
+    `groups` holds the power's terms by a mod p, as {packed a: c mod p},
+    and `at` is the packed anchor; s = u(h) is decoded if read.
     """
 
     ring: PolyRing
     packing: tuple = field(compare=False, repr=False)
     power_terms: dict = field(compare=False, repr=False)
-    lifted: Poly | None
+    powers: tuple = field(compare=False, repr=False)
+    gens: tuple
     degree: int
     fpure_at_origin: bool
     survivor: tuple[int, ...] | None
@@ -128,11 +130,12 @@ def build_splitting(gens: Sequence[Poly],
     of the ring for 2 * guard): once the power's guard check passes,
     delta1 of a generator f, of degree at most p * deg(f) <=
     2 * (p-1) * deg(f) <= 2 * guard, fits them too.
-    The power is formed on packed terms, over Z/p^2 for one generator;
-    the residues of each of its terms are read once.  DegreeGuardError
-    and AmbientMismatchError are raised where the Poly products of the
-    generators, their power and its product with x^((p-1) - anchor) would,
-    in that order."""
+    Each generator's (lift f_j)^(p-1) is formed once, over Z/p^2 on
+    packed terms, and the power as their product; the residues of each
+    of its terms are read once.  DegreeGuardError and
+    AmbientMismatchError are raised where the Poly products of the
+    generators, their power and its product with x^((p-1) - anchor)
+    would, in that order."""
     if not gens:
         raise ValueError("generator list must be nonempty")
     if any(g.is_zero() for g in gens):
@@ -140,16 +143,18 @@ def build_splitting(gens: Sequence[Poly],
     ring = gens[0].ring
     p, guard, top = ring.p, ring.max_degree, ring.p - 1
     shifts, units, mask = packing = packing or _packing(ring.nvars, 2 * guard)
-    base, degree = dict(_pack(gens[0].terms, units)), gens[0].total_degree()
+    degree = gens[0].total_degree()
     for g in gens[1:]:
         gens[0]._check(g)
         degree += g.total_degree()
         DegreeGuardError.check(degree, guard, "product")
-        base = _times(base, _pack(g.terms, units), p)
     degree *= top
     DegreeGuardError.check(degree, guard, "power")
-    power = _times(base, list(base.items()), p * p if len(gens) == 1 else p,
-                   top - 1)
+    powers = tuple(_times(dict(base), base, p * p, top - 1) for base in
+                   [_pack(g.terms, units) for g in gens])
+    power = powers[0]
+    for g_power in powers[1:]:
+        power = _times(power, list(g_power.items()), p)
     groups: dict[tuple[int, ...], dict] = {}
     for k, c in power.items():
         if c := c % p:
@@ -163,10 +168,9 @@ def build_splitting(gens: Sequence[Poly],
     moved = sum(map(top.__sub__, anchor))
     DegreeGuardError.check(moved, guard, "monomial")
     DegreeGuardError.check(degree + moved, guard, "product")
-    return SplittingData(ring, packing, power,
-                         gens[0] if len(gens) == 1 else None, degree + moved,
-                         survivor is not None, survivor, anchor, groups,
-                         sum(map(mul, anchor, units)))
+    return SplittingData(ring, packing, power, powers, tuple(gens),
+                         degree + moved, survivor is not None, survivor,
+                         anchor, groups, sum(map(mul, anchor, units)))
 
 
 def _sigma_terms(split: SplittingData, terms) -> dict:
@@ -207,13 +211,13 @@ def apply_sigma(split: SplittingData, r: Poly) -> Poly:
     return split.unpack(_sigma_terms(split, _pack(r.terms, split.packing[1])))
 
 
-def lift_and_residual(split: SplittingData, f: Poly) -> tuple[Poly, dict]:
-    """(g, r) for f, one of the split's generators: g = -sigma(F_* delta1(f))
+def lift_and_residual(split: SplittingData, j: int) -> tuple[Poly, dict]:
+    """(g, r) for f, the split's generator j: g = -sigma(F_* delta1(f))
     and r = s^p * delta1(f) + g^p in the split's `packing`, coefficients
-    in [1, p).  delta1(f) of the split's one generator is one product by
-    f of its lifted power; it stays packed, which the packing's fields
-    allow (see `build_splitting`), and its exact degree is read only
-    where p * deg(f) + deg(h) could pass the guard.  DegreeGuardError is raised
+    in [1, p).  delta1(f) is one product by f of its lifted power
+    `powers[j]`; it stays packed, which the packing's fields allow (see
+    `build_splitting`), and its exact degree is read only where
+    p * deg(f) + deg(h) could pass the guard.  DegreeGuardError is raised
     where `delta1` and `apply_sigma` would, in that order.
 
     Those two checks cover the rest of the Poly route.  The terms of
@@ -223,8 +227,8 @@ def lift_and_residual(split: SplittingData, f: Poly) -> tuple[Poly, dict]:
     product s^p * delta1(f) has degree at most that sum, and so has g^p,
     as g is u of h * delta1(f)."""
     p, (shifts, units, mask) = split.ring.p, split.packing
-    power = split.power_terms if split.lifted == f else None
-    d1 = _delta1_terms(f, units, power)
+    f = split.gens[j]
+    d1 = _delta1_terms(f, units, split.powers[j])
     degree = f.total_degree() * p  # delta1's degree is at most this
     if degree + split.degree > split.ring.max_degree:
         degree = max((sum([(k >> s) & mask for s in shifts]) for k in d1),

@@ -21,7 +21,8 @@ weights w_v, as in "grevlex:4,2,1").
 
 `timings_ms.delta1` times the whole residual stage: delta1(f_i), sigma
 of it, the p-th powers and s^p * delta1(f_i); the key keeps its name.
-For one f, `fedder` forms f^(p-1) over Z/p^2, and delta1 one product by f.
+`fedder` forms each f_i^(p-1) over Z/p^2, and delta1(f_i) is one product
+by f_i.
 
 Polynomials appear as canonical text; a complete-intersection remainder
 is the coordinate list joined into a vector "(r1, r2)".  Certificates

@@ -280,6 +280,21 @@ def _poly_fedder(gens):
     return power, survivor, h
 
 
+def _lifted_power(f):
+    """(lift f)^(p-1) mod p^2 by schoolbook products of exponent tuples,
+    each coefficient of f lifted to [0, p)."""
+    p = f.ring.p
+    power = {(0,) * f.ring.nvars: 1}
+    for _ in range(p - 1):
+        out: dict = {}
+        for a, ca in power.items():
+            for b, cb in f.terms.items():
+                k = tuple(map(operator.add, a, b))
+                out[k] = (out.get(k, 0) + ca * cb) % (p * p)
+        power = {k: c for k, c in out.items() if c}
+    return power
+
+
 def _packings(ring):
     """The default packing and the exponent fields of the layouts the
     screen may hand over: degrevlex, and two weighted degrevlex orders,
@@ -294,8 +309,9 @@ def _packings(ring):
 def test_packed_fedder_matches_the_poly_route():
     # seeded generators, one-term ones among them: the packed power,
     # survivor, h, s and digit groups equal the Poly route's in every
-    # packing, and delta1 from the shared power equals delta1 and the
-    # walk oracle (0 for one term)
+    # packing; each generator's packed power is its f^(p-1) lifted mod
+    # p^2, and delta1 from it equals delta1 and the walk oracle (0 for
+    # one term)
     rng = random.Random(2501)
     compared = one_term = 0
     for p in (2, 3, 5, 7):
@@ -319,10 +335,16 @@ def test_packed_fedder_matches_the_poly_route():
                         assert split.degree == h.total_degree()
                         assert {alpha: split.unpack(terms).terms for
                                 alpha, terms in split.groups.items()} == groups
-                        if m == 1:
-                            f = gens[0]
+                        assert (split.powers[0] is split.power_terms) == \
+                            (m == 1)
+                        shifts, _, mask = split.packing
+                        for f, f_power in zip(gens, split.powers):
+                            assert split.unpack(f_power) == f ** (p - 1)
+                            assert {tuple([(k >> s) & mask for s in shifts]):
+                                    c for k, c in f_power.items()} == \
+                                _lifted_power(f)
                             shared = split.unpack(_delta1_terms(
-                                f, split.packing[1], split.power_terms))
+                                f, split.packing[1], f_power))
                             assert shared == delta1(f) == delta1_walk(f)
                             one_term += len(f) == 1 and shared.is_zero()
                         compared += 1
@@ -340,7 +362,7 @@ def _packed_route(gens):
     split = build_splitting(gens)
     return [split.survivor] + ([
         (g, split.unpack(r)) for g, r in
-        (lift_and_residual(split, f) for f in gens)]
+        (lift_and_residual(split, j) for j in range(len(gens)))]
         if split.fpure_at_origin else [])
 
 

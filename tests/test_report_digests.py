@@ -1,12 +1,14 @@
 """Report-digest golden: the SHA-256 of every report's JSON, `timings_ms`
 removed, on a fixed set of inputs that walks every route of `classify`.
 
-The inputs are every `cusp_ci` class at p = 2 with exponents <= 3, plain
-and certified; every table row at n <= 4; every `cusp_hyp` class at
-p = 2, 3, 5 with exponents <= 6, plain and certified; certified E_8^1 at
-p = 5, an F-pure nonmember decided under degrevlex; x^2+y^2+z^3+w^5 at
-p = 3, plain and certified, an F-pure nonmember decided under the
-weights (2, 2, 2, 1), whose remainder is theirs.  A changed byte
+The inputs are every `cusp_ci` class at p = 2, 3, 5 with exponents
+<= 3, plain and certified (at p = 3 and 5, unlike p = 2, f_j^(p-1) is
+not f_j, and a complete intersection's delta1 and cofactors read it);
+every table row at n <= 4; every `cusp_hyp` class at p = 2, 3, 5
+with exponents <= 6, plain and certified; certified E_8^1 at p = 5, an
+F-pure nonmember decided under degrevlex; x^2+y^2+z^3+w^5 at p = 3,
+plain and certified, an F-pure nonmember decided under the weights
+(2, 2, 2, 1), whose remainder is theirs.  A changed byte
 anywhere in a report, certified cofactors included, changes its
 digest.
 
@@ -35,9 +37,8 @@ def digest_inputs():
     ci = sorted({cusp_ci_symmetry_class(t)
                  for t in itertools.product(range(2, 4), repeat=4)
                  if cusp_ci_admissible(*t)})
-    for t in ci:
-        for cert in (False, True):
-            yield f"cusp_ci p=2 {t} cert={cert}", make_cusp_ci(2, *t), cert
+    for p, t, cert in itertools.product((2, 3, 5), ci, (False, True)):
+        yield f"cusp_ci p={p} {t} cert={cert}", make_cusp_ci(p, *t), cert
     for inst in enumerate_table_rows(4):
         params = ",".join(f"{k}={v}" for k, v in inst.params)
         yield f"{inst.row.row_label} p={inst.p} {params}".rstrip(), \
