@@ -2,9 +2,11 @@
 families and the cusp families, together with the expected
 classification records used for cross-checking.
 
-Each table row carries its equation once, as a function of the
-variables x, y, z and the parameters n, r, and `make_rdp` and
-`enumerate_table_rows` instantiate the row through it.
+Each table row states its equation (of x, y, z and the parameters n, r),
+its prime constraint and its parameter range once, in `_RDP_ROWS` and
+`FamilySpec.admits`.  `make_rdp` and `enumerate_table_rows` both read that
+one rule, so `make_rdp` refuses any parameter its row does not take, and
+the table lists exactly what `make_rdp` accepts.
 
 Family ids follow the usual type labels: "A_n", "D_n", "E_6".."E_8" for
 the large-characteristic rows, "D_2n^0", "D_2n^r", "D_2n^{n-1}",
@@ -61,11 +63,23 @@ class FamilySpec:
     param_names: tuple[str, ...]
     expected: ExpectedRecord
 
-    def admits_p(self, p: int) -> bool:
+    def admits(self, p: int, n: int | None = None,
+               r: int | None = None) -> bool:
+        """The row's one input rule: its prime constraint, and n >= 1 for
+        A_n (split on p | n+1), 1 <= r <= n-2 for the r rows, n >= 2 for
+        the other rows with n; a parameter the row does not take is None."""
         kind, bound = self.p_constraint[1], int(self.p_constraint[2:])
-        if kind == ">":
-            return p > bound
-        return p == bound
+        if not (p > bound if kind == ">" else p == bound):
+            return False
+        takes = ("n" in self.param_names, "r" in self.param_names)
+        if (n is not None, r is not None) != takes:
+            return False
+        if "r" in self.param_names:
+            return 1 <= r <= n - 2
+        if self.family == "A_n":
+            return n >= 1 and \
+                ((n + 1) % p == 0) == ("!|" not in self.row_label)
+        return n is None or n >= 2
 
 
 def _p2(label, params, code, equation):
@@ -136,12 +150,8 @@ _RDP_ROWS: list[tuple] = [
 ]
 
 
-def _family_of_label(label: str) -> str:
-    return label.split(" ")[0] if label.startswith("A_n") else label
-
-
 TABLE_ROWS: tuple[FamilySpec, ...] = tuple(
-    FamilySpec(_family_of_label(label), label, constraint, equation,
+    FamilySpec(label.split(" ")[0], label, constraint, equation,
                tuple(params), _rec(code))
     for (label, constraint, params, code, equation) in _RDP_ROWS)
 
@@ -150,41 +160,14 @@ class InadmissibleParameterError(ValueError):
     pass
 
 
-def _rows_for(family: str, p: int) -> list[FamilySpec]:
-    rows = [row for row in TABLE_ROWS
-            if row.family == family and row.admits_p(p)]
-    if not rows:
-        raise InadmissibleParameterError(
-            f"family {family!r} has no table row at p={p}")
-    return rows
-
-
-def _validate_params(row: FamilySpec, n: int | None, r: int | None):
-    if "n" in row.param_names:
-        if n is None:
-            raise InadmissibleParameterError(
-                f"family {row.family!r} requires parameter n")
-        low = 1 if row.family == "A_n" else 2
-        if row.family in ("D_2n^r", "D_2n+1^r"):
-            low = 3
-        if n < low:
-            raise InadmissibleParameterError(
-                f"family {row.family!r} requires n >= {low}, got {n}")
-    if "r" in row.param_names:
-        if r is None:
-            raise InadmissibleParameterError(
-                f"family {row.family!r} requires parameter r")
-        if not 1 <= r <= n - 2:
-            raise InadmissibleParameterError(
-                f"family {row.family!r} requires 1 <= r <= n-2, got r={r}")
-
-
 def make_rdp(family: str, p: int, n: int | None = None,
              r: int | None = None) -> Poly:
-    """The table equation of the given family at characteristic p."""
-    rows = _rows_for(family, p)
-    _validate_params(rows[0], n, r)
-    return rows[0].equation(*PolyRing(RDP_VARIABLES, p).gens(), n, r)
+    """The equation of the table row of `family` that admits (p, n, r)."""
+    for row in TABLE_ROWS:
+        if row.family == family and row.admits(p, n, r):
+            return row.equation(*PolyRing(RDP_VARIABLES, p).gens(), n, r)
+    raise InadmissibleParameterError(
+        f"no table row of family {family!r} takes p={p}, n={n}, r={r}")
 
 
 def make_cusp_hypersurface(p: int, a: int, b: int, c: int,
@@ -247,34 +230,20 @@ class TableInstance:
 
 
 def enumerate_table_rows(n_max: int = 8) -> Iterator[TableInstance]:
-    """Deterministic enumeration of every table row instantiated over the
-    requested parameter bound, at each prime of {2, 3, 5, 7} that its
-    constraint admits: A_n at n = 1..n_max split by the divisibility
-    predicate, D families at n = 2..n_max, the fixed-characteristic rows
-    once per row.
-    """
+    """Every table row at each prime of {2, 3, 5, 7} and each parameter
+    choice with n <= n_max that its rule admits, in row order, then prime
+    order, then (n, r) order."""
+    ns = range(1, n_max + 1)
+    # the candidates for a row with 0, 1 or 2 parameters
+    candidates = ([(None, None)], [(n, None) for n in ns],
+                  [(n, r) for n in ns for r in range(1, n)])
     for row in TABLE_ROWS:
-        for p in filter(row.admits_p, (2, 3, 5, 7)):
-            for params in _param_instances(row, p, n_max):
-                kwargs = dict(params)
-                poly = make_rdp(row.family, p, **kwargs)
-                yield TableInstance(row, p, tuple(params), poly, row.expected)
-
-
-def _param_instances(row: FamilySpec, p: int, n_max: int):
-    if not row.param_names:
-        yield ()
-        return
-    if row.family == "A_n":
-        divides_wanted = "!|" not in row.row_label
-        for n in range(1, n_max + 1):
-            if ((n + 1) % p == 0) == divides_wanted:
-                yield (("n", n),)
-        return
-    if "r" in row.param_names:
-        for n in range(3, n_max + 1):
-            for r in range(1, n - 1):
-                yield (("n", n), ("r", r))
-        return
-    for n in range(2, n_max + 1):
-        yield (("n", n),)
+        for p in (2, 3, 5, 7):
+            admitted = [(n, r) for n, r in candidates[len(row.param_names)]
+                        if row.admits(p, n, r)]
+            if not admitted:
+                continue
+            gens = PolyRing(RDP_VARIABLES, p).gens()
+            for n, r in admitted:
+                yield TableInstance(row, p, tuple(zip(row.param_names, (n, r))),
+                                    row.equation(*gens, n, r), row.expected)

@@ -64,6 +64,36 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked_int(ok, message: str):
+    """The type of an int flag: an integer `value` with `ok(value)`, else
+    `message` formatted with it."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+    return parse
+
+
+def _at_least(low: int):
+    return _checked_int(lambda value: value >= low, f"must be at least {low}")
+
+
+# classify's `--p`, and each entry of a sweep's
+_prime = _checked_int(is_prime, "{} is not prime")
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """classify's `--vars`: comma-separated names, at least one."""
+    names = tuple(v.strip() for v in text.split(",") if v.strip())
+    if not names:
+        raise argparse.ArgumentTypeError("must name at least one variable")
+    return names
+
+
 def _primes(text: str) -> tuple[int, ...]:
     """A sweep's `--p`: one prime or a comma-separated list of distinct
     primes."""
@@ -73,10 +103,7 @@ def _primes(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad prime list {text!r}")
     if not primes or len(set(primes)) != len(primes):
         raise argparse.ArgumentTypeError("must list distinct primes")
-    for q in primes:
-        if not is_prime(q):
-            raise argparse.ArgumentTypeError(f"{q} is not prime")
-    return primes
+    return tuple(_prime(str(q)) for q in primes)
 
 
 def _build_parser() -> _Parser:
@@ -91,17 +118,18 @@ def _build_parser() -> _Parser:
                         choices=("text", "json", "csv", "md"))
 
     sp = sub.add_parser("classify", help="classify ad-hoc equations")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--vars", required=True,
+    sp.add_argument("--p", type=_prime, required=True)
+    sp.add_argument("--vars", type=_names, required=True,
                     help="comma-separated variable names")
     sp.add_argument("--poly", action="append", required=True,
                     help="equation text; repeat for a complete intersection")
     sp.add_argument("--certificates", action="store_true")
-    sp.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    sp.add_argument("--max-degree", type=_at_least(1),
+                    default=DEFAULT_MAX_DEGREE)
     output(sp)
 
     sp = sub.add_parser("table", help="reproduce the RDP table")
-    sp.add_argument("--n-max", type=int, default=8)
+    sp.add_argument("--n-max", type=_at_least(1), default=8)
     sp.add_argument("--check", action="store_true",
                     help="compare with the expected columns; exit nonzero "
                          "on any mismatch")
@@ -111,42 +139,18 @@ def _build_parser() -> _Parser:
     sp.add_argument("family", choices=tuple(SWEEP_FAMILIES))
     sp.add_argument("--p", dest="primes", type=_primes, required=True,
                     help="a prime or comma-separated distinct primes")
-    sp.add_argument("--max", type=int, required=True,
+    sp.add_argument("--max", type=_at_least(2), required=True,
                     help="upper bound for all exponents")
     sp.add_argument("--resume", action="store_true",
                     help="skip tuples up to the cursor file")
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    sp.add_argument("--jobs", type=_at_least(1), default=1)
+    sp.add_argument("--max-degree", type=_at_least(1),
+                    default=DEFAULT_MAX_DEGREE)
     output(sp)
 
     sp = sub.add_parser("identity", help="verify the closed-form identities")
-    sp.add_argument("--n-max", type=int, default=10)
+    sp.add_argument("--n-max", type=_at_least(2), default=10)
     return parser
-
-
-def _validate(args) -> None:
-    """Check the parsed flags before any computation, and normalize
-    classify's `vars` in place to a tuple of names."""
-    if "max_degree" in args and args.max_degree < 1:
-        raise UsageError("--max-degree must be positive")
-
-    if args.command == "classify":
-        if not is_prime(args.p):
-            raise UsageError(f"{args.p} is not prime")
-        args.vars = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-        if not args.vars:
-            raise UsageError("--vars must name at least one variable")
-    elif args.command == "table":
-        if args.n_max < 1:
-            raise UsageError("--n-max must be at least 1")
-    elif args.command == "sweep":
-        if args.jobs < 1:
-            raise UsageError("--jobs must be at least 1")
-        if args.max < 2:
-            raise UsageError("sweep needs --max >= 2")
-    elif args.command == "identity":
-        if args.n_max < 2:
-            raise UsageError("--n-max must be at least 2")
 
 
 # --------------------------------------------------------------------- classify
@@ -427,7 +431,6 @@ _COMMANDS = {"classify": _cmd_classify, "table": _cmd_table,
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _validate(args)
         return _COMMANDS[args.command](args, sys.stdout)
     except DegreeGuardError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

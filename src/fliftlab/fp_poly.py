@@ -439,17 +439,19 @@ def dot(left: Sequence[Poly], right: Sequence[Poly]) -> Poly:
     return _unpack(ring, out, packing)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()])")
+
+# deeper parentheses are a ParseError rather than a RecursionError
+_MAX_NESTING = 100
 
 
 class _Parser:
     def __init__(self, source: str, ring: PolyRing):
-        self.source = source
         self.ring = ring
+        self.depth = 0
         self.tokens: list[tuple[str, str, int]] = []
         pos = 0
-        n = len(source)
-        while pos < n:
+        while pos < len(source):
             if source[pos].isspace():
                 pos += 1
                 continue
@@ -457,13 +459,8 @@ class _Parser:
             if m is None:
                 raise ParseError(f"unexpected character {source[pos]!r}", pos)
             num, name, op = m.groups()
-            start = m.end() - len(m.group().lstrip())
-            if num is not None:
-                self.tokens.append(("int", num, start))
-            elif name is not None:
-                self.tokens.append(("name", name, start))
-            else:
-                self.tokens.append((op, op, start))
+            kind = "int" if num else "name" if name else op
+            self.tokens.append((kind, m.group(), pos))
             pos = m.end()
         self.tokens.append(("end", "", len(source)))
         self.i = 0
@@ -504,10 +501,11 @@ class _Parser:
         return value
 
     def factor(self) -> Poly:
-        if self.peek()[0] == "-":
+        negate = False
+        while self.peek()[0] == "-":
             self.advance()
-            return -self.factor()
-        return self.power()
+            negate = not negate
+        return -self.power() if negate else self.power()
 
     def power(self) -> Poly:
         base = self.atom()
@@ -534,7 +532,11 @@ class _Parser:
                 raise UnknownVariableError(f"unknown identifier {text!r}", pos)
             return self.ring.variable(text)
         if kind == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError("parentheses nested too deeply", pos)
             value = self.expr()
+            self.depth -= 1
             kind, text, pos = self.advance()
             if kind != ")":
                 raise ParseError(f"expected ')', found {text!r}", pos)

@@ -36,6 +36,40 @@ def test_make_rdp_inadmissible():
         make_rdp("Z_9", 3)
     with pytest.raises(InadmissibleParameterError):
         make_rdp("E_6", 3)  # row requires p > 3
+    # a parameter the row does not take is refused, not dropped
+    for family, p, params in (("E_6", 5, dict(n=3)),
+                              ("D_2n^0", 2, dict(n=3, r=1))):
+        with pytest.raises(InadmissibleParameterError) as err:
+            make_rdp(family, p, **params)
+        message = str(err.value)
+        assert repr(family) in message and f"p={p}" in message, message
+        for name, value in params.items():
+            assert f"{name}={value}" in message, message
+
+
+def test_make_rdp_takes_exactly_what_the_table_lists():
+    # one rule per row decides both: make_rdp succeeds on (family, p, n, r)
+    # exactly when enumerate_table_rows lists it, with the same polynomial
+    listed = {}
+    for inst in enumerate_table_rows(9):
+        params = dict(inst.params)
+        key = (inst.row.family, inst.p, params.get("n"), params.get("r"))
+        assert key not in listed, key
+        listed[key] = inst.poly
+    seen = set()
+    for family in dict.fromkeys(row.family for row in TABLE_ROWS):
+        for p in (2, 3, 5, 7):
+            for n in (None, *range(10)):
+                for r in (None, *range(10 if n is None else n + 1)):
+                    key = (family, p, n, r)
+                    try:
+                        f = make_rdp(family, p, n=n, r=r)
+                    except InadmissibleParameterError:
+                        assert key not in listed, key
+                        continue
+                    assert key in listed and listed[key] == f, key
+                    seen.add(key)
+    assert seen == set(listed)
 
 
 def test_equation_depends_on_characteristic_row():

@@ -122,6 +122,40 @@ def test_usage_errors_exit_1(capsys):
         assert code == EXIT_INPUT and "unrecognized arguments" in err, argv
 
 
+def test_each_flag_is_checked_by_its_type(capsys):
+    # a value of the wrong type or below its flag's range stops the command
+    # while parsing, with the flag named
+    classify = ("classify", "--vars", "x", "--poly", "x")
+    sweep = ("sweep", "cusp_hyp", "--p", "2")
+    for argv, flag in (
+            ((*sweep, "--max", "4", "--jobs", "x"), "--jobs"),
+            ((*classify, "--p", "5", "--max-degree", "x"), "--max-degree"),
+            ((*sweep, "--max", "4", "--max-degree", "x"), "--max-degree"),
+            ((*sweep, "--max", "x"), "--max"),
+            ((*sweep, "--max", "1"), "--max"),
+            (("table", "--n-max", "x"), "--n-max"),
+            (("identity", "--n-max", "x"), "--n-max"),
+            ((*classify, "--p", "x"), "--p")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT and not out, argv
+        assert f"argument {flag}:" in err, (argv, err)
+    code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2,x",
+                             "--max", "4")
+    assert code == EXIT_INPUT and "bad prime list" in err and not out
+
+
+def test_deep_input_is_a_parse_error_or_parses(capsys):
+    nested = "(" * 3000 + "x" + ")" * 3000
+    code, out, err = run_cli(capsys, "classify", "--p", "2", "--vars",
+                             "x,y,z", "--poly", nested)
+    assert code == EXIT_INPUT and not out
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+    code, out, err = run_cli(capsys, "classify", "--p", "2", "--vars",
+                             "x,y,z", "--poly=" + "-" * 3000 + "x")
+    assert code == EXIT_OK and "generator     : x\n" in out and not err
+
+
 def test_verdict_not_liftable_is_exit_0(capsys):
     code, out, _ = run_cli(capsys, "classify", "--p", "2", "--vars", "x,y,z",
                            "--poly", "z^2+x^2*y+x*y^3")

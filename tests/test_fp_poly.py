@@ -63,6 +63,22 @@ def test_parse_error_position():
     assert err.value.position == 4
 
 
+def test_deep_input_parses_or_is_a_parse_error():
+    # a chain of unary minus signs is a loop, not a recursion, so it parses
+    # at any length; deep parentheses are a ParseError at an open one
+    ring = PolyRing(["x"], 5)
+    x = ring.variable(0)
+    assert ring.parse("-" * 3000 + "x") == x
+    assert ring.parse("-" * 3001 + "x") == -x
+    assert ring.parse("--(-x)") == -x
+    assert ring.parse("(" * 50 + "x" + ")" * 50) == x
+    text = "(" * 3000 + "x" + ")" * 3000
+    with pytest.raises(ParseError) as err:
+        ring.parse(text)
+    assert "nested too deeply" in str(err.value)
+    assert text[err.value.position] == "("
+
+
 def test_multiplication_must_be_explicit():
     with pytest.raises(UnknownVariableError):
         PolyRing(["x", "y"], 3).parse("xy")
