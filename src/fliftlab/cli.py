@@ -27,7 +27,7 @@ from .catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
                       make_cusp_hypersurface, make_rdp)
 from .criteria import classify as _classify_gens
 from .fp_poly import (DEFAULT_MAX_DEGREE, DegreeGuardError, FpPolyError,
-                      PolyRing, format_poly, is_prime)
+                      PolyRing, check_prime, check_variables, format_poly)
 from .report import (SCHEMA_VERSION, csv_table, json_text, markdown_table,
                      report_text, report_to_dict, sweep_text, text_table)
 
@@ -64,34 +64,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _checked_int(ok, message: str):
-    """The type of an int flag: an integer `value` with `ok(value)`, else
-    `message` formatted with it."""
-    def parse(text: str) -> int:
+def _typed(rule, convert=int):
+    """The type of a flag: its text converted, by default to an int,
+    then passed by `rule`, whose ValueError becomes the flag's error."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if not ok(value):
-            raise argparse.ArgumentTypeError(message.format(value))
-        return value
+        try:
+            return rule(value)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
     return parse
 
 
 def _at_least(low: int):
-    return _checked_int(lambda value: value >= low, f"must be at least {low}")
+    def rule(value: int) -> int:
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+    return _typed(rule)
 
 
-# classify's `--p`, and each entry of a sweep's
-_prime = _checked_int(is_prime, "{} is not prime")
-
-
-def _names(text: str) -> tuple[str, ...]:
-    """classify's `--vars`: comma-separated names, at least one."""
-    names = tuple(v.strip() for v in text.split(",") if v.strip())
-    if not names:
-        raise argparse.ArgumentTypeError("must name at least one variable")
-    return names
+# classify's `--p`, and each entry of a sweep's; classify's `--vars`, as
+# comma-separated names, which `PolyRing`'s rules check in both
+_prime = _typed(check_prime)
+_names = _typed(check_variables, lambda text: [
+    v.strip() for v in text.split(",") if v.strip()])
 
 
 def _primes(text: str) -> tuple[int, ...]:

@@ -12,7 +12,10 @@ columns (df_i/dx_k)_i.  The screen reads the singular locus off the
 support of R^m/N.  The input is F-liftable iff the vector (r_1..r_m)
 lies in N^[p] + (f_j e_i), the span of the gradient-power columns
 ((df_i/dx_k)^p)_i and the f_j e_i, which encodes the shared-cofactor
-condition; for m = 1 that is r in (f) + J^[p].
+condition; for m = 1 that is r in (f) + J^[p].  The engine
+(`groebner.seeded_membership`) decides it and builds its certificate,
+and this module only re-checks that certificate in `fp_poly`
+arithmetic; it reads no packed layout.
 
 The screen decides only what every verdict needs: whether N = R^m
 (smooth) and whether R^m/N is finite-dimensional (else not_isolated).
@@ -28,8 +31,7 @@ import time
 from operator import mul
 from typing import Sequence
 
-from .fp_poly import (DegreeGuardError, Poly, _add_product, dot,
-                      format_poly, grevlex_key)
+from .fp_poly import Poly, dot, format_poly, grevlex_key
 from .groebner import (GREVLEX, GroebnerBasis, MonomialOrder,
                        is_zero_dimensional, jacobian_module,
                        seeded_membership, supported_only_at_origin)
@@ -110,69 +112,31 @@ def residual_polynomial(f: Poly) -> Poly:
 
 def _residual_membership(residuals: Sequence[dict], screen: GroebnerBasis,
                          want_cofactors: bool, split: SplittingData):
-    """Decide (r_1..r_m) in N^[p] + (f_j e_i), N the screen's submodule,
-    for r_i packed in the screen layout's `fields`; returns (member,
-    remainder coordinates, cofactors).
+    """Decide (r_1..r_m) in N^[p] + (f_j e_i), N the screen's submodule;
+    returns (member, remainder coordinates, cofactors).
 
-    `seeded_membership` seeds Buchberger with the p-th powers of N's
-    reduced basis, a basis of N^[p], followed by the f_j e_i, taken as the
-    screen packed them, and stops at the residual's first zero remainder;
-    a nonmember's run completes and leaves the residual's (unique) normal
-    form.  Certified or not, the route is the same; `track` only records
-    how.  Cofactors run over the f_j e_i by (i, j), then w_1..w_n,
-    w_k = ((df_i/dx_k)^p)_i; they need `screen` built with track=True.
-    The seed's cofactors come from the membership run, and the part on
-    N^[p] maps back to N's generators by a Frobenius-twisted backward pass
-    over the screen's trace (see `GroebnerBasis.expand_packed`).  They
-    stay packed in the screen's layout until each final cofactor is
-    decoded once.  `split` is that of the generators, built in the
-    screen's fields: its `powers`, each f_j^(p-1) mod p^2, give the
-    cofactors of the (f_j e_i)^[p] without forming or decoding a power
-    again.
-
-    The certificate is re-checked before it is returned, from the input
-    generators alone and in `fp_poly` arithmetic, which shares nothing
-    with the engine's packing: the columns are recomputed with
-    `Poly.derivative` and `Poly.frobenius`, and each coordinate's
-    sum(c_t * column_t) is one `dot`.
+    `groebner.seeded_membership` decides and certifies: it takes the
+    residuals r_i and the split's `powers`, each f_j^(p-1), packed in the
+    screen's `fields`, in which `split` is built, and returns Polys, the
+    cofactors (with `want_cofactors`, for a member) over the f_j e_i by
+    (i, j), then w_1..w_n, w_k = ((df_i/dx_k)^p)_i.  This function only
+    re-checks them, from the input generators alone and in `fp_poly`
+    arithmetic, which shares nothing with the engine's packing: the
+    columns are recomputed with `Poly.derivative` and `Poly.frobenius`,
+    and each coordinate's sum(c_t * column_t) is one `dot`.
     """
-    gens = split.gens
-    ring = gens[0].ring
-    m = len(gens)
-    known = len(screen)
-    rem, seed_cof = seeded_membership(residuals, screen,
-                                      track=want_cofactors)
-    if seed_cof is None:
-        return rem.is_zero(), rem.coordinates, None
-    # a seed element g^[p] with g = sum(c_t * N_t) over N's generators is
-    # sum(c_t^p * N_t^[p]), where w_k is the p-th power of a Jacobian
-    # column and (f_j e_i)^[p] = f_j^(p-1) * (f_j e_i)
-    twisted = screen.expand_packed(seed_cof[:known], frobenius=True)
-    f_pow = [{screen._layout._prefixed(k): r for k, c in power.items()
-              if (r := c % ring.p)} for power in split.powers]
-    cofactors = [screen.unpack(_plus_product(screen, c, t, f_pow[k % m]))
-                 for k, (c, t) in enumerate(zip(seed_cof[known:], twisted))]
-    cofactors += map(screen.unpack, twisted[m * m:])
+    gens, m = split.gens, len(split.gens)
+    rem, cofactors = seeded_membership(residuals, screen, split.powers,
+                                       track=want_cofactors)
+    if cofactors is None:
+        return all(r.is_zero() for r in rem), rem, None
     columns = [[f.derivative(v).frobenius() for f in gens]
-               for v in range(ring.nvars)]
+               for v in range(gens[0].ring.nvars)]
     for i, r in enumerate(residuals):
         if dot(cofactors[i * m:i * m + m] + cofactors[m * m:],
-               list(gens) + [w[i] for w in columns]) != screen.unpack(r):
+               list(gens) + [w[i] for w in columns]) != split.unpack(r):
             raise RuntimeError("residual certificate failed re-expansion")
-    return True, rem.coordinates, tuple(cofactors)
-
-
-def _plus_product(screen: GroebnerBasis, c: dict, t: dict, f: dict) -> dict:
-    """c + t * f for packed shift terms c, t and f in the screen's layout,
-    coefficients unreduced; raises DegreeGuardError where the Poly
-    product of t and f would, on the packed degrees."""
-    out = dict(c)
-    if t and f:
-        degree = screen._layout.degree
-        DegreeGuardError.check(max(map(degree, t)) + max(map(degree, f)),
-                               screen.ring.max_degree, "product")
-        _add_product(out, f.items(), t.items())
-    return out
+    return True, rem, cofactors
 
 
 def _decision_order(gens: Sequence[Poly]) -> MonomialOrder:
@@ -260,7 +224,7 @@ def classify(gens: Sequence[Poly], *,
         return report(NOT_ISOLATED, None, None, False)
 
     t = time.perf_counter()
-    split = build_splitting(gens, screen._layout.fields)
+    split = build_splitting(gens, screen.fields)
     timings["fedder"] = _ms_since(t)
     if not split.fpure_at_origin:
         return report("classified", False, False, True,

@@ -80,6 +80,31 @@ def is_prime(n: int) -> bool:
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
+
+# The rules of a ring's ambient, which `PolyRing` and the command line's
+# flag types both apply; each raises a ValueError that says what is wrong.
+def check_prime(p: int) -> int:
+    """p, a prime below 2^31."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+    if p >= 2**31:
+        raise NotPrimeError(f"{p} is not a prime in [2, 2^31)")
+    return p
+
+
+def check_variables(variables: Iterable[str]) -> tuple[str, ...]:
+    """The names as a tuple: identifiers, at least one, all distinct."""
+    variables = tuple(variables)
+    if not variables:
+        raise ValueError("at least one variable is required")
+    for v in variables:
+        if not _IDENT_RE.match(v):
+            raise ValueError(f"invalid variable name: {v!r}")
+    if len(set(variables)) != len(variables):
+        raise ValueError("variable names must be distinct")
+    return variables
+
+
 DEFAULT_MAX_DEGREE = 10_000
 
 
@@ -98,25 +123,13 @@ class PolyRing:
     __slots__ = ("variables", "p", "max_degree", "_index", "_zero_mono")
 
     def __init__(self, variables: Iterable[str], p: int, max_degree: int = DEFAULT_MAX_DEGREE):
-        variables = tuple(variables)
-        if not variables:
-            raise ValueError("at least one variable is required")
-        for v in variables:
-            if not _IDENT_RE.match(v):
-                raise ValueError(f"invalid variable name: {v!r}")
-        if len(set(variables)) != len(variables):
-            raise ValueError("variable names must be distinct")
-        if not isinstance(p, int) or p < 2 or p >= 2**31:
-            raise NotPrimeError(f"{p} is not a prime in [2, 2^31)")
-        if not is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
+        self.variables = check_variables(variables)
+        self.p = check_prime(p)
         if max_degree < 1:
             raise ValueError("max_degree must be positive")
-        self.variables = variables
-        self.p = p
         self.max_degree = max_degree
-        self._index = {v: i for i, v in enumerate(variables)}
-        self._zero_mono = (0,) * len(variables)
+        self._index = {v: i for i, v in enumerate(self.variables)}
+        self._zero_mono = (0,) * len(self.variables)
 
     @property
     def nvars(self) -> int:

@@ -330,7 +330,7 @@ class GroebnerBasis:
     access; the leads are exponent tuples, after s position slots when
     s > 1.  The `trace`, when present (track=True), is (steps,
     roots): how the engine formed each element from `original_generators`,
-    which `expand_packed` turns into cofactors (see `_expand`); roots[i]
+    which `_expand` turns into cofactors; roots[i]
     is the node of generators[i], and node t is original_generators[t]
     itself, its step empty.  Every reduction against the reducers
     shares one divisor memo (see `_reduce_full`).
@@ -394,31 +394,10 @@ class GroebnerBasis:
             coords[t.index(1)][t[self._slots:]] = c
         return ModuleVector([Poly._make(ring, d) for d in coords])
 
-    # A coefficient of the span, such as a quotient or a cofactor, as
-    # packed shift terms (slots all 0) in the basis's layout, and back.
-    def pack(self, poly: Poly) -> dict:
-        layout, zero = self._layout, (0,) * self._slots
-        return {layout.enc(zero + m): c for m, c in poly.terms.items()}
-
-    def unpack(self, terms: dict) -> Poly:
-        return _unpack(self.ring, terms, self._layout.fields)
-
-    def expand_packed(self, coeffs: Sequence[dict],
-                      frobenius: bool = False) -> list[dict]:
-        """Cofactors c_t over `original_generators` of the combination
-        sum(coeffs[k] * generators[k]): sum(c_t * original_generators[t])
-        equals it.  With `frobenius`, the cofactors of
-        sum(coeffs[k] * generators[k]^[p]) over the
-        original_generators[t]^[p] instead, ^[p] the coordinate-wise p-th
-        power.  Coefficients and cofactors are packed shift terms (see
-        `pack`).  The basis must have been built with track=True.
-        """
-        if self.trace is None:
-            raise ValueError("expanding needs a basis built with track=True")
-        steps, roots = self.trace
-        return _expand(steps, list(zip(roots, coeffs)),
-                       len(self._originals),
-                       self._layout, self.ring, frobenius)
+    @property
+    def fields(self) -> tuple:
+        """The exponent fields of the layout, as an `fp_poly._packing`."""
+        return self._layout.fields
 
 
 def _expand(steps: list, seeds: list, ngens: int, layout: _Layout,
@@ -810,8 +789,8 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX, *,
 
     `known_gb_prefix` marks the first k generators as a Groebner basis of
     the subideal they generate, so their mutual S-pairs are skipped.
-    With `track=True` the basis records how each element was formed, and
-    `expand_packed` expresses combinations of it in the original
+    With `track=True` the basis records how each element was formed, from
+    which `_expand` expresses combinations of it in the original
     generators.  The basis decodes its generators only when they are read.
     """
     gens = tuple(gens)
@@ -976,51 +955,82 @@ def jacobian_module(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
     return GroebnerBasis(ring, m, True, order, originals, reducers, trace)
 
 
-def seeded_membership(target: Sequence[dict], screen: GroebnerBasis, *,
-                      track: bool = False
-                      ) -> tuple[ModuleVector, list[dict] | None]:
-    """Decide `target` in N^[p] + (f_j e_i), N the submodule of the
-    reduced basis `screen` of `jacobian_module` and ^[p] the
-    coordinate-wise p-th power; returns (remainder, cofactors), the
-    cofactors as packed shift terms in the screen's layout (see
-    `GroebnerBasis.pack`).
+def seeded_membership(residuals: Sequence[dict], screen: GroebnerBasis,
+                      powers: Sequence[dict], *, track: bool = False
+                      ) -> tuple[tuple[Poly, ...], tuple[Poly, ...] | None]:
+    """Decide (r_1..r_m) in N^[p] + (f_j e_i), N the submodule of the
+    reduced basis `screen` of `jacobian_module`, m its rank and ^[p] the
+    coordinate-wise p-th power; returns (remainder, cofactors): the
+    remainder's m coordinates and the cofactors, as Polys, over the
+    f_j e_i by (i, j), then w_1..w_n, w_k = ((df_i/dx_k)^p)_i.  The
+    cofactors are None unless `track` is set (`screen` built with it
+    too) and the remainder is 0.  The residuals r_i and `powers`, each
+    f_j^(p-1) mod p^2 as `SplittingData.powers` holds it, come packed in
+    the screen's `fields` within the guard.
 
-    `target` is the vector's coordinates packed in the layout's `fields`
-    within the guard, completed here by `_prefixed` and the slot.  The
-    f_j e_i are the screen's first m^2 original generators, m its rank,
-    taken as the screen's run prepared them, never decoded, checked or
-    prepared again.  The p-th powers of the screen's elements form a
-    Groebner basis of N^[p] (leading terms go to p-th powers); they are
-    made from the screen's packed reducers (see `_frobenius_reducers`)
-    and followed by the f_j e_i.  The target is divided by that seed
-    first, and a zero remainder proves membership at once.  Else
-    Buchberger runs on the same prepared seed, with N^[p] as a known
-    prefix, and carries the remainder as its target (see `_groebner`):
-    the remainder is 0 as soon as the run proves membership, else the
-    target's normal form on the completed module.  No basis is
-    interreduced or decoded.  With track=True and a zero remainder,
-    cofactors c_t with target = sum(c_t * seed[t]) come from the
-    division's quotients plus the run's own, by one backward pass over
-    the run's steps, down to node t, seed[t] itself; else None.
+    The p-th powers of the screen's elements, made from its packed
+    reducers (see `_frobenius_reducers`), form a Groebner basis of N^[p]
+    (leading terms go to p-th powers); the seed is those powers, then
+    the f_j e_i, the screen's first m^2 original generators as its run
+    prepared them.  The target is divided by that seed first, and a zero
+    remainder proves membership at once.  Else Buchberger runs on the
+    same seed, with N^[p] as a known prefix, and carries the remainder
+    as its target (see `_groebner`): it is 0 as soon as the run proves
+    membership, else the target's normal form.  No basis is
+    interreduced or decoded.  The seed's cofactors are the division's
+    quotients plus the run's own, by one backward pass over the run's
+    steps.  A seed element g^[p] with g = sum(c_t * N_t) over N's
+    original generators is sum(c_t^p * N_t^[p]), which a
+    Frobenius-twisted pass over the screen's trace gives; a w_k is the
+    N_t^[p] of a Jacobian column, and (f_j e_i)^[p] = f_j^(p-1) * f_j e_i
+    adds f_j^(p-1) times its cofactor to that of f_j e_i (`_plus_product`).
+    Each cofactor stays packed until it is final and decoded once.
     """
-    ring, layout, p = screen.ring, screen._layout, screen.ring.p
-    target = {layout._prefixed(k) + slot: c for slot, terms in
-              zip(layout.units[:layout.slots] or [0], target)
+    if track and screen.trace is None:
+        raise ValueError("certifying needs a screen built with track=True")
+    ring, layout, m = screen.ring, screen._layout, screen.size
+    p, slots = ring.p, layout.units[:layout.slots] or [0]
+    target = {layout._prefixed(k) + slot: c
+              for slot, terms in zip(slots, residuals)
               for k, c in terms.items()}
     reducers = _frobenius_reducers(screen._reducers, layout, p)
     known = len(reducers)
-    reducers += screen._originals[:screen.size ** 2]
+    reducers += screen._originals[:m * m]
     quotients = defaultdict(dict) if track else None
     rem = _reduce_full(target, reducers, p, layout, quotients)
     trace = None
     if rem:
         rem, trace = _groebner(reducers, ring, layout, track, known, rem)
-    cofactors = None
-    if track and not rem:
-        steps, seeds = trace or ([[] for _ in reducers], [])
-        cofactors = _expand(steps, [*quotients.items(), *seeds],
-                            len(reducers), layout, ring)
-    return screen._decode(rem, ring), cofactors
+    remainder = tuple(_unpack(ring, {k: c for k, c in rem.items()
+                                     if k & layout.slot_mask == slot},
+                              layout.fields) for slot in slots)
+    if not track or rem:
+        return remainder, None
+    steps, seeds = trace or ([[] for _ in reducers], [])
+    seed_cof = _expand(steps, [*quotients.items(), *seeds], len(reducers),
+                       layout, ring)
+    screen_steps, roots = screen.trace
+    twisted = _expand(screen_steps, list(zip(roots, seed_cof[:known])),
+                      len(screen._originals), layout, ring, frobenius=True)
+    f_pow = [{layout._prefixed(k): r for k, c in power.items()
+              if (r := c % p)} for power in powers]
+    cofactors = [_plus_product(screen, c, t, f_pow[k % m])
+                 for k, (c, t) in enumerate(zip(seed_cof[known:], twisted))]
+    return remainder, tuple(_unpack(ring, c, layout.fields)
+                            for c in cofactors + twisted[m * m:])
+
+
+def _plus_product(screen: GroebnerBasis, c: dict, t: dict, f: dict) -> dict:
+    """c + t * f for packed shift terms c, t and f in the screen's layout,
+    coefficients unreduced; raises DegreeGuardError where the Poly
+    product of t and f would, on the packed degrees."""
+    out = dict(c)
+    if t and f:
+        degree = screen._layout.degree
+        DegreeGuardError.check(max(map(degree, t)) + max(map(degree, f)),
+                               screen.ring.max_degree, "product")
+        _add_product(out, f.items(), t.items())
+    return out
 
 
 # No pipeline code calls these aliases: the screen and the membership

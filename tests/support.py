@@ -19,13 +19,13 @@ from operator import mul
 
 import numpy as np
 
-from fliftlab.fp_poly import (DegreeGuardError, Poly, PolyRing, dot,
-                              grevlex_key)
+from fliftlab.fp_poly import (DegreeGuardError, Poly, PolyRing, _unpack,
+                              dot, grevlex_key)
 from fliftlab.frobsplit import SplittingData, frobenius_decompose
 from fliftlab.groebner import (GroebnerBasis, ModuleVector, MonomialOrder,
-                               _coordinates, _packed, _prep_reducer,
-                               _reduce_full, _shared_layout, _spair_terms,
-                               normal_form_with_cofactors)
+                               _coordinates, _expand, _packed,
+                               _prep_reducer, _reduce_full, _shared_layout,
+                               _spair_terms, normal_form_with_cofactors)
 
 
 def order_key(order: MonomialOrder, mono: tuple[int, ...]) -> tuple:
@@ -218,10 +218,31 @@ def verify_buchberger(basis: GroebnerBasis) -> bool:
     return True
 
 
+def pack(basis: GroebnerBasis, poly: Poly) -> dict:
+    """A coefficient of the span, such as a quotient or a cofactor, as
+    packed shift terms (slots all 0) in the basis's layout."""
+    layout, zero = basis._layout, (0,) * basis._slots
+    return {layout.enc(zero + m): c for m, c in poly.terms.items()}
+
+
+def unpack(basis: GroebnerBasis, terms: dict) -> Poly:
+    return _unpack(basis.ring, terms, basis.fields)
+
+
 def expand(basis: GroebnerBasis, coeffs, frobenius=False) -> list[Poly]:
-    """`basis.expand_packed` on Polys, in and out."""
-    return [basis.unpack(c) for c in basis.expand_packed(
-        [basis.pack(q) for q in coeffs], frobenius)]
+    """Cofactors c_t over `original_generators` of the combination
+    sum(coeffs[k] * generators[k]), by the engine's backward pass over
+    the trace (`groebner._expand`), on Polys in and out.  With
+    `frobenius`, the cofactors of sum(coeffs[k] * generators[k]^[p])
+    over the original_generators[t]^[p] instead, ^[p] the
+    coordinate-wise p-th power.  Needs a basis built with track=True."""
+    if basis.trace is None:
+        raise ValueError("expanding needs a basis built with track=True")
+    steps, roots = basis.trace
+    seeds = [(root, pack(basis, q)) for root, q in zip(roots, coeffs)]
+    return [unpack(basis, c) for c in _expand(
+        steps, seeds, len(basis._originals), basis._layout, basis.ring,
+        frobenius)]
 
 
 def cofactors(basis: GroebnerBasis, f) -> list[Poly] | None:

@@ -122,9 +122,20 @@ def test_usage_errors_exit_1(capsys):
         assert code == EXIT_INPUT and "unrecognized arguments" in err, argv
 
 
-def test_each_flag_is_checked_by_its_type(capsys):
-    # a value of the wrong type or below its flag's range stops the command
-    # while parsing, with the flag named
+def test_each_flag_is_checked_by_its_type(capsys, tmp_path, monkeypatch):
+    # a value of the wrong type or outside its flag's range stops the
+    # command while parsing, with the flag named: the prime range and the
+    # variable-name rules of `PolyRing` too, and a sweep classifies no
+    # class before its bad prime is found
+    import fliftlab.cli as cli_mod
+    workers = []
+
+    def worker(task):
+        workers.append(task)
+        return _real_sweep_worker(task)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_mod, "_sweep_worker", worker)
     classify = ("classify", "--vars", "x", "--poly", "x")
     sweep = ("sweep", "cusp_hyp", "--p", "2")
     for argv, flag in (
@@ -135,10 +146,18 @@ def test_each_flag_is_checked_by_its_type(capsys):
             ((*sweep, "--max", "1"), "--max"),
             (("table", "--n-max", "x"), "--n-max"),
             (("identity", "--n-max", "x"), "--n-max"),
-            ((*classify, "--p", "x"), "--p")):
+            ((*classify, "--p", "x"), "--p"),
+            ((*classify, "--p", "2147483659"), "--p"),
+            (("sweep", "cusp_hyp", "--p", "2,2147483659", "--max", "6"),
+             "--p"),
+            (("classify", "--p", "5", "--vars", "x,x", "--poly", "x"),
+             "--vars"),
+            (("classify", "--p", "5", "--vars", "1x", "--poly", "x"),
+             "--vars")):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_INPUT and not out, argv
         assert f"argument {flag}:" in err, (argv, err)
+    assert not workers
     code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p", "2,x",
                              "--max", "4")
     assert code == EXIT_INPUT and "bad prime list" in err and not out

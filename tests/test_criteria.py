@@ -238,7 +238,7 @@ def _residuals(gens):
 def _membership(gens, screen, certificates=False):
     """`_residual_membership` as `classify` calls it: the residuals packed
     in the screen layout's fields by the pipeline's own splitting."""
-    split = build_splitting(gens, screen._layout.fields)
+    split = build_splitting(gens, screen.fields)
     residuals = [lift_and_residual(split, j)[1] for j in range(len(gens))]
     return _residual_membership(residuals, screen, certificates, split)
 
@@ -335,10 +335,11 @@ def test_packed_seed_is_the_frobenius_of_the_screen():
                     want = None
                 assert (want is None) == (guard < p * deg)
                 if want is None:
-                    units = screen._layout.fields[1]
+                    # an untracked run reads no f_j^(p-1)
+                    units = screen.fields[1]
                     with pytest.raises(DegreeGuardError):
                         seeded_membership([dict(_pack(f.terms, units))
-                                           for f in moved], screen)
+                                           for f in moved], screen, ())
                     continue
                 assert [prepared(r) for r in _frobenius_reducers(
                     screen._reducers, screen._layout, p)] == want
@@ -367,19 +368,15 @@ def test_certified_membership_stops_at_the_first_zero_remainder(monkeypatch):
     [make_cusp_hypersurface(3, 2, 3, 7)], make_cusp_ci(2, 2, 3, 3, 4)],
     ids=["m=1", "m=2"])
 def test_reexpansion_check_rejects_a_wrong_cofactor(monkeypatch, gens, which):
-    # one seed cofactor off by the monomial 1, on N^[p]'s first element or
-    # on the last f_j e_i, must fail the re-expansion check
+    # one final cofactor off by 1, on the first f_j e_i or on the last
+    # w_k, must fail the re-expansion check
     real = criteria.seeded_membership
 
-    def off_by_one(target, screen, **kwargs):
-        rem, cof = real(target, screen, **kwargs)
-        p = screen.ring.p
-        bad = dict(cof[which])
-        for k, c in screen.pack(screen.ring.one()).items():
-            if r := (bad.pop(k, 0) + c) % p:
-                bad[k] = r
-        cof[which] = bad
-        return rem, cof
+    def off_by_one(*args, **kwargs):
+        rem, cof = real(*args, **kwargs)
+        cof = list(cof)
+        cof[which] += cof[which].ring.one()
+        return rem, tuple(cof)
 
     assert classify(gens, certificates=True).f_liftable
     monkeypatch.setattr(criteria, "seeded_membership", off_by_one)
@@ -861,17 +858,31 @@ def test_classify_validates_what_the_packed_screen_packs():
     assert classify(gens).f_liftable
 
 
-def test_plus_product_obeys_degree_guard():
-    # c + t * f on packed terms raises where the Poly product t * f would
-    ring = PolyRing(["x", "y"], 3, 5)
-    screen = criteria._screen([ring.parse("x^2+y^3")], GREVLEX, False)[1]
-    c, f = screen.pack(ring.parse("x")), screen.pack(ring.parse("y^3"))
-    with pytest.raises(DegreeGuardError):
-        ring.parse("x^3") * ring.parse("y^3")
-    with pytest.raises(DegreeGuardError, match="exceeds guard 5"):
-        criteria._plus_product(screen, c, screen.pack(ring.parse("x^3")), f)
-    out = criteria._plus_product(screen, c, screen.pack(ring.parse("x^2")), f)
-    assert screen.unpack(out) == ring.parse("x + x^2*y^3")
+def test_classify_builds_no_module_vector(monkeypatch):
+    # the membership decodes its remainder straight to coordinates, so no
+    # verdict builds a ModuleVector: plain and certified, m = 1 and 2, the
+    # members cusp (3,3,4) at p = 5 and cusp_ci (2,3,3,4) at p = 2, and the
+    # nonmember E_8^1 at p = 5
+    built = []
+    real = ModuleVector.__init__
+
+    def counted(self, coordinates):
+        built.append(1)
+        real(self, coordinates)
+
+    monkeypatch.setattr(ModuleVector, "__init__", counted)
+    cases = [([make_cusp_hypersurface(5, 3, 3, 4)], True),
+             (make_cusp_ci(2, 2, 3, 3, 4), True),
+             ([_r(5).parse("z^2+x^3+y^5+x*y^4")], False)]
+    for gens, liftable in cases:
+        for certificates in (False, True):
+            rep = classify(gens, certificates=certificates)
+            assert (rep.f_pure, rep.f_liftable) == (True, liftable)
+            assert (rep.certificate.cofactors is not None) == (
+                certificates and liftable)
+    assert not built
+    ModuleVector([gens[0]])
+    assert len(built) == 1
 
 
 def test_uncertified_classify_forms_no_poly_product(monkeypatch):

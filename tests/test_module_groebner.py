@@ -4,17 +4,19 @@ import random
 
 import pytest
 
-from fliftlab.fp_poly import DegreeGuardError, Poly, PolyRing, _pack
+from fliftlab.fp_poly import DegreeGuardError, Poly, PolyRing, _pack, dot
+from fliftlab.frobsplit import build_splitting
 from fliftlab.groebner import (GREVLEX, ModuleVector, MonomialOrder,
-                               _position_leads, _prep_reducer, buchberger,
-                               is_zero_dimensional, jacobian_module,
-                               module_buchberger, module_normal_form,
-                               normal_form, reduce_by_generators,
-                               seeded_membership)
+                               _plus_product, _position_leads, _prep_reducer,
+                               buchberger, is_zero_dimensional,
+                               jacobian_module, module_buchberger,
+                               module_normal_form, normal_form,
+                               reduce_by_generators, seeded_membership)
 
 from support import (check_packed_layout, cofactors, combine, hand_built,
-                     is_basis, order_key, random_poly, random_nonzero_poly,
-                     unit_expansions, verify_buchberger, weighted_order)
+                     is_basis, order_key, pack, random_poly,
+                     random_nonzero_poly, unit_expansions, unpack,
+                     verify_buchberger, weighted_order)
 
 
 def _ring(p=2, names=("x", "y", "z", "w")):
@@ -144,9 +146,9 @@ def test_seeded_membership_leaves_the_normal_form_random():
     # the seeded entry returns, tracked or not, the target's normal form on
     # the full basis of N^[p] + (f_j e_i), N the submodule of a
     # `jacobian_module` screen, taken from the run itself; a tracked
-    # member's cofactors re-expand the target over the seed, the screen's
-    # p-th powers followed by its f_j e_i; they come packed in the
-    # screen's layout, and the target goes in packed in its fields
+    # member's cofactors re-expand the target by `dot` over the f_j e_i,
+    # by (i, j), then the w_k = ((df_i/dx_k)^p)_i.  The target and the
+    # split's f_j^(p-1) go in packed in the screen's fields
     rng = random.Random(4242)
     seen = set()
     for order in (GREVLEX, MonomialOrder((3, 1))):
@@ -160,9 +162,12 @@ def test_seeded_membership_leaves_the_normal_form_random():
                     if any(g.constant_term() or g.total_degree() < 2
                            for g in gens):
                         continue
+                    columns = [[f.derivative(k).frobenius() for f in gens]
+                               for k in range(ring.nvars)]
                     for track in (False, True):
                         screen = jacobian_module(gens, order, track=track)
-                        units = screen._layout.fields[1]
+                        units = screen.fields[1]
+                        powers = build_splitting(gens, screen.fields).powers
                         seed = [ModuleVector([c.frobenius() for c in g])
                                 for g in screen]
                         seed += screen.original_generators[:m * m]
@@ -175,19 +180,35 @@ def test_seeded_membership_leaves_the_normal_form_random():
                         for v in (member, other):
                             rem, cof = seeded_membership(
                                 [dict(_pack(c.terms, units)) for c in v],
-                                screen, track=track)
-                            assert rem == module_normal_form(v, gb)
-                            if track and rem.is_zero():
-                                cof = [screen.unpack(c) for c in cof]
-                                assert all(combine(cof, seed, pos) == v[pos]
-                                           for pos in range(m))
+                                screen, powers, track=track)
+                            nf = module_normal_form(v, gb)
+                            assert rem == nf.coordinates
+                            if track and nf.is_zero():
+                                assert len(cof) == m * m + ring.nvars
+                                assert all(dot(
+                                    cof[i * m:i * m + m] + cof[m * m:],
+                                    gens + [w[i] for w in columns]) == v[i]
+                                    for i in range(m))
                             else:
                                 assert cof is None
                             quick = reduce_by_generators(v, seed, order)
-                            seen.add((m, rem.is_zero(), quick.is_zero()))
+                            seen.add((m, nf.is_zero(), quick.is_zero()))
     assert seen == {(m, member, quick) for m in (1, 2)
                     for member, quick in ((True, False), (False, False),
                                           (True, True))}, seen
+
+
+def test_plus_product_obeys_degree_guard():
+    # c + t * f on packed terms raises where the Poly product t * f would
+    ring = PolyRing(["x", "y"], 3, 5)
+    screen = jacobian_module([ring.parse("x^2+y^3")])
+    c, f = pack(screen, ring.parse("x")), pack(screen, ring.parse("y^3"))
+    with pytest.raises(DegreeGuardError):
+        ring.parse("x^3") * ring.parse("y^3")
+    with pytest.raises(DegreeGuardError, match="exceeds guard 5"):
+        _plus_product(screen, c, pack(screen, ring.parse("x^3")), f)
+    out = _plus_product(screen, c, pack(screen, ring.parse("x^2")), f)
+    assert unpack(screen, out) == ring.parse("x + x^2*y^3")
 
 
 def test_verify_buchberger_on_scaled_hand_built_module_bases():

@@ -1,7 +1,8 @@
 """Package hygiene: the runtime and the scripts in tools/ stay
 stdlib-only (every module that src/fliftlab imports is in the standard
 library or is fliftlab itself), the lower modules keep their place in
-the package's import graph, every degree-guard error but three is
+the package's import graph, `criteria` reads only the public names of
+the modules it imports, every degree-guard error but three is
 raised through `DegreeGuardError.check`, and `fliftlab.__all__` lists
 each name the package has, once."""
 
@@ -66,6 +67,24 @@ LAYERS = {"fp_poly": set(), "groebner": {"fp_poly"},
 def test_lower_modules_keep_their_imports():
     for name, imports in LAYERS.items():
         assert _package_imports(SRC / f"{name}.py") == imports, name
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_criteria_reads_only_public_names_of_other_modules():
+    # the pipeline reaches the engine, the splitting and the report
+    # through their public names alone: `criteria` imports no _-prefixed
+    # name and reads no _-prefixed attribute (dunders aside); its own
+    # functions are plain names, which it may call
+    tree = ast.parse((SRC / "criteria.py").read_text())
+    found = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names
+             if _private(alias.name)]
+    found += [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and _private(node.attr)]
+    assert not found, found
 
 
 def _constructions(path: Path, name: str) -> list[str]:
