@@ -15,7 +15,7 @@ from .frobsplit import (FrobeniusDecomposition, SplittingData, apply_sigma,
 from .criteria import classify, isolated_singularity_check, residual_polynomial
 from .catalog import (ExpectedRecord, FamilySpec, TableInstance,
                       enumerate_table_rows, make_cusp_ci,
-                      make_cusp_hypersurface, make_rdp)
+                      make_cusp_hypersurface)
 from .report import (Certificate, LiftabilityReport, report_from_dict,
                      report_to_dict, report_to_json)
 
@@ -30,7 +30,7 @@ __all__ = [
     "buchberger", "build_splitting", "classify", "delta1",
     "enumerate_table_rows", "format_poly",
     "frobenius_decompose", "isolated_singularity_check", "is_zero_dimensional",
-    "make_cusp_ci", "make_cusp_hypersurface", "make_rdp", "module_buchberger",
+    "make_cusp_ci", "make_cusp_hypersurface", "module_buchberger",
     "normal_form", "quotient_dimension", "report_from_dict",
     "report_to_dict", "report_to_json", "residual_polynomial",
     "supported_only_at_origin",

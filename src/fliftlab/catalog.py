@@ -226,7 +226,10 @@ class TableInstance:
     p: int
     params: tuple[tuple[str, int], ...]
     poly: Poly
-    expected: ExpectedRecord
+
+    @property
+    def expected(self) -> ExpectedRecord:
+        return self.row.expected
 
 
 def enumerate_table_rows(n_max: int = 8) -> Iterator[TableInstance]:
@@ -246,4 +249,4 @@ def enumerate_table_rows(n_max: int = 8) -> Iterator[TableInstance]:
             gens = PolyRing(RDP_VARIABLES, p).gens()
             for n, r in admitted:
                 yield TableInstance(row, p, tuple(zip(row.param_names, (n, r))),
-                                    row.equation(*gens, n, r), row.expected)
+                                    row.equation(*gens, n, r))

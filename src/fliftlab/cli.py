@@ -1,12 +1,10 @@
-"""Command-line front end.
-
-Commands: classify ad-hoc equations, reproduce the rational-double-point
-table, run cusp parameter sweeps, and verify the closed-form identities.
-Output formats: text, json, csv, md.
+"""Command-line front end: classify ad-hoc equations, reproduce the
+rational-double-point table, and run cusp parameter sweeps, writing text,
+json, csv or md.
 
 Exit codes: 0 success (any verdict), 1 input/usage/parse error (also
-table --check mismatches and identity failures), 2 resource limit
-(degree guard), 3 criterion inapplicable (singular locus not isolated).
+table --check mismatches), 2 resource limit (degree guard), 3 criterion
+inapplicable (singular locus not isolated), 130 interrupted sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from multiprocessing import Pool
 from .catalog import (cusp_ci_admissible, cusp_ci_symmetry_class,
                       cusp_hyp_admissible, cusp_hyp_symmetry_class,
                       enumerate_table_rows, make_cusp_ci,
-                      make_cusp_hypersurface, make_rdp)
+                      make_cusp_hypersurface)
 from .criteria import classify as _classify_gens
 from .fp_poly import (DEFAULT_MAX_DEGREE, DegreeGuardError, FpPolyError,
                       PolyRing, check_prime, check_variables, format_poly)
@@ -147,9 +145,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--max-degree", type=_at_least(1),
                     default=DEFAULT_MAX_DEGREE)
     output(sp)
-
-    sp = sub.add_parser("identity", help="verify the closed-form identities")
-    sp.add_argument("--n-max", type=_at_least(2), default=10)
     return parser
 
 
@@ -375,57 +370,10 @@ def _cmd_sweep(args, out) -> int:
     return EXIT_INTERRUPTED if interrupted else EXIT_OK
 
 
-# --------------------------------------------------------------------- identity
-
-def _identity_cases(n_max: int):
-    """(label, computation, expected value) for the residual identities of
-    the D_2n^{n-1} and D_2n+1^{n-1} rows at p = 2 and the delta1 expansion
-    of three cusps."""
-    from .criteria import residual_polynomial
-    from .frobsplit import delta1
-
-    cases = []
-    for n in range(2, n_max + 1):
-        f = make_rdp("D_2n^{n-1}", 2, n)
-        x, y, z = f.ring.gens()
-        fz = f.derivative(2)
-        target = z ** 2 * f + (x ** 2 + x * y ** (n - 1) + x * z +
-                               y ** (2 * n - 2) + y ** (n - 1) * z) * fz * fz
-        cases.append((f"D_2n^{{n-1}} identity, n={n}",
-                      lambda f=f: residual_polynomial(f), target))
-    for n in range(2, n_max + 1):
-        f = make_rdp("D_2n+1^{n-1}", 2, n)
-        x, y, z = f.ring.gens()
-        fx, fz = f.derivative(0), f.derivative(2)
-        target = ((z ** 2 + y ** (2 * n - 1)) * f +
-                  (x ** 2 + x * y ** (n - 1) + y ** (2 * n - 3)) * fx * fx +
-                  (x ** 2 + z ** 2 + x * z + y ** (n - 1) * z) * fz * fz)
-        cases.append((f"D_2n+1^{{n-1}} identity, n={n}",
-                      lambda f=f: residual_polynomial(f), target))
-    for (a, b, c) in ((3, 4, 5), (2, 3, 7), (3, 3, 4)):
-        f = make_cusp_hypersurface(2, a, b, c)
-        x, y, z = f.ring.gens()
-        target = (x ** a * y ** b + x ** a * z ** c + y ** b * z ** c +
-                  x * y * z * (x ** a + y ** b + z ** c))
-        cases.append((f"cusp delta1 expansion, (a,b,c)=({a},{b},{c})",
-                      lambda f=f: delta1(f), target))
-    return cases
-
-
-def _cmd_identity(args, out) -> int:
-    for label, compute, target in _identity_cases(args.n_max):
-        got = compute()
-        if got != target:
-            out.write(f"FAIL {label}\n  computed: {got}\n  expected: {target}\n")
-            return EXIT_INPUT
-        out.write(f"ok {label}\n")
-    return EXIT_OK
-
-
 # --------------------------------------------------------------------- main
 
 _COMMANDS = {"classify": _cmd_classify, "table": _cmd_table,
-             "sweep": _cmd_sweep, "identity": _cmd_identity}
+             "sweep": _cmd_sweep}
 
 
 def main(argv=None) -> int:

@@ -103,7 +103,6 @@ class SplittingData:
     powers: tuple = field(compare=False, repr=False)
     gens: tuple
     degree: int
-    fpure_at_origin: bool
     survivor: tuple[int, ...] | None
     anchor: tuple[int, ...]
     groups: dict = field(compare=False, repr=False)
@@ -111,6 +110,10 @@ class SplittingData:
 
     def unpack(self, terms: dict) -> Poly:
         return _unpack(self.ring, terms, self.packing)
+
+    @property
+    def fpure_at_origin(self) -> bool:
+        return self.survivor is not None
 
     @functools.cached_property
     def s(self) -> Poly:
@@ -169,8 +172,8 @@ def build_splitting(gens: Sequence[Poly],
     DegreeGuardError.check(moved, guard, "monomial")
     DegreeGuardError.check(degree + moved, guard, "product")
     return SplittingData(ring, packing, power, powers, tuple(gens),
-                         degree + moved, survivor is not None, survivor,
-                         anchor, groups, sum(map(mul, anchor, units)))
+                         degree + moved, survivor, anchor, groups,
+                         sum(map(mul, anchor, units)))
 
 
 def _sigma_terms(split: SplittingData, terms) -> dict:

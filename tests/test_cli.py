@@ -98,7 +98,11 @@ def test_usage_errors_exit_1(capsys):
             # a strong pseudoprime to every prime base up to 37
             ((*sweep, "--p", "5,318665857834031151167461"),
              "318665857834031151167461 is not prime"),
-            (("identity", "--n-max", "1"), "--n-max")):
+            # an equation that misses the origin, with a nonzero constant
+            (("classify", "--p", "5", "--vars", "x,y,z",
+              "--poly", "(x-1)^3+y^5+z^2+(x-1)*y^4"), "does not vanish"),
+            (("classify", "--p", "3", "--vars", "x,y,z",
+              "--poly", "1+x^2+y^3+z^5"), "does not vanish")):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_INPUT and message in err and not out, argv
     code, _, err = run_cli(capsys, "sweep", "cusp_hyp", "--max", "6")
@@ -107,15 +111,18 @@ def test_usage_errors_exit_1(capsys):
     assert code == EXIT_INPUT
     code, _, err = run_cli(capsys, "classify", "--p", "5", "--vars", "x")
     assert code == EXIT_INPUT  # missing --poly
-    code, _, err = run_cli(capsys, "nonsense")
-    assert code == EXIT_INPUT
+    # the closed-form identities are tier-1 checks, not a command
+    for command in ("nonsense", "identity"):
+        code, out, err = run_cli(capsys, command)
+        assert code == EXIT_INPUT and "invalid choice" in err and not out, \
+            command
     # an empty or repeated prime list is no sweep
     for primes in (",", "5,5"):
         code, out, err = run_cli(capsys, "sweep", "cusp_hyp", "--p", primes,
                                  "--max", "4")
         assert code == EXIT_INPUT and "--p" in err and not out, primes
     # each flag exists only on the commands that read it
-    for argv in (("table", "--jobs", "2"), ("identity", "--format", "json"),
+    for argv in (("table", "--jobs", "2"),
                  ("classify", "--p", "2", "--vars", "x", "--poly", "x",
                   "--jobs", "2")):
         code, _, err = run_cli(capsys, *argv)
@@ -145,7 +152,6 @@ def test_each_flag_is_checked_by_its_type(capsys, tmp_path, monkeypatch):
             ((*sweep, "--max", "x"), "--max"),
             ((*sweep, "--max", "1"), "--max"),
             (("table", "--n-max", "x"), "--n-max"),
-            (("identity", "--n-max", "x"), "--n-max"),
             ((*classify, "--p", "x"), "--p"),
             ((*classify, "--p", "2147483659"), "--p"),
             (("sweep", "cusp_hyp", "--p", "2,2147483659", "--max", "6"),
@@ -564,7 +570,6 @@ GOLDEN_RUNS = {
     # plain members past the seed: the membership run stops early
     "sweep_cusp_hyp_p5_max6.csv": ("sweep", "cusp_hyp", "--p", "5", "--max",
                                    "6", "--format", "csv"),
-    "identity_n10.txt": ("identity", "--n-max", "10"),
     "table_n3.csv": ("table", "--n-max", "3", "--format", "csv"),
     # the Pool side of the sweep loop
     "sweep_cusp_hyp_p2_max5_jobs2.md": ("sweep", "cusp_hyp", "--p", "2",
@@ -638,22 +643,6 @@ def test_sweep_md_format(capsys, tmp_path, monkeypatch):
     assert out.splitlines()[0] == "| p | a | b | c | d | F-pure | F-liftable | conclusive |"
 
 
-def test_identity_command(capsys):
-    code, out, _ = run_cli(capsys, "identity", "--n-max", "3")
-    assert code == EXIT_OK
-    assert out.count("ok ") == 2 * 2 + 3
-
-
-def test_identity_failure_is_exit_1(capsys, monkeypatch):
-    import fliftlab.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "_identity_cases", lambda n_max: [
-        ("one wrong case", lambda: 1, 2), ("never reached", None, None)])
-    code, out, _ = run_cli(capsys, "identity", "--n-max", "2")
-    assert code == EXIT_INPUT
-    assert out == "FAIL one wrong case\n  computed: 1\n  expected: 2\n"
-
-
 def test_classify_csv_and_md(capsys):
     code, out, _ = run_cli(capsys, "classify", "--p", "5", "--vars", "x,y,z",
                            "--poly", "z^2+x^3+y^5+x*y^4", "--format", "csv")
@@ -700,10 +689,10 @@ def test_console_script_installed():
     exe = shutil.which("fliftlab")
     if exe is None:
         pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "identity", "--n-max", "2"],
+    proc = subprocess.run([exe, "table", "--check", "--n-max", "1"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
-    assert "ok" in proc.stdout
+    assert "check: 0 mismatches" in proc.stderr
 
 
 def test_output_stable_across_hash_seeds():

@@ -121,6 +121,14 @@ def test_classify_rejects_bad_input():
         classify([ring.one()])
     with pytest.raises(ValueError, match="nonempty"):
         classify([])
+    # a generator off the origin, alone or in a complete intersection: E_8^1
+    # at p = 5 moved to (1, 0, 0), whose local ring at the origin is 0, and
+    # E_8 plus 1; a verdict would be about a point that is not on X
+    for p, text in ((5, "(x-1)^3+y^5+z^2+(x-1)*y^4"), (3, "1+x^2+y^3+z^5")):
+        f = _r(p).parse(text)
+        for gens in ([f], [_r(p).parse("x*y+z^2"), f]):
+            with pytest.raises(ValueError, match="does not vanish at the"):
+                classify(gens)
 
 
 def test_not_isolated_report():

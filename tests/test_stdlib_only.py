@@ -1,8 +1,9 @@
 """Package hygiene: the runtime and the scripts in tools/ stay
 stdlib-only (every module that src/fliftlab imports is in the standard
 library or is fliftlab itself), the lower modules keep their place in
-the package's import graph, `criteria` reads only the public names of
-the modules it imports, every degree-guard error but three is
+the package's import graph, `cli` imports only `classify` from
+`criteria`, `criteria` reads only the public names of the modules it
+imports, every degree-guard error but three is
 raised through `DegreeGuardError.check`, and `fliftlab.__all__` lists
 each name the package has, once."""
 
@@ -56,17 +57,34 @@ def _package_imports(path: Path) -> set[str]:
 # fp_poly, in whose arithmetic certificates are re-checked, depends on no
 # other module, so the check cannot come to rest on the engine it checks;
 # a report, and so reading one back, needs fp_poly alone; the front end
-# reaches the Groebner engine only through `classify` (its identity
-# command checks delta1 itself)
+# reaches the Groebner engine only through `classify`
 LAYERS = {"fp_poly": set(), "groebner": {"fp_poly"},
           "frobsplit": {"fp_poly"}, "catalog": {"fp_poly"},
           "report": {"fp_poly"},
-          "cli": {"catalog", "criteria", "fp_poly", "frobsplit", "report"}}
+          "cli": {"catalog", "criteria", "fp_poly", "report"}}
 
 
 def test_lower_modules_keep_their_imports():
     for name, imports in LAYERS.items():
         assert _package_imports(SRC / f"{name}.py") == imports, name
+
+
+def test_cli_imports_only_classify_from_criteria():
+    # the front end reaches the pipeline through `classify` alone: no
+    # other name of `criteria`, and not the module, at module level or
+    # inside a function
+    found = []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("criteria", "fliftlab.criteria"):
+                found += [alias.name for alias in node.names]
+            elif node.module in (None, "fliftlab"):
+                found += [alias.name for alias in node.names
+                          if alias.name == "criteria"]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name == "fliftlab.criteria"]
+    assert found == ["classify"], found
 
 
 def _private(name: str) -> bool:
